@@ -19,7 +19,7 @@ Commands:
 * ``workloads``      -- list the built-in benchmark suite;
 * ``evaluate``       -- score all predictors on a workload or a suite;
 * ``serve``          -- long-running prediction daemon (HTTP JSON API,
-  content-addressed result cache, bounded worker pool, graceful
+  content-addressed result cache, sharded analysis processes, graceful
   degradation -- see ``docs/SERVING.md``);
 * ``submit FILE...`` -- send programs to a running daemon; output is
   byte-identical to the corresponding one-shot command (``--trace-out``
@@ -612,6 +612,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.server import serve_daemon
 
+    if args.shards is not None and args.shards < 1:
+        print("error: --shards must be >= 1", file=sys.stderr)
+        return 2
     base_options = {}
     if args.intra:
         base_options["intra"] = True
@@ -628,7 +631,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return serve_daemon(
         host=args.host,
         port=args.port,
-        workers=args.workers,
         queue_size=args.queue_size,
         cache_dir=args.cache_dir,
         memory_cache_entries=args.memory_cache,
@@ -1248,12 +1250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="analysis shard processes (default: one per CPU core; "
-        "0 = single-process threaded tier)",
-    )
-    serve_cmd.add_argument(
-        "--workers", type=int, default=4, metavar="K",
-        help="analysis worker threads for --shards 0 (default 4)",
+        help="analysis shard processes (default: one per CPU core)",
     )
     serve_cmd.add_argument(
         "--queue-size", type=int, default=64, metavar="N",

@@ -11,7 +11,7 @@ server logs, and exported traces (``docs/OBSERVABILITY.md``).
 Like the tracer and the work counters, the current context rides a
 :class:`contextvars.ContextVar`: nothing is threaded through call
 signatures, and thread/async handoffs that copy the context (or call
-:func:`use` explicitly, as the serving workers do) see the right ids.
+:func:`use` explicitly, as the serving shards do) see the right ids.
 
 The off path is one ``ContextVar.get`` with a default -- no allocation,
 no locking -- and nothing in the analysis engine ever *reads* the

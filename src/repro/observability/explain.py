@@ -2,7 +2,8 @@
 
 Replays the provenance recorded by the tracer during one analysis run:
 for a ranges-predicted branch, the controlling SSA variable, its final
-weighted range set, and the comparison rule applied; for a branch whose
+weighted range set (from the final prediction, as ``repro ranges``
+lists it), and the comparison rule applied; for a branch whose
 controlling range is bottom, the exact Ball-Larus heuristic chain and
 the Dempster-Shafer combination walkthrough.
 """
@@ -99,6 +100,11 @@ class BranchExplanation:
         return "\n".join(self.lines())
 
 
+def _final_range(values, name: Optional[str], shown: Optional[str]):
+    """``name``'s final range text, or ``shown`` when it is no SSA value."""
+    return str(values[name]) if name in values else shown
+
+
 def explain_module(
     module,
     ssa_infos,
@@ -151,10 +157,21 @@ def explain_module(
             )
         resolution = resolutions.get(key)
         if resolution is not None:
+            # The event names the condition and its operands; their
+            # ranges come from the final prediction, because the last
+            # event fired when the *probability* last moved, which can
+            # be before an operand's range did.
+            final = prediction.functions.get(function)
+            values = final.values if final is not None else {}
             explanation.cond = resolution.cond
-            explanation.cond_range = resolution.cond_range
+            explanation.cond_range = _final_range(
+                values, resolution.cond, resolution.cond_range
+            )
             explanation.cmp_op = resolution.cmp_op
-            explanation.operands = resolution.operands
+            explanation.operands = tuple(
+                (name, _final_range(values, name, shown))
+                for name, shown in resolution.operands
+            )
         chain = chains.get(key)
         if source == "heuristic" and chain is not None:
             explanation.heuristics = chain.chain

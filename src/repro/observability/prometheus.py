@@ -38,14 +38,14 @@ reanalyzed) and ``repro_incremental_store_hits_total`` /
 ``tier``).  Without the store the snapshot has no ``incremental`` key
 and the exposition is unchanged.
 
-When the snapshot comes from the sharded tier (it carries a ``shards``
+When the snapshot comes from the daemon (it carries a ``shards``
 list), per-shard families are appended, all labelled ``shard="0"..``:
 ``repro_shard_queue_depth`` / ``repro_shard_queue_high_water`` (gauges),
 ``repro_shard_served_total`` / ``repro_shard_restarts_total`` /
 ``repro_shard_cache_hits_total`` (counters, the last also by ``tier``),
-``repro_shard_alive`` and ``repro_shard_cache_entries`` (gauges).  The
-single-process daemon never produces the ``shards`` key, so its
-exposition is unchanged by sharding's existence.
+``repro_shard_alive`` and ``repro_shard_cache_entries`` (gauges).  A
+bare :meth:`~repro.server.stats.ServerStats.snapshot` has no ``shards``
+key and renders only the unlabeled families.
 
 Histogram buckets are the serving SLO boundaries
 (:data:`repro.server.stats.LATENCY_BUCKETS_MS`, seconds here), rendered
@@ -293,10 +293,10 @@ def render_server_metrics(
 
     shards = server.get("shards")
     if isinstance(shards, list) and shards:
-        # Per-shard families, emitted only by the sharded tier: the
-        # single-process daemon's snapshot has no "shards" key, so its
-        # exposition -- every family above, all unlabeled-by-shard --
-        # is byte-for-byte what it was before sharding existed
+        # Per-shard families, emitted only when the snapshot carries a
+        # "shards" key: without it the exposition is every family
+        # above, all unlabeled-by-shard, byte-for-byte what it was
+        # before sharding existed
         # (regression-tested in tests/observability/test_prometheus.py).
         shard_depth = MetricFamily(
             "repro_shard_queue_depth",

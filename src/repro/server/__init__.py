@@ -9,25 +9,16 @@ that accepts program text and answers with predictions, diagnostics,
 IR, or execution profiles -- byte-identical to the corresponding
 one-shot CLI output (see ``docs/SERVING.md``).
 
-Two serving tiers share every contract (routes, backpressure, drain,
-byte identity) and differ only in throughput:
-
-* the **sharded tier** (the default): N shard *processes*, each with a
-  resident engine and shard-local caches, behind a non-blocking
-  selector front end that routes by consistent hash of the request's
-  content address -- analysis scales with cores instead of serialising
-  on the GIL;
-* the **threaded tier** (``--shards 0``): the original single-process
-  daemon with a bounded worker pool, for environments where forking is
-  unwelcome.
+The daemon is N shard *processes*, each with a resident engine and
+shard-local caches, behind a non-blocking selector front end that
+routes by consistent hash of the request's content address -- analysis
+scales with cores instead of serialising on the GIL.
 
 Layers, bottom up:
 
 * :mod:`.cache`    -- content-addressed result cache (SHA-256 of source
   + config fingerprint), memory tier over an on-disk tier that survives
   restarts and is safely shared between shard processes;
-* :mod:`.workers`  -- bounded worker pool with request queueing (the
-  threaded tier's concurrency);
 * :mod:`.service`  -- command execution with per-request analysis
   timeouts and graceful degradation to heuristics-only prediction;
 * :mod:`.stats`    -- per-endpoint request counts and latency
@@ -37,9 +28,8 @@ Layers, bottom up:
   content address (cache affinity across shards);
 * :mod:`.shard`    -- the shard worker process and its parent-side
   handle (pipe protocol, drain sentinel, respawn);
-* :mod:`.frontend` -- the selector event loop in front of the shards;
-* :mod:`.httpd`    -- the threaded HTTP front end plus the
-  ``repro serve`` entry point that picks a tier;
+* :mod:`.frontend` -- the selector event loop in front of the shards,
+  plus the ``repro serve`` entry point (signals, drain);
 * :mod:`.client`   -- the stdlib client behind ``repro submit``
   (including the ``--jobs N`` concurrent fan-out).
 
@@ -50,8 +40,7 @@ from __future__ import annotations
 
 from repro.server.cache import ResultCache, request_key
 from repro.server.client import ServeClient, ServerError
-from repro.server.frontend import ShardedServer
-from repro.server.httpd import ReproServer, serve_daemon
+from repro.server.frontend import ShardedServer, serve_daemon
 from repro.server.protocol import (
     COMMANDS,
     ProtocolError,
@@ -61,7 +50,6 @@ from repro.server.router import HashRing
 from repro.server.service import AnalysisService, AnalysisTimeout, request_identity
 from repro.server.shard import ShardHandle
 from repro.server.stats import ServerStats, compute_retry_after
-from repro.server.workers import QueueFullError, WorkerPool
 
 __all__ = [
     "COMMANDS",
@@ -69,15 +57,12 @@ __all__ = [
     "AnalysisTimeout",
     "HashRing",
     "ProtocolError",
-    "QueueFullError",
-    "ReproServer",
     "ResultCache",
     "ServeClient",
     "ServerError",
     "ServerStats",
     "ShardHandle",
     "ShardedServer",
-    "WorkerPool",
     "compute_retry_after",
     "request_identity",
     "request_key",

@@ -1,12 +1,23 @@
-"""Sharded serving front end: a non-blocking selector event loop.
+"""The ``repro serve`` daemon: N shard processes behind one event loop.
 
-This is the scale-out face of ``repro serve``.  Where the original
-daemon (:mod:`repro.server.httpd`) spends a thread per connection and a
-GIL-capped thread pool on analysis, this front end runs **one**
-event-loop thread that only ever accepts sockets, parses HTTP, routes,
-and writes responses -- all the CPU work happens in N shard *processes*
-(:mod:`repro.server.shard`), so analysis throughput scales with cores
-instead of saturating at one.
+The front end is **one** non-blocking selector thread that only ever
+accepts sockets, parses HTTP, routes, and writes responses; all the CPU
+work happens in N shard *processes* (:mod:`repro.server.shard`), so
+analysis throughput scales with cores instead of serialising on the
+GIL.
+
+Endpoints::
+
+    GET  /healthz      liveness, in-flight count, shard count
+    GET  /metricsz     metrics document: JSON schema by default,
+                       Prometheus text when negotiated
+    POST /v1/predict   one program  -> prediction table
+    POST /v1/check     one program  -> diagnostics report
+    POST /v1/ranges    one program  -> final range listing
+    POST /v1/ir        one program  -> canonical SSA dump
+    POST /v1/run       one program  -> interpret + profile
+    POST /v1/analyze   one program  -> command named in the body
+    POST /v1/batch     {"items": [...]} -> {"results": [...]}
 
 Routing is by content address: the front end computes the same
 :func:`repro.server.service.request_identity` key the caches use and
@@ -15,7 +26,7 @@ repeat submission always lands on the shard whose memory LRU and perf
 caches already hold it, and the shared on-disk cache tier picks up the
 rest across restarts.
 
-The public contracts of the single-process daemon hold unchanged:
+Contracts:
 
 * **byte identity** -- shards run the same :class:`AnalysisService`
   over the same renderer, so a served response equals the one-shot CLI
@@ -24,17 +35,24 @@ The public contracts of the single-process daemon hold unchanged:
   (``queue_size``); a request routed to a full shard answers 503 with a
   ``Retry-After`` computed from queue depth and observed drain rate,
   and a batch enqueues atomically against all its target shards or
-  fails 503 as a unit;
+  fails 503 as a unit.  An oversized body answers 413, malformed JSON
+  or protocol violations 400; analysis-level failures (parse errors,
+  timeouts) are 200 with ``status: "error"`` or ``degraded: true``;
 * **deadline degradation** -- per-request timeouts live in the service,
-  inside each shard, exactly as before;
+  inside each shard;
+* **tracing** -- a request carrying ``X-Repro-Trace-Id`` keeps that id
+  (otherwise one is minted); it is echoed on the response, stamped on
+  the ``server.request.begin``/``end`` events and the request's span,
+  handed to the shard, and written to the JSON access log
+  (``repro.server.access``, silent unless
+  :func:`repro.observability.logging.configure_json_logging` ran);
 * **drain** -- SIGTERM stops the accept loop, lets every dispatched
   request finish and flush, then collects *every* shard process before
   exiting.
 
 HTTP handling is deliberately minimal: HTTP/1.0, one request per
-connection, ``Content-Length`` required on POST -- the same wire
-behaviour ``ThreadingHTTPServer`` gave the original daemon, now without
-a thread per socket.
+connection (so no idle keep-alive can hold a drain hostage),
+``Content-Length`` required on POST.
 """
 
 from __future__ import annotations
@@ -42,6 +60,7 @@ from __future__ import annotations
 import json
 import os
 import selectors
+import signal
 import socket
 import threading
 import time
@@ -59,8 +78,19 @@ from repro.server.service import request_identity
 from repro.server.shard import ShardHandle
 from repro.server.stats import ServerStats
 
-#: POST route -> pinned command (None = the body decides); mirrors httpd.
-from repro.server.httpd import MAX_RETAINED_SPANS, POST_ROUTES
+#: POST route -> command pinned by the URL (None = the body decides).
+POST_ROUTES: Dict[str, Optional[str]] = {
+    "/v1/predict": "predict",
+    "/v1/check": "check",
+    "/v1/ranges": "ranges",
+    "/v1/ir": "ir",
+    "/v1/run": "run",
+    "/v1/analyze": None,
+}
+
+#: Spans kept for /metricsz aggregation; past this the daemon keeps
+#: counting events but stops retaining span records.
+MAX_RETAINED_SPANS = 100_000
 
 _REASONS = {
     200: "OK",
@@ -228,7 +258,7 @@ class ShardedServer:
     def port(self) -> int:
         return self._listen.getsockname()[1]
 
-    # -- observability (same wrappers as ReproServer) ------------------------
+    # -- observability (thread-safe wrappers) --------------------------------
 
     def emit_event(self, event) -> None:
         with self._tracer_lock:
@@ -248,6 +278,11 @@ class ShardedServer:
             self.tracer.spans.append(record)
 
     def tracer_summary(self) -> dict:
+        """Span/event totals, copied under the tracer lock.
+
+        ``/metricsz`` must never iterate the live ``event_counts`` while
+        another thread is still ``emit()``-ing into it.
+        """
         with self._tracer_lock:
             return {
                 "spans": len(self.tracer.spans),
@@ -260,66 +295,52 @@ class ShardedServer:
     def inflight(self) -> int:
         return sum(handle.inflight for handle in self.shards)
 
-    def _aggregate_cache_stats(self) -> dict:
-        """Shard cache counters summed into the single-daemon shape."""
-        total = {
-            "memory": {"hits": 0, "misses": 0, "evictions": 0, "entries": 0},
-            "disk": {"hits": 0, "misses": 0, "errors": 0,
-                     "enabled": self.cache_dir is not None},
-            "stores": 0,
-        }
-        for handle in self.shards:
-            cache = handle.stats_snapshot.get("cache") or {}
-            for tier in ("memory", "disk"):
-                for field, value in (cache.get(tier) or {}).items():
-                    if isinstance(value, bool):
-                        continue
-                    if field in total[tier]:
-                        total[tier][field] += int(value)
-            total["stores"] += int(cache.get("stores", 0))
-        return total
-
     def shard_snapshots(self) -> List[dict]:
         return [handle.snapshot() for handle in self.shards]
 
-    def _aggregate_incremental_stats(self) -> Optional[dict]:
-        """Shard summary-store counters summed into one document.
+    def _sum_shard_stats(self, key: str, *extra: str) -> dict:
+        """The shards' ``key`` two-tier store counters, summed.
 
-        ``None`` when the tier runs without the incremental store, so
-        snapshots keep their pre-incremental shape.
+        Covers the memory/disk tiers, ``stores`` and the integer fields
+        named in ``extra``, in the shape of one store's ``stats()``.
         """
-        if not self.incremental:
-            return None
-        total = {
+        total: dict = {
             "memory": {"hits": 0, "misses": 0, "evictions": 0, "entries": 0},
             "disk": {"hits": 0, "misses": 0, "errors": 0,
                      "enabled": self.cache_dir is not None},
-            "stores": 0,
-            "function_hits": 0,
-            "function_misses": 0,
         }
+        fields = ("stores",) + extra
+        total.update(dict.fromkeys(fields, 0))
         for handle in self.shards:
-            stats = handle.stats_snapshot.get("incremental") or {}
+            stats = handle.stats_snapshot.get(key) or {}
             for tier in ("memory", "disk"):
                 for field, value in (stats.get(tier) or {}).items():
                     if isinstance(value, bool):
                         continue
                     if field in total[tier]:
                         total[tier][field] += int(value)
-            for field in ("stores", "function_hits", "function_misses"):
+            for field in fields:
                 total[field] += int(stats.get(field, 0))
         return total
 
     def _server_snapshot(self) -> dict:
         return self.stats.snapshot(
-            cache_stats=self._aggregate_cache_stats(),
+            cache_stats=self._sum_shard_stats("cache"),
             queue_depth=self.inflight(),
             queue_high_water=max(
                 (handle.high_water for handle in self.shards), default=0
             ),
             tracer_summary=self.tracer_summary(),
             shards=self.shard_snapshots(),
-            incremental=self._aggregate_incremental_stats(),
+            # None without the summary store keeps the snapshot's
+            # pre-incremental shape.
+            incremental=(
+                self._sum_shard_stats(
+                    "incremental", "function_hits", "function_misses"
+                )
+                if self.incremental
+                else None
+            ),
         )
 
     def metrics_document(self) -> dict:
@@ -982,3 +1003,88 @@ class ShardedServer:
         # Try an eager write: most responses fit the socket buffer, so
         # the common case finishes without another loop iteration.
         self._on_client_writable(selector, conn)
+
+
+def serve_daemon(
+    host: str = "127.0.0.1",
+    port: int = 8077,
+    queue_size: int = 64,
+    cache_dir: Optional[str] = None,
+    memory_cache_entries: int = 1024,
+    timeout_s: Optional[float] = None,
+    max_request_bytes: int = 1 << 20,
+    drain_timeout_s: float = 30.0,
+    base_options: Optional[dict] = None,
+    verbose: bool = False,
+    shards: Optional[int] = None,
+    incremental: bool = False,
+) -> int:
+    """Run the daemon until SIGTERM/SIGINT, then drain and exit.
+
+    This is the body of ``repro serve``.  The readiness line
+    (``listening on HOST:PORT``) is printed only after the socket is
+    bound, so supervisors and CI scripts can wait for it; with
+    ``--port 0`` the kernel-assigned port is the one printed.  A signal
+    starts a drain that finishes in-flight work and collects every
+    shard process; the exit status is 0 only on a clean drain.
+
+    ``shards`` defaults to one shard per CPU core (see
+    :class:`ShardedServer`).  The access log (one JSON line per request,
+    stderr) is enabled here and only here: in-process embedders get a
+    silent server unless they call
+    :func:`repro.observability.logging.configure_json_logging`
+    themselves.
+    """
+    from repro.observability.logging import configure_json_logging
+
+    configure_json_logging()
+    # Shards fork inside the constructor, before any thread starts.
+    server = ShardedServer(
+        host=host,
+        port=port,
+        shards=shards,
+        queue_size=queue_size,
+        cache_dir=cache_dir,
+        memory_cache_entries=memory_cache_entries,
+        timeout_s=timeout_s,
+        max_request_bytes=max_request_bytes,
+        base_options=base_options,
+        verbose=verbose,
+        incremental=incremental,
+    )
+    print(
+        f"repro serve: listening on {server.host}:{server.port} "
+        f"(shards={server.shard_count}, queue={queue_size}/shard, "
+        f"cache={'disk+memory' if cache_dir else 'memory'}, "
+        f"timeout={'none' if timeout_s is None else f'{timeout_s}s'})",
+        flush=True,
+    )
+
+    stop = threading.Event()
+
+    def _signal_handler(signum, frame) -> None:  # noqa: ARG001
+        stop.set()
+
+    previous = {}
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        previous[signum] = signal.signal(signum, _signal_handler)
+    loop = threading.Thread(
+        target=server.serve_forever, name="repro-serve-frontend", daemon=True
+    )
+    loop.start()
+    try:
+        stop.wait()
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+    print(f"repro serve: draining ({server.inflight()} in flight)...", flush=True)
+    finished = server.drain(timeout=drain_timeout_s)
+    loop.join(timeout=5.0)
+    snapshot = server.stats.snapshot()
+    print(
+        f"repro serve: drained; served "
+        f"{sum(snapshot['responses'].values())} responses "
+        f"({snapshot['degraded']} degraded)",
+        flush=True,
+    )
+    return 0 if finished else 1

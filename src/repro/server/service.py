@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import rendering
 from repro.core import VRPConfig, VRPPredictor
 from repro.server import protocol
 from repro.server.cache import ResultCache, request_key
 from repro.server.protocol import ProtocolError, validate_request
-from repro.server.workers import WorkerPool
 
 
 class AnalysisTimeout(Exception):
@@ -342,9 +341,9 @@ class AnalysisService:
         ``trace_id`` (minted or adopted by the HTTP layer) enters the
         ambient trace context for the duration of the request, so
         engine spans and the metrics ``tracing`` key correlate with the
-        access log.  It runs here -- on the *worker* thread -- because
-        :class:`contextvars.ContextVar` values do not cross the pool's
-        thread boundary on their own.
+        access log.  It runs here -- in the shard that analyses the
+        request -- because :class:`contextvars.ContextVar` values do not
+        cross the front end's process boundary on their own.
         """
         from repro.observability import context as tracecontext
 
@@ -425,30 +424,3 @@ class AnalysisService:
             )
             response.update(key=None, cached=None, elapsed_ms=0.0)
             return response
-
-    # -- micro-batched requests ----------------------------------------------
-
-    def execute_batch(
-        self,
-        items: Sequence[dict],
-        pool: Optional[WorkerPool] = None,
-        trace_id: Optional[str] = None,
-    ) -> List[dict]:
-        """A multi-file submission, fanned out item-per-job.
-
-        With a pool the batch enqueues atomically (or raises
-        :class:`repro.server.workers.QueueFullError` as a unit) and the
-        items run on the analysis workers, interleaved with other
-        traffic; results come back in submission order regardless of
-        completion order -- the serving-shape analogue of the
-        ``--jobs N`` fan-out's determinism contract.
-        """
-        if pool is not None and len(items) > 1:
-            futures = pool.submit_many(
-                [
-                    (self.execute_item, (item,), {"trace_id": trace_id})
-                    for item in items
-                ]
-            )
-            return [future.result() for future in futures]
-        return [self.execute_item(item, trace_id=trace_id) for item in items]

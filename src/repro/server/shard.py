@@ -30,7 +30,7 @@ mid-analysis.
 Shards process one request at a time: cross-request concurrency is the
 *shard count*, which is the whole point -- in-shard thread pools would
 just re-serialise on the GIL.  Per-request deadlines and degradation
-still work exactly as in the single-process daemon because they live in
+work inside each shard because they live in
 :class:`~repro.server.service.AnalysisService`, which runs here
 unchanged; that is also what makes sharded responses byte-identical to
 the one-shot CLI at every shard count.

@@ -163,7 +163,7 @@ class ServerStats:
         """The metrics schema v5 ``server`` document fragment.
 
         ``tracer_summary`` must be gathered by the caller *under its
-        own tracer lock* (see :meth:`ReproServer.tracer_summary`):
+        own tracer lock* (see :meth:`ShardedServer.tracer_summary`):
         handing the live tracer here raced against concurrent
         ``emit()`` calls mutating ``event_counts`` mid-iteration.
         """
@@ -188,11 +188,10 @@ class ServerStats:
         if tracer_summary is not None:
             out["tracer"] = tracer_summary
         if shards is not None:
-            # Per-shard documents from the sharded tier: queue depth /
-            # high water, the shard's cache stats, liveness.  The
-            # single-process path never passes this, so its snapshots
-            # (and the unlabeled Prometheus series rendered from them)
-            # are byte-for-byte what they were before sharding existed.
+            # Per-shard documents: queue depth / high water, the
+            # shard's cache stats, liveness.  Without them the snapshot
+            # (and the unlabeled Prometheus series rendered from it) is
+            # byte-for-byte what it was before sharding existed.
             out["shards"] = [dict(shard) for shard in shards]
         if incremental is not None:
             # The incremental summary store's counters (function hits /

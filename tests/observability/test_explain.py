@@ -1,10 +1,24 @@
 """Branch explain mode on the Figure 4 example and a bottom-range branch."""
 
+from pathlib import Path
+
 import pytest
 
+from repro import rendering
+from repro.core import VRPPredictor
 from repro.ir import prepare_module
 from repro.lang import compile_source
 from repro.observability import explain_branch, explain_module
+from repro.workloads import all_workloads
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+#: The examples plus the workload registry: every program ``repro``
+#: ships, named as the explain-vs-ranges test ids show them.
+PROGRAMS = {
+    **{path.name: path.read_text() for path in sorted(EXAMPLES.glob("*.toy"))},
+    **{workload.name: workload.source for workload in all_workloads()},
+}
 
 PAPER_FIGURE_2 = """
 func main(n) {
@@ -103,3 +117,48 @@ class TestExplainBranchLookup:
         with pytest.raises(KeyError) as excinfo:
             explain_branch(module, ssa_infos, "main", "nope")
         assert "main/for1" in str(excinfo.value)
+
+
+def _ranges_listing_values(source):
+    """``(function, ssa name) -> range text`` parsed from ``repro ranges``."""
+    prediction = VRPPredictor().predict_module(*_prepared(source))
+    values = {}
+    function = None
+    for line in rendering.ranges_listing(prediction).splitlines():
+        if line.startswith("func "):
+            function = line[len("func "):-1]
+            continue
+        name, _, shown = line.strip().partition(" ")
+        values[(function, name)] = shown.strip()
+    return values
+
+
+class TestExplainMatchesRanges:
+    """explain's controlling ranges are the final ranges, not a snapshot."""
+
+    @pytest.mark.parametrize("program", sorted(PROGRAMS))
+    def test_controlling_ranges_equal_ranges_listing(self, program):
+        source = PROGRAMS[program]
+        listed = _ranges_listing_values(source)
+        checked = 0
+        for (function, label), explanation in explain_module(
+            *_prepared(source)
+        ).items():
+            shown = list(explanation.operands)
+            if explanation.cond is not None:
+                shown.append((explanation.cond, explanation.cond_range))
+            for name, rangeset in shown:
+                if (function, name) in listed:
+                    assert rangeset == listed[(function, name)], (
+                        f"{program} {function}/{label}: {name}"
+                    )
+                    checked += 1
+        assert checked
+
+    def test_operand_that_falls_after_the_last_resolution(self):
+        # peak.1 reaches bottom only after main/body7's probability
+        # settled; the last BranchResolution event still shows [0:0].
+        explanation = explain_branch(
+            *_prepared(PROGRAMS["countdown.toy"]), "main", "body7"
+        )
+        assert dict(explanation.operands)["peak.1"] == "_|_"

@@ -1,4 +1,4 @@
-"""The HTTP daemon: endpoints, backpressure, degradation, drain."""
+"""The HTTP daemon: endpoints, backpressure, degradation, drain, CLI."""
 
 import http.client
 import json
@@ -11,8 +11,10 @@ import time
 
 import pytest
 
+from repro.cli import main
+from repro.observability import context as tracecontext
 from repro.observability.metrics import validate_report_dict
-from repro.server import ReproServer, ServeClient, ServerError
+from repro.server import ServeClient, ServerError, ShardedServer
 
 PROGRAM = """
 func main(n) {
@@ -24,14 +26,7 @@ func main(n) {
 }
 """
 
-
-def start_server(**kwargs):
-    server = ReproServer(port=0, **kwargs)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    client = ServeClient(port=server.port)
-    client.wait_ready()
-    return server, client
+OTHER = "func main(n) { if (n > 0) { return 1; } return 0; }"
 
 
 def raw_post(port, path, body_bytes, headers=None):
@@ -44,11 +39,23 @@ def raw_post(port, path, body_bytes, headers=None):
         connection.close()
 
 
-@pytest.fixture
-def served():
-    server, client = start_server(workers=2, queue_size=8)
-    yield server, client
-    server.drain(timeout=10)
+def wait_inflight(server, count):
+    deadline = time.monotonic() + 5
+    while server.inflight() < count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert server.inflight() == count
+
+
+def post_in_background(client, outcome):
+    def post():
+        try:
+            outcome["response"] = client.analyze("predict", PROGRAM)
+        except ServerError as error:
+            outcome["error"] = error
+
+    poster = threading.Thread(target=post, daemon=True)
+    poster.start()
+    return poster
 
 
 class TestEndpoints:
@@ -132,15 +139,18 @@ class TestRejection:
         finally:
             connection.close()
 
-    def test_oversized_body_is_413(self):
-        server, client = start_server(workers=1, queue_size=2, max_request_bytes=64)
-        try:
-            with pytest.raises(ServerError) as excinfo:
-                client.analyze("predict", PROGRAM)
-            assert excinfo.value.status == 413
-            assert server.stats.snapshot()["rejected"]["too_large"] == 1
-        finally:
-            server.drain(timeout=10)
+    def test_oversized_body_is_413(self, start_server):
+        server, client = start_server(queue_size=2, max_request_bytes=64)
+        with pytest.raises(ServerError) as excinfo:
+            client.analyze("predict", PROGRAM)
+        assert excinfo.value.status == 413
+        assert server.stats.snapshot()["rejected"]["too_large"] == 1
+
+    def test_invalid_sizes_rejected(self):
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            ShardedServer(port=0, shards=0)
+        with pytest.raises(ValueError, match="queue_size must be >= 1"):
+            ShardedServer(port=0, shards=1, queue_size=0)
 
     def test_protocol_violation_is_400(self, served):
         _, client = served
@@ -150,71 +160,108 @@ class TestRejection:
 
 
 class TestBackpressure:
-    def test_full_queue_is_503_with_retry_after(self):
-        server, client = start_server(workers=1, queue_size=1)
-        release = threading.Event()
-        running = threading.Event()
-        try:
-            # Park the only worker, then fill the one queue slot.
-            server.pool.submit(lambda: (running.set(), release.wait(10)))
-            assert running.wait(timeout=5)
-            server.pool.submit(lambda: None)
+    def test_full_queue_is_503_with_retry_after(self, start_server, paused):
+        server, client = start_server(queue_size=1)
+        outcome = {}
+        with paused(server):
+            # The frozen shard holds the one queue slot.
+            poster = post_in_background(client, outcome)
+            wait_inflight(server, 1)
             status, headers, body = raw_post(
                 server.port,
                 "/v1/predict",
-                json.dumps({"source": PROGRAM}).encode("utf-8"),
+                json.dumps({"source": OTHER}).encode("utf-8"),
             )
             assert status == 503
             assert headers.get("Retry-After") == "1"
             assert b"queue full" in body
             assert server.stats.snapshot()["rejected"]["queue_full"] == 1
-        finally:
-            release.set()
-            server.drain(timeout=10)
+        poster.join(timeout=10)
+        assert outcome["response"]["status"] == "ok"
+
+    def test_batch_is_admitted_atomically(self, start_server, paused):
+        server, client = start_server(queue_size=2)
+        outcome = {}
+        with paused(server):
+            poster = post_in_background(client, outcome)
+            wait_inflight(server, 1)
+            # Two items need two slots; one is free, so neither enters.
+            items = [
+                {"command": "predict", "source": PROGRAM},
+                {"command": "predict", "source": OTHER},
+            ]
+            status, headers, body = raw_post(
+                server.port,
+                "/v1/batch",
+                json.dumps({"items": items}).encode("utf-8"),
+            )
+            assert status == 503
+            assert "Retry-After" in headers
+            assert b"batch needs 2 slots" in body
+            assert server.inflight() == 1
+        poster.join(timeout=10)
+        assert outcome["response"]["status"] == "ok"
+
+    def test_high_water_tracks_peak_queue_depth(self, start_server, paused):
+        server, client = start_server(queue_size=8)
+        first, second = {}, {}
+        with paused(server):
+            posters = [post_in_background(client, first)]
+            wait_inflight(server, 1)
+            posters.append(post_in_background(client, second))
+            wait_inflight(server, 2)
+        for poster in posters:
+            poster.join(timeout=10)
+        queue = client.metricsz()["server"]["queue"]
+        assert queue == {"depth": 0, "high_water": 2}
 
 
 class TestDegradation:
-    def test_tiny_timeout_degrades_predict(self):
-        server, client = start_server(workers=2, queue_size=8, timeout_s=0.0)
-        try:
-            response = client.analyze("predict", PROGRAM)
-            assert response["degraded"] is True
-            body = response["output"].splitlines()[1:]
-            assert body and all("heuristic" in line for line in body)
-            assert server.stats.snapshot()["degraded"] == 1
-        finally:
-            server.drain(timeout=10)
+    def test_tiny_timeout_degrades_predict(self, start_server):
+        _, client = start_server(queue_size=8, timeout_s=0.0)
+        response = client.analyze("predict", PROGRAM)
+        assert response["degraded"] is True
+        body = response["output"].splitlines()[1:]
+        assert body and all("heuristic" in line for line in body)
+        # Read through the event loop: it records a request's stats
+        # right after writing the response, before serving the next.
+        assert client.metricsz()["server"]["degraded"] == 1
 
 
 class TestDrain:
-    def test_drain_finishes_inflight_requests(self):
-        server, client = start_server(workers=1, queue_size=8)
-        release = threading.Event()
-        running = threading.Event()
-        server.pool.submit(lambda: (running.set(), release.wait(10)))
-        assert running.wait(timeout=5)
+    def test_drain_finishes_inflight_requests(self, start_server, paused):
+        server, client = start_server(queue_size=8)
+        first, second = {}, {}
+        with paused(server):
+            posters = [post_in_background(client, first)]
+            wait_inflight(server, 1)
+            # The second request waits in the front end's queue.
+            posters.append(post_in_background(client, second))
+            wait_inflight(server, 2)
+            threading.Timer(0.1, os.kill, (
+                server.shards[0].process.pid, signal.SIGCONT,
+            )).start()
+            assert server.drain(timeout=10) is True
+        for poster in posters:
+            poster.join(timeout=10)
+        for outcome in (first, second):
+            assert "response" in outcome, outcome.get("error")
+            assert outcome["response"]["status"] == "ok"
 
+    def test_drain_times_out_on_stuck_work(self, start_server, paused):
+        server, client = start_server()
         outcome = {}
-
-        def post():
-            try:
-                outcome["response"] = client.analyze("predict", PROGRAM)
-            except ServerError as error:
-                outcome["error"] = error
-
-        poster = threading.Thread(target=post)
-        poster.start()
-        # Wait until the request is queued behind the parked job.
-        deadline = time.monotonic() + 5
-        while server.pool.depth() < 2 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert server.pool.depth() == 2
-
-        threading.Timer(0.1, release.set).start()
-        assert server.drain(timeout=10) is True
+        with paused(server):
+            poster = post_in_background(client, outcome)
+            wait_inflight(server, 1)
+            # The frozen shard cannot finish inside the drain timeout;
+            # thaw it afterwards so the shard can still be collected.
+            threading.Timer(0.5, os.kill, (
+                server.shards[0].process.pid, signal.SIGCONT,
+            )).start()
+            assert server.drain(timeout=0.2) is False
         poster.join(timeout=10)
-        assert "response" in outcome, outcome.get("error")
-        assert outcome["response"]["status"] == "ok"
+        assert "response" not in outcome
 
     def test_drained_server_stops_answering(self, served):
         server, client = served
@@ -230,7 +277,7 @@ class TestServeDaemonProcess:
         env["PYTHONPATH"] = os.path.abspath(src)
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--workers", "2", "--cache-dir", str(tmp_path / "cache")],
+             "--shards", "1", "--cache-dir", str(tmp_path / "cache")],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             env=env,
@@ -241,7 +288,9 @@ class TestServeDaemonProcess:
             assert "listening on" in ready
             port = int(ready.split("listening on ")[1].split()[0].split(":")[1])
             client = ServeClient(port=port)
-            response = client.analyze("predict", PROGRAM)
+            trace = tracecontext.mint()
+            with tracecontext.use(trace):
+                response = client.analyze("predict", PROGRAM)
             assert response["status"] == "ok"
             process.send_signal(signal.SIGTERM)
             out, _ = process.communicate(timeout=30)
@@ -252,3 +301,38 @@ class TestServeDaemonProcess:
         assert process.returncode == 0
         assert "draining" in out
         assert "drained" in out
+        # One JSON access-log line per request, joined by the trace id.
+        access = [
+            record
+            for record in map(json.loads, (
+                line for line in out.splitlines() if line.startswith("{")
+            ))
+            if record["logger"] == "repro.server.access"
+            and record.get("endpoint") == "/v1/predict"
+        ]
+        assert len(access) == 1
+        assert access[0]["status"] == 200
+        assert access[0]["method"] == "POST"
+        assert access[0]["trace_id"] == trace.trace_id
+
+    @pytest.mark.parametrize("shards", ["0", "-1"])
+    def test_shards_below_one_is_a_usage_error(self, capsys, shards):
+        assert main(["serve", "--port", "0", f"--shards={shards}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --shards must be >= 1\n"
+        assert captured.out == ""
+
+    def test_negative_shards_exits_2_without_a_traceback(self):
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(src)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--shards", "-1"],
+            capture_output=True,
+            env=env,
+            text=True,
+            timeout=30,
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: --shards must be >= 1\n"

@@ -1,10 +1,7 @@
 """The computed ``Retry-After`` estimate (replaces the hardcoded 1s)."""
 
-import threading
-
 import pytest
 
-from repro.server import ReproServer, ServeClient
 from repro.server.stats import (
     RETRY_AFTER_CEILING_S,
     RETRY_AFTER_FLOOR_S,
@@ -78,32 +75,20 @@ class TestDrainRate:
 
 
 class TestRetryAfterOnTheWire:
-    def test_cold_daemon_quotes_the_floor(self):
+    def test_cold_daemon_quotes_the_floor(self, start_server):
         # No /v1 completions yet -> no rate -> floor; this is the exact
         # behaviour the old hardcoded header happened to give, so
         # existing clients see no change on a cold daemon.
-        server = ReproServer(port=0, workers=1, queue_size=1)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            client = ServeClient(port=server.port)
-            client.wait_ready()
-            assert (
-                server.stats.retry_after(server.pool.depth(), server.pool.workers)
-                == RETRY_AFTER_FLOOR_S
-            )
-        finally:
-            server.drain(timeout=10)
+        server, _ = start_server(queue_size=1)
+        assert (
+            server.stats.retry_after(server.inflight(), server.shard_count)
+            == RETRY_AFTER_FLOOR_S
+        )
 
-    def test_warm_daemon_quotes_backlog_over_rate(self):
-        server = ReproServer(port=0, workers=2, queue_size=64)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            # Seed the latency history directly: 500ms mean at 2
-            # workers is 4 req/s; a 12-deep queue quotes ceil(12/4)=3.
-            for _ in range(4):
-                server.stats.record_request("/v1/predict", 200, 500.0)
-            assert server.stats.retry_after(12, server.pool.workers) == 3
-        finally:
-            server.drain(timeout=10)
+    def test_warm_daemon_quotes_backlog_over_rate(self, start_server):
+        server, _ = start_server(shards=2, queue_size=64)
+        # Seed the latency history directly: 500ms mean at 2 shards is
+        # 4 req/s; a 12-deep queue quotes ceil(12/4)=3.
+        for _ in range(4):
+            server.stats.record_request("/v1/predict", 200, 500.0)
+        assert server.stats.retry_after(12, server.shard_count) == 3

@@ -6,7 +6,6 @@ from repro.cli import main
 from repro.server.cache import ResultCache
 from repro.server.protocol import ProtocolError
 from repro.server.service import AnalysisService, analyze_payload
-from repro.server.workers import WorkerPool
 
 PROGRAM = """
 func main(n) {
@@ -215,41 +214,25 @@ class TestDegradation:
 
 
 class TestBatches:
-    def test_results_come_back_in_submission_order(self):
-        sources = [
-            f"func main(n) {{ return {i}; }}" for i in range(6)
-        ]
-        pool = WorkerPool(workers=3, queue_size=16)
-        try:
-            results = AnalysisService().execute_batch(
-                [
-                    {"command": "run", "source": s, "options": {"args": [0]}}
-                    for s in sources
-                ],
-                pool=pool,
-            )
-        finally:
-            pool.shutdown(timeout=5)
-        values = [r["output"].splitlines()[0] for r in results]
-        assert values == [f"return value: {i}" for i in range(6)]
+    """Batch items, as a shard runs them: one ``execute_item`` each."""
 
     def test_one_bad_item_fails_alone(self):
-        results = AnalysisService().execute_batch(
-            [
+        service = AnalysisService()
+        results = [
+            service.execute_item(item)
+            for item in (
                 {"command": "predict", "source": PROGRAM},
                 {"command": "predict"},  # missing source
                 {"command": "predict", "source": PROGRAM},
-            ]
-        )
+            )
+        ]
         assert [r["status"] for r in results] == ["ok", "error", "ok"]
 
     def test_batch_shares_the_result_cache(self):
         service = AnalysisService()
         service.execute({"command": "predict", "source": PROGRAM})
-        results = service.execute_batch(
-            [{"command": "predict", "source": PROGRAM}]
-        )
-        assert results[0]["cached"] == "memory"
+        item = service.execute_item({"command": "predict", "source": PROGRAM})
+        assert item["cached"] == "memory"
 
 
 class TestAnalyzePayloadDirect:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.observability.metrics import validate_report_dict
-from repro.server import ReproServer, ServeClient, ServerError
+from repro.server import ServerError
 from repro.server.frontend import ShardedServer
 from repro.server.service import request_identity
 
@@ -25,22 +25,9 @@ func main(n) {
 OTHER = "func main(n) { if (n > 0) { return 1; } return 0; }"
 
 
-def start_sharded(**kwargs):
-    kwargs.setdefault("shards", 2)
-    kwargs.setdefault("queue_size", 8)
-    server = ShardedServer(port=0, **kwargs)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    client = ServeClient(port=server.port)
-    client.wait_ready()
-    return server, client
-
-
 @pytest.fixture
-def sharded():
-    server, client = start_sharded()
-    yield server, client
-    server.drain(timeout=10)
+def sharded(start_server):
+    return start_server(shards=2, queue_size=8)
 
 
 def raw_post(port, path, body_bytes, headers=None):
@@ -109,14 +96,11 @@ class TestEndpoints:
         finally:
             connection.close()
 
-    def test_oversized_body_413(self):
-        server, client = start_sharded(shards=1, max_request_bytes=256)
-        try:
-            with pytest.raises(ServerError) as info:
-                client.analyze("predict", "x" * 500)
-            assert info.value.status == 413
-        finally:
-            server.drain(timeout=10)
+    def test_oversized_body_413(self, start_server):
+        _, client = start_server(max_request_bytes=256)
+        with pytest.raises(ServerError) as info:
+            client.analyze("predict", "x" * 500)
+        assert info.value.status == 413
 
     def test_trace_id_echoed(self, sharded):
         server, _ = sharded
@@ -166,24 +150,22 @@ class TestCacheAffinity:
         assert sum(served) >= 16
         assert all(count > 0 for count in served), served
 
-    def test_disk_cache_shared_across_shard_boundaries(self, tmp_path):
+    def test_disk_cache_shared_across_shard_boundaries(
+        self, tmp_path, start_server
+    ):
         # Same cache dir, two servers: an entry written by server A's
         # shard is a disk hit in server B (whose memory LRU is cold),
         # then promotes into B's shard-local memory tier.
         cache_dir = str(tmp_path / "cache")
-        first, client = start_sharded(shards=1, cache_dir=cache_dir)
-        try:
-            client.analyze("predict", PROGRAM)
-        finally:
-            assert first.drain(timeout=10)
-        second, client = start_sharded(shards=2, cache_dir=cache_dir)
-        try:
-            warm = client.analyze("predict", PROGRAM)
-            assert warm["cached"] == "disk"
-            again = client.analyze("predict", PROGRAM)
-            assert again["cached"] == "memory"
-        finally:
-            assert second.drain(timeout=10)
+        first, client = start_server(shards=1, cache_dir=cache_dir)
+        client.analyze("predict", PROGRAM)
+        assert first.drain(timeout=10)
+        second, client = start_server(shards=2, cache_dir=cache_dir)
+        warm = client.analyze("predict", PROGRAM)
+        assert warm["cached"] == "disk"
+        again = client.analyze("predict", PROGRAM)
+        assert again["cached"] == "memory"
+        assert second.drain(timeout=10)
 
 
 class TestMetrics:
@@ -217,68 +199,62 @@ class TestMetrics:
 
 
 class TestBackpressure:
-    def test_full_shard_queue_is_503_with_retry_after(self):
-        server, client = start_sharded(shards=1, queue_size=1)
-        try:
-            # Saturate the single shard: its queue admits one request,
-            # so concurrent extras must bounce with 503 + Retry-After.
-            import concurrent.futures
+    def test_full_shard_queue_is_503_with_retry_after(self, start_server):
+        _, client = start_server(queue_size=1)
+        # Saturate the single shard: its queue admits one request,
+        # so concurrent extras must bounce with 503 + Retry-After.
+        import concurrent.futures
 
-            slow = PROGRAM.replace("50", "200000")
-            outcomes = []
+        slow = PROGRAM.replace("50", "200000")
+        outcomes = []
 
-            def submit():
-                try:
-                    response = client.analyze("predict", slow)
-                    outcomes.append(("ok", response["status"]))
-                except ServerError as error:
-                    outcomes.append(("rejected", error.status))
+        def submit():
+            try:
+                response = client.analyze("predict", slow)
+                outcomes.append(("ok", response["status"]))
+            except ServerError as error:
+                outcomes.append(("rejected", error.status))
 
-            with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
-                list(pool.map(lambda _: submit(), range(6)))
-            rejected = [o for o in outcomes if o[0] == "rejected"]
-            assert all(status == 503 for _, status in rejected)
-            # At least one must have been served; with queue_size=1 at
-            # least one of six concurrent submissions must bounce.
-            assert any(o[0] == "ok" for o in outcomes)
-            assert rejected
-        finally:
-            server.drain(timeout=10)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
+            list(pool.map(lambda _: submit(), range(6)))
+        rejected = [o for o in outcomes if o[0] == "rejected"]
+        assert all(status == 503 for _, status in rejected)
+        # At least one must have been served; with queue_size=1 at
+        # least one of six concurrent submissions must bounce.
+        assert any(o[0] == "ok" for o in outcomes)
+        assert rejected
 
-    def test_retry_after_header_is_integer_seconds(self):
-        server, _ = start_sharded(shards=1, queue_size=1)
-        try:
-            import concurrent.futures
+    def test_retry_after_header_is_integer_seconds(self, start_server):
+        server, _ = start_server(queue_size=1)
+        import concurrent.futures
 
-            slow = json.dumps(
-                {"source": PROGRAM.replace("50", "200000")}
-            ).encode()
+        slow = json.dumps(
+            {"source": PROGRAM.replace("50", "200000")}
+        ).encode()
 
-            def submit(_):
-                return raw_post(server.port, "/v1/predict", slow)
+        def submit(_):
+            return raw_post(server.port, "/v1/predict", slow)
 
-            with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
-                responses = list(pool.map(submit, range(6)))
-            rejected = [r for r in responses if r[0] == 503]
-            assert rejected
-            for _, headers, _ in rejected:
-                retry_after = headers.get("Retry-After")
-                assert retry_after is not None
-                assert 1 <= int(retry_after) <= 60
-        finally:
-            server.drain(timeout=10)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
+            responses = list(pool.map(submit, range(6)))
+        rejected = [r for r in responses if r[0] == 503]
+        assert rejected
+        for _, headers, _ in rejected:
+            retry_after = headers.get("Retry-After")
+            assert retry_after is not None
+            assert 1 <= int(retry_after) <= 60
 
 
 class TestDrain:
-    def test_drain_collects_every_shard(self):
-        server, client = start_sharded(shards=2)
+    def test_drain_collects_every_shard(self, start_server):
+        server, client = start_server(shards=2)
         client.analyze("predict", OTHER)
         assert server.drain(timeout=10) is True
         for handle in server.shards:
             assert not handle.process.is_alive()
 
-    def test_drain_is_idempotent(self):
-        server, _ = start_sharded(shards=1)
+    def test_drain_is_idempotent(self, start_server):
+        server, _ = start_server()
         assert server.drain(timeout=10) is True
         assert server.drain(timeout=10) is True
 
@@ -287,45 +263,45 @@ class TestDrain:
         assert server.drain(timeout=10) is True
         assert not server.shards[0].process.is_alive()
 
-    def test_post_during_drain_is_503(self):
+    def test_post_during_drain_is_503(self, start_server, paused):
         import socket
         import time
 
-        server, client = start_sharded(shards=1)
-        # A genuinely slow request (the interpreter actually runs the
-        # loop) keeps the drain in its finish-in-flight phase while the
-        # test pokes at it.
-        slow = "func main(n) { s = 0; for (i = 0; i < 400000; i = i + 1) { s = s + i; } return s; }"
+        server, client = start_server()
+        # A request held by the frozen shard keeps the drain in its
+        # finish-in-flight phase while the test pokes at it.
         background = threading.Thread(
-            target=lambda: client.analyze("run", slow, options={"args": [0]}),
-            daemon=True,
+            target=lambda: client.analyze("predict", PROGRAM), daemon=True
         )
-        # A connection opened *before* the drain with partial bytes on
-        # the wire survives the idle sweep; its request completes during
-        # the drain and must bounce with 503.
-        sock = socket.create_connection(("127.0.0.1", server.port), timeout=10)
-        sock.sendall(b"PO")
-        background.start()
-        time.sleep(0.2)  # let the slow request reach its shard
         drainer = threading.Thread(
             target=lambda: server.drain(timeout=30), daemon=True
         )
-        drainer.start()
-        time.sleep(0.3)  # listener closed, loop finishing in-flight
-        assert server.draining is True
-        body = json.dumps({"source": OTHER}).encode()
-        sock.sendall(
-            b"ST /v1/predict HTTP/1.0\r\n"
-            + f"Content-Length: {len(body)}\r\n\r\n".encode()
-            + body
-        )
-        raw = b""
-        while True:
-            chunk = sock.recv(4096)
-            if not chunk:
-                break
-            raw += chunk
-        sock.close()
+        with paused(server):
+            # A connection opened *before* the drain with partial bytes
+            # on the wire survives the idle sweep; its request completes
+            # during the drain and must bounce with 503.
+            sock = socket.create_connection(
+                ("127.0.0.1", server.port), timeout=10
+            )
+            sock.sendall(b"PO")
+            background.start()
+            time.sleep(0.2)  # let the request reach its shard
+            drainer.start()
+            time.sleep(0.3)  # listener closed, loop finishing in-flight
+            assert server.draining is True
+            body = json.dumps({"source": OTHER}).encode()
+            sock.sendall(
+                b"ST /v1/predict HTTP/1.0\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                + body
+            )
+            raw = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                raw += chunk
+            sock.close()
         assert b"503" in raw.split(b"\r\n", 1)[0]
         assert b"draining" in raw
         background.join(timeout=30)
@@ -334,39 +310,31 @@ class TestDrain:
 
 
 class TestByteParity:
-    def test_sharded_matches_legacy_and_cli(self, capsys, tmp_path, sharded):
-        _, client = sharded
+    def test_sharded_matches_cli(self, capsys, tmp_path, start_server, sharded):
         path = tmp_path / "p.toy"
         path.write_text(PROGRAM, encoding="utf-8")
         assert main(["predict", str(path)]) == 0
         cli_output = capsys.readouterr().out
+        *_, key = request_identity({"source": PROGRAM}, "predict")
 
-        legacy = ReproServer(port=0, workers=2)
-        thread = threading.Thread(target=legacy.serve_forever, daemon=True)
-        thread.start()
-        try:
-            legacy_client = ServeClient(port=legacy.port)
-            legacy_client.wait_ready()
-            legacy_response = legacy_client.analyze("predict", PROGRAM)
-        finally:
-            legacy.drain(timeout=10)
+        _, one_shard = start_server(shards=1)
+        _, two_shards = sharded
+        for client in (one_shard, two_shards):
+            cold = client.analyze("predict", PROGRAM)
+            cached = client.analyze("predict", PROGRAM)
+            assert (cold["cached"], cached["cached"]) == (None, "memory")
+            for response in (cold, cached):
+                assert response["output"] == cli_output
+                assert response["key"] == key
 
-        sharded_response = client.analyze("predict", PROGRAM)
-        assert sharded_response["output"] == cli_output
-        assert sharded_response["output"] == legacy_response["output"]
-        assert sharded_response["key"] == legacy_response["key"]
-
-    def test_shard_count_does_not_change_bytes(self, sharded):
+    def test_shard_count_does_not_change_bytes(self, start_server, sharded):
         _, client2 = sharded
-        server1, client1 = start_sharded(shards=1)
-        try:
-            for source in (PROGRAM, OTHER):
-                one = client1.analyze("predict", source)
-                many = client2.analyze("predict", source)
-                assert one["output"] == many["output"]
-                assert one["key"] == many["key"]
-        finally:
-            server1.drain(timeout=10)
+        _, client1 = start_server(shards=1)
+        for source in (PROGRAM, OTHER):
+            one = client1.analyze("predict", source)
+            many = client2.analyze("predict", source)
+            assert one["output"] == many["output"]
+            assert one["key"] == many["key"]
 
 
 class TestShardCrash:

@@ -1,16 +1,16 @@
 """Hammer tests: ServerStats and the server tracer summary under contention.
 
-The daemon runs on ``ThreadingHTTPServer``, so every counter in
-:class:`repro.server.stats.ServerStats` is hit from many handler
-threads at once while ``/metricsz`` snapshots concurrently.  These
-tests drive that pattern hard and assert the totals reconcile exactly
--- a lost update anywhere shows up as a count mismatch.
+:class:`repro.server.stats.ServerStats` and the daemon's tracer are
+written by the front end's event loop while other threads (an embedder
+reading metrics, the drain on the signal thread) snapshot them.  These
+tests drive writers and readers hard from many threads at once and
+assert the totals reconcile exactly -- a lost update anywhere shows up
+as a count mismatch.
 """
 
 import threading
 
 from repro.observability.events import PassBegin
-from repro.server.httpd import ReproServer
 from repro.server.stats import LATENCY_BUCKETS_MS, ServerStats
 
 THREADS = 8
@@ -100,38 +100,45 @@ class TestServerStatsHammer:
 
 
 class TestTracerSummaryHammer:
-    def test_summary_during_concurrent_emit(self):
+    def test_summary_during_concurrent_emit(self, start_server):
         # The pre-v6 bug: metrics_document iterated the live tracer's
-        # event_counts outside the tracer lock while handler threads
+        # event_counts outside the tracer lock while other threads
         # emitted.  tracer_summary() copies under the lock; hammering
         # both sides must not raise or tear.
-        server = ReproServer(port=0, workers=1)
-        try:
-            barrier = threading.Barrier(5)
-            summaries: list = []
+        server, _ = start_server()
+        barrier = threading.Barrier(6)
+        summaries: list = []
+        documents: list = []
 
-            def emitter() -> None:
-                barrier.wait()
-                for i in range(500):
-                    server.emit_event(PassBegin(pass_name=f"p{i}", mutates=False))
+        def emitter() -> None:
+            barrier.wait()
+            for i in range(500):
+                server.emit_event(PassBegin(pass_name=f"p{i}", mutates=False))
 
-            def summariser() -> None:
-                barrier.wait()
-                for _ in range(200):
-                    summaries.append(server.tracer_summary())
+        def summariser() -> None:
+            barrier.wait()
+            for _ in range(200):
+                summaries.append(server.tracer_summary())
 
-            threads = [threading.Thread(target=emitter) for _ in range(4)]
-            threads.append(threading.Thread(target=summariser))
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        def scraper() -> None:
+            barrier.wait()
+            for _ in range(50):
+                documents.append(server.metrics_document())
 
-            final = server.tracer_summary()
-            assert final["event_counts"]["pass.begin"] == 2000
-            for summary in summaries:
-                assert set(summary) == {
-                    "spans", "event_counts", "dropped_events",
-                }
-        finally:
-            server.drain(timeout=5.0)
+        threads = [threading.Thread(target=emitter) for _ in range(4)]
+        threads.append(threading.Thread(target=summariser))
+        threads.append(threading.Thread(target=scraper))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+        final = server.tracer_summary()
+        assert final["event_counts"]["pass.begin"] == 2000
+        for summary in summaries:
+            assert set(summary) == {
+                "spans", "event_counts", "dropped_events",
+            }
+        assert len(documents) == 50
+        for document in documents:
+            assert set(document["server"]["tracer"]) == set(final)

@@ -1,13 +1,11 @@
 """``repro submit``: the client CLI against a live in-process daemon."""
 
 import json
-import threading
 
 import pytest
 
 from repro.cli import main
 from repro.observability.metrics import validate_report_dict
-from repro.server import ReproServer
 
 PROGRAM = """
 func main(n) {
@@ -25,12 +23,9 @@ BROKEN = "func main( { oops"
 
 
 @pytest.fixture
-def served():
-    server = ReproServer(port=0, workers=2, queue_size=8)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.drain(timeout=10)
+def served(start_server):
+    server, _ = start_server(queue_size=8)
+    return server
 
 
 def submit(served, *argv):
@@ -141,20 +136,17 @@ class TestEmitMetrics:
 
 
 class TestVerboseProvenance:
-    def test_degraded_response_prints_the_reason(self, capsys, tmp_path):
-        server = ReproServer(port=0, workers=2, queue_size=8, timeout_s=0.0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            path = tmp_path / "p.toy"
-            path.write_text(PROGRAM, encoding="utf-8")
-            assert submit(server, "--verbose", str(path)) == 0
-            err = capsys.readouterr().err
-            assert "degraded=True" in err
-            assert "reason=" in err
-            assert "deadline" in err
-        finally:
-            server.drain(timeout=10)
+    def test_degraded_response_prints_the_reason(
+        self, capsys, tmp_path, start_server
+    ):
+        server, _ = start_server(queue_size=8, timeout_s=0.0)
+        path = tmp_path / "p.toy"
+        path.write_text(PROGRAM, encoding="utf-8")
+        assert submit(server, "--verbose", str(path)) == 0
+        err = capsys.readouterr().err
+        assert "degraded=True" in err
+        assert "reason=" in err
+        assert "deadline" in err
 
     def test_error_response_prints_the_error(self, capsys, tmp_path, served):
         path = tmp_path / "bad.toy"

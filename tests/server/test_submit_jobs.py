@@ -1,13 +1,9 @@
 """``repro submit --jobs N``: concurrent fan-out, deterministic output."""
 
-import threading
-
 import pytest
 
 from repro.cli import main
-from repro.server import ReproServer, ServeClient
-from repro.server.client import ServerError
-from repro.server.frontend import ShardedServer
+from repro.server import ServeClient
 from repro.server.loadgen import make_corpus
 
 PROGRAM = """
@@ -26,14 +22,8 @@ BROKEN = "func main( { oops"
 
 
 @pytest.fixture
-def served():
-    server = ReproServer(port=0, workers=2, queue_size=32)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    client = ServeClient(port=server.port)
-    client.wait_ready()
-    yield server, client
-    server.drain(timeout=10)
+def served(start_server):
+    return start_server(queue_size=32)
 
 
 class TestAnalyzeMany:
@@ -109,23 +99,17 @@ class TestSubmitJobsCLI:
         assert code == 0
         assert fanned_out == sequential
 
-    def test_jobs_against_sharded_daemon(self, capsys, tmp_path):
-        server = ShardedServer(port=0, shards=2, queue_size=32)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            ServeClient(port=server.port).wait_ready()
-            paths = self._write_corpus(tmp_path)
-            code = main(["submit", "--port", str(server.port), *paths])
-            sequential = capsys.readouterr().out
-            code2 = main(
-                ["submit", "--port", str(server.port), "--jobs", "3", *paths]
-            )
-            fanned_out = capsys.readouterr().out
-            assert (code, code2) == (0, 0)
-            assert fanned_out == sequential
-        finally:
-            server.drain(timeout=10)
+    def test_jobs_against_sharded_daemon(self, capsys, tmp_path, start_server):
+        server, _ = start_server(shards=2, queue_size=32)
+        paths = self._write_corpus(tmp_path)
+        code = main(["submit", "--port", str(server.port), *paths])
+        sequential = capsys.readouterr().out
+        code2 = main(
+            ["submit", "--port", str(server.port), "--jobs", "3", *paths]
+        )
+        fanned_out = capsys.readouterr().out
+        assert (code, code2) == (0, 0)
+        assert fanned_out == sequential
 
     def test_single_file_ignores_jobs(self, capsys, tmp_path, served):
         server, _ = served

@@ -7,15 +7,11 @@ adoption and echo, per-request wire spans in traced responses,
 """
 
 import http.client
-import threading
 import time
-
-import pytest
 
 from repro.observability import context as tracecontext
 from repro.observability.chrometrace import events_from_wire_spans
 from repro.observability.prometheus import parse_prometheus_text
-from repro.server import ReproServer, ServeClient
 
 PROGRAM = """
 func main(n) {
@@ -26,22 +22,6 @@ func main(n) {
   return total;
 }
 """
-
-
-def start_server(**kwargs):
-    server = ReproServer(port=0, **kwargs)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    client = ServeClient(port=server.port)
-    client.wait_ready()
-    return server, client
-
-
-@pytest.fixture
-def served():
-    server, client = start_server(workers=2, queue_size=8)
-    yield server, client
-    server.drain(timeout=10)
 
 
 def get_with_header(port, path, headers):
@@ -112,14 +92,11 @@ class TestTracedResponses:
         assert first["key"] == second["key"]
         assert second["cached"] == "memory"
 
-    def test_degraded_response_carries_the_reason(self):
-        server, client = start_server(workers=2, queue_size=8, timeout_s=0.0)
-        try:
-            response = client.analyze("predict", PROGRAM)
-            assert response["degraded"] is True
-            assert "deadline" in response["degraded_reason"]
-        finally:
-            server.drain(timeout=10)
+    def test_degraded_response_carries_the_reason(self, start_server):
+        _, client = start_server(queue_size=8, timeout_s=0.0)
+        response = client.analyze("predict", PROGRAM)
+        assert response["degraded"] is True
+        assert "deadline" in response["degraded_reason"]
 
 
 class TestPrometheusEndpoint:
