@@ -638,7 +638,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_request_bytes=args.max_request_bytes,
         drain_timeout_s=args.drain_timeout,
         base_options=base_options or None,
-        verbose=args.verbose,
         shards=args.shards,
         incremental=args.incremental,
     )
@@ -1283,9 +1282,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="consult the per-function summary store on whole-file "
         "cache misses (disk tier under <cache-dir>/incremental)",
-    )
-    serve_cmd.add_argument(
-        "--verbose", action="store_true", help="log every HTTP request"
     )
     serve_cmd.add_argument("--intra", action="store_true", help=argparse.SUPPRESS)
     serve_cmd.add_argument("--numeric", action="store_true", help=argparse.SUPPRESS)

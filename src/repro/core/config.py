@@ -98,13 +98,9 @@ class VRPConfig:
     # (off in production, on under the test suite).
     verify_ir: bool = field(default_factory=default_verify_ir)
     # Performance layer (``repro.core.perf``): hash-consed lattice
-    # values, memoized range arithmetic, and operand-identity transfer
-    # skipping.  Behaviour-neutral -- predictions and work counts are
-    # byte-identical either way (docs/PERFORMANCE.md) -- so it defaults
-    # to the process-wide switch, itself on unless ``REPRO_PERF=0``.
+    # values and memoized range arithmetic.  Behaviour-neutral --
+    # predictions and work counts are byte-identical either way
+    # (docs/PERFORMANCE.md) -- so it defaults to the process-wide
+    # switch, itself on unless ``REPRO_PERF=0``.
     # Turn it off when debugging object identity or cache behaviour.
     perf: bool = field(default_factory=_default_perf)
-    # Bounded-LRU capacity of each memo cache (from_ranges, binop, ...).
-    perf_memo_size: int = 16384
-    # Capacity of each hash-consing table (Bound/StridedRange/RangeSet).
-    perf_intern_size: int = 65536

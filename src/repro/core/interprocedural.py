@@ -16,8 +16,8 @@ Context sensitivity (``VRPConfig.context_depth``, default 0): with
 k >= 1, a call to a provably *range-effect-free* callee is no longer
 answered from the all-sites merge -- the callee is re-analysed under the
 site's own abstracted argument ranges, to a nesting depth of k, with the
-(function, context) → return-range results memoized in a
-:class:`~repro.core.summaries.SummaryCache`.  k = 0 short-circuits all
+(function, context) → return-range results memoized in a bounded
+:class:`~repro.core.perf.memo.LRUCache`.  k = 0 short-circuits all
 of that and reproduces the context-insensitive analysis byte-for-byte.
 
 After the fixed point converges the driver distils
@@ -37,6 +37,8 @@ from repro.core import counters as counters_mod
 from repro.core.callgraph import CallGraph
 from repro.core.config import VRPConfig
 from repro.core.perf import context as perf_context
+from repro.core.perf.memo import LRUCache
+from repro.core.perf.stats import stats as perf_stats
 from repro.core.propagation import (
     FunctionPrediction,
     HeuristicFn,
@@ -44,8 +46,8 @@ from repro.core.propagation import (
 )
 from repro.core.rangeset import BOTTOM, RangeSet, TOP, merge_weighted
 from repro.core.summaries import (
+    DEFAULT_CONTEXT_CACHE_SIZE,
     ModuleSummaries,
-    SummaryCache,
     abstract_argument_set,
     build_summaries,
     compute_purity,
@@ -194,7 +196,9 @@ class InterproceduralVRP:
         self.purity: Dict[str, bool] = (
             compute_purity(module, self.callgraph) if self.context_depth else {}
         )
-        self._context_cache = SummaryCache()
+        self._context_cache = LRUCache(
+            DEFAULT_CONTEXT_CACHE_SIZE, perf_stats().caches["summary_context"]
+        )
         self._context_counters = counters_mod.Counters()
         self._contexts_analyzed = 0
         #: Callees currently being analysed in some context (cycle guard).
@@ -282,7 +286,7 @@ class InterproceduralVRP:
             "round_cap_hits": 1 if self.round_cap_hit else 0,
             "context_depth": self.context_depth,
             "contexts_analyzed": self._contexts_analyzed,
-            "summary_cache": self._context_cache.stats(),
+            "summary_cache": self._context_cache.record.as_dict(),
         }
 
     # -- per-function analysis -----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Analysis performance layer: interning, memoization, and cache stats.
+"""Analysis performance layer: hash-consing, memoization, and cache stats.
 
 The layer is behaviour-neutral by construction (see ``docs/PERFORMANCE.md``):
 with it on, predictions and Figure-5/6 work counts are byte-identical to a
@@ -9,7 +9,7 @@ the ``REPRO_PERF`` environment variable).
 Only :mod:`.context` is imported eagerly: the other submodules import the
 lattice-value modules, which themselves import :mod:`.context`, so loading
 them from here would be a cycle.  Access them lazily
-(``perf.memo``/``perf.interning``/``perf.stats``) or via the helpers below.
+(``perf.memo``/``perf.stats``) or via the helpers below.
 """
 
 from __future__ import annotations
@@ -27,16 +27,14 @@ __all__ = [
     "is_active",
     "set_global_enabled",
     "reset",
-    "configure",
     "snapshot",
-    "interning",
     "memo",
     "stats",
     "context",
     "fingerprint",
 ]
 
-_SUBMODULES = ("interning", "memo", "stats", "context", "fingerprint")
+_SUBMODULES = ("memo", "stats", "context", "fingerprint")
 
 
 def __getattr__(name: str):
@@ -55,27 +53,11 @@ def reset() -> None:
     buys hit rate).  Use this for isolation in tests and benchmarks --
     e.g. before timing a cold run.
     """
-    from repro.core.perf import interning as _interning
     from repro.core.perf import memo as _memo
     from repro.core.perf import stats as _stats
 
-    _interning.clear()
     _memo.clear()
     _stats.reset_stats()
-
-
-def configure(
-    memo_size: "int | None" = None, intern_size: "int | None" = None
-) -> None:
-    """Apply cache-capacity knobs (``VRPConfig.perf_memo_size`` etc.)."""
-    if intern_size is not None:
-        from repro.core.perf import interning as _interning
-
-        _interning.configure(intern_size)
-    if memo_size is not None:
-        from repro.core.perf import memo as _memo
-
-        _memo.configure(memo_size)
 
 
 def snapshot() -> dict:

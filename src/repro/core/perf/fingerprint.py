@@ -34,8 +34,6 @@ from repro.core.config import VRPConfig
 NEUTRAL_FIELDS = frozenset(
     {
         "perf",
-        "perf_memo_size",
-        "perf_intern_size",
         "sanitize",
         "verify_ir",
         # Incremental replay is byte-identical to cold analysis

@@ -1,11 +1,11 @@
 """Hit/miss counters for the perf layer's caches.
 
 One process-global :class:`PerfStats` instance tallies every cache in
-the layer.  :meth:`repro.core.predictor.VRPPredictor.predict_module`
-resets it (together with the caches themselves) at the start of each
-run, so a snapshot taken after a run describes exactly that run -- which
-is what makes the optional ``perf`` key of the metrics report
-deterministic across ``--jobs`` worker layouts.
+the layer; each :class:`~repro.core.perf.memo.LRUCache` binds its
+:class:`CacheStats` entry once.  :meth:`repro.core.predictor.VRPPredictor.
+predict_module` zeroes the counters (not the caches, whose contents
+persist across runs) at the start of each run, so a snapshot taken after
+a run describes exactly that run.
 """
 
 from __future__ import annotations
@@ -41,23 +41,18 @@ class CacheStats:
         self.evictions = 0
 
 
-# Cache names, one CacheStats each.  "engine_transfer" is the
-# per-instruction operand-identity skip inside the propagation engine;
-# "summary_context" is the interprocedural (function, context) → summary
-# memo of core/summaries.py.
+# Cache names, one CacheStats each: the hash-consing table and the memos
+# of core/perf/memo.py, and the interprocedural (function, context) →
+# return-range memo ("summary_context") of core/interprocedural.py.
 CACHE_NAMES = (
-    "intern_bound",
-    "intern_range",
     "intern_rangeset",
     "from_ranges",
     "merge_weighted",
     "binop",
-    "unop",
     "compare",
     "refine",
     "constant",
     "boolean",
-    "engine_transfer",
     "summary_context",
 )
 

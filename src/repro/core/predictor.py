@@ -167,10 +167,6 @@ class VRPPredictor(Predictor):
         """
         if self.config.perf:
             perf.stats.reset_stats()
-            perf.configure(
-                memo_size=self.config.perf_memo_size,
-                intern_size=self.config.perf_intern_size,
-            )
 
     # -- Predictor interface (single function, intraprocedural) ---------------------
 

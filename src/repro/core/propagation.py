@@ -31,19 +31,18 @@ from repro.core.bounds import Bound, NEG_INF, POS_INF
 from repro.core.config import VRPConfig
 from repro.core.derivation import derive_loop_phi
 # The perf.memo wrappers gate on the active perf context and fall
-# through to the plain implementations, so they are the only call path
-# the engine needs; importing the module also installs the
-# from_ranges/merge_weighted hooks into repro.core.rangeset.
+# through to the plain implementations; importing the module also
+# installs the from_ranges/merge_weighted hooks into repro.core.rangeset.
+# Unary operators are rare enough that they are not memoized.
 from repro.core.perf import context as perf_context
 from repro.core.perf.memo import (
     boolean_set,
     compare_sets,
     constant_set,
     evaluate_binop,
-    evaluate_unop,
     refine_set,
 )
-from repro.core.perf.stats import stats as perf_stats
+from repro.core.range_arith import evaluate_unop
 from repro.core.ranges import StridedRange
 from repro.core.rangeset import BOTTOM, RangeSet, TOP, merge_weighted
 from repro.ir.cfg import CFG
@@ -188,11 +187,8 @@ class PropagationEngine:
         self.edge_update_count: Dict[Edge, int] = {}
 
         # Perf layer: activated around run() via the context var so the
-        # rangeset-level hooks see it; _transfer_memo is the per-engine
-        # operand-identity skip for BinOp/UnOp (id(instr) -> operands,
-        # result, and the sub-operation tally to replay on a skip).
+        # rangeset-level hooks see it.
         self._perf = bool(self.config.perf)
-        self._transfer_memo: Dict[int, Tuple] = {}
         # Per-phi merge skip: id(phi) -> (contributions, result); valid
         # only for merges that did not take the assertion-parent path
         # (that one reads the parent's live value).
@@ -399,11 +395,7 @@ class PropagationEngine:
             if result.name in self.derived:
                 return
             self.counters.expr_evaluations += 1
-            if self._perf and isinstance(instr, (BinOp, UnOp)):
-                new_value = self._transfer_arith_cached(instr)
-            else:
-                new_value = self._transfer(instr)
-            self._update(result.name, new_value)
+            self._update(result.name, self._transfer(instr))
 
     def _update(self, name: str, new_value: RangeSet) -> None:
         old_value = self.values.get(name, TOP)
@@ -419,44 +411,6 @@ class PropagationEngine:
             )
         self.values[name] = new_value
         self._push_uses(name)
-
-    def _transfer_arith_cached(self, instr: Instruction) -> RangeSet:
-        """Re-evaluation skip for BinOp/UnOp with identity-unchanged operands.
-
-        With hash-consing, an operand whose lattice value did not change
-        since the last evaluation of this instruction is the *same
-        object*; the cached result (and its sub-operation tally, for
-        byte-identical work counts) can be reused without touching the
-        range algebra.  Restricted to BinOp/UnOp: Cmp and Pi results
-        also depend on live symbol ranges outside their operands.
-        """
-        if isinstance(instr, BinOp):
-            a = self.value_of(instr.lhs)
-            b: Optional[RangeSet] = self.value_of(instr.rhs)
-        else:
-            a = self.value_of(instr.operand)
-            b = None
-        record = perf_stats().caches["engine_transfer"]
-        cached = self._transfer_memo.get(id(instr))
-        if cached is not None and cached[0] is a and cached[1] is b:
-            record.hits += 1
-            self.counters.sub_operations += cached[3]
-            return cached[2]
-        record.misses += 1
-        before = self.counters.sub_operations
-        if b is not None:
-            result = evaluate_binop(
-                instr.op, a, b, max_ranges=self.config.max_ranges
-            )
-        else:
-            result = evaluate_unop(instr.op, a, self.config.max_ranges)
-        self._transfer_memo[id(instr)] = (
-            a,
-            b,
-            result,
-            self.counters.sub_operations - before,
-        )
-        return result
 
     def value_of(self, operand: Value) -> RangeSet:
         if isinstance(operand, Constant):

@@ -23,19 +23,18 @@ Context sensitivity is k-limited: a calling context is the tuple of
 chained calls.  ``k = 0`` asks no context questions at all and
 reproduces the context-insensitive analysis byte-for-byte.
 
-The (function, context) → return-range memo is a :class:`SummaryCache`:
-a bounded LRU whose hit/miss/eviction counts feed the perf layer's
-statistics under the ``summary_context`` cache name.
+The (function, context) → return-range memo is a bounded
+:class:`~repro.core.perf.memo.LRUCache` of ``DEFAULT_CONTEXT_CACHE_SIZE``
+entries whose hit/miss/eviction counts feed the perf layer's statistics
+under the ``summary_context`` cache name.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.callgraph import CallGraph
-from repro.core.perf.stats import stats as perf_stats
 from repro.core.rangeset import BOTTOM, RangeSet
 from repro.ir.function import Module
 from repro.ir.instructions import Call, Input
@@ -220,47 +219,3 @@ def context_key(
     dictionary key either way.
     """
     return (callee, depth, tuple(arg_sets))
-
-
-class SummaryCache:
-    """Bounded-LRU memo of (function, context) → return range.
-
-    Hit/miss/eviction counts are tallied into the perf layer's global
-    statistics under the ``summary_context`` cache name, so
-    ``--emit-metrics`` reports and the interprocedural benchmark see
-    exactly how much context reuse the workload exhibited.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CONTEXT_CACHE_SIZE):
-        self.capacity = max(1, int(capacity))
-        self._entries: "OrderedDict[ContextKey, RangeSet]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _record(self):
-        return perf_stats().caches["summary_context"]
-
-    def get(self, key: ContextKey) -> Optional[RangeSet]:
-        entry = self._entries.get(key)
-        record = self._record()
-        if entry is None:
-            record.misses += 1
-            return None
-        record.hits += 1
-        self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key: ContextKey, value: RangeSet) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self._record().evictions += 1
-
-    def clear(self) -> None:
-        """Drop entries (statistics are cumulative and survive)."""
-        self._entries.clear()
-
-    def stats(self) -> Dict[str, float]:
-        return self._record().as_dict()

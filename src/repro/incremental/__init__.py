@@ -7,9 +7,10 @@ interprocedural fixed point.  This package closes that gap:
 * :mod:`repro.incremental.fingerprint` -- a canonical IR normalizer and
   SHA-256 fingerprint per function, stable under comments, whitespace
   and local renames, sensitive to any semantic edit;
-* :mod:`repro.incremental.store` -- :class:`IncrementalStore`, a memory
-  LRU over the server ResultCache's atomic sharded on-disk format,
-  mapping component fingerprints to per-function summaries;
+* :mod:`repro.incremental.store` -- :class:`TwoTierStore`, a memory LRU
+  over an atomic sharded on-disk format (the serve tier's result cache
+  too), and :class:`IncrementalStore`, the same store mapping component
+  fingerprints to per-function summaries, with per-function counters;
 * :mod:`repro.incremental.depgraph` -- the summary dependency graph over
   the cached callgraph: an edit invalidates exactly the edited function
   plus its summary-dependents;

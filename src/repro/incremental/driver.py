@@ -340,9 +340,9 @@ def _analyse_component(
     # The summary cache tallies into the perf layer's *global* record;
     # store this component's delta, not a cumulative snapshot, so the
     # assembled module total reproduces a cold run's telemetry.
-    cache_before = driver._context_cache.stats()
+    cache_before = driver._context_cache.record.as_dict()
     sub_prediction = driver.run()
-    cache_after = driver._context_cache.stats()
+    cache_after = driver._context_cache.record.as_dict()
     cache_delta = {
         field: cache_after[field] - cache_before[field]
         for field in ("hits", "misses", "evictions")

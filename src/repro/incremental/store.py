@@ -1,25 +1,22 @@
-"""The content-addressed incremental summary store.
+"""The content-addressed two-tier store behind every on-disk cache.
 
-Maps a component fingerprint (see :mod:`repro.incremental.driver`) to
-the per-function summaries -- final predictions, jump/return function
-state, context-refined seeds -- of one weakly-connected callgraph
-component.  Two tiers, exactly the server ResultCache's shape:
+:class:`TwoTierStore` maps a hex key to a JSON-serialisable payload:
 
-* **memory** -- a bounded LRU; fastest, per-process;
+* **memory** -- a bounded :class:`~repro.core.perf.memo.LRUCache`;
+  fastest, per-process;
 * **disk** -- one JSON file per key under ``<dir>/<key[:2]>/<key>.json``
-  written atomically (temp file + ``os.replace``), byte-compatible with
-  the serving tier's cache files so shards and the CLI can share a
-  store directory without coordination.
+  written atomically (temp file + ``os.replace``), so warm entries
+  survive restarts, a crashed writer never leaves a half-written
+  entry, and several processes (server shards, the CLI) can share one
+  directory without coordination.  A disk hit is promoted into the
+  memory tier.
 
-The store is deliberately *not* the server's class: the server layer
-imports this package for shard integration, so the dependency must
-point upward only.  The disk format is kept in lockstep by
-``tests/incremental/test_store.py``.
-
-Besides the tier counters the store tracks **function_hits** /
-**function_misses** -- how many functions were replayed vs. reanalyzed
-across all lookups -- which the serve tier surfaces in ``/metricsz``
-and the Prometheus families.
+The serving tier keys it on whole requests (:func:`repro.server.cache.
+request_key`); :class:`IncrementalStore` keys it on callgraph components
+(see :mod:`repro.incremental.driver`) and additionally tracks
+**function_hits** / **function_misses** -- how many functions were
+replayed vs. reanalyzed across all lookups -- which the serve tier
+surfaces in ``/metricsz`` and the Prometheus families.
 """
 
 from __future__ import annotations
@@ -28,73 +25,65 @@ import json
 import os
 import tempfile
 import threading
-from collections import OrderedDict
 from typing import Optional, Tuple
 
+from repro.core.perf.memo import LRUCache
+from repro.core.perf.stats import CacheStats
 
-class IncrementalStore:
-    """Thread-safe two-tier (memory over disk) summary store.
 
-    ``memory_entries`` bounds the LRU tier (one entry per component);
-    ``disk_dir`` of ``None`` keeps the store memory-only, which is the
-    right shape for ``repro watch`` (one process, many rechecks).
+class TwoTierStore:
+    """Thread-safe two-tier (memory over disk) content-addressed store.
+
+    ``memory_entries`` bounds the LRU tier (0 disables it); ``disk_dir``
+    of ``None`` disables the disk tier entirely.
     """
 
     def __init__(
         self,
-        memory_entries: int = 256,
+        memory_entries: int = 1024,
         disk_dir: Optional[str] = None,
     ):
         if memory_entries < 0:
             raise ValueError("memory_entries must be >= 0")
         self.memory_entries = memory_entries
         self.disk_dir = disk_dir
-        self._memory: "OrderedDict[str, dict]" = OrderedDict()
+        self._memory_stats = CacheStats()
+        self._memory = LRUCache(memory_entries, self._memory_stats)
         self._lock = threading.RLock()
-        self._stats = {
-            "memory": {"hits": 0, "misses": 0, "evictions": 0},
-            "disk": {"hits": 0, "misses": 0, "errors": 0},
-            "stores": 0,
-            "function_hits": 0,
-            "function_misses": 0,
-        }
+        self._disk_stats = {"hits": 0, "misses": 0, "errors": 0}
+        self._stores = 0
         if disk_dir is not None:
             os.makedirs(disk_dir, exist_ok=True)
 
     # -- lookup --------------------------------------------------------------
 
     def get(self, key: str) -> Tuple[Optional[dict], Optional[str]]:
-        """Return ``(payload, tier)``; ``(None, None)`` on a full miss."""
+        """Return ``(copy of payload, tier)``; ``(None, None)`` on a miss.
+
+        The copy is shallow: callers may add or replace top-level fields
+        without touching the stored entry.
+        """
         with self._lock:
             payload = self._memory.get(key)
             if payload is not None:
-                self._memory.move_to_end(key)
-                self._stats["memory"]["hits"] += 1
-                return payload, "memory"
-            self._stats["memory"]["misses"] += 1
+                return dict(payload), "memory"
             if self.disk_dir is None:
                 return None, None
             payload = self._read_disk(key)
             if payload is None:
-                self._stats["disk"]["misses"] += 1
+                self._disk_stats["misses"] += 1
                 return None, None
-            self._stats["disk"]["hits"] += 1
+            self._disk_stats["hits"] += 1
             self._remember(key, payload)
-            return payload, "disk"
+            return dict(payload), "disk"
 
     def put(self, key: str, payload: dict) -> None:
-        """Store one component's summaries in both tiers."""
+        """Store a deterministic payload in both tiers."""
         with self._lock:
-            self._stats["stores"] += 1
+            self._stores += 1
             self._remember(key, dict(payload))
             if self.disk_dir is not None:
                 self._write_disk(key, payload)
-
-    def note_functions(self, hits: int = 0, misses: int = 0) -> None:
-        """Account per-function replay/reanalysis (driver callback)."""
-        with self._lock:
-            self._stats["function_hits"] += hits
-            self._stats["function_misses"] += misses
 
     def clear(self) -> None:
         """Drop the memory tier (the disk tier is left alone)."""
@@ -102,29 +91,28 @@ class IncrementalStore:
             self._memory.clear()
 
     def stats(self) -> dict:
-        """A serialisable copy of the counters."""
+        """A serialisable copy of the per-tier counters."""
         with self._lock:
-            out = {
-                "memory": dict(self._stats["memory"]),
-                "disk": dict(self._stats["disk"]),
-                "stores": self._stats["stores"],
-                "function_hits": self._stats["function_hits"],
-                "function_misses": self._stats["function_misses"],
+            memory = self._memory_stats
+            return {
+                "memory": {
+                    "hits": memory.hits,
+                    "misses": memory.misses,
+                    "evictions": memory.evictions,
+                    "entries": len(self._memory),
+                },
+                "disk": {
+                    **self._disk_stats,
+                    "enabled": self.disk_dir is not None,
+                },
+                "stores": self._stores,
             }
-            out["memory"]["entries"] = len(self._memory)
-            out["disk"]["enabled"] = self.disk_dir is not None
-            return out
 
     # -- internals -----------------------------------------------------------
 
     def _remember(self, key: str, payload: dict) -> None:
-        if self.memory_entries == 0:
-            return
-        self._memory[key] = payload
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_entries:
-            self._memory.popitem(last=False)
-            self._stats["memory"]["evictions"] += 1
+        if self.memory_entries:
+            self._memory.put(key, payload)
 
     def _disk_path(self, key: str) -> str:
         assert self.disk_dir is not None
@@ -140,14 +128,14 @@ class IncrementalStore:
         except (OSError, ValueError):
             # A corrupt or unreadable entry is a miss; drop it so the
             # next store rewrites it cleanly.
-            self._stats["disk"]["errors"] += 1
+            self._disk_stats["errors"] += 1
             try:
                 os.unlink(path)
             except OSError:
                 pass
             return None
         if not isinstance(payload, dict):
-            self._stats["disk"]["errors"] += 1
+            self._disk_stats["errors"] += 1
             return None
         return payload
 
@@ -172,4 +160,36 @@ class IncrementalStore:
         except OSError:
             # Disk trouble degrades the store to memory-only for this
             # entry; correctness never depends on the disk tier.
-            self._stats["disk"]["errors"] += 1
+            self._disk_stats["errors"] += 1
+
+
+class IncrementalStore(TwoTierStore):
+    """The per-component summary store, with per-function accounting.
+
+    One memory entry per callgraph component; ``disk_dir`` of ``None``
+    keeps the store memory-only, which is the right shape for
+    ``repro watch`` (one process, many rechecks).
+    """
+
+    def __init__(
+        self,
+        memory_entries: int = 256,
+        disk_dir: Optional[str] = None,
+    ):
+        super().__init__(memory_entries, disk_dir)
+        self._function_hits = 0
+        self._function_misses = 0
+
+    def note_functions(self, hits: int = 0, misses: int = 0) -> None:
+        """Account per-function replay/reanalysis (driver callback)."""
+        with self._lock:
+            self._function_hits += hits
+            self._function_misses += misses
+
+    def stats(self) -> dict:
+        """The tier counters plus the per-function ones."""
+        with self._lock:
+            out = super().stats()
+            out["function_hits"] = self._function_hits
+            out["function_misses"] = self._function_misses
+            return out

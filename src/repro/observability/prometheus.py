@@ -25,7 +25,7 @@ family                                 type     labels
 ``repro_cache_misses_total``           counter  ``tier``
 ``repro_queue_depth``                  gauge    --
 ``repro_queue_high_water``             gauge    --
-``repro_workers``                      gauge    --
+``repro_shards``                       gauge    --
 ``repro_uptime_seconds``               gauge    --
 =====================================  =======  ==========================
 
@@ -155,7 +155,7 @@ def _histogram_family(
 def render_server_metrics(
     server: dict,
     uptime_s: Optional[float] = None,
-    workers: Optional[int] = None,
+    shards: Optional[int] = None,
 ) -> str:
     """The full exposition document for one ``ServerStats.snapshot()``.
 
@@ -291,8 +291,8 @@ def render_server_metrics(
         high_water.add(int(queue.get("high_water", 0)))
         families += [depth, high_water]
 
-    shards = server.get("shards")
-    if isinstance(shards, list) and shards:
+    per_shard = server.get("shards")
+    if isinstance(per_shard, list) and per_shard:
         # Per-shard families, emitted only when the snapshot carries a
         # "shards" key: without it the exposition is every family
         # above, all unlabeled-by-shard, byte-for-byte what it was
@@ -331,7 +331,7 @@ def render_server_metrics(
             "counter",
             "Shard-local result-cache hits, by tier.",
         )
-        for shard in shards:
+        for shard in per_shard:
             if not isinstance(shard, dict):
                 continue
             label = {"shard": str(shard.get("shard", "?"))}
@@ -354,11 +354,11 @@ def render_server_metrics(
             shard_restarts, shard_cache_entries, shard_cache_hits,
         ]
 
-    if workers is not None:
+    if shards is not None:
         family = MetricFamily(
-            "repro_workers", "gauge", "Analysis worker threads."
+            "repro_shards", "gauge", "Analysis shard processes."
         )
-        family.add(int(workers))
+        family.add(int(shards))
         families.append(family)
     if uptime_s is not None:
         family = MetricFamily(

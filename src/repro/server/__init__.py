@@ -16,9 +16,10 @@ scales with cores instead of serialising on the GIL.
 
 Layers, bottom up:
 
-* :mod:`.cache`    -- content-addressed result cache (SHA-256 of source
-  + config fingerprint), memory tier over an on-disk tier that survives
-  restarts and is safely shared between shard processes;
+* :mod:`.cache`    -- the content address of a result (SHA-256 of source
+  + config fingerprint), the key of a
+  :class:`repro.incremental.store.TwoTierStore` whose on-disk tier
+  survives restarts and is safely shared between shard processes;
 * :mod:`.service`  -- command execution with per-request analysis
   timeouts and graceful degradation to heuristics-only prediction;
 * :mod:`.stats`    -- per-endpoint request counts and latency
@@ -38,7 +39,7 @@ Everything is standard library only.
 
 from __future__ import annotations
 
-from repro.server.cache import ResultCache, request_key
+from repro.server.cache import request_key
 from repro.server.client import ServeClient, ServerError
 from repro.server.frontend import ShardedServer, serve_daemon
 from repro.server.protocol import (
@@ -57,7 +58,6 @@ __all__ = [
     "AnalysisTimeout",
     "HashRing",
     "ProtocolError",
-    "ResultCache",
     "ServeClient",
     "ServerError",
     "ServerStats",

@@ -1,8 +1,10 @@
-"""Content-addressed result cache with memory and disk tiers.
+"""The content address of a served result.
 
-A result is addressed by the SHA-256 of everything that can change it:
-the program text, the command, its validated options, the display name
-(it appears verbatim in check reports), and the
+Results are cached in a :class:`repro.incremental.store.TwoTierStore`
+(memory over disk) under :func:`request_key`: the SHA-256 of everything
+that can change the result -- the program text, the command, its
+validated options, the display name (it appears verbatim in check
+reports), and the
 :func:`repro.core.perf.fingerprint.config_fingerprint` of the engine
 configuration (which is itself salted with the package version, so an
 engine upgrade invalidates the whole cache instead of serving stale
@@ -10,31 +12,18 @@ results).  Behaviour-neutral knobs -- the perf layer, the sanitizer, IR
 verification -- are *excluded* from the key: a cache warmed with
 ``--no-perf`` still hits with the layer on.
 
-Two tiers:
-
-* **memory** -- a bounded LRU mapping ``key -> payload``; fastest, lost
-  on restart;
-* **disk** -- one JSON file per key under ``<dir>/<key[:2]>/<key>.json``
-  written atomically (temp file + ``os.replace``), so warm results
-  survive restarts and a crashed writer never leaves a half-written
-  entry.  A disk hit is promoted into the memory tier.
-
 Only *deterministic* payloads belong here: the service never caches a
 degraded (timed-out) response, because degradation is a property of the
 moment, not of the content address.  Cached payloads are byte-identical
-to fresh computations by construction -- the cache stores the response
-core verbatim and the tiers only change where it is read from.
+to fresh computations by construction -- the store keeps the response
+core verbatim and its tiers only change where it is read from.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
-import threading
-from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.core.config import VRPConfig
 from repro.core.perf.fingerprint import config_fingerprint
@@ -60,135 +49,3 @@ def request_key(
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-class ResultCache:
-    """Thread-safe two-tier (memory over disk) result cache.
-
-    ``memory_entries`` bounds the LRU tier; ``disk_dir`` of ``None``
-    disables the disk tier entirely (the daemon's ``--no-disk-cache``).
-    """
-
-    def __init__(
-        self,
-        memory_entries: int = 1024,
-        disk_dir: Optional[str] = None,
-    ):
-        if memory_entries < 0:
-            raise ValueError("memory_entries must be >= 0")
-        self.memory_entries = memory_entries
-        self.disk_dir = disk_dir
-        self._memory: "OrderedDict[str, dict]" = OrderedDict()
-        self._lock = threading.RLock()
-        self._stats = {
-            "memory": {"hits": 0, "misses": 0, "evictions": 0},
-            "disk": {"hits": 0, "misses": 0, "errors": 0},
-            "stores": 0,
-        }
-        if disk_dir is not None:
-            os.makedirs(disk_dir, exist_ok=True)
-
-    # -- lookup --------------------------------------------------------------
-
-    def get(self, key: str) -> Tuple[Optional[dict], Optional[str]]:
-        """Return ``(payload, tier)``; ``(None, None)`` on a full miss."""
-        with self._lock:
-            payload = self._memory.get(key)
-            if payload is not None:
-                self._memory.move_to_end(key)
-                self._stats["memory"]["hits"] += 1
-                return dict(payload), "memory"
-            self._stats["memory"]["misses"] += 1
-            if self.disk_dir is None:
-                return None, None
-            payload = self._read_disk(key)
-            if payload is None:
-                self._stats["disk"]["misses"] += 1
-                return None, None
-            self._stats["disk"]["hits"] += 1
-            self._remember(key, payload)
-            return dict(payload), "disk"
-
-    def put(self, key: str, payload: dict) -> None:
-        """Store a deterministic payload in both tiers."""
-        with self._lock:
-            self._stats["stores"] += 1
-            self._remember(key, dict(payload))
-            if self.disk_dir is not None:
-                self._write_disk(key, payload)
-
-    def clear(self) -> None:
-        """Drop the memory tier (the disk tier is left alone)."""
-        with self._lock:
-            self._memory.clear()
-
-    def stats(self) -> dict:
-        """A serialisable copy of the per-tier counters."""
-        with self._lock:
-            out = {
-                "memory": dict(self._stats["memory"]),
-                "disk": dict(self._stats["disk"]),
-                "stores": self._stats["stores"],
-            }
-            out["memory"]["entries"] = len(self._memory)
-            out["disk"]["enabled"] = self.disk_dir is not None
-            return out
-
-    # -- internals -----------------------------------------------------------
-
-    def _remember(self, key: str, payload: dict) -> None:
-        if self.memory_entries == 0:
-            return
-        self._memory[key] = payload
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_entries:
-            self._memory.popitem(last=False)
-            self._stats["memory"]["evictions"] += 1
-
-    def _disk_path(self, key: str) -> str:
-        assert self.disk_dir is not None
-        return os.path.join(self.disk_dir, key[:2], f"{key}.json")
-
-    def _read_disk(self, key: str) -> Optional[dict]:
-        path = self._disk_path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            # A corrupt or unreadable entry is a miss; drop it so the
-            # next store rewrites it cleanly.
-            self._stats["disk"]["errors"] += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
-        if not isinstance(payload, dict):
-            self._stats["disk"]["errors"] += 1
-            return None
-        return payload
-
-    def _write_disk(self, key: str, payload: dict) -> None:
-        path = self._disk_path(key)
-        directory = os.path.dirname(path)
-        try:
-            os.makedirs(directory, exist_ok=True)
-            fd, temp_path = tempfile.mkstemp(
-                prefix=f".{key[:8]}-", suffix=".tmp", dir=directory
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle, sort_keys=True)
-                os.replace(temp_path, path)
-            except BaseException:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            # Disk trouble degrades the cache to memory-only for this
-            # entry; serving correctness never depends on the disk tier.
-            self._stats["disk"]["errors"] += 1

@@ -176,7 +176,6 @@ class ShardedServer:
         timeout_s: Optional[float] = None,
         max_request_bytes: int = 1 << 20,
         base_options: Optional[dict] = None,
-        verbose: bool = False,
         ready_timeout_s: float = 120.0,
         incremental: bool = False,
     ):
@@ -189,7 +188,6 @@ class ShardedServer:
         self.cache_dir = cache_dir
         self.max_request_bytes = max_request_bytes
         self.base_options = dict(base_options or {})
-        self.verbose = verbose
         self.incremental = incremental
         self.draining = False
         self.started_monotonic = time.monotonic()
@@ -370,7 +368,7 @@ class ShardedServer:
         return render_server_metrics(
             self._server_snapshot(),
             uptime_s=round(time.monotonic() - self.started_monotonic, 3),
-            workers=self.shard_count,
+            shards=self.shard_count,
         )
 
     # -- lifecycle -----------------------------------------------------------
@@ -1015,7 +1013,6 @@ def serve_daemon(
     max_request_bytes: int = 1 << 20,
     drain_timeout_s: float = 30.0,
     base_options: Optional[dict] = None,
-    verbose: bool = False,
     shards: Optional[int] = None,
     incremental: bool = False,
 ) -> int:
@@ -1049,7 +1046,6 @@ def serve_daemon(
         timeout_s=timeout_s,
         max_request_bytes=max_request_bytes,
         base_options=base_options,
-        verbose=verbose,
         incremental=incremental,
     )
     print(

@@ -41,8 +41,9 @@ from typing import Dict, Optional, Tuple
 
 from repro import rendering
 from repro.core import VRPConfig, VRPPredictor
+from repro.incremental.store import TwoTierStore
 from repro.server import protocol
-from repro.server.cache import ResultCache, request_key
+from repro.server.cache import request_key
 from repro.server.protocol import ProtocolError, validate_request
 
 
@@ -315,12 +316,12 @@ class AnalysisService:
 
     def __init__(
         self,
-        cache: Optional[ResultCache] = None,
+        cache: Optional[TwoTierStore] = None,
         timeout_s: Optional[float] = None,
         base_options: Optional[Dict[str, object]] = None,
         incremental_store=None,
     ):
-        self.cache = cache if cache is not None else ResultCache()
+        self.cache = cache if cache is not None else TwoTierStore()
         self.timeout_s = timeout_s
         #: Server-wide option defaults, overridden per request.
         self.base_options = dict(base_options or {})

@@ -77,17 +77,15 @@ def shard_main(conn, shard_id: int, settings: dict) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
 
-    from repro.server.cache import ResultCache
+    from repro.incremental.store import IncrementalStore, TwoTierStore
     from repro.server.service import AnalysisService, analyze_payload
 
-    cache = ResultCache(
+    cache = TwoTierStore(
         memory_entries=int(settings.get("memory_cache_entries", 1024)),
         disk_dir=settings.get("cache_dir"),
     )
     incremental_store = None
     if settings.get("incremental"):
-        from repro.incremental import IncrementalStore
-
         cache_dir = settings.get("cache_dir")
         incremental_store = IncrementalStore(
             disk_dir=os.path.join(cache_dir, "incremental") if cache_dir else None

@@ -127,13 +127,13 @@ class ServerStats:
         with self._lock:
             return self._degraded
 
-    def drain_rate(self, workers: int) -> float:
+    def drain_rate(self, shards: int) -> float:
         """Analysis requests finished per second, extrapolated.
 
         The estimate behind the computed ``Retry-After`` header: mean
         observed latency over the *analysis* endpoints (``/v1/...``
         only -- ``/healthz`` answers in microseconds and would wildly
-        inflate the rate) scaled by the number of concurrent workers.
+        inflate the rate) scaled by the number of shard processes.
         Returns 0.0 before the first analysis completes.
         """
         with self._lock:
@@ -145,11 +145,11 @@ class ServerStats:
                     sum_ms += stats.sum_ms
         if count == 0 or sum_ms <= 0.0:
             return 0.0
-        return max(1, workers) * 1000.0 * count / sum_ms
+        return max(1, shards) * 1000.0 * count / sum_ms
 
-    def retry_after(self, queue_depth: int, workers: int) -> int:
+    def retry_after(self, queue_depth: int, shards: int) -> int:
         """The ``Retry-After`` seconds for a backpressure 503."""
-        return compute_retry_after(queue_depth, self.drain_rate(workers))
+        return compute_retry_after(queue_depth, self.drain_rate(shards))
 
     def snapshot(
         self,

@@ -2,61 +2,54 @@
 
 The contract under test: ``intern(x) is intern(y)`` exactly when
 ``x == y`` -- including the ⊤/⊥ singletons and symbolic bounds -- and
-bounded tables may evict at any time without changing any result.
+bounded caches may evict at any time without changing any result.
 """
 
-import math
+import glob
+import os
 
 import pytest
 
-from repro.core import perf
+from repro.core import interprocedural, perf
 from repro.core.bounds import Bound
 from repro.core.config import VRPConfig
-from repro.core.perf import interning
-from repro.core.perf.interning import DEFAULT_INTERN_SIZE
-from repro.core.perf.memo import DEFAULT_MEMO_SIZE
+from repro.core.perf import memo
 from repro.core.predictor import VRPPredictor
 from repro.core.ranges import StridedRange
 from repro.core.rangeset import BOTTOM, RangeSet, TOP
 from repro.ir import prepare_module
 from repro.lang import compile_source
+from repro.workloads import suite
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
+
+#: Exercises unary negation, which no shipped program uses.
+NEGATION = """
+func main(n) {
+  var acc = 0;
+  for (i = 0; i < 12; i = i + 1) {
+    var d = -i;
+    if (d < -5) { acc = acc + 1; }
+    if (-acc > 3) { acc = acc - 1; }
+  }
+  return -acc;
+}
+"""
 
 
 @pytest.fixture(autouse=True)
 def fresh_tables():
     perf.reset()
-    perf.configure(memo_size=DEFAULT_MEMO_SIZE, intern_size=DEFAULT_INTERN_SIZE)
     yield
     perf.reset()
-    perf.configure(memo_size=DEFAULT_MEMO_SIZE, intern_size=DEFAULT_INTERN_SIZE)
 
 
-def make_bounds():
-    """Fresh Bound objects covering numeric, infinite, and symbolic cases."""
-    return [
-        Bound(-3),
-        Bound(0),
-        Bound(1),
-        Bound(1.0),  # == Bound(1): must share its canonical object
-        Bound(2.5),
-        Bound(math.inf),
-        Bound(-math.inf),
-        Bound.symbolic("n"),
-        Bound.symbolic("n", 4),
-        Bound.symbolic("m", 4),
-    ]
-
-
-def make_ranges():
-    return [
-        StridedRange.single(1.0, 0),
-        StridedRange.single(1.0, 7),
-        StridedRange.single(0.5, 7),
-        StridedRange(1.0, Bound(0), Bound(10), 1),
-        StridedRange(1.0, Bound(0), Bound(10), 2),
-        StridedRange(1.0, Bound(0), Bound.symbolic("n"), 1),
-        StridedRange(1.0, Bound.symbolic("n"), Bound.symbolic("n", 8), 1),
-    ]
+@pytest.fixture
+def tiny_caches(monkeypatch):
+    """Every bounded LRU of the analysis capped at two entries."""
+    for cache in memo._ALL_CACHES:
+        monkeypatch.setattr(cache, "capacity", 2)
+    monkeypatch.setattr(interprocedural, "DEFAULT_CONTEXT_CACHE_SIZE", 2)
 
 
 def make_rangesets():
@@ -79,78 +72,75 @@ def make_rangesets():
     ]
 
 
+def constant_sets(count):
+    return [RangeSet.constant(value) for value in range(count)]
+
+
+def neutrality_corpus():
+    """``(name, source)`` for examples/*.toy, the 27-workload suite, and
+    a unary-negation program."""
+    corpus = []
+    for path in sorted(glob.glob(os.path.join(EXAMPLES, "*.toy"))):
+        with open(path, encoding="utf-8") as handle:
+            corpus.append((os.path.basename(path), handle.read()))
+    for workload in suite("int") + suite("fp"):
+        corpus.append((workload.name, workload.source))
+    corpus.append(("negation", NEGATION))
+    return corpus
+
+
 class TestIdentityIffEquality:
-    """intern(x) is intern(y)  <=>  x == y, for every value kind."""
-
-    def test_bounds(self):
-        for a in make_bounds():
-            for b in make_bounds():  # fresh, structurally distinct objects
-                identical = interning.intern_bound(a) is interning.intern_bound(b)
-                assert identical == (a == b), (a, b)
-
-    def test_ranges(self):
-        for a in make_ranges():
-            for b in make_ranges():
-                identical = interning.intern_range(a) is interning.intern_range(b)
-                assert identical == (a == b), (a, b)
+    """intern(x) is intern(y)  <=>  x == y."""
 
     def test_rangesets(self):
         for a in make_rangesets():
             for b in make_rangesets():
-                identical = interning.intern_rangeset(a) is interning.intern_rangeset(b)
+                identical = memo.intern_rangeset(a) is memo.intern_rangeset(b)
                 assert identical == (a == b), (a, b)
 
     def test_top_bottom_intern_to_module_singletons(self):
-        assert interning.intern_rangeset(RangeSet.top()) is TOP
-        assert interning.intern_rangeset(RangeSet.bottom()) is BOTTOM
-
-    def test_interned_range_bounds_are_canonical(self):
-        first = interning.intern_range(
-            StridedRange(1.0, Bound.symbolic("n"), Bound.symbolic("n", 8), 1)
-        )
-        lo = interning.intern_bound(Bound.symbolic("n"))
-        assert first.lo is lo
+        assert memo.intern_rangeset(RangeSet.top()) is TOP
+        assert memo.intern_rangeset(RangeSet.bottom()) is BOTTOM
 
 
 class TestEviction:
-    """Bounded tables: eviction loses identity, never correctness."""
+    """Bounded caches: eviction loses identity, never correctness."""
 
-    def test_tables_respect_capacity(self):
-        perf.configure(intern_size=4)
-        for value in range(100):
-            interning.intern_bound(Bound(value))
-        assert len(interning._BOUNDS) <= 4
+    def test_tables_respect_capacity(self, monkeypatch):
+        monkeypatch.setattr(memo._RANGESETS, "capacity", 4)
+        for rangeset in constant_sets(100):
+            memo.intern_rangeset(rangeset)
+        assert len(memo._RANGESETS) <= 4
 
-    def test_evicted_values_still_compare_equal(self):
-        perf.configure(intern_size=2)
-        originals = [interning.intern_bound(Bound(v)) for v in range(50)]
-        # Bound(0) has long been evicted: a re-intern returns a *new*
+    def test_evicted_values_still_compare_equal(self, tiny_caches):
+        originals = [memo.intern_rangeset(r) for r in constant_sets(50)]
+        # constant(0) has long been evicted: a re-intern returns a *new*
         # canonical object that is still structurally equal.
-        again = interning.intern_bound(Bound(0))
+        again = memo.intern_rangeset(RangeSet.constant(0))
+        assert again is not originals[0]
         assert again == originals[0]
 
-    def test_tiny_tables_do_not_change_predictions(self):
-        source = """
-        func main(n) {
-          var acc = 0;
-          for (i = 0; i < 40; i = i + 1) {
-            if (i % 3 == 0) { acc = acc + 2; }
-            else { acc = acc + 1; }
-          }
-          if (acc > 10) { return acc; }
-          return 0;
-        }
-        """
-        module = compile_source(source)
-        infos = prepare_module(module)
-        reference = VRPPredictor(config=VRPConfig(perf=False)).predict_module(
-            module, infos
-        )
-        tiny = VRPPredictor(
-            config=VRPConfig(perf=True, perf_memo_size=2, perf_intern_size=2)
-        ).predict_module(module, infos)
-        assert tiny.all_branches() == reference.all_branches()
-        assert tiny.counters.as_dict() == reference.counters.as_dict()
+    def test_tiny_tables_do_not_change_predictions(self, tiny_caches):
+        corpus = neutrality_corpus()
+        assert len(corpus) == 2 + 27 + 1
+        differing = []
+        for name, source in corpus:
+            module = compile_source(source, module_name=name)
+            infos = prepare_module(module)
+            reference = VRPPredictor(config=VRPConfig(perf=False)).predict_module(
+                module, infos
+            )
+            tiny = VRPPredictor(config=VRPConfig(perf=True)).predict_module(
+                module, infos
+            )
+            if (
+                tiny.all_branches() != reference.all_branches()
+                or tiny.counters.as_dict() != reference.counters.as_dict()
+            ):
+                differing.append(name)
+        assert differing == []
+        evictions = sum(cache.record.evictions for cache in memo._ALL_CACHES)
+        assert evictions > 0
 
 
 class TestSanitizerRoundTrip:

@@ -12,8 +12,6 @@ from repro.core import counters, perf
 from repro.core.config import VRPConfig
 from repro.core.perf import memo
 from repro.core.perf.context import activate
-from repro.core.perf.memo import DEFAULT_MEMO_SIZE
-from repro.core.perf.interning import DEFAULT_INTERN_SIZE
 from repro.core.predictor import VRPPredictor
 from repro.core.rangeset import RangeSet
 from repro.ir import prepare_module
@@ -24,10 +22,8 @@ from repro.workloads import get_workload
 @pytest.fixture(autouse=True)
 def fresh_caches():
     perf.reset()
-    perf.configure(memo_size=DEFAULT_MEMO_SIZE, intern_size=DEFAULT_INTERN_SIZE)
     yield
     perf.reset()
-    perf.configure(memo_size=DEFAULT_MEMO_SIZE, intern_size=DEFAULT_INTERN_SIZE)
 
 
 def interval(lo, hi):

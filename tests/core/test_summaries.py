@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from repro.core import VRPConfig
 from repro.core.callgraph import CallGraph
-from repro.core.interprocedural import analyse_module
+from repro.core.interprocedural import InterproceduralVRP, analyse_module
 from repro.core.perf import stats as perf_stats_mod
+from repro.core.perf.memo import LRUCache
 from repro.core.rangeset import BOTTOM, TOP, RangeSet
 from repro.core.summaries import (
     DEFAULT_CONTEXT_CACHE_SIZE,
-    SummaryCache,
     abstract_argument_set,
     compute_purity,
     context_key,
@@ -124,21 +124,27 @@ class TestContextKeys:
 
 
 class TestSummaryCache:
+    """The (function, context) memo: an LRU tallying ``summary_context``."""
+
     def setup_method(self):
-        perf_stats_mod.stats().caches["summary_context"].reset()
+        self.record = perf_stats_mod.stats().caches["summary_context"]
+        self.record.reset()
+
+    def cache(self, capacity=DEFAULT_CONTEXT_CACHE_SIZE):
+        return LRUCache(capacity, self.record)
 
     def test_miss_then_hit(self):
-        cache = SummaryCache()
+        cache = self.cache()
         key = context_key("f", (RangeSet.constant(1),), 1)
         assert cache.get(key) is None
         cache.put(key, RangeSet.constant(4))
         assert cache.get(key) == RangeSet.constant(4)
-        stats = cache.stats()
+        stats = self.record.as_dict()
         assert stats["misses"] == 1
         assert stats["hits"] == 1
 
     def test_lru_eviction_counts(self):
-        cache = SummaryCache(capacity=2)
+        cache = self.cache(2)
         keys = [
             context_key("f", (RangeSet.constant(i),), 1) for i in range(3)
         ]
@@ -147,22 +153,25 @@ class TestSummaryCache:
         assert len(cache) == 2
         assert cache.get(keys[0]) is None  # oldest evicted
         assert cache.get(keys[2]) is not None
-        assert cache.stats()["evictions"] == 1
+        assert self.record.evictions == 1
 
     def test_clear_drops_entries_keeps_stats(self):
-        cache = SummaryCache()
+        cache = self.cache()
         key = context_key("f", (), 1)
         cache.put(key, BOTTOM)
         assert cache.get(key) is not None
         cache.clear()
         assert len(cache) == 0
         assert cache.get(key) is None
-        stats = cache.stats()
+        stats = self.record.as_dict()
         assert stats["hits"] == 1
         assert stats["misses"] == 1
 
     def test_default_capacity(self):
-        assert SummaryCache().capacity == DEFAULT_CONTEXT_CACHE_SIZE
+        module, infos = prepare(DISPATCH)
+        driver = InterproceduralVRP(module, infos, config=VRPConfig(context_depth=1))
+        assert driver._context_cache.capacity == DEFAULT_CONTEXT_CACHE_SIZE
+        assert driver._context_cache.record is self.record
 
 
 class TestContextInsensitiveIdentity:

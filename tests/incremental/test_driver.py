@@ -162,8 +162,8 @@ class TestGuards:
         store = IncrementalStore()
         run_incremental(MULTI_COMPONENT, store)
         # Wreck every stored payload behind the driver's back.
-        for key in list(store._memory):
-            store._memory[key] = {"v": 1, "garbage": True}
+        for key in list(store._memory._table):
+            store.put(key, {"v": 1, "garbage": True})
         prediction, outcome = run_incremental(MULTI_COMPONENT, store)
         assert outcome.replayed == ()
         module, infos = build(MULTI_COMPONENT)

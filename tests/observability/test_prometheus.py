@@ -32,7 +32,7 @@ def populated_snapshot() -> dict:
 class TestRender:
     def test_round_trips_through_the_parser(self):
         text = render_server_metrics(
-            populated_snapshot(), uptime_s=12.5, workers=4
+            populated_snapshot(), uptime_s=12.5, shards=4
         )
         families = parse_prometheus_text(text)
         assert families["repro_requests_total"]["type"] == "counter"
@@ -150,7 +150,7 @@ class TestShardLabels:
         raise AssertionError(f"no sample {wanted_labels} in {family}")
 
     def test_per_shard_series_round_trip_the_strict_parser(self):
-        text = render_server_metrics(sharded_snapshot(), workers=2)
+        text = render_server_metrics(sharded_snapshot(), shards=2)
         families = parse_prometheus_text(text)
         assert families["repro_shard_queue_depth"]["type"] == "gauge"
         assert families["repro_shard_served_total"]["type"] == "counter"
@@ -181,7 +181,7 @@ class TestShardLabels:
     def test_aggregate_families_survive_next_to_shard_families(self):
         # The fleet-wide series stay exactly as before; the shard
         # series are additive.
-        text = render_server_metrics(sharded_snapshot(), workers=2)
+        text = render_server_metrics(sharded_snapshot(), shards=2)
         families = parse_prometheus_text(text)
         assert self.sample_value(families, "repro_queue_depth", {}) == 2
         assert self.sample_value(
@@ -194,7 +194,7 @@ class TestShardLabels:
         # shard-labelled families -- dashboards scraping the old daemon
         # see an unchanged series set.
         text = render_server_metrics(
-            populated_snapshot(), uptime_s=12.5, workers=4
+            populated_snapshot(), uptime_s=12.5, shards=4
         )
         assert "repro_shard_" not in text
         families = parse_prometheus_text(text)

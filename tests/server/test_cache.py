@@ -1,10 +1,11 @@
-"""Content addressing and the two-tier result cache."""
+"""Content addressing and the two-tier store as the result cache."""
 
 import json
 import os
 
 from repro.core import VRPConfig
-from repro.server.cache import ResultCache, request_key
+from repro.incremental.store import TwoTierStore
+from repro.server.cache import request_key
 
 SOURCE = "func main(n) { return n; }"
 
@@ -52,18 +53,18 @@ class TestRequestKey:
 
 class TestMemoryTier:
     def test_roundtrip(self):
-        cache = ResultCache(memory_entries=8)
+        cache = TwoTierStore(memory_entries=8)
         cache.put("k1", {"output": "x"})
         payload, tier = cache.get("k1")
         assert payload == {"output": "x"}
         assert tier == "memory"
 
     def test_miss(self):
-        cache = ResultCache(memory_entries=8)
+        cache = TwoTierStore(memory_entries=8)
         assert cache.get("absent") == (None, None)
 
     def test_returns_a_copy(self):
-        cache = ResultCache(memory_entries=8)
+        cache = TwoTierStore(memory_entries=8)
         cache.put("k1", {"output": "x"})
         first, _ = cache.get("k1")
         first["output"] = "mutated"
@@ -71,7 +72,7 @@ class TestMemoryTier:
         assert second["output"] == "x"
 
     def test_lru_eviction(self):
-        cache = ResultCache(memory_entries=2)
+        cache = TwoTierStore(memory_entries=2)
         cache.put("a", {"v": 1})
         cache.put("b", {"v": 2})
         cache.get("a")  # refresh a; b is now least recent
@@ -81,51 +82,51 @@ class TestMemoryTier:
         assert cache.stats()["memory"]["evictions"] == 1
 
     def test_zero_entries_disables_the_tier(self):
-        cache = ResultCache(memory_entries=0)
+        cache = TwoTierStore(memory_entries=0)
         cache.put("k1", {"v": 1})
         assert cache.get("k1") == (None, None)
 
 
 class TestDiskTier:
     def test_survives_restart(self, tmp_path):
-        warm = ResultCache(memory_entries=8, disk_dir=str(tmp_path))
+        warm = TwoTierStore(memory_entries=8, disk_dir=str(tmp_path))
         warm.put("deadbeef", {"output": "x"})
-        cold = ResultCache(memory_entries=8, disk_dir=str(tmp_path))
+        cold = TwoTierStore(memory_entries=8, disk_dir=str(tmp_path))
         payload, tier = cold.get("deadbeef")
         assert payload == {"output": "x"}
         assert tier == "disk"
 
     def test_disk_hit_promotes_to_memory(self, tmp_path):
-        warm = ResultCache(memory_entries=8, disk_dir=str(tmp_path))
+        warm = TwoTierStore(memory_entries=8, disk_dir=str(tmp_path))
         warm.put("deadbeef", {"output": "x"})
-        cold = ResultCache(memory_entries=8, disk_dir=str(tmp_path))
+        cold = TwoTierStore(memory_entries=8, disk_dir=str(tmp_path))
         assert cold.get("deadbeef")[1] == "disk"
         assert cold.get("deadbeef")[1] == "memory"
 
     def test_sharded_layout(self, tmp_path):
-        cache = ResultCache(memory_entries=8, disk_dir=str(tmp_path))
+        cache = TwoTierStore(memory_entries=8, disk_dir=str(tmp_path))
         cache.put("deadbeef", {"v": 1})
         assert (tmp_path / "de" / "deadbeef.json").is_file()
 
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
-        cache = ResultCache(memory_entries=8, disk_dir=str(tmp_path))
+        cache = TwoTierStore(memory_entries=8, disk_dir=str(tmp_path))
         cache.put("deadbeef", {"v": 1})
         path = tmp_path / "de" / "deadbeef.json"
         path.write_text("{not json", encoding="utf-8")
-        cold = ResultCache(memory_entries=8, disk_dir=str(tmp_path))
+        cold = TwoTierStore(memory_entries=8, disk_dir=str(tmp_path))
         assert cold.get("deadbeef") == (None, None)
         assert not path.exists()
         assert cold.stats()["disk"]["errors"] == 1
 
     def test_non_object_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(memory_entries=8, disk_dir=str(tmp_path))
+        cache = TwoTierStore(memory_entries=8, disk_dir=str(tmp_path))
         path = tmp_path / "de" / "deadbeef.json"
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps([1, 2, 3]), encoding="utf-8")
         assert cache.get("deadbeef") == (None, None)
 
     def test_atomic_writes_leave_no_temp_files(self, tmp_path):
-        cache = ResultCache(memory_entries=8, disk_dir=str(tmp_path))
+        cache = TwoTierStore(memory_entries=8, disk_dir=str(tmp_path))
         for i in range(10):
             cache.put(f"ke{i:06x}", {"v": i})
         leftovers = [
@@ -137,7 +138,7 @@ class TestDiskTier:
         assert leftovers == []
 
     def test_stats_shape(self, tmp_path):
-        cache = ResultCache(memory_entries=8, disk_dir=str(tmp_path))
+        cache = TwoTierStore(memory_entries=8, disk_dir=str(tmp_path))
         cache.put("deadbeef", {"v": 1})
         cache.get("deadbeef")
         cache.get("absent00")

@@ -13,20 +13,20 @@ import json
 import multiprocessing
 import os
 
-from repro.server.cache import ResultCache
+from repro.incremental.store import TwoTierStore
 
 KEY = "ab" + "0" * 62  # well-formed sha256-shaped key
 
 
 def _writer(disk_dir: str, key: str, rounds: int, seed: int) -> None:
-    cache = ResultCache(memory_entries=4, disk_dir=disk_dir)
+    cache = TwoTierStore(memory_entries=4, disk_dir=disk_dir)
     for round_index in range(rounds):
         cache.put(key, {"output": f"writer-{seed}-round-{round_index}", "n": seed})
 
 
 def _reader(disk_dir: str, key: str, rounds: int, queue) -> None:
     # memory_entries=0 forces every get to the disk tier.
-    cache = ResultCache(memory_entries=0, disk_dir=disk_dir)
+    cache = TwoTierStore(memory_entries=0, disk_dir=disk_dir)
     bad = 0
     for _ in range(rounds):
         payload, tier = cache.get(key)
@@ -39,7 +39,7 @@ def _reader(disk_dir: str, key: str, rounds: int, queue) -> None:
 
 def _hammer(disk_dir: str, worker_id: int, rounds: int, queue) -> None:
     """Mixed load: each process writes its own keys and reads everyone's."""
-    cache = ResultCache(memory_entries=2, disk_dir=disk_dir)
+    cache = TwoTierStore(memory_entries=2, disk_dir=disk_dir)
     bad = 0
     for round_index in range(rounds):
         own = f"{worker_id:02x}" + "c" * 62
@@ -77,7 +77,7 @@ class TestRacingWriters:
             # file, so the error counter stays at zero.
             assert disk_errors == 0
         # The surviving entry is one complete write, valid JSON.
-        final = ResultCache(memory_entries=0, disk_dir=disk_dir)
+        final = TwoTierStore(memory_entries=0, disk_dir=disk_dir)
         payload, tier = final.get(KEY)
         assert tier == "disk"
         assert payload["output"].startswith("writer-")
@@ -109,7 +109,7 @@ class TestCorruptEntries:
 
     def test_corrupt_entry_is_a_miss_and_evicted(self, tmp_path):
         disk_dir = str(tmp_path / "cache")
-        cache = ResultCache(memory_entries=4, disk_dir=disk_dir)
+        cache = TwoTierStore(memory_entries=4, disk_dir=disk_dir)
         path = self._corrupt(disk_dir, KEY)
         assert cache.get(KEY) == (None, None)
         assert cache.stats()["disk"]["errors"] == 1
@@ -137,7 +137,7 @@ class TestCorruptEntries:
 
     def test_rewrite_after_eviction_round_trips(self, tmp_path):
         disk_dir = str(tmp_path / "cache")
-        cache = ResultCache(memory_entries=0, disk_dir=disk_dir)
+        cache = TwoTierStore(memory_entries=0, disk_dir=disk_dir)
         self._corrupt(disk_dir, KEY)
         assert cache.get(KEY) == (None, None)
         cache.put(KEY, {"output": "clean"})
@@ -151,8 +151,8 @@ class TestDiskPromotion:
         # --cache-dir: shard A's store is shard B's disk hit, and the
         # hit lands in B's *own* memory LRU (never in A's).
         disk_dir = str(tmp_path / "cache")
-        shard_a = ResultCache(memory_entries=8, disk_dir=disk_dir)
-        shard_b = ResultCache(memory_entries=8, disk_dir=disk_dir)
+        shard_a = TwoTierStore(memory_entries=8, disk_dir=disk_dir)
+        shard_b = TwoTierStore(memory_entries=8, disk_dir=disk_dir)
         shard_a.put(KEY, {"output": "from-a"})
 
         payload, tier = shard_b.get(KEY)
@@ -166,11 +166,11 @@ class TestDiskPromotion:
 
     def test_promotion_respects_local_lru_bound(self, tmp_path):
         disk_dir = str(tmp_path / "cache")
-        writer = ResultCache(memory_entries=16, disk_dir=disk_dir)
+        writer = TwoTierStore(memory_entries=16, disk_dir=disk_dir)
         keys = [f"{index:02x}" + "d" * 62 for index in range(8)]
         for index, key in enumerate(keys):
             writer.put(key, {"output": f"v{index}"})
-        reader = ResultCache(memory_entries=2, disk_dir=disk_dir)
+        reader = TwoTierStore(memory_entries=2, disk_dir=disk_dir)
         for key in keys:
             assert reader.get(key)[1] == "disk"
         stats = reader.stats()
@@ -184,7 +184,7 @@ class TestDiskPromotion:
         # The disk file is the payload, verbatim JSON: what one shard
         # stores is byte-for-byte what another serves.
         disk_dir = str(tmp_path / "cache")
-        cache = ResultCache(memory_entries=4, disk_dir=disk_dir)
+        cache = TwoTierStore(memory_entries=4, disk_dir=disk_dir)
         payload = {"output": "table\n", "exit_code": 0, "status": "ok"}
         cache.put(KEY, payload)
         path = os.path.join(disk_dir, KEY[:2], f"{KEY}.json")

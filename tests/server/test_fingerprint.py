@@ -29,7 +29,7 @@ class TestConfigFingerprint:
         base = config_fingerprint(VRPConfig())
         assert config_fingerprint(VRPConfig(perf=False)) == base
         assert config_fingerprint(VRPConfig(sanitize=True)) == base
-        assert config_fingerprint(VRPConfig(perf_memo_size=7)) == base
+        assert config_fingerprint(VRPConfig(incremental=True)) == base
 
     def test_engine_knobs_change_it(self):
         base = config_fingerprint(VRPConfig())

@@ -48,7 +48,7 @@ class TestComputeRetryAfter:
 class TestDrainRate:
     def test_zero_before_first_analysis(self):
         stats = ServerStats()
-        assert stats.drain_rate(workers=4) == 0.0
+        assert stats.drain_rate(shards=4) == 0.0
 
     def test_healthz_does_not_inflate_the_rate(self):
         # /healthz answers in microseconds; counting it would claim an
@@ -56,22 +56,22 @@ class TestDrainRate:
         stats = ServerStats()
         for _ in range(100):
             stats.record_request("/healthz", 200, 0.01)
-        assert stats.drain_rate(workers=4) == 0.0
+        assert stats.drain_rate(shards=4) == 0.0
 
     def test_rate_is_mean_latency_scaled_by_workers(self):
         stats = ServerStats()
         for _ in range(10):
             stats.record_request("/v1/predict", 200, 100.0)  # 100ms each
-        # One worker finishes 10/s at 100ms; four workers 40/s.
-        assert stats.drain_rate(workers=1) == pytest.approx(10.0)
-        assert stats.drain_rate(workers=4) == pytest.approx(40.0)
+        # One shard finishes 10/s at 100ms; four shards 40/s.
+        assert stats.drain_rate(shards=1) == pytest.approx(10.0)
+        assert stats.drain_rate(shards=4) == pytest.approx(40.0)
 
     def test_retry_after_uses_the_observed_rate(self):
         stats = ServerStats()
         for _ in range(10):
             stats.record_request("/v1/predict", 200, 1000.0)  # 1/s/worker
-        assert stats.retry_after(queue_depth=6, workers=2) == 3
-        assert stats.retry_after(queue_depth=0, workers=2) == RETRY_AFTER_FLOOR_S
+        assert stats.retry_after(queue_depth=6, shards=2) == 3
+        assert stats.retry_after(queue_depth=0, shards=2) == RETRY_AFTER_FLOOR_S
 
 
 class TestRetryAfterOnTheWire:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main
-from repro.server.cache import ResultCache
+from repro.incremental.store import TwoTierStore
 from repro.server.protocol import ProtocolError
 from repro.server.service import AnalysisService, analyze_payload
 
@@ -74,11 +74,11 @@ class TestByteParityWithCli:
         disk = tmp_path / "cache"
         request = {"command": "predict", "source": PROGRAM}
 
-        warm = AnalysisService(cache=ResultCache(disk_dir=str(disk)))
+        warm = AnalysisService(cache=TwoTierStore(disk_dir=str(disk)))
         cold = warm.execute(request)
         memory_hit = warm.execute(request)
         # A fresh service over the same disk dir simulates a restart.
-        restarted = AnalysisService(cache=ResultCache(disk_dir=str(disk)))
+        restarted = AnalysisService(cache=TwoTierStore(disk_dir=str(disk)))
         disk_hit = restarted.execute(request)
 
         assert cold["cached"] is None

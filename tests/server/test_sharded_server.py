@@ -197,6 +197,14 @@ class TestMetrics:
         assert "repro_shard_queue_high_water" in families
         assert "repro_queue_depth" in families  # aggregate survives
 
+    def test_prometheus_scrape_reports_the_shard_count(self, sharded):
+        server, client = sharded
+        lines = client.metricsz_prometheus().splitlines()
+        assert "# HELP repro_shards Analysis shard processes." in lines
+        assert f"repro_shards {server.shard_count}" in lines
+        assert server.shard_count == 2
+        assert not any(line.startswith("repro_workers") for line in lines)
+
 
 class TestBackpressure:
     def test_full_shard_queue_is_503_with_retry_after(self, start_server):
