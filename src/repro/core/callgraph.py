@@ -40,21 +40,25 @@ class CallGraph:
         self.call_sites: List[CallSite] = []
         self.callees: Dict[str, Set[str]] = {name: set() for name in module.functions}
         self.callers: Dict[str, Set[str]] = {name: set() for name in module.functions}
+        self._by_callee: Dict[str, List[CallSite]] = {}
+        self._by_caller: Dict[str, List[CallSite]] = {}
         for name, function in module.functions.items():
             for label, block in function.blocks.items():
                 for instr in block.instructions:
                     if isinstance(instr, Call):
                         site = CallSite(name, label, instr)
                         self.call_sites.append(site)
+                        self._by_callee.setdefault(instr.callee, []).append(site)
+                        self._by_caller.setdefault(name, []).append(site)
                         if instr.callee in self.callees:
                             self.callees[name].add(instr.callee)
                             self.callers[instr.callee].add(name)
 
     def sites_of_callee(self, callee: str) -> List[CallSite]:
-        return [site for site in self.call_sites if site.callee == callee]
+        return list(self._by_callee.get(callee, ()))
 
     def sites_in_caller(self, caller: str) -> List[CallSite]:
-        return [site for site in self.call_sites if site.caller == caller]
+        return list(self._by_caller.get(caller, ()))
 
     def is_recursive(self, name: str) -> bool:
         for scc in self.sccs():

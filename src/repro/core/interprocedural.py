@@ -12,6 +12,15 @@ it while ranges are still moving raises the
 ``vrp.interprocedural.round_cap`` event plus a counter instead of
 settling silently).
 
+A round re-analyses a function only when an input its last analysis
+read has changed: its effective parameter ranges, or the return range
+of a callee it reads (direct callees at k = 0, every reachable callee
+at k >= 1, since context engines read deeper).  Otherwise the function
+keeps its last prediction -- the engine is deterministic in those
+inputs, so a re-run would reproduce it.  The confirming round of a
+converged module therefore re-runs nothing, while ``rounds`` still
+counts it.
+
 Context sensitivity (``VRPConfig.context_depth``, default 0): with
 k >= 1, a call to a provably *range-effect-free* callee is no longer
 answered from the all-sites merge -- the callee is re-analysed under the
@@ -209,6 +218,18 @@ class InterproceduralVRP:
         #: context engines do not describe the functions they analyse.
         self._context_refined: Dict[str, Dict[str, dict]] = {}
         self.round_cap_hit = False
+        #: The callees whose return ranges each function's analysis reads:
+        #: its direct callees at k = 0, every reachable callee at k >= 1
+        #: (context engines read deeper return ranges).
+        self._read_callees: Dict[str, List[str]] = {
+            name: sorted(
+                self._reachable(name) if self.context_depth
+                else self.callgraph.callees[name]
+            )
+            for name in module.functions
+        }
+        #: function -> the inputs its last analysis read (see _inputs_of).
+        self._inputs: Dict[str, tuple] = {}
 
     # -- driver ---------------------------------------------------------------
 
@@ -236,6 +257,12 @@ class InterproceduralVRP:
             self._context_cache.clear()
             with tracer.span("interprocedural-round"):
                 for name in order:
+                    inputs = self._inputs_of(name)
+                    if self._inputs.get(name) == inputs:
+                        # Nothing it reads has moved: a re-run would
+                        # reproduce the prediction it already has.
+                        continue
+                    self._inputs[name] = inputs
                     prediction = self._analyse_one(name)
                     self.predictions[name] = prediction
                     if self._record_return(name, prediction):
@@ -308,6 +335,26 @@ class InterproceduralVRP:
                 engine, self.context_depth, record=True
             )
         return engine.run()
+
+    def _inputs_of(self, name: str) -> tuple:
+        """Everything one analysis of ``name`` reads that rounds can move."""
+        return (
+            self._params_for(name),
+            tuple(
+                self.return_sets.get(callee, BOTTOM)
+                for callee in self._read_callees[name]
+            ),
+        )
+
+    def _reachable(self, name: str) -> Set[str]:
+        seen: Set[str] = set()
+        stack = list(self.callgraph.callees[name])
+        while stack:
+            callee = stack.pop()
+            if callee not in seen:
+                seen.add(callee)
+                stack.extend(self.callgraph.callees[callee])
+        return seen
 
     def _params_for(self, name: str) -> Dict[str, RangeSet]:
         if name == self.entry:

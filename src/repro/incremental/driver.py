@@ -52,18 +52,15 @@ from repro.core.propagation import FunctionPrediction, HeuristicFn
 from repro.core.rangeset import RangeSet
 from repro.incremental import serialize
 from repro.incremental.depgraph import SummaryDepGraph
-from repro.incremental.fingerprint import (
-    exact_fingerprint,
-    fingerprint_salt,
-    function_fingerprint,
-)
+from repro.incremental.fingerprint import fingerprint_salt, module_fingerprints
 from repro.incremental.serialize import PayloadError
 from repro.incremental.store import IncrementalStore
 from repro.ir.function import Module
 from repro.ir.ssa import SSAInfo
 
-#: Bumped whenever the stored payload layout changes.
-PAYLOAD_VERSION = 1
+#: Bumped whenever the stored payload layout (or the recipe of a stored
+#: value, such as the exact fingerprints) changes.
+PAYLOAD_VERSION = 2
 
 
 class IncrementalOutcome:
@@ -178,14 +175,12 @@ def analyse_module_incremental(
     )
     depgraph = SummaryDepGraph(shell.callgraph)
     salt = fingerprint_salt(config)
-    semantic_fps = {
-        name: function_fingerprint(function, salt=salt)
-        for name, function in module.functions.items()
-    }
-    exact_fps = {
-        name: exact_fingerprint(function)
-        for name, function in module.functions.items()
-    }
+    fingerprints = module_fingerprints(module, salt=salt)
+    semantic_fps = {name: fps["semantic"] for name, fps in fingerprints.items()}
+    exact_fps = {name: fps["exact"] for name, fps in fingerprints.items()}
+    # Replayed components repeat a few dozen distinct range sets hundreds
+    # of times; decode each distinct one once per run.
+    decoded_sets: Dict[bytes, RangeSet] = {}
 
     predictions: Dict[str, FunctionPrediction] = {}
     param_sets: Dict[str, Dict[str, RangeSet]] = {}
@@ -210,7 +205,9 @@ def analyse_module_incremental(
         payload, _tier = store.get(key)
         decoded = None
         if payload is not None:
-            decoded = _decode_component(module, members, exact_fps, payload)
+            decoded = _decode_component(
+                module, members, exact_fps, payload, decoded_sets
+            )
         if decoded is None:
             store_misses += 1
             decoded = _analyse_component(
@@ -425,6 +422,7 @@ def _decode_component(
     members: Tuple[str, ...],
     exact_fps: Dict[str, str],
     payload: dict,
+    decoded_sets: Dict[bytes, RangeSet],
 ) -> Optional[dict]:
     """Deserialize one component entry; ``None`` means treat as a miss."""
     try:
@@ -438,16 +436,16 @@ def _decode_component(
         predictions: Dict[str, FunctionPrediction] = {}
         for name, data in payload["functions"]:
             predictions[name] = serialize.prediction_from_json(
-                module.functions[name], data
+                module.functions[name], data, decoded_sets
             )
         if set(predictions) != set(members):
             return None
         param_sets = {
-            name: serialize.rangeset_map_from_json(data)
+            name: serialize.rangeset_map_from_json(data, decoded_sets)
             for name, data in payload["param_sets"]
         }
         return_sets = {
-            name: serialize.rangeset_from_json(data)
+            name: serialize.rangeset_from_json(data, decoded_sets)
             for name, data in payload["return_sets"]
         }
         refined: Dict[str, Dict[str, dict]] = {}

@@ -12,12 +12,14 @@ line-oriented serialization of the prepared (SSA) IR:
   any semantic edit: flipping an operator, a constant, a branch arm,
   or a callee (callee and function names are global identity and stay
   verbatim).
-* the **exact fingerprint** (:func:`exact_fingerprint`) keeps concrete
-  names and labels.  Rendered output mentions SSA names and block
-  labels, so a stored result may only be replayed when the exact form
-  still matches; the semantic fingerprint decides *addressing* (which
-  component a result belongs to), the exact fingerprint guards
-  *replayability*.
+* the **exact fingerprint** (:func:`exact_fingerprint`) also pins
+  concrete names and labels: it hashes the semantic text together with
+  the concrete-name-to-token mappings, which carry the same information
+  as a verbatim-names text, so one IR walk yields both fingerprints.
+  Rendered output mentions SSA names and block labels, so a stored
+  result may only be replayed when the exact form still matches; the
+  semantic fingerprint decides *addressing* (which component a result
+  belongs to), the exact fingerprint guards *replayability*.
 
 Source locations appear in neither: predictions carry no line numbers
 (diagnostics re-derive them from the live IR), so shifting a function
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import VRPConfig
 from repro.core.perf.fingerprint import config_fingerprint, engine_salt
@@ -76,108 +78,104 @@ def fingerprint_salt(config: Optional[VRPConfig] = None) -> str:
     )
 
 
-class _Namer:
-    """Maps one namespace of names to canonical first-occurrence tokens."""
+class _Namer(dict):
+    """Maps one namespace of names to canonical first-occurrence tokens.
+
+    A dict, so the common case -- a name already seen -- is a plain
+    lookup: ``namer[name]``.
+    """
 
     def __init__(self, prefix: str):
+        super().__init__()
         self.prefix = prefix
-        self.mapping: Dict[str, str] = {}
 
-    def __call__(self, name: str) -> str:
-        token = self.mapping.get(name)
-        if token is None:
-            token = f"{self.prefix}{len(self.mapping)}"
-            self.mapping[name] = token
+    def __missing__(self, name: str) -> str:
+        token = self[name] = f"{self.prefix}{len(self)}"
         return token
 
 
-def _identity(name: str) -> str:
-    return name
-
-
-def canonical_function_text(function: Function, *, normalize_names: bool = True) -> str:
-    """The canonical line-oriented serialization the fingerprints hash.
-
-    With ``normalize_names`` (the semantic form) temps, params, arrays
-    and labels become canonical indices; without it (the exact form)
-    they stay verbatim.  Locations are excluded either way.
-    """
-    if normalize_names:
-        temp: Callable[[str], str] = _Namer("v")
-        label: Callable[[str], str] = _Namer("b")
-        array: Callable[[str], str] = _Namer("a")
-    else:
-        temp = label = array = _identity
+def _canonical(function: Function) -> Tuple[str, Tuple[_Namer, _Namer, _Namer]]:
+    """The semantic text plus the temp/label/array namers that built it."""
+    temp, label, array = _Namer("v"), _Namer("b"), _Namer("a")
 
     def value(operand: Value) -> str:
         if isinstance(operand, Constant):
             return f"c:{operand.value!r}"
         if isinstance(operand, Temp):
-            return f"t:{temp(operand.name)}"
+            return f"t:{temp[operand.name]}"
         if isinstance(operand, Undef):
             return "undef"
         raise TypeError(f"unknown operand {operand!r}")
 
     lines: List[str] = [
-        f"func {function.name}({','.join(temp(p) for p in function.params)})"
+        f"func {function.name}({','.join(temp[p] for p in function.params)})"
     ]
     for name, size in function.arrays.items():
-        lines.append(f"array {array(name)} {size}")
+        lines.append(f"array {array[name]} {size}")
     # Pre-assign label tokens in block order so forward jump targets get
     # the same token as the block header they name.
     for block_label in function.blocks:
-        label(block_label)
-    lines.append(f"entry {label(function.entry_label)}")
+        label[block_label]
+    lines.append(f"entry {label[function.entry_label]}")
     for block_label, block in function.blocks.items():
-        lines.append(f"block {label(block_label)}")
+        lines.append(f"block {label[block_label]}")
         for instr in block.instructions:
             lines.append(_instr_line(instr, value, temp, label, array))
-    return "\n".join(lines)
+    return "\n".join(lines), (temp, label, array)
+
+
+def canonical_function_text(function: Function) -> str:
+    """The canonical line-oriented serialization the fingerprints hash.
+
+    Temps, params, arrays and labels become canonical indices of first
+    occurrence; locations are excluded.
+    """
+    return _canonical(function)[0]
 
 
 def _instr_line(
     instr: Instruction,
     value: Callable[[Value], str],
-    temp: Callable[[str], str],
-    label: Callable[[str], str],
-    array: Callable[[str], str],
+    temp: Dict[str, str],
+    label: Dict[str, str],
+    array: Dict[str, str],
 ) -> str:
     if isinstance(instr, BinOp):
-        return f"bin {instr.op} {temp(instr.dest.name)} {value(instr.lhs)} {value(instr.rhs)}"
+        return f"bin {instr.op} {temp[instr.dest.name]} {value(instr.lhs)} {value(instr.rhs)}"
     if isinstance(instr, UnOp):
-        return f"un {instr.op} {temp(instr.dest.name)} {value(instr.operand)}"
+        return f"un {instr.op} {temp[instr.dest.name]} {value(instr.operand)}"
     if isinstance(instr, Cmp):
-        return f"cmp {instr.op} {temp(instr.dest.name)} {value(instr.lhs)} {value(instr.rhs)}"
+        return f"cmp {instr.op} {temp[instr.dest.name]} {value(instr.lhs)} {value(instr.rhs)}"
     if isinstance(instr, Copy):
-        return f"copy {temp(instr.dest.name)} {value(instr.src)}"
+        return f"copy {temp[instr.dest.name]} {value(instr.src)}"
     if isinstance(instr, Phi):
         incomings = ",".join(
-            f"{label(pred)}:{value(operand)}" for pred, operand in instr.incomings
+            f"{label[pred]}:{value(operand)}" for pred, operand in instr.incomings
         )
-        return f"phi {temp(instr.dest.name)} {incomings}"
+        return f"phi {temp[instr.dest.name]} {incomings}"
     if isinstance(instr, Pi):
-        parent = temp(instr.parent) if instr.parent is not None else "-"
+        parent = temp[instr.parent] if instr.parent is not None else "-"
         return (
-            f"pi {temp(instr.dest.name)} {value(instr.src)} "
+            f"pi {temp[instr.dest.name]} {value(instr.src)} "
             f"{instr.op} {value(instr.bound)} {parent}"
         )
     if isinstance(instr, Load):
-        return f"load {temp(instr.dest.name)} {array(instr.array)} {value(instr.index)}"
+        return f"load {temp[instr.dest.name]} {array[instr.array]} {value(instr.index)}"
     if isinstance(instr, Store):
-        return f"store {array(instr.array)} {value(instr.index)} {value(instr.value)}"
+        return f"store {array[instr.array]} {value(instr.index)} {value(instr.value)}"
     if isinstance(instr, Call):
-        dest = temp(instr.dest.name) if instr.dest is not None else "-"
+        dest = temp[instr.dest.name] if instr.dest is not None else "-"
         args = ",".join(value(arg) for arg in instr.args)
         # Callee names are global identity: never normalized.
         return f"call {dest} {instr.callee} {args}"
     if isinstance(instr, Input):
-        return f"input {temp(instr.dest.name)}"
+        return f"input {temp[instr.dest.name]}"
     if isinstance(instr, Jump):
-        return f"jump {label(instr.target)}"
+        return f"jump {label[instr.target]}"
     if isinstance(instr, Branch):
         return (
             f"branch {value(instr.cond)} "
-            f"{label(instr.true_target)} {label(instr.false_target)}"
+            f"{label[instr.true_target]} {label[instr.false_target]}"
         )
     if isinstance(instr, Return):
         return f"return {value(instr.value)}"
@@ -190,20 +188,29 @@ def _digest(text: str, salt: str) -> str:
 
 def function_fingerprint(function: Function, *, salt: str = "") -> str:
     """The semantic (rename-stable) fingerprint, hex SHA-256."""
-    return _digest(canonical_function_text(function, normalize_names=True), salt)
+    return _digest(canonical_function_text(function), salt)
 
 
 def exact_fingerprint(function: Function, *, salt: str = "") -> str:
     """The exact (name-sensitive, location-free) fingerprint, hex SHA-256."""
-    return _digest(canonical_function_text(function, normalize_names=False), salt)
+    return _fingerprints(function, salt)["exact"]
+
+
+def _fingerprints(function: Function, salt: str) -> Dict[str, str]:
+    text, namers = _canonical(function)
+    # Each namer maps concrete names to tokens in token order, so the
+    # semantic text plus the mappings pins every concrete name: one IR
+    # walk yields both fingerprints.
+    names = "\x00".join("\n".join(namer) for namer in namers)
+    return {
+        "semantic": _digest(text, salt),
+        "exact": _digest(f"{text}\x00{names}", salt),
+    }
 
 
 def module_fingerprints(module, *, salt: str = "") -> Dict[str, Dict[str, str]]:
     """Both fingerprints for every function: name -> {semantic, exact}."""
     return {
-        name: {
-            "semantic": function_fingerprint(function, salt=salt),
-            "exact": exact_fingerprint(function, salt=salt),
-        }
+        name: _fingerprints(function, salt)
         for name, function in module.functions.items()
     }

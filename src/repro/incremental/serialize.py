@@ -1,7 +1,7 @@
 """JSON round-tripping for analysis results.
 
 The store holds plain-JSON payloads (the disk tier is the server cache's
-sharded file format, which writes ``json.dump(..., sort_keys=True)``),
+sharded file format, which writes ``json.dumps(..., sort_keys=True)``),
 so every order-sensitive mapping is serialized as a list of pairs: disk
 round trips must not reorder ``branch_probability`` or ``values``, whose
 iteration order reaches rendered output.
@@ -15,6 +15,7 @@ a store miss, never as an error.
 
 from __future__ import annotations
 
+import marshal
 import math
 from typing import Dict, List, Optional, Tuple
 
@@ -81,7 +82,25 @@ def rangeset_to_json(rangeset: RangeSet) -> dict:
     }
 
 
-def rangeset_from_json(data) -> RangeSet:
+def rangeset_from_json(
+    data, memo: Optional[Dict[bytes, RangeSet]] = None
+) -> RangeSet:
+    """Decode one range set; ``memo`` reuses earlier decodes of equal JSON.
+
+    The memo is keyed on the exact decoded JSON (its ``marshal`` bytes
+    keep every type, so ``1`` and ``1.0`` stay distinct where ``==``
+    would conflate them); a first occurrence is fully validated.
+    """
+    if memo is None:
+        return _rangeset_from_json(data)
+    key = marshal.dumps(data)
+    rangeset = memo.get(key)
+    if rangeset is None:
+        rangeset = memo[key] = _rangeset_from_json(data)
+    return rangeset
+
+
+def _rangeset_from_json(data) -> RangeSet:
     if not isinstance(data, dict):
         raise PayloadError(f"bad rangeset {data!r}")
     kind = data.get("k")
@@ -162,7 +181,9 @@ def prediction_to_json(prediction: FunctionPrediction) -> dict:
     }
 
 
-def prediction_from_json(function: Function, data) -> FunctionPrediction:
+def prediction_from_json(
+    function: Function, data, memo: Optional[Dict[bytes, RangeSet]] = None
+) -> FunctionPrediction:
     if not isinstance(data, dict):
         raise PayloadError(f"bad prediction {data!r}")
     try:
@@ -176,10 +197,12 @@ def prediction_from_json(function: Function, data) -> FunctionPrediction:
             branch_probability=_from_pairs(data["branch_probability"]),
             edge_frequency=edge_frequency,
             block_frequency=_from_pairs(data["block_frequency"]),
-            values=_from_pairs(data["values"], rangeset_from_json),
+            values=_from_pairs(
+                data["values"], lambda item: rangeset_from_json(item, memo)
+            ),
             used_heuristic=set(data["used_heuristic"]),
             counters=counters_from_json(data["counters"]),
-            return_set=rangeset_from_json(data["return_set"]),
+            return_set=rangeset_from_json(data["return_set"], memo),
             aborted=bool(data["aborted"]),
             derived=set(data["derived"]),
             widened=set(data["widened"]),
@@ -192,8 +215,10 @@ def rangeset_map_to_json(mapping: Dict[str, RangeSet]) -> List[list]:
     return _pairs(mapping, rangeset_to_json)
 
 
-def rangeset_map_from_json(data) -> Dict[str, RangeSet]:
-    return _from_pairs(data, rangeset_from_json)
+def rangeset_map_from_json(
+    data, memo: Optional[Dict[bytes, RangeSet]] = None
+) -> Dict[str, RangeSet]:
+    return _from_pairs(data, lambda item: rangeset_from_json(item, memo))
 
 
 def optional_rangeset_to_json(rangeset: Optional[RangeSet]):

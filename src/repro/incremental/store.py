@@ -149,7 +149,9 @@ class TwoTierStore:
             )
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle, sort_keys=True)
+                    # One dumps call takes json's C encoder; json.dump
+                    # streams through the pure-Python one (same bytes).
+                    handle.write(json.dumps(payload, sort_keys=True))
                 os.replace(temp_path, path)
             except BaseException:
                 try:

@@ -287,10 +287,13 @@ def _run_with_deadline(fn, timeout_s: Optional[float]):
     The body runs in a daemon helper thread; on deadline the thread is
     abandoned (it finishes eventually and its result is discarded) and
     :class:`AnalysisTimeout` is raised.  ``None`` disables the deadline
-    and costs nothing.
+    and costs nothing; a deadline of zero or less has already passed, so
+    it times out without starting the body at all.
     """
     if timeout_s is None:
         return fn()
+    if timeout_s <= 0:
+        raise AnalysisTimeout(f"analysis exceeded {timeout_s}s")
     box: Dict[str, object] = {}
     done = threading.Event()
 

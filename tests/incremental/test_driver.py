@@ -145,7 +145,9 @@ class TestGuards:
     def test_payload_version_mismatch_is_a_miss(self, monkeypatch):
         store = IncrementalStore()
         run_incremental(MULTI_COMPONENT, store)
-        monkeypatch.setattr(driver_mod, "PAYLOAD_VERSION", 2)
+        monkeypatch.setattr(
+            driver_mod, "PAYLOAD_VERSION", driver_mod.PAYLOAD_VERSION + 1
+        )
         _, outcome = run_incremental(MULTI_COMPONENT, store)
         assert outcome.replayed == ()
         assert len(outcome.reanalyzed) == 6

@@ -78,6 +78,14 @@ class TestStability:
         renamed = BASE.replace("total", "accum")
         assert exact_of(BASE) != exact_of(renamed)
 
+    def test_module_fingerprints_match_the_single_function_forms(self):
+        module, _ = build(BASE)
+        main = module.functions["main"]
+        assert module_fingerprints(module, salt="s")["main"] == {
+            "semantic": function_fingerprint(main, salt="s"),
+            "exact": exact_fingerprint(main, salt="s"),
+        }
+
     def test_canonical_text_uses_first_occurrence_names(self):
         module, _ = build(BASE)
         text = canonical_function_text(module.functions["main"])

@@ -98,6 +98,30 @@ class TestRangeSets:
     def test_malformed_raises_payload_error(self, data):
         with pytest.raises(PayloadError):
             rangeset_from_json(data)
+        with pytest.raises(PayloadError):
+            rangeset_from_json(data, {})
+
+
+class TestDecodeMemo:
+    def test_equal_json_decodes_once(self):
+        memo = {}
+        data = rangeset_to_json(RangeSet.span(0, 100, 3))
+        first = rangeset_from_json(disk_round_trip(data), memo)
+        assert rangeset_from_json(disk_round_trip(data), memo) is first
+        assert len(memo) == 1
+
+    def test_int_and_float_offsets_stay_distinct(self):
+        # 1 == 1.0, but they render differently: the memo must not
+        # hand one back for the other.
+        memo = {}
+        as_int = {"k": "set", "r": [[1.0, [1, None], [1, None], 0]]}
+        as_float = {"k": "set", "r": [[1.0, [1.0, None], [1.0, None], 0]]}
+        assert str(rangeset_from_json(as_int, memo)) == str(rangeset_from_json(as_int))
+        assert str(rangeset_from_json(as_float, memo)) == str(
+            rangeset_from_json(as_float)
+        )
+        assert str(rangeset_from_json(as_int)) != str(rangeset_from_json(as_float))
+        assert len(memo) == 2
 
 
 class TestCounters:

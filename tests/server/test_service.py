@@ -194,6 +194,16 @@ class TestDegradation:
         assert response["status"] == "error"
         assert "timed out" in response["error"]
 
+    def test_zero_timeout_always_degrades(self):
+        # The analysis must not get to race a zero deadline: a fast
+        # program used to finish before the deadline was checked.
+        service = AnalysisService(timeout_s=0.0)
+        responses = [
+            service.execute({"command": "predict", "source": PROGRAM})
+            for _ in range(200)
+        ]
+        assert sum(response["degraded"] is True for response in responses) == 200
+
     def test_degraded_results_are_never_cached(self):
         service = AnalysisService(timeout_s=0.0)
         service.execute({"command": "predict", "source": PROGRAM})
