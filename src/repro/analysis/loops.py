@@ -56,7 +56,9 @@ class LoopInfo:
         return cls(CFG(function))
 
     def _build(self) -> None:
-        for latch, header in self.cfg.back_edges:
+        # Sorted: the back-edge set's order varies with the hash seed,
+        # and loop order decides the order of loops_containing().
+        for latch, header in sorted(self.cfg.back_edges):
             loop = self.loops.get(header)
             if loop is None:
                 loop = Loop(header)

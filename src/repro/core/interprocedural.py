@@ -237,14 +237,35 @@ class InterproceduralVRP:
         # Activated here as well as per-engine so the cross-engine work
         # (jump-function merges below) shares the caches.
         with perf_context.activate(self.config.perf):
-            return self._run()
+            rounds_used = self._fixed_point()
+            total = counters_mod.Counters()
+            for prediction in self.predictions.values():
+                total.merge(prediction.counters)
+            total.merge(self._context_counters)
+            total.interprocedural_round_caps += int(self.round_cap_hit)
+            summary_taint, taint_sources = self._compute_taint()
+            return ModulePrediction(
+                self.module,
+                dict(self.predictions),
+                total,
+                rounds_used,
+                summaries=self._build_summaries(),
+                summary_taint=summary_taint,
+                taint_sources=taint_sources,
+                interprocedural=self._stats(rounds_used),
+            )
 
-    def _run(self) -> ModulePrediction:
+    def run_fixed_point(self) -> int:
+        """Iterate the rounds only, skipping the module-level products
+        (taint, summaries); returns the number of rounds used."""
+        with perf_context.activate(self.config.perf):
+            return self._fixed_point()
+
+    def _fixed_point(self) -> int:
         from repro.observability import events as trace_events
         from repro.observability import tracer as tracing
 
         tracer = tracing.active()
-        total = counters_mod.Counters()
         order = self.callgraph.bottom_up_order()
         rounds_used = 0
         changed = False
@@ -275,7 +296,6 @@ class InterproceduralVRP:
             # The cap silenced a still-moving fixed point: the ranges of
             # the recursive components were frozen as-is, not converged.
             self.round_cap_hit = True
-            total.interprocedural_round_caps += 1
             tracer.emit(
                 trace_events.RoundCap(
                     module=self.module.name,
@@ -283,20 +303,7 @@ class InterproceduralVRP:
                     functions=tuple(self._recursive_functions()),
                 )
             )
-        for prediction in self.predictions.values():
-            total.merge(prediction.counters)
-        total.merge(self._context_counters)
-        summary_taint, taint_sources = self._compute_taint()
-        return ModulePrediction(
-            self.module,
-            dict(self.predictions),
-            total,
-            rounds_used,
-            summaries=self._build_summaries(),
-            summary_taint=summary_taint,
-            taint_sources=taint_sources,
-            interprocedural=self._stats(rounds_used),
-        )
+        return rounds_used
 
     def _recursive_functions(self) -> List[str]:
         out: List[str] = []

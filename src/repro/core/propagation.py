@@ -8,6 +8,11 @@ Wegman–Zadeck constant propagation, generalised per the paper:
   frequency 1; branch out-edges split their block's frequency by the
   predicted probability) -- phi evaluation merges incoming ranges
   weighted by these frequencies;
+* a loop header's frequency is solved in closed form, Wu–Larus style:
+  its non-back inflow divided by ``1 - cyclic probability``, where the
+  cyclic probability (of returning to the header) comes from one
+  acyclic pass over the loop body -- so frequencies reach their limit
+  at once instead of creeping up lap by lap;
 * loop-carried phis are *derived* via induction templates
   (:mod:`repro.core.derivation`) rather than iterated; phis that fail
   derivation iterate brute-force and are widened after a configurable
@@ -26,6 +31,7 @@ import math
 from collections import deque
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.analysis.loops import LoopInfo
 from repro.core import counters as counters_mod
 from repro.core.bounds import Bound, NEG_INF, POS_INF
 from repro.core.config import VRPConfig
@@ -150,6 +156,7 @@ class PropagationEngine:
         self.heuristic = heuristic
         self.call_effect = call_effect
         self.cfg = CFG(function)
+        self.loops = LoopInfo(self.cfg)
         self.edges = build_ssa_edges(function, ssa_info)
         self.counters = counters_mod.Counters()
         # Tracing: one attribute check per instrumented site.  With the
@@ -184,7 +191,23 @@ class PropagationEngine:
         self.widened: Set[str] = set()
         # Set when the safety valve cut the fixed point short.
         self.aborted = False
-        self.edge_update_count: Dict[Edge, int] = {}
+        # Cyclic probability per loop header, valid until a branch
+        # probability inside that loop changes.
+        self._cyclic: Dict[str, float] = {}
+        # Per header: the loop body in reverse postorder (header first)
+        # and the latches in the same order -- never set order, which
+        # varies with the hash seed.
+        self._loop_order: Dict[str, List[str]] = {}
+        self._latches: Dict[str, List[str]] = {}
+        if self.loops.loops:
+            rpo = {label: i for i, label in enumerate(self.cfg.reverse_postorder())}
+
+            def position(label: str) -> int:
+                return rpo.get(label, len(rpo))
+
+            for header, loop in self.loops.loops.items():
+                self._loop_order[header] = sorted(loop.blocks, key=position)
+                self._latches[header] = sorted(loop.latches, key=position)
 
         # Perf layer: activated around run() via the context var so the
         # rangeset-level hooks see it.
@@ -327,22 +350,69 @@ class PropagationEngine:
     # -- frequencies ----------------------------------------------------------------
 
     def node_frequency(self, label: str) -> float:
-        entry = self.function.entry_label
+        loop = self.loops.loops.get(label)
         total = 0.0
-        if label == entry:
+        if label == self.function.entry_label:
             total += self.edge_freq.get((ENTRY_EDGE_SOURCE, label), 0.0)
         for pred in self.cfg.predecessors[label]:
-            total += self.edge_freq.get((pred, label), 0.0)
+            if loop is None or pred not in loop.latches:
+                total += self.edge_freq.get((pred, label), 0.0)
+        if loop is not None:
+            total = self._loop_frequency(total, self._cyclic_probability(label))
         return min(total, self.config.frequency_cap)
+
+    def _loop_frequency(self, inflow: float, cyclic: float) -> float:
+        """Header frequency from its non-back inflow: ``inflow / (1 - cyclic)``."""
+        if inflow <= 0.0:
+            return 0.0
+        if cyclic >= 1.0:
+            return self.config.frequency_cap
+        return min(inflow / (1.0 - cyclic), self.config.frequency_cap)
+
+    def _cyclic_probability(self, header: str) -> float:
+        """P(control returns to ``header`` | it reached ``header``).
+
+        One acyclic pass over the loop body in reverse postorder with the
+        current branch probabilities (a branch still at ⊤ sends nothing
+        either way); inner loops are collapsed by the same closed form.
+        """
+        cached = self._cyclic.get(header)
+        if cached is not None:
+            return cached
+        local: Dict[str, float] = {}
+        for label in self._loop_order[header]:
+            if label == header:
+                local[label] = 1.0
+                continue
+            inner = self.loops.loops.get(label)
+            inflow = 0.0
+            for pred in self.cfg.predecessors[label]:
+                if pred in local and (inner is None or pred not in inner.latches):
+                    inflow += local[pred] * self._edge_probability(pred, label)
+            if inner is not None:
+                inflow = self._loop_frequency(inflow, self._cyclic_probability(label))
+            local[label] = inflow
+        cyclic = sum(
+            local.get(latch, 0.0) * self._edge_probability(latch, header)
+            for latch in self._latches[header]
+        )
+        self._cyclic[header] = cyclic
+        return cyclic
+
+    def _edge_probability(self, src: str, dst: str) -> float:
+        """P(src -> dst | src reached) under the current branch probabilities."""
+        term = self.function.blocks[src].terminator
+        if isinstance(term, Jump):
+            return 1.0
+        probability = self.branch_prob.get(src)
+        if probability is None:
+            return 0.0
+        return probability if dst == term.true_target else 1.0 - probability
 
     def _set_edge_freq(self, edge: Edge, freq: float) -> None:
         old = self.edge_freq.get(edge, 0.0)
         if abs(freq - old) <= self.config.tolerance * max(1.0, old):
             return
-        updates = self.edge_update_count.get(edge, 0)
-        if updates >= 64 and abs(freq - old) <= 0.05 * max(1.0, old):
-            return  # converging geometric series: stop churning
-        self.edge_update_count[edge] = updates + 1
         self.edge_freq[edge] = freq
         self._push_flow(edge)
 
@@ -805,9 +875,8 @@ class PropagationEngine:
         block = instr.block
         assert block is not None
         label = block.label
-        freq = self.node_frequency(label)
         if isinstance(instr, Jump):
-            self._set_edge_freq((label, instr.target), freq)
+            self._set_edge_freq((label, instr.target), self.node_frequency(label))
             return
         if isinstance(instr, Return):
             return
@@ -820,6 +889,15 @@ class PropagationEngine:
             self.branch_prob[label] = probability
             if self._trace is not None:
                 self._emit_branch_resolution(instr, label, probability)
+            # Every enclosing loop's cyclic probability moved: re-solve
+            # it, and revisit its header once to spread the new frequency.
+            for loop in self.loops.loops_containing(label):
+                self._cyclic.pop(loop.header, None)
+                for latch in self._latches[loop.header]:
+                    self._push_flow((latch, loop.header))
+        else:
+            probability = old
+        freq = self.node_frequency(label)
         self._set_edge_freq((label, instr.true_target), freq * probability)
         self._set_edge_freq((label, instr.false_target), freq * (1.0 - probability))
 

@@ -156,10 +156,22 @@ class StridedRange:
         return f"{prob}[{self.lo}:{self.hi}:{self.stride}]"
 
 
+# Integer bounds larger in magnitude than this are dropped to the
+# infinity on their side of the range (lo to -inf, hi to +inf), which only
+# widens.  Half the float range, so that the sum or width of two bounds
+# still converts to float: ``math.isnan`` on a larger int raises.
+_SATURATION = 2 ** 1022
+
+
 def _normalise(lo: Bound, hi: Bound, stride: int):
     """Canonicalise: single values get stride 0; numeric his align to the
     progression; multi-value ranges need stride >= 1 (defaulting to 1 when
-    alignment is unknowable)."""
+    alignment is unknowable); integer bounds beyond :data:`_SATURATION`
+    saturate to infinity."""
+    if not -_SATURATION <= lo.offset <= _SATURATION and type(lo.offset) is int:
+        lo = Bound(NEG_INF)
+    if not -_SATURATION <= hi.offset <= _SATURATION and type(hi.offset) is int:
+        hi = Bound(POS_INF)
     if lo == hi:
         return lo, hi, 0
     width = lo.distance(hi)

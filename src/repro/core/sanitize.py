@@ -169,9 +169,10 @@ class LatticeSanitizer:
             out_sum = sum(
                 engine.edge_freq.get((label, succ), 0.0) for succ in successors
             )
-            # _set_edge_freq suppresses sub-tolerance and late sub-5%
-            # updates, so allow generous relative slack.
-            if abs(out_sum - node_freq) > 0.15 * max(1.0, node_freq):
+            # _set_edge_freq suppresses sub-tolerance updates, so each of
+            # the two out-edges may lag its share by that much.
+            slack = 4 * engine.config.tolerance * max(1.0, node_freq)
+            if abs(out_sum - node_freq) > slack:
                 raise SanitizerError(
                     self.function_name,
                     "frequency-conservation",

@@ -13,15 +13,18 @@ driver exploits that:
    function is a member);
 2. components whose address hits the store *and* whose members' exact
    fingerprints still match are **replayed**: final predictions, jump
-   and return function state, and context-refined seeds are
-   deserialized verbatim;
+   and return function state, and summary taint are deserialized
+   verbatim;
 3. every other component is **reanalyzed**: a sub-module holding just
    its functions runs through the ordinary
-   :class:`~repro.core.interprocedural.InterproceduralVRP`, and the
-   result is stored for next time;
-4. the module-level products -- summary taint, provenance sources,
-   summaries -- are recomputed over the union, so rendered predict /
-   check / ranges output is byte-identical to a cold run.
+   :class:`~repro.core.interprocedural.InterproceduralVRP` fixed point,
+   and the result is stored for next time;
+4. the module-level products are assembled over the union: summary
+   taint and its provenance sources are per-component (taint follows
+   SSA edges within a function, and its seeds come from the function's
+   own component), so they are replayed too, with call-site locations
+   re-derived from the live IR; summaries are rebuilt.  Rendered
+   predict / check / ranges output is byte-identical to a cold run.
 
 The exact-fingerprint guard exists because rendered output mentions SSA
 names and block labels, and because return ranges may carry a callee's
@@ -45,7 +48,6 @@ import json
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core import counters as counters_mod
-from repro.core.callgraph import CallGraph
 from repro.core.config import VRPConfig
 from repro.core.interprocedural import InterproceduralVRP, ModulePrediction
 from repro.core.propagation import FunctionPrediction, HeuristicFn
@@ -60,7 +62,7 @@ from repro.ir.ssa import SSAInfo
 
 #: Bumped whenever the stored payload layout (or the recipe of a stored
 #: value, such as the exact fingerprints) changes.
-PAYLOAD_VERSION = 2
+PAYLOAD_VERSION = 3
 
 
 class IncrementalOutcome:
@@ -185,7 +187,8 @@ def analyse_module_incremental(
     predictions: Dict[str, FunctionPrediction] = {}
     param_sets: Dict[str, Dict[str, RangeSet]] = {}
     return_sets: Dict[str, RangeSet] = {}
-    refined: Dict[str, Dict[str, dict]] = {}
+    taint: Dict[str, Dict[str, Tuple[str, ...]]] = {}
+    sources: Dict[str, Dict[str, dict]] = {}
     reanalyzed: Set[str] = set()
     replayed: Set[str] = set()
     components_reanalyzed = 0
@@ -230,7 +233,8 @@ def analyse_module_incremental(
         predictions.update(decoded["predictions"])
         param_sets.update(decoded["param_sets"])
         return_sets.update(decoded["return_sets"])
-        refined.update(decoded["refined"])
+        taint.update(decoded["taint"])
+        sources.update(decoded["sources"])
         rounds_used = max(rounds_used, decoded["rounds"])
         if decoded["round_cap"]:
             round_cap_components += 1
@@ -257,7 +261,6 @@ def analyse_module_incremental(
     shell.return_sets = return_sets
     shell.round_cap_hit = round_cap_components > 0
     shell._contexts_analyzed = contexts_analyzed
-    shell._context_refined = _refresh_refined_sites(shell.callgraph, refined)
 
     cache_lookups = summary_cache_stats["hits"] + summary_cache_stats["misses"]
     summary_cache_stats["hit_rate"] = round(
@@ -270,15 +273,21 @@ def analyse_module_incremental(
     total.merge(context_counters)
     total.interprocedural_round_caps += round_cap_components
 
-    summary_taint, taint_sources = shell._compute_taint()
     prediction = ModulePrediction(
         module,
         dict(shell.predictions),
         total,
         rounds_used,
         summaries=shell._build_summaries(),
-        summary_taint=summary_taint,
-        taint_sources=taint_sources,
+        # In module order, as a cold run's _compute_taint builds them.
+        summary_taint={
+            name: taint[name] for name in module.functions if name in taint
+        },
+        taint_sources={
+            name: _with_sites(shell, sources[name])
+            for name in module.functions
+            if name in sources
+        },
         interprocedural={
             "rounds": rounds_used,
             "max_rounds": max_rounds,
@@ -338,22 +347,25 @@ def _analyse_component(
     # store this component's delta, not a cumulative snapshot, so the
     # assembled module total reproduces a cold run's telemetry.
     cache_before = driver._context_cache.record.as_dict()
-    sub_prediction = driver.run()
+    rounds = driver.run_fixed_point()
     cache_after = driver._context_cache.record.as_dict()
     cache_delta = {
         field: cache_after[field] - cache_before[field]
         for field in ("hits", "misses", "evictions")
     }
+    taint, sources = driver._compute_taint()
     return {
         "predictions": dict(driver.predictions),
         "param_sets": dict(driver.param_sets),
         "return_sets": dict(driver.return_sets),
-        "refined": {
-            name: dict(dests)
-            for name, dests in driver._context_refined.items()
-            if dests
+        "taint": taint,
+        # Sites are re-derived from the live IR on assembly so line
+        # numbers never go stale; keep only each seed's identity.
+        "sources": {
+            name: {seed: _strip_sites(seed_info) for seed, seed_info in seeds.items()}
+            for name, seeds in sources.items()
         },
-        "rounds": sub_prediction.rounds,
+        "rounds": rounds,
         "round_cap": driver.round_cap_hit,
         "contexts_analyzed": driver._contexts_analyzed,
         "context_counters": driver._context_counters,
@@ -367,22 +379,6 @@ def _analyse_component(
 def _encode_component(
     members: Tuple[str, ...], exact_fps: Dict[str, str], decoded: dict
 ) -> dict:
-    refined = []
-    for name in members:
-        dests = decoded["refined"].get(name)
-        if not dests:
-            continue
-        refined.append(
-            [
-                name,
-                [
-                    # Sites are re-derived from the live IR on replay so
-                    # line numbers never go stale; store only identity.
-                    [dest, _strip_sites(descriptor)]
-                    for dest, descriptor in dests.items()
-                ],
-            ]
-        )
     return {
         "v": PAYLOAD_VERSION,
         "exact": {name: exact_fps[name] for name in members},
@@ -400,7 +396,15 @@ def _encode_component(
             for name in members
             if name in decoded["return_sets"]
         ],
-        "refined": refined,
+        # Pair lists, not objects: replay must keep insertion order.
+        "taint": [
+            [name, [[ssa, list(seeds)] for ssa, seeds in reach.items()]]
+            for name, reach in decoded["taint"].items()
+        ],
+        "sources": [
+            [name, [[seed, descriptor] for seed, descriptor in seeds.items()]]
+            for name, seeds in decoded["sources"].items()
+        ],
         "rounds": decoded["rounds"],
         "round_cap": decoded["round_cap"],
         "contexts_analyzed": decoded["contexts_analyzed"],
@@ -448,14 +452,20 @@ def _decode_component(
             name: serialize.rangeset_from_json(data, decoded_sets)
             for name, data in payload["return_sets"]
         }
-        refined: Dict[str, Dict[str, dict]] = {}
-        for name, dests in payload.get("refined", ()):
-            refined[name] = {dest: dict(descriptor) for dest, descriptor in dests}
+        taint = {
+            name: {ssa: tuple(seeds) for ssa, seeds in reach}
+            for name, reach in payload["taint"]
+        }
+        sources = {
+            name: {seed: dict(descriptor) for seed, descriptor in seeds}
+            for name, seeds in payload["sources"]
+        }
         return {
             "predictions": predictions,
             "param_sets": param_sets,
             "return_sets": return_sets,
-            "refined": refined,
+            "taint": taint,
+            "sources": sources,
             "rounds": int(payload["rounds"]),
             "round_cap": bool(payload["round_cap"]),
             "contexts_analyzed": int(payload["contexts_analyzed"]),
@@ -468,44 +478,29 @@ def _decode_component(
         return None
 
 
-def _refresh_refined_sites(
-    callgraph: CallGraph, refined: Dict[str, Dict[str, dict]]
-) -> Dict[str, Dict[str, dict]]:
-    """Rebuild context-refined seed descriptors against the live IR.
+def _with_sites(shell: InterproceduralVRP, seeds: Dict[str, dict]) -> Dict[str, dict]:
+    """Attach call-site locations, read from the live IR, to one
+    function's taint-seed descriptors.
 
-    Stored descriptors carry only the identity (caller, dest, callee,
-    range); call-site locations are re-derived here so provenance
-    chains cite current line numbers even after pure line-shift edits.
+    A parameter seed cites every call site of its function; a call
+    seed (merged or context-refined) cites the call defining it.  So
+    provenance chains cite current line numbers even after pure
+    line-shift edits.
     """
-    out: Dict[str, Dict[str, dict]] = {}
-    for name, dests in refined.items():
-        rebuilt: Dict[str, dict] = {}
-        sites = callgraph.sites_in_caller(name)
-        for dest, descriptor in dests.items():
-            site = next(
-                (
-                    s
-                    for s in sites
-                    if s.instruction.dest is not None
-                    and s.instruction.dest.name == dest
-                ),
-                None,
-            )
-            rebuilt[dest] = {
-                "kind": descriptor.get("kind", "call"),
-                "function": descriptor.get("function", name),
-                "callee": descriptor.get("callee"),
-                "range": descriptor.get("range"),
-                "sites": [
-                    {
-                        "function": site.caller,
-                        "block": site.block_label,
-                        "line": getattr(site.instruction, "loc", None),
-                        "callee": site.callee,
-                    }
-                ]
-                if site is not None
-                else [],
-            }
-        out[name] = rebuilt
+    callgraph = shell.callgraph
+    out: Dict[str, dict] = {}
+    for seed, descriptor in seeds.items():
+        function = descriptor.get("function")
+        if descriptor.get("kind") == "param":
+            sites = callgraph.sites_of_callee(function)
+        else:
+            sites = [
+                site
+                for site in callgraph.sites_in_caller(function)
+                if site.instruction.dest is not None
+                and site.instruction.dest.name == seed
+            ]
+        out[seed] = dict(
+            descriptor, sites=[shell._site_descriptor(site) for site in sites]
+        )
     return out

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.bounds import Bound, POS_INF
+from repro.core.bounds import Bound, NEG_INF, POS_INF
 from repro.core.ranges import StridedRange
 from repro.core.rangeset import BOTTOM, RangeSet, TOP
 from repro.core.range_arith import evaluate_binop, evaluate_unop
@@ -165,6 +165,53 @@ class TestModShift:
 
     def test_shift_by_range_is_bottom(self):
         assert evaluate_binop("shl", RangeSet.constant(1), RangeSet.span(0, 3)) is BOTTOM
+
+
+class TestBoundSaturation:
+    """Integer bounds too large for a float saturate to infinity instead of
+    raising ``OverflowError`` (float conversion in ``math.isnan``)."""
+
+    HUGE = RangeSet.span(10**200, 10**201)
+
+    def _hull(self, rangeset):
+        hull = rangeset.hull()
+        return hull.lo.offset, hull.hi.offset
+
+    def test_range_times_range_widens_to_infinity(self):
+        lo, hi = self._hull(evaluate_binop("mul", self.HUGE, self.HUGE, 4))
+        assert lo <= 10**400 and hi == POS_INF
+
+    def test_constant_scale_widens_to_infinity(self):
+        lo, hi = self._hull(evaluate_binop("mul", self.HUGE, RangeSet.constant(10**200)))
+        assert lo <= 10**400 and hi == POS_INF
+
+    def test_negative_side_saturates_low(self):
+        negative = RangeSet.span(-(10**201), -(10**200))
+        lo, hi = self._hull(evaluate_binop("mul", negative, RangeSet.constant(10**200)))
+        assert lo == NEG_INF and hi >= -(10**400)
+
+    def test_shl_widens_to_infinity(self):
+        result = evaluate_binop("shl", RangeSet.span(1, 10**300), RangeSet.constant(60))
+        assert self._hull(result) == (2**60, POS_INF)
+
+    def test_products_inside_the_float_range_stay_exact(self):
+        moderate = RangeSet.span(10**150, 10**151)
+        assert self._hull(evaluate_binop("mul", moderate, moderate)) == (10**300, 10**302)
+
+    def test_sum_of_bounds_at_the_limit_does_not_raise(self):
+        edge = RangeSet.span(2**1021, 2**1022)
+        assert self._hull(evaluate_binop("add", edge, edge)) == (2**1022, POS_INF)
+
+    def test_mandel_analyses_without_error(self):
+        from repro.core import VRPPredictor
+        from repro.ir import prepare_module
+        from repro.lang import compile_source
+        from repro.workloads import get_workload
+
+        module = compile_source(get_workload("mandel").source)
+        prediction = VRPPredictor().predict_module(module, prepare_module(module))
+        assert prediction.all_branches()
+        assert not any(p.aborted for p in prediction.functions.values())
 
 
 class TestBitwise:

@@ -80,6 +80,39 @@ class TestByteIdentity:
         assert fresh.stats()["disk"]["hits"] == 3
 
 
+def taint_view(prediction):
+    """Summary taint and its seed descriptors, in the prediction's order."""
+    return (
+        [(name, list(reach.items())) for name, reach in prediction.summary_taint.items()],
+        [(name, list(seeds.items())) for name, seeds in prediction.taint_sources.items()],
+    )
+
+
+class TestTaintReplay:
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_replayed_taint_matches_cold(self, tmp_path, depth):
+        config = VRPConfig(context_depth=depth)
+        module, infos = build(MULTI_COMPONENT)
+        cold = analyse_module(module, infos, config=config)
+        assert cold.summary_taint and cold.taint_sources
+        run_incremental(MULTI_COMPONENT, IncrementalStore(disk_dir=str(tmp_path)), config)
+        replayed, outcome = run_incremental(
+            MULTI_COMPONENT, IncrementalStore(disk_dir=str(tmp_path)), config
+        )
+        assert outcome.reanalyzed == ()
+        assert taint_view(replayed) == taint_view(cold)
+
+    def test_line_shift_cites_current_lines(self):
+        store = IncrementalStore()
+        run_incremental(MULTI_COMPONENT, store)
+        shifted = "\n// a new header comment\n\n" + MULTI_COMPONENT
+        module, infos = build(shifted)
+        cold = analyse_module(module, infos)
+        replayed, outcome = run_incremental(shifted, store)
+        assert outcome.reanalyzed == ()
+        assert taint_view(replayed) == taint_view(cold)
+
+
 class TestInvalidation:
     def test_edit_reanalyzes_exactly_the_component(self):
         store = IncrementalStore()
