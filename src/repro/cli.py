@@ -62,8 +62,11 @@ from repro.profiling import run_module
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as error:
+        raise SystemExit(f"error: cannot decode {path} as UTF-8: {error}")
 
 
 def _write_text_output(path: str, text: str, label: str = "report") -> None:
@@ -99,7 +102,7 @@ def _parse_ints(text: Optional[str]) -> List[int]:
 
 
 def _config_from_args(args: argparse.Namespace) -> VRPConfig:
-    kwargs = dict(
+    return VRPConfig(
         max_ranges=args.max_ranges,
         symbolic=not args.numeric,
         derive_loops=not args.no_derive,
@@ -108,10 +111,6 @@ def _config_from_args(args: argparse.Namespace) -> VRPConfig:
         context_depth=max(0, getattr(args, "context_depth", 0)),
         incremental=bool(getattr(args, "incremental", False)),
     )
-    # Only force the field when asked; the default tracks REPRO_PERF.
-    if getattr(args, "no_perf", False):
-        kwargs["perf"] = False
-    return VRPConfig(**kwargs)
 
 
 def _incremental_store(args: argparse.Namespace):
@@ -173,7 +172,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             prediction,
             tracer,
             program=module.name,
-            perf_stats=perf.snapshot() if predictor.config.perf else None,
+            perf_stats=perf.snapshot(),
             incremental=outcome.as_metrics() if outcome is not None else None,
         )
         _emit_metrics(report, emit_metrics)
@@ -249,7 +248,7 @@ def cmd_opt(args: argparse.Namespace) -> int:
             prediction,
             tracer,
             program=module.name,
-            perf_stats=perf.snapshot() if config.perf else None,
+            perf_stats=perf.snapshot(),
             passes=result.passes_metrics(),
         )
         _emit_metrics(report, emit_metrics)
@@ -305,7 +304,7 @@ def _check_file(item):
             tracer,
             program=program,
             findings=report.findings,
-            perf_stats=perf.snapshot() if predictor.config.perf else None,
+            perf_stats=perf.snapshot(),
             incremental=outcome.as_metrics() if outcome is not None else None,
         ).to_dict()
     else:
@@ -917,7 +916,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 session.prediction,
                 session.tracer,
                 program=report.program,
-                perf_stats=perf.snapshot() if _config_from_args(args).perf else None,
+                perf_stats=perf.snapshot(),
                 profile=report.as_metrics(),
             )
         _emit_metrics(metrics, args.emit_metrics)
@@ -1019,11 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--sanitize",
             action="store_true",
             help="validate engine lattice invariants while propagating",
-        )
-        p.add_argument(
-            "--no-perf",
-            action="store_true",
-            help="disable the interning/memoization performance layer",
         )
 
     def add_incremental_flags(p: argparse.ArgumentParser) -> None:

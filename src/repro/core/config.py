@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.perf.context import globally_enabled as _default_perf
-
 # Process-wide default for :attr:`VRPConfig.verify_ir`.  Production runs
 # leave it off; the test suite turns it on (tests/conftest.py) so every
 # IR-mutating pass is verified at the point it ran.
@@ -97,10 +95,3 @@ class VRPConfig:
     # pass that introduced it.  Defaults to the process-wide setting
     # (off in production, on under the test suite).
     verify_ir: bool = field(default_factory=default_verify_ir)
-    # Performance layer (``repro.core.perf``): hash-consed lattice
-    # values and memoized range arithmetic.  Behaviour-neutral --
-    # predictions and work counts are byte-identical either way
-    # (docs/PERFORMANCE.md) -- so it defaults to the process-wide
-    # switch, itself on unless ``REPRO_PERF=0``.
-    # Turn it off when debugging object identity or cache behaviour.
-    perf: bool = field(default_factory=_default_perf)

@@ -26,7 +26,7 @@ k >= 1, a call to a provably *range-effect-free* callee is no longer
 answered from the all-sites merge -- the callee is re-analysed under the
 site's own abstracted argument ranges, to a nesting depth of k, with the
 (function, context) → return-range results memoized in a bounded
-:class:`~repro.core.perf.memo.LRUCache`.  k = 0 short-circuits all
+:class:`~repro.core.perf.stats.LRUCache`.  k = 0 short-circuits all
 of that and reproduces the context-insensitive analysis byte-for-byte.
 
 After the fixed point converges the driver distils
@@ -45,9 +45,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.core import counters as counters_mod
 from repro.core.callgraph import CallGraph
 from repro.core.config import VRPConfig
-from repro.core.perf import context as perf_context
-from repro.core.perf.memo import LRUCache
-from repro.core.perf.stats import stats as perf_stats
+from repro.core.perf.stats import LRUCache, stats as perf_stats
 from repro.core.propagation import (
     FunctionPrediction,
     HeuristicFn,
@@ -234,34 +232,27 @@ class InterproceduralVRP:
     # -- driver ---------------------------------------------------------------
 
     def run(self) -> ModulePrediction:
-        # Activated here as well as per-engine so the cross-engine work
-        # (jump-function merges below) shares the caches.
-        with perf_context.activate(self.config.perf):
-            rounds_used = self._fixed_point()
-            total = counters_mod.Counters()
-            for prediction in self.predictions.values():
-                total.merge(prediction.counters)
-            total.merge(self._context_counters)
-            total.interprocedural_round_caps += int(self.round_cap_hit)
-            summary_taint, taint_sources = self._compute_taint()
-            return ModulePrediction(
-                self.module,
-                dict(self.predictions),
-                total,
-                rounds_used,
-                summaries=self._build_summaries(),
-                summary_taint=summary_taint,
-                taint_sources=taint_sources,
-                interprocedural=self._stats(rounds_used),
-            )
+        rounds_used = self.run_fixed_point()
+        total = counters_mod.Counters()
+        for prediction in self.predictions.values():
+            total.merge(prediction.counters)
+        total.merge(self._context_counters)
+        total.interprocedural_round_caps += int(self.round_cap_hit)
+        summary_taint, taint_sources = self._compute_taint()
+        return ModulePrediction(
+            self.module,
+            dict(self.predictions),
+            total,
+            rounds_used,
+            summaries=self._build_summaries(),
+            summary_taint=summary_taint,
+            taint_sources=taint_sources,
+            interprocedural=self._stats(rounds_used),
+        )
 
     def run_fixed_point(self) -> int:
         """Iterate the rounds only, skipping the module-level products
         (taint, summaries); returns the number of rounds used."""
-        with perf_context.activate(self.config.perf):
-            return self._fixed_point()
-
-    def _fixed_point(self) -> int:
         from repro.observability import events as trace_events
         from repro.observability import tracer as tracing
 

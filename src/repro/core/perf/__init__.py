@@ -1,48 +1,22 @@
 """Analysis performance layer: hash-consing, memoization, and cache stats.
 
 The layer is behaviour-neutral by construction (see ``docs/PERFORMANCE.md``):
-with it on, predictions and Figure-5/6 work counts are byte-identical to a
-run with it off -- only wall time changes.  It is controlled by
-``VRPConfig.perf`` (default: the process-global switch, itself seeded from
-the ``REPRO_PERF`` environment variable).
+predictions and Figure-5/6 work counts are the same for any cache state
+-- only wall time changes.  It is always on.
 
-Only :mod:`.context` is imported eagerly: the other submodules import the
-lattice-value modules, which themselves import :mod:`.context`, so loading
-them from here would be a cycle.  Access them lazily
-(``perf.memo``/``perf.stats``) or via the helpers below.
+* :mod:`.stats` -- the bounded :class:`~.stats.LRUCache` every cache uses
+  and the process-global hit/miss counters;
+* :mod:`.memo` -- the engine-facing memos of the range algebra (the
+  hash-consing table and the constructor memos live beside the lattice
+  values, in :mod:`repro.core.rangeset`);
+* :mod:`.fingerprint` -- stable fingerprints of analysis configurations.
 """
 
 from __future__ import annotations
 
-from repro.core.perf.context import (
-    activate,
-    globally_enabled,
-    is_active,
-    set_global_enabled,
-)
+from repro.core.perf import stats
 
-__all__ = [
-    "activate",
-    "globally_enabled",
-    "is_active",
-    "set_global_enabled",
-    "reset",
-    "snapshot",
-    "memo",
-    "stats",
-    "context",
-    "fingerprint",
-]
-
-_SUBMODULES = ("memo", "stats", "context", "fingerprint")
-
-
-def __getattr__(name: str):
-    if name in _SUBMODULES:
-        import importlib
-
-        return importlib.import_module(f"repro.core.perf.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["reset", "snapshot", "stats"]
 
 
 def reset() -> None:
@@ -53,15 +27,14 @@ def reset() -> None:
     buys hit rate).  Use this for isolation in tests and benchmarks --
     e.g. before timing a cold run.
     """
-    from repro.core.perf import memo as _memo
-    from repro.core.perf import stats as _stats
+    # Imported here, not at the top: ``.memo`` imports the lattice
+    # modules, which import ``.stats`` and so load this package first.
+    from repro.core.perf import memo
 
-    _memo.clear()
-    _stats.reset_stats()
+    memo.clear()
+    stats.reset_stats()
 
 
 def snapshot() -> dict:
     """A serialisable copy of all cache statistics (metrics ``perf`` key)."""
-    from repro.core.perf import stats as _stats
-
-    return _stats.snapshot()
+    return stats.snapshot()

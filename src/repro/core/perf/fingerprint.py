@@ -11,11 +11,10 @@ Two properties matter:
   feed the fingerprint.  Fields are enumerated from the dataclass
   itself, so a field added later is *included by default*; only fields
   on the explicit behaviour-neutral list are excluded.
-* **Neutrality-awareness** -- fields proven behaviour-neutral (the perf
-  layer's switches, the sanitizer, IR verification: predictions are
-  byte-identical either way, see ``docs/PERFORMANCE.md``) are excluded,
-  so a cache warmed with ``--no-perf`` still hits with the perf layer
-  on, and vice versa.
+* **Neutrality-awareness** -- fields proven behaviour-neutral (the
+  sanitizer, IR verification, incremental replay: predictions are
+  byte-identical either way) are excluded, so a cache warmed with
+  ``--sanitize`` still hits without it, and vice versa.
 
 The fingerprint is salted with the package version: an engine upgrade
 silently invalidates every cached result instead of serving stale ones.
@@ -33,7 +32,6 @@ from repro.core.config import VRPConfig
 #: or failure loudness.  Everything not listed here is key material.
 NEUTRAL_FIELDS = frozenset(
     {
-        "perf",
         "sanitize",
         "verify_ir",
         # Incremental replay is byte-identical to cold analysis

@@ -1,33 +1,23 @@
-"""Bounded-LRU memoization and hash-consing for the pure range algebra.
+"""Bounded-LRU memoization of the engine's range algebra.
 
-Importing this module installs the :func:`from_ranges`/:func:`merge_weighted`
-hooks into :mod:`repro.core.rangeset` (module-level ``_FROM_RANGES_MEMO`` /
-``_MERGE_WEIGHTED_MEMO`` variables), so *every* call site benefits; the
-engine-facing wrappers (:func:`evaluate_binop`, :func:`compare_sets`, ...)
-are called explicitly by :mod:`repro.core.propagation`.
+The engine-facing wrappers (:func:`evaluate_binop`, :func:`compare_sets`,
+...) are called by :mod:`repro.core.propagation` in place of the plain
+functions.  Every result they return is hash-consed by
+:func:`repro.core.rangeset.intern_rangeset`; the hash-consing table and
+the ``from_ranges``/``merge_weighted`` memos live in
+:mod:`repro.core.rangeset`.
 
-Every result the memos return is **hash-consed** by :func:`intern_rangeset`:
-structurally-equal :class:`~repro.core.rangeset.RangeSet` values map to one
-canonical object, so ``__eq__``/``approx_equal`` and the engine's "did this
-value change?" checks fast-path on identity, and memo keys hash cheaply.
-⊤ and ⊥ always intern to the module singletons
-:data:`repro.core.rangeset.TOP` / :data:`repro.core.rangeset.BOTTOM`.
-
-Three invariants keep the layer behaviour-neutral:
+Two invariants keep the layer behaviour-neutral:
 
 * **Counter replay.**  ``evaluate_binop``/``compare_sets`` tally one
   ``sub_operations`` per range pair internally; each cache entry stores
   the tally delta of its original evaluation and replays it on every
-  hit, so the Figure-5/6 work counts stay byte-identical to a run without
-  the layer (``benchmarks/seed_work_counts.json`` is asserted against both
-  ways).
-* **Gating.**  Every wrapper falls through to the original function when
-  :func:`repro.core.perf.context.is_active` says the layer is off, so
-  ``VRPConfig(perf=False)`` or ``REPRO_PERF=0`` bypasses caching entirely.
-* **Eviction is invisible.**  Every table is a bounded :class:`LRUCache`;
-  an evicted memo entry is recomputed, and an evicted canonical object
-  merely loses the identity fast path -- consumers fall back to
-  structural equality.
+  hit, so the Figure-5/6 work counts are the same for any cache state
+  (``benchmarks/seed_work_counts.json`` is asserted against them).
+* **Eviction is invisible.**  Every table is a bounded
+  :class:`~repro.core.perf.stats.LRUCache`; an evicted memo entry is
+  recomputed, and an evicted canonical object merely loses the identity
+  fast path -- consumers fall back to structural equality.
 
 ``compare_sets`` is only memoized for calls without a ``symbol_range``
 callback (94% of them): with a callback the result depends on *live*
@@ -36,79 +26,19 @@ engine state that a key over the operands cannot capture.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.core import counters
 from repro.core import comparisons as _comparisons
 from repro.core import range_arith as _range_arith
 from repro.core import rangeset as _rangeset
 from repro.core import refine as _refine
-from repro.core.perf.context import is_active
-from repro.core.perf.stats import CacheStats, stats
-
-#: Capacity of each memo cache and of the hash-consing table.
-MEMO_SIZE = 16384
-INTERN_SIZE = 65536
+from repro.core.perf.stats import LRUCache, stats
+from repro.core.rangeset import MEMO_SIZE, intern_rangeset
 
 
-class LRUCache:
-    """A bounded key -> value map with LRU eviction.
-
-    Hits, misses and evictions are tallied into ``record``, a
-    :class:`~repro.core.perf.stats.CacheStats` the caller owns: the perf
-    caches pass their entry of the global statistics (zeroed in place on
-    reset, never replaced, so binding it once saves a lookup per hit).
-    Values are never ``None``, so ``None`` means "not cached".
-    """
-
-    __slots__ = ("capacity", "record", "_table")
-
-    def __init__(self, capacity: int, record: CacheStats):
-        self.capacity = capacity
-        self.record = record
-        self._table: "OrderedDict" = OrderedDict()
-
-    def get(self, key):
-        """The cached value (now the most recent), or ``None``."""
-        value = self._table.get(key)
-        if value is None:
-            self.record.misses += 1
-            return None
-        self.record.hits += 1
-        self._table.move_to_end(key)
-        return value
-
-    def put(self, key, value) -> None:
-        """Store ``value`` as the most recent entry, evicting the oldest."""
-        table = self._table
-        table[key] = value
-        table.move_to_end(key)
-        if len(table) > self.capacity:
-            table.popitem(last=False)
-            self.record.evictions += 1
-
-    def intern(self, value):
-        """The canonical object equal to ``value`` (the first one seen)."""
-        canonical = self.get(value)
-        if canonical is None:
-            self.put(value, value)
-            return value
-        return canonical
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def clear(self) -> None:
-        self._table.clear()
+def _perf_cache(name: str) -> LRUCache:
+    return LRUCache(MEMO_SIZE, stats().caches[name])
 
 
-def _perf_cache(name: str, capacity: int = MEMO_SIZE) -> LRUCache:
-    return LRUCache(capacity, stats().caches[name])
-
-
-_RANGESETS = _perf_cache("intern_rangeset", INTERN_SIZE)
-_FROM_RANGES = _perf_cache("from_ranges")
-_MERGE_WEIGHTED = _perf_cache("merge_weighted")
 _BINOP = _perf_cache("binop")
 _COMPARE = _perf_cache("compare")
 _REFINE = _perf_cache("refine")
@@ -116,9 +46,9 @@ _CONSTANT = _perf_cache("constant")
 _BOOLEAN = _perf_cache("boolean")
 
 _ALL_CACHES = (
-    _RANGESETS,
-    _FROM_RANGES,
-    _MERGE_WEIGHTED,
+    _rangeset._RANGESETS,
+    _rangeset._FROM_RANGES,
+    _rangeset._MERGE_WEIGHTED,
     _BINOP,
     _COMPARE,
     _REFINE,
@@ -127,57 +57,8 @@ _ALL_CACHES = (
 )
 
 
-def intern_rangeset(rangeset):
-    """The canonical object for a :class:`RangeSet` (⊤/⊥ -> singletons).
-
-    Member ranges and bounds are deliberately *not* interned: identity
-    of the set itself is what the engine's change checks and the memo
-    keys use, and per-member table probes measurably outweigh the
-    cross-set sharing they would buy.
-    """
-    if rangeset.is_top:
-        return _rangeset.TOP
-    if rangeset.is_bottom:
-        return _rangeset.BOTTOM
-    return _RANGESETS.intern(rangeset)
-
-
-# -- rangeset hooks (installed below; rangeset checks is_active itself) -----
-
-
-def from_ranges(ranges, max_ranges, renormalise):
-    """Memoized ``RangeSet.from_ranges`` (``ranges`` already a tuple)."""
-    key = (ranges, max_ranges, renormalise)
-    cached = _FROM_RANGES.get(key)
-    if cached is not None:
-        return cached
-    result = intern_rangeset(
-        _rangeset._build_set(ranges, max_ranges, renormalise)
-    )
-    _FROM_RANGES.put(key, result)
-    return result
-
-
-def merge_weighted(contributions, max_ranges):
-    """Memoized φ-merge (``contributions`` already a tuple of pairs)."""
-    key = (contributions, max_ranges)
-    cached = _MERGE_WEIGHTED.get(key)
-    if cached is not None:
-        return cached
-    result = intern_rangeset(
-        _rangeset._merge_weighted(contributions, max_ranges)
-    )
-    _MERGE_WEIGHTED.put(key, result)
-    return result
-
-
-# -- engine-facing wrappers -------------------------------------------------
-
-
 def evaluate_binop(op, a, b, max_ranges=_rangeset.DEFAULT_MAX_RANGES):
     """``range_arith.evaluate_binop`` with caching + sub-operation replay."""
-    if not is_active():
-        return _range_arith.evaluate_binop(op, a, b, max_ranges)
     key = (op, a, b, max_ranges)
     cached = _BINOP.get(key)
     if cached is not None:
@@ -207,7 +88,7 @@ def compare_sets(
     Falls through uncached whenever ``symbol_range`` is given: that
     callback reads live engine state the memo key cannot represent.
     """
-    if symbol_range is not None or not is_active():
+    if symbol_range is not None:
         return _comparisons.compare_sets(
             op,
             a,
@@ -234,8 +115,6 @@ def compare_sets(
 
 def refine_set(src, op, bound, max_ranges=_rangeset.DEFAULT_MAX_RANGES):
     """``refine.refine_set`` with caching (pure: nothing to replay)."""
-    if not is_active():
-        return _refine.refine_set(src, op, bound, max_ranges)
     key = (src, op, bound, max_ranges)
     cached = _REFINE.get(key)
     if cached is not None:
@@ -249,8 +128,6 @@ def refine_set(src, op, bound, max_ranges=_rangeset.DEFAULT_MAX_RANGES):
 
 def constant_set(value):
     """Cached ``RangeSet.constant``; int/float keys kept distinct."""
-    if not is_active():
-        return _rangeset.RangeSet.constant(value)
     key = (value.__class__, value)
     cached = _CONSTANT.get(key)
     if cached is not None:
@@ -262,8 +139,6 @@ def constant_set(value):
 
 def boolean_set(probability_true):
     """Cached ``RangeSet.boolean`` for the 0/1 comparison distributions."""
-    if not is_active():
-        return _rangeset.RangeSet.boolean(probability_true)
     cached = _BOOLEAN.get(probability_true)
     if cached is not None:
         return cached
@@ -282,8 +157,3 @@ def clear() -> None:
     for cache in _ALL_CACHES:
         cache.clear()
 
-
-# Install the rangeset hooks at import time; the call sites themselves
-# check is_active() so the hooks are inert while the layer is off.
-_rangeset._FROM_RANGES_MEMO = from_ranges
-_rangeset._MERGE_WEIGHTED_MEMO = merge_weighted

@@ -165,8 +165,7 @@ class VRPPredictor(Predictor):
         and work counters, which are byte-identical for any cache state
         (the property ``--jobs N`` relies on).
         """
-        if self.config.perf:
-            perf.stats.reset_stats()
+        perf.stats.reset_stats()
 
     # -- Predictor interface (single function, intraprocedural) ---------------------
 

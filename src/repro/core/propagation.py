@@ -36,11 +36,7 @@ from repro.core import counters as counters_mod
 from repro.core.bounds import Bound, NEG_INF, POS_INF
 from repro.core.config import VRPConfig
 from repro.core.derivation import derive_loop_phi
-# The perf.memo wrappers gate on the active perf context and fall
-# through to the plain implementations; importing the module also
-# installs the from_ranges/merge_weighted hooks into repro.core.rangeset.
 # Unary operators are rare enough that they are not memoized.
-from repro.core.perf import context as perf_context
 from repro.core.perf.memo import (
     boolean_set,
     compare_sets,
@@ -209,9 +205,6 @@ class PropagationEngine:
                 self._loop_order[header] = sorted(loop.blocks, key=position)
                 self._latches[header] = sorted(loop.latches, key=position)
 
-        # Perf layer: activated around run() via the context var so the
-        # rangeset-level hooks see it.
-        self._perf = bool(self.config.perf)
         # Per-phi merge skip: id(phi) -> (contributions, result); valid
         # only for merges that did not take the assertion-parent path
         # (that one reads the parent's live value).
@@ -252,19 +245,18 @@ class PropagationEngine:
 
     def run(self) -> FunctionPrediction:
         """Propagate to a fixed point and collect the results."""
-        with perf_context.activate(self._perf):
-            if self._trace is not None:
-                with self._trace.span("propagate"):
-                    with counters_mod.use(self.counters):
-                        self._seed()
-                        self._drain()
-            else:
+        if self._trace is not None:
+            with self._trace.span("propagate"):
                 with counters_mod.use(self.counters):
                     self._seed()
                     self._drain()
-            if self._sanitize is not None:
-                self._sanitize.check_final(self)
-            return self._collect()
+        else:
+            with counters_mod.use(self.counters):
+                self._seed()
+                self._drain()
+        if self._sanitize is not None:
+            self._sanitize.check_final(self)
+        return self._collect()
 
     # -- worklist machinery --------------------------------------------------------
 
@@ -428,13 +420,10 @@ class PropagationEngine:
             for instr in block.instructions:
                 self._evaluate(instr)
         else:
-            if self._perf:
-                phis = self._block_phis.get(target)
-                if phis is None:
-                    phis = block.phis()
-                    self._block_phis[target] = phis
-            else:
+            phis = self._block_phis.get(target)
+            if phis is None:
                 phis = block.phis()
+                self._block_phis[target] = phis
             for phi in phis:
                 self._evaluate(phi)
             self._evaluate(block.terminator)
@@ -722,15 +711,14 @@ class PropagationEngine:
         block = phi.block
         assert block is not None
         label = block.label
-        back_preds = self._phi_back_preds.get(id(phi)) if self._perf else None
+        back_preds = self._phi_back_preds.get(id(phi))
         if back_preds is None:
             back_preds = {
                 pred
                 for pred, _ in phi.incomings
                 if self.cfg.is_back_edge(pred, label)
             }
-            if self._perf:
-                self._phi_back_preds[id(phi)] = back_preds
+            self._phi_back_preds[id(phi)] = back_preds
         if (
             back_preds
             and self.config.derive_loops
@@ -830,20 +818,18 @@ class PropagationEngine:
             if weight > 0.0:
                 positive.append((pred, incoming))
             contributions.append((weight, self.value_of(incoming)))
-        if self._perf:
-            # Unchanged in-edge weights and operand identities: reuse the
-            # previous merge without re-checking the assertion-parent
-            # shape or touching the global memo.  (Tuple equality is
-            # cheap here -- interned sets compare by identity first.)
-            cached = self._phi_memo.get(id(phi))
-            if cached is not None and cached[0] == contributions:
-                return cached[1]
+        # Unchanged in-edge weights and operand identities: reuse the
+        # previous merge without re-checking the assertion-parent shape
+        # or touching the global memo.  (Tuple equality is cheap here --
+        # interned sets compare by identity first.)
+        cached = self._phi_memo.get(id(phi))
+        if cached is not None and cached[0] == contributions:
+            return cached[1]
         parent = self._common_assertion_parent(positive)
         if parent is not None:
             return self.values.get(parent, TOP)
         merged = merge_weighted(contributions, max_ranges=self.config.max_ranges)
-        if self._perf:
-            self._phi_memo[id(phi)] = (contributions, merged)
+        self._phi_memo[id(phi)] = (contributions, merged)
         return merged
 
     def _common_assertion_parent(
@@ -937,8 +923,6 @@ class PropagationEngine:
         cond = self.value_of(instr.cond)
         if cond.is_top:
             return None
-        if not self._perf:
-            return self._branch_probability_of(instr, label, cond)
         # Identity-unchanged condition: the probability (and the
         # heuristic bookkeeping, which only mutates on a *changed*
         # condition) is unchanged too; replay the comparison's

@@ -13,7 +13,6 @@ import math
 from typing import Optional
 
 from repro.core.bounds import Bound, NEG_INF, POS_INF, Number
-from repro.core.perf.context import is_active as _perf_active
 
 
 class RangeError(ValueError):
@@ -46,7 +45,7 @@ class StridedRange:
     ) -> "StridedRange":
         """Same extent as ``source`` with a new probability, skipping
         validation and normalisation (both idempotent on an existing
-        range).  Perf-layer fast path for :meth:`scaled`/
+        range).  The fast path behind :meth:`scaled`/
         :meth:`with_probability`."""
         self = cls.__new__(cls)
         self.probability = float(probability)
@@ -114,16 +113,12 @@ class StridedRange:
 
     def scaled(self, factor: float) -> "StridedRange":
         """Same range with probability multiplied by ``factor``."""
-        if _perf_active():
-            return StridedRange._reweighted(self.probability * factor, self)
-        return StridedRange(self.probability * factor, self.lo, self.hi, self.stride)
+        return StridedRange._reweighted(self.probability * factor, self)
 
     def with_probability(self, probability: float) -> "StridedRange":
-        if _perf_active():
-            if probability == self.probability:
-                return self
-            return StridedRange._reweighted(probability, self)
-        return StridedRange(probability, self.lo, self.hi, self.stride)
+        if probability == self.probability:
+            return self
+        return StridedRange._reweighted(probability, self)
 
     # -- identity -----------------------------------------------------------------
 

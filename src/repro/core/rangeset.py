@@ -4,6 +4,16 @@ A :class:`RangeSet` is ⊤ (undetermined), ⊥ (unpredictable), or a set of
 weighted :class:`~repro.core.ranges.StridedRange` whose probabilities sum
 to one.  Sets are capped at a configurable number of ranges (the paper
 uses four) by merging the pair whose hull loses the least information.
+
+Every set the two builders (:meth:`RangeSet.from_ranges` and
+:func:`merge_weighted`) return is **hash-consed** by
+:func:`intern_rangeset`: structurally-equal sets map to one canonical
+object, so ``__eq__``/``approx_equal`` and the engine's "did this value
+change?" checks fast-path on identity, and memo keys hash cheaply.  ⊤ and
+⊥ always intern to the singletons :data:`TOP` / :data:`BOTTOM`.  Both
+builders are memoized on their full arguments; every table is a bounded
+LRU, and an evicted entry is recomputed (or, for the hash-consing table,
+merely loses the identity fast path).
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bounds import Bound, bound_max, bound_min, Number
-from repro.core.perf.context import is_active as _perf_active
+from repro.core.perf.stats import LRUCache, stats
 from repro.core.ranges import StridedRange
 
 # Probabilities below this are treated as zero and dropped.
@@ -20,10 +30,10 @@ PROB_EPSILON = 1e-12
 
 DEFAULT_MAX_RANGES = 4
 
-# Memoization hooks, installed by repro.core.perf.memo when the perf
-# layer is loaded; None means "call the plain builders below".
-_FROM_RANGES_MEMO = None
-_MERGE_WEIGHTED_MEMO = None
+#: Capacity of each memo (here and in repro.core.perf.memo) and of the
+#: hash-consing table.
+MEMO_SIZE = 16384
+INTERN_SIZE = 65536
 
 
 class RangeSet:
@@ -60,10 +70,15 @@ class RangeSet:
     ) -> "RangeSet":
         """Build a set: drops zero-probability ranges, folds duplicates,
         optionally rescales probabilities to sum 1, and compacts to the cap.
-        Returns ⊥ when nothing remains or compaction fails."""
-        if _FROM_RANGES_MEMO is not None and _perf_active():
-            return _FROM_RANGES_MEMO(tuple(ranges), max_ranges, renormalise)
-        return _build_set(ranges, max_ranges, renormalise)
+        Returns ⊥ when nothing remains or compaction fails.  Memoized;
+        the result is hash-consed."""
+        key = (tuple(ranges), max_ranges, renormalise)
+        cached = _FROM_RANGES.get(key)
+        if cached is not None:
+            return cached
+        result = intern_rangeset(_build_set(key[0], max_ranges, renormalise))
+        _FROM_RANGES.put(key, result)
+        return result
 
     @staticmethod
     def constant(value: Number) -> "RangeSet":
@@ -208,6 +223,25 @@ class RangeSet:
 TOP = RangeSet(RangeSet._TOP_KIND)
 BOTTOM = RangeSet(RangeSet._BOTTOM_KIND)
 
+_RANGESETS = LRUCache(INTERN_SIZE, stats().caches["intern_rangeset"])
+_FROM_RANGES = LRUCache(MEMO_SIZE, stats().caches["from_ranges"])
+_MERGE_WEIGHTED = LRUCache(MEMO_SIZE, stats().caches["merge_weighted"])
+
+
+def intern_rangeset(rangeset: RangeSet) -> RangeSet:
+    """The canonical object for a :class:`RangeSet` (⊤/⊥ -> singletons).
+
+    Member ranges and bounds are deliberately *not* interned: identity
+    of the set itself is what the engine's change checks and the memo
+    keys use, and per-member table probes measurably outweigh the
+    cross-set sharing they would buy.
+    """
+    if rangeset.is_top:
+        return TOP
+    if rangeset.is_bottom:
+        return BOTTOM
+    return _RANGESETS.intern(rangeset)
+
 
 def merge_weighted(
     contributions: Sequence[Tuple[float, RangeSet]],
@@ -217,11 +251,15 @@ def merge_weighted(
 
     ⊤ contributions are ignored (optimism, as in SCCP); a ⊥ contribution
     with positive weight makes the result ⊥; weights are renormalised over
-    the contributing edges.
+    the contributing edges.  Memoized; the result is hash-consed.
     """
-    if _MERGE_WEIGHTED_MEMO is not None and _perf_active():
-        return _MERGE_WEIGHTED_MEMO(tuple(contributions), max_ranges)
-    return _merge_weighted(contributions, max_ranges)
+    key = (tuple(contributions), max_ranges)
+    cached = _MERGE_WEIGHTED.get(key)
+    if cached is not None:
+        return cached
+    result = intern_rangeset(_merge_weighted(key[0], max_ranges))
+    _MERGE_WEIGHTED.put(key, result)
+    return result
 
 
 def _merge_weighted(

@@ -24,7 +24,7 @@ chained calls.  ``k = 0`` asks no context questions at all and
 reproduces the context-insensitive analysis byte-for-byte.
 
 The (function, context) → return-range memo is a bounded
-:class:`~repro.core.perf.memo.LRUCache` of ``DEFAULT_CONTEXT_CACHE_SIZE``
+:class:`~repro.core.perf.stats.LRUCache` of ``DEFAULT_CONTEXT_CACHE_SIZE``
 entries whose hit/miss/eviction counts feed the perf layer's statistics
 under the ``summary_context`` cache name.
 """

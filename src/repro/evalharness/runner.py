@@ -134,12 +134,11 @@ def workload_metrics(prepared: PreparedWorkload, config: Optional[VRPConfig] = N
     with use(tracer):
         predictor = VRPPredictor(config=config)
         prediction = predictor.predict_module(prepared.module, prepared.ssa_infos)
-    perf_stats = perf.snapshot() if predictor.config.perf else None
     return build_metrics_report(
         prediction,
         tracer,
         program=prepared.workload.name,
-        perf_stats=perf_stats,
+        perf_stats=perf.snapshot(),
     )
 
 

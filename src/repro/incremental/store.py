@@ -2,7 +2,7 @@
 
 :class:`TwoTierStore` maps a hex key to a JSON-serialisable payload:
 
-* **memory** -- a bounded :class:`~repro.core.perf.memo.LRUCache`;
+* **memory** -- a bounded :class:`~repro.core.perf.stats.LRUCache`;
   fastest, per-process;
 * **disk** -- one JSON file per key under ``<dir>/<key[:2]>/<key>.json``
   written atomically (temp file + ``os.replace``), so warm entries
@@ -27,8 +27,7 @@ import tempfile
 import threading
 from typing import Optional, Tuple
 
-from repro.core.perf.memo import LRUCache
-from repro.core.perf.stats import CacheStats
+from repro.core.perf.stats import CacheStats, LRUCache
 
 
 class TwoTierStore:

@@ -26,7 +26,6 @@ _LAZY = {
     "Pass": "repro.passes.base",
     "PassResult": "repro.passes.base",
     "AnalysisCache": "repro.passes.cache",
-    "SEMANTIC_ANALYSES": "repro.passes.cache",
     "dominator_tree": "repro.passes.cache",
     "loop_info": "repro.passes.cache",
     "postdominator_tree": "repro.passes.cache",
@@ -64,7 +63,6 @@ __all__ = [
     "PIPELINES",
     "PRESERVES_ALL",
     "PRESERVES_NONE",
-    "SEMANTIC_ANALYSES",
     "STRUCTURAL",
     "AnalysisCache",
     "FunctionPass",

@@ -7,23 +7,14 @@ pipelines.  Passes request analyses by name; the cache computes them
 on first use and serves them until a mutating pass invalidates them
 (everything the pass did not declare in ``preserves`` is dropped).
 
-Caching policy
---------------
-
-Analyses fall into two classes:
-
-* **structural** (``cfg``/``dominators``/``postdominators``/``loops``/
-  ``context``) -- pure functions of the current IR.  Recomputing one on
-  unchanged IR is observationally identical, so *caching* them is a
-  pure optimisation and is gated on the perf layer (``REPRO_PERF``,
-  ``VRPConfig.perf``) like every other speed/memory trade in the
-  engine.  With the layer off they are rebuilt per request.
-* **semantic** (``prediction``, ``frequency``) -- results clients keep
-  *using* across mutating passes (the free-function pipeline computes
-  one prediction up front and feeds it to every fold).  These are
-  always cached; whether a pass may keep consuming them is governed
-  solely by its ``preserves`` declaration, never by the perf switch --
-  otherwise disabling the perf layer would change results.
+Every analysis is cached until invalidated.  The structural ones
+(``cfg``/``dominators``/``postdominators``/``loops``/``context``) are
+pure functions of the current IR, so serving a cached one is
+observationally identical to recomputing it.  The semantic ones
+(``prediction``, ``frequency``, ``summaries``) are results clients keep
+*using* across mutating passes (the free-function pipeline computes one
+prediction up front and feeds it to every fold); whether a pass may
+keep consuming them is governed solely by its ``preserves`` declaration.
 
 The module-level helpers :func:`dominator_tree`,
 :func:`postdominator_tree` and :func:`loop_info` are the one
@@ -37,17 +28,12 @@ from __future__ import annotations
 from typing import Dict, Optional, Union
 
 from repro.core.config import VRPConfig
-from repro.core.perf import context as perf_context
 from repro.ir.cfg import CFG
 from repro.ir.dominance import DominatorTree
 from repro.ir.function import Function, Module
 from repro.ir.postdominance import PostDominatorTree
 
 from repro.passes.base import ANALYSIS_NAMES
-
-#: Analyses whose cached value clients deliberately keep using across
-#: mutating passes (see the module docstring).  Never perf-gated.
-SEMANTIC_ANALYSES = frozenset(("prediction", "frequency", "summaries"))
 
 #: Analyses computed per module rather than per function.  ``callgraph``
 #: and the interprocedural products ride with ``prediction``: any
@@ -62,14 +48,11 @@ MODULE_SCOPE = frozenset(
 # Each helper memoises its result on the CFG snapshot itself: the trees
 # are pure functions of the snapshot, and a snapshot is never mutated
 # ("construct a new one after any structural mutation" -- ir/cfg.py),
-# so the memo can never go stale.  Memoisation is perf-gated; with the
-# layer off the helpers degrade to plain constructors.
+# so the memo can never go stale.
 
 
 def dominator_tree(cfg: CFG) -> DominatorTree:
     """The dominator tree of a CFG snapshot (memoised on the snapshot)."""
-    if not perf_context.is_active():
-        return DominatorTree(cfg)
     tree = getattr(cfg, "_cached_dominator_tree", None)
     if tree is None:
         tree = DominatorTree(cfg)
@@ -79,8 +62,6 @@ def dominator_tree(cfg: CFG) -> DominatorTree:
 
 def postdominator_tree(cfg: CFG) -> PostDominatorTree:
     """The postdominator tree of a CFG snapshot (memoised on the snapshot)."""
-    if not perf_context.is_active():
-        return PostDominatorTree(cfg)
     tree = getattr(cfg, "_cached_postdominator_tree", None)
     if tree is None:
         tree = PostDominatorTree(cfg)
@@ -92,8 +73,6 @@ def loop_info(cfg: CFG):
     """Natural-loop information for a CFG snapshot (memoised on it)."""
     from repro.analysis.loops import LoopInfo
 
-    if not perf_context.is_active():
-        return LoopInfo(cfg)
     info = getattr(cfg, "_cached_loop_info", None)
     if info is None:
         info = LoopInfo(cfg)
@@ -116,10 +95,6 @@ class AnalysisCache:
     predictor:
         Pre-built :class:`~repro.core.predictor.VRPPredictor` to reuse;
         built from ``config`` on first demand otherwise.
-    enabled:
-        Overrides perf gating of the *structural* cache: ``True`` /
-        ``False`` force it on/off, ``None`` (default) follows the perf
-        layer.  Semantic analyses are cached regardless.
     """
 
     def __init__(
@@ -128,27 +103,17 @@ class AnalysisCache:
         ssa_infos: Optional[Dict[str, object]] = None,
         config: Optional[VRPConfig] = None,
         predictor=None,
-        enabled: Optional[bool] = None,
     ):
         self.module = module
         self.ssa_infos = ssa_infos or {}
         self.config = config or VRPConfig()
         self._predictor = predictor
-        self._enabled = enabled
         self._function_entries: Dict[str, Dict[str, object]] = {}
         self._module_entries: Dict[str, object] = {}
         #: Running totals, exported into metrics schema v4.
         self.hits: Dict[str, int] = {}
         self.misses: Dict[str, int] = {}
         self.invalidations: Dict[str, int] = {}
-
-    # -- gating ---------------------------------------------------------------
-
-    def caches_structural(self) -> bool:
-        """Whether structural analyses are cached (vs rebuilt per request)."""
-        if self._enabled is not None:
-            return self._enabled
-        return bool(self.config.perf) and perf_context.is_active()
 
     # -- the request surface --------------------------------------------------
 
@@ -178,15 +143,13 @@ class AnalysisCache:
         return value
 
     def _get_function(self, name: str, function: Function):
-        cacheable = name in SEMANTIC_ANALYSES or self.caches_structural()
         entries = self._function_entries.setdefault(function.name, {})
-        if cacheable and name in entries:
+        if name in entries:
             self.hits[name] = self.hits.get(name, 0) + 1
             return entries[name]
         self.misses[name] = self.misses.get(name, 0) + 1
         value = self._compute(name, function)
-        if cacheable:
-            entries[name] = value
+        entries[name] = value
         return value
 
     # -- convenience accessors ------------------------------------------------

@@ -10,16 +10,17 @@ import os
 
 import pytest
 
-from repro.core import interprocedural, perf
+from repro.core import perf, rangeset as rangeset_mod
 from repro.core.bounds import Bound
 from repro.core.config import VRPConfig
 from repro.core.perf import memo
 from repro.core.predictor import VRPPredictor
 from repro.core.ranges import StridedRange
-from repro.core.rangeset import BOTTOM, RangeSet, TOP
+from repro.core.rangeset import BOTTOM, RangeSet, TOP, intern_rangeset
 from repro.ir import prepare_module
 from repro.lang import compile_source
 from repro.workloads import suite
+from tests.helpers import shrink_caches
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 
@@ -47,9 +48,7 @@ def fresh_tables():
 @pytest.fixture
 def tiny_caches(monkeypatch):
     """Every bounded LRU of the analysis capped at two entries."""
-    for cache in memo._ALL_CACHES:
-        monkeypatch.setattr(cache, "capacity", 2)
-    monkeypatch.setattr(interprocedural, "DEFAULT_CONTEXT_CACHE_SIZE", 2)
+    shrink_caches(monkeypatch)
 
 
 def make_rangesets():
@@ -95,58 +94,62 @@ class TestIdentityIffEquality:
     def test_rangesets(self):
         for a in make_rangesets():
             for b in make_rangesets():
-                identical = memo.intern_rangeset(a) is memo.intern_rangeset(b)
+                identical = intern_rangeset(a) is intern_rangeset(b)
                 assert identical == (a == b), (a, b)
 
     def test_top_bottom_intern_to_module_singletons(self):
-        assert memo.intern_rangeset(RangeSet.top()) is TOP
-        assert memo.intern_rangeset(RangeSet.bottom()) is BOTTOM
+        assert intern_rangeset(RangeSet.top()) is TOP
+        assert intern_rangeset(RangeSet.bottom()) is BOTTOM
 
 
 class TestEviction:
     """Bounded caches: eviction loses identity, never correctness."""
 
     def test_tables_respect_capacity(self, monkeypatch):
-        monkeypatch.setattr(memo._RANGESETS, "capacity", 4)
+        monkeypatch.setattr(rangeset_mod._RANGESETS, "capacity", 4)
         for rangeset in constant_sets(100):
-            memo.intern_rangeset(rangeset)
-        assert len(memo._RANGESETS) <= 4
+            intern_rangeset(rangeset)
+        assert len(rangeset_mod._RANGESETS) <= 4
 
     def test_evicted_values_still_compare_equal(self, tiny_caches):
-        originals = [memo.intern_rangeset(r) for r in constant_sets(50)]
+        originals = [intern_rangeset(r) for r in constant_sets(50)]
         # constant(0) has long been evicted: a re-intern returns a *new*
         # canonical object that is still structurally equal.
-        again = memo.intern_rangeset(RangeSet.constant(0))
+        again = intern_rangeset(RangeSet.constant(0))
         assert again is not originals[0]
         assert again == originals[0]
 
-    def test_tiny_tables_do_not_change_predictions(self, tiny_caches):
+    def test_tiny_tables_do_not_change_predictions(self, monkeypatch):
         corpus = neutrality_corpus()
         assert len(corpus) == 2 + 27 + 1
-        differing = []
+        prepared = []
         for name, source in corpus:
             module = compile_source(source, module_name=name)
-            infos = prepare_module(module)
-            reference = VRPPredictor(config=VRPConfig(perf=False)).predict_module(
-                module, infos
-            )
-            tiny = VRPPredictor(config=VRPConfig(perf=True)).predict_module(
-                module, infos
-            )
+            prepared.append((name, module, prepare_module(module)))
+
+        def run(module, infos):
+            return VRPPredictor(config=VRPConfig()).predict_module(module, infos)
+
+        reference = {name: run(module, infos) for name, module, infos in prepared}
+        differing = []
+        evictions = 0
+        for name, module, infos in prepared:
+            shrink_caches(monkeypatch)  # cold, two-entry tables per program
+            tiny = run(module, infos)
             if (
-                tiny.all_branches() != reference.all_branches()
-                or tiny.counters.as_dict() != reference.counters.as_dict()
+                tiny.all_branches() != reference[name].all_branches()
+                or tiny.counters.as_dict() != reference[name].counters.as_dict()
             ):
                 differing.append(name)
+            evictions += sum(cache.record.evictions for cache in memo._ALL_CACHES)
         assert differing == []
-        evictions = sum(cache.record.evictions for cache in memo._ALL_CACHES)
         assert evictions > 0
 
 
 class TestSanitizerRoundTrip:
     """Interned (canonical) lattice values pass the engine sanitizer."""
 
-    def test_sanitized_run_with_perf_layer(self):
+    def test_sanitized_run_with_perf_layer(self, monkeypatch):
         source = """
         func main(n) {
           var total = 0;
@@ -158,10 +161,9 @@ class TestSanitizerRoundTrip:
         """
         module = compile_source(source)
         infos = prepare_module(module)
-        checked = VRPPredictor(
-            config=VRPConfig(perf=True, sanitize=True)
-        ).predict_module(module, infos)
-        plain = VRPPredictor(config=VRPConfig(perf=False)).predict_module(
+        checked = VRPPredictor(config=VRPConfig(sanitize=True)).predict_module(
             module, infos
         )
+        shrink_caches(monkeypatch)
+        plain = VRPPredictor(config=VRPConfig()).predict_module(module, infos)
         assert checked.all_branches() == plain.all_branches()

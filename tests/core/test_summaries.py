@@ -20,7 +20,7 @@ from repro.core import VRPConfig
 from repro.core.callgraph import CallGraph
 from repro.core.interprocedural import InterproceduralVRP, analyse_module
 from repro.core.perf import stats as perf_stats_mod
-from repro.core.perf.memo import LRUCache
+from repro.core.perf.stats import LRUCache
 from repro.core.rangeset import BOTTOM, TOP, RangeSet
 from repro.core.summaries import (
     DEFAULT_CONTEXT_CACHE_SIZE,

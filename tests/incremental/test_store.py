@@ -94,6 +94,16 @@ class TestDiskTier:
         # Promoted into memory: the next lookup is a memory hit.
         assert fresh.get(KEY_A)[1] == "memory"
 
+    def test_disk_hit_promotes_to_memory(self, tmp_path):
+        TwoTierStore(disk_dir=str(tmp_path)).put(KEY_A, {"n": 1})
+        fresh = TwoTierStore(disk_dir=str(tmp_path))
+        assert fresh.get(KEY_A)[1] == "disk"
+        assert fresh.get(KEY_A)[1] == "memory"
+        stats = fresh.stats()
+        assert stats["disk"]["hits"] == 1
+        assert stats["memory"]["hits"] == 1
+        assert stats["memory"]["entries"] == 1
+
     def test_sharded_path_layout(self, tmp_path):
         store = TwoTierStore(disk_dir=str(tmp_path))
         store.put(KEY_A, {"n": 1})

@@ -1,10 +1,15 @@
 """Command-line interface tests."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 PROGRAM = """
 func main(n) {
@@ -199,3 +204,18 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as excinfo:
             main(["predict", str(path)])
         assert "error:" in str(excinfo.value)
+
+    @pytest.mark.parametrize("command", ["predict", "check", "ranges", "ir", "trace"])
+    def test_undecodable_file_exits_cleanly(self, command, tmp_path):
+        path = tmp_path / "binary.toy"
+        path.write_bytes(b"\xff\xfe")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", command, str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.startswith(
+            f"error: cannot decode {path} as UTF-8: "
+        )
+        assert "Traceback" not in completed.stderr

@@ -21,10 +21,9 @@ func main(n) {
 """
 
 
-def _cache(source=PAPER_EXAMPLE, **kwargs):
+def _cache(source=PAPER_EXAMPLE):
     module, infos = compile_and_prepare(source)
-    kwargs.setdefault("enabled", True)
-    return module, AnalysisCache(module, infos, **kwargs)
+    return module, AnalysisCache(module, infos)
 
 
 class TestDemandComputation:
@@ -76,14 +75,6 @@ class TestDemandComputation:
         else:
             raise AssertionError("expected KeyError")
 
-    def test_disabled_cache_recomputes_structural_analyses(self):
-        module, cache = _cache(enabled=False)
-        function = module.main
-        assert cache.cfg(function) is not cache.cfg(function)
-        # ...but semantic analyses stay cached: reuse across passes is a
-        # correctness contract, not a performance knob.
-        assert cache.prediction() is cache.prediction()
-
 
 class TestInvalidation:
     def test_preserved_analysis_survives_clobbered_one_is_recomputed(self):
@@ -126,18 +117,13 @@ class TestInvalidation:
 
 class TestConstructionSiteHelpers:
     def test_helpers_memoise_on_the_cfg_snapshot(self):
-        from repro.core.perf import context as perf_context
         from repro.ir.cfg import CFG
 
         module, _ = compile_and_prepare(PAPER_EXAMPLE)
         cfg = CFG(module.main)
-        with perf_context.activate(True):
-            assert dominator_tree(cfg) is dominator_tree(cfg)
-            assert postdominator_tree(cfg) is postdominator_tree(cfg)
-            assert loop_info(cfg) is loop_info(cfg)
-        with perf_context.activate(False):
-            fresh = CFG(module.main)
-            assert dominator_tree(fresh) is not dominator_tree(fresh)
+        assert dominator_tree(cfg) is dominator_tree(cfg)
+        assert postdominator_tree(cfg) is postdominator_tree(cfg)
+        assert loop_info(cfg) is loop_info(cfg)
 
     def test_helper_trees_match_direct_construction(self):
         from repro.ir.cfg import CFG

@@ -29,10 +29,9 @@ func main(n) {
 """
 
 
-def _cache(source=CALLS, **kwargs):
+def _cache(source=CALLS):
     module, infos = compile_and_prepare(source)
-    kwargs.setdefault("enabled", True)
-    return module, AnalysisCache(module, infos, **kwargs)
+    return module, AnalysisCache(module, infos)
 
 
 class TestRegistration:

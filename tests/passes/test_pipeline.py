@@ -77,7 +77,7 @@ class TestOrderingDeterminism:
 class TestPreservesInvalidation:
     def test_preserved_analysis_survives_a_mutating_pass(self):
         module, infos = compile_and_prepare(DEAD_DEF)
-        cache = AnalysisCache(module, infos, enabled=True)
+        cache = AnalysisCache(module, infos)
         function = module.main
         loops_before = cache.loops(function)
         prediction_before = cache.prediction()
@@ -98,7 +98,7 @@ class TestPreservesInvalidation:
 
     def test_non_mutating_pass_invalidates_nothing(self):
         module, infos = compile_and_prepare(PAPER_EXAMPLE)
-        cache = AnalysisCache(module, infos, enabled=True)
+        cache = AnalysisCache(module, infos)
         prediction_before = cache.prediction()
         result = PassPipeline(["unreachable"]).run(module, cache=cache)
         assert result.run_of("unreachable").invalidated == 0
@@ -108,7 +108,7 @@ class TestPreservesInvalidation:
         # A mutating pass that finds nothing to rewrite must not drop
         # the cache: invalidation is gated on an actual change.
         module, infos = compile_and_prepare(DEAD_DEF)
-        cache = AnalysisCache(module, infos, enabled=True)
+        cache = AnalysisCache(module, infos)
         PassPipeline(["dce"]).run(module, cache=cache)
         prediction = cache.prediction()
         second = PassPipeline(["dce"]).run(module, cache=cache)
