@@ -35,7 +35,7 @@ from repro.lang.ast_nodes import (
     Var,
     While,
 )
-from repro.lang.lexer import LexError, Lexer, tokenize
+from repro.lang.lexer import LexError, tokenize
 from repro.lang.lowering import LoweringError, compile_source, lower_program
 from repro.lang.parser import ParseError, Parser, parse
 from repro.lang.tokens import KEYWORDS, Token, TokenKind
@@ -60,7 +60,6 @@ __all__ = [
     "IntLit",
     "KEYWORDS",
     "LexError",
-    "Lexer",
     "LogicalExpr",
     "LoweringError",
     "Node",

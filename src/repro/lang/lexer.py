@@ -3,10 +3,16 @@
 Supports integer literals (decimal and hexadecimal), identifiers,
 keywords, the operator set in :mod:`repro.lang.tokens`, ``//`` line
 comments and ``/* ... */`` block comments.
+
+One compiled pattern finds each token together with the trivia before
+it, so a token costs one ``match`` call whatever its length.  Lines and
+columns come from newline positions; every character, ``\\t`` and
+``\\r`` included, is one column.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from repro.lang.tokens import KEYWORDS, OPERATORS, PUNCTUATION, Token, TokenKind
@@ -21,103 +27,75 @@ class LexError(Exception):
         super().__init__(f"lex error at {line}:{column}: {message}")
 
 
-class Lexer:
-    """Single-pass lexer producing a token list ending with EOF."""
+# ``OPERATORS`` lists the two-character operators first, so trying the
+# alternatives in order is maximal munch.
+_SYMBOLS = "|".join(re.escape(symbol) for symbol in OPERATORS + PUNCTUATION)
+_SYMBOL_KIND = dict.fromkeys(OPERATORS, TokenKind.OP)
+_SYMBOL_KIND.update(dict.fromkeys(PUNCTUATION, TokenKind.PUNCT))
 
-    def __init__(self, source: str):
-        self.source = source
-        self.position = 0
-        self.line = 1
-        self.column = 1
+# Group numbers, in pattern order; ``lastindex`` names the alternative.
+# The last group, any other character, is an error.
+_NAME, _HEX, _INT, _FLOAT, _COMMENT, _SYMBOL, _WORD, _END = range(1, 9)
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"  # trivia before the token
+    r"(?:([A-Za-z_]\w*)"  # an identifier or keyword
+    r"|(0[xX][^\W_]*)"  # a hex literal: letters and digits, no '_'
+    r"|(\d+)([.eE])?"  # a decimal literal, or the start of a float
+    r"|(/\*)"  # a block comment; its body is found with str.find
+    rf"|({_SYMBOLS})"
+    r"|(\w+)"  # an identifier if it starts with a letter
+    r"|(\Z)"
+    r"|(.))",
+    re.DOTALL,
+)
 
-    def tokenize(self) -> List[Token]:
-        tokens: List[Token] = []
-        while True:
-            self._skip_trivia()
-            if self.position >= len(self.source):
-                tokens.append(Token(TokenKind.EOF, "", self.line, self.column))
-                return tokens
-            tokens.append(self._next_token())
 
-    # -- internals ----------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.position + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.position < len(self.source):
-                if self.source[self.position] == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-                self.position += 1
-
-    def _skip_trivia(self) -> None:
-        while self.position < len(self.source):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self.position < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.column
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self.position >= len(self.source):
-                        raise LexError("unterminated block comment", start_line, start_col)
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        char = self._peek()
-        line, column = self.line, self.column
-        if char.isdigit():
-            return self._lex_number(line, column)
-        if char.isalpha() or char == "_":
-            return self._lex_word(line, column)
-        for op in OPERATORS:
-            if self.source.startswith(op, self.position):
-                self._advance(len(op))
-                return Token(TokenKind.OP, op, line, column)
-        if char in PUNCTUATION:
-            self._advance()
-            return Token(TokenKind.PUNCT, char, line, column)
-        raise LexError(f"unexpected character {char!r}", line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self.position
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek().isalnum():
-                self._advance()
-            text = self.source[start : self.position]
+def tokenize(source: str) -> List[Token]:
+    """Lex ``source`` into a token list ending with EOF."""
+    tokens: List[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
+    ident, keyword = TokenKind.IDENT, TokenKind.KEYWORD
+    end = len(source)
+    position = line_start = 0
+    line = 1
+    next_newline = source.find("\n") % (end + 1)  # no newline: end
+    while True:
+        found = match(source, position)
+        group = found.lastindex
+        start, position = found.span(group)
+        if next_newline < start:
+            line += source.count("\n", next_newline, start)
+            line_start = source.rindex("\n", next_newline, start) + 1
+            next_newline = source.find("\n", start) % (end + 1)
+        column = start - line_start + 1
+        text = source[start:position]
+        if group == _NAME:
+            append(Token(keyword if text in KEYWORDS else ident, text, line, column))
+        elif group == _SYMBOL:
+            append(Token(_SYMBOL_KIND[text], text, line, column))
+        elif group == _INT:
+            append(Token(TokenKind.INT, text, line, column, int(text)))
+        elif group == _HEX:
             try:
                 value = int(text, 16)
             except ValueError:
                 raise LexError(f"malformed hex literal {text!r}", line, column) from None
-            return Token(TokenKind.INT, text, line, column, value=value)
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() in (".", "e", "E"):
+            append(Token(TokenKind.INT, text, line, column, value))
+        elif group == _COMMENT:
+            close = source.find("*/", position)
+            if close < 0:
+                raise LexError("unterminated block comment", line, column)
+            position = close + 2
+        elif group == _END:
+            append(Token(TokenKind.EOF, "", line, column))
+            return tokens
+        elif group == _FLOAT:
+            column = found.start(_INT) - line_start + 1
             raise LexError("floating-point literals are not supported", line, column)
-        text = self.source[start : self.position]
-        return Token(TokenKind.INT, text, line, column, value=int(text))
-
-    def _lex_word(self, line: int, column: int) -> Token:
-        start = self.position
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start : self.position]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, line, column)
-
-
-def tokenize(source: str) -> List[Token]:
-    """Convenience wrapper: lex ``source`` into a token list."""
-    return Lexer(source).tokenize()
+        elif group == _WORD and text[0].isalpha():
+            append(Token(ident, text, line, column))  # keywords are ASCII
+        else:
+            # A stray character, or a digit that is not a decimal digit
+            # ('²'), which starts neither a literal nor an identifier.
+            raise LexError(f"unexpected character {text[0]!r}", line, column)

@@ -1,12 +1,13 @@
 """Recursive-descent parser for the toy language.
 
-Grammar (precedence low to high)::
+Grammar::
 
-    program   := funcdef*
+    program   := (funcdef | constdef)+      -- at least one function
+    constdef  := "const" IDENT "=" expr ";"
     funcdef   := "func" IDENT "(" [IDENT ("," IDENT)*] ")" block
     block     := "{" stmt* "}"
     stmt      := "var" IDENT ["=" expr] ";"
-               | "array" IDENT "[" INT "]" ";"
+               | "array" IDENT "[" (INT | IDENT) "]" ";"
                | IDENT "=" expr ";"
                | IDENT "[" expr "]" "=" expr ";"
                | "if" "(" expr ")" block ["else" (block | if-stmt)]
@@ -16,29 +17,55 @@ Grammar (precedence low to high)::
                | "break" ";" | "continue" ";"
                | "return" [expr] ";"
                | expr ";"
-    expr      := or
-    or        := and ("||" and)*
-    and       := bitor ("&&" bitor)*
-    bitor     := bitxor ("|" bitxor)*
-    bitxor    := bitand ("^" bitand)*
-    bitand    := equality ("&" equality)*
-    equality  := relational (("=="|"!=") relational)*
-    relational:= shift (("<"|"<="|">"|">=") shift)*
-    shift     := additive (("<<"|">>") additive)*
-    additive  := multiplicative (("+"|"-") multiplicative)*
-    multiplicative := unary (("*"|"/"|"%") unary)*
+    expr      := unary (BINOP unary)*
     unary     := ("-"|"!") unary | primary
     primary   := INT | "input" "(" ")" | IDENT ["(" args ")" | "[" expr "]"]
                | "(" expr ")"
+
+``BINOP`` is any operator of :data:`BINARY_OPERATORS`, which gives its
+precedence; every level is left-associative.  A unary ``-`` applied to
+a literal folds into the literal.
+
+Blocks, parenthesised expressions, unary operators and call and index
+brackets nest at most :data:`MAX_NESTING` deep, so every later stage
+(lowering, SSA, the analysis, rendering) stays inside Python's
+recursion limit; a deeper program is a :class:`ParseError`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro.lang import ast_nodes as ast
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import Token, TokenKind
+
+#: How deep blocks, parenthesised expressions, unary operators and
+#: call/index brackets may nest (a function body is depth 1).
+MAX_NESTING = 200
+
+#: Binary operator -> (precedence, node class), loosest level first.
+#: ``docs/LANGUAGE.md`` documents the same table.
+BINARY_OPERATORS: Dict[str, Tuple[int, Type[ast.Expr]]] = {
+    "||": (1, ast.LogicalExpr),
+    "&&": (2, ast.LogicalExpr),
+    "|": (3, ast.BinaryExpr),
+    "^": (4, ast.BinaryExpr),
+    "&": (5, ast.BinaryExpr),
+    "==": (6, ast.BinaryExpr),
+    "!=": (6, ast.BinaryExpr),
+    "<": (7, ast.BinaryExpr),
+    "<=": (7, ast.BinaryExpr),
+    ">": (7, ast.BinaryExpr),
+    ">=": (7, ast.BinaryExpr),
+    "<<": (8, ast.BinaryExpr),
+    ">>": (8, ast.BinaryExpr),
+    "+": (9, ast.BinaryExpr),
+    "-": (9, ast.BinaryExpr),
+    "*": (10, ast.BinaryExpr),
+    "/": (10, ast.BinaryExpr),
+    "%": (10, ast.BinaryExpr),
+}
 
 
 class ParseError(Exception):
@@ -58,12 +85,22 @@ class Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.position = 0
+        #: Open blocks, parentheses, unary operators and brackets.
+        self.depth = 0
 
     # -- token helpers -------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.position + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        index = self.position + offset
+        if index < len(self.tokens):
+            return self.tokens[index]
+        return self.tokens[-1]
+
+    def _enter(self, token: Token) -> None:
+        """Open one nesting level at ``token``; the caller closes it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", token)
 
     def _advance(self) -> Token:
         token = self.tokens[self.position]
@@ -144,12 +181,14 @@ class Parser:
 
     def parse_block(self) -> ast.Block:
         start = self._expect_punct("{")
+        self._enter(start)
         statements: List[ast.Stmt] = []
         while not self._peek().is_punct("}"):
             if self._peek().kind == TokenKind.EOF:
                 raise ParseError("unterminated block", self._peek())
             statements.append(self.parse_statement())
         self._expect_punct("}")
+        self.depth -= 1
         return ast.Block(statements, line=start.line)
 
     # -- statements -------------------------------------------------------------
@@ -204,9 +243,7 @@ class Parser:
                 # Could be a store `a[i] = e` or a read used as a statement.
                 saved = self.position
                 name = self._advance().text
-                self._advance()  # '['
-                index = self.parse_expr()
-                self._expect_punct("]")
+                index = self._parse_index(self._peek())
                 if self._match_op("="):
                     value = self.parse_expr()
                     return ast.ArrayAssign(name, index, value, line=token.line)
@@ -252,7 +289,10 @@ class Parser:
         if self._peek().is_keyword("else"):
             self._advance()
             if self._peek().is_keyword("if"):
+                # The else-if nests one block deeper, as its AST does.
+                self._enter(self._peek())
                 nested = self._parse_if()
+                self.depth -= 1
                 else_block = ast.Block([nested], line=nested.line)
             else:
                 else_block = self.parse_block()
@@ -297,106 +337,59 @@ class Parser:
     # -- expressions --------------------------------------------------------------
 
     def parse_expr(self) -> ast.Expr:
-        return self._parse_or()
+        return self._parse_binary(1)
 
-    def _parse_or(self) -> ast.Expr:
-        expr = self._parse_and()
-        while self._peek().is_op("||"):
-            token = self._advance()
-            rhs = self._parse_and()
-            expr = ast.LogicalExpr("||", expr, rhs, line=token.line)
-        return expr
-
-    def _parse_and(self) -> ast.Expr:
-        expr = self._parse_bitor()
-        while self._peek().is_op("&&"):
-            token = self._advance()
-            rhs = self._parse_bitor()
-            expr = ast.LogicalExpr("&&", expr, rhs, line=token.line)
-        return expr
-
-    def _parse_bitor(self) -> ast.Expr:
-        expr = self._parse_bitxor()
-        while self._peek().is_op("|"):
-            token = self._advance()
-            rhs = self._parse_bitxor()
-            expr = ast.BinaryExpr("|", expr, rhs, line=token.line)
-        return expr
-
-    def _parse_bitxor(self) -> ast.Expr:
-        expr = self._parse_bitand()
-        while self._peek().is_op("^"):
-            token = self._advance()
-            rhs = self._parse_bitand()
-            expr = ast.BinaryExpr("^", expr, rhs, line=token.line)
-        return expr
-
-    def _parse_bitand(self) -> ast.Expr:
-        expr = self._parse_equality()
-        while self._peek().is_op("&"):
-            token = self._advance()
-            rhs = self._parse_equality()
-            expr = ast.BinaryExpr("&", expr, rhs, line=token.line)
-        return expr
-
-    def _parse_equality(self) -> ast.Expr:
-        expr = self._parse_relational()
-        while self._peek().is_op("==") or self._peek().is_op("!="):
-            token = self._advance()
-            rhs = self._parse_relational()
-            expr = ast.BinaryExpr(token.text, expr, rhs, line=token.line)
-        return expr
-
-    def _parse_relational(self) -> ast.Expr:
-        expr = self._parse_shift()
-        while any(self._peek().is_op(op) for op in ("<", "<=", ">", ">=")):
-            token = self._advance()
-            rhs = self._parse_shift()
-            expr = ast.BinaryExpr(token.text, expr, rhs, line=token.line)
-        return expr
-
-    def _parse_shift(self) -> ast.Expr:
-        expr = self._parse_additive()
-        while self._peek().is_op("<<") or self._peek().is_op(">>"):
-            token = self._advance()
-            rhs = self._parse_additive()
-            expr = ast.BinaryExpr(token.text, expr, rhs, line=token.line)
-        return expr
-
-    def _parse_additive(self) -> ast.Expr:
-        expr = self._parse_multiplicative()
-        while self._peek().is_op("+") or self._peek().is_op("-"):
-            token = self._advance()
-            rhs = self._parse_multiplicative()
-            expr = ast.BinaryExpr(token.text, expr, rhs, line=token.line)
-        return expr
-
-    def _parse_multiplicative(self) -> ast.Expr:
+    def _parse_binary(self, min_precedence: int) -> ast.Expr:
+        """Precedence climbing over ``BINARY_OPERATORS``, left-associative."""
         expr = self._parse_unary()
-        while any(self._peek().is_op(op) for op in ("*", "/", "%")):
-            token = self._advance()
-            rhs = self._parse_unary()
-            expr = ast.BinaryExpr(token.text, expr, rhs, line=token.line)
-        return expr
+        while True:
+            token = self.tokens[self.position]
+            # Only OP tokens spell an operator, so the text alone decides.
+            entry = BINARY_OPERATORS.get(token.text)
+            if entry is None or entry[0] < min_precedence:
+                return expr
+            precedence, node = entry
+            self.position += 1
+            rhs = self._parse_binary(precedence + 1)
+            expr = node(token.text, expr, rhs, line=token.line)
 
     def _parse_unary(self) -> ast.Expr:
-        token = self._peek()
-        if token.is_op("-"):
-            self._advance()
-            operand = self._parse_unary()
-            if isinstance(operand, ast.IntLit):
-                return ast.IntLit(-operand.value, line=token.line)
-            return ast.UnaryExpr("-", operand, line=token.line)
-        if token.is_op("!"):
-            self._advance()
-            return ast.UnaryExpr("!", self._parse_unary(), line=token.line)
-        return self._parse_primary()
+        token = self.tokens[self.position]
+        if token.kind != TokenKind.OP or token.text not in ("-", "!"):
+            return self._parse_primary()
+        self._enter(token)
+        self.position += 1
+        operand = self._parse_unary()
+        self.depth -= 1
+        if token.text == "!":
+            return ast.UnaryExpr("!", operand, line=token.line)
+        if isinstance(operand, ast.IntLit):
+            return ast.IntLit(-operand.value, line=token.line)
+        return ast.UnaryExpr("-", operand, line=token.line)
 
     def _parse_primary(self) -> ast.Expr:
-        token = self._peek()
+        token = self.tokens[self.position]
         if token.kind == TokenKind.INT:
-            self._advance()
+            self.position += 1
             return ast.IntLit(int(token.value), line=token.line)
+        if token.kind == TokenKind.IDENT:
+            self.position += 1
+            bracket = self.tokens[self.position]
+            if bracket.is_punct("("):
+                self._enter(bracket)
+                self.position += 1
+                args: List[ast.Expr] = []
+                if not self._peek().is_punct(")"):
+                    args.append(self._parse_binary(1))
+                    while self._match_punct(","):
+                        args.append(self._parse_binary(1))
+                self._expect_punct(")")
+                self.depth -= 1
+                return ast.CallExpr(token.text, args, line=token.line)
+            if bracket.is_punct("["):
+                index = self._parse_index(bracket)
+                return ast.IndexExpr(token.text, index, line=token.line)
+            return ast.Var(token.text, line=token.line)
         if token.is_keyword("input"):
             self._advance()
             self._expect_punct("(")
@@ -404,29 +397,23 @@ class Parser:
             expr = ast.InputExpr()
             expr.line = token.line
             return expr
-        if token.kind == TokenKind.IDENT:
-            self._advance()
-            if self._peek().is_punct("("):
-                self._advance()
-                args: List[ast.Expr] = []
-                if not self._peek().is_punct(")"):
-                    args.append(self.parse_expr())
-                    while self._match_punct(","):
-                        args.append(self.parse_expr())
-                self._expect_punct(")")
-                return ast.CallExpr(token.text, args, line=token.line)
-            if self._peek().is_punct("["):
-                self._advance()
-                index = self.parse_expr()
-                self._expect_punct("]")
-                return ast.IndexExpr(token.text, index, line=token.line)
-            return ast.Var(token.text, line=token.line)
         if token.is_punct("("):
+            self._enter(token)
             self._advance()
-            expr = self.parse_expr()
+            expr = self._parse_binary(1)
             self._expect_punct(")")
+            self.depth -= 1
             return expr
         raise ParseError("expected expression", token)
+
+    def _parse_index(self, bracket: Token) -> ast.Expr:
+        """``"[" expr "]"``, with ``bracket`` the current token."""
+        self._enter(bracket)
+        self._advance()
+        index = self._parse_binary(1)
+        self._expect_punct("]")
+        self.depth -= 1
+        return index
 
 
 def parse(source: str) -> ast.Program:

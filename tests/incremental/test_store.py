@@ -43,7 +43,7 @@ class TestMemoryTier:
         store.get(KEY_A)  # A is now hotter than B
         store.put(KEY_C, {"n": 3})
         assert store.get(KEY_B) == (None, None)
-        assert store.get(KEY_A)[0] == {"n": 1}
+        assert store.get(KEY_A) == ({"n": 1}, "memory")
         assert store.get(KEY_C)[0] == {"n": 3}
         assert store.stats()["memory"]["evictions"] == 1
 

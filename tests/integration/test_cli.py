@@ -219,3 +219,60 @@ class TestErrorHandling:
             f"error: cannot decode {path} as UTF-8: "
         )
         assert "Traceback" not in completed.stderr
+
+
+def nested_program(kind: str, depth: int) -> str:
+    """A program nested exactly ``depth`` deep (the function body is 1)."""
+    k = depth - 1
+    bodies = {
+        "parens": "var x = " + "(" * k + "n" + ")" * k + "; return x;",
+        "ifs": "var x = 0; " + "if (n > 1) { " * k + "x = x + 1; " + "} " * k + "return x;",
+        "unary": "var x = " + "-" * k + "n; return x;",
+        "calls": "var x = " + "f(" * k + "n" + ")" * k + "; return x;",
+        "index": "array a[4]; var x = " + "a[" * k + "0" + "]" * k + "; return x;",
+    }
+    return "func f(a) { return a + 1; } func main(n) { " + bodies[kind] + " }"
+
+
+def run_cli(command, path):
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", command, str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestMalformedPrograms:
+    """Programs that used to end in a traceback exit 1 with one error line."""
+
+    @pytest.mark.parametrize("command", ["predict", "check", "ranges"])
+    def test_superscript_digit_is_a_lex_error(self, command, tmp_path):
+        path = tmp_path / "super.toy"
+        path.write_text("func main() { var x = 2²; return x; }", encoding="utf-8")
+        completed = run_cli(command, path)
+        assert completed.returncode == 1
+        assert completed.stderr == (
+            "error: lex error at 1:24: unexpected character '²'\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["parens", "ifs"])
+    def test_one_level_past_the_cap_is_a_parse_error(self, kind, tmp_path):
+        from repro.lang.parser import MAX_NESTING
+
+        path = tmp_path / "deep.toy"
+        path.write_text(nested_program(kind, MAX_NESTING + 1))
+        completed = run_cli("predict", path)
+        assert completed.returncode == 1
+        assert f"nesting deeper than {MAX_NESTING}" in completed.stderr
+        assert completed.stderr.startswith("error: parse error at ")
+        assert "Traceback" not in completed.stderr
+
+    @pytest.mark.parametrize("kind", ["parens", "ifs", "unary", "calls", "index"])
+    @pytest.mark.parametrize("command", ["predict", "check", "ranges"])
+    def test_a_program_at_the_cap_is_analysed(self, kind, command, tmp_path, capsys):
+        from repro.lang.parser import MAX_NESTING
+
+        path = tmp_path / "deep.toy"
+        path.write_text(nested_program(kind, MAX_NESTING))
+        assert main([command, str(path)]) == 0
+        assert capsys.readouterr().out

@@ -131,3 +131,69 @@ class TestFullProgram:
         assert tokens[-1].kind == TokenKind.EOF
         assert sum(1 for t in tokens if t.is_keyword("if")) == 1
         assert sum(1 for t in tokens if t.is_punct("{")) == 4
+
+
+def spans(source):
+    return [(t.kind, t.text, t.value, t.line, t.column) for t in tokenize(source)]
+
+
+class TestUnicodeAndEdges:
+    def test_unicode_letters_make_identifiers(self):
+        assert spans("é_1") == [("IDENT", "é_1", None, 1, 1), ("EOF", "", None, 1, 4)]
+
+    def test_unicode_decimal_digits_make_integers(self):
+        assert spans("٣٣")[0] == ("INT", "٣٣", 33, 1, 1)
+
+    def test_superscript_digit_is_an_unexpected_character(self):
+        with pytest.raises(LexError) as excinfo:
+            tokenize("var x = 2²;")
+        assert str(excinfo.value) == "lex error at 1:10: unexpected character '²'"
+
+    def test_superscript_digit_alone(self):
+        with pytest.raises(LexError) as excinfo:
+            tokenize("\n  ²")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 3)
+
+    def test_superscript_digit_inside_an_identifier_is_kept(self):
+        assert texts("x² y") == ["x²", "y"]
+
+    def test_vulgar_fraction_is_an_unexpected_character(self):
+        with pytest.raises(LexError, match="unexpected character '½'"):
+            tokenize("½")
+
+    def test_hex_body_stops_at_underscore(self):
+        assert spans("0x1_2")[:2] == [("INT", "0x1", 1, 1, 1), ("IDENT", "_2", None, 1, 4)]
+
+    def test_bare_hex_prefix_is_malformed(self):
+        with pytest.raises(LexError, match="malformed hex literal '0x'"):
+            tokenize("0x;")
+
+    def test_decimal_then_letters_is_int_then_ident(self):
+        assert spans("12abc")[:2] == [("INT", "12", 12, 1, 1), ("IDENT", "abc", None, 1, 3)]
+
+    @pytest.mark.parametrize("source", ["1.5", "1e5", "12E", "7."])
+    def test_float_error_points_at_the_literal(self, source):
+        with pytest.raises(LexError) as excinfo:
+            tokenize("x = " + source)
+        assert str(excinfo.value) == (
+            "lex error at 1:5: floating-point literals are not supported"
+        )
+
+    def test_tab_and_carriage_return_are_one_column(self):
+        assert [t.column for t in tokenize("\ta\r b")] == [2, 5, 6]
+
+    def test_eof_position_follows_trailing_trivia(self):
+        assert spans("a\n  // note")[-1] == ("EOF", "", None, 2, 10)
+
+    def test_block_comment_lines_are_counted(self):
+        assert spans("/* one\ntwo\n */ x")[0] == ("IDENT", "x", None, 3, 5)
+
+    def test_unterminated_block_comment_position(self):
+        with pytest.raises(LexError) as excinfo:
+            tokenize("a\n  /* never */ b /*/")
+        assert str(excinfo.value) == "lex error at 2:17: unterminated block comment"
+
+    def test_combining_mark_is_an_unexpected_character(self):
+        with pytest.raises(LexError) as excinfo:
+            tokenize("e\u0301")
+        assert excinfo.value.column == 2

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lang import ast_nodes as ast
-from repro.lang.parser import ParseError, parse
+from repro.lang.parser import MAX_NESTING, ParseError, parse
 
 
 def parse_main_body(body: str):
@@ -203,3 +203,68 @@ class TestExpressionPrecedence:
     def test_missing_expression_rejected(self):
         with pytest.raises(ParseError):
             parse_expr("+")
+
+    def test_binary_node_takes_the_operator_line(self):
+        expr = parse_expr("a\n+ b\n\n* c")
+        assert (expr.line, expr.rhs.line) == (2, 4)
+
+
+class TestNestingCap:
+    """Blocks, parentheses, unary operators and brackets nest MAX_NESTING deep."""
+
+    # Each opener adds one level; the function body is the first.
+    OPENERS = {
+        "parens": ("(", "n", ")"),
+        "unary": ("-", "n", ""),
+        "not": ("!", "n", ""),
+        "call": ("f(", "n", ")"),
+        "index": ("a[", "0", "]"),
+    }
+
+    def expression_program(self, kind, depth):
+        opener, core, closer = self.OPENERS[kind]
+        k = depth - 1
+        return (
+            "func f(x) { return x; } func main(n) { array a[1]; "
+            f"return {opener * k}{core}{closer * k}; }}"
+        )
+
+    @pytest.mark.parametrize("kind", sorted(OPENERS))
+    def test_expressions_up_to_the_cap_parse(self, kind):
+        parse(self.expression_program(kind, MAX_NESTING))
+
+    @pytest.mark.parametrize("kind", sorted(OPENERS))
+    def test_one_more_level_is_rejected_at_its_opener(self, kind):
+        source = self.expression_program(kind, MAX_NESTING + 1)
+        with pytest.raises(ParseError) as excinfo:
+            parse(source)
+        opener = self.OPENERS[kind][0]
+        # The error names the bracket that opens level MAX_NESTING + 1.
+        column = source.index(opener * MAX_NESTING) + len(opener) * MAX_NESTING
+        assert str(excinfo.value).startswith(
+            f"parse error at 1:{column}: nesting deeper than {MAX_NESTING} "
+        )
+
+    def test_blocks_count(self):
+        k = MAX_NESTING - 1
+        source = "func main(n) { " + "if (n) { " * k + "n = 1; " + "} " * k + "}"
+        parse(source)
+        deeper = source.replace("{ ", "{ while (n) { ", 1).replace("}", "} }", 1)
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse(deeper)
+
+    def test_else_if_chains_count_as_nested_blocks(self):
+        # Arm j's block nests inside the body and j implicit else blocks.
+        arms = "".join(f" else if (n == {i}) {{ n = {i}; }}" for i in range(MAX_NESTING - 2))
+        parse("func main(n) { if (n) { n = 0; }" + arms + " }")
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse("func main(n) { if (n) { n = 0; }" + arms + " else if (n) { n = 1; } }")
+
+    def test_siblings_do_not_add_up(self):
+        k = MAX_NESTING - 1
+        deep = "(" * k + "n" + ")" * k
+        parse("func main(n) { return " + " + ".join([deep] * 5) + "; }")
+
+    def test_a_backtracked_array_read_leaves_the_depth_balanced(self):
+        k = MAX_NESTING - 2
+        parse("func main(n) { array a[1]; a[0]; return " + "(" * k + "n" + ")" * k + "; }")

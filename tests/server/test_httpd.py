@@ -129,6 +129,21 @@ class TestRejection:
         assert status == 400
         assert b"not valid JSON" in body
 
+    def test_over_nested_program_is_a_parse_error_not_a_500(self, served):
+        # Deep enough to exhaust Python's recursion limit without the
+        # nesting cap: the answer must be the parse error, not a 500.
+        from repro.lang.parser import MAX_NESTING
+
+        server, _ = served
+        source = "func main(n) { return " + "(" * 300 + "n" + ")" * 300 + "; }"
+        body = json.dumps({"source": source}).encode("utf-8")
+        status, _, raw = raw_post(server.port, "/v1/predict", body)
+        document = json.loads(raw)
+        assert status == 200
+        assert document["status"] == "error"
+        assert document["error"].startswith("parse error at 1:")
+        assert f"nesting deeper than {MAX_NESTING}" in document["error"]
+
     def test_missing_length_is_411(self, served):
         server, _ = served
         connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
