@@ -140,46 +140,66 @@ def _instr_line(
     label: Dict[str, str],
     array: Dict[str, str],
 ) -> str:
-    if isinstance(instr, BinOp):
-        return f"bin {instr.op} {temp[instr.dest.name]} {value(instr.lhs)} {value(instr.rhs)}"
-    if isinstance(instr, UnOp):
-        return f"un {instr.op} {temp[instr.dest.name]} {value(instr.operand)}"
-    if isinstance(instr, Cmp):
-        return f"cmp {instr.op} {temp[instr.dest.name]} {value(instr.lhs)} {value(instr.rhs)}"
-    if isinstance(instr, Copy):
-        return f"copy {temp[instr.dest.name]} {value(instr.src)}"
-    if isinstance(instr, Phi):
-        incomings = ",".join(
-            f"{label[pred]}:{value(operand)}" for pred, operand in instr.incomings
-        )
-        return f"phi {temp[instr.dest.name]} {incomings}"
-    if isinstance(instr, Pi):
-        parent = temp[instr.parent] if instr.parent is not None else "-"
-        return (
-            f"pi {temp[instr.dest.name]} {value(instr.src)} "
-            f"{instr.op} {value(instr.bound)} {parent}"
-        )
-    if isinstance(instr, Load):
-        return f"load {temp[instr.dest.name]} {array[instr.array]} {value(instr.index)}"
-    if isinstance(instr, Store):
-        return f"store {array[instr.array]} {value(instr.index)} {value(instr.value)}"
-    if isinstance(instr, Call):
-        dest = temp[instr.dest.name] if instr.dest is not None else "-"
-        args = ",".join(value(arg) for arg in instr.args)
-        # Callee names are global identity: never normalized.
-        return f"call {dest} {instr.callee} {args}"
-    if isinstance(instr, Input):
-        return f"input {temp[instr.dest.name]}"
-    if isinstance(instr, Jump):
-        return f"jump {label[instr.target]}"
-    if isinstance(instr, Branch):
-        return (
-            f"branch {value(instr.cond)} "
-            f"{label[instr.true_target]} {label[instr.false_target]}"
-        )
-    if isinstance(instr, Return):
-        return f"return {value(instr.value)}"
-    raise TypeError(f"unknown instruction {instr!r}")
+    line = _LINES.get(type(instr))
+    if line is None:
+        raise TypeError(f"unknown instruction {instr!r}")
+    return line(instr, value, temp, label, array)
+
+
+def _call_line(instr: Call, value, temp, label, array) -> str:
+    dest = temp[instr.dest.name] if instr.dest is not None else "-"
+    args = ",".join(value(arg) for arg in instr.args)
+    # Callee names are global identity: never normalized.
+    return f"call {dest} {instr.callee} {args}"
+
+
+def _phi_line(instr: Phi, value, temp, label, array) -> str:
+    # The incomings are named before the destination.
+    incomings = ",".join(
+        f"{label[pred]}:{value(operand)}" for pred, operand in instr.incomings
+    )
+    return f"phi {temp[instr.dest.name]} {incomings}"
+
+
+def _pi_line(instr: Pi, value, temp, label, array) -> str:
+    parent = temp[instr.parent] if instr.parent is not None else "-"
+    return (
+        f"pi {temp[instr.dest.name]} {value(instr.src)} "
+        f"{instr.op} {value(instr.bound)} {parent}"
+    )
+
+
+#: One serializer per instruction class.  Each names its operands in a
+#: fixed order, which is the order the namers hand out tokens in.
+_LINES: Dict[type, Callable[..., str]] = {
+    BinOp: lambda i, value, temp, label, array: (
+        f"bin {i.op} {temp[i.dest.name]} {value(i.lhs)} {value(i.rhs)}"
+    ),
+    UnOp: lambda i, value, temp, label, array: (
+        f"un {i.op} {temp[i.dest.name]} {value(i.operand)}"
+    ),
+    Cmp: lambda i, value, temp, label, array: (
+        f"cmp {i.op} {temp[i.dest.name]} {value(i.lhs)} {value(i.rhs)}"
+    ),
+    Copy: lambda i, value, temp, label, array: (
+        f"copy {temp[i.dest.name]} {value(i.src)}"
+    ),
+    Phi: _phi_line,
+    Pi: _pi_line,
+    Load: lambda i, value, temp, label, array: (
+        f"load {temp[i.dest.name]} {array[i.array]} {value(i.index)}"
+    ),
+    Store: lambda i, value, temp, label, array: (
+        f"store {array[i.array]} {value(i.index)} {value(i.value)}"
+    ),
+    Call: _call_line,
+    Input: lambda i, value, temp, label, array: f"input {temp[i.dest.name]}",
+    Jump: lambda i, value, temp, label, array: f"jump {label[i.target]}",
+    Branch: lambda i, value, temp, label, array: (
+        f"branch {value(i.cond)} {label[i.true_target]} {label[i.false_target]}"
+    ),
+    Return: lambda i, value, temp, label, array: f"return {value(i.value)}",
+}
 
 
 def _digest(text: str, salt: str) -> str:

@@ -12,7 +12,12 @@ Typical pipeline::
 """
 
 from repro.ir.assertions import insert_assertions
-from repro.ir.cfg import CFG, remove_unreachable_blocks, split_critical_edges
+from repro.ir.cfg import (
+    CFG,
+    prune_unreachable_blocks,
+    remove_unreachable_blocks,
+    split_critical_edges,
+)
 from repro.ir.dominance import DominatorTree
 from repro.ir.function import BasicBlock, Function, Module
 from repro.ir.instructions import (
@@ -55,6 +60,12 @@ def prepare_for_analysis(function: Function, assertions: bool = True) -> SSAInfo
     a unique destination, inserts assertion (Pi) nodes, and rewrites into
     SSA form.  Returns the :class:`SSAInfo` from SSA construction.
 
+    The structure is computed once: the reachability walk yields the
+    predecessor counts that edge splitting keeps current and assertion
+    insertion reads, and one :class:`CFG` snapshot taken after splitting
+    (assertions and SSA add no edges) serves SSA construction and the
+    verifier, together with its memoised dominator tree.
+
     Each stage runs under a tracer span ("cfg-cleanup" / "assert" /
     "ssa"), so phase timings cover the whole pipeline when a tracer is
     active; the default NullTracer makes the spans no-ops.
@@ -63,15 +74,16 @@ def prepare_for_analysis(function: Function, assertions: bool = True) -> SSAInfo
 
     tracer = tracing.active()
     with tracer.span("cfg-cleanup"):
-        remove_unreachable_blocks(function)
-        split_critical_edges(function)
+        _, pred_count = prune_unreachable_blocks(function)
+        split_critical_edges(function, pred_count)
+        cfg = CFG(function)
     if assertions:
         with tracer.span("assert"):
-            insert_assertions(function)
+            insert_assertions(function, pred_count)
     with tracer.span("ssa"):
-        info = construct_ssa(function)
+        info = construct_ssa(function, cfg)
         verify_function(
-            function, ssa=True, param_names=set(info.param_names.values())
+            function, ssa=True, param_names=set(info.param_names.values()), cfg=cfg
         )
     return info
 
@@ -128,6 +140,7 @@ __all__ = [
     "insert_assertions",
     "prepare_for_analysis",
     "prepare_module",
+    "prune_unreachable_blocks",
     "remove_unreachable_blocks",
     "split_critical_edges",
     "verify_function",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.ir.cfg import predecessor_counts
 from repro.ir.function import Function
 from repro.ir.instructions import (
     Branch,
@@ -29,18 +30,20 @@ from repro.ir.instructions import (
 from repro.ir.values import Constant, Temp, Value
 
 
-def insert_assertions(function: Function) -> int:
+def insert_assertions(
+    function: Function, pred_count: Optional[Dict[str, int]] = None
+) -> int:
     """Insert Pi nodes for every conditional branch; returns count inserted.
 
     For a branch on ``lhs relop rhs`` the true successor receives
     ``lhs = pi lhs assuming (lhs relop rhs)`` (and the swapped assertion
     for ``rhs`` when it is a variable); the false successor receives the
-    negated assertions.
+    negated assertions.  ``pred_count`` is the predecessor count
+    :func:`~repro.ir.cfg.split_critical_edges` left (recounted when
+    omitted).
     """
-    pred_count: Dict[str, int] = {label: 0 for label in function.blocks}
-    for block in function.blocks.values():
-        for succ in block.successors():
-            pred_count[succ] += 1
+    if pred_count is None:
+        pred_count = predecessor_counts(function)
 
     inserted = 0
     for block in list(function.blocks.values()):

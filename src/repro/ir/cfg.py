@@ -8,10 +8,10 @@ critical-edge splitting (needed so each assertion edge has its own block).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.ir.function import BasicBlock, Function
-from repro.ir.instructions import Branch, Jump, Phi
+from repro.ir.instructions import Branch, Jump
 
 Edge = Tuple[str, str]
 
@@ -24,6 +24,8 @@ class CFG:
 
     def __init__(self, function: Function):
         self.function = function
+        # The entry the traversal orders start from.
+        self.entry = function.entry_label
         self.successors: Dict[str, List[str]] = {}
         self.predecessors: Dict[str, List[str]] = {label: [] for label in function.blocks}
         for label, block in function.blocks.items():
@@ -35,23 +37,27 @@ class CFG:
                 self.predecessors[succ].append(label)
         self._back_edges: FrozenSet[Edge] = frozenset()
         self._dfs_order: List[str] = []
+        self._postorder: List[str] = []
         self._compute_dfs()
 
     # -- traversal ---------------------------------------------------------
 
     def _compute_dfs(self) -> None:
-        entry = self.function.entry_label
+        """One DFS from the entry: pre-order, post-order and back edges."""
+        entry = self.entry
         assert entry is not None
+        successors = self.successors
         color: Dict[str, int] = {}  # 0 unseen (absent), 1 on stack, 2 done
         back_edges: Set[Edge] = set()
         order: List[str] = []
+        postorder: List[str] = []
         # Iterative DFS with explicit colour marking to find back edges.
         stack: List[Tuple[str, int]] = [(entry, 0)]
         color[entry] = 1
         order.append(entry)
         while stack:
             node, child_index = stack.pop()
-            succs = self.successors[node]
+            succs = successors[node]
             if child_index < len(succs):
                 stack.append((node, child_index + 1))
                 child = succs[child_index]
@@ -64,8 +70,10 @@ class CFG:
                     back_edges.add((node, child))
             else:
                 color[node] = 2
+                postorder.append(node)
         self._back_edges = frozenset(back_edges)
         self._dfs_order = order
+        self._postorder = postorder
 
     @property
     def back_edges(self) -> FrozenSet[Edge]:
@@ -80,25 +88,7 @@ class CFG:
         return list(self._dfs_order)
 
     def reverse_postorder(self) -> List[str]:
-        entry = self.function.entry_label
-        assert entry is not None
-        visited: Set[str] = set()
-        postorder: List[str] = []
-        stack: List[Tuple[str, int]] = [(entry, 0)]
-        visited.add(entry)
-        while stack:
-            node, child_index = stack.pop()
-            succs = self.successors[node]
-            if child_index < len(succs):
-                stack.append((node, child_index + 1))
-                child = succs[child_index]
-                if child not in visited:
-                    visited.add(child)
-                    stack.append((child, 0))
-            else:
-                postorder.append(node)
-        postorder.reverse()
-        return postorder
+        return self._postorder[::-1]
 
     def reachable(self) -> Set[str]:
         return set(self._dfs_order)
@@ -117,7 +107,9 @@ class CFG:
         return len(self.successors[src]) > 1 and len(self.predecessors[dst]) > 1
 
 
-def split_critical_edges(function: Function) -> int:
+def split_critical_edges(
+    function: Function, pred_count: Optional[Dict[str, int]] = None
+) -> int:
     """Give every conditional out-edge a destination with a unique predecessor.
 
     Out-edges of a :class:`Branch` whose destination has more than one
@@ -127,11 +119,13 @@ def split_critical_edges(function: Function) -> int:
     incomings are redirected only for the single-slot case).  After this
     pass assertion (Pi) nodes can be placed at the top of each branch
     successor.
+
+    ``pred_count`` (label -> number of predecessors, as
+    :func:`prune_unreachable_blocks` returns it) saves a recount; it is
+    updated in place to describe the split function.
     """
-    pred_count: Dict[str, int] = {label: 0 for label in function.blocks}
-    for block in function.blocks.values():
-        for succ in block.successors():
-            pred_count[succ] += 1
+    if pred_count is None:
+        pred_count = predecessor_counts(function)
     split_count = 0
     for label in list(function.blocks):
         term = function.blocks[label].terminator
@@ -144,6 +138,7 @@ def split_critical_edges(function: Function) -> int:
             mid = function.new_block(hint="split")
             mid.append(Jump(dst))
             setattr(term, slot, mid.label)
+            pred_count[mid.label] = 1
             _redirect_phis(function.block(dst), old_pred=label, new_pred=mid.label)
             split_count += 1
     return split_count
@@ -157,19 +152,52 @@ def _redirect_phis(block: BasicBlock, old_pred: str, new_pred: str) -> None:
         ]
 
 
+def predecessor_counts(function: Function) -> Dict[str, int]:
+    """Number of CFG predecessors of every block (edges, not distinct blocks)."""
+    pred_count: Dict[str, int] = dict.fromkeys(function.blocks, 0)
+    for block in function.blocks.values():
+        for succ in block.successors():
+            pred_count[succ] += 1
+    return pred_count
+
+
+def prune_unreachable_blocks(function: Function) -> Tuple[List[str], Dict[str, int]]:
+    """Delete blocks not reachable from the entry.
+
+    Returns the removed labels and the predecessor count of every block
+    left, ready for :func:`split_critical_edges`.  Phi incomings from
+    removed predecessors are dropped.
+    """
+    blocks = function.blocks
+    entry = function.entry_label
+    assert entry is not None
+    # A plain walk from the entry: the count doubles as the visited set.
+    pred_count: Dict[str, int] = {entry: 0}
+    stack = [entry]
+    while stack:
+        label = stack.pop()
+        for succ in blocks[label].successors():
+            if succ in pred_count:
+                pred_count[succ] += 1
+            elif succ in blocks:
+                pred_count[succ] = 1
+                stack.append(succ)
+            else:
+                raise KeyError(f"terminator of {label} targets unknown block {succ!r}")
+    removed = [label for label in blocks if label not in pred_count]
+    for label in removed:
+        del blocks[label]
+    for block in blocks.values():
+        for phi in block.phis():
+            phi.incomings = [
+                (label, value) for label, value in phi.incomings if label in pred_count
+            ]
+    return removed, pred_count
+
+
 def remove_unreachable_blocks(function: Function) -> List[str]:
     """Delete blocks not reachable from the entry; returns removed labels.
 
     Phi incomings from removed predecessors are dropped.
     """
-    cfg = CFG(function)
-    reachable = cfg.reachable()
-    removed = [label for label in function.blocks if label not in reachable]
-    for label in removed:
-        del function.blocks[label]
-    for block in function.blocks.values():
-        for phi in block.phis():
-            phi.incomings = [
-                (label, value) for label, value in phi.incomings if label in reachable
-            ]
-    return removed
+    return prune_unreachable_blocks(function)[0]

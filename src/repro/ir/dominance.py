@@ -7,7 +7,7 @@ phi placement during SSA construction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.cfg import CFG
 
@@ -23,7 +23,9 @@ class DominatorTree:
         self.idom: Dict[str, Optional[str]] = {}
         self.children: Dict[str, List[str]] = {}
         self.frontier: Dict[str, Set[str]] = {}
-        self._rpo_index: Dict[str, int] = {}
+        # Pre-order number of each block in the tree, and the largest
+        # number in its subtree; built on the first dominance query.
+        self._interval: Optional[Dict[str, Tuple[int, int]]] = None
         self._compute_idoms()
         self._compute_children()
         self._compute_frontiers()
@@ -31,40 +33,43 @@ class DominatorTree:
     # -- immediate dominators (Cooper-Harvey-Kennedy) -----------------------
 
     def _compute_idoms(self) -> None:
+        # Blocks are numbered in reverse post-order (the entry is 0), so
+        # "closer to the entry" is "smaller number" and the two-finger
+        # intersection walks plain integers.
         rpo = self.cfg.reverse_postorder()
-        self._rpo_index = {label: i for i, label in enumerate(rpo)}
-        idom: Dict[str, Optional[str]] = {label: None for label in rpo}
-        idom[self.entry] = self.entry
+        index = {label: i for i, label in enumerate(rpo)}
+        predecessors = self.cfg.predecessors
+        preds = [
+            [index[p] for p in predecessors[label] if p in index] for label in rpo
+        ]
+        doms = [-1] * len(rpo)
+        doms[0] = 0
         changed = True
         while changed:
             changed = False
-            for label in rpo:
-                if label == self.entry:
-                    continue
-                preds = [p for p in self.cfg.predecessors[label] if idom.get(p) is not None]
-                if not preds:
-                    continue
-                new_idom = preds[0]
-                for pred in preds[1:]:
-                    new_idom = self._intersect(idom, new_idom, pred)
-                if idom[label] != new_idom:
-                    idom[label] = new_idom
+            for block in range(1, len(rpo)):
+                new_idom = -1
+                for pred in preds[block]:
+                    if doms[pred] < 0:
+                        continue
+                    if new_idom < 0:
+                        new_idom = pred
+                        continue
+                    a, b = pred, new_idom
+                    while a != b:
+                        while a > b:
+                            a = doms[a]
+                        while b > a:
+                            b = doms[b]
+                    new_idom = a
+                if new_idom >= 0 and doms[block] != new_idom:
+                    doms[block] = new_idom
                     changed = True
+        idom: Dict[str, Optional[str]] = {
+            label: (rpo[doms[i]] if doms[i] >= 0 else None) for i, label in enumerate(rpo)
+        }
         idom[self.entry] = None  # conventional: entry has no idom
         self.idom = idom
-
-    def _intersect(self, idom: Dict[str, Optional[str]], a: str, b: str) -> str:
-        index = self._rpo_index
-        while a != b:
-            while index[a] > index[b]:
-                parent = idom[a]
-                assert parent is not None
-                a = parent
-            while index[b] > index[a]:
-                parent = idom[b]
-                assert parent is not None
-                b = parent
-        return a
 
     def _compute_children(self) -> None:
         self.children = {label: [] for label in self.idom}
@@ -90,13 +95,37 @@ class DominatorTree:
     # -- queries -------------------------------------------------------------
 
     def dominates(self, a: str, b: str) -> bool:
-        """True when block ``a`` dominates block ``b`` (reflexively)."""
-        node: Optional[str] = b
-        while node is not None:
-            if node == a:
-                return True
-            node = self.idom[node]
-        return False
+        """True when block ``a`` dominates block ``b`` (reflexively).
+
+        Constant time: ``a`` dominates ``b`` exactly when ``b``'s
+        pre-order number in the dominator tree falls inside ``a``'s
+        subtree.  A block outside the tree (unreachable) dominates
+        only itself and is dominated only by itself.
+        """
+        if a == b:
+            return True
+        interval = self._interval
+        if interval is None:
+            interval = self._number_tree()
+        outer = interval.get(a)
+        inner = interval.get(b)
+        if outer is None or inner is None:
+            return False
+        return outer[0] <= inner[0] <= outer[1]
+
+    def _number_tree(self) -> Dict[str, Tuple[int, int]]:
+        order = self.dom_tree_preorder()
+        number = {label: i for i, label in enumerate(order)}
+        last = list(range(len(order)))
+        # Children come after their parent in pre-order, so one reverse
+        # sweep hands every subtree's largest number up to its root.
+        idom = self.idom
+        for i in range(len(order) - 1, 0, -1):
+            parent = number[idom[order[i]]]
+            if last[i] > last[parent]:
+                last[parent] = last[i]
+        self._interval = {label: (i, last[i]) for i, label in enumerate(order)}
+        return self._interval
 
     def strictly_dominates(self, a: str, b: str) -> bool:
         return a != b and self.dominates(a, b)

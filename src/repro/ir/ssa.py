@@ -16,7 +16,22 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.cfg import CFG
 from repro.ir.function import Function
-from repro.ir.instructions import Instruction, Phi, Pi
+from repro.ir.instructions import (
+    BinOp,
+    Branch,
+    Call,
+    Cmp,
+    Copy,
+    Input,
+    Instruction,
+    Jump,
+    Load,
+    Phi,
+    Pi,
+    Return,
+    Store,
+    UnOp,
+)
 from repro.ir.values import Temp, UNDEF, Value
 
 PARAM_DEF = "<param>"
@@ -34,111 +49,132 @@ class SSAInfo:
         self.phi_count = 0
 
 
-def construct_ssa(function: Function) -> SSAInfo:
+def construct_ssa(function: Function, cfg: Optional[CFG] = None) -> SSAInfo:
     """Rewrite ``function`` into SSA form in place.
 
     The function must have no unreachable blocks (run
     :func:`repro.ir.cfg.remove_unreachable_blocks` first) and critical
-    edges should already be split if assertions were inserted.
+    edges should already be split if assertions were inserted.  ``cfg``
+    is a snapshot of the function's current structure to reuse (its
+    memoised dominator tree too); one is built when omitted.
     """
     # The dominator tree comes from the pass layer's single construction
     # site (imported lazily: repro.passes sits above repro.ir).
     from repro.passes.cache import dominator_tree
 
-    cfg = CFG(function)
+    if cfg is None:
+        cfg = CFG(function)
     dom = dominator_tree(cfg)
     info = SSAInfo()
+    blocks = function.blocks
 
     def_blocks, global_names = _collect_names(function)
 
     # -- phi insertion ----------------------------------------------------
-    phi_vars: Dict[Tuple[str, Phi], str] = {}
+    # The phis placed in each block, with the variable each merges; only
+    # these get incoming values from the renaming walk.
+    placed: Dict[str, List[Tuple[Phi, str]]] = {}
+    predecessors = cfg.predecessors
     for var in sorted(global_names):
-        blocks = def_blocks.get(var, set())
-        if not blocks:
+        var_blocks = def_blocks.get(var)
+        if not var_blocks:
             continue
-        for label in dom.iterated_frontier(blocks):
-            block = function.block(label)
-            if len(cfg.predecessors[label]) < 2:
+        for label in dom.iterated_frontier(var_blocks):
+            preds = predecessors[label]
+            if len(preds) < 2:
                 continue
-            phi = Phi(Temp(var), [(pred, Temp(var)) for pred in cfg.predecessors[label]])
-            block.prepend_phi(phi)
-            phi_vars[(label, phi)] = var
+            phi = Phi(Temp(var), [(pred, Temp(var)) for pred in preds])
+            blocks[label].prepend_phi(phi)
+            placed.setdefault(label, []).append((phi, var))
             info.phi_count += 1
 
     # -- renaming ----------------------------------------------------------
-    stacks: Dict[str, List[str]] = {}
+    # Per variable, the stack of SSA values in scope (innermost last)
+    # and the number of versions made so far.
+    stacks: Dict[str, List[Temp]] = {}
     counters: Dict[str, int] = {}
+    original_name = info.original_name
 
-    def fresh(var: str) -> str:
-        index = counters.get(var, 0)
-        counters[var] = index + 1
-        name = f"{var}.{index}"
-        stacks.setdefault(var, []).append(name)
-        info.original_name[name] = var
-        return name
+    def current(operand: Value) -> Value:
+        """The SSA value in scope for a pre-SSA operand."""
+        if operand.__class__ is not Temp:
+            return operand
+        stack = stacks.get(operand.name)
+        return stack[-1] if stack else UNDEF
 
-    def top(var: str) -> Optional[str]:
-        stack = stacks.get(var)
-        return stack[-1] if stack else None
-
-    # Parameters are defined "on entry".
+    # Parameters are defined "on entry"; the walk below defines the rest
+    # the same way: version ``var.N``, pushed on ``var``'s stack.
     for param in function.params:
-        info.param_names[param] = fresh(param)
+        index = counters.get(param, 0)
+        counters[param] = index + 1
+        name = info.param_names[param] = f"{param}.{index}"
+        original_name[name] = param
+        stacks.setdefault(param, []).append(Temp(name))
 
-    def rename_uses(instr: Instruction) -> None:
-        for operand in list(instr.operands()):
-            if isinstance(operand, Temp):
-                current = top(operand.name)
-                instr.replace_operand(operand, Temp(current) if current else UNDEF)
-
-    def rename_block(label: str, pushed: List[str]) -> None:
-        block = function.block(label)
-        for instr in block.instructions:
-            if isinstance(instr, Phi):
-                pass  # incoming values renamed from predecessors
-            elif isinstance(instr, Pi):
-                rename_uses(instr)
-                # Record which SSA variable this assertion derives from.
-                if isinstance(instr.src, Temp):
-                    instr.parent = instr.src.name
-            else:
-                rename_uses(instr)
-            result = instr.result
-            if result is not None:
-                new_name = fresh(result.name)
-                pushed.append(result.name)
-                _set_result(instr, Temp(new_name))
-        for succ in cfg.successors[label]:
-            succ_block = function.block(succ)
-            for phi in succ_block.phis():
-                var = phi_vars.get((succ, phi))
-                if var is None:
-                    continue
-                current = top(var)
-                phi.set_value_for(label, Temp(current) if current else UNDEF)
-
+    successors = cfg.successors
     entry = function.entry_label
     assert entry is not None
-    _walk_iterative(entry, dom, rename_block, stacks)
-    return info
-
-
-def _walk_iterative(entry, dom, rename_block, stacks) -> None:
-    """Dominator-tree walk without Python recursion (deep CFGs are fine)."""
-    stack: List[Tuple[str, Optional[List[str]]]] = [(entry, None)]
-    while stack:
-        label, pushed = stack.pop()
+    # Dominator-tree walk without Python recursion (deep CFGs are fine):
+    # a ``None`` entry visits the block, a list pops the names it pushed.
+    walk: List[Tuple[str, Optional[List[str]]]] = [(entry, None)]
+    while walk:
+        label, pushed = walk.pop()
         if pushed is not None:
-            # Post-visit: pop the names this block defined.
             for var in reversed(pushed):
                 stacks[var].pop()
             continue
-        pushed_here: List[str] = []
-        rename_block(label, pushed_here)
-        stack.append((label, pushed_here))
+        pushed = []
+        for instr in blocks[label].instructions:
+            kind = instr.__class__
+            if kind is Call:
+                instr.args = [current(arg) for arg in instr.args]
+            elif kind is not Phi:  # phi incomings are renamed from predecessors
+                for slot in _OPERAND_SLOTS[kind]:
+                    operand = getattr(instr, slot)
+                    if operand.__class__ is Temp:
+                        stack = stacks.get(operand.name)
+                        setattr(instr, slot, stack[-1] if stack else UNDEF)
+                if kind is Pi and instr.src.__class__ is Temp:
+                    # Record which SSA variable this assertion derives from.
+                    instr.parent = instr.src.name
+            result = instr.result
+            if result is not None:
+                var = result.name
+                index = counters.get(var, 0)
+                counters[var] = index + 1
+                name = f"{var}.{index}"
+                original_name[name] = var
+                instr.dest = value = Temp(name)
+                stacks.setdefault(var, []).append(value)
+                pushed.append(var)
+        for succ in successors[label]:
+            phis = placed.get(succ)
+            if phis:
+                position = predecessors[succ].index(label)
+                for phi, var in phis:
+                    stack = stacks.get(var)
+                    phi.incomings[position] = (label, stack[-1] if stack else UNDEF)
+        walk.append((label, pushed))
         for child in reversed(dom.children[label]):
-            stack.append((child, None))
+            walk.append((child, None))
+    return info
+
+
+#: The operand fields of each instruction class but Phi and Call (whose
+#: operands are lists), renamed in place.
+_OPERAND_SLOTS: Dict[type, Tuple[str, ...]] = {
+    BinOp: ("lhs", "rhs"),
+    UnOp: ("operand",),
+    Cmp: ("lhs", "rhs"),
+    Copy: ("src",),
+    Pi: ("src", "bound"),
+    Load: ("index",),
+    Store: ("index", "value"),
+    Input: (),
+    Jump: (),
+    Branch: ("cond",),
+    Return: ("value",),
+}
 
 
 def _collect_names(function: Function) -> Tuple[Dict[str, Set[str]], Set[str]]:
@@ -150,29 +186,23 @@ def _collect_names(function: Function) -> Tuple[Dict[str, Set[str]], Set[str]]:
     """
     def_blocks: Dict[str, Set[str]] = {}
     global_names: Set[str] = set(function.params)
+    entry = function.entry_label
+    assert entry is not None
     for param in function.params:
-        entry = function.entry_label
-        assert entry is not None
         def_blocks.setdefault(param, set()).add(entry)
     for label, block in function.blocks.items():
         defined_here: Set[str] = set()
         for instr in block.instructions:
-            if isinstance(instr, Phi):
+            if instr.__class__ is Phi:
                 continue
             for operand in instr.operands():
-                if isinstance(operand, Temp) and operand.name not in defined_here:
+                if operand.__class__ is Temp and operand.name not in defined_here:
                     global_names.add(operand.name)
             result = instr.result
             if result is not None:
                 defined_here.add(result.name)
                 def_blocks.setdefault(result.name, set()).add(label)
     return def_blocks, global_names
-
-
-def _set_result(instr: Instruction, new_dest: Temp) -> None:
-    if not hasattr(instr, "dest"):
-        raise TypeError(f"instruction {instr!r} has no destination")
-    instr.dest = new_dest
 
 
 class SSAEdges:

@@ -4,16 +4,20 @@ The verifier catches construction mistakes early: unterminated blocks,
 dangling branch targets, phi/predecessor mismatches, SSA violations
 (double definition, use not dominated by definition), and misplaced
 phis.  It raises :class:`VerificationError` with all problems listed.
+
+A caller that already holds a :class:`~repro.ir.cfg.CFG` snapshot (and
+its memoised dominator tree) can pass it in; the verifier first checks
+that the snapshot still matches the block terminators.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.cfg import CFG
 from repro.ir.function import Function, Module
-from repro.ir.instructions import Instruction, Phi, Pi
-from repro.ir.values import Temp
+from repro.ir.instructions import Branch, Cmp, Copy, Instruction, Jump, Phi, Pi
+from repro.ir.values import Constant, Temp
 
 
 class VerificationError(Exception):
@@ -27,19 +31,75 @@ class VerificationError(Exception):
 
 
 def verify_function(function: Function, ssa: bool = False,
-                    param_names: Optional[Set[str]] = None) -> None:
+                    param_names: Optional[Set[str]] = None,
+                    cfg: Optional[CFG] = None) -> None:
     """Raise :class:`VerificationError` if ``function`` is malformed.
 
     With ``ssa=True`` additionally checks the single-assignment property
     and that every use is dominated by its definition (phi uses are
     checked against the corresponding predecessor block).
+
+    ``cfg`` is a snapshot of the function's structure to reuse (with its
+    memoised dominator tree) instead of building one.  It must still
+    describe the function: a snapshot whose successor lists differ from
+    the blocks' terminators is itself reported as a problem.
     """
     problems: List[str] = []
     if not function.blocks:
         raise VerificationError(function.name, ["function has no blocks"])
 
-    for label, block in function.blocks.items():
-        terminators = [i for i in block.instructions if i.is_terminator()]
+    # One walk over every instruction: block structure, phi/pi order,
+    # the phis and pis of each block, the defining instruction of each
+    # name and, for SSA, the first definition site of each name.
+    blocks = function.blocks
+    successors: Dict[str, List[str]] = {}
+    block_phis: Dict[str, List[Phi]] = {}
+    block_pis: Dict[str, List[Pi]] = {}
+    defs: Dict[str, Instruction] = {}
+    def_site: Dict[str, Tuple[str, int]] = {}
+    redefined: List[str] = []
+    if ssa:
+        entry = function.entry_label
+        assert entry is not None
+        for name in param_names or ():
+            def_site[name] = (entry, -1)
+    for label, block in blocks.items():
+        terminators: List[Instruction] = []
+        order: List[str] = []
+        phis: List[Phi] = []
+        pis: List[Pi] = []
+        phase = 0  # 0: phis may follow, 1: pis may follow, 2: body
+        for index, instr in enumerate(block.instructions):
+            if isinstance(instr, Phi):
+                if phase:
+                    order.append(f"block {label}: phi {instr.dest} after non-phi")
+                else:
+                    phis.append(instr)
+            elif isinstance(instr, Pi):
+                pis.append(instr)
+                if phase == 2:
+                    order.append(f"block {label}: pi {instr.dest} after body instruction")
+                else:
+                    phase = 1
+            else:
+                phase = 2
+                if instr.is_terminator():
+                    terminators.append(instr)
+            result = instr.result
+            if result is not None:
+                name = result.name
+                defs[name] = instr
+                if ssa:
+                    if name in def_site:
+                        redefined.append(
+                            f"SSA violation: {name} defined more than once"
+                        )
+                    else:
+                        def_site[name] = (label, index)
+        if phis:
+            block_phis[label] = phis
+        if pis:
+            block_pis[label] = pis
         if not terminators:
             problems.append(f"block {label} is not terminated")
             continue
@@ -47,32 +107,29 @@ def verify_function(function: Function, ssa: bool = False,
             problems.append(f"block {label} has multiple terminators")
         if block.instructions[-1] is not terminators[0]:
             problems.append(f"block {label} has instructions after terminator")
-        phis_done = False
-        pis_done = False
-        for instr in block.instructions:
-            if isinstance(instr, Phi):
-                if phis_done:
-                    problems.append(f"block {label}: phi {instr.dest} after non-phi")
-            elif isinstance(instr, Pi):
-                phis_done = True
-                if pis_done:
-                    problems.append(
-                        f"block {label}: pi {instr.dest} after body instruction"
-                    )
-            else:
-                phis_done = True
-                pis_done = True
-        for succ in terminators[0].successors():
-            if succ not in function.blocks:
+        problems.extend(order)
+        succs = successors[label] = terminators[0].successors()
+        for succ in succs:
+            if succ not in blocks:
                 problems.append(f"block {label} targets unknown block {succ!r}")
 
     if problems:
         raise VerificationError(function.name, problems)
 
-    cfg = CFG(function)
-    for label, block in function.blocks.items():
+    if cfg is None:
+        cfg = CFG(function)
+    elif (
+        cfg.function is not function
+        or cfg.entry != function.entry_label
+        or cfg.successors != successors
+    ):
+        raise VerificationError(
+            function.name,
+            ["CFG snapshot is stale: it no longer matches the block terminators"],
+        )
+    for label, phis in block_phis.items():
         preds = set(cfg.predecessors[label])
-        for phi in block.phis():
+        for phi in phis:
             incoming_labels = [lbl for lbl, _ in phi.incomings]
             if set(incoming_labels) != preds:
                 problems.append(
@@ -82,10 +139,14 @@ def verify_function(function: Function, ssa: bool = False,
             if len(set(incoming_labels)) != len(incoming_labels):
                 problems.append(f"phi {phi.dest} in {label}: duplicate incoming labels")
 
-    problems.extend(_check_pis(function, cfg))
+    reachable = cfg.reachable()
+    problems.extend(_check_pis(function, cfg, reachable, block_pis, defs))
 
     if ssa:
-        problems.extend(_check_ssa(function, cfg, param_names or set()))
+        if redefined:
+            problems.extend(redefined)
+        else:
+            problems.extend(_check_dominance(function, cfg, reachable, def_site))
 
     if problems:
         raise VerificationError(function.name, problems)
@@ -99,9 +160,6 @@ def _root_of(name: str, defs: Dict[str, Instruction]):
     differ by a chain of copies.  Returns ``("name", root)`` or, when
     the chain ends in a copy of a constant, ``("const", value)``.
     """
-    from repro.ir.instructions import Copy
-    from repro.ir.values import Constant
-
     seen = set()
     while name not in seen:
         seen.add(name)
@@ -119,26 +177,18 @@ def _root_of(name: str, defs: Dict[str, Instruction]):
     return ("name", name)
 
 
-def _check_pis(function: Function, cfg: CFG) -> List[str]:
+def _check_pis(
+    function: Function,
+    cfg: CFG,
+    reachable: Set[str],
+    block_pis: Dict[str, List[Pi]],
+    defs: Dict[str, Instruction],
+) -> List[str]:
     """Check pi placement: assertion position, unique predecessor, and
     that each pi names (a copy of) the controlling variable of the
     predecessor's conditional branch."""
-    from repro.ir.instructions import Branch, Cmp, Jump
-    from repro.ir.values import Constant
-
     problems: List[str] = []
-    reachable = cfg.reachable()
-    defs: Dict[str, Instruction] = {}
-    for block in function.blocks.values():
-        for instr in block.instructions:
-            result = instr.result
-            if result is not None:
-                defs[result.name] = instr
-
-    for label, block in function.blocks.items():
-        pis = block.pis()
-        if not pis:
-            continue
+    for label, pis in block_pis.items():
         if label not in reachable:
             continue
         preds = cfg.predecessors[label]
@@ -183,29 +233,17 @@ def _check_pis(function: Function, cfg: CFG) -> List[str]:
     return problems
 
 
-def _check_ssa(function: Function, cfg: CFG, param_names: Set[str]) -> List[str]:
-    problems: List[str] = []
-    def_site: Dict[str, tuple] = {}
-    entry = function.entry_label
-    assert entry is not None
-    for name in param_names:
-        def_site[name] = (entry, -1)
-    for label, block in function.blocks.items():
-        for index, instr in enumerate(block.instructions):
-            result = instr.result
-            if result is None:
-                continue
-            if result.name in def_site:
-                problems.append(f"SSA violation: {result.name} defined more than once")
-            else:
-                def_site[result.name] = (label, index)
-    if problems:
-        return problems
-
+def _check_dominance(
+    function: Function,
+    cfg: CFG,
+    reachable: Set[str],
+    def_site: Dict[str, Tuple[str, int]],
+) -> List[str]:
+    """Every use of a name is dominated by its (single) definition."""
     from repro.passes.cache import dominator_tree
 
-    dom = dominator_tree(cfg)
-    reachable = cfg.reachable()
+    problems: List[str] = []
+    dominates = dominator_tree(cfg).dominates
     for label, block in function.blocks.items():
         if label not in reachable:
             continue
@@ -219,7 +257,7 @@ def _check_ssa(function: Function, cfg: CFG, param_names: Set[str]) -> List[str]
                         problems.append(
                             f"phi {instr.dest} reads undefined {value.name}"
                         )
-                    elif pred_label in reachable and not dom.dominates(site[0], pred_label):
+                    elif pred_label in reachable and not dominates(site[0], pred_label):
                         problems.append(
                             f"phi {instr.dest}: {value.name} (defined in {site[0]}) does "
                             f"not dominate incoming edge from {pred_label}"
@@ -241,7 +279,7 @@ def _check_ssa(function: Function, cfg: CFG, param_names: Set[str]) -> List[str]
                             f"{label}[{index}] {instr!r} uses {operand.name} before "
                             f"its definition in the same block"
                         )
-                elif not dom.dominates(def_label, label):
+                elif not dominates(def_label, label):
                     problems.append(
                         f"{label}[{index}] {instr!r}: definition of {operand.name} "
                         f"in {def_label} does not dominate the use"

@@ -27,6 +27,10 @@ class LexError(Exception):
         super().__init__(f"lex error at {line}:{column}: {message}")
 
 
+#: The longest decimal literal accepted: Python 3.11's default limit on
+#: int/str conversion, enforced here so every Python version agrees.
+MAX_DECIMAL_DIGITS = 4300
+
 # ``OPERATORS`` lists the two-character operators first, so trying the
 # alternatives in order is maximal munch.
 _SYMBOLS = "|".join(re.escape(symbol) for symbol in OPERATORS + PUNCTUATION)
@@ -75,6 +79,12 @@ def tokenize(source: str) -> List[Token]:
         elif group == _SYMBOL:
             append(Token(_SYMBOL_KIND[text], text, line, column))
         elif group == _INT:
+            if len(text) > MAX_DECIMAL_DIGITS:
+                raise LexError(
+                    f"decimal literal longer than {MAX_DECIMAL_DIGITS} digits",
+                    line,
+                    column,
+                )
             append(Token(TokenKind.INT, text, line, column, int(text)))
         elif group == _HEX:
             try:

@@ -1,5 +1,8 @@
 """Dominator tree and dominance frontier tests."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.ir.cfg import CFG
 from repro.ir.dominance import DominatorTree
 from repro.ir.function import BasicBlock, Function
@@ -121,3 +124,67 @@ class TestDominanceFrontiers:
         order = dom.dom_tree_preorder()
         assert order[0] == "entry"
         assert set(order) == {"entry", "a", "b", "join"}
+
+
+def _chain_dominates(dom: DominatorTree, a: str, b: str) -> bool:
+    """The definition by walking ``b``'s immediate-dominator chain."""
+    node = b
+    while node is not None:
+        if node == a:
+            return True
+        node = dom.idom[node]
+    return False
+
+
+def _reaches_avoiding(function: Function, avoid: str, target: str) -> bool:
+    """Whether ``target`` is reachable from the entry without visiting ``avoid``."""
+    seen = {function.entry_label}
+    stack = [function.entry_label]
+    while stack:
+        label = stack.pop()
+        if label == target:
+            return True
+        for succ in function.block(label).successors():
+            if succ != avoid and succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return False
+
+
+@st.composite
+def random_cfgs(draw):
+    """A function of 1-12 blocks with 0-2 successors each, some unreachable."""
+    count = draw(st.integers(min_value=1, max_value=12))
+    labels = [f"b{i}" for i in range(count)]
+    function = Function("g")
+    for label in labels:
+        function.add_block(BasicBlock(label))
+    for label in labels:
+        block = function.block(label)
+        succs = draw(st.lists(st.sampled_from(labels), max_size=2))
+        if not succs:
+            block.append(Return(Constant(0)))
+        elif len(succs) == 1:
+            block.append(Jump(succs[0]))
+        else:
+            block.append(Branch(Temp("c"), succs[0], succs[1]))
+    return function
+
+
+class TestIntervalDominance:
+    @settings(max_examples=200, deadline=None)
+    @given(random_cfgs())
+    def test_interval_test_agrees_with_the_idom_chain(self, function):
+        dom = DominatorTree(CFG(function))
+        labels = list(function.blocks)
+        for a in labels:
+            for b in labels:
+                if b not in dom.idom:
+                    # Outside the tree a block dominates only itself.
+                    assert dom.dominates(a, b) == (a == b)
+                    continue
+                expected = _chain_dominates(dom, a, b)
+                assert dom.dominates(a, b) == expected, (a, b)
+                if a != b and a != function.entry_label:
+                    # And with the definition: every path to b passes a.
+                    assert expected == (not _reaches_avoiding(function, a, b))

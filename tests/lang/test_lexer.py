@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lang.lexer import LexError, tokenize
+from repro.lang.lexer import MAX_DECIMAL_DIGITS, LexError, tokenize
 from repro.lang.tokens import TokenKind
 
 
@@ -197,3 +197,21 @@ class TestUnicodeAndEdges:
         with pytest.raises(LexError) as excinfo:
             tokenize("e\u0301")
         assert excinfo.value.column == 2
+
+    def test_longest_decimal_literal_is_accepted(self):
+        assert MAX_DECIMAL_DIGITS == 4300
+        token = tokenize("9" * 4300)[0]
+        assert token.value == 10 ** 4300 - 1
+
+    @pytest.mark.parametrize("digits", [4301, 5000])
+    def test_longer_decimal_literal_is_a_lex_error(self, digits):
+        # On Python 3.11, int() would raise ValueError past 4300 digits;
+        # the lexer reports it the same way on every version.
+        with pytest.raises(LexError) as excinfo:
+            tokenize("var x;\n  x = " + "7" * digits + ";")
+        assert str(excinfo.value) == (
+            "lex error at 2:7: decimal literal longer than 4300 digits"
+        )
+
+    def test_long_hex_literal_is_not_limited(self):
+        assert tokenize("0x" + "f" * 5000)[0].value == 16 ** 5000 - 1
