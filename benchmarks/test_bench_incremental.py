@@ -178,7 +178,6 @@ def test_work_counts_unchanged_with_incremental_imported():
     measurement -- the same gate the observability layers ship under.
     """
     import repro.incremental  # noqa: F401
-    import repro.incremental.depgraph  # noqa: F401
     import repro.incremental.driver  # noqa: F401
     import repro.incremental.fingerprint  # noqa: F401
     import repro.incremental.serialize  # noqa: F401

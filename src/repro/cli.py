@@ -30,7 +30,7 @@ Commands:
 * ``watch FILE...``  -- re-run ``predict``/``check``/``ranges`` whenever
   a watched file changes, replaying unchanged functions from the
   incremental summary store (``docs/INCREMENTAL.md``) so each recheck
-  re-analyses only the edited function plus its summary-dependents.
+  re-analyses only the call-graph component holding the edit.
 
 ``predict`` and ``check`` accept ``--incremental`` (with an optional
 ``--store-dir DIR`` for a cross-run on-disk store) to replay unchanged
@@ -109,22 +109,21 @@ def _config_from_args(args: argparse.Namespace) -> VRPConfig:
         track_arrays=args.track_arrays,
         sanitize=getattr(args, "sanitize", False),
         context_depth=max(0, getattr(args, "context_depth", 0)),
-        incremental=bool(getattr(args, "incremental", False)),
     )
 
 
-def _incremental_store(args: argparse.Namespace):
+def _incremental_store(incremental: bool, store_dir: Optional[str]):
     """The incremental summary store for this invocation, or ``None``.
 
     ``--incremental`` alone gets a process-local in-memory store (useful
     once per process only through ``watch``); ``--store-dir`` adds the
     on-disk tier so summaries survive across invocations.
     """
-    if not getattr(args, "incremental", False):
+    if not incremental:
         return None
     from repro.incremental import IncrementalStore
 
-    return IncrementalStore(disk_dir=getattr(args, "store_dir", None))
+    return IncrementalStore(disk_dir=store_dir)
 
 
 def _prepare(args: argparse.Namespace):
@@ -145,7 +144,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     predictor = VRPPredictor(
         config=_config_from_args(args),
         interprocedural=not args.intra,
-        incremental_store=_incremental_store(args),
+        incremental_store=_incremental_store(
+            getattr(args, "incremental", False), getattr(args, "store_dir", None)
+        ),
     )
     emit_metrics = getattr(args, "emit_metrics", None)
     if emit_metrics:
@@ -267,7 +268,7 @@ def _check_file(item):
     plain dict; compile errors come back under an ``error`` key instead
     of raising, so one bad file fails the run cleanly from the parent.
     """
-    path, config, intra, fmt, with_metrics, fail_on, store_dir = item
+    path, config, intra, fmt, with_metrics, fail_on, incremental, store_dir = item
     from repro.diagnostics import check_module, render_json, render_sarif, render_text
     from repro.lang import LexError, LoweringError, ParseError
 
@@ -281,13 +282,10 @@ def _check_file(item):
     # The store is built per worker (it holds a lock and is not
     # picklable); the on-disk tier under ``store_dir`` is what the
     # worker processes actually share.
-    store = None
-    if config.incremental:
-        from repro.incremental import IncrementalStore
-
-        store = IncrementalStore(disk_dir=store_dir)
     predictor = VRPPredictor(
-        config=config, interprocedural=not intra, incremental_store=store
+        config=config,
+        interprocedural=not intra,
+        incremental_store=_incremental_store(incremental, store_dir),
     )
     program = module.name if path == "-" else path
     if with_metrics:
@@ -369,6 +367,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             args.format,
             bool(emit_metrics),
             args.fail_on,
+            bool(getattr(args, "incremental", False)),
             store_dir,
         )
         for path in files
@@ -925,7 +924,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_watch(args: argparse.Namespace) -> int:
     from repro.diagnostics import check_module, render_json, render_sarif, render_text
-    from repro.incremental import IncrementalStore
     from repro.incremental.watch import run_watch
     from repro.lang import LexError, LoweringError, ParseError
     from repro import rendering
@@ -933,10 +931,9 @@ def cmd_watch(args: argparse.Namespace) -> int:
     if "-" in args.files:
         raise SystemExit("error: watch needs real files, not stdin ('-')")
     config = _config_from_args(args)
-    config.incremental = True  # the whole point of the watch loop
     # One store for the whole loop: the in-memory tier is what makes
     # the second and later rechecks cheap; --store-dir persists it.
-    store = IncrementalStore(disk_dir=getattr(args, "store_dir", None))
+    store = _incremental_store(True, getattr(args, "store_dir", None))
     command = args.command
 
     def render(path: str, source: str):

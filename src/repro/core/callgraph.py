@@ -3,12 +3,15 @@
 Interprocedural value range propagation processes callees before callers
 where possible (so return ranges are available) and iterates over
 recursive components.  The call graph provides that order via Tarjan
-SCC condensation.
+SCC condensation, computed once per graph, and splits the module into
+weakly connected components, each of which has a self-contained fixed
+point.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, NamedTuple, Set, Tuple
 
 from repro.ir.function import Function, Module
 from repro.ir.instructions import Call
@@ -32,8 +35,19 @@ class CallSite:
         return f"CallSite({self.caller} -> {self.callee} at {self.block_label})"
 
 
+class Component(NamedTuple):
+    """One weakly connected component of the call graph."""
+
+    #: Function names, callees first (the :meth:`CallGraph.bottom_up_order`
+    #: order restricted to the component).
+    members: Tuple[str, ...]
+    #: The call sites inside the members, in ``CallGraph.call_sites`` order.
+    call_sites: Tuple[CallSite, ...]
+
+
 class CallGraph:
-    """Functions, their call sites, and SCC-based orders."""
+    """Functions, their call sites, and SCC-based orders: a snapshot of
+    the module, its SCCs and components computed once, on first use."""
 
     def __init__(self, module: Module):
         self.module = module
@@ -61,14 +75,61 @@ class CallGraph:
         return list(self._by_caller.get(caller, ()))
 
     def is_recursive(self, name: str) -> bool:
-        for scc in self.sccs():
-            if name in scc:
-                return len(scc) > 1 or name in self.callees[name]
-        return False
+        """Whether ``name`` lies on a call cycle (a self-call included)."""
+        return name in self._recursive
 
     def sccs(self) -> List[List[str]]:
         """Strongly connected components in reverse topological order
         (callees before callers)."""
+        return [list(component) for component in self._sccs]
+
+    def bottom_up_order(self) -> List[str]:
+        """Function names, callees before callers."""
+        return [name for component in self._sccs for name in component]
+
+    def components(self) -> List[Component]:
+        """Weakly connected components, ordered by their first member in
+        :meth:`bottom_up_order`.  No call edge crosses one, so each has a
+        self-contained interprocedural fixed point."""
+        return list(self._components)
+
+    @cached_property
+    def _sccs(self) -> Tuple[Tuple[str, ...], ...]:
+        return tuple(tuple(component) for component in self._tarjan())
+
+    @cached_property
+    def _recursive(self) -> FrozenSet[str]:
+        return frozenset(
+            name
+            for component in self._sccs
+            for name in component
+            if len(component) > 1 or name in self.callees[name]
+        )
+
+    @cached_property
+    def _components(self) -> Tuple[Component, ...]:
+        parent = {name: name for name in self.module.functions}
+
+        def root(name: str) -> str:
+            while parent[name] != name:
+                parent[name] = name = parent[parent[name]]
+            return name
+
+        for site in self.call_sites:
+            if site.callee in parent:
+                parent[root(site.callee)] = root(site.caller)
+        members: Dict[str, List[str]] = {}
+        for name in self.bottom_up_order():
+            members.setdefault(root(name), []).append(name)
+        sites: Dict[str, List[CallSite]] = {key: [] for key in members}
+        for site in self.call_sites:
+            sites[root(site.caller)].append(site)
+        return tuple(
+            Component(tuple(names), tuple(sites[key]))
+            for key, names in members.items()
+        )
+
+    def _tarjan(self) -> List[List[str]]:
         index_counter = [0]
         indices: Dict[str, int] = {}
         lowlink: Dict[str, int] = {}
@@ -116,7 +177,3 @@ class CallGraph:
             if name not in indices:
                 strongconnect(name)
         return components
-
-    def bottom_up_order(self) -> List[str]:
-        """Function names, callees before callers."""
-        return [name for component in self.sccs() for name in component]

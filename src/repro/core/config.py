@@ -75,13 +75,6 @@ class VRPConfig:
     # 0 (the default) reproduces the context-insensitive behaviour
     # byte-for-byte; the summary cache bounds the cost of k >= 1.
     context_depth: int = 0
-    # Incremental analysis (``repro.incremental``): replay unchanged
-    # callgraph components from a content-addressed summary store
-    # instead of re-running their interprocedural fixed points.
-    # Behaviour-neutral by the byte-identity contract
-    # (docs/INCREMENTAL.md): rendered predictions and diagnostics are
-    # identical with the store cold, warm, or absent.
-    incremental: bool = False
     # Debug-mode lattice sanitizer: validate engine invariants during
     # propagation (transitions only descend the lattice, pi assertions
     # only narrow, branch out-edge frequencies sum to the block

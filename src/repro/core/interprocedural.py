@@ -6,11 +6,14 @@ weighted merge of the jump functions over its call sites.  Return
 functions flow the callee's merged return range back into call results.
 "The entire program is treated almost as if it were one huge control
 flow graph": we iterate per-function propagation in bottom-up call-graph
-order until parameter and return ranges reach a fixed point (recursive
-components iterate; a round cap bounds pathological cases, and hitting
-it while ranges are still moving raises the
+order until parameter and return ranges reach a fixed point.  No call
+edge crosses a weakly connected component of the call graph, so each
+component is iterated to its own fixed point, callees first (recursive
+components iterate; a round cap bounds pathological cases, and a
+component hitting it while its ranges are still moving raises the
 ``vrp.interprocedural.round_cap`` event plus a counter instead of
-settling silently).
+settling silently).  A summary store may supply a component's converged
+state instead (:mod:`repro.incremental`).
 
 A round re-analyses a function only when an input its last analysis
 read has changed: its effective parameter ranges, or the return range
@@ -18,8 +21,8 @@ of a callee it reads (direct callees at k = 0, every reachable callee
 at k >= 1, since context engines read deeper).  Otherwise the function
 keeps its last prediction -- the engine is deterministic in those
 inputs, so a re-run would reproduce it.  The confirming round of a
-converged module therefore re-runs nothing, while ``rounds`` still
-counts it.
+converged component therefore re-runs nothing, while ``rounds`` still
+counts it; a module reports the most rounds any component used.
 
 Context sensitivity (``VRPConfig.context_depth``, default 0): with
 k >= 1, a call to a provably *range-effect-free* callee is no longer
@@ -43,9 +46,9 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core import counters as counters_mod
-from repro.core.callgraph import CallGraph
+from repro.core.callgraph import CallGraph, CallSite, Component
 from repro.core.config import VRPConfig
-from repro.core.perf.stats import LRUCache, stats as perf_stats
+from repro.core.perf.stats import CacheStats, LRUCache, stats as perf_stats
 from repro.core.propagation import (
     FunctionPrediction,
     HeuristicFn,
@@ -215,7 +218,6 @@ class InterproceduralVRP:
         #: top-level (per-function) engines record here; throwaway
         #: context engines do not describe the functions they analyse.
         self._context_refined: Dict[str, Dict[str, dict]] = {}
-        self.round_cap_hit = False
         #: The callees whose return ranges each function's analysis reads:
         #: its direct callees at k = 0, every reachable callee at k >= 1
         #: (context engines read deeper return ranges).
@@ -231,44 +233,95 @@ class InterproceduralVRP:
 
     # -- driver ---------------------------------------------------------------
 
-    def run(self) -> ModulePrediction:
-        rounds_used = self.run_fixed_point()
+    def run(self, store=None) -> ModulePrediction:
+        """Solve each call-graph component to its fixed point, callees
+        first, then assemble the module-level products once.
+
+        An optional ``store`` is asked for each component's state first
+        (``load(members)``, ``None`` on a miss) and handed each solved
+        one (``save(members, state)``)."""
+        states: List[dict] = []
+        for component in self.callgraph.components():
+            state = store.load(component.members) if store is not None else None
+            if state is None:
+                state = self._solve(component)
+                if store is not None:
+                    store.save(component.members, state)
+            self.predictions.update(state["predictions"])
+            self.param_sets.update(state["param_sets"])
+            self.return_sets.update(state["return_sets"])
+            states.append(state)
+
+        predictions = {
+            name: self.predictions[name] for name in self.callgraph.bottom_up_order()
+        }
         total = counters_mod.Counters()
-        for prediction in self.predictions.values():
+        for prediction in predictions.values():
             total.merge(prediction.counters)
-        total.merge(self._context_counters)
-        total.interprocedural_round_caps += int(self.round_cap_hit)
-        summary_taint, taint_sources = self._compute_taint()
+        summary_cache = CacheStats()
+        taint: Dict[str, Dict[str, Tuple[str, ...]]] = {}
+        sources: Dict[str, Dict[str, dict]] = {}
+        for state in states:
+            total.merge(state["context_counters"])
+            for field, count in state["summary_cache"].items():
+                setattr(summary_cache, field, getattr(summary_cache, field) + count)
+            taint.update(state["taint"])
+            sources.update(state["sources"])
+        round_caps = sum(state["round_cap"] for state in states)
+        total.interprocedural_round_caps += round_caps
+        # An empty module still reports the confirming round.
+        rounds = max((state["rounds"] for state in states), default=2)
         return ModulePrediction(
             self.module,
-            dict(self.predictions),
+            predictions,
             total,
-            rounds_used,
+            rounds,
             summaries=self._build_summaries(),
-            summary_taint=summary_taint,
-            taint_sources=taint_sources,
-            interprocedural=self._stats(rounds_used),
+            # In module order; seed sites are read from the live IR.
+            summary_taint={
+                name: taint[name] for name in self.module.functions if name in taint
+            },
+            taint_sources={
+                name: self._with_sites(sources[name])
+                for name in self.module.functions
+                if name in sources
+            },
+            interprocedural={
+                "rounds": rounds,
+                "max_rounds": self.max_rounds,
+                "converged": round_caps == 0,
+                "round_cap_hits": round_caps,
+                "context_depth": self.context_depth,
+                "contexts_analyzed": sum(s["contexts_analyzed"] for s in states),
+                "summary_cache": summary_cache.as_dict(),
+            },
         )
 
-    def run_fixed_point(self) -> int:
-        """Iterate the rounds only, skipping the module-level products
-        (taint, summaries); returns the number of rounds used."""
+    def _solve(self, component: Component) -> dict:
+        """Iterate one component's rounds to its fixed point.
+
+        Returns the component's state: its functions' predictions, jump
+        and return functions, summary taint (seeds without their sites),
+        and its share of the module's statistics.
+        """
         from repro.observability import events as trace_events
         from repro.observability import tracer as tracing
 
         tracer = tracing.active()
-        order = self.callgraph.bottom_up_order()
-        rounds_used = 0
+        members = component.members
+        self._context_counters = counters_mod.Counters()
+        self._contexts_analyzed = 0
+        before = self._context_cache.record.as_dict()
+        rounds = 0
         changed = False
-        for round_number in range(1, self.max_rounds + 1):
-            rounds_used = round_number
+        for rounds in range(1, self.max_rounds + 1):
             changed = False
             # Memoized context results embed *other* callees' return
             # ranges as of this round; those move between rounds, so the
             # memo is only valid within one (stats stay cumulative).
             self._context_cache.clear()
             with tracer.span("interprocedural-round"):
-                for name in order:
+                for name in members:
                     inputs = self._inputs_of(name)
                     if self._inputs.get(name) == inputs:
                         # Nothing it reads has moved: a re-run would
@@ -279,39 +332,42 @@ class InterproceduralVRP:
                     self.predictions[name] = prediction
                     if self._record_return(name, prediction):
                         changed = True
-                if self._recompute_jump_functions():
+                if self._recompute_jump_functions(component.call_sites):
                     changed = True
-            if not changed and round_number > 1:
+            if not changed and rounds > 1:
                 break
-        if changed and rounds_used == self.max_rounds:
+        if changed:
             # The cap silenced a still-moving fixed point: the ranges of
-            # the recursive components were frozen as-is, not converged.
-            self.round_cap_hit = True
+            # the component's recursive functions were frozen as-is.
             tracer.emit(
                 trace_events.RoundCap(
                     module=self.module.name,
-                    rounds=rounds_used,
-                    functions=tuple(self._recursive_functions()),
+                    rounds=rounds,
+                    functions=tuple(
+                        sorted(m for m in members if self.callgraph.is_recursive(m))
+                    ),
                 )
             )
-        return rounds_used
-
-    def _recursive_functions(self) -> List[str]:
-        out: List[str] = []
-        for component in self.callgraph.sccs():
-            if len(component) > 1 or self.callgraph.is_recursive(component[0]):
-                out.extend(component)
-        return sorted(out)
-
-    def _stats(self, rounds_used: int) -> dict:
+        after = self._context_cache.record.as_dict()
+        taint, sources = self._compute_taint(members)
         return {
-            "rounds": rounds_used,
-            "max_rounds": self.max_rounds,
-            "converged": not self.round_cap_hit,
-            "round_cap_hits": 1 if self.round_cap_hit else 0,
-            "context_depth": self.context_depth,
+            "predictions": {name: self.predictions[name] for name in members},
+            "param_sets": {
+                name: self.param_sets[name]
+                for name in members
+                if name in self.param_sets
+            },
+            "return_sets": {name: self.return_sets[name] for name in members},
+            "taint": taint,
+            "sources": sources,
+            "rounds": rounds,
+            "round_cap": changed,
             "contexts_analyzed": self._contexts_analyzed,
-            "summary_cache": self._context_cache.record.as_dict(),
+            "context_counters": self._context_counters,
+            "summary_cache": {
+                field: after[field] - before[field]
+                for field in ("hits", "misses", "evictions")
+            },
         }
 
     # -- per-function analysis -----------------------------------------------------
@@ -427,20 +483,11 @@ class InterproceduralVRP:
         """
         if not record or call.dest is None or result.is_bottom:
             return
-        site = next(
-            (
-                s
-                for s in self.callgraph.sites_in_caller(engine.function.name)
-                if s.instruction is call
-            ),
-            None,
-        )
         self._context_refined[engine.function.name][call.dest.name] = {
             "kind": "call",
             "function": engine.function.name,
             "callee": call.callee,
             "range": str(result),
-            "sites": [self._site_descriptor(site)] if site is not None else [],
         }
 
     def _analyse_in_context(
@@ -492,11 +539,12 @@ class InterproceduralVRP:
         self.return_sets[name] = new_set
         return True
 
-    def _recompute_jump_functions(self) -> bool:
-        """Merge argument ranges over all call sites, call-frequency weighted."""
+    def _recompute_jump_functions(self, sites: Tuple[CallSite, ...]) -> bool:
+        """Merge argument ranges over ``sites`` (a component's call
+        sites), call-frequency weighted."""
         changed = False
         accumulated: Dict[str, List[List[Tuple[float, RangeSet]]]] = {}
-        for site in self.callgraph.call_sites:
+        for site in sites:
             caller_prediction = self.predictions.get(site.caller)
             if caller_prediction is None:
                 continue
@@ -575,9 +623,10 @@ class InterproceduralVRP:
         )
 
     def _compute_taint(
-        self,
+        self, members: Tuple[str, ...]
     ) -> Tuple[Dict[str, Dict[str, Tuple[str, ...]]], Dict[str, Dict[str, dict]]]:
-        """Which SSA names depend on interprocedural facts, and why.
+        """Which SSA names of ``members`` depend on interprocedural
+        facts, and why.
 
         Seeds are (a) formal parameters of non-entry functions whose
         jump function produced a real range (entry parameters are
@@ -585,13 +634,14 @@ class InterproceduralVRP:
         callee's return range is a real range (⊥ seeds contribute
         nothing a heuristic tag would not already say).  Taint closes
         forward over SSA def-use edges; every tainted name remembers
-        which seeds reach it, so diagnostics can cite the call sites.
+        which seeds reach it, so diagnostics can cite the call sites
+        (:meth:`_with_sites` attaches them).
         """
         taint: Dict[str, Dict[str, Tuple[str, ...]]] = {}
         sources: Dict[str, Dict[str, dict]] = {}
+        member_set = set(members)
         for name, function in self.module.functions.items():
-            prediction = self.predictions.get(name)
-            if prediction is None:
+            if name not in member_set:
                 continue
             info = self.ssa_infos[name]
             seeds: Dict[str, dict] = {}
@@ -605,10 +655,6 @@ class InterproceduralVRP:
                             "function": name,
                             "param": param,
                             "range": str(rangeset),
-                            "sites": [
-                                self._site_descriptor(site)
-                                for site in self.callgraph.sites_of_callee(name)
-                            ],
                         }
             for site in self.callgraph.sites_in_caller(name):
                 instr = site.instruction
@@ -622,7 +668,6 @@ class InterproceduralVRP:
                     "function": name,
                     "callee": site.callee,
                     "range": str(returned),
-                    "sites": [self._site_descriptor(site)],
                 }
             # Context-refined call results (k >= 1): real ranges that
             # exist only per calling context, invisible to the merged
@@ -633,6 +678,32 @@ class InterproceduralVRP:
             sources[name] = seeds
             taint[name] = self._forward_taint(function, info, seeds)
         return taint, sources
+
+    def _with_sites(self, seeds: Dict[str, dict]) -> Dict[str, dict]:
+        """Attach call-site locations, read from the live IR, to one
+        function's taint-seed descriptors.
+
+        A parameter seed cites every call site of its function; a call
+        seed (merged or context-refined) cites the call defining it.  So
+        provenance chains cite current line numbers even when the seeds
+        were replayed from a store after a pure line-shift edit.
+        """
+        out: Dict[str, dict] = {}
+        for seed, descriptor in seeds.items():
+            function = descriptor.get("function")
+            if descriptor.get("kind") == "param":
+                sites = self.callgraph.sites_of_callee(function)
+            else:
+                sites = [
+                    site
+                    for site in self.callgraph.sites_in_caller(function)
+                    if site.instruction.dest is not None
+                    and site.instruction.dest.name == seed
+                ]
+            out[seed] = dict(
+                descriptor, sites=[self._site_descriptor(site) for site in sites]
+            )
+        return out
 
     def _site_descriptor(self, site) -> dict:
         return {
@@ -672,8 +743,13 @@ def analyse_module(
     entry_param_ranges: Optional[Dict[str, RangeSet]] = None,
     max_rounds: int = 8,
     analysis_cache=None,
+    store=None,
 ) -> ModulePrediction:
-    """Run interprocedural value range propagation over a module."""
+    """Run interprocedural value range propagation over a module.
+
+    ``store`` is an optional per-component state source; see
+    :meth:`InterproceduralVRP.run`.
+    """
     driver = InterproceduralVRP(
         module,
         ssa_infos,
@@ -684,4 +760,4 @@ def analyse_module(
         max_rounds=max_rounds,
         analysis_cache=analysis_cache,
     )
-    return driver.run()
+    return driver.run(store=store)

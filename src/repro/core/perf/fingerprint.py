@@ -34,10 +34,6 @@ NEUTRAL_FIELDS = frozenset(
     {
         "sanitize",
         "verify_ir",
-        # Incremental replay is byte-identical to cold analysis
-        # (docs/INCREMENTAL.md), so a server cache warmed without the
-        # summary store still hits with it on, and vice versa.
-        "incremental",
     }
 )
 

@@ -37,11 +37,10 @@ class VRPPredictor(Predictor):
     interprocedural:
         Propagate jump/return functions across calls (paper §3.7).
     incremental_store:
-        A :class:`repro.incremental.IncrementalStore`.  When provided
-        and ``config.incremental`` is set, interprocedural module
-        predictions replay unchanged callgraph components from the
-        store instead of re-running their fixed points; rendered
-        results are byte-identical either way, and
+        A :class:`repro.incremental.IncrementalStore`.  When provided,
+        interprocedural module predictions replay unchanged callgraph
+        components from the store instead of re-running their fixed
+        points; rendered results are byte-identical either way, and
         :attr:`last_incremental` describes what the latest run reused.
     """
 
@@ -106,29 +105,18 @@ class VRPPredictor(Predictor):
             else None
         )
         self.last_incremental = None
-        if (
-            self.interprocedural
-            and self.incremental_store is not None
-            and self.config.incremental
-        ):
-            # Imported lazily: the incremental subsystem is optional at
-            # runtime and must not tax the cold import path.
-            from repro.incremental.driver import analyse_module_incremental
-
-            prediction, outcome = analyse_module_incremental(
-                module,
-                ssa_infos,
-                self.incremental_store,
-                config=self.config,
-                heuristic=heuristic,
-                entry=entry,
-                entry_param_ranges=entry_param_ranges,
-                analysis_cache=analysis_cache,
-            )
-            self.last_incremental = outcome
-            return prediction
         if self.interprocedural:
-            return analyse_module(
+            store = None
+            if self.incremental_store is not None:
+                # Imported lazily: the incremental subsystem is optional
+                # at runtime and must not tax the cold import path.
+                from repro.incremental.driver import ComponentStore
+
+                store = ComponentStore(
+                    self.incremental_store, module, self.config, entry,
+                    entry_param_ranges,
+                )
+            prediction = analyse_module(
                 module,
                 ssa_infos,
                 config=self.config,
@@ -136,7 +124,11 @@ class VRPPredictor(Predictor):
                 entry=entry,
                 entry_param_ranges=entry_param_ranges,
                 analysis_cache=analysis_cache,
+                store=store,
             )
+            if store is not None:
+                self.last_incremental = store.finish()
+            return prediction
         predictions: Dict[str, FunctionPrediction] = {}
         import repro.core.counters as counters_mod
 

@@ -11,19 +11,16 @@ interprocedural fixed point.  This package closes that gap:
   over an atomic sharded on-disk format (the serve tier's result cache
   too), and :class:`IncrementalStore`, the same store mapping component
   fingerprints to per-function summaries, with per-function counters;
-* :mod:`repro.incremental.depgraph` -- the summary dependency graph over
-  the cached callgraph: an edit invalidates exactly the edited function
-  plus its summary-dependents;
-* :mod:`repro.incremental.driver` -- the incremental driver: replay
-  clean components byte-identically, re-run the fixed point only over
-  dirty ones;
+* :mod:`repro.incremental.driver` -- the store as a per-component
+  source for the interprocedural driver: replay clean call-graph
+  components byte-identically, re-run the fixed point only over dirty
+  ones (an edit dirties exactly its weakly connected component);
 * :mod:`repro.incremental.watch` -- the ``repro watch`` polling loop.
 
 See docs/INCREMENTAL.md for the fingerprint contract and the
 invalidation rules.
 """
 
-from repro.incremental.depgraph import SummaryDepGraph
 from repro.incremental.driver import IncrementalOutcome, analyse_module_incremental
 from repro.incremental.fingerprint import (
     canonical_function_text,
@@ -36,7 +33,6 @@ from repro.incremental.store import IncrementalStore
 __all__ = [
     "IncrementalOutcome",
     "IncrementalStore",
-    "SummaryDepGraph",
     "analyse_module_incremental",
     "canonical_function_text",
     "exact_fingerprint",

@@ -219,7 +219,3 @@ def rangeset_map_from_json(
     data, memo: Optional[Dict[bytes, RangeSet]] = None
 ) -> Dict[str, RangeSet]:
     return _from_pairs(data, lambda item: rangeset_from_json(item, memo))
-
-
-def optional_rangeset_to_json(rangeset: Optional[RangeSet]):
-    return None if rangeset is None else rangeset_to_json(rangeset)

@@ -2,8 +2,8 @@
 
 Watches source files, re-renders a file's analysis whenever its content
 changes, and keeps the process-local :class:`IncrementalStore` warm so
-each recheck re-analyses only the edited function plus its
-summary-dependents (see :mod:`repro.incremental.driver`) -- the
+each recheck re-analyses only the call-graph components holding the
+edited functions (see :mod:`repro.incremental.driver`) -- the
 editor-loop mode ROADMAP describes.
 
 The loop is deliberately plain polling (``mtime`` first, then a content

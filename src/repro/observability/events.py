@@ -21,8 +21,8 @@ kind                   meaning
 ``heuristic.chain``    the Ball-Larus heuristics fired on a branch
 ``branch.resolve``     a branch probability was (re)computed
 ``diagnostic.finding`` a static-diagnostics rule fired (``repro check``)
-``vrp.interprocedural.round_cap`` the interprocedural fixed point hit its
-                       round cap while still changing (recursive SCC)
+``vrp.interprocedural.round_cap`` a call-graph component's fixed point hit
+                       the round cap while still changing (recursive SCC)
 ``pass.begin``         the pass manager started running a pass
 ``pass.end``           a pass finished (effect, timing, cache traffic)
 ``server.request.begin`` the serving daemon accepted a request
@@ -175,11 +175,12 @@ class DiagnosticFinding(TraceEvent):
 class RoundCap(TraceEvent):
     """The interprocedural round cap silenced a still-changing fixed point.
 
-    Emitted at most once per module analysis, when round ``max_rounds``
-    still observed a parameter or return range change -- i.e. a
-    recursive SCC had not converged and its last-round ranges were
-    frozen as-is.  ``functions`` names the members of the recursive
-    components (the only functions whose ranges can still be moving).
+    Emitted at most once per weakly connected call-graph component, when
+    its round ``max_rounds`` still observed a parameter or return range
+    change -- i.e. a recursive SCC had not converged and its last-round
+    ranges were frozen as-is.  ``functions`` names the component's
+    recursive members (the only functions whose ranges can still be
+    moving).
     """
 
     kind: ClassVar[str] = "vrp.interprocedural.round_cap"
@@ -244,8 +245,8 @@ class WatchRecheck(TraceEvent):
     """``repro watch`` re-rendered one file after a content change.
 
     ``reanalyzed``/``replayed`` count functions: how many the edit
-    actually invalidated (the edited function plus its
-    summary-dependents) versus how many the incremental store replayed
+    actually invalidated (the call-graph components holding the edited
+    functions) versus how many the incremental store replayed
     byte-identically.
     """
 

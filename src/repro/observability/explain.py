@@ -130,11 +130,10 @@ def explain_module(
     for event in tracer.events_of(HeuristicChain):
         chains[(event.function, event.label)] = event
 
-    capped_functions: set = set()
-    cap_rounds = 0
+    # One event per capped call-graph component: function -> its rounds.
+    cap_rounds: Dict[str, int] = {}
     for event in tracer.events_of(RoundCap):
-        capped_functions.update(event.functions)
-        cap_rounds = event.rounds
+        cap_rounds.update(dict.fromkeys(event.functions, event.rounds))
 
     heuristic_branches = prediction.heuristic_branches()
     out: Dict[Tuple[str, str], BranchExplanation] = {}
@@ -150,9 +149,9 @@ def explain_module(
             if hasattr(prediction, "branch_provenance")
             else ("heuristic" if source == "heuristic" else "intraprocedural"),
         )
-        if function in capped_functions:
+        if function in cap_rounds:
             explanation.notes.append(
-                f"interprocedural round cap hit after {cap_rounds} rounds: "
+                f"interprocedural round cap hit after {cap_rounds[function]} rounds: "
                 f"ranges in this recursive component may not have converged"
             )
         resolution = resolutions.get(key)

@@ -8,9 +8,10 @@ reports), and the
 :func:`repro.core.perf.fingerprint.config_fingerprint` of the engine
 configuration (which is itself salted with the package version, so an
 engine upgrade invalidates the whole cache instead of serving stale
-results).  Behaviour-neutral knobs -- the sanitizer, IR verification,
-incremental replay -- are *excluded* from the key: a cache warmed with
-``--sanitize`` still hits without it.
+results).  Behaviour-neutral knobs -- the sanitizer, IR verification
+-- are *excluded* from the key: a cache warmed with ``--sanitize``
+still hits without it.  Incremental replay is no config field at all
+(the summary store is passed alongside), so it never reaches the key.
 
 Only *deterministic* payloads belong here: the service never caches a
 degraded (timed-out) response, because degradation is a property of the

@@ -115,13 +115,6 @@ def _predict(
     incremental_store=None,
 ):
     module, ssa_infos = _compile(source)
-    if incremental_store is not None and not config.incremental:
-        # ``incremental`` is behaviour-neutral (NEUTRAL_FIELDS), so the
-        # copy shares the request's cache key; the replace only routes
-        # the predictor through the summary store.
-        import dataclasses
-
-        config = dataclasses.replace(config, incremental=True)
     predictor = VRPPredictor(
         config=config,
         interprocedural=not options.get("intra", False),

@@ -16,6 +16,8 @@ The contract under test, in order of importance:
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core import VRPConfig
 from repro.core.callgraph import CallGraph
 from repro.core.interprocedural import InterproceduralVRP, analyse_module
@@ -28,6 +30,7 @@ from repro.core.summaries import (
     compute_purity,
     context_key,
 )
+from repro.incremental import IncrementalStore, analyse_module_incremental
 from repro.ir import prepare_module
 from repro.lang import compile_source
 from repro.observability import Tracer, use
@@ -313,6 +316,37 @@ class TestModuleSummaries:
         assert summaries.of("nope") is None
 
 
+TWO_RECURSIVE_COMPONENTS = """
+func ping(n) {
+  if (n < 1) { return 0; }
+  var r = pong(n - 1);
+  return r + 1;
+}
+
+func pong(n) {
+  if (n < 1) { return 1; }
+  var r = ping(n - 1);
+  return r + 1;
+}
+
+func tick(n) {
+  if (n < 1) { return 2; }
+  var r = tock(n - 1);
+  return r + 2;
+}
+
+func tock(n) {
+  if (n < 1) { return 3; }
+  var r = tick(n - 1);
+  return r + 2;
+}
+
+func main(n) {
+  return ping(40);
+}
+"""
+
+
 class TestRoundCap:
     def test_cap_emits_event_and_counter(self):
         module, ssa = prepare(
@@ -345,6 +379,30 @@ class TestRoundCap:
         assert len(events) == 1
         assert events[0].rounds == 1
         assert set(events[0].functions) >= {"ping", "pong"}
+
+    @pytest.mark.parametrize("path", ["cold", "incremental"])
+    def test_each_component_reports_its_own_cap(self, path):
+        # Two independent recursive components: each hits the cap on
+        # its own, and each event names only its own recursive members.
+        module, ssa = prepare(TWO_RECURSIVE_COMPONENTS)
+        tracer = Tracer()
+        with use(tracer):
+            if path == "cold":
+                prediction = analyse_module(module, ssa, max_rounds=1)
+            else:
+                prediction, _ = analyse_module_incremental(
+                    module, ssa, IncrementalStore(), max_rounds=1
+                )
+        assert prediction.counters.as_dict()["interprocedural_round_caps"] == 2
+        stats = prediction.interprocedural
+        assert stats["round_cap_hits"] == 2
+        assert stats["converged"] is False
+        events = tracer.events_of(RoundCap)
+        assert [event.functions for event in events] == [
+            ("ping", "pong"),
+            ("tick", "tock"),
+        ]
+        assert all(event.rounds == 1 for event in events)
 
     def test_converged_run_reports_no_cap(self):
         module, ssa = prepare(DISPATCH)

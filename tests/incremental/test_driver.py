@@ -42,8 +42,8 @@ class TestByteIdentity:
         assert outcome.store_hits == 3
 
     def test_replay_reproduces_counters_at_depth_zero(self):
-        # At k=0 even the work-count telemetry is part of the contract;
-        # at k>=1 the context memo trajectory differs by design.  The
+        # The work-count telemetry is part of the contract too (the
+        # interprocedural pin test covers k = 1 and 2).  The
         # summary-cache numbers tally into the perf layer's global
         # record, which VRPPredictor resets per run (the CLI surface),
         # so the comparison goes through the predictor.
@@ -52,13 +52,12 @@ class TestByteIdentity:
         module, infos = build(MULTI_COMPONENT)
         cold = VRPPredictor().predict_module(module, infos)
         store = IncrementalStore()
-        config = VRPConfig(incremental=True)
 
         def warm_run():
             warm_module, warm_infos = build(MULTI_COMPONENT)
-            return VRPPredictor(
-                config=config, incremental_store=store
-            ).predict_module(warm_module, warm_infos)
+            return VRPPredictor(incremental_store=store).predict_module(
+                warm_module, warm_infos
+            )
 
         first = warm_run()
         replayed = warm_run()

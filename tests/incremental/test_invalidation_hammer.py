@@ -1,8 +1,8 @@
 """Randomized invalidation hammer over the ``inter`` suite.
 
 For random single-function edits, the incremental driver must
-reanalyze exactly the edited function plus its summary-dependents
-(``SummaryDepGraph.affected``), replay everything else, and render
+reanalyze exactly the edited function's weakly connected call-graph
+component (``CallGraph.components``), replay everything else, and render
 byte-identically to a cold run of the edited module -- at context
 depths 0, 1 and 2.
 """
@@ -16,7 +16,6 @@ from repro.cli import main
 from repro.core.callgraph import CallGraph
 from repro.core.config import VRPConfig
 from repro.core.interprocedural import analyse_module
-from repro.incremental.depgraph import SummaryDepGraph
 from repro.incremental.driver import analyse_module_incremental
 from repro.incremental.fingerprint import module_fingerprints
 from repro.incremental.store import IncrementalStore
@@ -99,9 +98,12 @@ def test_hammer_reanalyzes_exactly_the_affected_set(depth):
             }
             assert changed == {edited_name}, (target, edited_name, changed)
 
-            expected = SummaryDepGraph(CallGraph(edited_module)).affected(
-                changed
-            )
+            expected = {
+                name
+                for component in CallGraph(edited_module).components()
+                if changed & set(component.members)
+                for name in component.members
+            }
             prediction, outcome = analyse_module_incremental(
                 edited_module, edited_infos, store, config=config
             )

@@ -48,7 +48,6 @@ class TestRequestKey:
 
     def test_neutral_config_fields_are_not(self):
         assert key_of(config=VRPConfig(sanitize=True)) == key_of()
-        assert key_of(config=VRPConfig(incremental=True)) == key_of()
         assert key_of(config=VRPConfig(max_ranges=9)) != key_of()
 
 

@@ -28,7 +28,6 @@ class TestConfigFingerprint:
     def test_neutral_fields_do_not_change_it(self):
         base = config_fingerprint(VRPConfig())
         assert config_fingerprint(VRPConfig(sanitize=True)) == base
-        assert config_fingerprint(VRPConfig(incremental=True)) == base
 
     def test_engine_knobs_change_it(self):
         base = config_fingerprint(VRPConfig())
