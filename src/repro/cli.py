@@ -32,6 +32,16 @@ Commands:
   incremental summary store (``docs/INCREMENTAL.md``) so each recheck
   re-analyses only the call-graph component holding the edit.
 
+``predict``, ``check``, ``ranges``, ``ir`` and ``run`` print
+:func:`repro.commands.execute`'s output -- the function the daemon
+answers with -- and every analysis, ``check`` and ``run`` flag is
+generated from :mod:`repro.commands`' option tables, so the CLI and the
+protocol share names, defaults, bounds and choices.  An out-of-range
+value is a usage error (exit 2); a program that fails to lex, parse,
+lower or run is one ``error: ...`` line (exit 1), never a traceback.
+``--sanitize``, ``--incremental``/``--store-dir``, ``--jobs`` and
+``--emit-metrics`` are CLI-only and live outside the tables.
+
 ``predict`` and ``check`` accept ``--incremental`` (with an optional
 ``--store-dir DIR`` for a cross-run on-disk store) to replay unchanged
 callgraph components from the content-addressed summary store; output
@@ -53,10 +63,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core import VRPConfig, VRPPredictor
-from repro.ir import format_module, prepare_module
-from repro.lang import compile_source
-from repro.profiling import run_module
+from repro import commands
+from repro.core import VRPConfig
+from repro.ir import format_module
+from repro.observability import Tracer
 
 
 def _read_source(path: str) -> str:
@@ -65,6 +75,8 @@ def _read_source(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
+    except FileNotFoundError:
+        raise SystemExit(f"error: no such file: {path}")
     except UnicodeDecodeError as error:
         raise SystemExit(f"error: cannot decode {path} as UTF-8: {error}")
 
@@ -95,20 +107,52 @@ def _emit_metrics(data, path: str) -> None:
     _write_text_output(path, text, label="metrics")
 
 
-def _parse_ints(text: Optional[str]) -> List[int]:
-    if not text:
-        return []
-    return [int(part) for part in text.replace(",", " ").split()]
+def _options(args: argparse.Namespace) -> dict:
+    """The table options ``args`` carries (the flags its command has)."""
+    return {
+        name: getattr(args, name) for name in commands.OPTIONS if hasattr(args, name)
+    }
 
 
-def _config_from_args(args: argparse.Namespace) -> VRPConfig:
-    return VRPConfig(
-        max_ranges=args.max_ranges,
-        symbolic=not args.numeric,
-        derive_loops=not args.no_derive,
-        track_arrays=args.track_arrays,
-        sanitize=getattr(args, "sanitize", False),
-        context_depth=max(0, getattr(args, "context_depth", 0)),
+def _request_options(args: argparse.Namespace, command=None) -> dict:
+    """The options ``command`` takes whose flags differ from the default.
+
+    ``serve`` (no command) sends the analysis options as base options;
+    ``submit`` sends these per request.
+    """
+    return {
+        row.name: getattr(args, row.name)
+        for row in commands.accepted(command)
+        if getattr(args, row.name, row.default) != row.default
+    }
+
+
+def _config(args: argparse.Namespace) -> VRPConfig:
+    config = commands.build_config(_options(args))
+    config.sanitize = getattr(args, "sanitize", False)
+    return config
+
+
+def _execute(command: str, args: argparse.Namespace, **kwargs) -> commands.Outcome:
+    """Run ``command`` on ``args.file`` with the options on ``args``."""
+    return commands.execute(
+        command, _read_source(args.file), args.file, _options(args), _config(args),
+        **kwargs,
+    )
+
+
+def _metrics(outcome: commands.Outcome, tracer, **extra):
+    """The metrics report of one ``predict`` or ``check`` run."""
+    from repro.core import perf
+    from repro.observability import build_metrics_report
+
+    incremental = outcome.incremental
+    return build_metrics_report(
+        outcome.prediction,
+        tracer,
+        perf_stats=perf.snapshot(),
+        incremental=incremental.as_metrics() if incremental is not None else None,
+        **extra,
     )
 
 
@@ -126,57 +170,14 @@ def _incremental_store(incremental: bool, store_dir: Optional[str]):
     return IncrementalStore(disk_dir=store_dir)
 
 
-def _prepare(args: argparse.Namespace):
-    from repro.lang import LexError, LoweringError, ParseError
-
-    try:
-        module = compile_source(_read_source(args.file))
-    except FileNotFoundError:
-        raise SystemExit(f"error: no such file: {args.file}")
-    except (LexError, ParseError, LoweringError) as error:
-        raise SystemExit(f"error: {error}")
-    ssa_infos = prepare_module(module)
-    return module, ssa_infos
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
-    module, ssa_infos = _prepare(args)
-    predictor = VRPPredictor(
-        config=_config_from_args(args),
-        interprocedural=not args.intra,
-        incremental_store=_incremental_store(
-            getattr(args, "incremental", False), getattr(args, "store_dir", None)
-        ),
-    )
-    emit_metrics = getattr(args, "emit_metrics", None)
-    if emit_metrics:
-        from repro.observability import Tracer, build_metrics_report, use
-
-        tracer = Tracer()
-        with use(tracer):
-            prediction = predictor.predict_module(module, ssa_infos)
-    else:
-        tracer = None
-        prediction = predictor.predict_module(module, ssa_infos)
-    from repro import rendering
-
-    sys.stdout.write(
-        rendering.branch_table(
-            prediction.all_branches(), prediction.heuristic_branches()
-        )
-    )
-    if emit_metrics:
-        from repro.core import perf
-
-        outcome = predictor.last_incremental
-        report = build_metrics_report(
-            prediction,
-            tracer,
-            program=module.name,
-            perf_stats=perf.snapshot(),
-            incremental=outcome.as_metrics() if outcome is not None else None,
-        )
-        _emit_metrics(report, emit_metrics)
+    tracer = Tracer() if args.emit_metrics else None
+    store = _incremental_store(args.incremental, args.store_dir)
+    outcome = _execute("predict", args, store=store, tracer=tracer)
+    sys.stdout.write(outcome.output)
+    if args.emit_metrics:
+        report = _metrics(outcome, tracer, program=outcome.module.name)
+        _emit_metrics(report, args.emit_metrics)
     return 0
 
 
@@ -201,7 +202,7 @@ def cmd_opt(args: argparse.Namespace) -> int:
     if not args.file:
         raise SystemExit("error: FILE is required unless --list-passes is given")
 
-    config = _config_from_args(args)
+    config = _config(args)
     if args.verify_ir:
         config.verify_ir = True
     try:
@@ -212,7 +213,7 @@ def cmd_opt(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as error:
         raise SystemExit(f"error: {error.args[0]}")
 
-    module, ssa_infos = _prepare(args)
+    module, ssa_infos = commands.prepare(_read_source(args.file))
     emit_metrics = getattr(args, "emit_metrics", None)
     from repro.ir import VerificationError
 
@@ -256,71 +257,46 @@ def cmd_opt(args: argparse.Namespace) -> int:
     return 0
 
 
-_CHECK_EXTENSIONS = {"text": "txt", "json": "json", "sarif": "sarif"}
-
-
 def _check_file(item):
     """Compile, analyse, and render diagnostics for one file.
 
     Module-level (picklable) so ``--jobs N`` can run it in a process
     pool; the sequential path calls the same function, which keeps the
     rendered reports byte-identical for every worker count.  Returns a
-    plain dict; compile errors come back under an ``error`` key instead
-    of raising, so one bad file fails the run cleanly from the parent.
+    plain dict; a missing file or a program error comes back under an
+    ``error`` key instead of raising, so the run fails on the first bad
+    file in input order whatever the worker count.
     """
-    path, config, intra, fmt, with_metrics, fail_on, incremental, store_dir = item
-    from repro.diagnostics import check_module, render_json, render_sarif, render_text
-    from repro.lang import LexError, LoweringError, ParseError
-
+    path, options, config, with_metrics, incremental, store_dir = item
+    tracer = Tracer() if with_metrics else None
     try:
-        module = compile_source(_read_source(path))
-    except FileNotFoundError:
-        return {"path": path, "error": f"no such file: {path}"}
-    except (LexError, ParseError, LoweringError) as error:
-        return {"path": path, "error": str(error)}
-    ssa_infos = prepare_module(module)
-    # The store is built per worker (it holds a lock and is not
-    # picklable); the on-disk tier under ``store_dir`` is what the
-    # worker processes actually share.
-    predictor = VRPPredictor(
-        config=config,
-        interprocedural=not intra,
-        incremental_store=_incremental_store(incremental, store_dir),
-    )
-    program = module.name if path == "-" else path
+        # The store is built per worker (it holds a lock and is not
+        # picklable); the on-disk tier under ``store_dir`` is what the
+        # worker processes actually share.
+        outcome = commands.execute(
+            "check",
+            _read_source(path),
+            path,
+            options,
+            config,
+            store=_incremental_store(incremental, store_dir),
+            tracer=tracer,
+        )
+    except SystemExit as error:
+        return {"path": path, "error": str(error.code)}
+    except commands.PROGRAM_ERRORS as error:
+        return {"path": path, "error": f"error: {error}"}
+    metrics = None
     if with_metrics:
-        from repro.core import perf
-        from repro.observability import Tracer, build_metrics_report, use
-
-        tracer = Tracer()
-        with use(tracer):
-            prediction = predictor.predict_module(module, ssa_infos)
-            report = check_module(module, prediction, program=program)
-        outcome = predictor.last_incremental
-        metrics = build_metrics_report(
-            prediction,
-            tracer,
-            program=program,
-            findings=report.findings,
-            perf_stats=perf.snapshot(),
-            incremental=outcome.as_metrics() if outcome is not None else None,
+        report = outcome.report
+        metrics = _metrics(
+            outcome, tracer, program=report.program, findings=report.findings
         ).to_dict()
-    else:
-        prediction = predictor.predict_module(module, ssa_infos)
-        report = check_module(module, prediction, program=program)
-        metrics = None
-
-    if fmt == "json":
-        rendered = render_json(report)
-    elif fmt == "sarif":
-        rendered = render_sarif(report, artifact_uri=program)
-    else:
-        rendered = render_text(report)
     return {
         "path": path,
-        "rendered": rendered,
+        "rendered": outcome.output,
         "metrics": metrics,
-        "fails": report.fails(fail_on),
+        "fails": outcome.exit_code != 0,
     }
 
 
@@ -357,19 +333,9 @@ def cmd_check(args: argparse.Namespace) -> int:
                 )
             stems[stem] = path
 
-    config = _config_from_args(args)
-    store_dir = getattr(args, "store_dir", None)
+    options, config = _options(args), _config(args)
     items = [
-        (
-            path,
-            config,
-            args.intra,
-            args.format,
-            bool(emit_metrics),
-            args.fail_on,
-            bool(getattr(args, "incremental", False)),
-            store_dir,
-        )
+        (path, options, config, bool(emit_metrics), args.incremental, args.store_dir)
         for path in files
     ]
     if jobs > 1 and len(items) > 1:
@@ -382,9 +348,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         results = [_check_file(item) for item in items]
     for result in results:
         if "error" in result:
-            raise SystemExit(f"error: {result['error']}")
+            raise SystemExit(result["error"])
 
-    extension = _CHECK_EXTENSIONS[args.format]
+    extension = "txt" if args.format == "text" else args.format
     if output_dir is not None:
         os.makedirs(output_dir, exist_ok=True)
     if emit_metrics and multi:
@@ -397,16 +363,16 @@ def cmd_check(args: argparse.Namespace) -> int:
                 output_dir, f"{_stem_of(result['path'])}.{extension}"
             )
             _write_text_output(
-                target, result["rendered"] + "\n", label=f"{args.format} report"
+                target, result["rendered"], label=f"{args.format} report"
             )
         elif args.output:
             _write_text_output(
-                args.output, result["rendered"] + "\n", label=f"{args.format} report"
+                args.output, result["rendered"], label=f"{args.format} report"
             )
         else:
             if len(results) > 1:
                 print(f"== {result['path']} ==")
-            print(result["rendered"])
+            sys.stdout.write(result["rendered"])
     if emit_metrics:
         for result in results:
             if multi:
@@ -424,21 +390,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.observability.instrument import trace_analysis
 
-    try:
-        source = _read_source(args.file)
-    except FileNotFoundError:
-        raise SystemExit(f"error: no such file: {args.file}")
-    from repro.lang import LexError, LoweringError, ParseError
-
-    try:
-        session = trace_analysis(
-            source,
-            config=_config_from_args(args),
-            interprocedural=not args.intra,
-            record_events=not args.no_events,
-        )
-    except (LexError, ParseError, LoweringError) as error:
-        raise SystemExit(f"error: {error}")
+    session = trace_analysis(
+        _read_source(args.file),
+        config=_config(args),
+        interprocedural=not args.intra,
+        record_events=not args.no_events,
+    )
     tracer = session.tracer
 
     print("phase timings:")
@@ -475,11 +432,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     from repro.observability.explain import explain_module
 
-    module, ssa_infos = _prepare(args)
+    module, ssa_infos = commands.prepare(_read_source(args.file))
     explanations = explain_module(
         module,
         ssa_infos,
-        config=_config_from_args(args),
+        config=_config(args),
         interprocedural=not args.intra,
     )
     if not explanations:
@@ -505,36 +462,17 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_ir(args: argparse.Namespace) -> int:
-    from repro import rendering
-
-    module, _ = _prepare(args)
-    sys.stdout.write(rendering.ir_dump(module))
+    sys.stdout.write(_execute("ir", args).output)
     return 0
 
 
 def cmd_ranges(args: argparse.Namespace) -> int:
-    from repro import rendering
-
-    module, ssa_infos = _prepare(args)
-    predictor = VRPPredictor(
-        config=_config_from_args(args), interprocedural=not args.intra
-    )
-    prediction = predictor.predict_module(module, ssa_infos)
-    sys.stdout.write(rendering.ranges_listing(prediction))
+    sys.stdout.write(_execute("ranges", args).output)
     return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro import rendering
-
-    module, _ = _prepare(args)
-    result = run_module(
-        module,
-        args=_parse_ints(args.args),
-        input_values=_parse_ints(args.inputs),
-        max_steps=args.max_steps,
-    )
-    sys.stdout.write(rendering.run_report(result, profile=args.profile))
+    sys.stdout.write(_execute("run", args).output)
     return 0
 
 
@@ -559,7 +497,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.workloads import get_workload, suite
 
     emit_metrics = getattr(args, "emit_metrics", None)
-    context_depth = max(0, getattr(args, "context_depth", 0))
+    context_depth = args.context_depth
     if args.workload:
         workload = get_workload(args.workload)
         prepared = prepare_workload(workload)
@@ -613,19 +551,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.shards is not None and args.shards < 1:
         print("error: --shards must be >= 1", file=sys.stderr)
         return 2
-    base_options = {}
-    if args.intra:
-        base_options["intra"] = True
-    if args.numeric:
-        base_options["numeric"] = True
-    if args.no_derive:
-        base_options["no_derive"] = True
-    if args.track_arrays:
-        base_options["track_arrays"] = True
-    if args.max_ranges != 4:
-        base_options["max_ranges"] = args.max_ranges
-    if args.context_depth:
-        base_options["context_depth"] = args.context_depth
     return serve_daemon(
         host=args.host,
         port=args.port,
@@ -635,7 +560,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         timeout_s=args.timeout,
         max_request_bytes=args.max_request_bytes,
         drain_timeout_s=args.drain_timeout,
-        base_options=base_options or None,
+        base_options=_request_options(args) or None,
         shards=args.shards,
         incremental=args.incremental,
     )
@@ -722,42 +647,15 @@ def cmd_submit(args: argparse.Namespace) -> int:
     if "-" in files and len(files) > 1:
         raise SystemExit("error: stdin ('-') must be the only input")
     command = args.command
-    options: dict = {}
-    if args.intra:
-        options["intra"] = True
-    if args.numeric:
-        options["numeric"] = True
-    if args.no_derive:
-        options["no_derive"] = True
-    if args.track_arrays:
-        options["track_arrays"] = True
-    if args.max_ranges != 4:
-        options["max_ranges"] = args.max_ranges
-    if args.context_depth:
-        options["context_depth"] = args.context_depth
-    if command == "check":
-        options["format"] = args.format
-        options["fail_on"] = args.fail_on
-    if command == "run":
-        if args.args:
-            options["args"] = _parse_ints(args.args)
-        if args.inputs:
-            options["inputs"] = _parse_ints(args.inputs)
-        options["max_steps"] = args.max_steps
-        if args.profile:
-            options["profile"] = True
+    options = _request_options(args, command)
     if args.trace_out:
         options["trace"] = True
 
-    items = []
-    for path in files:
-        try:
-            source = _read_source(path)
-        except FileNotFoundError:
-            raise SystemExit(f"error: no such file: {path}")
-        items.append(
-            {"command": command, "source": source, "name": path, "options": options}
-        )
+    items = [
+        {"command": command, "source": _read_source(path), "name": path,
+         "options": options}
+        for path in files
+    ]
     client = ServeClient(args.host, args.port, timeout=args.http_timeout)
     # One trace id for the whole invocation: the client mints it, the
     # header carries it, the daemon's access log and events echo it.
@@ -855,16 +753,12 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     import json
 
-    from repro.lang import LexError, LoweringError, ParseError
     from repro.observability import chrometrace
     from repro.observability import context as tracecontext
     from repro.observability.profiler import profile_source
     from repro.passes import parse_passes
 
-    try:
-        source = _read_source(args.file)
-    except FileNotFoundError:
-        raise SystemExit(f"error: no such file: {args.file}")
+    source = _read_source(args.file)
     try:
         passes = parse_passes(args.passes) if args.passes else None
     except ValueError as error:
@@ -874,13 +768,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
         with tracecontext.use(context):
             session = profile_source(
                 source,
-                config=_config_from_args(args),
+                config=_config(args),
                 pipeline=args.pipeline,
                 passes=passes,
                 max_events=args.max_events,
             )
-    except (LexError, ParseError, LoweringError) as error:
-        raise SystemExit(f"error: {error}")
     except KeyError as error:
         raise SystemExit(f"error: {error.args[0]}")
 
@@ -923,46 +815,23 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_watch(args: argparse.Namespace) -> int:
-    from repro.diagnostics import check_module, render_json, render_sarif, render_text
     from repro.incremental.watch import run_watch
-    from repro.lang import LexError, LoweringError, ParseError
-    from repro import rendering
 
     if "-" in args.files:
         raise SystemExit("error: watch needs real files, not stdin ('-')")
-    config = _config_from_args(args)
+    options, config = _options(args), _config(args)
     # One store for the whole loop: the in-memory tier is what makes
     # the second and later rechecks cheap; --store-dir persists it.
     store = _incremental_store(True, getattr(args, "store_dir", None))
-    command = args.command
 
     def render(path: str, source: str):
         try:
-            module = compile_source(source)
-        except (LexError, ParseError, LoweringError) as error:
-            return "", None, str(error)
-        ssa_infos = prepare_module(module)
-        predictor = VRPPredictor(
-            config=config,
-            interprocedural=not args.intra,
-            incremental_store=store,
-        )
-        prediction = predictor.predict_module(module, ssa_infos)
-        if command == "check":
-            report = check_module(module, prediction, program=path)
-            if args.format == "json":
-                text = render_json(report) + "\n"
-            elif args.format == "sarif":
-                text = render_sarif(report, artifact_uri=path) + "\n"
-            else:
-                text = render_text(report) + "\n"
-        elif command == "ranges":
-            text = rendering.ranges_listing(prediction)
-        else:
-            text = rendering.branch_table(
-                prediction.all_branches(), prediction.heuristic_branches()
+            outcome = commands.execute(
+                args.command, source, path, options, config, store
             )
-        return text, predictor.last_incremental, None
+        except commands.PROGRAM_ERRORS as error:
+            return "", None, str(error)
+        return outcome.output, outcome.incremental, None
 
     return run_watch(
         args.files,
@@ -970,6 +839,33 @@ def cmd_watch(args: argparse.Namespace) -> int:
         interval_s=max(0.05, args.interval),
         max_cycles=args.max_cycles,
     )
+
+
+def _add_options(p: argparse.ArgumentParser, rows, hidden: bool = False) -> None:
+    """Declare one flag per option-table row (``hidden``: no ``--help``)."""
+    for row in rows:
+        help_text = argparse.SUPPRESS if hidden else row.help
+        if row.kind is bool:
+            p.add_argument(row.flag, action="store_true", help=help_text)
+        else:
+            p.add_argument(
+                row.flag,
+                type=_argument_type(row) if row.kind is not str else None,
+                default=row.default,
+                choices=row.choices or None,
+                metavar=row.metavar,
+                help=help_text,
+            )
+
+
+def _argument_type(row: "commands.Option"):
+    def parse(text: str):
+        try:
+            return row.parse(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error))
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -998,19 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         else:
             p.add_argument("file", help="toy-language source file ('-' for stdin)")
-        p.add_argument("--intra", action="store_true", help="disable interprocedural analysis")
-        p.add_argument("--numeric", action="store_true", help="disable symbolic ranges")
-        p.add_argument("--no-derive", action="store_true", help="disable loop derivation")
-        p.add_argument("--track-arrays", action="store_true", help="track array contents")
-        p.add_argument("--max-ranges", type=int, default=4, help="ranges per variable (default 4)")
-        p.add_argument(
-            "--context-depth",
-            type=int,
-            default=0,
-            metavar="K",
-            help="k-limited context-sensitive interprocedural analysis "
-            "(default 0 = context-insensitive)",
-        )
+        _add_options(p, commands.ANALYSIS_OPTIONS)
         p.add_argument(
             "--sanitize",
             action="store_true",
@@ -1088,18 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_analysis_flags(check_cmd, multi_file=True)
     add_incremental_flags(check_cmd)
-    check_cmd.add_argument(
-        "--format",
-        choices=["text", "json", "sarif"],
-        default="text",
-        help="output format (default text)",
-    )
-    check_cmd.add_argument(
-        "--fail-on",
-        choices=["error", "warning", "never"],
-        default="error",
-        help="exit non-zero when a finding at/above this severity exists",
-    )
+    _add_options(check_cmd, commands.COMMAND_OPTIONS["check"])
     check_cmd.add_argument(
         "--output", metavar="PATH", help="write the report to a file (single input)"
     )
@@ -1136,12 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="predict",
         help="what to re-render on each change (default predict)",
     )
-    watch_cmd.add_argument(
-        "--format",
-        choices=["text", "json", "sarif"],
-        default="text",
-        help="check output format (default text)",
-    )
+    _add_options(watch_cmd, [commands.OPTIONS["format"]])
     watch_cmd.add_argument(
         "--interval",
         type=float,
@@ -1193,10 +1061,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_cmd = sub.add_parser("run", help="interpret a program")
     run_cmd.add_argument("file", help="toy-language source file ('-' for stdin)")
-    run_cmd.add_argument("--args", default="", help="main() arguments, comma separated")
-    run_cmd.add_argument("--inputs", default="", help="input() stream, comma separated")
-    run_cmd.add_argument("--max-steps", type=int, default=5_000_000)
-    run_cmd.add_argument("--profile", action="store_true", help="print branch profile")
+    _add_options(run_cmd, commands.COMMAND_OPTIONS["run"])
     run_cmd.set_defaults(handler=cmd_run)
 
     workloads_cmd = sub.add_parser("workloads", help="list benchmark workloads")
@@ -1210,13 +1075,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="whole suite ('all' = int + fp)",
     )
     evaluate_cmd.add_argument("--weighted", action="store_true")
-    evaluate_cmd.add_argument(
-        "--context-depth",
-        type=int,
-        default=0,
-        metavar="K",
-        help="k-limited context sensitivity for the VRP lines (default 0)",
-    )
+    _add_options(evaluate_cmd, [commands.OPTIONS["context_depth"]])
     evaluate_cmd.add_argument(
         "--jobs",
         type=int,
@@ -1274,18 +1133,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="consult the per-function summary store on whole-file "
         "cache misses (disk tier under <cache-dir>/incremental)",
     )
-    serve_cmd.add_argument("--intra", action="store_true", help=argparse.SUPPRESS)
-    serve_cmd.add_argument("--numeric", action="store_true", help=argparse.SUPPRESS)
-    serve_cmd.add_argument("--no-derive", action="store_true", help=argparse.SUPPRESS)
-    serve_cmd.add_argument(
-        "--track-arrays", action="store_true", help=argparse.SUPPRESS
-    )
-    serve_cmd.add_argument(
-        "--max-ranges", type=int, default=4, help=argparse.SUPPRESS
-    )
-    serve_cmd.add_argument(
-        "--context-depth", type=int, default=0, help=argparse.SUPPRESS
-    )
+    _add_options(serve_cmd, commands.ANALYSIS_OPTIONS, hidden=True)
     serve_cmd.set_defaults(handler=cmd_serve)
 
     submit_cmd = sub.add_parser(
@@ -1311,23 +1159,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrent submissions (client-side fan-out; results are "
         "printed in file order, byte-identical to --jobs 1)",
     )
-    submit_cmd.add_argument(
-        "--format",
-        choices=["text", "json", "sarif"],
-        default="text",
-        help="check output format (default text)",
-    )
-    submit_cmd.add_argument(
-        "--fail-on",
-        choices=["error", "warning", "never"],
-        default="error",
-        help="check exit-code gate (default error)",
-    )
-    submit_cmd.add_argument("--args", default="", help="run: main() arguments")
-    submit_cmd.add_argument("--inputs", default="", help="run: input() stream")
-    submit_cmd.add_argument("--max-steps", type=int, default=5_000_000)
-    submit_cmd.add_argument(
-        "--profile", action="store_true", help="run: include the branch profile"
+    _add_options(
+        submit_cmd, commands.COMMAND_OPTIONS["check"] + commands.COMMAND_OPTIONS["run"]
     )
     submit_cmd.add_argument(
         "--verbose",
@@ -1446,11 +1279,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.core import SanitizerError
 
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except SanitizerError as error:
+    except commands.PROGRAM_ERRORS + (SanitizerError,) as error:
         raise SystemExit(f"error: {error}")
 
 

@@ -68,6 +68,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from repro.commands import validate_options
 from repro.observability import context as tracecontext
 from repro.observability.events import ServerRequestBegin, ServerRequestEnd
 from repro.observability.logging import get_logger, log_event
@@ -183,6 +184,7 @@ class ShardedServer:
             raise ValueError("shards must be >= 1")
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
+        validate_options(None, base_options or {})
         self.shard_count = shards if shards else (os.cpu_count() or 1)
         self.queue_size = queue_size
         self.cache_dir = cache_dir

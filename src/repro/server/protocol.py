@@ -10,13 +10,14 @@ One request analyses one program.  The JSON body is::
       "options": { ... }             # per-command knobs, all optional
     }
 
-``options`` accepts the one-shot CLI's analysis flags (``intra``,
-``numeric``, ``no_derive``, ``track_arrays``, ``max_ranges``,
-``context_depth``) plus
-``format``/``fail_on`` for ``check`` and ``args``/``inputs``/
-``max_steps`` for ``run``.  Unknown options are rejected: a typo that
-silently falls back to a default would poison the content-addressed
-cache with results the caller did not ask for.
+``options`` accepts what :mod:`repro.commands`' tables declare for the
+command (:func:`repro.commands.accepted`): the one-shot CLI's analysis
+options, the command's own options and ``trace``, with the same types,
+bounds and choices as the CLI flags, which are generated from the same
+tables.  :func:`validate_request` and :func:`canonical_options` read
+those tables and declare no option of their own.  Unknown options are
+rejected: a typo that silently falls back to a default would poison the
+content-addressed cache with results the caller did not ask for.
 
 The response's *deterministic core* -- ``status``, ``command``,
 ``output``, ``exit_code``, ``degraded``, ``error`` -- is exactly what
@@ -33,35 +34,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-#: Commands the service executes, mirroring the one-shot CLI.
-COMMANDS = ("predict", "check", "ranges", "ir", "run")
+from repro import commands
 
-#: Options shared by every command (the CLI's analysis flags, plus
-#: ``trace`` -- "return the engine's spans with the response").  ``trace``
-#: is observational: :func:`canonical_options` leaves it out of the
-#: cache key, and the spans are attached after the cache decision, so a
-#: traced request and an untraced one share results byte-for-byte.
-_ANALYSIS_OPTIONS = {
-    "intra": bool,
-    "numeric": bool,
-    "no_derive": bool,
-    "track_arrays": bool,
-    "max_ranges": int,
-    "context_depth": int,
-    "trace": bool,
-}
-
-#: Extra options per command.
-_COMMAND_OPTIONS = {
-    "predict": {},
-    "ranges": {},
-    "ir": {},
-    "check": {"format": str, "fail_on": str},
-    "run": {"args": list, "inputs": list, "max_steps": int, "profile": bool},
-}
-
-_CHECK_FORMATS = ("text", "json", "sarif")
-_CHECK_FAIL_ON = ("error", "warning", "never")
+#: Commands the service executes: the one-shot CLI's.
+COMMANDS = commands.COMMANDS
 
 #: Ceiling on one batch submission; a bigger fleet should be split into
 #: several requests so backpressure stays per-request-sized.
@@ -111,47 +87,11 @@ def validate_request(
     options = body.get("options", {})
     if not isinstance(options, dict):
         raise ProtocolError("'options' must be an object")
-    allowed = dict(_ANALYSIS_OPTIONS)
-    allowed.update(_COMMAND_OPTIONS[command])
-    clean: Dict[str, object] = {}
-    for key, value in options.items():
-        expected = allowed.get(key)
-        if expected is None:
-            raise ProtocolError(
-                f"unknown option {key!r} for command {command!r}"
-            )
-        # bool is an int subclass: check bool-typed options strictly and
-        # keep True out of int-typed ones.
-        if expected is bool:
-            if not isinstance(value, bool):
-                raise ProtocolError(f"option {key!r} must be a boolean")
-        elif expected is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ProtocolError(f"option {key!r} must be an integer")
-        elif not isinstance(value, expected):
-            raise ProtocolError(
-                f"option {key!r} must be a {expected.__name__}"
-            )
-        clean[key] = value
-    if command == "check":
-        if clean.get("format", "text") not in _CHECK_FORMATS:
-            raise ProtocolError(
-                f"option 'format' must be one of {', '.join(_CHECK_FORMATS)}"
-            )
-        if clean.get("fail_on", "error") not in _CHECK_FAIL_ON:
-            raise ProtocolError(
-                f"option 'fail_on' must be one of {', '.join(_CHECK_FAIL_ON)}"
-            )
-    for key in ("args", "inputs"):
-        if key in clean and not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in clean[key]
-        ):
-            raise ProtocolError(f"option {key!r} must be a list of integers")
-    if "max_ranges" in clean and clean["max_ranges"] < 1:
-        raise ProtocolError("option 'max_ranges' must be >= 1")
-    if "context_depth" in clean and clean["context_depth"] < 0:
-        raise ProtocolError("option 'context_depth' must be >= 0")
-    return command, source, name, clean
+    try:
+        commands.validate_options(command, options)
+    except ValueError as error:
+        raise ProtocolError(str(error)) from None
+    return command, source, name, dict(options)
 
 
 def validate_batch(body: dict) -> List[dict]:
@@ -176,16 +116,11 @@ def canonical_options(command: str, options: Dict[str, object]) -> Dict[str, obj
     out a default hits the same key as one that omits it.  Only options
     that change results and live outside :class:`VRPConfig` remain.
     """
-    canonical: Dict[str, object] = {"intra": bool(options.get("intra", False))}
-    if command == "check":
-        canonical["format"] = str(options.get("format", "text"))
-        canonical["fail_on"] = str(options.get("fail_on", "error"))
-    elif command == "run":
-        canonical["args"] = [int(v) for v in options.get("args", [])]
-        canonical["inputs"] = [int(v) for v in options.get("inputs", [])]
-        canonical["max_steps"] = int(options.get("max_steps", 5_000_000))
-        canonical["profile"] = bool(options.get("profile", False))
-    return canonical
+    return {
+        row.name: options.get(row.name, row.default)
+        for row in commands.accepted(command)
+        if row.keyed
+    }
 
 
 def error_response(command: Optional[str], message: str) -> dict:

@@ -2,8 +2,9 @@
 
 The service turns one validated request into the *deterministic
 response core*: the one-shot CLI's stdout (``output``), an exit code,
-and error/degradation flags.  Rendering goes through
-:mod:`repro.rendering` -- the same functions the CLI uses -- so
+and error/degradation flags.  The output is
+:func:`repro.commands.execute`'s -- the function the CLI's ``predict``,
+``check``, ``ranges``, ``ir`` and ``run`` print through -- so
 byte-identity between ``repro submit`` and the one-shot commands holds
 by construction rather than by test luck.
 
@@ -39,8 +40,9 @@ import threading
 import time
 from typing import Dict, Optional, Tuple
 
-from repro import rendering
-from repro.core import VRPConfig, VRPPredictor
+from repro import commands, rendering
+from repro.commands import build_config
+from repro.core import VRPConfig
 from repro.incremental.store import TwoTierStore
 from repro.server import protocol
 from repro.server.cache import request_key
@@ -49,22 +51,6 @@ from repro.server.protocol import ProtocolError, validate_request
 
 class AnalysisTimeout(Exception):
     """The analysis ran past the per-request deadline."""
-
-
-def build_config(options: Dict[str, object]) -> VRPConfig:
-    """The engine configuration a request's options describe.
-
-    Mirrors the CLI's ``_config_from_args``: same option names, same
-    defaults, so equal inputs produce equal configs -- and therefore
-    equal cache keys -- through either front end.
-    """
-    return VRPConfig(
-        max_ranges=int(options.get("max_ranges", 4)),
-        symbolic=not options.get("numeric", False),
-        derive_loops=not options.get("no_derive", False),
-        track_arrays=bool(options.get("track_arrays", False)),
-        context_depth=int(options.get("context_depth", 0)),
-    )
 
 
 def request_identity(
@@ -99,31 +85,6 @@ def request_identity(
     return command, source, name, merged, config, key
 
 
-def _compile(source: str):
-    from repro.ir import prepare_module
-    from repro.lang import compile_source
-
-    module = compile_source(source)
-    ssa_infos = prepare_module(module)
-    return module, ssa_infos
-
-
-def _predict(
-    source: str,
-    options: Dict[str, object],
-    config: VRPConfig,
-    incremental_store=None,
-):
-    module, ssa_infos = _compile(source)
-    predictor = VRPPredictor(
-        config=config,
-        interprocedural=not options.get("intra", False),
-        incremental_store=incremental_store,
-    )
-    prediction = predictor.predict_module(module, ssa_infos)
-    return module, prediction
-
-
 def _ok(command: str, output: str, exit_code: int = 0, degraded: bool = False) -> dict:
     return {
         "status": "ok",
@@ -153,71 +114,15 @@ def analyze_payload(
     output stays byte-identical by the incremental contract
     (``docs/INCREMENTAL.md``), so the results *are* cacheable.
     """
-    from repro.lang import LexError, LoweringError, ParseError
-    from repro.profiling import run_module
-    from repro.profiling.interpreter import InterpreterError
-
-    config = config if config is not None else build_config(options)
-    try:
-        if command == "predict":
-            _, prediction = _predict(source, options, config, incremental_store)
-            return _ok(
-                command,
-                rendering.branch_table(
-                    prediction.all_branches(), prediction.heuristic_branches()
-                ),
-            )
-        if command == "ranges":
-            _, prediction = _predict(source, options, config, incremental_store)
-            return _ok(command, rendering.ranges_listing(prediction))
-        if command == "ir":
-            module, _ = _compile(source)
-            return _ok(command, rendering.ir_dump(module))
-        if command == "run":
-            module, _ = _compile(source)
-            result = run_module(
-                module,
-                args=[int(v) for v in options.get("args", [])],
-                input_values=[int(v) for v in options.get("inputs", [])],
-                max_steps=int(options.get("max_steps", 5_000_000)),
-            )
-            return _ok(
-                command,
-                rendering.run_report(
-                    result, profile=bool(options.get("profile", False))
-                ),
-            )
-        if command == "check":
-            module, prediction = _predict(source, options, config, incremental_store)
-            program = name if name != "-" else module.name
-            report, rendered = _render_check(module, prediction, program, options)
-            return _ok(
-                command,
-                rendered,
-                exit_code=1 if report.fails(str(options.get("fail_on", "error"))) else 0,
-            )
+    if command not in commands.COMMANDS:
         raise ProtocolError(f"unknown command {command!r}")
-    except (LexError, ParseError, LoweringError, InterpreterError) as error:
+    try:
+        outcome = commands.execute(
+            command, source, name, options, config, incremental_store
+        )
+    except commands.PROGRAM_ERRORS as error:
         return protocol.error_response(command, str(error))
-
-
-def _render_check(module, prediction, program: str, options: Dict[str, object]):
-    from repro.diagnostics import (
-        check_module,
-        render_json,
-        render_sarif,
-        render_text,
-    )
-
-    report = check_module(module, prediction, program=program)
-    fmt = str(options.get("format", "text"))
-    if fmt == "json":
-        rendered = render_json(report)
-    elif fmt == "sarif":
-        rendered = render_sarif(report, artifact_uri=program)
-    else:
-        rendered = render_text(report)
-    return report, rendered + "\n"
+    return _ok(command, outcome.output, exit_code=outcome.exit_code)
 
 
 def degraded_payload(
@@ -235,11 +140,10 @@ def degraded_payload(
     cached fresh result.
     """
     from repro.heuristics import BallLarusPredictor
-    from repro.lang import LexError, LoweringError, ParseError
 
     try:
-        module, _ = _compile(source)
-    except (LexError, ParseError, LoweringError) as error:
+        module, _ = commands.prepare(source)
+    except commands.PROGRAM_ERRORS as error:
         return protocol.error_response(command, str(error))
     if command == "predict":
         predictor = BallLarusPredictor()
@@ -252,26 +156,16 @@ def degraded_payload(
     if command == "check":
         from repro.diagnostics.engine import CheckReport
 
-        program = name if name != "-" else module.name
-        report = CheckReport(program=program)
-        rendered = _render_empty_check(report, program, options)
+        report = CheckReport(program=name if name != "-" else module.name)
+        rendered = commands.render_check(
+            report, commands.get(options, "format")
+        )
         return dict(_ok(command, rendered, degraded=True), degraded_reason=reason)
     return dict(
         protocol.error_response(command, "analysis timed out"),
         degraded=True,
         degraded_reason=reason,
     )
-
-
-def _render_empty_check(report, program: str, options: Dict[str, object]) -> str:
-    from repro.diagnostics import render_json, render_sarif, render_text
-
-    fmt = str(options.get("format", "text"))
-    if fmt == "json":
-        return render_json(report) + "\n"
-    if fmt == "sarif":
-        return render_sarif(report, artifact_uri=program) + "\n"
-    return render_text(report) + "\n"
 
 
 def _run_with_deadline(fn, timeout_s: Optional[float]):
@@ -321,6 +215,7 @@ class AnalysisService:
         self.timeout_s = timeout_s
         #: Server-wide option defaults, overridden per request.
         self.base_options = dict(base_options or {})
+        commands.validate_options(None, self.base_options)
         #: Optional per-function summary store consulted on whole-file
         #: cache misses (:mod:`repro.incremental`).
         self.incremental_store = incremental_store

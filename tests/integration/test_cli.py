@@ -276,3 +276,103 @@ class TestMalformedPrograms:
         path.write_text(nested_program(kind, MAX_NESTING))
         assert main([command, str(path)]) == 0
         assert capsys.readouterr().out
+
+
+DIVIDE = "func main(n) { var x = input(); return 10 / x; }\n"
+
+
+class TestRunErrors:
+    """A program that fails at run time prints the line submit prints."""
+
+    @pytest.mark.parametrize(
+        "source,argv,options,message",
+        [
+            (DIVIDE, ["--args", "1", "--inputs", "0"], {"args": [1], "inputs": [0]},
+             "division by zero"),
+            (DIVIDE, [], {}, "main expects 1 args, got 0"),
+            (None, ["--args", "5", "--max-steps", "3"], {"args": [5], "max_steps": 3},
+             "exceeded 3 steps"),
+        ],
+        ids=["division-by-zero", "missing-argument", "step-limit"],
+    )
+    def test_error_line_not_traceback(self, source, argv, options, message, tmp_path):
+        from repro.server.service import analyze_payload
+
+        if source is None:
+            path = os.path.join(os.path.dirname(SRC), "examples", "countdown.toy")
+            with open(path, encoding="utf-8") as handle:
+                source = handle.read()
+        else:
+            path = tmp_path / "fails.toy"
+            path.write_text(source)
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "run", str(path), *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert completed.returncode == 1
+        assert completed.stdout == ""
+        assert completed.stderr == f"error: {message}\n"
+        # `repro submit --command run` prints "error: " + this.
+        assert analyze_payload("run", source, str(path), options)["error"] == message
+
+
+def usage_error(argv, capsys):
+    """Exit status and stderr of an argv that must not get past argparse."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    return excinfo.value.code, capsys.readouterr().err
+
+
+#: Every subcommand with the analysis flags, as argv before the flags.
+ANALYSIS_COMMANDS = {
+    "predict": ["predict", "{file}"],
+    "check": ["check", "{file}"],
+    "ranges": ["ranges", "{file}"],
+    "explain": ["explain", "{file}", "main"],
+    "trace": ["trace", "{file}"],
+    "profile": ["profile", "{file}"],
+    "opt": ["opt", "{file}"],
+    "watch": ["watch", "{file}", "--max-cycles", "1"],
+    "submit": ["submit", "{file}", "--port", "1"],
+    "serve": ["serve", "--port", "0"],
+}
+
+
+class TestOptionBounds:
+    """Out-of-range options are usage errors carrying the table's message."""
+
+    @pytest.mark.parametrize("command", sorted(ANALYSIS_COMMANDS))
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--max-ranges", "0", "argument --max-ranges: must be >= 1"),
+            ("--context-depth", "-3", "argument --context-depth: must be >= 0"),
+            ("--max-ranges", "two", "argument --max-ranges: must be an integer"),
+        ],
+    )
+    def test_analysis_bounds(
+        self, command, flag, value, message, program_file, capsys, monkeypatch
+    ):
+        def serve_daemon(**settings):
+            pytest.fail(f"serve started with {settings}")
+
+        monkeypatch.setattr("repro.server.serve_daemon", serve_daemon)
+        argv = [part.format(file=program_file) for part in ANALYSIS_COMMANDS[command]]
+        code, err = usage_error(argv + [flag, value], capsys)
+        assert code == 2
+        assert err.endswith(f"error: {message}\n")
+
+    def test_evaluate_context_depth_is_not_clamped(self, capsys):
+        code, err = usage_error(
+            ["evaluate", "--workload", "fir", "--context-depth", "-3"], capsys
+        )
+        assert code == 2
+        assert err.endswith("error: argument --context-depth: must be >= 0\n")
+
+    @pytest.mark.parametrize("command", ["run", "submit"])
+    @pytest.mark.parametrize("flag", ["--args", "--inputs"])
+    def test_int_lists(self, command, flag, program_file, capsys):
+        code, err = usage_error([command, program_file, flag, "abc"], capsys)
+        assert code == 2
+        assert err.endswith(f"error: argument {flag}: must be a list of integers\n")

@@ -249,3 +249,158 @@ class TestAnalyzePayloadDirect:
     def test_unknown_command_raises(self):
         with pytest.raises(ProtocolError):
             analyze_payload("explode", PROGRAM, "-", {})
+
+
+class TestBaseOptions:
+    """Server-wide base options pass the same table, once, up front."""
+
+    @pytest.mark.parametrize(
+        "options,message",
+        [
+            ({"max_ranges": 0}, "option 'max_ranges' must be >= 1"),
+            ({"context_depth": -1}, "option 'context_depth' must be >= 0"),
+            ({"numeric": 1}, "option 'numeric' must be a boolean"),
+            ({"format": "json"}, "unknown option 'format'"),
+        ],
+    )
+    def test_invalid_base_options_are_refused(self, options, message):
+        from repro.server.frontend import ShardedServer
+
+        with pytest.raises(ValueError, match=message):
+            AnalysisService(base_options=options)
+        with pytest.raises(ValueError, match=message):
+            ShardedServer(shards=1, base_options=options)
+
+    def test_valid_base_options_apply(self, capsys, program_file):
+        expected, _ = cli_stdout(capsys, ["ranges", program_file, "--numeric"])
+        service = AnalysisService(base_options={"numeric": True, "max_ranges": 2})
+        response = service.execute(
+            {"command": "ranges", "source": PROGRAM, "options": {"max_ranges": 4}}
+        )
+        assert response["output"] == expected
+
+
+def table_rows():
+    """``(group, row)`` for every row of the option tables."""
+    from repro import commands
+
+    rows = [("analysis", row) for row in commands.ANALYSIS_OPTIONS]
+    rows += [
+        (command, row)
+        for command, group in commands.COMMAND_OPTIONS.items()
+        for row in group
+    ]
+    return rows
+
+
+#: The CLI subcommands that expose each group's flags (``serve`` hides
+#: them), plus the rows a subcommand takes outside its group.
+EXPOSED = {
+    "analysis": {
+        "predict", "opt", "ranges", "check", "watch", "trace", "explain",
+        "serve", "submit", "profile",
+    },
+    "check": {"check", "submit"},
+    "run": {"run", "submit"},
+}
+EXTRA = {"format": {"watch"}, "context_depth": {"evaluate"}}
+
+#: ``run`` needs main's argument whichever row is under test.
+RUN_BASE = {"args": [3]}
+
+
+def subcommand_flags():
+    import argparse
+
+    from repro.cli import build_parser
+
+    sub = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        name: {flag for action in parser._actions for flag in action.option_strings}
+        for name, parser in sub.choices.items()
+    }
+
+
+def sample(row):
+    """A value of ``row`` other than its default."""
+    if row.kind is bool:
+        return True
+    if row.choices:
+        return row.choices[-1]
+    if row.kind is list:
+        return [4]
+    return row.default + 1
+
+
+def flag_argv(options):
+    from repro.commands import OPTIONS
+
+    argv = []
+    for name, value in options.items():
+        row = OPTIONS[name]
+        if row.kind is bool:
+            argv.append(row.flag)
+        elif row.kind is list:
+            argv += [row.flag, ",".join(map(str, value))]
+        else:
+            argv += [row.flag, str(value)]
+    return argv
+
+
+ROWS = table_rows()
+ROW_IDS = [f"{group}-{row.name}" for group, row in ROWS]
+
+
+class TestOptionTableParity:
+    """Every table row, through both front ends; a new row is covered
+    without a new hand-written pair."""
+
+    @pytest.mark.parametrize("group,row", ROWS, ids=ROW_IDS)
+    def test_the_right_subcommands_expose_the_flag(self, group, row):
+        exposing = {
+            name for name, flags in subcommand_flags().items() if row.flag in flags
+        }
+        assert exposing == EXPOSED[group] | EXTRA.get(row.name, set())
+
+    @pytest.mark.parametrize("group,row", ROWS, ids=ROW_IDS)
+    def test_the_protocol_accepts_the_option(self, group, row):
+        from repro.commands import COMMANDS
+        from repro.server.protocol import validate_request
+
+        for command in COMMANDS if group == "analysis" else (group,):
+            body = {"command": command, "source": PROGRAM,
+                    "options": {row.name: sample(row)}}
+            assert validate_request(body)[3] == {row.name: sample(row)}
+
+    @pytest.mark.parametrize("group,row", ROWS, ids=ROW_IDS)
+    def test_cli_output_and_key_equal_the_served_ones(
+        self, group, row, capsys, program_file
+    ):
+        from repro.cli import _request_options, build_parser
+        from repro.commands import COMMANDS, accepted
+        from repro.server.service import request_identity
+
+        flags = subcommand_flags()
+        compared = 0
+        for command in COMMANDS:
+            if row not in accepted(command) or row.flag not in flags[command]:
+                continue
+            options = dict(RUN_BASE if command == "run" else {})
+            options[row.name] = sample(row)
+            argv = [command, program_file, *flag_argv(options)]
+            expected, code = cli_stdout(capsys, argv)
+            payload = analyze_payload(command, PROGRAM, program_file, options)
+            assert (payload["output"], payload["exit_code"]) == (expected, code)
+
+            served = {"command": command, "source": PROGRAM,
+                      "name": program_file, "options": options}
+            submitted = dict(
+                served,
+                options=_request_options(build_parser().parse_args(argv), command),
+            )
+            assert request_identity(submitted)[-1] == request_identity(served)[-1]
+            compared += 1
+        assert compared
