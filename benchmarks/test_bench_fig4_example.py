@@ -11,7 +11,13 @@ from benchmarks.conftest import emit, emit_metrics
 from repro.core.propagation import analyse_function
 from repro.ir import prepare_for_analysis
 from repro.lang import compile_source
-from repro.observability import trace_analysis, validate_report_dict
+from repro.commands import execute
+from repro.observability import (
+    Tracer,
+    build_metrics_report,
+    use,
+    validate_report_dict,
+)
 
 PAPER_FIGURE_2 = """
 func main(n) {
@@ -58,8 +64,10 @@ def test_figure4_worked_example(benchmark, results_dir):
 
 def test_figure4_metrics_report(results_dir):
     """The worked example as a machine-readable BENCH_*.json report."""
-    session = trace_analysis(PAPER_FIGURE_2, module_name="fig4")
-    report = session.metrics_report()
+    tracer = Tracer()
+    with use(tracer):
+        outcome = execute("predict", PAPER_FIGURE_2, "fig4", {})
+    report = build_metrics_report(outcome.prediction, tracer, program="fig4")
     path = emit_metrics(results_dir, "fig4_metrics", report)
 
     assert path.exists()

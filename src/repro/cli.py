@@ -34,13 +34,17 @@ Commands:
 
 ``predict``, ``check``, ``ranges``, ``ir`` and ``run`` print
 :func:`repro.commands.execute`'s output -- the function the daemon
-answers with -- and every analysis, ``check`` and ``run`` flag is
-generated from :mod:`repro.commands`' option tables, so the CLI and the
-protocol share names, defaults, bounds and choices.  An out-of-range
-value is a usage error (exit 2); a program that fails to lex, parse,
-lower or run is one ``error: ...`` line (exit 1), never a traceback.
-``--sanitize``, ``--incremental``/``--store-dir``, ``--jobs`` and
-``--emit-metrics`` are CLI-only and live outside the tables.
+answers with -- and ``trace`` and ``explain`` render the same
+``predict`` run, recorded by a tracer; ``opt`` and ``profile`` build
+their pass pipeline with :meth:`repro.passes.PassPipeline.select`.
+Every flag is a :class:`repro.commands.Option` row: the analysis,
+``check`` and ``run`` flags come from :mod:`repro.commands`' tables, so
+the CLI and the protocol share names, defaults, bounds and choices, and
+the CLI-only flags are declared once below, shared rows such as
+``--emit-metrics``, ``--jobs`` and ``--host``/``--port`` included.  An
+out-of-range value is a usage error (exit 2); a program that fails to
+lex, parse, lower or run is one ``error: ...`` line (exit 1), never a
+traceback.
 
 ``predict`` and ``check`` accept ``--incremental`` (with an optional
 ``--store-dir DIR`` for a cross-run on-disk store) to replay unchanged
@@ -49,12 +53,12 @@ is byte-identical to a cold run.
 
 ``predict``, ``ir``, ``ranges``, ``submit`` and (single-file) ``check``
 read from stdin when FILE is ``-``.  ``predict``, ``opt``, ``check``,
-``evaluate`` and ``submit`` accept ``--emit-metrics PATH`` to write a
-machine-readable metrics JSON (schema in ``docs/OBSERVABILITY.md``;
-``opt`` adds the ``passes`` key, ``submit`` fetches the daemon's
-``server`` key).  ``evaluate`` and ``check`` accept ``--jobs N``;
-outputs are byte-identical for every worker count (see
-``docs/PERFORMANCE.md``).
+``evaluate``, ``profile`` and ``submit`` accept ``--emit-metrics PATH``
+to write a machine-readable metrics JSON (schema in
+``docs/OBSERVABILITY.md``; ``opt`` adds the ``passes`` key, ``profile``
+the ``profile`` key, ``submit`` fetches the daemon's ``server`` key).
+``evaluate``, ``check`` and ``submit`` accept ``--jobs N``; outputs are
+byte-identical for every worker count (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -64,9 +68,77 @@ import sys
 from typing import List, Optional
 
 from repro import commands
+from repro.commands import Option
 from repro.core import VRPConfig
 from repro.ir import format_module
-from repro.observability import Tracer
+from repro.observability import NULL_TRACER, SCHEMA_VERSION, Tracer, use
+
+#: The CLI-only flags several subcommands share, each declared once.
+EMIT_METRICS = Option(
+    "emit_metrics", str, None,
+    f"write the run's metrics JSON (schema v{SCHEMA_VERSION}, "
+    "docs/OBSERVABILITY.md) to PATH; check with many inputs writes "
+    "PATH/<stem>.metrics.json, submit fetches the daemon's /metricsz",
+    metavar="PATH",
+)
+JOBS = Option(
+    "jobs", int, 1, "worker processes, or concurrent requests for submit; "
+    "the output is the same for every N (default 1)", minimum=1, metavar="N",
+)
+DAEMON = (
+    Option("host", str, "127.0.0.1", "daemon address (default 127.0.0.1)"),
+    Option("port", int, 8077, "daemon port (default 8077; serve: 0 = "
+           "kernel-assigned)"),
+)
+HTTP_TIMEOUT = Option("http_timeout", float, 60.0, "client-side HTTP timeout "
+                      "(default 60)", metavar="SECONDS")
+TRACE_OUT = Option(
+    "trace_out", str, None, "write Chrome trace-event JSON (chrome://tracing, "
+    "Perfetto) to PATH: the span tree (profile), or the exchange with the "
+    "daemon's spans (submit)", metavar="PATH",
+)
+#: Mutually exclusive; ``profile`` defaults ``--pipeline`` to predict.
+PIPELINE = (
+    Option("pipeline", str, "optimize", "named pipeline: predict, optimize or "
+           "diagnose (default optimize; profile: predict)", metavar="NAME"),
+    Option("passes", str, None, "explicit comma-separated pass list "
+           "(overrides --pipeline)", metavar="A,B,C"),
+)
+STORE_DIR = Option("store_dir", str, None, "on-disk tier for the incremental "
+                   "summary store (summaries survive across invocations)",
+                   metavar="DIR")
+INCREMENTAL = Option("incremental", bool, False, "replay unchanged functions "
+                     "from the content-addressed summary store (byte-identical "
+                     "output; docs/INCREMENTAL.md)")
+SANITIZE = Option("sanitize", bool, False,
+                  "validate engine lattice invariants while propagating")
+
+#: ``serve``'s own flags.  The servers raise ``ValueError`` for the same
+#: bounds, for library callers.
+SERVE = DAEMON + (
+    Option("shards", int, None, "analysis shard processes (default: one per "
+           "CPU core)", minimum=1, metavar="N"),
+    Option("queue_size", int, 64, "waiting-request capacity (per shard) "
+           "before 503 backpressure (default 64)", minimum=1, metavar="N"),
+    Option("cache_dir", str, None, "on-disk result cache (warm results "
+           "survive restarts)", metavar="DIR"),
+    Option("memory_cache", int, 1024, "in-memory result cache entries "
+           "(default 1024)", minimum=0, metavar="N"),
+    Option("timeout", float, None, "per-request analysis deadline; past it "
+           "the response degrades to heuristics-only prediction (default: "
+           "none)", metavar="SECONDS"),
+    Option("max_request_bytes", int, 1 << 20, "largest accepted request body "
+           "(default 1 MiB)", minimum=1, metavar="N"),
+    Option("drain_timeout", float, 30.0, "grace period for in-flight requests "
+           "on SIGTERM (default 30)", metavar="SECONDS"),
+    Option("incremental", bool, False, "consult the per-function summary "
+           "store on whole-file cache misses (disk tier under "
+           "<cache-dir>/incremental)"),
+)
+
+#: The served commands ``submit`` and ``loadgen`` ask for.
+SERVED_COMMAND = Option("command", str, "predict", "command to ask the daemon "
+                        "for (default predict)", choices=commands.COMMANDS)
 
 
 def _read_source(path: str) -> str:
@@ -141,19 +213,37 @@ def _execute(command: str, args: argparse.Namespace, **kwargs) -> commands.Outco
     )
 
 
-def _metrics(outcome: commands.Outcome, tracer, **extra):
-    """The metrics report of one ``predict`` or ``check`` run."""
+def _traced_predict(args: argparse.Namespace, tracer: Tracer) -> commands.Outcome:
+    """``predict`` on ``args.file``, front end included, under ``tracer``."""
+    with use(tracer):
+        return _execute("predict", args)
+
+
+def _metrics(prediction, tracer, incremental=None, **extra):
+    """The metrics report of one ``predict``, ``check``, ``opt`` or
+    ``profile`` run."""
     from repro.core import perf
     from repro.observability import build_metrics_report
 
-    incremental = outcome.incremental
     return build_metrics_report(
-        outcome.prediction,
+        prediction,
         tracer,
         perf_stats=perf.snapshot(),
         incremental=incremental.as_metrics() if incremental is not None else None,
         **extra,
     )
+
+
+def _pipeline(args: argparse.Namespace, config: VRPConfig):
+    """The pass pipeline ``--pipeline``/``--passes`` name; a bad name is
+    an ``error:`` line before anything is read or analysed."""
+    from repro.passes import PassPipeline, parse_passes
+
+    try:
+        passes = parse_passes(args.passes) if args.passes else None
+        return PassPipeline.select(args.pipeline, passes, config)
+    except (KeyError, ValueError) as error:
+        raise SystemExit(f"error: {error.args[0]}")
 
 
 def _incremental_store(incremental: bool, store_dir: Optional[str]):
@@ -176,19 +266,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
     outcome = _execute("predict", args, store=store, tracer=tracer)
     sys.stdout.write(outcome.output)
     if args.emit_metrics:
-        report = _metrics(outcome, tracer, program=outcome.module.name)
+        report = _metrics(
+            outcome.prediction, tracer, outcome.incremental,
+            program=outcome.module.name,
+        )
         _emit_metrics(report, args.emit_metrics)
     return 0
 
 
 def cmd_opt(args: argparse.Namespace) -> int:
-    from repro.passes import (
-        PIPELINES,
-        PassPipeline,
-        available_passes,
-        create_pass,
-        parse_passes,
-    )
+    from repro.ir import VerificationError
+    from repro.passes import PIPELINES, available_passes, create_pass
 
     if args.list_passes:
         print("passes:")
@@ -205,29 +293,14 @@ def cmd_opt(args: argparse.Namespace) -> int:
     config = _config(args)
     if args.verify_ir:
         config.verify_ir = True
-    try:
-        if args.passes:
-            pipeline = PassPipeline(parse_passes(args.passes), config=config)
-        else:
-            pipeline = PassPipeline.named(args.pipeline, config=config)
-    except (KeyError, ValueError) as error:
-        raise SystemExit(f"error: {error.args[0]}")
-
+    pipeline = _pipeline(args, config)
     module, ssa_infos = commands.prepare(_read_source(args.file))
-    emit_metrics = getattr(args, "emit_metrics", None)
-    from repro.ir import VerificationError
-
+    tracer = Tracer() if args.emit_metrics else NULL_TRACER
     try:
-        if emit_metrics:
-            from repro.observability import Tracer, build_metrics_report, use
-
-            tracer = Tracer()
-            with use(tracer):
-                result = pipeline.run(module, ssa_infos)
-                prediction = result.cache.prediction()
-        else:
-            tracer = None
+        with use(tracer):
             result = pipeline.run(module, ssa_infos)
+            if args.emit_metrics:
+                prediction = result.cache.prediction()
     except VerificationError as error:
         raise SystemExit(f"error: {error}")
 
@@ -243,17 +316,11 @@ def cmd_opt(args: argparse.Namespace) -> int:
     if args.print_ir:
         print()
         print(format_module(module))
-    if emit_metrics:
-        from repro.core import perf
-
-        report = build_metrics_report(
-            prediction,
-            tracer,
-            program=module.name,
-            perf_stats=perf.snapshot(),
-            passes=result.passes_metrics(),
+    if args.emit_metrics:
+        report = _metrics(
+            prediction, tracer, program=module.name, passes=result.passes_metrics()
         )
-        _emit_metrics(report, emit_metrics)
+        _emit_metrics(report, args.emit_metrics)
     return 0
 
 
@@ -290,7 +357,8 @@ def _check_file(item):
     if with_metrics:
         report = outcome.report
         metrics = _metrics(
-            outcome, tracer, program=report.program, findings=report.findings
+            outcome.prediction, tracer, outcome.incremental,
+            program=report.program, findings=report.findings,
         ).to_dict()
     return {
         "path": path,
@@ -310,9 +378,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     import os
 
     files = args.files
-    jobs = max(1, args.jobs)
+    jobs = args.jobs
     output_dir = args.output_dir
-    emit_metrics = getattr(args, "emit_metrics", None)
+    emit_metrics = args.emit_metrics
     multi = len(files) > 1 or output_dir is not None
     if "-" in files and (multi or jobs > 1):
         raise SystemExit("error: stdin ('-') requires a single file and --jobs 1")
@@ -388,15 +456,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.observability.instrument import trace_analysis
-
-    session = trace_analysis(
-        _read_source(args.file),
-        config=_config(args),
-        interprocedural=not args.intra,
-        record_events=not args.no_events,
-    )
-    tracer = session.tracer
+    tracer = Tracer(record_events=not args.no_events)
+    outcome = _traced_predict(args, tracer)
 
     print("phase timings:")
     print(f"  {'phase':<22s} {'count':>7s} {'seconds':>10s}")
@@ -412,7 +473,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     print()
     print("counters:")
-    for name, value in session.prediction.counters.as_dict().items():
+    for name, value in outcome.prediction.counters.as_dict().items():
         print(f"  {name:<22s} {value:>7d}")
 
     if args.jsonl:
@@ -430,15 +491,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    from repro.observability.explain import explain_module
+    from repro.observability.explain import explain_prediction
 
-    module, ssa_infos = commands.prepare(_read_source(args.file))
-    explanations = explain_module(
-        module,
-        ssa_infos,
-        config=_config(args),
-        interprocedural=not args.intra,
-    )
+    tracer = Tracer()
+    explanations = explain_prediction(_traced_predict(args, tracer).prediction, tracer)
     if not explanations:
         print("no conditional branches")
         return 0
@@ -496,7 +552,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.evalharness.accuracy import error_cdf
     from repro.workloads import get_workload, suite
 
-    emit_metrics = getattr(args, "emit_metrics", None)
+    emit_metrics = args.emit_metrics
     context_depth = args.context_depth
     if args.workload:
         workload = get_workload(args.workload)
@@ -529,7 +585,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     evaluation, reports = run_suite(
         workloads,
         suite_name,
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
         with_metrics=bool(emit_metrics),
         context_depth=context_depth,
     )
@@ -548,9 +604,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.server import serve_daemon
 
-    if args.shards is not None and args.shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        return 2
     return serve_daemon(
         host=args.host,
         port=args.port,
@@ -756,25 +809,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.observability import chrometrace
     from repro.observability import context as tracecontext
     from repro.observability.profiler import profile_source
-    from repro.passes import parse_passes
 
+    pipeline = _pipeline(args, _config(args))
     source = _read_source(args.file)
-    try:
-        passes = parse_passes(args.passes) if args.passes else None
-    except ValueError as error:
-        raise SystemExit(f"error: {error.args[0]}")
     context = tracecontext.mint()
-    try:
-        with tracecontext.use(context):
-            session = profile_source(
-                source,
-                config=_config(args),
-                pipeline=args.pipeline,
-                passes=passes,
-                max_events=args.max_events,
-            )
-    except KeyError as error:
-        raise SystemExit(f"error: {error.args[0]}")
+    with tracecontext.use(context):
+        session = profile_source(
+            source, pipeline=pipeline, max_events=args.max_events
+        )
 
     report = session.report
     sys.stdout.write(report.render_text(top=args.top))
@@ -799,15 +841,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
             args.trace_out, json.dumps(document, indent=1) + "\n", label="trace"
         )
     if args.emit_metrics:
-        from repro.core import perf
-        from repro.observability import build_metrics_report
-
         with tracecontext.use(context):
-            metrics = build_metrics_report(
+            metrics = _metrics(
                 session.prediction,
                 session.tracer,
                 program=report.program,
-                perf_stats=perf.snapshot(),
                 profile=report.as_metrics(),
             )
         _emit_metrics(metrics, args.emit_metrics)
@@ -822,7 +860,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
     options, config = _options(args), _config(args)
     # One store for the whole loop: the in-memory tier is what makes
     # the second and later rechecks cheap; --store-dir persists it.
-    store = _incremental_store(True, getattr(args, "store_dir", None))
+    store = _incremental_store(True, args.store_dir)
 
     def render(path: str, source: str):
         try:
@@ -858,7 +896,7 @@ def _add_options(p: argparse.ArgumentParser, rows, hidden: bool = False) -> None
             )
 
 
-def _argument_type(row: "commands.Option"):
+def _argument_type(row: Option):
     def parse(text: str):
         try:
             return row.parse(text)
@@ -868,6 +906,8 @@ def _argument_type(row: "commands.Option"):
     return parse
 
 
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -875,403 +915,159 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_analysis_flags(
-        p: argparse.ArgumentParser,
-        multi_file: bool = False,
-        optional_file: bool = False,
-    ) -> None:
-        if multi_file:
+    def command(name, help, handler, *rows, file="file", analysis=True):
+        """Add subcommand ``name``: its ``file`` positional (``file?``
+        optional, ``files`` one or more, ``None`` none), the analysis
+        flags when it analyses, then ``rows``."""
+        p = sub.add_parser(name, help=help)
+        if file == "files":
             p.add_argument(
                 "files",
                 nargs="+",
                 help="toy-language source files ('-' for stdin, single file only)",
             )
-        elif optional_file:
+        elif file:
             p.add_argument(
                 "file",
-                nargs="?",
+                nargs="?" if file == "file?" else None,
                 help="toy-language source file ('-' for stdin)",
             )
-        else:
-            p.add_argument("file", help="toy-language source file ('-' for stdin)")
-        _add_options(p, commands.ANALYSIS_OPTIONS)
-        p.add_argument(
-            "--sanitize",
-            action="store_true",
-            help="validate engine lattice invariants while propagating",
-        )
+        if analysis:
+            _add_options(p, commands.ANALYSIS_OPTIONS + (SANITIZE,))
+        _add_options(p, rows)
+        p.set_defaults(handler=handler)
+        return p
 
-    def add_incremental_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--incremental",
-            action="store_true",
-            help="replay unchanged functions from the content-addressed "
-            "summary store (byte-identical output; docs/INCREMENTAL.md)",
-        )
-        p.add_argument(
-            "--store-dir",
-            metavar="DIR",
-            help="on-disk tier for the incremental summary store "
-            "(summaries survive across invocations)",
-        )
+    command(
+        "predict", "predict every conditional branch", cmd_predict,
+        INCREMENTAL, STORE_DIR, EMIT_METRICS,
+    )
 
-    predict = sub.add_parser("predict", help="predict every conditional branch")
-    add_analysis_flags(predict)
-    add_incremental_flags(predict)
-    predict.add_argument(
-        "--emit-metrics",
-        metavar="PATH",
-        help="write a metrics JSON (timings, counters, branch provenance)",
+    opt_cmd = command(
+        "opt", "run a pass pipeline through the pass manager", cmd_opt,
+        Option("list_passes", bool, False,
+               "list registered passes and named pipelines, then exit"),
+        Option("verify_ir", bool, False, "verify the IR after every mutating pass"),
+        Option("print_ir", bool, False, "dump the IR after the pipeline ran"),
+        EMIT_METRICS,
+        file="file?",
     )
-    predict.set_defaults(handler=cmd_predict)
+    _add_options(opt_cmd.add_mutually_exclusive_group(), PIPELINE)
 
-    opt_cmd = sub.add_parser(
-        "opt", help="run a pass pipeline through the pass manager"
-    )
-    add_analysis_flags(opt_cmd, optional_file=True)
-    opt_group = opt_cmd.add_mutually_exclusive_group()
-    opt_group.add_argument(
-        "--pipeline",
-        default="optimize",
-        metavar="NAME",
-        help="named pipeline: predict, optimize, or diagnose (default optimize)",
-    )
-    opt_group.add_argument(
-        "--passes",
-        metavar="A,B,C",
-        help="explicit comma-separated pass list (overrides --pipeline)",
-    )
-    opt_cmd.add_argument(
-        "--list-passes",
-        action="store_true",
-        help="list registered passes and named pipelines, then exit",
-    )
-    opt_cmd.add_argument(
-        "--verify-ir",
-        action="store_true",
-        help="verify the IR after every mutating pass",
-    )
-    opt_cmd.add_argument(
-        "--print-ir",
-        action="store_true",
-        help="dump the IR after the pipeline ran",
-    )
-    opt_cmd.add_argument(
-        "--emit-metrics",
-        metavar="PATH",
-        help="write a metrics JSON including per-pass telemetry (schema v4)",
-    )
-    opt_cmd.set_defaults(handler=cmd_opt)
+    command("ranges", "print final value ranges", cmd_ranges)
 
-    ranges_cmd = sub.add_parser("ranges", help="print final value ranges")
-    add_analysis_flags(ranges_cmd)
-    ranges_cmd.set_defaults(handler=cmd_ranges)
+    command(
+        "check", "static diagnostics from the computed ranges", cmd_check,
+        INCREMENTAL, STORE_DIR, *commands.COMMAND_OPTIONS["check"],
+        Option("output", str, None, "write the report to a file (single input)",
+               metavar="PATH"),
+        Option("output_dir", str, None, "write one report per input file as "
+               "DIR/<stem>.<format>", metavar="DIR"),
+        EMIT_METRICS, JOBS,
+        file="files",
+    )
 
-    check_cmd = sub.add_parser(
-        "check", help="static diagnostics from the computed ranges"
+    command(
+        "watch", "re-analyse files on change via the incremental summary store",
+        cmd_watch,
+        # The commands that analyse, so the summary store can replay them.
+        Option("command", str, "predict", "what to re-render on each change "
+               "(default predict)", choices=tuple(
+                   name for name in commands.COMMANDS if name not in ("ir", "run"))),
+        commands.OPTIONS["format"],
+        Option("interval", float, 0.5, "poll interval (default 0.5)",
+               metavar="SECONDS"),
+        Option("max_cycles", int, None, "stop after N poll cycles (default: run "
+               "until interrupted)", metavar="N"),
+        STORE_DIR,
+        file="files",
     )
-    add_analysis_flags(check_cmd, multi_file=True)
-    add_incremental_flags(check_cmd)
-    _add_options(check_cmd, commands.COMMAND_OPTIONS["check"])
-    check_cmd.add_argument(
-        "--output", metavar="PATH", help="write the report to a file (single input)"
-    )
-    check_cmd.add_argument(
-        "--output-dir",
-        metavar="DIR",
-        help="write one report per input file as DIR/<stem>.<format>",
-    )
-    check_cmd.add_argument(
-        "--emit-metrics",
-        metavar="PATH",
-        help=(
-            "write a metrics JSON including the findings "
-            "(a directory of <stem>.metrics.json files with many inputs)"
-        ),
-    )
-    check_cmd.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="check files over N worker processes (same output as N=1)",
-    )
-    check_cmd.set_defaults(handler=cmd_check)
 
-    watch_cmd = sub.add_parser(
-        "watch",
-        help="re-analyse files on change via the incremental summary store",
+    command(
+        "trace", "phase timings and the propagation event stream", cmd_trace,
+        Option("jsonl", str, None, "dump every trace event as JSONL", metavar="PATH"),
+        Option("no_events", bool, False, "record phase timings and event counts only"),
     )
-    add_analysis_flags(watch_cmd, multi_file=True)
-    watch_cmd.add_argument(
-        "--command",
-        choices=["predict", "check", "ranges"],
-        default="predict",
-        help="what to re-render on each change (default predict)",
-    )
-    _add_options(watch_cmd, [commands.OPTIONS["format"]])
-    watch_cmd.add_argument(
-        "--interval",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="poll interval (default 0.5)",
-    )
-    watch_cmd.add_argument(
-        "--max-cycles",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop after N poll cycles (default: run until interrupted)",
-    )
-    watch_cmd.add_argument(
-        "--store-dir",
-        metavar="DIR",
-        help="on-disk tier for the incremental summary store",
-    )
-    watch_cmd.set_defaults(handler=cmd_watch)
 
-    trace_cmd = sub.add_parser(
-        "trace", help="phase timings and the propagation event stream"
+    explain_cmd = command(
+        "explain", "explain one branch prediction (why this probability?)",
+        cmd_explain,
     )
-    add_analysis_flags(trace_cmd)
-    trace_cmd.add_argument(
-        "--jsonl", metavar="PATH", help="dump every trace event as JSONL"
-    )
-    trace_cmd.add_argument(
-        "--no-events",
-        action="store_true",
-        help="record phase timings and event counts only",
-    )
-    trace_cmd.set_defaults(handler=cmd_trace)
-
-    explain_cmd = sub.add_parser(
-        "explain", help="explain one branch prediction (why this probability?)"
-    )
-    add_analysis_flags(explain_cmd)
     explain_cmd.add_argument(
         "branch",
         help="branch to explain: FUNCTION/LABEL, LABEL, or FUNCTION (all its branches)",
     )
-    explain_cmd.set_defaults(handler=cmd_explain)
 
-    ir_cmd = sub.add_parser("ir", help="dump canonicalised SSA IR")
-    ir_cmd.add_argument("file", help="toy-language source file ('-' for stdin)")
-    ir_cmd.set_defaults(handler=cmd_ir)
+    command("ir", "dump canonicalised SSA IR", cmd_ir, analysis=False)
+    command(
+        "run", "interpret a program", cmd_run, *commands.COMMAND_OPTIONS["run"],
+        analysis=False,
+    )
+    command(
+        "workloads", "list benchmark workloads", cmd_workloads,
+        file=None, analysis=False,
+    )
 
-    run_cmd = sub.add_parser("run", help="interpret a program")
-    run_cmd.add_argument("file", help="toy-language source file ('-' for stdin)")
-    _add_options(run_cmd, commands.COMMAND_OPTIONS["run"])
-    run_cmd.set_defaults(handler=cmd_run)
+    command(
+        "evaluate", "score predictors (figures 7/8)", cmd_evaluate,
+        Option("workload", str, None, "one workload by name"),
+        Option("suite", str, None, "whole suite ('all' = int + fp)",
+               choices=("int", "fp", "inter", "all")),
+        Option("weighted", bool, False, "weight each branch by its execution count"),
+        commands.OPTIONS["context_depth"], JOBS, EMIT_METRICS,
+        file=None, analysis=False,
+    )
 
-    workloads_cmd = sub.add_parser("workloads", help="list benchmark workloads")
-    workloads_cmd.set_defaults(handler=cmd_workloads)
-
-    evaluate_cmd = sub.add_parser("evaluate", help="score predictors (figures 7/8)")
-    evaluate_cmd.add_argument("--workload", help="one workload by name")
-    evaluate_cmd.add_argument(
-        "--suite",
-        choices=["int", "fp", "inter", "all"],
-        help="whole suite ('all' = int + fp)",
-    )
-    evaluate_cmd.add_argument("--weighted", action="store_true")
-    _add_options(evaluate_cmd, [commands.OPTIONS["context_depth"]])
-    evaluate_cmd.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="evaluate workloads over N worker processes (same output as N=1)",
-    )
-    evaluate_cmd.add_argument(
-        "--emit-metrics",
-        metavar="PATH",
-        help="write VRP metrics JSON for the evaluated workload(s)",
-    )
-    evaluate_cmd.set_defaults(handler=cmd_evaluate)
-
-    serve_cmd = sub.add_parser(
-        "serve", help="long-running prediction daemon (HTTP JSON API)"
-    )
-    serve_cmd.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve_cmd.add_argument(
-        "--port", type=int, default=8077, help="TCP port (0 = kernel-assigned)"
-    )
-    serve_cmd.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="analysis shard processes (default: one per CPU core)",
-    )
-    serve_cmd.add_argument(
-        "--queue-size", type=int, default=64, metavar="N",
-        help="waiting-request capacity (per shard) before 503 "
-        "backpressure (default 64)",
-    )
-    serve_cmd.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="on-disk result cache (warm results survive restarts)",
-    )
-    serve_cmd.add_argument(
-        "--memory-cache", type=int, default=1024, metavar="N",
-        help="in-memory result cache entries (default 1024)",
-    )
-    serve_cmd.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-request analysis deadline; past it the response "
-        "degrades to heuristics-only prediction (default: none)",
-    )
-    serve_cmd.add_argument(
-        "--max-request-bytes", type=int, default=1 << 20, metavar="N",
-        help="largest accepted request body (default 1 MiB)",
-    )
-    serve_cmd.add_argument(
-        "--drain-timeout", type=float, default=30.0, metavar="SECONDS",
-        help="grace period for in-flight requests on SIGTERM (default 30)",
-    )
-    serve_cmd.add_argument(
-        "--incremental",
-        action="store_true",
-        help="consult the per-function summary store on whole-file "
-        "cache misses (disk tier under <cache-dir>/incremental)",
+    serve_cmd = command(
+        "serve", "long-running prediction daemon (HTTP JSON API)", cmd_serve,
+        *SERVE, file=None, analysis=False,
     )
     _add_options(serve_cmd, commands.ANALYSIS_OPTIONS, hidden=True)
-    serve_cmd.set_defaults(handler=cmd_serve)
 
-    submit_cmd = sub.add_parser(
-        "submit", help="send programs to a running repro serve daemon"
+    command(
+        "submit", "send programs to a running repro serve daemon", cmd_submit,
+        SERVED_COMMAND, *DAEMON, HTTP_TIMEOUT, JOBS,
+        *commands.COMMAND_OPTIONS["check"], *commands.COMMAND_OPTIONS["run"],
+        Option("verbose", bool, False, "print cache tier / degradation / latency "
+               "per response (stderr)"),
+        TRACE_OUT, EMIT_METRICS,
+        file="files",
     )
-    add_analysis_flags(submit_cmd, multi_file=True)
-    submit_cmd.add_argument(
-        "--command",
-        choices=["predict", "check", "ranges", "ir", "run"],
-        default="predict",
-        help="what to ask the daemon for (default predict)",
-    )
-    submit_cmd.add_argument("--host", default="127.0.0.1", help="daemon address")
-    submit_cmd.add_argument(
-        "--port", type=int, default=8077, help="daemon port (default 8077)"
-    )
-    submit_cmd.add_argument(
-        "--http-timeout", type=float, default=60.0, metavar="SECONDS",
-        help="client-side HTTP timeout (default 60)",
-    )
-    submit_cmd.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="concurrent submissions (client-side fan-out; results are "
-        "printed in file order, byte-identical to --jobs 1)",
-    )
-    _add_options(
-        submit_cmd, commands.COMMAND_OPTIONS["check"] + commands.COMMAND_OPTIONS["run"]
-    )
-    submit_cmd.add_argument(
-        "--verbose",
-        action="store_true",
-        help="print cache tier / degradation / latency per response (stderr)",
-    )
-    submit_cmd.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help=(
-            "request server-side spans and write a Chrome trace-event "
-            "JSON (chrome://tracing, Perfetto) for the exchange"
-        ),
-    )
-    submit_cmd.add_argument(
-        "--emit-metrics",
-        metavar="PATH",
-        help="fetch the daemon's /metricsz document (schema v6) into PATH",
-    )
-    submit_cmd.set_defaults(handler=cmd_submit)
 
-    loadgen_cmd = sub.add_parser(
-        "loadgen", help="drive load at a running daemon and measure"
+    command(
+        "loadgen", "drive load at a running daemon and measure", cmd_loadgen,
+        *DAEMON,
+        Option("requests", int, 200, "requests per workload (default 200)",
+               metavar="N"),
+        Option("concurrency", int, 8, "closed-loop client threads (default 8)",
+               metavar="N"),
+        SERVED_COMMAND,
+        Option("workloads", str, "cold,hot,mixed", "comma-separated workloads: "
+               "cold, hot, mixed (default all three)", metavar="LIST"),
+        Option("hot_set", int, 8, "working-set size for hot/mixed workloads "
+               "(default 8)", metavar="N"),
+        Option("corpus_offset", int, 0, "shift the program corpus (fresh offset "
+               "= cold caches)", metavar="N"),
+        HTTP_TIMEOUT,
+        Option("emit", str, None, "write the JSON load report to PATH ('-' for "
+               "stdout)", metavar="PATH"),
+        file=None, analysis=False,
     )
-    loadgen_cmd.add_argument("--host", default="127.0.0.1", help="daemon address")
-    loadgen_cmd.add_argument(
-        "--port", type=int, default=8077, help="daemon port (default 8077)"
-    )
-    loadgen_cmd.add_argument(
-        "--requests", type=int, default=200, metavar="N",
-        help="requests per workload (default 200)",
-    )
-    loadgen_cmd.add_argument(
-        "--concurrency", type=int, default=8, metavar="N",
-        help="closed-loop client threads (default 8)",
-    )
-    loadgen_cmd.add_argument(
-        "--command",
-        choices=["predict", "check", "ranges", "ir", "run"],
-        default="predict",
-        help="endpoint to drive (default predict)",
-    )
-    loadgen_cmd.add_argument(
-        "--workloads", default="cold,hot,mixed", metavar="LIST",
-        help="comma-separated workloads: cold, hot, mixed "
-        "(default all three)",
-    )
-    loadgen_cmd.add_argument(
-        "--hot-set", type=int, default=8, metavar="N",
-        help="working-set size for hot/mixed workloads (default 8)",
-    )
-    loadgen_cmd.add_argument(
-        "--corpus-offset", type=int, default=0, metavar="N",
-        help="shift the program corpus (fresh offset = cold caches)",
-    )
-    loadgen_cmd.add_argument(
-        "--http-timeout", type=float, default=60.0, metavar="SECONDS",
-        help="client-side HTTP timeout (default 60)",
-    )
-    loadgen_cmd.add_argument(
-        "--emit", metavar="PATH",
-        help="write the JSON load report to PATH ('-' for stdout)",
-    )
-    loadgen_cmd.set_defaults(handler=cmd_loadgen)
 
-    profile_cmd = sub.add_parser(
-        "profile", help="per-pass and per-analysis self/cumulative profile"
+    profile_cmd = command(
+        "profile", "per-pass and per-analysis self/cumulative profile",
+        cmd_profile,
+        Option("top", int, 10, "hot transfer functions to list (default 10)",
+               metavar="N"),
+        Option("collapsed", str, None, "write collapsed stacks (flamegraph.pl / "
+               "speedscope input)", metavar="PATH"),
+        TRACE_OUT,
+        Option("max_events", int, 1_000_000, "event-stream retention cap "
+               "(default 1000000)", metavar="N"),
+        EMIT_METRICS,
     )
-    add_analysis_flags(profile_cmd)
-    profile_group = profile_cmd.add_mutually_exclusive_group()
-    profile_group.add_argument(
-        "--pipeline",
-        default="predict",
-        metavar="NAME",
-        help="named pipeline to profile (default predict)",
-    )
-    profile_group.add_argument(
-        "--passes",
-        metavar="A,B,C",
-        help="explicit comma-separated pass list (overrides --pipeline)",
-    )
-    profile_cmd.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        metavar="N",
-        help="hot transfer functions to list (default 10)",
-    )
-    profile_cmd.add_argument(
-        "--collapsed",
-        metavar="PATH",
-        help="write collapsed stacks (flamegraph.pl / speedscope input)",
-    )
-    profile_cmd.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="write the span tree as Chrome trace-event JSON",
-    )
-    profile_cmd.add_argument(
-        "--max-events",
-        type=int,
-        default=1_000_000,
-        metavar="N",
-        help="event-stream retention cap (default 1000000)",
-    )
-    profile_cmd.add_argument(
-        "--emit-metrics",
-        metavar="PATH",
-        help="write a metrics JSON including the 'profile' key (schema v6)",
-    )
-    profile_cmd.set_defaults(handler=cmd_profile)
+    _add_options(profile_cmd.add_mutually_exclusive_group(), PIPELINE)
+    profile_cmd.set_defaults(pipeline="predict")
 
     return parser
 

@@ -38,10 +38,10 @@ class Option:
     """One option: its protocol key, type, default, bound and choices.
 
     The CLI flag is the key with ``-`` for ``_`` (``--max-ranges``).
-    ``kind`` is ``bool`` (a flag), ``int``, ``str`` or ``list`` (of
-    integers, comma-separated on the command line).  ``keyed`` options
-    are cache-key material; the others are engine knobs the config
-    fingerprint already covers, or observational.
+    ``kind`` is ``bool`` (a flag), ``int``, ``float``, ``str`` or
+    ``list`` (of integers, comma-separated on the command line).
+    ``keyed`` options are cache-key material; the others are engine
+    knobs the config fingerprint already covers, or observational.
     """
 
     name: str
@@ -75,12 +75,13 @@ class Option:
             raise ValueError(f"must be one of {', '.join(self.choices)}")
 
     def parse(self, text: str):
-        """The value of an ``int`` or ``list`` option's CLI argument."""
+        """The value of an ``int``, ``float`` or ``list`` option's CLI
+        argument."""
         try:
             if self.kind is list:
                 value = [int(part) for part in text.replace(",", " ").split()]
             else:
-                value = int(text)
+                value = self.kind(text)
         except ValueError:
             value = text  # rejected by check() with the table's message
         self.check(value)

@@ -29,7 +29,8 @@ from repro.ir.instructions import (
 )
 from repro.ir.values import Constant, Temp, Value
 from repro.lang import ast_nodes as ast
-from repro.lang.parser import parse
+from repro.lang.lexer import tokenize
+from repro.lang.parser import Parser
 
 _BINARY_OP_MAP = {
     "+": "add",
@@ -493,5 +494,17 @@ def _fold_const_expr(expr: ast.Expr, constants: Dict[str, int]) -> int:
 
 
 def compile_source(source: str, module_name: str = "module") -> Module:
-    """Parse and lower toy-language source into an IR module."""
-    return lower_program(parse(source), module_name=module_name)
+    """Parse and lower toy-language source into an IR module.
+
+    Each stage runs under a span of the active tracer ("lex" / "parse" /
+    "lower"); under the default NullTracer the spans are no-ops.
+    """
+    from repro.observability import tracer as tracing
+
+    tracer = tracing.active()
+    with tracer.span("lex"):
+        tokens = tokenize(source)
+    with tracer.span("parse"):
+        program = Parser(tokens).parse_program()
+    with tracer.span("lower"):
+        return lower_program(program, module_name=module_name)

@@ -15,14 +15,15 @@
   export (``about:tracing`` / Perfetto);
 * :mod:`repro.observability.profiler` -- per-pass/per-analysis
   self/cumulative profiling and collapsed stacks (``repro profile``);
-* :mod:`repro.observability.explain` -- "why is this branch 87.5%?";
-* :mod:`repro.observability.instrument` -- traced compile/analyse
-  pipelines (phase spans for lex/parse/lower/ssa/propagate/predict).
+* :mod:`repro.observability.explain` -- "why is this branch 87.5%?".
 
-``explain``, ``instrument``, and ``profiler`` depend on the analysis
-layers, while the engine itself imports the tracer from here -- they
-are loaded lazily (PEP 562) to keep ``repro.core`` ->
-``repro.observability`` acyclic.
+The phase spans (lex/parse/lower, cfg-cleanup/assert/ssa, predict/
+propagate/derive) open on the active tracer in the stages themselves,
+so running any command under ``use(Tracer())`` records the whole path.
+
+``explain`` and ``profiler`` depend on the analysis layers, while the
+engine itself imports the tracer from here -- they are loaded lazily
+(PEP 562) to keep ``repro.core`` -> ``repro.observability`` acyclic.
 """
 
 from repro.observability.events import (
@@ -71,9 +72,6 @@ _LAZY = {
     "BranchExplanation": "repro.observability.explain",
     "explain_branch": "repro.observability.explain",
     "explain_module": "repro.observability.explain",
-    "TraceSession": "repro.observability.instrument",
-    "compile_source_traced": "repro.observability.instrument",
-    "trace_analysis": "repro.observability.instrument",
     "ProfileReport": "repro.observability.profiler",
     "ProfileSession": "repro.observability.profiler",
     "profile_source": "repro.observability.profiler",
@@ -125,14 +123,12 @@ __all__ = [
     "SpanRecord",
     "TraceContext",
     "TraceEvent",
-    "TraceSession",
     "Tracer",
     "WorklistPop",
     "WorklistPush",
     "active",
     "build_metrics_report",
     "chrome_trace_document",
-    "compile_source_traced",
     "configure_json_logging",
     "current_trace_id",
     "explain_branch",
@@ -145,7 +141,6 @@ __all__ = [
     "parse_prometheus_text",
     "profile_source",
     "render_server_metrics",
-    "trace_analysis",
     "use",
     "validate_chrome_trace",
     "validate_report_dict",

@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.config import VRPConfig
 from repro.core.predictor import VRPPredictor
 from repro.heuristics.combine import dempster_shafer_steps
-from repro.observability.events import BranchResolution, HeuristicChain, RoundCap
+from repro.observability.events import RoundCap
+from repro.observability.metrics import branch_provenance
 from repro.observability.tracer import Tracer, use
 
 CMP_SYMBOLS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
@@ -115,21 +116,22 @@ def explain_module(
     """Explanations for every conditional branch of a prepared module.
 
     Runs value range propagation once under a recording tracer and
-    turns the provenance events into :class:`BranchExplanation` objects
-    keyed by ``(function, label)``.
+    explains the prediction with :func:`explain_prediction`.
     """
     tracer = Tracer()
     with use(tracer):
         predictor = VRPPredictor(config=config, interprocedural=interprocedural)
         prediction = predictor.predict_module(module, ssa_infos, entry=entry)
+    return explain_prediction(prediction, tracer)
 
-    resolutions: Dict[Tuple[str, str], BranchResolution] = {}
-    for event in tracer.events_of(BranchResolution):
-        resolutions[(event.function, event.label)] = event
-    chains: Dict[Tuple[str, str], HeuristicChain] = {}
-    for event in tracer.events_of(HeuristicChain):
-        chains[(event.function, event.label)] = event
 
+def explain_prediction(
+    prediction, tracer: Tracer
+) -> Dict[Tuple[str, str], BranchExplanation]:
+    """Turn a prediction and the provenance events the tracer recorded
+    while computing it into :class:`BranchExplanation` objects keyed by
+    ``(function, label)``."""
+    resolutions, chains = branch_provenance(tracer)
     # One event per capped call-graph component: function -> its rounds.
     cap_rounds: Dict[str, int] = {}
     for event in tracer.events_of(RoundCap):
@@ -145,9 +147,7 @@ def explain_module(
             label=label,
             probability=probability,
             source=source,
-            provenance=prediction.branch_provenance(function, label)
-            if hasattr(prediction, "branch_provenance")
-            else ("heuristic" if source == "heuristic" else "intraprocedural"),
+            provenance=prediction.branch_provenance(function, label),
         )
         if function in cap_rounds:
             explanation.notes.append(

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.observability.events import BranchResolution, HeuristicChain
 
@@ -169,6 +169,22 @@ class MetricsReport:
             return cls.from_json(handle.read())
 
 
+def branch_provenance(tracer) -> Tuple[Dict[tuple, BranchResolution],
+                                        Dict[tuple, HeuristicChain]]:
+    """The final :class:`BranchResolution` and :class:`HeuristicChain` per
+    ``(function, label)`` a tracer recorded; empty without one.
+
+    A branch resolves again whenever its probability moves, so later
+    events overwrite earlier ones: the last one describes the final
+    prediction.
+    """
+    if tracer is None:
+        return {}, {}
+    resolutions = {(e.function, e.label): e for e in tracer.events_of(BranchResolution)}
+    chains = {(e.function, e.label): e for e in tracer.events_of(HeuristicChain)}
+    return resolutions, chains
+
+
 def build_metrics_report(
     prediction,
     tracer=None,
@@ -215,16 +231,10 @@ def build_metrics_report(
             if function_prediction.aborted
         ),
     }
-    provenance: Dict[tuple, BranchResolution] = {}
-    chains: Dict[tuple, HeuristicChain] = {}
+    provenance, chains = branch_provenance(tracer)
     if tracer is not None and tracer.enabled:
         for name, timing in tracer.phase_timings().items():
             phases[name] = {"count": timing.count, "seconds": timing.seconds}
-        # Later events overwrite earlier ones: the final resolution wins.
-        for event in tracer.events_of(BranchResolution):
-            provenance[(event.function, event.label)] = event
-        for event in tracer.events_of(HeuristicChain):
-            chains[(event.function, event.label)] = event
         meta["event_counts"] = dict(tracer.event_counts)
         meta["dropped_events"] = tracer.dropped_events
 

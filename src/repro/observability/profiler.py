@@ -195,36 +195,35 @@ def profile_source(
     source: str,
     module_name: str = "module",
     config=None,
-    pipeline: str = "predict",
+    pipeline="predict",
     passes: Optional[Sequence[str]] = None,
     max_events: int = 1_000_000,
 ) -> ProfileSession:
     """Compile and run a pass pipeline under the profiler.
 
-    The whole run -- front end, SSA preparation, every pass, every
-    demanded analysis -- happens inside one ``profile`` root span on a
-    recording tracer, so self times partition the wall time exactly.
+    ``pipeline`` and ``passes`` choose the pipeline as
+    :meth:`~repro.passes.PassPipeline.select` does; ``pipeline`` may
+    also be a :class:`~repro.passes.PassPipeline` built already.  The
+    whole run -- front end, SSA preparation, every pass, every demanded
+    analysis -- happens inside one ``profile`` root span on a recording
+    tracer, so self times partition the wall time exactly.
     """
     from repro.ir import prepare_module
+    from repro.lang import compile_source
     from repro.observability import tracer as tracing
-    from repro.observability.instrument import compile_source_traced
     from repro.passes.pipeline import PassPipeline
 
+    if not isinstance(pipeline, PassPipeline):
+        pipeline = PassPipeline.select(pipeline, passes, config)
     tracer = Tracer(record_events=True, max_events=max_events)
-    with tracing.use(tracer):
-        with tracer.span(ROOT_SPAN):
-            module = compile_source_traced(source, module_name=module_name)
-            ssa_infos = prepare_module(module)
-            if passes:
-                manager = PassPipeline(list(passes), config=config)
-            else:
-                manager = PassPipeline.named(pipeline, config=config)
-            result = manager.run(module, ssa_infos)
-            prediction = result.cache.prediction()
+    with tracing.use(tracer), tracer.span(ROOT_SPAN):
+        module = compile_source(source, module_name=module_name)
+        result = pipeline.run(module, prepare_module(module))
+        prediction = result.cache.prediction()
     report = ProfileReport.from_tracer(
         tracer,
         program=module.name,
-        pipeline=[pass_.name for pass_ in manager.passes],
+        pipeline=[pass_.name for pass_ in pipeline.passes],
     )
     return ProfileSession(
         report=report, tracer=tracer, module=module, prediction=prediction

@@ -157,9 +157,16 @@ class PassPipeline:
         self.name = name
 
     @classmethod
-    def named(
-        cls, pipeline: str, config: Optional[VRPConfig] = None
+    def select(
+        cls,
+        pipeline: str = "predict",
+        passes: Optional[Sequence[Union[str, Pass]]] = None,
+        config: Optional[VRPConfig] = None,
     ) -> "PassPipeline":
+        """The explicit ``passes`` list when given, else the named
+        ``pipeline``; an unknown name raises ``KeyError``."""
+        if passes is not None:
+            return cls(passes, config=config)
         try:
             names = PIPELINES[pipeline]
         except KeyError:
@@ -274,8 +281,4 @@ def run_pipeline(
     config: Optional[VRPConfig] = None,
 ) -> PipelineResult:
     """One-call convenience: run a named pipeline or an explicit list."""
-    if passes is not None:
-        manager = PassPipeline(passes, config=config)
-    else:
-        manager = PassPipeline.named(pipeline, config=config)
-    return manager.run(module, ssa_infos)
+    return PassPipeline.select(pipeline, passes, config).run(module, ssa_infos)

@@ -363,6 +363,32 @@ class TestOptionBounds:
         assert code == 2
         assert err.endswith(f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["serve", "--port", "0", "--shards", "0"], "--shards: must be >= 1"),
+            (["serve", "--port", "0", "--queue-size", "0"],
+             "--queue-size: must be >= 1"),
+            (["serve", "--port", "0", "--memory-cache", "-5"],
+             "--memory-cache: must be >= 0"),
+            (["serve", "--port", "0", "--max-request-bytes", "-1"],
+             "--max-request-bytes: must be >= 1"),
+            (["check", "{file}", "--jobs", "0"], "--jobs: must be >= 1"),
+            (["evaluate", "--workload", "fir", "--jobs", "0"], "--jobs: must be >= 1"),
+            (["submit", "{file}", "--port", "1", "--jobs", "0"],
+             "--jobs: must be >= 1"),
+        ],
+    )
+    def test_cli_only_bounds(self, argv, message, program_file, capsys, monkeypatch):
+        def serve_daemon(**settings):
+            pytest.fail(f"serve started with {settings}")
+
+        monkeypatch.setattr("repro.server.serve_daemon", serve_daemon)
+        argv = [part.format(file=program_file) for part in argv]
+        code, err = usage_error(argv, capsys)
+        assert code == 2
+        assert err.endswith(f"error: argument {message}\n")
+
     def test_evaluate_context_depth_is_not_clamped(self, capsys):
         code, err = usage_error(
             ["evaluate", "--workload", "fir", "--context-depth", "-3"], capsys

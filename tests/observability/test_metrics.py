@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from repro.commands import execute
 from repro.observability import (
     MetricsReport,
     SCHEMA_KEYS,
+    Tracer,
     build_metrics_report,
-    trace_analysis,
+    use,
     validate_report_dict,
 )
 
@@ -23,13 +25,19 @@ func main(n) {
 
 
 @pytest.fixture(scope="module")
-def session():
-    return trace_analysis(PROGRAM, module_name="roundtrip")
+def tracer():
+    return Tracer()
 
 
 @pytest.fixture(scope="module")
-def report(session):
-    return session.metrics_report()
+def prediction(tracer):
+    with use(tracer):
+        return execute("predict", PROGRAM, "roundtrip", {}).prediction
+
+
+@pytest.fixture(scope="module")
+def report(prediction, tracer):
+    return build_metrics_report(prediction, tracer, program="roundtrip")
 
 
 class TestSchema:
@@ -95,8 +103,8 @@ class TestValidation:
 
 
 class TestDegradedAssembly:
-    def test_report_without_tracer_still_validates(self, session):
-        report = build_metrics_report(session.prediction, tracer=None, program="bare")
+    def test_report_without_tracer_still_validates(self, prediction):
+        report = build_metrics_report(prediction, tracer=None, program="bare")
         data = report.to_dict()
         assert validate_report_dict(data) is None
         assert data["phases"] == {}
