@@ -2,48 +2,15 @@
 
 A :class:`MetricsReport` aggregates the three observability products --
 work counters, span phase timings, and per-branch provenance -- into a
-stable JSON document (schema documented in ``docs/OBSERVABILITY.md``).
-The evaluation harness and the ``benchmarks/`` suite write these as
-``BENCH_*.json`` files so figures can be post-processed by tools
-instead of scraped from tables.
+stable JSON document.  The evaluation harness and the ``benchmarks/``
+suite write these as ``BENCH_*.json`` files so figures can be
+post-processed by tools instead of scraped from tables.
 
-Top-level schema keys (``SCHEMA_KEYS``):
-
-* ``schema_version`` -- integer, currently 8;
-* ``program``        -- module/workload name;
-* ``phases``         -- {span name: {"count": int, "seconds": float}};
-* ``counters``       -- the :class:`repro.core.counters.Counters` dict;
-* ``branches``       -- list of per-branch provenance records;
-* ``diagnostics``    -- findings from ``repro check`` (since v2; absent
-  in v1 documents, which still validate);
-* ``perf``           -- cache hit/miss statistics from the perf layer
-  (since v3; absent when the layer is disabled, older documents still
-  validate);
-* ``passes``         -- pass-manager telemetry from ``repro opt``
-  (since v4; ``pipeline`` order, per-pass wall time / rewrite counts /
-  cache traffic under ``runs``, per-analysis hit/miss/invalidation
-  totals under ``analyses``; absent outside pipeline runs, v1-v3
-  documents still validate);
-* ``server``         -- serving-daemon telemetry from ``repro serve``
-  (since v5; per-endpoint request/latency histograms, result-cache
-  hit/miss per tier, degraded/rejected counts; absent outside the
-  daemon, v1-v4 documents still validate);
-* ``profile``        -- profiler output from ``repro profile`` (since
-  v6; per-span self/cumulative seconds and counts, hot transfer
-  functions, wall time; absent outside profiled runs, v1-v5 documents
-  still validate);
-* ``tracing``        -- request-trace correlation (since v6; the
-  ``trace_id`` of the run plus span totals; absent when no trace
-  context was active, v1-v5 documents still validate);
-* ``interprocedural`` -- fixed-point telemetry from the module driver
-  (since v7; rounds vs the round cap, convergence, context depth,
-  contexts analysed, summary-cache hit/miss/eviction stats; absent on
-  single-function runs, v1-v6 documents still validate);
-* ``incremental``    -- incremental-analysis telemetry (since v8;
-  functions reanalyzed vs replayed, component-level splits, store
-  hit/miss/eviction counts; absent outside ``--incremental`` runs,
-  v1-v7 documents still validate);
-* ``meta``           -- rounds, function/event totals, drop counts.
+The top-level keys (``SCHEMA_KEYS``) are the dataclass fields, with
+``schema_version`` first; ``docs/OBSERVABILITY.md`` describes what
+each holds and the schema version that added it.  Only ``REQUIRED_KEYS``
+must be present: the others are absent from documents written by older
+schema versions, which still validate.
 
 Each branch record has ``function``, ``label``, ``probability``,
 ``source`` ("ranges" or "heuristic"), and -- when a recording tracer
@@ -54,42 +21,15 @@ was active -- ``cond``, ``cond_range``, ``cmp_op``, ``operands`` and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.observability.events import BranchResolution, HeuristicChain
 
 SCHEMA_VERSION = 8
 
-SCHEMA_KEYS = (
-    "schema_version",
-    "program",
-    "phases",
-    "counters",
-    "branches",
-    "diagnostics",
-    "perf",
-    "passes",
-    "server",
-    "profile",
-    "tracing",
-    "interprocedural",
-    "incremental",
-    "meta",
-)
-
-# Keys a report may omit (documents written by older schema versions,
-# runs with the perf layer disabled, non-pipeline or non-daemon runs).
-OPTIONAL_KEYS = (
-    "diagnostics",
-    "perf",
-    "passes",
-    "server",
-    "profile",
-    "tracing",
-    "interprocedural",
-    "incremental",
-)
+#: Keys every report carries, whatever its schema version.
+REQUIRED_KEYS = ("schema_version", "program", "phases", "counters", "branches", "meta")
 
 BRANCH_KEYS = ("function", "label", "probability", "source")
 
@@ -116,44 +56,14 @@ class MetricsReport:
     # -- serialisation -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "program": self.program,
-            "phases": self.phases,
-            "counters": self.counters,
-            "branches": self.branches,
-            "diagnostics": self.diagnostics,
-            "perf": self.perf,
-            "passes": self.passes,
-            "server": self.server,
-            "profile": self.profile,
-            "tracing": self.tracing,
-            "interprocedural": self.interprocedural,
-            "incremental": self.incremental,
-            "meta": self.meta,
-        }
+        return {key: getattr(self, key) for key in SCHEMA_KEYS}
 
     def to_json(self, indent: int = 1) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricsReport":
-        return cls(
-            program=data["program"],
-            phases=data.get("phases", {}),
-            counters=data.get("counters", {}),
-            branches=data.get("branches", []),
-            diagnostics=data.get("diagnostics", []),
-            perf=data.get("perf", {}),
-            passes=data.get("passes", {}),
-            server=data.get("server", {}),
-            profile=data.get("profile", {}),
-            tracing=data.get("tracing", {}),
-            interprocedural=data.get("interprocedural", {}),
-            incremental=data.get("incremental", {}),
-            meta=data.get("meta", {}),
-            schema_version=data.get("schema_version", SCHEMA_VERSION),
-        )
+        return cls(**{key: data[key] for key in SCHEMA_KEYS if key in data})
 
     @classmethod
     def from_json(cls, text: str) -> "MetricsReport":
@@ -167,6 +77,14 @@ class MetricsReport:
     def read(cls, path: str) -> "MetricsReport":
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_json(handle.read())
+
+
+SCHEMA_KEYS = ("schema_version",) + tuple(
+    spec.name for spec in fields(MetricsReport) if spec.name != "schema_version"
+)
+
+#: Keys a report may omit.
+OPTIONAL_KEYS = tuple(key for key in SCHEMA_KEYS if key not in REQUIRED_KEYS)
 
 
 def branch_provenance(tracer) -> Tuple[Dict[tuple, BranchResolution],
@@ -286,8 +204,8 @@ def build_metrics_report(
 
 def validate_report_dict(data: dict) -> Optional[str]:
     """Schema check; returns an error message or None when valid."""
-    for key in SCHEMA_KEYS:
-        if key not in data and key not in OPTIONAL_KEYS:
+    for key in REQUIRED_KEYS:
+        if key not in data:
             return f"missing top-level key {key!r}"
     if not isinstance(data["schema_version"], int):
         return "schema_version must be an integer"

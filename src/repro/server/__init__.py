@@ -28,9 +28,11 @@ Layers, bottom up:
 * :mod:`.router`   -- the deterministic consistent-hash ring keyed by
   content address (cache affinity across shards);
 * :mod:`.shard`    -- the shard worker process and its parent-side
-  handle (pipe protocol, drain sentinel, respawn);
+  handle (pipe protocol, the shard's request queue, drain sentinel,
+  respawn);
 * :mod:`.frontend` -- the selector event loop in front of the shards,
-  plus the ``repro serve`` entry point (signals, drain);
+  plus the ``repro serve`` entry point (signals, drain), which hands
+  its settings to :class:`ShardedServer` unchanged;
 * :mod:`.client`   -- the stdlib client behind ``repro submit``
   (including the ``--jobs N`` concurrent fan-out).
 

@@ -18,6 +18,7 @@ import socket
 from typing import Dict, List, Optional, Tuple
 
 from repro.observability import context as tracecontext
+from repro.server.protocol import error_response
 
 
 class ServerError(Exception):
@@ -189,15 +190,9 @@ class ServeClient:
             try:
                 return self._post(path, body)
             except ServerError as error:
-                return {
-                    "status": "error",
-                    "command": item.get("command"),
-                    "output": "",
-                    "exit_code": 1,
-                    "degraded": False,
-                    "error": str(error),
-                    "http_status": error.status,
-                }
+                return error_response(
+                    item.get("command"), str(error), http_status=error.status
+                )
 
         if jobs == 1 or len(items) <= 1:
             return [one(item) for item in items]

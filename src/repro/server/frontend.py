@@ -31,13 +31,16 @@ Contracts:
 * **byte identity** -- shards run the same :class:`AnalysisService`
   over the same renderer, so a served response equals the one-shot CLI
   output at every shard count (CI-gated);
-* **backpressure** -- each shard has a bounded front-end queue
-  (``queue_size``); a request routed to a full shard answers 503 with a
-  ``Retry-After`` computed from queue depth and observed drain rate,
-  and a batch enqueues atomically against all its target shards or
-  fails 503 as a unit.  An oversized body answers 413, malformed JSON
-  or protocol violations 400; analysis-level failures (parse errors,
-  timeouts) are 200 with ``status: "error"`` or ``degraded: true``;
+* **backpressure** -- each shard's :class:`ShardHandle` holds a bounded
+  queue (``queue_size``); a request routed to a full shard answers 503
+  with a ``Retry-After`` computed from queue depth and observed drain
+  rate, and a batch enqueues atomically against all its target shards
+  or fails 503 as a unit.  A ``Content-Length`` that is not ASCII
+  digits answers 411, an oversized body 413, malformed or too deeply
+  nested JSON and protocol violations 400, and an error escaping the
+  loop while it handles a connection 500; analysis-level failures
+  (parse errors, timeouts) are 200 with ``status: "error"`` or
+  ``degraded: true``.  Every answer leaves through ``_respond``;
 * **deadline degradation** -- per-request timeouts live in the service,
   inside each shard;
 * **tracing** -- a request carrying ``X-Repro-Trace-Id`` keeps that id
@@ -58,14 +61,15 @@ connection (so no idle keep-alive can hold a drain hostage),
 from __future__ import annotations
 
 import json
+import logging
 import os
 import selectors
 import signal
 import socket
 import threading
 import time
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+import traceback
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.commands import validate_options
@@ -73,7 +77,12 @@ from repro.observability import context as tracecontext
 from repro.observability.events import ServerRequestBegin, ServerRequestEnd
 from repro.observability.logging import get_logger, log_event
 from repro.observability.tracer import SpanRecord, Tracer
-from repro.server.protocol import ProtocolError, error_response, validate_batch
+from repro.server.protocol import (
+    UNCACHED,
+    ProtocolError,
+    error_response,
+    validate_batch,
+)
 from repro.server.router import HashRing
 from repro.server.service import request_identity
 from repro.server.shard import ShardHandle
@@ -106,12 +115,6 @@ _REASONS = {
 #: Largest accepted request head (request line + headers).
 MAX_HEAD_BYTES = 32_768
 
-#: Requests allowed into a shard's pipe at once.  One: the shard is
-#: either analysing the message it already read or blocked in recv(),
-#: so a send from the event loop never blocks on a full pipe buffer;
-#: the rest of the shard's bounded queue waits in the front end.
-PIPE_WINDOW = 1
-
 
 class _ClientConn:
     """Per-socket state for the event loop."""
@@ -139,11 +142,10 @@ class _ClientConn:
 class _Batch:
     """One in-flight ``/v1/batch`` request fanning out across shards."""
 
-    __slots__ = ("conn", "started", "results", "remaining")
+    __slots__ = ("conn", "results", "remaining")
 
-    def __init__(self, conn: _ClientConn, started: float, size: int):
+    def __init__(self, conn: _ClientConn, size: int):
         self.conn = conn
-        self.started = started
         self.results: List[Optional[dict]] = [None] * size
         self.remaining = 0
 
@@ -151,13 +153,11 @@ class _Batch:
 class _Pending:
     """One request dispatched to a shard, awaiting its response."""
 
-    __slots__ = ("conn", "endpoint", "command", "started", "shard", "batch", "slot")
+    __slots__ = ("conn", "command", "shard", "batch", "slot")
 
-    def __init__(self, conn, endpoint, command, started, shard, batch=None, slot=0):
+    def __init__(self, conn, command, shard, batch=None, slot=0):
         self.conn = conn
-        self.endpoint = endpoint
         self.command = command
-        self.started = started
         self.shard = shard
         self.batch = batch
         self.slot = slot
@@ -188,6 +188,7 @@ class ShardedServer:
         self.shard_count = shards if shards else (os.cpu_count() or 1)
         self.queue_size = queue_size
         self.cache_dir = cache_dir
+        self.timeout_s = timeout_s
         self.max_request_bytes = max_request_bytes
         self.base_options = dict(base_options or {})
         self.incremental = incremental
@@ -217,12 +218,6 @@ class ShardedServer:
                     pass
             raise
         self.ring = HashRing(self.shard_count)
-        self._backlogs: Dict[int, Deque[dict]] = {
-            handle.shard_id: deque() for handle in self.shards
-        }
-        self._in_pipe: Dict[int, int] = {
-            handle.shard_id: 0 for handle in self.shards
-        }
 
         self.stats = ServerStats()
         self.tracer = Tracer(record_events=False)
@@ -241,7 +236,6 @@ class ShardedServer:
         self._pending: Dict[int, _Pending] = {}
         self._next_id = 0
         self._conns: Dict[socket.socket, _ClientConn] = {}
-        self._selector: Optional[selectors.BaseSelector] = None
         self._stop_requested = False
         self._force_stop = False
         self._loop_running = threading.Event()
@@ -378,7 +372,6 @@ class ShardedServer:
     def serve_forever(self) -> None:
         """Run the event loop until drained (usually on its own thread)."""
         selector = selectors.DefaultSelector()
-        self._selector = selector
         selector.register(self._listen, selectors.EVENT_READ, ("listen", None))
         selector.register(self._wakeup_r, selectors.EVENT_READ, ("wakeup", None))
         for handle in self.shards:
@@ -409,7 +402,10 @@ class ShardedServer:
                     elif kind == "shard":
                         self._on_shard_readable(selector, payload)
                     elif kind == "client":
-                        self._on_client_event(selector, payload, key)
+                        try:
+                            self._on_client_event(selector, payload)
+                        except Exception:  # noqa: BLE001 -- keep serving
+                            self._internal_error(selector, payload)
         finally:
             for conn in list(self._conns.values()):
                 self._close_conn(selector, conn)
@@ -425,7 +421,6 @@ class ShardedServer:
                 except (KeyError, ValueError):
                     pass
             selector.close()
-            self._selector = None
             # Drain collects *every* shard: sentinel, join, account.
             self._shards_collected = all(
                 handle.shutdown() for handle in self.shards
@@ -501,7 +496,7 @@ class ShardedServer:
         except OSError:
             pass
 
-    def _on_client_event(self, selector, conn: _ClientConn, key) -> None:
+    def _on_client_event(self, selector, conn: _ClientConn) -> None:
         if conn.outbuf is not None:
             self._on_client_writable(selector, conn)
             return
@@ -517,6 +512,17 @@ class ShardedServer:
             return
         conn.inbuf += data
         self._advance(selector, conn)
+
+    def _internal_error(self, selector, conn: _ClientConn) -> None:
+        """An exception escaped while handling ``conn``: answer it 500."""
+        log_event(
+            self.access_log, "internal error", level=logging.ERROR,
+            traceback=traceback.format_exc(), trace_id=conn.trace_id,
+        )
+        if conn.outbuf is None and not conn.closed:
+            self._reject(selector, conn, 500, "internal error")
+        else:
+            self._close_conn(selector, conn)
 
     def _on_client_writable(self, selector, conn: _ClientConn) -> None:
         assert conn.outbuf is not None
@@ -543,30 +549,26 @@ class ShardedServer:
             self._dispatch_post(selector, conn)
 
     def _parse_head(self, selector, conn: _ClientConn) -> bool:
+        conn.started = time.perf_counter()
         index = conn.inbuf.find(b"\r\n\r\n")
         if index < 0:
             if len(conn.inbuf) > MAX_HEAD_BYTES:
-                self._respond_error(selector, conn, 400, "request head too large")
+                self._reject(selector, conn, 400, "request head too large")
             return False
         head = bytes(conn.inbuf[:index])
         del conn.inbuf[: index + 4]
         lines = head.split(b"\r\n")
         parts = lines[0].split()
         if len(parts) != 3:
-            self._respond_error(selector, conn, 400, "malformed request line")
+            self._reject(selector, conn, 400, "malformed request line")
             return False
-        try:
-            conn.method = parts[0].decode("latin-1")
-            conn.path = parts[1].decode("latin-1")
-        except UnicodeDecodeError:  # pragma: no cover -- latin-1 total
-            self._respond_error(selector, conn, 400, "malformed request line")
-            return False
+        conn.method = parts[0].decode("latin-1")
+        conn.path = parts[1].decode("latin-1")
         for line in lines[1:]:
             name, _sep, value = line.partition(b":")
             conn.headers[name.strip().lower().decode("latin-1")] = (
                 value.strip().decode("latin-1")
             )
-        conn.started = time.perf_counter()
         incoming = conn.headers.get(tracecontext.TRACE_HEADER.lower())
         if incoming and tracecontext.valid_trace_id(incoming):
             conn.trace_id = incoming
@@ -577,27 +579,19 @@ class ShardedServer:
             self._dispatch_get(selector, conn)
             return False
         if conn.method != "POST":
-            self._respond_error(selector, conn, 404, "not found")
+            self._reject(selector, conn, 404, "not found")
             return False
         length = conn.headers.get("content-length")
-        if length is None or not length.isdigit():
-            self._finish_inline(
-                selector, conn, conn.path, None, 411,
-                {"status": "error", "error": "Content-Length required"},
-            )
+        if length is None or not (length.isascii() and length.isdigit()):
+            self._reject(selector, conn, 411, "Content-Length required")
             return False
         conn.body_length = int(length)
         if conn.body_length > self.max_request_bytes:
             self.stats.record_rejected("too_large")
-            self._finish_inline(
-                selector, conn, conn.path, None, 413,
-                {
-                    "status": "error",
-                    "error": (
-                        f"request of {conn.body_length} bytes exceeds the "
-                        f"{self.max_request_bytes} byte limit"
-                    ),
-                },
+            self._reject(
+                selector, conn, 413,
+                f"request of {conn.body_length} bytes exceeds the "
+                f"{self.max_request_bytes} byte limit",
             )
             return False
         conn.state = "body"
@@ -607,45 +601,32 @@ class ShardedServer:
 
     def _dispatch_get(self, selector, conn: _ClientConn) -> None:
         parsed = urlparse(conn.path)
-        if parsed.path == "/healthz":
-            self.emit_event(
-                ServerRequestBegin(
-                    endpoint="/healthz", command=None, trace_id=conn.trace_id
-                )
-            )
-            self._finish_inline(
-                selector, conn, "/healthz", None, 200,
-                {
-                    "status": "draining" if self.draining else "ok",
-                    "inflight": self.inflight(),
-                    "shards": self.shard_count,
-                    "uptime_s": round(
-                        time.monotonic() - self.started_monotonic, 3
-                    ),
-                },
-            )
+        if parsed.path not in ("/healthz", "/metricsz"):
+            self._reject(selector, conn, 404, "not found")
             return
-        if parsed.path == "/metricsz":
-            self.emit_event(
-                ServerRequestBegin(
-                    endpoint="/metricsz", command=None, trace_id=conn.trace_id
-                )
+        self.emit_event(
+            ServerRequestBegin(
+                endpoint=parsed.path, command=None, trace_id=conn.trace_id
             )
-            if self._wants_prometheus(parsed.query, conn.headers.get("accept", "")):
-                self._finish_inline(
-                    selector, conn, "/metricsz", None, 200, {},
-                    body=self.prometheus_document().encode("utf-8"),
-                    content_type="text/plain; version=0.0.4; charset=utf-8",
-                )
-                return
-            self._finish_inline(
-                selector, conn, "/metricsz", None, 200, self.metrics_document()
-            )
-            return
-        self._finish_inline(
-            selector, conn, conn.path, None, 404,
-            {"status": "error", "error": "not found"},
         )
+        if parsed.path == "/healthz":
+            document = {
+                "status": "draining" if self.draining else "ok",
+                "inflight": self.inflight(),
+                "shards": self.shard_count,
+                "uptime_s": round(time.monotonic() - self.started_monotonic, 3),
+            }
+            self._respond(selector, conn, 200, document, endpoint="/healthz")
+        elif self._wants_prometheus(parsed.query, conn.headers.get("accept", "")):
+            self._respond(
+                selector, conn, 200, None, endpoint="/metricsz",
+                body=self.prometheus_document().encode("utf-8"),
+                content_type="text/plain; version=0.0.4; charset=utf-8",
+            )
+        else:
+            self._respond(
+                selector, conn, 200, self.metrics_document(), endpoint="/metricsz"
+            )
 
     @staticmethod
     def _wants_prometheus(query: str, accept: str) -> bool:
@@ -657,35 +638,27 @@ class ShardedServer:
     # -- POST routing --------------------------------------------------------
 
     def _dispatch_post(self, selector, conn: _ClientConn) -> None:
-        endpoint = conn.path
-        is_batch = endpoint == "/v1/batch"
-        if not is_batch and endpoint not in POST_ROUTES:
-            self._finish_inline(
-                selector, conn, endpoint, None, 404,
-                {"status": "error", "error": "not found"},
-            )
+        is_batch = conn.path == "/v1/batch"
+        if not is_batch and conn.path not in POST_ROUTES:
+            self._reject(selector, conn, 404, "not found")
             return
-        command = POST_ROUTES.get(endpoint)
+        command = POST_ROUTES.get(conn.path)
         self.emit_event(
             ServerRequestBegin(
-                endpoint=endpoint, command=command, trace_id=conn.trace_id
+                endpoint=conn.path, command=command, trace_id=conn.trace_id
             )
         )
         try:
             body = json.loads(bytes(conn.inbuf[: conn.body_length]).decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            self._finish_inline(
-                selector, conn, endpoint, command, 400,
-                {"status": "error", "error": "body is not valid JSON"},
-            )
+        except (UnicodeDecodeError, ValueError, RecursionError):
+            self._reject(selector, conn, 400, "body is not valid JSON", command)
             return
         del conn.inbuf[: conn.body_length]
         conn.state = "wait"
         if self.draining:
             self.stats.record_rejected("draining")
-            self._finish_inline(
-                selector, conn, endpoint, command, 503,
-                {"status": "error", "error": "server is draining"},
+            self._reject(
+                selector, conn, 503, "server is draining", command,
                 retry_after=self.stats.retry_after(0, 1),
             )
             return
@@ -693,123 +666,106 @@ class ShardedServer:
             self._dispatch_batch(selector, conn, body)
             return
         try:
-            _cmd, _src, _name, _opts, _cfg, request_key = request_identity(
-                body, command, self.base_options
-            )
+            handle, message = self._route(body, command)
         except ProtocolError as error:
-            self._finish_inline(
-                selector, conn, endpoint, command, 400,
-                {"status": "error", "error": str(error)},
-            )
+            self._reject(selector, conn, 400, str(error), command)
             return
-        handle = self.shards[self.ring.route(request_key)]
         if handle.inflight >= self.queue_size:
-            self.stats.record_rejected("queue_full")
-            self._finish_inline(
-                selector, conn, endpoint, command, 503,
-                {
-                    "status": "error",
-                    "error": (
-                        f"queue full on shard {handle.shard_id} "
-                        f"({handle.inflight} in flight, "
-                        f"capacity {self.queue_size})"
-                    ),
-                },
-                retry_after=self.stats.retry_after(handle.inflight, 1),
+            self._reject_queue_full(
+                selector, conn, handle, command,
+                f"queue full on shard {handle.shard_id}",
             )
             return
-        pending = _Pending(conn, endpoint, command, conn.started, handle)
-        self._enqueue(selector, handle, pending, body, command, conn.trace_id)
+        self._enqueue(selector, _Pending(conn, command, handle), message)
+
+    def _route(self, body, command: Optional[str]) -> Tuple[ShardHandle, dict]:
+        """The shard for one request and the body to forward to it.
+
+        Only the validated protocol fields travel: unknown keys of the
+        client's body never reach the pipe, and the options are the
+        request's own (the shard merges the server-wide ones itself).
+        Raises :class:`ProtocolError` on a malformed body.
+        """
+        command, source, name, _merged, _config, key = request_identity(
+            body, command, self.base_options
+        )
+        message = {
+            "command": command,
+            "source": source,
+            "name": name,
+            "options": body.get("options", {}),
+        }
+        return self.shards[self.ring.route(key)], message
 
     def _dispatch_batch(self, selector, conn: _ClientConn, body) -> None:
-        endpoint = "/v1/batch"
         try:
             items = validate_batch(body)
         except ProtocolError as error:
-            self._finish_inline(
-                selector, conn, endpoint, None, 400,
-                {"status": "error", "error": str(error)},
-            )
+            self._reject(selector, conn, 400, str(error))
             return
-        routed: List[Tuple[int, Optional[ShardHandle], Optional[dict], Optional[dict]]] = []
+        routed: List[Tuple[int, Optional[ShardHandle], dict]] = []
         demand: Dict[int, int] = {}
         for slot, item in enumerate(items):
             if not isinstance(item, dict):
                 item = {"source": item}  # fails validation with a clear error
             try:
-                *_rest, item_key = request_identity(item, None, self.base_options)
+                handle, message = self._route(item, None)
             except ProtocolError as error:
+                declared = item.get("command")
                 failure = error_response(
-                    item.get("command") if isinstance(item.get("command"), str)
-                    else None,
+                    declared if isinstance(declared, str) else None,
                     str(error),
+                    **UNCACHED,
                 )
-                failure.update(key=None, cached=None, elapsed_ms=0.0)
-                routed.append((slot, None, None, failure))
+                routed.append((slot, None, failure))
                 continue
-            handle = self.shards[self.ring.route(item_key)]
             demand[handle.shard_id] = demand.get(handle.shard_id, 0) + 1
-            routed.append((slot, handle, item, None))
+            routed.append((slot, handle, message))
         # Atomic admission: every target shard must have room for its
         # whole share, or the batch bounces as a unit.
         for shard_id, count in demand.items():
             handle = self.shards[shard_id]
             if handle.inflight + count > self.queue_size:
-                self.stats.record_rejected("queue_full")
-                self._finish_inline(
-                    selector, conn, endpoint, None, 503,
-                    {
-                        "status": "error",
-                        "error": (
-                            f"batch needs {count} slots on shard {shard_id} "
-                            f"({handle.inflight} in flight, "
-                            f"capacity {self.queue_size})"
-                        ),
-                    },
-                    retry_after=self.stats.retry_after(handle.inflight, 1),
+                self._reject_queue_full(
+                    selector, conn, handle, None,
+                    f"batch needs {count} slots on shard {shard_id}",
                 )
                 return
-        batch = _Batch(conn, conn.started, len(items))
-        for slot, handle, item, failure in routed:
-            if failure is not None:
-                batch.results[slot] = failure
+        batch = _Batch(conn, len(items))
+        for slot, handle, message in routed:
+            if handle is None:
+                batch.results[slot] = message
                 continue
             batch.remaining += 1
-            pending = _Pending(
-                conn, endpoint, None, conn.started, handle, batch=batch, slot=slot
-            )
-            self._enqueue(selector, handle, pending, item, None, conn.trace_id)
+            self._enqueue(selector, _Pending(conn, None, handle, batch, slot), message)
         if batch.remaining == 0:
             self._finish_batch(selector, batch)
 
-    def _enqueue(
-        self, selector, handle: ShardHandle, pending: _Pending,
-        body: dict, command: Optional[str], trace_id: Optional[str],
+    def _reject_queue_full(
+        self, selector, conn: _ClientConn, handle: ShardHandle,
+        command: Optional[str], what: str,
     ) -> None:
-        self._next_id += 1
-        request_id = self._next_id
-        self._pending[request_id] = pending
-        handle.inflight += 1
-        handle.high_water = max(handle.high_water, handle.inflight)
-        message = {
-            "op": "request",
-            "id": request_id,
-            "body": body,
-            "command": command,
-            "trace_id": trace_id,
-        }
-        if self._in_pipe[handle.shard_id] < PIPE_WINDOW:
-            self._pipe_send(selector, handle, message)
-        else:
-            self._backlogs[handle.shard_id].append(message)
+        self.stats.record_rejected("queue_full")
+        self._reject(
+            selector, conn, 503,
+            f"{what} ({handle.inflight} in flight, capacity {self.queue_size})",
+            command,
+            retry_after=self.stats.retry_after(handle.inflight, 1),
+        )
 
-    def _pipe_send(self, selector, handle: ShardHandle, message: dict) -> None:
+    def _enqueue(self, selector, pending: _Pending, body: dict) -> None:
+        self._next_id += 1
+        self._pending[self._next_id] = pending
         try:
-            handle.conn.send(message)
-        except (BrokenPipeError, OSError):
-            self._shard_failed(selector, handle)
-            return
-        self._in_pipe[handle.shard_id] += 1
+            pending.shard.submit({
+                "op": "request",
+                "id": self._next_id,
+                "body": body,
+                "command": pending.command,
+                "trace_id": pending.conn.trace_id,
+            })
+        except OSError:
+            self._shard_failed(selector, pending.shard)
 
     # -- shard replies -------------------------------------------------------
 
@@ -825,21 +781,18 @@ class ShardedServer:
             if not isinstance(message, dict) or message.get("op") != "response":
                 continue
             handle.stats_snapshot = message.get("stats") or handle.stats_snapshot
-            self._in_pipe[handle.shard_id] = max(
-                0, self._in_pipe[handle.shard_id] - 1
-            )
-            backlog = self._backlogs[handle.shard_id]
-            if backlog and self._in_pipe[handle.shard_id] < PIPE_WINDOW:
-                self._pipe_send(selector, handle, backlog.popleft())
+            try:
+                handle.answered()
+            except OSError:
+                self._shard_failed(selector, handle)
+                return
             pending = self._pending.pop(message.get("id"), None)
-            if pending is None:
-                continue
-            handle.inflight = max(0, handle.inflight - 1)
-            self._settle(
-                selector, pending,
-                message.get("response") or {},
-                int(message.get("http_status", 200)),
-            )
+            if pending is not None:
+                self._settle(
+                    selector, pending,
+                    message.get("response") or {},
+                    int(message.get("http_status", 200)),
+                )
 
     def _shard_failed(self, selector, handle: ShardHandle) -> None:
         """A shard died mid-flight: fail its requests, then respawn it."""
@@ -856,22 +809,13 @@ class ShardedServer:
             del self._pending[request_id]
             self._settle(
                 selector, pending,
-                {
-                    "status": "error",
-                    "command": pending.command,
-                    "output": "",
-                    "exit_code": 1,
-                    "degraded": False,
-                    "error": f"shard {handle.shard_id} worker died",
-                    "key": None,
-                    "cached": None,
-                    "elapsed_ms": 0.0,
-                },
+                error_response(
+                    pending.command, f"shard {handle.shard_id} worker died",
+                    **UNCACHED,
+                ),
                 500,
             )
-        self._backlogs[handle.shard_id].clear()
-        self._in_pipe[handle.shard_id] = 0
-        handle.inflight = 0
+        handle.drop()
         log_event(
             self.access_log, "shard died", shard=handle.shard_id,
             restarts=handle.restarts,
@@ -897,61 +841,50 @@ class ShardedServer:
             if batch.remaining == 0:
                 self._finish_batch(selector, batch)
             return
-        self._finish_request(
-            selector, pending.conn, pending.endpoint,
-            response.get("command", pending.command), http_status, response,
-            pending.started,
+        self._respond(
+            selector, pending.conn, http_status, response,
+            command=response.get("command", pending.command),
             cached=response.get("cached"),
             degraded=bool(response.get("degraded")),
         )
 
     def _finish_batch(self, selector, batch: _Batch) -> None:
         results = [result or {} for result in batch.results]
-        degraded = any(result.get("degraded") for result in results)
-        self._finish_request(
-            selector, batch.conn, "/v1/batch", None, 200,
-            {"status": "ok", "results": results},
-            batch.started, degraded=degraded,
+        self._respond(
+            selector, batch.conn, 200, {"status": "ok", "results": results},
+            degraded=any(result.get("degraded") for result in results),
         )
 
     # -- responses -----------------------------------------------------------
 
-    def _respond_error(self, selector, conn, status: int, message: str) -> None:
-        self._finish_inline(
-            selector, conn, conn.path or "?", None, status,
-            {"status": "error", "error": message},
-        )
-
-    def _finish_inline(
-        self, selector, conn: _ClientConn, endpoint: str,
-        command: Optional[str], status: int, document: dict,
-        body: Optional[bytes] = None,
-        content_type: str = "application/json",
-        retry_after: Optional[int] = None,
+    def _reject(
+        self, selector, conn: _ClientConn, status: int, message: str,
+        command: Optional[str] = None, retry_after: Optional[int] = None,
     ) -> None:
-        """Answer a request entirely from the front end (no shard)."""
-        self._finish_request(
-            selector, conn, endpoint, command, status, document,
-            conn.started or time.perf_counter(),
-            body=body, content_type=content_type, retry_after=retry_after,
+        """Answer ``status`` with the front end's own error document."""
+        self._respond(
+            selector, conn, status, {"status": "error", "error": message},
+            command=command, retry_after=retry_after,
         )
 
-    def _finish_request(
-        self, selector, conn: _ClientConn, endpoint: str,
-        command: Optional[str], status: int, document: dict, started: float,
+    def _respond(
+        self, selector, conn: _ClientConn, status: int, document: Optional[dict],
+        endpoint: Optional[str] = None, command: Optional[str] = None,
         cached: Optional[str] = None, degraded: bool = False,
-        body: Optional[bytes] = None,
-        content_type: str = "application/json",
+        body: Optional[bytes] = None, content_type: str = "application/json",
         retry_after: Optional[int] = None,
     ) -> None:
+        """Write one response and account for it: every answer ends here.
+
+        ``endpoint`` defaults to the request path; ``body`` replaces the
+        JSON rendering of ``document``; ``retry_after`` goes with a 503.
+        """
+        endpoint = endpoint or conn.path or "?"
         if body is None:
             body = (json.dumps(document, sort_keys=True) + "\n").encode("utf-8")
-        if status == 503 and retry_after is None:
-            retry_after = self.stats.retry_after(self.inflight(), self.shard_count)
-        if conn is not None and not conn.closed:
-            reason = _REASONS.get(status, "Unknown")
+        if not conn.closed:
             lines = [
-                f"HTTP/1.0 {status} {reason}",
+                f"HTTP/1.0 {status} {_REASONS.get(status, 'Unknown')}",
                 "Server: repro-serve",
                 f"Content-Type: {content_type}",
                 f"Content-Length: {len(body)}",
@@ -966,11 +899,14 @@ class ShardedServer:
             conn.out_offset = 0
             conn.state = "write"
             try:
-                self._selector_modify_write(selector, conn)
+                selector.modify(conn.sock, selectors.EVENT_WRITE, ("client", conn))
             except (KeyError, ValueError):  # pragma: no cover -- raced close
                 self._close_conn(selector, conn)
-        elapsed_ms = (time.perf_counter() - started) * 1000
-        trace_id = conn.trace_id if conn is not None else None
+            else:
+                # Try an eager write: most responses fit the socket
+                # buffer, so the common case needs no further iteration.
+                self._on_client_writable(selector, conn)
+        elapsed_ms = (time.perf_counter() - conn.started) * 1000
         self.stats.record_request(
             endpoint, status, elapsed_ms, cached=cached, degraded=degraded
         )
@@ -982,79 +918,53 @@ class ShardedServer:
                 elapsed_ms=round(elapsed_ms, 3),
                 cached=cached,
                 degraded=degraded,
-                trace_id=trace_id,
+                trace_id=conn.trace_id,
             )
         )
-        self.record_span(endpoint, started, time.perf_counter(), trace_id=trace_id)
+        self.record_span(
+            endpoint, conn.started, time.perf_counter(), trace_id=conn.trace_id
+        )
         log_event(
             self.access_log,
             "request",
-            method=conn.method if conn is not None else "POST",
+            method=conn.method,
             endpoint=endpoint,
             status=status,
             cached=cached,
             degraded=degraded,
             elapsed_ms=round(elapsed_ms, 3),
-            trace_id=trace_id,
+            trace_id=conn.trace_id,
         )
 
-    def _selector_modify_write(self, selector, conn: _ClientConn) -> None:
-        selector.modify(conn.sock, selectors.EVENT_WRITE, ("client", conn))
-        # Try an eager write: most responses fit the socket buffer, so
-        # the common case finishes without another loop iteration.
-        self._on_client_writable(selector, conn)
 
-
-def serve_daemon(
-    host: str = "127.0.0.1",
-    port: int = 8077,
-    queue_size: int = 64,
-    cache_dir: Optional[str] = None,
-    memory_cache_entries: int = 1024,
-    timeout_s: Optional[float] = None,
-    max_request_bytes: int = 1 << 20,
-    drain_timeout_s: float = 30.0,
-    base_options: Optional[dict] = None,
-    shards: Optional[int] = None,
-    incremental: bool = False,
-) -> int:
+def serve_daemon(drain_timeout_s: float, **settings) -> int:
     """Run the daemon until SIGTERM/SIGINT, then drain and exit.
 
-    This is the body of ``repro serve``.  The readiness line
+    This is the body of ``repro serve``.  ``settings`` are
+    :class:`ShardedServer`'s keyword arguments, defaults included;
+    ``drain_timeout_s`` bounds the drain.  The readiness line
     (``listening on HOST:PORT``) is printed only after the socket is
     bound, so supervisors and CI scripts can wait for it; with
-    ``--port 0`` the kernel-assigned port is the one printed.  A signal
+    ``port=0`` the kernel-assigned port is the one printed.  A signal
     starts a drain that finishes in-flight work and collects every
     shard process; the exit status is 0 only on a clean drain.
 
-    ``shards`` defaults to one shard per CPU core (see
-    :class:`ShardedServer`).  The access log (one JSON line per request,
-    stderr) is enabled here and only here: in-process embedders get a
-    silent server unless they call
-    :func:`repro.observability.logging.configure_json_logging`
+    The access log (one JSON line per request, stderr) is enabled here
+    and only here: in-process embedders get a silent server unless they
+    call :func:`repro.observability.logging.configure_json_logging`
     themselves.
     """
     from repro.observability.logging import configure_json_logging
 
     configure_json_logging()
     # Shards fork inside the constructor, before any thread starts.
-    server = ShardedServer(
-        host=host,
-        port=port,
-        shards=shards,
-        queue_size=queue_size,
-        cache_dir=cache_dir,
-        memory_cache_entries=memory_cache_entries,
-        timeout_s=timeout_s,
-        max_request_bytes=max_request_bytes,
-        base_options=base_options,
-        incremental=incremental,
-    )
+    server = ShardedServer(**settings)
+    timeout = "none" if server.timeout_s is None else f"{server.timeout_s}s"
     print(
         f"repro serve: listening on {server.host}:{server.port} "
-        f"(shards={server.shard_count}, queue={queue_size}/shard, "
-        f"cache={'disk+memory' if cache_dir else 'memory'}, "
-        f"timeout={'none' if timeout_s is None else f'{timeout_s}s'})",
+        f"(shards={server.shard_count}, queue={server.queue_size}/shard, "
+        f"cache={'disk+memory' if server.cache_dir else 'memory'}, "
+        f"timeout={timeout})",
         flush=True,
     )
 

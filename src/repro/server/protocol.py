@@ -123,8 +123,12 @@ def canonical_options(command: str, options: Dict[str, object]) -> Dict[str, obj
     }
 
 
-def error_response(command: Optional[str], message: str) -> dict:
-    """The deterministic core of a failed request."""
+#: The per-request fields of a response that no shard computed.
+UNCACHED = {"key": None, "cached": None, "elapsed_ms": 0.0}
+
+
+def error_response(command: Optional[str], message: str, **fields) -> dict:
+    """A failed request's response: the deterministic core, then ``fields``."""
     return {
         "status": "error",
         "command": command,
@@ -132,4 +136,5 @@ def error_response(command: Optional[str], message: str) -> dict:
         "exit_code": 1,
         "degraded": False,
         "error": message,
+        **fields,
     }

@@ -310,9 +310,8 @@ class AnalysisService:
         try:
             return self.execute(body, command, trace_id=trace_id)
         except ProtocolError as error:
-            response = protocol.error_response(
+            return protocol.error_response(
                 body.get("command") if isinstance(body, dict) else None,
                 str(error),
+                **protocol.UNCACHED,
             )
-            response.update(key=None, cached=None, elapsed_ms=0.0)
-            return response

@@ -15,6 +15,8 @@ mid-frame):
 
 parent -> shard
     ``{"op": "request", "id": n, "body": {...}, "command": ..., "trace_id": ...}``
+    (``body`` holds only the validated ``command``, ``source``, ``name``
+    and the request's own ``options``)
     ``None``                          -- drain: finish up and exit
 
 shard -> parent
@@ -47,7 +49,8 @@ import multiprocessing
 import os
 import signal
 import time
-from typing import Dict, Optional
+from collections import deque
+from typing import Deque, Dict, Optional
 
 #: Analysed once at shard boot, result discarded: pulls the whole
 #: lexer->predictor import chain and primes the perf layer before the
@@ -63,37 +66,38 @@ def _shard_stats(cache, served: int, degraded: int, incremental_store=None) -> d
     return stats
 
 
-def shard_main(conn, shard_id: int, settings: dict) -> None:
+def shard_main(
+    conn, shard_id: int, *, cache_dir, memory_cache_entries, timeout_s,
+    base_options, incremental,
+) -> None:
     """The shard process body: serve requests from ``conn`` until drained.
 
-    ``settings`` carries the picklable subset of the daemon's
-    configuration: ``cache_dir`` (shared across shards),
-    ``memory_cache_entries`` (the shard-local LRU bound), ``timeout_s``,
-    ``base_options``, and ``incremental`` (consult the per-function
-    summary store on whole-file cache misses; its disk tier, when
-    ``cache_dir`` is set, is shared across shards like the result
-    cache's).
+    The keyword arguments are the picklable subset of the daemon's
+    settings, always passed by :class:`ShardHandle` (their defaults
+    live on :class:`~repro.server.frontend.ShardedServer`):
+    ``cache_dir`` is shared across shards, ``memory_cache_entries``
+    bounds the shard-local LRU, and ``incremental`` consults the
+    per-function summary store on whole-file cache misses (its disk
+    tier, when ``cache_dir`` is set, is shared across shards like the
+    result cache's).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
 
     from repro.incremental.store import IncrementalStore, TwoTierStore
+    from repro.server.protocol import UNCACHED, error_response
     from repro.server.service import AnalysisService, analyze_payload
 
-    cache = TwoTierStore(
-        memory_entries=int(settings.get("memory_cache_entries", 1024)),
-        disk_dir=settings.get("cache_dir"),
-    )
+    cache = TwoTierStore(memory_entries=memory_cache_entries, disk_dir=cache_dir)
     incremental_store = None
-    if settings.get("incremental"):
-        cache_dir = settings.get("cache_dir")
+    if incremental:
         incremental_store = IncrementalStore(
             disk_dir=os.path.join(cache_dir, "incremental") if cache_dir else None
         )
     service = AnalysisService(
         cache=cache,
-        timeout_s=settings.get("timeout_s"),
-        base_options=settings.get("base_options"),
+        timeout_s=timeout_s,
+        base_options=base_options,
         incremental_store=incremental_store,
     )
     try:
@@ -131,17 +135,9 @@ def shard_main(conn, shard_id: int, settings: dict) -> None:
                     trace_id=message.get("trace_id"),
                 )
             except Exception as error:  # noqa: BLE001 -- a shard must not die
-                response = {
-                    "status": "error",
-                    "command": message.get("command"),
-                    "output": "",
-                    "exit_code": 1,
-                    "degraded": False,
-                    "error": f"internal error: {error}",
-                    "key": None,
-                    "cached": None,
-                    "elapsed_ms": 0.0,
-                }
+                response = error_response(
+                    message.get("command"), f"internal error: {error}", **UNCACHED
+                )
                 http_status = 500
             served += 1
             if response.get("degraded"):
@@ -167,42 +163,76 @@ def shard_main(conn, shard_id: int, settings: dict) -> None:
 
 
 class ShardHandle:
-    """The parent-side view of one shard: process + pipe + counters.
+    """The parent-side view of one shard: process, pipe and request queue.
+
+    The queue is the shard's bounded backlog: one message in the pipe
+    (the shard is either analysing it or blocked in ``recv()``, so a
+    send from the event loop never blocks on a full pipe buffer) and
+    the rest waiting here.  :meth:`submit`, :meth:`answered` and
+    :meth:`drop` are its only mutators; the first two raise
+    ``OSError`` when the pipe is broken.
 
     All mutation happens on the front end's event-loop thread, so the
     counters need no locks; ``/metricsz`` reads go through the front
     end's snapshot methods which copy them.
     """
 
-    def __init__(self, shard_id: int, settings: dict, mp_context=None):
+    def __init__(self, shard_id: int, settings: dict):
         self.shard_id = shard_id
         self.settings = dict(settings)
-        self._mp = mp_context if mp_context is not None else multiprocessing.get_context()
-        #: Requests dispatched and not yet answered (the bounded queue).
-        self.inflight = 0
+        self.waiting: Deque[dict] = deque()
+        self.in_pipe: Optional[dict] = None
         self.high_water = 0
         self.restarts = 0
         #: Latest piggybacked stats snapshot from the shard.
         self.stats_snapshot: dict = {"cache": {}, "served": 0, "degraded": 0}
-        self.ready = False
         self.process = None
         self.conn = None
         self._spawn()
 
+    # -- the request queue ---------------------------------------------------
+
+    @property
+    def inflight(self) -> int:
+        """Requests queued and not yet answered."""
+        return len(self.waiting) + (self.in_pipe is not None)
+
+    def submit(self, message: dict) -> None:
+        """Queue one request message, sending it if the pipe is free."""
+        self.waiting.append(message)
+        self.high_water = max(self.high_water, self.inflight)
+        self._fill_pipe()
+
+    def answered(self) -> None:
+        """The shard answered the message in its pipe: send the next."""
+        self.in_pipe = None
+        self._fill_pipe()
+
+    def drop(self) -> None:
+        """Forget every queued message (the shard died)."""
+        self.waiting.clear()
+        self.in_pipe = None
+
+    def _fill_pipe(self) -> None:
+        if self.in_pipe is None and self.waiting:
+            self.in_pipe = self.waiting.popleft()
+            self.conn.send(self.in_pipe)
+
     # -- lifecycle -----------------------------------------------------------
 
     def _spawn(self) -> None:
-        parent_conn, child_conn = self._mp.Pipe(duplex=True)
-        self.process = self._mp.Process(
+        context = multiprocessing.get_context()
+        parent_conn, child_conn = context.Pipe(duplex=True)
+        self.process = context.Process(
             target=shard_main,
-            args=(child_conn, self.shard_id, self.settings),
+            args=(child_conn, self.shard_id),
+            kwargs=self.settings,
             name=f"repro-shard-{self.shard_id}",
             daemon=True,
         )
         self.process.start()
         child_conn.close()
         self.conn = parent_conn
-        self.ready = False
 
     def wait_ready(self, timeout_s: float = 60.0) -> dict:
         """Block until the shard's ready handshake (boot-time only)."""
@@ -212,7 +242,6 @@ class ShardHandle:
                 message = self.conn.recv()
                 if isinstance(message, dict) and message.get("op") == "ready":
                     self.stats_snapshot = message.get("stats") or self.stats_snapshot
-                    self.ready = True
                     return message
             if not self.process.is_alive():
                 break
@@ -231,7 +260,6 @@ class ShardHandle:
             self.process.terminate()
         self.process.join(timeout=5.0)
         self.restarts += 1
-        self.inflight = 0
         self._spawn()
         self.wait_ready()
 
@@ -255,33 +283,6 @@ class ShardHandle:
 
     # -- event-loop-side accessors -------------------------------------------
 
-    @property
-    def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
-
-    def fileno(self) -> int:
-        return self.conn.fileno()
-
-    def send_request(
-        self,
-        request_id: int,
-        body: dict,
-        command: Optional[str],
-        trace_id: Optional[str],
-    ) -> None:
-        """Dispatch one request; the caller accounts ``inflight``."""
-        self.conn.send(
-            {
-                "op": "request",
-                "id": request_id,
-                "body": body,
-                "command": command,
-                "trace_id": trace_id,
-            }
-        )
-        self.inflight += 1
-        self.high_water = max(self.high_water, self.inflight)
-
     def snapshot(self) -> Dict[str, object]:
         """The per-shard document for ``/metricsz`` (``server.shards``)."""
         out = {
@@ -290,7 +291,7 @@ class ShardHandle:
             "cache": dict(self.stats_snapshot.get("cache") or {}),
             "served": int(self.stats_snapshot.get("served", 0)),
             "degraded": int(self.stats_snapshot.get("degraded", 0)),
-            "alive": self.alive,
+            "alive": self.process.is_alive(),
             "restarts": self.restarts,
         }
         incremental = self.stats_snapshot.get("incremental")

@@ -4,6 +4,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -37,6 +38,26 @@ def raw_post(port, path, body_bytes, headers=None):
         return response.status, dict(response.getheaders()), response.read()
     finally:
         connection.close()
+
+
+def raw_exchange(port, request, half_close=False):
+    """Send raw request bytes; everything the daemon wrote before closing."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        raw = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return raw
+            raw += chunk
+
+
+def post_bytes(path, body):
+    return (
+        f"POST {path} HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n"
+    ).encode("latin-1") + body
 
 
 def wait_inflight(server, count):
@@ -172,6 +193,56 @@ class TestRejection:
         with pytest.raises(ServerError) as excinfo:
             client.analyze("predict", PROGRAM, options={"typo": True})
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("length", ["\u00b2", "\u00b3", "\u00b9"])
+    def test_non_ascii_length_is_411(self, served, length):
+        # Superscript digits pass str.isdigit() but not int().
+        server, client = served
+        raw = raw_exchange(server.port, (
+            f"POST /v1/predict HTTP/1.0\r\nContent-Length: {length}\r\n\r\n{{}}"
+        ).encode("latin-1"))
+        assert raw.startswith(b"HTTP/1.0 411 ")
+        assert b"Content-Length required" in raw
+        assert client.healthz()["status"] == "ok"
+
+    def test_json_nested_too_deep_is_400(self, served):
+        server, client = served
+        raw = raw_exchange(server.port, post_bytes("/v1/predict", b"[" * 100_000))
+        assert raw.startswith(b"HTTP/1.0 400 ")
+        assert b"body is not valid JSON" in raw
+        assert client.healthz()["status"] == "ok"
+
+    def test_unknown_keys_never_reach_the_shard(self, served):
+        # Deep enough that pickling it for the shard would recurse too far.
+        server, client = served
+        extra = "[" * 500 + "]" * 500
+        body = f'{{"source": {json.dumps(PROGRAM)}, "extra": {extra}}}'.encode()
+        raw = raw_exchange(server.port, post_bytes("/v1/predict", body))
+        assert raw.startswith(b"HTTP/1.0 200 ")
+        document = json.loads(raw.split(b"\r\n\r\n", 1)[1])
+        assert document["status"] == "ok"
+        assert document["output"] == client.analyze("predict", PROGRAM)["output"]
+        assert client.healthz()["status"] == "ok"
+
+    def test_body_shorter_than_its_length_gets_no_response(self, served):
+        server, client = served
+        request = b"POST /v1/predict HTTP/1.0\r\nContent-Length: 100\r\n\r\n{}"
+        assert raw_exchange(server.port, request, half_close=True) == b""
+        assert client.healthz()["status"] == "ok"
+
+    def test_front_end_error_is_500_and_the_loop_keeps_serving(
+        self, served, monkeypatch
+    ):
+        server, client = served
+
+        def broken():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(server, "metrics_document", broken)
+        status, document = client.request_json("GET", "/metricsz")
+        assert status == 500
+        assert document == {"status": "error", "error": "internal error"}
+        assert client.healthz()["status"] == "ok"
 
 
 class TestBackpressure:

@@ -370,3 +370,43 @@ class TestShardCrash:
         assert server.shards[0].restarts >= 1
         response = client.analyze("predict", PROGRAM)
         assert response["status"] == "ok"
+
+    def test_killed_frozen_shard_fails_its_whole_queue(self, start_server, paused):
+        import time
+
+        server, client = start_server(queue_size=2)
+        outcomes = [{}, {}]
+
+        def post(outcome, source):
+            try:
+                client.analyze("predict", source)
+            except ServerError as error:
+                outcome["error"] = error
+
+        def wait_inflight(count):
+            deadline = time.monotonic() + 10
+            while server.inflight() != count and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.inflight() == count
+
+        posters = []
+        with paused(server):
+            # One request in the shard's pipe, one waiting behind it.
+            for outcome, source in zip(outcomes, (PROGRAM, OTHER)):
+                posters.append(threading.Thread(
+                    target=post, args=(outcome, source), daemon=True
+                ))
+                posters[-1].start()
+                wait_inflight(len(posters))
+            old_pid = server.shards[0].process.pid
+            server.shards[0].process.kill()
+            for poster in posters:
+                poster.join(timeout=30)
+        for outcome in outcomes:
+            assert outcome["error"].status == 500
+            assert str(outcome["error"]) == "shard 0 worker died"
+        assert server.inflight() == 0
+        assert client.metricsz()["server"]["queue"]["depth"] == 0
+        assert server.shards[0].process.pid != old_pid
+        assert server.shards[0].restarts == 1
+        assert client.analyze("predict", PROGRAM)["status"] == "ok"
