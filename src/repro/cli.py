@@ -70,6 +70,7 @@ from typing import List, Optional
 from repro import commands
 from repro.commands import Option
 from repro.core import VRPConfig
+from repro.core.perf.stats import STORE_MEMORY_ENTRIES
 from repro.ir import format_module
 from repro.observability import NULL_TRACER, SCHEMA_VERSION, Tracer, use
 
@@ -122,8 +123,9 @@ SERVE = DAEMON + (
            "before 503 backpressure (default 64)", minimum=1, metavar="N"),
     Option("cache_dir", str, None, "on-disk result cache (warm results "
            "survive restarts)", metavar="DIR"),
-    Option("memory_cache", int, 1024, "in-memory result cache entries "
-           "(default 1024)", minimum=0, metavar="N"),
+    Option("memory_cache", int, STORE_MEMORY_ENTRIES, "in-memory result "
+           f"cache entries (default {STORE_MEMORY_ENTRIES})", minimum=0,
+           metavar="N"),
     Option("timeout", float, None, "per-request analysis deadline; past it "
            "the response degrades to heuristics-only prediction (default: "
            "none)", metavar="SECONDS"),

@@ -17,6 +17,13 @@ from collections import OrderedDict
 from typing import Dict
 
 
+#: Default capacity of a result store's memory tier
+#: (:class:`repro.incremental.store.TwoTierStore`; ``repro serve
+#: --memory-cache``).  Declared here, not in the store, so the CLI can
+#: read it without importing :mod:`repro.incremental`.
+STORE_MEMORY_ENTRIES = 1024
+
+
 class CacheStats:
     """Hits/misses/evictions of one cache."""
 

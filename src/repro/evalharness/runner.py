@@ -82,7 +82,7 @@ def prepare_workload(workload: Workload) -> PreparedWorkload:
     )
 
 
-def _module_predictions(
+def _per_function_predictions(
     prepared: PreparedWorkload, predictor
 ) -> Dict[Tuple[str, str], float]:
     """Run a function-at-a-time predictor over the whole module."""
@@ -95,7 +95,7 @@ def _module_predictions(
 
 def profile_predictions(prepared: PreparedWorkload) -> Dict[Tuple[str, str], float]:
     predictor = ProfilePredictor(prepared.train_profile)
-    return _module_predictions(prepared, predictor)
+    return _per_function_predictions(prepared, predictor)
 
 
 def perfect_predictions(prepared: PreparedWorkload) -> Dict[Tuple[str, str], float]:
@@ -108,7 +108,7 @@ def perfect_predictions(prepared: PreparedWorkload) -> Dict[Tuple[str, str], flo
     describes in its Figures 7-8 discussion.
     """
     predictor = ProfilePredictor(prepared.truth_profile)
-    return _module_predictions(prepared, predictor)
+    return _per_function_predictions(prepared, predictor)
 
 
 def vrp_predictions(
@@ -163,13 +163,13 @@ def standard_predictors(context_depth: int = 0) -> Dict[str, PredictionFn]:
         "profile": profile_predictions,
         "vrp": lambda prepared: vrp_predictions(prepared, vrp_config),
         "vrp-numeric": lambda prepared: vrp_predictions(prepared, numeric_config),
-        "ball-larus": lambda prepared: _module_predictions(
+        "ball-larus": lambda prepared: _per_function_predictions(
             prepared, BallLarusPredictor()
         ),
-        "rule-90-50": lambda prepared: _module_predictions(
+        "rule-90-50": lambda prepared: _per_function_predictions(
             prepared, Rule9050Predictor()
         ),
-        "random": lambda prepared: _module_predictions(prepared, RandomPredictor()),
+        "random": lambda prepared: _per_function_predictions(prepared, RandomPredictor()),
     }
 
 

@@ -27,7 +27,7 @@ import tempfile
 import threading
 from typing import Optional, Tuple
 
-from repro.core.perf.stats import CacheStats, LRUCache
+from repro.core.perf.stats import STORE_MEMORY_ENTRIES, CacheStats, LRUCache
 
 
 class TwoTierStore:
@@ -39,7 +39,7 @@ class TwoTierStore:
 
     def __init__(
         self,
-        memory_entries: int = 1024,
+        memory_entries: int = STORE_MEMORY_ENTRIES,
         disk_dir: Optional[str] = None,
     ):
         if memory_entries < 0:
@@ -124,9 +124,9 @@ class TwoTierStore:
                 payload = json.load(handle)
         except FileNotFoundError:
             return None
-        except (OSError, ValueError):
-            # A corrupt or unreadable entry is a miss; drop it so the
-            # next store rewrites it cleanly.
+        except (OSError, ValueError, RecursionError):
+            # A corrupt, unreadable or too deeply nested entry is a
+            # miss; drop it so the next store rewrites it cleanly.
             self._disk_stats["errors"] += 1
             try:
                 os.unlink(path)

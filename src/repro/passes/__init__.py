@@ -1,10 +1,10 @@
 """Unified pass manager: declarative passes over cached analyses.
 
 * :mod:`repro.passes.base`     -- :class:`Pass` / :class:`FunctionPass` /
-  :class:`ModulePass` with ``requires``/``preserves`` contracts;
+  :class:`ModulePass` with ``preserves`` contracts;
 * :mod:`repro.passes.cache`    -- :class:`AnalysisCache`, demand-computed
-  CFG/dominance/postdominance/loop/frequency/prediction analyses with
-  ``preserves``-driven invalidation (and the single construction site
+  CFG/dominance/postdominance/loop/context/prediction/callgraph analyses
+  with ``preserves``-driven invalidation (and the single construction site
   for the structural trees, :func:`dominator_tree` and friends);
 * :mod:`repro.passes.library`  -- every §6 client as a registered pass;
 * :mod:`repro.passes.pipeline` -- the registry, the named pipelines

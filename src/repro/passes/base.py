@@ -1,10 +1,9 @@
 """Pass base classes: declarative units of work over the IR.
 
 A pass is the unit the :class:`~repro.passes.pipeline.PassPipeline`
-schedules.  Each declares
+schedules.  It requests analyses from the
+:class:`~repro.passes.cache.AnalysisCache` while it runs, and declares
 
-* ``requires`` -- the analyses it consumes (demand-computed through the
-  :class:`~repro.passes.cache.AnalysisCache` before/while it runs);
 * ``preserves`` -- the analyses still valid after it mutated the IR
   (the manager drops everything else from the cache);
 * ``mutates`` -- whether it rewrites the IR at all.  Non-mutating
@@ -32,11 +31,8 @@ ANALYSIS_NAMES: Tuple[str, ...] = (
     "postdominators",
     "loops",
     "context",
-    "frequency",
     "prediction",
     "callgraph",
-    "summaries",
-    "module_prediction",
 )
 
 #: ``preserves`` value meaning "everything survives" (pure analyses).
@@ -74,8 +70,6 @@ class Pass:
 
     #: Registry/CLI name (kebab-case).
     name: str = "pass"
-    #: Analyses the pass consumes (computed on demand via the cache).
-    requires: FrozenSet[str] = frozenset()
     #: Analyses still valid after the pass mutated the IR.
     preserves: FrozenSet[str] = PRESERVES_NONE
     #: Whether the pass rewrites IR at all.

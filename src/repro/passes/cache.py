@@ -1,20 +1,22 @@
 """Demand-computed, invalidation-aware analysis results.
 
 The :class:`AnalysisCache` is the single place structural analyses
-(CFG, dominators, postdominators, loops), the Wu–Larus frequency
-solution, and the VRP module prediction are constructed for pass
-pipelines.  Passes request analyses by name; the cache computes them
-on first use and serves them until a mutating pass invalidates them
-(everything the pass did not declare in ``preserves`` is dropped).
+(CFG, dominators, postdominators, loops), the heuristics' function
+context, the call graph and the VRP module prediction are constructed
+for pass pipelines.  Passes request analyses by name; the cache
+computes them on first use and serves them until a mutating pass
+invalidates them (everything the pass did not declare in ``preserves``
+is dropped).
 
-Every analysis is cached until invalidated.  The structural ones
-(``cfg``/``dominators``/``postdominators``/``loops``/``context``) are
-pure functions of the current IR, so serving a cached one is
-observationally identical to recomputing it.  The semantic ones
-(``prediction``, ``frequency``, ``summaries``) are results clients keep
-*using* across mutating passes (the free-function pipeline computes one
-prediction up front and feeds it to every fold); whether a pass may
-keep consuming them is governed solely by its ``preserves`` declaration.
+The structural analyses (``cfg``/``dominators``/``postdominators``/
+``loops``/``context``) and ``callgraph`` are pure functions of the
+current IR, so serving a cached one is observationally identical to
+recomputing it.  ``prediction`` is a result clients keep *using* across
+mutating passes (the free-function pipeline computes one prediction up
+front and feeds it to every fold); whether a pass may keep consuming it
+is governed solely by its ``preserves`` declaration.  The prediction
+carries everything else clients read from VRP: block and edge
+frequencies, and the interprocedural summaries.
 
 The module-level helpers :func:`dominator_tree`,
 :func:`postdominator_tree` and :func:`loop_info` are the one
@@ -35,12 +37,9 @@ from repro.ir.postdominance import PostDominatorTree
 
 from repro.passes.base import ANALYSIS_NAMES
 
-#: Analyses computed per module rather than per function.  ``callgraph``
-#: and the interprocedural products ride with ``prediction``: any
+#: Analyses computed per module rather than per function: any
 #: function's IR feeds them, so module-wide invalidation is the unit.
-MODULE_SCOPE = frozenset(
-    ("prediction", "callgraph", "summaries", "module_prediction")
-)
+MODULE_SCOPE = frozenset(("prediction", "callgraph"))
 
 
 # -- single construction site for the structural trees ----------------------
@@ -92,9 +91,6 @@ class AnalysisCache:
         use, but is required before ``prediction`` can be computed.
     config:
         Engine knobs for the prediction; defaults to :class:`VRPConfig`.
-    predictor:
-        Pre-built :class:`~repro.core.predictor.VRPPredictor` to reuse;
-        built from ``config`` on first demand otherwise.
     """
 
     def __init__(
@@ -102,12 +98,10 @@ class AnalysisCache:
         module: Module,
         ssa_infos: Optional[Dict[str, object]] = None,
         config: Optional[VRPConfig] = None,
-        predictor=None,
     ):
         self.module = module
         self.ssa_infos = ssa_infos or {}
         self.config = config or VRPConfig()
-        self._predictor = predictor
         self._function_entries: Dict[str, Dict[str, object]] = {}
         self._module_entries: Dict[str, object] = {}
         #: Running totals, exported into metrics schema v4.
@@ -170,9 +164,6 @@ class AnalysisCache:
         """The heuristics' :class:`FunctionContext` over cached analyses."""
         return self.get("context", function)
 
-    def frequency(self, function):
-        return self.get("frequency", function)
-
     def prediction(self):
         """The module-wide VRP prediction (computes it on first demand)."""
         return self.get("prediction")
@@ -180,10 +171,6 @@ class AnalysisCache:
     def callgraph(self):
         """The module's call graph (sites, edges, SCC condensation)."""
         return self.get("callgraph")
-
-    def summaries(self):
-        """Per-function interprocedural summaries (jump/return/purity)."""
-        return self.get("summaries")
 
     def function_prediction(self, function):
         name = function if isinstance(function, str) else function.name
@@ -226,88 +213,30 @@ class AnalysisCache:
                 loops=self.loops(function),
                 postdom=self.postdominators(function),
             )
-        if name == "frequency":
-            from repro.analysis.frequency import propagate_frequencies
-
-            prediction = self.prediction().functions.get(function.name)
-            branch_probability = (
-                prediction.branch_probability if prediction is not None else {}
-            )
-            return propagate_frequencies(function, branch_probability)
         if name == "prediction":
-            predictor = self._predictor
-            if predictor is None:
-                from repro.core.predictor import VRPPredictor
+            from repro.core.predictor import VRPPredictor
 
-                predictor = VRPPredictor(config=self.config)
-                self._predictor = predictor
-            return predictor.predict_module(
+            return VRPPredictor(config=self.config).predict_module(
                 self.module, self.ssa_infos, analysis_cache=self
             )
-        if name == "module_prediction":
-            # Explicit module-scope alias of ``prediction`` so pipelines
-            # can declare the interprocedural product by its own name.
-            return self.prediction()
         if name == "callgraph":
             from repro.core.callgraph import CallGraph
 
             return CallGraph(self.module)
-        if name == "summaries":
-            prediction = self.prediction()
-            if getattr(prediction, "summaries", None) is not None:
-                return prediction.summaries
-            # Intraprocedural prediction (no driver-built summaries):
-            # distil what the per-function predictions do expose.
-            from repro.core.summaries import build_summaries, compute_purity
-
-            callgraph = self.get("callgraph")
-            return build_summaries(
-                self.module,
-                callgraph,
-                compute_purity(self.module, callgraph),
-                {},
-                {
-                    fn: pred.return_set
-                    for fn, pred in prediction.functions.items()
-                },
-                {
-                    fn: pred.block_frequency
-                    for fn, pred in prediction.functions.items()
-                },
-            )
         raise KeyError(f"unknown analysis {name!r}")  # pragma: no cover
 
     # -- invalidation ---------------------------------------------------------
 
-    def invalidate(self, preserves=frozenset(), functions=None) -> int:
-        """Drop every analysis not in ``preserves``; returns entries dropped.
-
-        ``functions`` limits function-scoped invalidation to the named
-        functions (module-scoped analyses are always dropped when not
-        preserved, since any function's IR feeds them).
-        """
+    def invalidate(self, preserves=frozenset()) -> int:
+        """Drop every analysis not in ``preserves``; returns entries dropped."""
         dropped = 0
-        for name in list(self._module_entries):
-            if name not in preserves:
-                del self._module_entries[name]
-                self.invalidations[name] = self.invalidations.get(name, 0) + 1
-                dropped += 1
-        targets = (
-            list(self._function_entries)
-            if functions is None
-            else [f for f in functions if f in self._function_entries]
-        )
-        for function_name in targets:
-            entries = self._function_entries[function_name]
+        for entries in (self._module_entries, *self._function_entries.values()):
             for name in list(entries):
                 if name not in preserves:
                     del entries[name]
                     self.invalidations[name] = self.invalidations.get(name, 0) + 1
                     dropped += 1
         return dropped
-
-    def invalidate_all(self) -> int:
-        return self.invalidate(frozenset())
 
     # -- reporting ------------------------------------------------------------
 

@@ -4,7 +4,7 @@ Each pass is a thin declarative wrapper over the corresponding free
 function in :mod:`repro.opt` / :mod:`repro.analysis` -- the free
 functions remain the single source of truth for the transformations
 (and stay independently callable); the wrappers add the
-``requires``/``preserves`` contracts the pipeline schedules by.
+``preserves`` contracts the pipeline schedules by.
 
 Preservation contracts follow the free-function pipeline's semantics
 (``tests/integration/test_optimization_pipeline.py``): one prediction
@@ -34,8 +34,7 @@ class FoldConstantsPass(FunctionPass):
     """Replace uses of VRP-proven constants with immediates."""
 
     name = "fold-constants"
-    requires = frozenset(("prediction",))
-    preserves = STRUCTURAL | frozenset(("prediction", "frequency"))
+    preserves = STRUCTURAL | frozenset(("prediction",))
     mutates = True
 
     def run_on_function(self, function, cache) -> PassResult:
@@ -50,8 +49,7 @@ class FoldCopiesPass(FunctionPass):
     """Replace uses of VRP-proven copies with their sources."""
 
     name = "fold-copies"
-    requires = frozenset(("prediction",))
-    preserves = STRUCTURAL | frozenset(("prediction", "frequency"))
+    preserves = STRUCTURAL | frozenset(("prediction",))
     mutates = True
 
     def run_on_function(self, function, cache) -> PassResult:
@@ -66,7 +64,6 @@ class FoldBranchesPass(FunctionPass):
     """Fold branches VRP proves one-sided; removes unreachable blocks."""
 
     name = "fold-branches"
-    requires = frozenset(("prediction",))
     preserves = PRESERVES_NONE
     mutates = True
 
@@ -115,7 +112,6 @@ class InlineHotCallsPass(ModulePass):
     """Inline small, hot, non-recursive callees (prediction-driven)."""
 
     name = "inline-hot"
-    requires = frozenset(("prediction",))
     preserves = PRESERVES_NONE
     mutates = True
 
@@ -145,7 +141,6 @@ class PredictPass(ModulePass):
     """Materialise the VRP module prediction (the paper's deliverable)."""
 
     name = "predict"
-    requires = frozenset(("prediction",))
     preserves = PRESERVES_ALL
     mutates = False
 
@@ -158,7 +153,6 @@ class UnreachablePass(_AnalysisPass):
     """Report probability-zero blocks and never-taken edges."""
 
     name = "unreachable"
-    requires = frozenset(("prediction",))
 
     def run_on_function(self, function, cache) -> PassResult:
         from repro.opt.unreachable import dead_edges, unreachable_blocks
@@ -177,7 +171,6 @@ class BoundsCheckPass(_AnalysisPass):
     """Classify array accesses as provably safe/unsafe/unknown."""
 
     name = "bounds-check"
-    requires = frozenset(("prediction",))
 
     def run_on_function(self, function, cache) -> PassResult:
         from repro.opt.boundscheck import analyse_bounds_checks, eliminated_fraction
@@ -196,7 +189,6 @@ class ArrayAliasPass(_AnalysisPass):
     """Disambiguate array accesses by their index ranges."""
 
     name = "array-alias"
-    requires = frozenset(("prediction",))
 
     def run_on_function(self, function, cache) -> PassResult:
         from repro.opt.array_alias import (
@@ -221,7 +213,6 @@ class LayoutPass(_AnalysisPass):
     """Pettis-Hansen block layout from predicted edge frequencies."""
 
     name = "layout"
-    requires = frozenset(("prediction",))
 
     def run_on_function(self, function, cache) -> PassResult:
         from repro.opt.layout import chain_layout
@@ -235,7 +226,6 @@ class SuperblockPass(_AnalysisPass):
     """Select straight-line traces (superblocks) from the prediction."""
 
     name = "superblock"
-    requires = frozenset(("prediction",))
 
     def run_on_function(self, function, cache) -> PassResult:
         from repro.opt.superblock import form_traces, trace_statistics
@@ -251,7 +241,6 @@ class SpeculationPass(_AnalysisPass):
     """Score hoisting candidates for speculative scheduling."""
 
     name = "speculation"
-    requires = frozenset(("prediction",))
 
     def run_on_function(self, function, cache) -> PassResult:
         from repro.opt.speculation import hoisting_candidates, useless_speculation
@@ -288,7 +277,6 @@ class FunctionOrderPass(ModulePass):
     """Frequency-ordered function processing and allocation priority."""
 
     name = "function-order"
-    requires = frozenset(("prediction",))
     preserves = PRESERVES_ALL
     mutates = False
 
@@ -309,7 +297,6 @@ class DiagnosePass(ModulePass):
     """Run the static-diagnostics rules over the prediction."""
 
     name = "diagnose"
-    requires = frozenset(("prediction",))
     preserves = PRESERVES_ALL
     mutates = False
 

@@ -127,10 +127,6 @@ class PipelineResult:
                 return run
         return None
 
-    def data_of(self, name: str):
-        run = self.run_of(name)
-        return run.data if run is not None else None
-
     def passes_metrics(self) -> dict:
         """The ``passes`` block of metrics schema v4."""
         return {

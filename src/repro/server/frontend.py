@@ -73,6 +73,7 @@ from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.commands import validate_options
+from repro.core.perf.stats import STORE_MEMORY_ENTRIES
 from repro.observability import context as tracecontext
 from repro.observability.events import ServerRequestBegin, ServerRequestEnd
 from repro.observability.logging import get_logger, log_event
@@ -114,6 +115,10 @@ _REASONS = {
 
 #: Largest accepted request head (request line + headers).
 MAX_HEAD_BYTES = 32_768
+
+#: Longest ``Content-Length`` read as a number (2**64 has 20 digits); a
+#: longer one is over any limit, and int() refuses 4,300 digits or more.
+MAX_LENGTH_DIGITS = 20
 
 
 class _ClientConn:
@@ -173,7 +178,7 @@ class ShardedServer:
         shards: Optional[int] = None,
         queue_size: int = 64,
         cache_dir: Optional[str] = None,
-        memory_cache_entries: int = 1024,
+        memory_cache_entries: int = STORE_MEMORY_ENTRIES,
         timeout_s: Optional[float] = None,
         max_request_bytes: int = 1 << 20,
         base_options: Optional[dict] = None,
@@ -585,17 +590,21 @@ class ShardedServer:
         if length is None or not (length.isascii() and length.isdigit()):
             self._reject(selector, conn, 411, "Content-Length required")
             return False
-        conn.body_length = int(length)
-        if conn.body_length > self.max_request_bytes:
-            self.stats.record_rejected("too_large")
-            self._reject(
-                selector, conn, 413,
-                f"request of {conn.body_length} bytes exceeds the "
-                f"{self.max_request_bytes} byte limit",
-            )
-            return False
-        conn.state = "body"
-        return True
+        digits = length.lstrip("0")
+        if len(digits) > MAX_LENGTH_DIGITS:
+            size = f"a {len(digits)}-digit length"
+        else:
+            conn.body_length = int(length)
+            if conn.body_length <= self.max_request_bytes:
+                conn.state = "body"
+                return True
+            size = f"{conn.body_length} bytes"
+        self.stats.record_rejected("too_large")
+        self._reject(
+            selector, conn, 413,
+            f"request of {size} exceeds the {self.max_request_bytes} byte limit",
+        )
+        return False
 
     # -- GET -----------------------------------------------------------------
 
@@ -800,6 +809,9 @@ class ShardedServer:
             selector.unregister(handle.conn)
         except (KeyError, ValueError):
             pass
+        # Empty the queue before answering: a client that has its 500
+        # must find the request no longer in flight.
+        handle.drop()
         failed = [
             (request_id, pending)
             for request_id, pending in self._pending.items()
@@ -815,7 +827,6 @@ class ShardedServer:
                 ),
                 500,
             )
-        handle.drop()
         log_event(
             self.access_log, "shard died", shard=handle.shard_id,
             restarts=handle.restarts,

@@ -123,6 +123,12 @@ def canonical_options(command: str, options: Dict[str, object]) -> Dict[str, obj
     }
 
 
+#: The deterministic core every cached payload carries; an entry
+#: without it is damaged and is recomputed rather than served.
+RESPONSE_CORE = frozenset(
+    ("status", "command", "output", "exit_code", "degraded", "error")
+)
+
 #: The per-request fields of a response that no shard computed.
 UNCACHED = {"key": None, "cached": None, "elapsed_ms": 0.0}
 

@@ -112,14 +112,16 @@ class TestDiskTier:
         assert json.loads(path.read_text()) == {"n": 1}
 
     def test_corrupt_entry_is_a_miss_and_is_dropped(self, tmp_path):
-        store = TwoTierStore(disk_dir=str(tmp_path))
-        store.put(KEY_A, {"n": 1})
-        path = tmp_path / KEY_A[:2] / f"{KEY_A}.json"
-        path.write_text("{not json")
-        store.clear()  # force the disk read
-        assert store.get(KEY_A) == (None, None)
-        assert store.stats()["disk"]["errors"] == 1
-        assert not path.exists()
+        # Not JSON, and JSON nested past the decoder's recursion limit.
+        for corrupt in ("{not json", "[" * 100_000 + "]" * 100_000):
+            store = TwoTierStore(disk_dir=str(tmp_path))
+            store.put(KEY_A, {"n": 1})
+            path = tmp_path / KEY_A[:2] / f"{KEY_A}.json"
+            path.write_text(corrupt)
+            store.clear()  # force the disk read
+            assert store.get(KEY_A) == (None, None)
+            assert store.stats()["disk"]["errors"] == 1
+            assert not path.exists()
 
     def test_non_dict_entry_is_a_miss(self, tmp_path):
         store = TwoTierStore(disk_dir=str(tmp_path))

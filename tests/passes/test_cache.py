@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.passes import AnalysisCache
 from repro.passes.cache import dominator_tree, loop_info, postdominator_tree
 
@@ -52,11 +54,11 @@ class TestDemandComputation:
         assert cache.function_prediction(module.main) is prediction.functions["main"]
 
     def test_frequency_follows_the_prediction(self):
+        # Block frequencies ride on the cached prediction; no separate
+        # analysis re-solves them.
         module, cache = _cache(LOOPY)
-        frequency = cache.frequency(module.main)
-        assert frequency is cache.frequency(module.main)
-        entry = module.main.entry_label
-        assert frequency.block_frequency[entry] == 1.0
+        prediction = cache.function_prediction(module.main)
+        assert prediction.block_frequency[module.main.entry_label] == 1.0
 
     def test_hit_and_miss_counters(self):
         module, cache = _cache()
@@ -68,12 +70,9 @@ class TestDemandComputation:
 
     def test_unknown_analysis_is_rejected(self):
         module, cache = _cache()
-        try:
-            cache.get("no-such-analysis")
-        except KeyError:
-            pass
-        else:
-            raise AssertionError("expected KeyError")
+        for name in ("no-such-analysis", "frequency"):
+            with pytest.raises(KeyError):
+                cache.get(name, module.main)
 
 
 class TestInvalidation:
@@ -94,17 +93,9 @@ class TestInvalidation:
         function = module.main
         cfg_before = cache.cfg(function)
         cache.prediction()
-        dropped = cache.invalidate_all()
+        dropped = cache.invalidate()
         assert dropped >= 2
         assert cache.cfg(function) is not cfg_before
-
-    def test_function_scoped_invalidation_spares_other_functions(self):
-        module, cache = _cache(LOOPY)
-        main_cfg = cache.cfg(module.main)
-        helper_cfg = cache.cfg(module.function("helper"))
-        cache.invalidate(preserves=frozenset(), functions={"main"})
-        assert cache.cfg(module.main) is not main_cfg
-        assert cache.cfg(module.function("helper")) is helper_cfg
 
     def test_stats_reports_all_traffic(self):
         module, cache = _cache()

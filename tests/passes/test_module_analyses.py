@@ -1,9 +1,10 @@
-"""Module-scoped analyses: callgraph, summaries, module_prediction.
+"""Module-scoped analyses: callgraph and prediction.
 
 The interprocedural products are first-class pass-manager analyses:
 served from :class:`AnalysisCache` on demand, reused across clients,
 consumed by the VRP driver itself, and dropped or kept by
-``invalidate`` according to a pass's ``preserves`` contract.
+``invalidate`` according to a pass's ``preserves`` contract.  The
+driver's summaries ride on the prediction.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def _cache(source=CALLS):
 
 class TestRegistration:
     def test_interprocedural_products_are_registered_analyses(self):
-        for name in ("callgraph", "summaries", "module_prediction"):
+        for name in ("callgraph", "prediction"):
             assert name in ANALYSIS_NAMES
             assert name in PRESERVES_ALL
 
@@ -54,20 +55,20 @@ class TestDemandComputation:
 
     def test_summaries_are_module_scoped_and_cached(self):
         module, cache = _cache()
-        summaries = cache.summaries()
+        summaries = cache.prediction().summaries
         assert isinstance(summaries, ModuleSummaries)
-        assert summaries is cache.summaries()
+        assert summaries is cache.prediction().summaries
+        assert cache.misses["prediction"] == 1
         assert summaries.of("affine").call_sites == 2
         assert summaries.of("affine").pure
 
     def test_summaries_ride_with_the_prediction(self):
         module, cache = _cache()
-        prediction = cache.prediction()
-        assert cache.summaries() is prediction.summaries
-
-    def test_module_prediction_aliases_prediction(self):
-        module, cache = _cache()
-        assert cache.get("module_prediction") is cache.prediction()
+        summaries = cache.prediction().summaries
+        cache.invalidate(preserves=frozenset(("callgraph",)))
+        fresh = cache.prediction().summaries
+        assert fresh is not summaries
+        assert fresh.of("affine").call_sites == summaries.of("affine").call_sites
 
     def test_driver_consumes_the_cached_callgraph(self):
         module, cache = _cache()
@@ -91,64 +92,43 @@ class TestInvalidation:
     def test_unpreserved_module_analyses_are_dropped(self):
         module, cache = _cache()
         cache.callgraph()
-        cache.summaries()
         cache.prediction()
         dropped = cache.invalidate(preserves=frozenset(("cfg", "loops")))
-        assert dropped >= 3
-        for name in ("callgraph", "summaries", "prediction"):
+        assert dropped >= 2
+        for name in ("callgraph", "prediction"):
             assert cache.invalidations.get(name, 0) == 1
 
     def test_preserves_all_keeps_every_module_analysis(self):
         module, cache = _cache()
         graph = cache.callgraph()
-        summaries = cache.summaries()
         prediction = cache.prediction()
         assert cache.invalidate(preserves=PRESERVES_ALL) == 0
         assert cache.callgraph() is graph
-        assert cache.summaries() is summaries
         assert cache.prediction() is prediction
 
     def test_partial_preserves_is_honoured(self):
         module, cache = _cache()
         graph = cache.callgraph()
-        summaries = cache.summaries()
+        prediction = cache.prediction()
         cache.invalidate(preserves=frozenset(("callgraph",)))
         assert cache.callgraph() is graph
-        assert cache.summaries() is not summaries
-        assert cache.invalidations["summaries"] == 1
+        assert cache.prediction() is not prediction
+        assert cache.invalidations["prediction"] == 1
         assert cache.invalidations.get("callgraph", 0) == 0
-
-    def test_function_limited_invalidation_still_drops_module_scope(self):
-        module, cache = _cache()
-        cache.callgraph()
-        cache.summaries()
-        before = cache.misses["callgraph"]
-        cache.invalidate(preserves=frozenset(), functions=["affine"])
-        cache.callgraph()
-        assert cache.misses["callgraph"] == before + 1
 
     def test_recompute_after_invalidation_is_fresh(self):
         module, cache = _cache()
         graph = cache.callgraph()
-        cache.invalidate_all()
+        cache.invalidate()
         fresh = cache.callgraph()
         assert fresh is not graph
         assert fresh.bottom_up_order() == graph.bottom_up_order()
 
 
 class TestIntraproceduralFallback:
-    def test_summaries_are_distilled_without_driver_built_ones(self):
-        module, cache = _cache()
-        prediction = cache.prediction()
-        # Simulate a prediction from the intraprocedural path, which
-        # carries no driver-built summaries.
-        prediction.summaries = None
-        summaries = cache.summaries()
-        assert isinstance(summaries, ModuleSummaries)
-        assert summaries.of("affine").call_sites == 2
-        assert summaries.of("affine").pure
-
     def test_unknown_module_analysis_is_rejected(self):
+        # Nothing rebuilds module products outside the seven analyses.
         module, cache = _cache()
-        with pytest.raises(KeyError):
-            cache.get("module_callgraph")
+        for name in ("module_callgraph", "summaries", "module_prediction"):
+            with pytest.raises(KeyError):
+                cache.get(name)

@@ -205,6 +205,17 @@ class TestRejection:
         assert b"Content-Length required" in raw
         assert client.healthz()["status"] == "ok"
 
+    def test_huge_content_length_is_413(self, served):
+        # Past int()'s 4,300-digit cap: refused by size, not a 500.
+        server, client = served
+        raw = raw_exchange(server.port, (
+            "POST /v1/predict HTTP/1.0\r\nContent-Length: " + "9" * 5000
+            + "\r\n\r\n{}"
+        ).encode("latin-1"))
+        assert raw.startswith(b"HTTP/1.0 413 ")
+        assert b"5000-digit length exceeds the" in raw
+        assert client.healthz()["status"] == "ok"
+
     def test_json_nested_too_deep_is_400(self, served):
         server, client = served
         raw = raw_exchange(server.port, post_bytes("/v1/predict", b"[" * 100_000))

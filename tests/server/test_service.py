@@ -1,5 +1,7 @@
 """The analysis service: byte parity with the CLI, caching, degradation."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -87,6 +89,29 @@ class TestByteParityWithCli:
         assert cold["output"] == memory_hit["output"] == disk_hit["output"]
         assert cold["output"] == expected
         assert cold["key"] == memory_hit["key"] == disk_hit["key"]
+
+    def test_damaged_disk_entry_is_recomputed_and_overwritten(
+        self, tmp_path, capsys, program_file
+    ):
+        # Valid JSON without the response core must not be served as a
+        # success with no status and no output.
+        expected, _ = cli_stdout(capsys, ["predict", program_file])
+        disk = tmp_path / "cache"
+        request = {"command": "predict", "source": PROGRAM}
+        key = AnalysisService(
+            cache=TwoTierStore(disk_dir=str(disk))
+        ).execute(request)["key"]
+        entry = disk / key[:2] / f"{key}.json"
+        entry.write_text("{}", encoding="utf-8")
+
+        restarted = AnalysisService(cache=TwoTierStore(disk_dir=str(disk)))
+        response = restarted.execute(request)
+        assert response["cached"] is None
+        assert response["status"] == "ok"
+        assert response["output"] == expected
+        assert json.loads(entry.read_text(encoding="utf-8"))["output"] == expected
+        again = AnalysisService(cache=TwoTierStore(disk_dir=str(disk)))
+        assert again.execute(request)["cached"] == "disk"
 
 
 class TestCacheKeys:
