@@ -61,6 +61,8 @@ def propagate_copies(function: Function, through_assertions: bool = False) -> in
                     if root != operand.name:
                         instr.replace_operand(operand, Temp(root))
                         replaced += 1
+    if replaced:
+        function.stamp = None
     return replaced
 
 
@@ -78,4 +80,6 @@ def remove_dead_copies(function: Function) -> int:
             if isinstance(instr, Copy) and instr.dest.name not in used:
                 block.remove(instr)
                 removed += 1
+    if removed:
+        function.stamp = None
     return removed

@@ -21,7 +21,6 @@ from repro.core.cloning import (
     CloneReport,
     analyse_with_cloning,
     clone_for_contexts,
-    clone_function,
 )
 from repro.core.comparisons import CompareOutcome, compare_sets
 from repro.core.config import VRPConfig, default_verify_ir, set_default_verify_ir
@@ -84,7 +83,6 @@ __all__ = [
     "bound_max",
     "bound_min",
     "clone_for_contexts",
-    "clone_function",
     "compare_sets",
     "default_verify_ir",
     "derive_loop_phi",

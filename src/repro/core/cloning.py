@@ -19,69 +19,8 @@ from repro.core.callgraph import CallGraph, CallSite
 from repro.core.config import VRPConfig
 from repro.core.interprocedural import ModulePrediction
 from repro.core.rangeset import BOTTOM, RangeSet
-from repro.ir.function import BasicBlock, Function, Module
-from repro.ir.instructions import (
-    BinOp,
-    Branch,
-    Call,
-    Cmp,
-    Copy,
-    Input,
-    Instruction,
-    Jump,
-    Load,
-    Phi,
-    Pi,
-    Return,
-    Store,
-    UnOp,
-)
+from repro.ir.function import Module
 from repro.ir.values import Temp
-
-
-def clone_function(function: Function, new_name: str) -> Function:
-    """Deep-copy a function under a new name (labels and temps preserved)."""
-    clone = Function(new_name, list(function.params))
-    clone.arrays = dict(function.arrays)
-    clone._label_counter = function._label_counter
-    clone._temp_counter = function._temp_counter
-    for label, block in function.blocks.items():
-        new_block = BasicBlock(label)
-        clone.blocks[label] = new_block
-        for instr in block.instructions:
-            new_block.append(_clone_instruction(instr))
-    clone.entry_label = function.entry_label
-    return clone
-
-
-def _clone_instruction(instr: Instruction) -> Instruction:
-    if isinstance(instr, BinOp):
-        return BinOp(instr.dest, instr.op, instr.lhs, instr.rhs)
-    if isinstance(instr, UnOp):
-        return UnOp(instr.dest, instr.op, instr.operand)
-    if isinstance(instr, Cmp):
-        return Cmp(instr.dest, instr.op, instr.lhs, instr.rhs)
-    if isinstance(instr, Copy):
-        return Copy(instr.dest, instr.src)
-    if isinstance(instr, Phi):
-        return Phi(instr.dest, list(instr.incomings))
-    if isinstance(instr, Pi):
-        return Pi(instr.dest, instr.src, instr.op, instr.bound, parent=instr.parent)
-    if isinstance(instr, Load):
-        return Load(instr.dest, instr.array, instr.index)
-    if isinstance(instr, Store):
-        return Store(instr.array, instr.index, instr.value)
-    if isinstance(instr, Call):
-        return Call(instr.dest, instr.callee, list(instr.args))
-    if isinstance(instr, Input):
-        return Input(instr.dest)
-    if isinstance(instr, Jump):
-        return Jump(instr.target)
-    if isinstance(instr, Branch):
-        return Branch(instr.cond, instr.true_target, instr.false_target)
-    if isinstance(instr, Return):
-        return Return(instr.value)
-    raise TypeError(f"cannot clone {instr!r}")
 
 
 class CloneReport:
@@ -147,11 +86,12 @@ def clone_for_contexts(
         # First group keeps the original; later groups get clones.
         for group_index, group in enumerate(groups[1:], start=1):
             clone_name = f"{callee}$clone{group_index}"
-            module.add_function(clone_function(module.function(callee), clone_name))
+            module.add_function(module.function(callee).copy(clone_name))
             report.original_of[clone_name] = callee
             names.append(clone_name)
             for site in group:
                 site.instruction.callee = clone_name
+                module.function(site.caller).stamp = None
         report.variants[callee] = names
     return report
 

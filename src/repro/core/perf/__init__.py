@@ -22,6 +22,8 @@ __all__ = ["reset", "snapshot", "stats"]
 def reset() -> None:
     """Clear every cache and every hit/miss counter.
 
+    The front-end memo (:mod:`repro.ir.memo`) is emptied too.
+
     Not called on the analysis path: caches persist across runs (results
     are cache-state-independent by construction, so persistence only
     buys hit rate).  Use this for isolation in tests and benchmarks --
@@ -30,8 +32,10 @@ def reset() -> None:
     # Imported here, not at the top: ``.memo`` imports the lattice
     # modules, which import ``.stats`` and so load this package first.
     from repro.core.perf import memo
+    from repro.ir import memo as frontend
 
     memo.clear()
+    frontend.clear()
     stats.reset_stats()
 
 

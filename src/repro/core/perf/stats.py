@@ -88,14 +88,6 @@ class LRUCache:
             table.popitem(last=False)
             self.record.evictions += 1
 
-    def intern(self, value):
-        """The canonical object equal to ``value`` (the first one seen)."""
-        canonical = self.get(value)
-        if canonical is None:
-            self.put(value, value)
-            return value
-        return canonical
-
     def __len__(self) -> int:
         return len(self._table)
 

@@ -72,11 +72,12 @@ class RangeSet:
         optionally rescales probabilities to sum 1, and compacts to the cap.
         Returns ⊥ when nothing remains or compaction fails.  Memoized;
         the result is hash-consed."""
-        key = (tuple(ranges), max_ranges, renormalise)
+        ranges = tuple(ranges)
+        key = _typed((ranges, max_ranges, renormalise), ranges)
         cached = _FROM_RANGES.get(key)
         if cached is not None:
             return cached
-        result = intern_rangeset(_build_set(key[0], max_ranges, renormalise))
+        result = intern_rangeset(_build_set(ranges, max_ranges, renormalise))
         _FROM_RANGES.put(key, result)
         return result
 
@@ -240,7 +241,33 @@ def intern_rangeset(rangeset: RangeSet) -> RangeSet:
         return TOP
     if rangeset.is_bottom:
         return BOTTOM
-    return _RANGESETS.intern(rangeset)
+    key = _typed(rangeset, rangeset._ranges)
+    canonical = _RANGESETS.get(key)
+    if canonical is None:
+        _RANGESETS.put(key, rangeset)
+        return rangeset
+    return canonical
+
+
+def _typed(key, ranges: Tuple[StridedRange, ...]):
+    """``key``, made to tell ``1`` from ``1.0`` in the ranges' bounds.
+
+    ``1 == 1.0``, so a key of equal ranges alone let whichever of two
+    such sets came first stand for both: ``constant(1.0)`` rendered
+    ``{ 1[1:1:0] }`` after ``constant(1)``.  Keyed by type instead, as
+    ``constant_set`` is.  Only an offset that is not an ``int`` and
+    equals one (a float such as ``1.0``, a bool) can collide, so only
+    such keys carry the types; every other key stays as it was.
+    """
+    for r in ranges:
+        lo, hi = r.lo.offset, r.hi.offset
+        if (lo.__class__ is not int and (lo.__class__ is not float or lo.is_integer())) or (
+            hi.__class__ is not int and (hi.__class__ is not float or hi.is_integer())
+        ):
+            return key, tuple(
+                [(r.lo.offset.__class__, r.hi.offset.__class__) for r in ranges]
+            )
+    return key
 
 
 def merge_weighted(

@@ -229,8 +229,21 @@ def _fingerprints(function: Function, salt: str) -> Dict[str, str]:
 
 
 def module_fingerprints(module, *, salt: str = "") -> Dict[str, Dict[str, str]]:
-    """Both fingerprints for every function: name -> {semantic, exact}."""
-    return {
-        name: _fingerprints(function, salt)
-        for name, function in module.functions.items()
-    }
+    """Both fingerprints for every function: name -> {semantic, exact}.
+
+    A function stamped by the front-end memo is what ``prepare_module``
+    made from its source key, so the fingerprints stored with the
+    key's entry serve it: each key is fingerprinted once per salt (see
+    :mod:`repro.ir.memo`).
+    """
+    out = {}
+    for name, function in module.functions.items():
+        entry = function.stamp
+        if entry is None:
+            out[name] = _fingerprints(function, salt)
+            continue
+        pair = entry.fingerprints.get(salt)
+        if pair is None:
+            pair = entry.fingerprints[salt] = _fingerprints(function, salt)
+        out[name] = dict(pair)
+    return out

@@ -25,7 +25,7 @@ import json
 import os
 import tempfile
 import threading
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.core.perf.stats import STORE_MEMORY_ENTRIES, CacheStats, LRUCache
 
@@ -56,11 +56,15 @@ class TwoTierStore:
 
     # -- lookup --------------------------------------------------------------
 
-    def get(self, key: str) -> Tuple[Optional[dict], Optional[str]]:
+    def get(
+        self, key: str, valid: Optional[Callable[[dict], bool]] = None
+    ) -> Tuple[Optional[dict], Optional[str]]:
         """Return ``(copy of payload, tier)``; ``(None, None)`` on a miss.
 
         The copy is shallow: callers may add or replace top-level fields
-        without touching the stored entry.
+        without touching the stored entry.  ``valid``, when given, is
+        what a disk entry must satisfy: one that does not is damaged,
+        like one that does not parse (see :meth:`_read_disk`).
         """
         with self._lock:
             payload = self._memory.get(key)
@@ -68,7 +72,7 @@ class TwoTierStore:
                 return dict(payload), "memory"
             if self.disk_dir is None:
                 return None, None
-            payload = self._read_disk(key)
+            payload = self._read_disk(key, valid)
             if payload is None:
                 self._disk_stats["misses"] += 1
                 return None, None
@@ -117,7 +121,15 @@ class TwoTierStore:
         assert self.disk_dir is not None
         return os.path.join(self.disk_dir, key[:2], f"{key}.json")
 
-    def _read_disk(self, key: str) -> Optional[dict]:
+    def _read_disk(
+        self, key: str, valid: Optional[Callable[[dict], bool]]
+    ) -> Optional[dict]:
+        """The entry under ``key``, or ``None``.
+
+        A corrupt, unreadable, too deeply nested or wrongly shaped
+        entry is a miss and a disk error; it is dropped so the next
+        store rewrites it cleanly, and it never reaches the memory tier.
+        """
         path = self._disk_path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -125,18 +137,15 @@ class TwoTierStore:
         except FileNotFoundError:
             return None
         except (OSError, ValueError, RecursionError):
-            # A corrupt, unreadable or too deeply nested entry is a
-            # miss; drop it so the next store rewrites it cleanly.
-            self._disk_stats["errors"] += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
-        if not isinstance(payload, dict):
-            self._disk_stats["errors"] += 1
-            return None
-        return payload
+            payload = None
+        if isinstance(payload, dict) and (valid is None or valid(payload)):
+            return payload
+        self._disk_stats["errors"] += 1
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+        return None
 
     def _write_disk(self, key: str, payload: dict) -> None:
         path = self._disk_path(key)

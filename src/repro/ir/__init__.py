@@ -72,6 +72,7 @@ def prepare_for_analysis(function: Function, assertions: bool = True) -> SSAInfo
     """
     from repro.observability import tracer as tracing
 
+    function.source_key = None  # no longer what lowering made
     tracer = tracing.active()
     with tracer.span("cfg-cleanup"):
         _, pred_count = prune_unreachable_blocks(function)
@@ -92,11 +93,42 @@ def prepare_module(module: Module, assertions: bool = True) -> dict:
     """Run :func:`prepare_for_analysis` on every function in a module.
 
     Returns a mapping of function name to :class:`SSAInfo`.
+
+    A function that :func:`~repro.lang.lowering.lower_program` produced
+    and nothing changed since carries its source key, and is trusted to
+    be exactly what that key lowers to: once the key has been prepared
+    twice, a copy of the prepared template (and of its ``SSAInfo``)
+    replaces the function in ``module.functions`` instead of preparing
+    it again (see :mod:`repro.ir.memo`).  Every prepared function of a
+    key is stamped with the key's memo entry.
     """
-    return {
-        name: prepare_for_analysis(function, assertions=assertions)
-        for name, function in module.functions.items()
-    }
+    from repro.ir import memo
+
+    infos = {}
+    used = {}
+    functions = module.functions
+    for name, function in list(functions.items()):
+        source_key = function.source_key
+        if source_key is None:
+            infos[name] = prepare_for_analysis(function, assertions=assertions)
+            continue
+        key = (source_key, assertions)
+        entry = memo.PREPARED.get(key)
+        if entry is None:
+            entry = memo.Entry()
+            infos[name] = prepare_for_analysis(function, assertions=assertions)
+        elif entry.template is None:
+            info = infos[name] = prepare_for_analysis(function, assertions=assertions)
+            entry.template = (function.copy(), info.copy())
+        else:
+            template, info = entry.template
+            function = functions[name] = template.copy()
+            infos[name] = info.copy()
+        function.stamp = entry
+        used[key] = entry
+    if used:
+        memo.keep(memo.PREPARED, used)
+    return infos
 
 
 __all__ = [

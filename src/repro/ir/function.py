@@ -104,6 +104,34 @@ class Function:
         self.arrays: Dict[str, Optional[int]] = {}
         self._label_counter = 0
         self._temp_counter = 0
+        # The front-end memo's marks (see :mod:`repro.ir.memo`):
+        # ``source_key`` is what ``lower_program`` lowered this function
+        # from, and ``stamp`` the memo entry ``prepare_module`` made it
+        # equal to.  Every IR rewrite clears ``stamp``.
+        self.source_key: Optional[tuple] = None
+        self.stamp = None
+
+    def copy(self, name: Optional[str] = None) -> "Function":
+        """A deep copy, renamed to ``name`` when given.
+
+        Block labels, temps, every instruction's ``loc``, the label and
+        temp counters, ``arrays`` and the entry label are kept; the
+        front-end memo's marks are not.
+        """
+        clone = Function(self.name if name is None else name, self.params)
+        clone.arrays = dict(self.arrays)
+        clone._label_counter = self._label_counter
+        clone._temp_counter = self._temp_counter
+        blocks = clone.blocks
+        for label, block in self.blocks.items():
+            new_block = blocks[label] = BasicBlock(label)
+            instructions = new_block.instructions
+            for instr in block.instructions:
+                instr = instr.copy()
+                instr.block = new_block
+                instructions.append(instr)
+        clone.entry_label = self.entry_label
+        return clone
 
     # -- block management -------------------------------------------------
 

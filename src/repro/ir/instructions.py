@@ -72,6 +72,21 @@ class Instruction:
     def is_terminator(self) -> bool:
         return False
 
+    def copy(self) -> "Instruction":
+        """A detached copy with the same operands and ``loc``.
+
+        Values are immutable and shared; list fields (phi incomings,
+        call arguments) are copied so the two never alias.
+        """
+        cls = self.__class__
+        clone = cls.__new__(cls)
+        clone.block = None
+        clone.loc = self.loc
+        for field in cls.__slots__:
+            value = getattr(self, field)
+            setattr(clone, field, list(value) if value.__class__ is list else value)
+        return clone
+
 
 class BinOp(Instruction):
     """``result = lhs <op> rhs``"""

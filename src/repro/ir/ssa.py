@@ -48,6 +48,13 @@ class SSAInfo:
         # Number of phis inserted.
         self.phi_count = 0
 
+    def copy(self) -> "SSAInfo":
+        clone = SSAInfo()
+        clone.param_names = dict(self.param_names)
+        clone.original_name = dict(self.original_name)
+        clone.phi_count = self.phi_count
+        return clone
+
 
 def construct_ssa(function: Function, cfg: Optional[CFG] = None) -> SSAInfo:
     """Rewrite ``function`` into SSA form in place.

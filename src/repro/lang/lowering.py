@@ -417,18 +417,22 @@ def lower_program(program: ast.Program, module_name: str = "module") -> Module:
     if len(signatures) != len(program.functions):
         raise LoweringError("duplicate function definition", 0)
     constants = _evaluate_constants(program.constants)
+    from repro.core.config import default_verify_ir
+
+    verify = default_verify_ir()
+    # Everything a function's lowering reads besides its FuncDef: the
+    # front-end memo's key (see repro.ir.memo).
+    context = (tuple(sorted(signatures.items())), tuple(constants.items()), verify)
     module = Module(module_name)
     for funcdef in program.functions:
         if funcdef.name in constants:
             raise LoweringError(
                 f"function {funcdef.name!r} shadows a constant", funcdef.line
             )
-        module.add_function(
-            _FunctionLowerer(funcdef, signatures, constants).lower()
-        )
-    from repro.core.config import default_verify_ir
-
-    if default_verify_ir():
+        function = _FunctionLowerer(funcdef, signatures, constants).lower()
+        function.source_key = (funcdef, context)
+        module.add_function(function)
+    if verify:
         from repro.ir.verifier import verify_function
 
         for function in module.functions.values():

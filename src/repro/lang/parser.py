@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Type
 
+from repro.ir import memo
 from repro.lang import ast_nodes as ast
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import Token, TokenKind
@@ -147,16 +148,48 @@ class Parser:
     # -- top level -------------------------------------------------------------
 
     def parse_program(self) -> ast.Program:
+        """Parse a whole program.
+
+        A function whose token span -- the kind, text and line of every
+        token from ``func`` to its closing brace -- equals the span of
+        the same name in the latest parse is not parsed again: its
+        tokens are skipped and that parse's ``FuncDef`` is reused (see
+        :mod:`repro.ir.memo`).
+        """
         functions: List[ast.FuncDef] = []
         constants: List[ast.ConstDef] = []
+        parsed: Dict[str, Tuple[tuple, ast.FuncDef]] = {}
         while not self._peek().kind == TokenKind.EOF:
             if self._peek().is_keyword("const"):
                 constants.append(self._parse_constdef())
             else:
-                functions.append(self.parse_funcdef())
+                functions.append(self._reuse_funcdef(parsed))
         if not functions:
             raise ParseError("program has no functions", self._peek())
+        memo.keep(memo.FUNCDEFS, parsed)
         return ast.Program(functions, constants)
+
+    def _reuse_funcdef(self, parsed: Dict[str, Tuple[tuple, ast.FuncDef]]) -> ast.FuncDef:
+        """:meth:`parse_funcdef` through the memo; records the span in ``parsed``."""
+        start = self.position
+        name = self._peek(1).text
+        known = memo.FUNCDEFS.get(name)
+        if known is not None:
+            span, funcdef = known
+            end = start + len(span)
+            # Equal tokens parse to an equal FuncDef, ending at ``end``.
+            if self._span(start, end) == span:
+                self.position = end
+                parsed[name] = known
+                return funcdef
+        funcdef = self.parse_funcdef()
+        parsed[name] = (self._span(start, self.position), funcdef)
+        return funcdef
+
+    def _span(self, start: int, end: int) -> tuple:
+        return tuple(
+            [(token.kind, token.text, token.line) for token in self.tokens[start:end]]
+        )
 
     def _parse_constdef(self) -> ast.ConstDef:
         start = self._expect_keyword("const")

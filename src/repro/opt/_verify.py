@@ -36,7 +36,12 @@ _DEFERRED: ContextVar[Optional[Dict[int, Function]]] = ContextVar(
 def verify_after(
     function: Function, pass_name: str, enabled: Optional[bool] = None
 ) -> None:
-    """Re-verify ``function`` (SSA form) after ``pass_name`` mutated it."""
+    """Re-verify ``function`` (SSA form) after ``pass_name`` mutated it.
+
+    The function is no longer what ``prepare_module`` made, so its
+    front-end memo stamp (and the fingerprints it vouches for) goes.
+    """
+    function.stamp = None
     pending = _DEFERRED.get()
     if pending is not None:
         # Recorded unconditionally (cheap): the flusher applies the

@@ -254,11 +254,9 @@ class AnalysisService:
         )
         started = time.perf_counter()
         want_trace = bool(merged.get("trace"))
-        payload, tier = self.cache.get(key)
-        if payload is not None and not protocol.RESPONSE_CORE <= payload.keys():
-            # Valid JSON of the wrong shape (a damaged disk entry) is a
-            # miss; the fresh result below overwrites it.
-            payload, tier = None, None
+        # A disk entry without the response core is damaged: a miss,
+        # which the fresh result below overwrites.
+        payload, tier = self.cache.get(key, valid=protocol.RESPONSE_CORE.issubset)
         tracer = tracing.Tracer(record_events=False) if want_trace else None
         if payload is None:
             store = self.incremental_store

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cloning import clone_for_contexts, clone_function
+from repro.core.cloning import clone_for_contexts
 from repro.core.interprocedural import analyse_module
 from repro.ir import prepare_for_analysis
 from repro.profiling import run_module
@@ -28,7 +28,7 @@ class TestCloneFunction:
     def test_clone_is_deep(self):
         module, _ = compile_and_prepare(DIVERGENT)
         original = module.function("kernel")
-        clone = clone_function(original, "kernel$clone1")
+        clone = original.copy("kernel$clone1")
         assert clone.name == "kernel$clone1"
         assert set(clone.blocks) == set(original.blocks)
         # Mutating the clone must not touch the original.
@@ -38,12 +38,22 @@ class TestCloneFunction:
 
     def test_clone_executes_identically(self):
         module, _ = compile_and_prepare(DIVERGENT)
-        module.add_function(clone_function(module.function("kernel"), "kernel2"))
+        module.add_function(module.function("kernel").copy("kernel2"))
         result = run_module(module, args=[0])
         assert result.return_value == sum(range(4)) + sum(range(400))
 
 
 class TestCloneForContexts:
+    def test_clones_keep_source_lines(self):
+        # Clones used to drop every instruction's loc, so diagnostics on
+        # a clone had no source line.
+        module, infos = compile_and_prepare(DIVERGENT)
+        report = clone_for_contexts(module, analyse_module(module, infos))
+        clone = module.function(report.variants["kernel"][1])
+        locs = [instr.loc for instr in module.function("kernel").instructions()]
+        assert [instr.loc for instr in clone.instructions()] == locs
+        assert any(loc is not None for loc in locs)
+
     def test_divergent_contexts_cloned(self):
         module, infos = compile_and_prepare(DIVERGENT)
         prediction = analyse_module(module, infos)

@@ -1,8 +1,10 @@
 """Interning (hash-consing) invariants of the perf layer.
 
 The contract under test: ``intern(x) is intern(y)`` exactly when
-``x == y`` -- including the ⊤/⊥ singletons and symbolic bounds -- and
-bounded caches may evict at any time without changing any result.
+``x == y`` and their bounds have the same number types (``1 == 1.0``,
+but the two render apart) -- including the ⊤/⊥ singletons and symbolic
+bounds -- and bounded caches may evict at any time without changing
+any result.
 """
 
 import glob
@@ -89,13 +91,27 @@ def neutrality_corpus():
 
 
 class TestIdentityIffEquality:
-    """intern(x) is intern(y)  <=>  x == y."""
+    """intern(x) is intern(y)  <=>  x == y, with the same number types."""
 
     def test_rangesets(self):
         for a in make_rangesets():
             for b in make_rangesets():
                 identical = intern_rangeset(a) is intern_rangeset(b)
-                assert identical == (a == b), (a, b)
+                assert identical == (a == b and str(a) == str(b)), (a, b)
+
+    def test_int_and_float_constants_stay_apart(self):
+        # Whichever of 1 and 1.0 a memo saw first used to stand for
+        # both: constant(1.0) rendered { 1[1:1:0] } after constant(1),
+        # and { 1[1.0:1.0:0] } after perf.reset().
+        assert str(RangeSet.constant(1)) == "{ 1[1:1:0] }"
+        assert str(RangeSet.constant(1.0)) == "{ 1[1.0:1.0:0] }"
+        perf.reset()
+        assert str(RangeSet.constant(1.0)) == "{ 1[1.0:1.0:0] }"
+        assert str(RangeSet.constant(1)) == "{ 1[1:1:0] }"
+        spans = [StridedRange(1.0, Bound(0), Bound(9), 1)]
+        floats = [StridedRange(1.0, Bound(0.0), Bound(9.0), 1)]
+        assert str(RangeSet.from_ranges(spans)) == "{ 1[0:9:1] }"
+        assert str(RangeSet.from_ranges(floats)) == "{ 1[0.0:9.0:1] }"
 
     def test_top_bottom_intern_to_module_singletons(self):
         assert intern_rangeset(RangeSet.top()) is TOP

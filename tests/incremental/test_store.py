@@ -130,6 +130,22 @@ class TestDiskTier:
         (path / f"{KEY_A}.json").write_text("[1, 2]")
         assert store.get(KEY_A) == (None, None)
         assert store.stats()["disk"]["errors"] == 1
+        assert not (path / f"{KEY_A}.json").exists()
+
+    def test_invalid_entry_is_an_error_not_a_hit(self, tmp_path):
+        # An entry that parses but fails the caller's shape test is as
+        # damaged as one that does not parse: never a hit, never kept
+        # in the memory tier.
+        TwoTierStore(disk_dir=str(tmp_path)).put(KEY_A, {"n": 1})
+        store = TwoTierStore(disk_dir=str(tmp_path))
+        assert store.get(KEY_A, valid=lambda payload: "v" in payload) == (None, None)
+        stats = store.stats()
+        assert stats["disk"] == {"hits": 0, "misses": 1, "errors": 1, "enabled": True}
+        assert stats["memory"]["entries"] == 0
+        assert not (tmp_path / KEY_A[:2] / f"{KEY_A}.json").exists()
+        store.put(KEY_A, {"v": 2})
+        store.clear()
+        assert store.get(KEY_A, valid=lambda payload: "v" in payload) == ({"v": 2}, "disk")
 
     def test_clear_keeps_the_disk_tier(self, tmp_path):
         store = TwoTierStore(disk_dir=str(tmp_path))

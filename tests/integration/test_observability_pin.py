@@ -115,7 +115,12 @@ def invocations(program):
 def run_cli(argv, normalise):
     """``(normalised stdout digest, exit code, error line)`` of one run."""
     from repro.cli import main
+    from repro.core import perf
 
+    # Cold, as a fresh ``repro`` process is: ``trace`` and ``profile``
+    # count the prepare spans of the functions the front-end memo did
+    # not supply.
+    perf.reset()
     stdout = io.StringIO()
     error = None
     with redirect_stdout(stdout):

@@ -1,0 +1,261 @@
+"""The front-end memo: a warm compile is byte-for-byte a cold one.
+
+``Parser.parse_program`` reuses the ``FuncDef`` of a token span it has
+parsed before, and ``prepare_module`` copies the prepared template of a
+function whose source key it has prepared twice (``repro.ir.memo``).
+Every product of a compile -- the prepared IR, each instruction's
+source line, the ``SSAInfo``, both incremental fingerprints and the
+``predict``/``check``/``ranges`` output -- must be the same whatever the
+memo holds.  The ledger's own ``recheck_equals_cold_analysis`` check
+compiles its cold side through the same memo, so it cannot guard this.
+"""
+
+import pytest
+
+from repro import commands
+from repro.core import VRPConfig, perf
+from repro.core.cloning import clone_for_contexts
+from repro.core.interprocedural import analyse_module
+from repro.incremental.fingerprint import fingerprint_salt, module_fingerprints
+from repro.ir import Pi, format_module, memo, prepare_module
+from repro.ir.instructions import Call
+from repro.lang import Parser, compile_source, lower_program, tokenize
+from repro.opt.inlining import inline_call
+from repro.passes import PassPipeline
+
+SALT = fingerprint_salt(VRPConfig())
+
+
+def compile_counting(source):
+    """``(module, infos, hits)``: hits are functions the memo supplied."""
+    module = compile_source(source)
+    lowered = dict(module.functions)
+    infos = prepare_module(module)
+    hits = sum(
+        module.functions[name] is not function for name, function in lowered.items()
+    )
+    return module, infos, hits
+
+
+def products(module, infos):
+    """Everything a compile hands on, as comparable values."""
+    return (
+        format_module(module, show_preds=True),
+        [
+            (instr.loc, instr.parent if isinstance(instr, Pi) else None)
+            for function in module.functions.values()
+            for instr in function.instructions()
+        ],
+        [
+            (name, info.param_names, info.original_name, info.phi_count)
+            for name, info in infos.items()
+        ],
+        module_fingerprints(module, salt=SALT),
+    )
+
+
+def outputs(source):
+    """``predict``, ``check`` and ``ranges`` output, from one compile."""
+    from repro import rendering
+    from repro.core import VRPPredictor
+    from repro.diagnostics import check_module
+
+    module, infos = commands.prepare(source)
+    prediction = VRPPredictor().predict_module(module, infos)
+    return [
+        rendering.branch_table(prediction.all_branches(), prediction.heuristic_branches()),
+        commands.render_check(check_module(module, prediction, program="p"), "text"),
+        rendering.ranges_listing(prediction),
+    ]
+
+
+def cold(source):
+    perf.reset()
+    module, infos, hits = compile_counting(source)
+    assert hits == 0
+    return products(module, infos)
+
+
+def cold_outputs(source):
+    perf.reset()
+    return outputs(source)
+
+
+#: Every how many edits the analysis output is compared too.
+OUTPUT_EVERY = 4
+
+
+def edit_sources(seed, edits=20, components=5):
+    """The sources of ``edits`` seeded edits, reverts and comments included."""
+    from benchmarks.ledger.corpus import EDIT_MIX, EditableModule
+
+    module = EditableModule(seed, components)
+    kinds = module.block(len(EDIT_MIX))[:edits]
+    assert {"constant", "revert", "comment"} <= set(kinds)
+    sources = []
+    for kind in kinds:
+        module.edit(kind)
+        sources.append(module.source())
+    return sources
+
+
+def truth_sources():
+    from benchmarks.ledger.corpus import truth_corpus
+
+    return {program.name: program.source for program in truth_corpus()}
+
+
+TRUTH = truth_sources()
+
+
+class TestWarmEqualsCold:
+    @pytest.mark.parametrize("name", sorted(TRUTH))
+    def test_corpus_program(self, name):
+        source = TRUTH[name]
+        perf.reset()
+        warm = [compile_counting(source) for _ in range(3)]
+        assert [hits for _, _, hits in warm[:2]] == [0, 0]
+        module, infos, hits = warm[2]
+        assert hits == len(module.functions)
+        warm_products = products(module, infos)
+        warm_outputs = outputs(source)
+        assert warm_products == cold(source)
+        assert warm_outputs == cold_outputs(source)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_edit_sequence(self, seed):
+        sources = edit_sources(seed)
+        perf.reset()
+        warm = []
+        total_hits = 0
+        for index, source in enumerate(sources):
+            module, infos, hits = compile_counting(source)
+            total_hits += hits
+            warm.append(
+                (products(module, infos),
+                 outputs(source) if index % OUTPUT_EVERY == 0 else None)
+            )
+        # From the third edit on, every function an edit did not touch
+        # comes from its template.
+        assert total_hits > len(sources) * len(module.functions) // 2
+        for source, (products_, outputs_) in zip(sources, warm):
+            assert products_ == cold(source)
+            if outputs_ is not None:
+                assert outputs_ == cold_outputs(source)
+
+
+CALLER_CALLEE = """
+func square(v) {
+  return v * v;
+}
+
+func kernel(size) {
+  var t = 0;
+  for (i = 0; i < size; i = i + 1) { t = t + i; }
+  return t;
+}
+
+func main(n) {
+  var total = kernel(4) + kernel(400);
+  for (i = 0; i < 10; i = i + 1) {
+    total = total + square(i);
+  }
+  return total;
+}
+"""
+
+
+def warmed(source):
+    """A module whose every function came from a template."""
+    perf.reset()
+    for _ in range(2):
+        compile_counting(source)
+    module, infos, hits = compile_counting(source)
+    assert hits == len(module.functions)
+    return module, infos
+
+
+def find_call(function, callee):
+    for instr in function.instructions():
+        if isinstance(instr, Call) and instr.callee == callee:
+            return instr
+    raise AssertionError(f"no call to {callee}")
+
+
+class TestRewritesDoNotLeak:
+    """A rewrite of a memo-supplied module never reaches a later compile."""
+
+    def expect_unchanged(self, source):
+        module, infos, hits = compile_counting(source)
+        assert hits == len(module.functions)
+        after = products(module, infos)
+        assert after == cold(source)
+
+    def test_optimize_pipeline(self):
+        module, infos = warmed(CALLER_CALLEE)
+        before = format_module(module)
+        PassPipeline.select("optimize").run(module, infos)
+        assert format_module(module) != before
+        self.expect_unchanged(CALLER_CALLEE)
+
+    def test_clone_for_contexts(self):
+        module, infos = warmed(CALLER_CALLEE)
+        report = clone_for_contexts(module, analyse_module(module, infos))
+        assert report.variants
+        assert module.function("main").stamp is None
+        self.expect_unchanged(CALLER_CALLEE)
+
+    def test_inline_call(self):
+        module, _ = warmed(CALLER_CALLEE)
+        main = module.function("main")
+        inline_call(main, find_call(main, "square"), module.function("square"), "t0")
+        assert main.stamp is None
+        self.expect_unchanged(CALLER_CALLEE)
+
+    def test_rewritten_functions_are_fingerprinted_afresh(self):
+        from repro.incremental.fingerprint import _fingerprints
+
+        module, _ = warmed(CALLER_CALLEE)
+        main = module.function("main")
+        before = module_fingerprints(module, salt=SALT)["main"]
+        inline_call(main, find_call(main, "square"), module.function("square"), "t0")
+        after = module_fingerprints(module, salt=SALT)["main"]
+        assert after != before
+        assert after == _fingerprints(main, SALT)
+
+
+class TestLowering:
+    def test_lower_program_is_cold_whatever_the_memo_holds(self):
+        def lowered():
+            program = Parser(tokenize(CALLER_CALLEE)).parse_program()
+            module = lower_program(program)
+            return format_module(module, show_preds=True), [
+                instr.loc for function in module.functions.values()
+                for instr in function.instructions()
+            ]
+
+        perf.reset()
+        expected = lowered()
+        warmed(CALLER_CALLEE)
+        assert lowered() == expected
+        # Still unprepared: no phis, no assertions.
+        assert " = phi " not in expected[0] and " = pi " not in expected[0]
+
+    def test_a_reparsed_span_yields_the_same_funcdef(self):
+        perf.reset()
+        first = Parser(tokenize(CALLER_CALLEE)).parse_program()
+        second = Parser(tokenize(CALLER_CALLEE)).parse_program()
+        assert [f.name for f in second.functions] == ["square", "kernel", "main"]
+        assert all(a is b for a, b in zip(first.functions, second.functions))
+        # A moved function is another span: its lines are in the key.
+        shifted = Parser(tokenize("\n" + CALLER_CALLEE)).parse_program()
+        assert not any(a is b for a, b in zip(first.functions, shifted.functions))
+
+
+class TestReset:
+    def test_perf_reset_empties_the_memo(self):
+        warmed(CALLER_CALLEE)
+        assert memo.FUNCDEFS and memo.PREPARED
+        perf.reset()
+        assert not memo.FUNCDEFS and not memo.PREPARED
+        assert compile_counting(CALLER_CALLEE)[2] == 0

@@ -130,3 +130,67 @@ class TestModule:
             block.append(Return(Constant(0)))
             module.add_function(function)
         assert module.instruction_count() == 2
+
+
+COPY_SOURCE = """
+func fill(n) {
+  array a[8];
+  var s = 0;
+  for (i = 0; i < 8; i = i + 1) {
+    a[i] = i * n;
+    if (a[i] > 9) { s = s + a[i]; }
+  }
+  return s + helper(s, 2);
+}
+
+func helper(x, y) { return x + y; }
+
+func main(n) { return fill(n); }
+"""
+
+
+class TestCopy:
+    def prepared(self):
+        from repro.ir import prepare_module
+        from repro.lang import compile_source
+
+        module = compile_source(COPY_SOURCE)
+        prepare_module(module)
+        return module.function("fill")
+
+    def test_copy_keeps_text_lines_and_fingerprints(self):
+        from repro.incremental.fingerprint import exact_fingerprint, function_fingerprint
+        from repro.ir import format_function
+
+        original = self.prepared()
+        copy = original.copy()
+        assert copy is not original and copy.name == "fill"
+        assert format_function(copy) == format_function(original)
+        locs = [instr.loc for instr in original.instructions()]
+        assert [instr.loc for instr in copy.instructions()] == locs
+        assert any(loc is not None for loc in locs)
+        assert function_fingerprint(copy) == function_fingerprint(original)
+        assert exact_fingerprint(copy) == exact_fingerprint(original)
+
+    def test_copy_keeps_counters_arrays_and_entry(self):
+        original = self.prepared()
+        copy = original.copy("fill2")
+        assert copy.name == "fill2" and copy.params == original.params
+        assert copy.arrays == original.arrays and copy.arrays is not original.arrays
+        assert copy.entry_label == original.entry_label
+        assert copy.new_temp() == original.new_temp()
+        assert copy.new_block().label == original.new_block().label
+
+    def test_copy_is_deep(self):
+        original = self.prepared()
+        copy = original.copy()
+        for label, block in copy.blocks.items():
+            source = original.blocks[label]
+            assert block is not source
+            for instr, twin in zip(block.instructions, source.instructions):
+                assert instr is not twin and instr.block is block
+        phi = next(i for i in copy.instructions() if isinstance(i, Phi))
+        twin = next(i for i in original.instructions() if isinstance(i, Phi))
+        phi.incomings.append(("elsewhere", Constant(0)))
+        assert len(twin.incomings) == len(phi.incomings) - 1
+        assert copy.stamp is None and copy.source_key is None

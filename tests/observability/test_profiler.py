@@ -19,6 +19,11 @@ func main(n) {
 
 
 def profiled():
+    from repro.core import perf
+
+    # Cold, as a fresh ``repro profile`` process is: a function the
+    # front-end memo supplies opens no "ssa" span.
+    perf.reset()
     return profile_source(SOURCE, module_name="prof")
 
 

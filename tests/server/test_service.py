@@ -104,12 +104,19 @@ class TestByteParityWithCli:
         entry = disk / key[:2] / f"{key}.json"
         entry.write_text("{}", encoding="utf-8")
 
-        restarted = AnalysisService(cache=TwoTierStore(disk_dir=str(disk)))
+        store = TwoTierStore(disk_dir=str(disk))
+        restarted = AnalysisService(cache=store)
         response = restarted.execute(request)
         assert response["cached"] is None
         assert response["status"] == "ok"
         assert response["output"] == expected
         assert json.loads(entry.read_text(encoding="utf-8"))["output"] == expected
+        # A disk error, not a hit; the memory tier holds the fresh result.
+        assert store.stats()["disk"] == {
+            "hits": 0, "misses": 1, "errors": 1, "enabled": True
+        }
+        assert store.stats()["memory"]["entries"] == 1
+        assert store.get(key)[0]["output"] == expected
         again = AnalysisService(cache=TwoTierStore(disk_dir=str(disk)))
         assert again.execute(request)["cached"] == "disk"
 
