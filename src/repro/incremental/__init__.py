@@ -10,7 +10,8 @@ interprocedural fixed point.  This package closes that gap:
 * :mod:`repro.incremental.store` -- :class:`TwoTierStore`, a memory LRU
   over an atomic sharded on-disk format (the serve tier's result cache
   too), and :class:`IncrementalStore`, the same store mapping component
-  fingerprints to per-function summaries, with per-function counters;
+  fingerprints to decoded component states (JSON only on disk), with
+  per-function counters;
 * :mod:`repro.incremental.driver` -- the store as a per-component
   source for the interprocedural driver: replay clean call-graph
   components byte-identically, re-run the fixed point only over dirty

@@ -10,9 +10,11 @@ that store's adapter, :class:`ComponentStore`:
    semantic fingerprints (plus the entry seeding, when the entry
    function is a member);
 2. ``load``: a component whose address hits the store *and* whose
-   members' exact fingerprints still match is **replayed**: final
+   members' exact fingerprints still match is **replayed**: its stored
+   :class:`~repro.incremental.serialize.ComponentState` (final
    predictions, jump and return function state, summary taint and its
-   share of the statistics are deserialized verbatim;
+   share of the statistics) is adopted as is, each prediction bound to
+   the current module's function;
 3. every other component is **reanalyzed** by the driver, and ``save``
    stores its state for next time.
 
@@ -31,24 +33,21 @@ the same address.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import VRPConfig
 from repro.core.interprocedural import ModulePrediction, analyse_module
-from repro.core.propagation import FunctionPrediction, HeuristicFn
+from repro.core.propagation import HeuristicFn
 from repro.core.rangeset import RangeSet
 from repro.incremental import serialize
 from repro.incremental.fingerprint import fingerprint_salt, module_fingerprints
-from repro.incremental.serialize import PayloadError
+from repro.incremental.serialize import PAYLOAD_VERSION, ComponentState
 from repro.incremental.store import IncrementalStore
 from repro.ir.function import Module
 from repro.ir.ssa import SSAInfo
-
-#: Bumped whenever the stored payload layout (or the recipe of a stored
-#: value, such as the exact fingerprints) changes.
-PAYLOAD_VERSION = 3
 
 
 class IncrementalOutcome:
@@ -165,9 +164,11 @@ def analyse_module_incremental(
 
 class ComponentStore:
     """The summary store as the per-component source of
-    :meth:`InterproceduralVRP.run`: ``load``/``save`` translate a
-    component's state to and from a content-addressed payload, and
-    tally what this run replayed and reanalyzed."""
+    :meth:`InterproceduralVRP.run`: ``load`` replays a stored
+    :class:`~repro.incremental.serialize.ComponentState` onto the current
+    module, ``save`` hands a solved one to the store, and both tally
+    what this run replayed and reanalyzed.  Neither touches JSON: that
+    is the store's disk format."""
 
     def __init__(
         self,
@@ -185,9 +186,6 @@ class ComponentStore:
         self.exact_fps = {name: fps["exact"] for name, fps in fingerprints}
         self.entry = entry
         self.entry_param_ranges = entry_param_ranges
-        # Replayed components repeat a few dozen distinct range sets
-        # hundreds of times; decode each distinct one once per run.
-        self.decoded_sets: Dict[bytes, RangeSet] = {}
         self.replayed: List[str] = []
         self.reanalyzed: List[str] = []
         self.hits = 0
@@ -198,24 +196,29 @@ class ComponentStore:
             members, self.semantic_fps, self.salt, self.entry, self.entry_param_ranges
         )
 
+    def _exact(self, members: Tuple[str, ...]) -> Dict[str, str]:
+        return {name: self.exact_fps[name] for name in members}
+
     def load(self, members: Tuple[str, ...]) -> Optional[dict]:
-        payload, _tier = self.store.get(self._key(members))
-        state = None
-        if payload is not None:
-            state = _decode_component(
-                self.module, members, self.exact_fps, payload, self.decoded_sets
-            )
-        if state is None:
+        state, _tier = self.store.get(self._key(members))
+        # An entry with the same semantics but other names or labels
+        # fails the exact guard: rendered output would differ.
+        if not isinstance(state, ComponentState) or state.exact != self._exact(members):
             self.misses += 1
             self.reanalyzed.extend(members)
-        else:
-            self.hits += 1
-            self.replayed.extend(members)
-        return state
+            return None
+        self.hits += 1
+        self.replayed.extend(members)
+        predictions = {}
+        for name, stored in state.predictions.items():
+            prediction = copy.copy(stored)
+            prediction.function = self.module.functions[name]
+            predictions[name] = prediction
+        return {**state.products, "predictions": predictions}
 
     def save(self, members: Tuple[str, ...], state: dict) -> None:
         self.store.put(
-            self._key(members), _encode_component(members, self.exact_fps, state)
+            self._key(members), ComponentState.solved(self._exact(members), state)
         )
 
     def finish(self) -> IncrementalOutcome:
@@ -232,106 +235,3 @@ class ComponentStore:
             store_misses=self.misses,
             store_stats=self.store.stats(),
         )
-
-
-# -- payload encoding --------------------------------------------------------
-
-
-def _encode_component(
-    members: Tuple[str, ...], exact_fps: Dict[str, str], decoded: dict
-) -> dict:
-    return {
-        "v": PAYLOAD_VERSION,
-        "exact": {name: exact_fps[name] for name in members},
-        "functions": [
-            [name, serialize.prediction_to_json(decoded["predictions"][name])]
-            for name in members
-        ],
-        "param_sets": [
-            [name, serialize.rangeset_map_to_json(decoded["param_sets"][name])]
-            for name in members
-            if name in decoded["param_sets"]
-        ],
-        "return_sets": [
-            [name, serialize.rangeset_to_json(decoded["return_sets"][name])]
-            for name in members
-            if name in decoded["return_sets"]
-        ],
-        # Pair lists, not objects: replay must keep insertion order.
-        "taint": [
-            [name, [[ssa, list(seeds)] for ssa, seeds in reach.items()]]
-            for name, reach in decoded["taint"].items()
-        ],
-        "sources": [
-            [name, [[seed, descriptor] for seed, descriptor in seeds.items()]]
-            for name, seeds in decoded["sources"].items()
-        ],
-        "rounds": decoded["rounds"],
-        "round_cap": decoded["round_cap"],
-        "contexts_analyzed": decoded["contexts_analyzed"],
-        "context_counters": serialize.counters_to_json(
-            decoded["context_counters"]
-        ),
-        "summary_cache": dict(decoded["summary_cache"]),
-    }
-
-
-def _decode_component(
-    module: Module,
-    members: Tuple[str, ...],
-    exact_fps: Dict[str, str],
-    payload: dict,
-    decoded_sets: Dict[bytes, RangeSet],
-) -> Optional[dict]:
-    """Deserialize one component entry; ``None`` means treat as a miss."""
-    try:
-        if payload.get("v") != PAYLOAD_VERSION:
-            return None
-        stored_exact = payload.get("exact")
-        if stored_exact != {name: exact_fps[name] for name in members}:
-            # Same semantics, different names/labels: rendered output
-            # would differ, so the entry is not replayable.
-            return None
-        predictions: Dict[str, FunctionPrediction] = {}
-        for name, data in payload["functions"]:
-            predictions[name] = serialize.prediction_from_json(
-                module.functions[name], data, decoded_sets
-            )
-        if set(predictions) != set(members):
-            return None
-        param_sets = {
-            name: serialize.rangeset_map_from_json(data, decoded_sets)
-            for name, data in payload["param_sets"]
-        }
-        return_sets = {
-            name: serialize.rangeset_from_json(data, decoded_sets)
-            for name, data in payload["return_sets"]
-        }
-        taint = {
-            name: {ssa: tuple(seeds) for ssa, seeds in reach}
-            for name, reach in payload["taint"]
-        }
-        sources = {
-            name: {seed: dict(descriptor) for seed, descriptor in seeds}
-            for name, seeds in payload["sources"]
-        }
-        return {
-            "predictions": predictions,
-            "param_sets": param_sets,
-            "return_sets": return_sets,
-            "taint": taint,
-            "sources": sources,
-            "rounds": int(payload["rounds"]),
-            "round_cap": bool(payload["round_cap"]),
-            "contexts_analyzed": int(payload["contexts_analyzed"]),
-            "context_counters": serialize.counters_from_json(
-                payload["context_counters"]
-            ),
-            "summary_cache": {
-                field: int(payload["summary_cache"][field])
-                for field in ("hits", "misses", "evictions")
-            },
-        }
-    except (KeyError, TypeError, ValueError, PayloadError):
-        return None
-

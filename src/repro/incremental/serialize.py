@@ -1,10 +1,11 @@
 """JSON round-tripping for analysis results.
 
-The store holds plain-JSON payloads (the disk tier is the server cache's
-sharded file format, which writes ``json.dumps(..., sort_keys=True)``),
-so every order-sensitive mapping is serialized as a list of pairs: disk
-round trips must not reorder ``branch_probability`` or ``values``, whose
-iteration order reaches rendered output.
+JSON is the store's disk format only (the disk tier is the server
+cache's sharded file format, which writes ``json.dumps(...,
+sort_keys=True)``), so every order-sensitive mapping is serialized as a
+list of pairs: disk round trips must not reorder ``branch_probability``
+or ``values``, whose iteration order reaches rendered output.  The
+memory tier keeps :class:`ComponentState` objects as they are.
 
 Floats round-trip exactly through :mod:`json` (``repr`` based), and
 infinite bound offsets are encoded as the strings ``"inf"``/``"-inf"``
@@ -15,6 +16,7 @@ a store miss, never as an error.
 
 from __future__ import annotations
 
+import copy
 import marshal
 import math
 from typing import Dict, List, Optional, Tuple
@@ -25,6 +27,11 @@ from repro.core.propagation import FunctionPrediction
 from repro.core.ranges import StridedRange
 from repro.core.rangeset import BOTTOM, RangeSet, TOP
 from repro.ir.function import Function
+
+
+#: Bumped whenever the stored component layout (or the recipe of a
+#: stored value, such as the exact fingerprints) changes.
+PAYLOAD_VERSION = 3
 
 
 class PayloadError(ValueError):
@@ -182,7 +189,9 @@ def prediction_to_json(prediction: FunctionPrediction) -> dict:
 
 
 def prediction_from_json(
-    function: Function, data, memo: Optional[Dict[bytes, RangeSet]] = None
+    function: Optional[Function],
+    data,
+    memo: Optional[Dict[bytes, RangeSet]] = None,
 ) -> FunctionPrediction:
     if not isinstance(data, dict):
         raise PayloadError(f"bad prediction {data!r}")
@@ -219,3 +228,136 @@ def rangeset_map_from_json(
     data, memo: Optional[Dict[bytes, RangeSet]] = None
 ) -> Dict[str, RangeSet]:
     return _from_pairs(data, lambda item: rangeset_from_json(item, memo))
+
+
+# -- component states --------------------------------------------------------
+
+
+class ComponentState:
+    """One solved call-graph component without its IR: what a replay needs.
+
+    ``exact`` maps each member to its exact fingerprint.
+    ``predictions`` maps each member, in component order, to its
+    :class:`FunctionPrediction` with ``function`` set to ``None``; a
+    replay binds a copy to the current module's function.  ``products``
+    is the rest of the driver's component state (``param_sets``,
+    ``return_sets``, ``taint``, ``sources``, ``rounds``, ``round_cap``,
+    ``contexts_analyzed``, ``context_counters``, ``summary_cache``).
+
+    A state references no ``Function``, ``BasicBlock`` or ``Module``, so
+    the store pins no old compile.  It is shared read-only by the store
+    and every replay of it: nothing may mutate it.
+    """
+
+    __slots__ = ("exact", "predictions", "products")
+
+    def __init__(
+        self,
+        exact: Dict[str, str],
+        predictions: Dict[str, FunctionPrediction],
+        products: dict,
+    ):
+        self.exact = exact
+        self.predictions = predictions
+        self.products = products
+
+    @classmethod
+    def solved(cls, exact: Dict[str, str], state: dict) -> "ComponentState":
+        """Detach the state the driver just solved from its IR."""
+        predictions = {}
+        for name in exact:
+            detached = copy.copy(state["predictions"][name])
+            detached.function = None
+            predictions[name] = detached
+        products = {key: value for key, value in state.items() if key != "predictions"}
+        return cls(exact, predictions, products)
+
+    def to_json(self) -> dict:
+        """The disk payload."""
+        products = self.products
+        return {
+            "v": PAYLOAD_VERSION,
+            "exact": self.exact,
+            "functions": [
+                [name, prediction_to_json(prediction)]
+                for name, prediction in self.predictions.items()
+            ],
+            "param_sets": [
+                [name, rangeset_map_to_json(products["param_sets"][name])]
+                for name in self.predictions
+                if name in products["param_sets"]
+            ],
+            "return_sets": [
+                [name, rangeset_to_json(products["return_sets"][name])]
+                for name in self.predictions
+                if name in products["return_sets"]
+            ],
+            # Pair lists, not objects: replay must keep insertion order.
+            "taint": [
+                [name, [[ssa, list(seeds)] for ssa, seeds in reach.items()]]
+                for name, reach in products["taint"].items()
+            ],
+            "sources": [
+                [name, [[seed, descriptor] for seed, descriptor in seeds.items()]]
+                for name, seeds in products["sources"].items()
+            ],
+            "rounds": products["rounds"],
+            "round_cap": products["round_cap"],
+            "contexts_analyzed": products["contexts_analyzed"],
+            "context_counters": counters_to_json(products["context_counters"]),
+            "summary_cache": dict(products["summary_cache"]),
+        }
+
+    @classmethod
+    def from_json(cls, payload) -> "ComponentState":
+        """Decode a disk payload; raises :class:`PayloadError` if damaged.
+
+        Each distinct range set in the payload is decoded once: its
+        members repeat a few dozen distinct sets hundreds of times.
+        """
+        try:
+            if payload["v"] != PAYLOAD_VERSION:
+                raise PayloadError(f"payload version {payload['v']!r}")
+            exact = payload["exact"]
+            if not isinstance(exact, dict) or not all(
+                isinstance(fp, str) for fp in exact.values()
+            ):
+                raise PayloadError(f"bad exact fingerprints {exact!r}")
+            memo: Dict[bytes, RangeSet] = {}
+            predictions = {
+                name: prediction_from_json(None, data, memo)
+                for name, data in payload["functions"]
+            }
+            if set(predictions) != set(exact):
+                raise PayloadError("members differ from the fingerprinted ones")
+            products = {
+                "param_sets": {
+                    name: rangeset_map_from_json(data, memo)
+                    for name, data in payload["param_sets"]
+                },
+                "return_sets": {
+                    name: rangeset_from_json(data, memo)
+                    for name, data in payload["return_sets"]
+                },
+                "taint": {
+                    name: {ssa: tuple(seeds) for ssa, seeds in reach}
+                    for name, reach in payload["taint"]
+                },
+                "sources": {
+                    name: {seed: dict(descriptor) for seed, descriptor in seeds}
+                    for name, seeds in payload["sources"]
+                },
+                "rounds": int(payload["rounds"]),
+                "round_cap": bool(payload["round_cap"]),
+                "contexts_analyzed": int(payload["contexts_analyzed"]),
+                "context_counters": counters_from_json(payload["context_counters"]),
+                "summary_cache": {
+                    field: int(payload["summary_cache"][field])
+                    for field in ("hits", "misses", "evictions")
+                },
+            }
+        except PayloadError:
+            raise
+        except (KeyError, TypeError, ValueError) as error:
+            raise PayloadError(f"malformed component payload: {error!r}") from error
+        return cls(exact, predictions, products)

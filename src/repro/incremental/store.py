@@ -13,10 +13,12 @@
 
 The serving tier keys it on whole requests (:func:`repro.server.cache.
 request_key`); :class:`IncrementalStore` keys it on callgraph components
-(see :mod:`repro.incremental.driver`) and additionally tracks
-**function_hits** / **function_misses** -- how many functions were
-replayed vs. reanalyzed across all lookups -- which the serve tier
-surfaces in ``/metricsz`` and the Prometheus families.
+(see :mod:`repro.incremental.driver`), keeps each component's decoded
+:class:`~repro.incremental.serialize.ComponentState` in memory (JSON is
+only its disk format), and additionally tracks **function_hits** /
+**function_misses** -- how many functions were replayed vs. reanalyzed
+across all lookups -- which the serve tier surfaces in ``/metricsz`` and
+the Prometheus families.
 """
 
 from __future__ import annotations
@@ -25,9 +27,14 @@ import json
 import os
 import tempfile
 import threading
-from typing import Callable, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.core.perf.stats import STORE_MEMORY_ENTRIES, CacheStats, LRUCache
+from repro.incremental.serialize import ComponentState
+
+#: Turns a parsed disk entry into what the memory tier keeps; ``None``
+#: (or a ``ValueError``) marks the entry damaged.
+Decode = Callable[[Any], Any]
 
 
 class TwoTierStore:
@@ -66,19 +73,14 @@ class TwoTierStore:
         what a disk entry must satisfy: one that does not is damaged,
         like one that does not parse (see :meth:`_read_disk`).
         """
-        with self._lock:
-            payload = self._memory.get(key)
-            if payload is not None:
-                return dict(payload), "memory"
-            if self.disk_dir is None:
-                return None, None
-            payload = self._read_disk(key, valid)
-            if payload is None:
-                self._disk_stats["misses"] += 1
-                return None, None
-            self._disk_stats["hits"] += 1
-            self._remember(key, payload)
-            return dict(payload), "disk"
+
+        def decode(payload):
+            if isinstance(payload, dict) and (valid is None or valid(payload)):
+                return payload
+            return None
+
+        payload, tier = self._lookup(key, decode)
+        return (None if payload is None else dict(payload)), tier
 
     def put(self, key: str, payload: dict) -> None:
         """Store a deterministic payload in both tiers."""
@@ -113,33 +115,48 @@ class TwoTierStore:
 
     # -- internals -----------------------------------------------------------
 
-    def _remember(self, key: str, payload: dict) -> None:
+    def _lookup(self, key: str, decode: Decode) -> Tuple[Any, Optional[str]]:
+        """The memory entry, else the decoded disk entry promoted into
+        memory: ``(value, tier)``, ``(None, None)`` on a miss."""
+        with self._lock:
+            value = self._memory.get(key)
+            if value is not None:
+                return value, "memory"
+            if self.disk_dir is None:
+                return None, None
+            value = self._read_disk(key, decode)
+            if value is None:
+                self._disk_stats["misses"] += 1
+                return None, None
+            self._disk_stats["hits"] += 1
+            self._remember(key, value)
+            return value, "disk"
+
+    def _remember(self, key: str, value: Any) -> None:
         if self.memory_entries:
-            self._memory.put(key, payload)
+            self._memory.put(key, value)
 
     def _disk_path(self, key: str) -> str:
         assert self.disk_dir is not None
         return os.path.join(self.disk_dir, key[:2], f"{key}.json")
 
-    def _read_disk(
-        self, key: str, valid: Optional[Callable[[dict], bool]]
-    ) -> Optional[dict]:
-        """The entry under ``key``, or ``None``.
+    def _read_disk(self, key: str, decode: Decode) -> Any:
+        """The decoded entry under ``key``, or ``None``.
 
-        A corrupt, unreadable, too deeply nested or wrongly shaped
-        entry is a miss and a disk error; it is dropped so the next
-        store rewrites it cleanly, and it never reaches the memory tier.
+        A corrupt, unreadable, too deeply nested or undecodable entry is
+        a miss and a disk error; it is dropped so the next store
+        rewrites it cleanly, and it never reaches the memory tier.
         """
         path = self._disk_path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+                value = decode(json.load(handle))
         except FileNotFoundError:
             return None
         except (OSError, ValueError, RecursionError):
-            payload = None
-        if isinstance(payload, dict) and (valid is None or valid(payload)):
-            return payload
+            value = None
+        if value is not None:
+            return value
         self._disk_stats["errors"] += 1
         try:
             os.unlink(path)
@@ -176,9 +193,14 @@ class TwoTierStore:
 class IncrementalStore(TwoTierStore):
     """The per-component summary store, with per-function accounting.
 
-    One memory entry per callgraph component; ``disk_dir`` of ``None``
-    keeps the store memory-only, which is the right shape for
-    ``repro watch`` (one process, many rechecks).
+    The memory tier holds one decoded, IR-free
+    :class:`~repro.incremental.serialize.ComponentState` per callgraph
+    component, handed out as is and shared read-only by every replay.
+    JSON is only the disk format: ``put`` encodes a state for the disk
+    tier alone, and a disk hit is decoded once and promoted into memory;
+    an entry that does not decode is a disk error and a miss.
+    ``disk_dir`` of ``None`` keeps the store memory-only, which is the
+    right shape for ``repro watch`` (one process, many rechecks).
     """
 
     def __init__(
@@ -189,6 +211,18 @@ class IncrementalStore(TwoTierStore):
         super().__init__(memory_entries, disk_dir)
         self._function_hits = 0
         self._function_misses = 0
+
+    def get(self, key: str) -> Tuple[Optional[ComponentState], Optional[str]]:
+        """Return ``(state, tier)``; ``(None, None)`` on a miss."""
+        return self._lookup(key, ComponentState.from_json)
+
+    def put(self, key: str, state: ComponentState) -> None:
+        """Keep ``state`` in memory as is; encode it for the disk tier."""
+        with self._lock:
+            self._stores += 1
+            self._remember(key, state)
+            if self.disk_dir is not None:
+                self._write_disk(key, state.to_json())
 
     def note_functions(self, hits: int = 0, misses: int = 0) -> None:
         """Account per-function replay/reanalysis (driver callback)."""

@@ -10,7 +10,7 @@
 * :mod:`repro.observability.metrics` -- :class:`MetricsReport`, the
   JSON export consumed by the harness and the benchmarks;
 * :mod:`repro.observability.prometheus` -- Prometheus text exposition
-  for ``GET /metricsz`` (plus the validating parser CI uses);
+  for ``GET /metricsz``;
 * :mod:`repro.observability.chrometrace` -- Chrome trace-event JSON
   export (``about:tracing`` / Perfetto);
 * :mod:`repro.observability.profiler` -- per-pass/per-analysis
@@ -82,7 +82,6 @@ _LAZY = {
     "chrome_trace_document": "repro.observability.chrometrace",
     "validate_chrome_trace": "repro.observability.chrometrace",
     "write_chrome_trace": "repro.observability.chrometrace",
-    "parse_prometheus_text": "repro.observability.prometheus",
     "render_server_metrics": "repro.observability.prometheus",
 }
 
@@ -138,7 +137,6 @@ __all__ = [
     "mint",
     "new_span_id",
     "new_trace_id",
-    "parse_prometheus_text",
     "profile_source",
     "render_server_metrics",
     "use",

@@ -86,15 +86,16 @@ def surface(name: str, source: str, depth: int, store=None) -> str:
 
 
 class RecordingStore(IncrementalStore):
-    """An in-memory store that remembers every payload written to it."""
+    """An in-memory store that remembers the disk payload of every
+    component state written to it."""
 
     def __init__(self):
         super().__init__()
         self.written = {}
 
-    def put(self, key, payload):
-        self.written[key] = payload
-        super().put(key, payload)
+    def put(self, key, state):
+        self.written[key] = state.to_json()
+        super().put(key, state)
 
 
 def payload_digests(depth: int) -> dict:

@@ -1,5 +1,8 @@
 """The incremental driver: byte-identity, replay, and the exact guard."""
 
+import gc
+import types
+
 import pytest
 
 import repro.incremental.driver as driver_mod
@@ -219,3 +222,123 @@ class TestGuards:
         # Only main's component re-runs: the seed reaches main alone.
         assert set(outcome.reanalyzed) == {"helper", "apply", "main"}
         assert set(outcome.replayed) == {"leaf", "outer", "island"}
+
+
+class TestDamagedDiskEntries:
+    def test_undecodable_entry_is_a_disk_error_not_a_hit(self, tmp_path):
+        run_incremental(MULTI_COMPONENT, IncrementalStore(disk_dir=str(tmp_path)))
+        entries = sorted(tmp_path.rglob("*.json"))
+        assert len(entries) == 3
+        for entry in entries:
+            entry.write_text("{}", encoding="utf-8")
+        store = IncrementalStore(disk_dir=str(tmp_path))
+        prediction, outcome = run_incremental(MULTI_COMPONENT, store)
+        disk = store.stats()["disk"]
+        assert (disk["hits"], disk["errors"]) == (0, 3)
+        assert outcome.replayed == ()
+        module, infos = build(MULTI_COMPONENT)
+        assert rendered(prediction) == rendered(analyse_module(module, infos))
+        # The damaged entries were rewritten: a fresh process replays.
+        _, again = run_incremental(
+            MULTI_COMPONENT, IncrementalStore(disk_dir=str(tmp_path))
+        )
+        assert again.components_replayed == 3
+        assert again.reanalyzed == ()
+
+
+def surfaces(source, store=None):
+    """``predict``, ``check`` and ``ranges`` output, cold without a store."""
+    from repro import commands
+    from repro.core import VRPPredictor, perf
+    from repro.diagnostics import check_module
+
+    if store is None:
+        perf.reset()
+    module, infos = build(source)
+    predictor = VRPPredictor(incremental_store=store)
+    prediction = predictor.predict_module(module, infos)
+    report = check_module(module, prediction, program="p")
+    return (
+        rendered(prediction) + (commands.render_check(report, "text"),),
+        predictor.last_incremental,
+    )
+
+
+def edit_sources(seed, edits, components=3):
+    """``(kind, source)`` of ``edits`` seeded edits: constants, reverts
+    and comments."""
+    from benchmarks.ledger.corpus import EDIT_MIX, EditableModule
+
+    module = EditableModule(seed, components)
+    kinds = []
+    while len(kinds) < edits:
+        kinds.extend(module.block(len(EDIT_MIX)))
+    sources = []
+    for kind in kinds[:edits]:
+        module.edit(kind)
+        sources.append((kind, module.source()))
+    return sources
+
+
+def reachable(roots, limit=200_000):
+    """Every object reachable from ``roots`` through instances and
+    containers (classes, modules and code are not followed)."""
+    opaque = (
+        type,
+        types.ModuleType,
+        types.FunctionType,
+        types.BuiltinFunctionType,
+        types.CodeType,
+    )
+    seen = set()
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, opaque):
+            continue
+        seen.add(id(obj))
+        assert len(seen) < limit, "walk did not stay bounded"
+        yield obj
+        stack.extend(gc.get_referents(obj))
+
+
+class TestSharedReplayState:
+    """The memory tier hands the same decoded state to every replay."""
+
+    def test_long_lived_store_matches_cold_after_every_edit(self):
+        store = IncrementalStore()
+        edits = edit_sources(11, edits=40)
+        assert {kind for kind, _ in edits} == {"constant", "revert", "comment"}
+        replayed = 0
+        for number, (kind, source) in enumerate(edits, start=1):
+            warm, outcome = surfaces(source, store)
+            cold, _ = surfaces(source)
+            assert warm == cold, f"edit {number} ({kind}) differs from cold"
+            replayed += outcome.components_replayed
+        assert store.stats()["disk"]["enabled"] is False
+        assert store.stats()["memory"]["hits"] == replayed > 0
+
+    def test_replayed_prediction_is_bound_to_the_current_module(self):
+        store = IncrementalStore()
+        run_incremental(MULTI_COMPONENT, store)
+        module, infos = build(MULTI_COMPONENT)
+        prediction, outcome = analyse_module_incremental(module, infos, store)
+        assert outcome.reanalyzed == ()
+        for name, function_prediction in prediction.functions.items():
+            assert function_prediction.function is module.functions[name]
+
+    def test_memory_tier_reaches_no_ir(self):
+        from repro.core.propagation import FunctionPrediction
+        from repro.incremental.serialize import ComponentState
+        from repro.ir.function import BasicBlock, Function, Module
+
+        store = IncrementalStore()
+        for _kind, source in edit_sources(12, edits=6):
+            run_incremental(source, store)
+        states = list(store._memory._table.values())
+        assert states and all(isinstance(s, ComponentState) for s in states)
+        kinds = [type(obj) for obj in reachable(states)]
+        assert not {Function, BasicBlock, Module} & set(kinds)
+        assert kinds.count(FunctionPrediction) == sum(
+            len(state.predictions) for state in states
+        )

@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.observability.prometheus import (
-    MetricFamily,
-    PrometheusParseError,
-    parse_prometheus_text,
-    render_server_metrics,
-)
+from repro.observability.prometheus import MetricFamily, render_server_metrics
 from repro.server.stats import LATENCY_BUCKETS_MS, ServerStats
+
+from tests.prometheus_parser import PrometheusParseError, parse_prometheus_text
 
 
 def populated_snapshot() -> dict:

@@ -113,7 +113,7 @@ def key_tree(value):
 
 
 def prometheus_families(text):
-    from repro.observability.prometheus import parse_prometheus_text
+    from tests.prometheus_parser import parse_prometheus_text
 
     return {
         name: [

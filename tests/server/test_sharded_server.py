@@ -188,7 +188,7 @@ class TestMetrics:
 
     def test_prometheus_scrape_has_shard_labels(self, sharded):
         _, client = sharded
-        from repro.observability.prometheus import parse_prometheus_text
+        from tests.prometheus_parser import parse_prometheus_text
 
         client.analyze("predict", PROGRAM)
         families = parse_prometheus_text(client.metricsz_prometheus())

@@ -11,7 +11,8 @@ import time
 
 from repro.observability import context as tracecontext
 from repro.observability.chrometrace import events_from_wire_spans
-from repro.observability.prometheus import parse_prometheus_text
+
+from tests.prometheus_parser import parse_prometheus_text
 
 PROGRAM = """
 func main(n) {
