@@ -646,6 +646,18 @@ def _submit_verbose_line(response: dict) -> str:
     return line
 
 
+def _write_chrome_trace(path: str, process: str, events: list, trace_id: str) -> None:
+    """Write ``events`` to ``path`` as one Chrome trace-event document,
+    on a process track named ``process`` and tied to ``trace_id``."""
+    import json
+
+    from repro.observability import chrometrace
+
+    events = [chrometrace.metadata_event("process_name", 1, process)] + events
+    document = chrometrace.chrome_trace_document(events, trace_id=trace_id)
+    _write_text_output(path, json.dumps(document, indent=1) + "\n", label="trace")
+
+
 def _submit_trace_events(context, files, responses, started_us, elapsed_us):
     """Chrome trace events for one submit invocation.
 
@@ -657,18 +669,15 @@ def _submit_trace_events(context, files, responses, started_us, elapsed_us):
     from repro.observability import chrometrace
 
     events = [
-        chrometrace.metadata_event("process_name", 1, "repro submit"),
         chrometrace.metadata_event("thread_name", 1, "client", tid=1),
-    ]
-    events.append(
         chrometrace.complete_event(
             f"submit:{','.join(files)}",
             started_us,
             elapsed_us,
             tid=1,
             args={"trace_id": context.trace_id},
-        )
-    )
+        ),
+    ]
     for index, (path, response) in enumerate(zip(files, responses)):
         wire_spans = response.get("trace")
         if not isinstance(wire_spans, list) or not wire_spans:
@@ -691,10 +700,8 @@ def _submit_trace_events(context, files, responses, started_us, elapsed_us):
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
-    import json
     import time
 
-    from repro.observability import chrometrace
     from repro.observability import context as tracecontext
     from repro.server.client import ServeClient, ServerError
 
@@ -748,16 +755,11 @@ def cmd_submit(args: argparse.Namespace) -> int:
             print(_submit_verbose_line(response), file=sys.stderr)
         exit_code = max(exit_code, int(response.get("exit_code", 0)))
     if args.trace_out:
-        events = _submit_trace_events(
-            context, files, responses, started_us, elapsed_us
-        )
-        document = chrometrace.chrome_trace_document(
-            events, trace_id=context.trace_id
-        )
-        _write_text_output(
+        _write_chrome_trace(
             args.trace_out,
-            json.dumps(document, indent=1) + "\n",
-            label="trace",
+            "repro submit",
+            _submit_trace_events(context, files, responses, started_us, elapsed_us),
+            context.trace_id,
         )
     if args.emit_metrics:
         try:
@@ -806,8 +808,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    import json
-
     from repro.observability import chrometrace
     from repro.observability import context as tracecontext
     from repro.observability.profiler import profile_source
@@ -828,19 +828,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
     if args.trace_out:
         wire_spans = chrometrace.serialize_spans(session.tracer.spans)
-        events = [
-            chrometrace.metadata_event("process_name", 1, "repro profile"),
-        ]
-        events.extend(
-            chrometrace.events_from_wire_spans(
-                wire_spans, 0.0, trace_id=context.trace_id
-            )
-        )
-        document = chrometrace.chrome_trace_document(
-            events, trace_id=context.trace_id
-        )
-        _write_text_output(
-            args.trace_out, json.dumps(document, indent=1) + "\n", label="trace"
+        _write_chrome_trace(
+            args.trace_out,
+            "repro profile",
+            chrometrace.events_from_wire_spans(wire_spans, 0.0, trace_id=context.trace_id),
+            context.trace_id,
         )
     if args.emit_metrics:
         with tracecontext.use(context):

@@ -13,7 +13,9 @@ change?" checks fast-path on identity, and memo keys hash cheaply.  ⊤ and
 ⊥ always intern to the singletons :data:`TOP` / :data:`BOTTOM`.  Both
 builders are memoized on their full arguments; every table is a bounded
 LRU, and an evicted entry is recomputed (or, for the hash-consing table,
-merely loses the identity fast path).
+merely loses the identity fast path).  A set makes its text once, on the
+first ``str``: a set that many values and predictions share is rendered
+once.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ INTERN_SIZE = 65536
 class RangeSet:
     """An immutable lattice value: ⊤, ⊥, or weighted ranges summing to 1."""
 
-    __slots__ = ("_kind", "_ranges", "_hash", "_hull", "_symbols")
+    __slots__ = ("_kind", "_ranges", "_hash", "_hull", "_symbols", "_text")
 
     _TOP_KIND = "top"
     _BOTTOM_KIND = "bottom"
@@ -51,6 +53,7 @@ class RangeSet:
         self._hash = None
         self._hull = False  # False = not computed (None is a valid hull)
         self._symbols = None
+        self._text = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -214,11 +217,15 @@ class RangeSet:
         return f"RangeSet({{{', '.join(str(r) for r in self._ranges)}}})"
 
     def __str__(self) -> str:
-        if self.is_top:
-            return "T"
-        if self.is_bottom:
-            return "_|_"
-        return "{ " + ", ".join(str(r) for r in self._ranges) + " }"
+        # Made once: a hash-consed set is rendered wherever it is shared.
+        if self._text is None:
+            if self.is_top:
+                self._text = "T"
+            elif self.is_bottom:
+                self._text = "_|_"
+            else:
+                self._text = "{ " + ", ".join(str(r) for r in self._ranges) + " }"
+        return self._text
 
 
 TOP = RangeSet(RangeSet._TOP_KIND)

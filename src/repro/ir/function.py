@@ -125,11 +125,7 @@ class Function:
         blocks = clone.blocks
         for label, block in self.blocks.items():
             new_block = blocks[label] = BasicBlock(label)
-            instructions = new_block.instructions
-            for instr in block.instructions:
-                instr = instr.copy()
-                instr.block = new_block
-                instructions.append(instr)
+            new_block.instructions = [instr.copy(new_block) for instr in block.instructions]
         clone.entry_label = self.entry_label
         return clone
 

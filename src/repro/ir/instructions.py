@@ -72,20 +72,18 @@ class Instruction:
     def is_terminator(self) -> bool:
         return False
 
-    def copy(self) -> "Instruction":
-        """A detached copy with the same operands and ``loc``.
+    def copy(self, block=None) -> "Instruction":
+        """A copy with the same operands and ``loc``, owned by ``block``
+        (detached when ``None``; the block's list is the caller's to fill).
 
         Values are immutable and shared; list fields (phi incomings,
-        call arguments) are copied so the two never alias.
+        call arguments) are copied so the two never alias.  Each class
+        copies its own fields, one assignment each.
         """
-        cls = self.__class__
-        clone = cls.__new__(cls)
-        clone.block = None
-        clone.loc = self.loc
-        for field in cls.__slots__:
-            value = getattr(self, field)
-            setattr(clone, field, list(value) if value.__class__ is list else value)
-        return clone
+        raise NotImplementedError
+
+
+_new = object.__new__
 
 
 class BinOp(Instruction):
@@ -115,6 +113,14 @@ class BinOp(Instruction):
         if self.rhs == old:
             self.rhs = new
 
+    def copy(self, block=None) -> "BinOp":
+        clone = _new(BinOp)
+        clone.block, clone.loc = block, self.loc
+        clone.dest, clone.op, clone.lhs, clone.rhs = (
+            self.dest, self.op, self.lhs, self.rhs
+        )
+        return clone
+
     def __repr__(self) -> str:
         return f"{self.dest} = {self.op} {self.lhs}, {self.rhs}"
 
@@ -142,6 +148,12 @@ class UnOp(Instruction):
     def replace_operand(self, old: Value, new: Value) -> None:
         if self.operand == old:
             self.operand = new
+
+    def copy(self, block=None) -> "UnOp":
+        clone = _new(UnOp)
+        clone.block, clone.loc = block, self.loc
+        clone.dest, clone.op, clone.operand = self.dest, self.op, self.operand
+        return clone
 
     def __repr__(self) -> str:
         return f"{self.dest} = {self.op} {self.operand}"
@@ -174,6 +186,14 @@ class Cmp(Instruction):
         if self.rhs == old:
             self.rhs = new
 
+    def copy(self, block=None) -> "Cmp":
+        clone = _new(Cmp)
+        clone.block, clone.loc = block, self.loc
+        clone.dest, clone.op, clone.lhs, clone.rhs = (
+            self.dest, self.op, self.lhs, self.rhs
+        )
+        return clone
+
     def __repr__(self) -> str:
         return f"{self.dest} = cmp.{self.op} {self.lhs}, {self.rhs}"
 
@@ -198,6 +218,12 @@ class Copy(Instruction):
     def replace_operand(self, old: Value, new: Value) -> None:
         if self.src == old:
             self.src = new
+
+    def copy(self, block=None) -> "Copy":
+        clone = _new(Copy)
+        clone.block, clone.loc = block, self.loc
+        clone.dest, clone.src = self.dest, self.src
+        return clone
 
     def __repr__(self) -> str:
         return f"{self.dest} = {self.src}"
@@ -243,6 +269,12 @@ class Phi(Instruction):
                 return
         self.incomings.append((pred_label, value))
 
+    def copy(self, block=None) -> "Phi":
+        clone = _new(Phi)
+        clone.block, clone.loc = block, self.loc
+        clone.dest, clone.incomings = self.dest, list(self.incomings)
+        return clone
+
     def __repr__(self) -> str:
         pairs = ", ".join(f"[{label}: {value}]" for label, value in self.incomings)
         return f"{self.dest} = phi {pairs}"
@@ -284,6 +316,14 @@ class Pi(Instruction):
         if self.bound == old:
             self.bound = new
 
+    def copy(self, block=None) -> "Pi":
+        clone = _new(Pi)
+        clone.block, clone.loc = block, self.loc
+        clone.dest, clone.src, clone.op, clone.bound, clone.parent = (
+            self.dest, self.src, self.op, self.bound, self.parent
+        )
+        return clone
+
     def __repr__(self) -> str:
         return f"{self.dest} = pi {self.src} assuming ({self.src} {self.op} {self.bound})"
 
@@ -310,6 +350,12 @@ class Load(Instruction):
         if self.index == old:
             self.index = new
 
+    def copy(self, block=None) -> "Load":
+        clone = _new(Load)
+        clone.block, clone.loc = block, self.loc
+        clone.dest, clone.array, clone.index = self.dest, self.array, self.index
+        return clone
+
     def __repr__(self) -> str:
         return f"{self.dest} = load {self.array}[{self.index}]"
 
@@ -333,6 +379,14 @@ class Store(Instruction):
             self.index = new
         if self.value == old:
             self.value = new
+
+    def copy(self, block=None) -> "Store":
+        clone = _new(Store)
+        clone.block, clone.loc = block, self.loc
+        clone.array, clone.index, clone.value = (
+            self.array, self.index, self.value
+        )
+        return clone
 
     def __repr__(self) -> str:
         return f"store {self.array}[{self.index}] = {self.value}"
@@ -358,6 +412,14 @@ class Call(Instruction):
 
     def replace_operand(self, old: Value, new: Value) -> None:
         self.args = [new if arg == old else arg for arg in self.args]
+
+    def copy(self, block=None) -> "Call":
+        clone = _new(Call)
+        clone.block, clone.loc = block, self.loc
+        clone.dest, clone.callee, clone.args = (
+            self.dest, self.callee, list(self.args)
+        )
+        return clone
 
     def __repr__(self) -> str:
         args = ", ".join(str(a) for a in self.args)
@@ -390,6 +452,12 @@ class Input(Instruction):
     def replace_operand(self, old: Value, new: Value) -> None:
         pass
 
+    def copy(self, block=None) -> "Input":
+        clone = _new(Input)
+        clone.block, clone.loc = block, self.loc
+        clone.dest = self.dest
+        return clone
+
     def __repr__(self) -> str:
         return f"{self.dest} = input()"
 
@@ -414,6 +482,12 @@ class Jump(Instruction):
 
     def successors(self) -> List[str]:
         return [self.target]
+
+    def copy(self, block=None) -> "Jump":
+        clone = _new(Jump)
+        clone.block, clone.loc = block, self.loc
+        clone.target = self.target
+        return clone
 
     def __repr__(self) -> str:
         return f"jump {self.target}"
@@ -443,6 +517,14 @@ class Branch(Instruction):
     def successors(self) -> List[str]:
         return [self.true_target, self.false_target]
 
+    def copy(self, block=None) -> "Branch":
+        clone = _new(Branch)
+        clone.block, clone.loc = block, self.loc
+        clone.cond, clone.true_target, clone.false_target = (
+            self.cond, self.true_target, self.false_target
+        )
+        return clone
+
     def __repr__(self) -> str:
         return f"branch {self.cond} ? {self.true_target} : {self.false_target}"
 
@@ -468,6 +550,12 @@ class Return(Instruction):
 
     def successors(self) -> List[str]:
         return []
+
+    def copy(self, block=None) -> "Return":
+        clone = _new(Return)
+        clone.block, clone.loc = block, self.loc
+        clone.value = self.value
+        return clone
 
     def __repr__(self) -> str:
         return f"return {self.value}"

@@ -1,42 +1,54 @@
-"""The front-end memo: per-function reuse across compiles of one module.
+"""The front-end memo: reuse across compiles of one module.
 
 An edit to one function leaves the text of the others as it was, so a
-recheck need not parse, prepare or fingerprint them again.  Two tables,
-each holding only what the latest compile used (so memory is bounded
-by one module), carry the reuse:
+recheck need not lex, parse, lower, prepare or fingerprint them again.
+Four tables, each holding only what the latest compile used (so memory
+is bounded by one module), carry the reuse:
 
+* :data:`LEXED` -- ``(source, tokens, token end offsets)`` of the
+  latest lex.  ``tokenize`` lexes a related source again only between
+  the first and the last changed character, and reuses the tokens on
+  either side (the same objects where line and column did not move).
+  The offsets are made when a related source first needs them.
 * :data:`FUNCDEFS` -- function name -> (token span, parsed
-  ``FuncDef``).  A span is the kind, text and line of every token from
-  ``func`` to the closing brace.  ``Parser.parse_program`` compares the
-  tokens at a function's start with the span of its name; on a match it
-  skips them and yields the same (read-only) ``FuncDef`` object.
+  ``FuncDef``).  A span is the tokens from ``func`` to the closing
+  brace.  ``Parser.parse_program`` compares the tokens at a function's
+  start with the span of its name, by kind, text and line (tokens the
+  lexer reused are the same objects, which settles it at once); on a
+  match it skips them and yields the same (read-only) ``FuncDef``.
+* :data:`CONTEXT` -- the lowering context of the latest compile: the
+  module's signatures and constants and the IR-verification default,
+  everything lowering reads besides a ``FuncDef``.  An equal context is
+  replaced by this object, so keys holding it compare by identity.
 * :data:`PREPARED` -- (source key, ``assertions``) -> :class:`Entry`.
   ``lower_program`` marks each function with its source key: the
-  ``FuncDef`` (identity, which the first table makes stable), the
-  module's signatures and constants and the IR-verification default --
-  everything lowering reads.  ``prepare_module`` prepares a key's
-  function as before the first two times it sees the key, keeping a
-  copy of the second result as the key's *template*; from then on it
-  puts a copy of the template into the module instead of preparing.
+  ``FuncDef`` (identity, which the second table makes stable) and the
+  context.  ``prepare_module`` prepares a key's function as before the
+  first two times it sees the key, keeping a copy of the second result
+  as the key's *template*; from then on it puts a copy of the template
+  into the module instead of preparing.  A key with a template is not
+  even lowered: ``lower_program`` leaves a stand-in that lowers the
+  function only if something other than ``prepare_module`` reads it.
 
-The memo never gives out an object it keeps: templates are copied out,
-with a copy of their ``SSAInfo``, so rewrites of a prepared module
-(``repro opt``, cloning, inlining) never reach a later compile.  A
-first sighting copies nothing.
+The memo never gives out an object it keeps, tokens aside (they are
+read-only): templates are copied out, with a copy of their
+``SSAInfo``, so rewrites of a prepared module (``repro opt``, cloning,
+inlining) never reach a later compile.  A first sighting copies
+nothing.
 
 Each entry also keeps the function's incremental fingerprints, one
 pair per salt (:func:`repro.incremental.fingerprint.module_fingerprints`).
 They hold for any function whose ``stamp`` is the entry, which
 ``prepare_module`` sets and every IR rewrite clears.
 
-:func:`repro.core.perf.reset` empties both tables.
+:func:`repro.core.perf.reset` empties every table.
 
 No lock guards the tables: an entry is found, or made, by one dict
-operation, and a template is published whole, by one assignment, and
-equals any other template of its key.  Two threads compiling at once
-(a served request still running past its deadline) at worst both
-prepare a function or keep a few more entries; neither reads a wrong
-one.
+operation or assignment, and a template is published whole, by one
+assignment, and equals any other template of its key.  Two threads
+compiling at once (a served request still running past its deadline)
+at worst both lex, prepare or lower a function afresh or keep a few
+more entries; neither reads a wrong one.
 """
 
 from __future__ import annotations
@@ -56,8 +68,37 @@ class Entry:
         self.fingerprints: Dict[str, Dict[str, str]] = {}
 
 
+#: ``(source, tokens, token end offsets)`` of the latest lex; the
+#: offsets are ``None`` until a related source needs them.
+LEXED: Optional[tuple] = None
+#: The lowering context of the latest compile (:func:`context`).
+CONTEXT: Optional[tuple] = None
 FUNCDEFS: Dict[tuple, object] = {}
 PREPARED: Dict[tuple, Entry] = {}
+
+
+def context(value: tuple) -> tuple:
+    """``value``, or the equal lowering context the latest compile used.
+
+    Source keys holding one context object compare by identity, and its
+    frozensets keep their hashes, so a key costs no walk over the
+    module's signatures.
+    """
+    global CONTEXT
+    latest = CONTEXT  # read once: another thread may replace it
+    if value == latest:
+        return latest
+    CONTEXT = value
+    return value
+
+
+def has_template(source_key: tuple) -> bool:
+    """Whether :data:`PREPARED` holds a template of ``source_key``."""
+    for assertions in (True, False):
+        entry = PREPARED.get((source_key, assertions))
+        if entry is not None and entry.template is not None:
+            return True
+    return False
 
 
 def keep(table: dict, used: dict) -> None:
@@ -67,6 +108,8 @@ def keep(table: dict, used: dict) -> None:
 
 
 def clear() -> None:
-    """Forget every memoised function (a cold front end)."""
+    """Forget every memoised source and function (a cold front end)."""
+    global LEXED, CONTEXT
+    LEXED = CONTEXT = None
     FUNCDEFS.clear()
     PREPARED.clear()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.ir import memo
 from repro.ir.function import BasicBlock, Function, Module
 from repro.ir.instructions import (
     BinOp,
@@ -411,8 +412,41 @@ class _FunctionLowerer:
             raise LoweringError(f"array {name!r} used as a scalar", line)
 
 
+class _Deferred(Function):
+    """A function an earlier compile lowered, lowered again only if read.
+
+    :func:`lower_program` makes one for a function whose source key has
+    a prepared template, which ``prepare_module`` puts in its place
+    without reading it.  Reading any attribute but ``name``,
+    ``source_key`` and ``stamp`` lowers the function there and then and
+    makes this a plain :class:`Function`, so a module that is never
+    prepared reads as a cold lowering.  The key lowered before, so
+    lowering it cannot fail.
+    """
+
+    def __init__(self, funcdef: ast.FuncDef, signatures, constants, source_key: tuple):
+        # No Function.__init__: the other attributes are missing until read.
+        self.name = funcdef.name
+        self.source_key = source_key
+        self.stamp = None
+        self._arguments = (funcdef, signatures, constants)
+
+    def __getattr__(self, attr):
+        arguments = self.__dict__.pop("_arguments", None)
+        if arguments is None:  # lowered already: a true miss
+            raise AttributeError(attr)
+        for key, value in vars(_FunctionLowerer(*arguments).lower()).items():
+            self.__dict__.setdefault(key, value)  # attributes set since stay
+        self.__class__ = Function
+        return getattr(self, attr)
+
+
 def lower_program(program: ast.Program, module_name: str = "module") -> Module:
-    """Lower a parsed program into an IR module."""
+    """Lower a parsed program into an IR module.
+
+    A function whose source key has a prepared template in the front-end
+    memo is not lowered until something reads it (:class:`_Deferred`).
+    """
     signatures = {f.name: len(f.params) for f in program.functions}
     if len(signatures) != len(program.functions):
         raise LoweringError("duplicate function definition", 0)
@@ -422,20 +456,28 @@ def lower_program(program: ast.Program, module_name: str = "module") -> Module:
     verify = default_verify_ir()
     # Everything a function's lowering reads besides its FuncDef: the
     # front-end memo's key (see repro.ir.memo).
-    context = (tuple(sorted(signatures.items())), tuple(constants.items()), verify)
+    context = memo.context(
+        (frozenset(signatures.items()), frozenset(constants.items()), verify)
+    )
     module = Module(module_name)
+    lowered = []
     for funcdef in program.functions:
         if funcdef.name in constants:
             raise LoweringError(
                 f"function {funcdef.name!r} shadows a constant", funcdef.line
             )
-        function = _FunctionLowerer(funcdef, signatures, constants).lower()
-        function.source_key = (funcdef, context)
+        source_key = (funcdef, context)
+        if memo.has_template(source_key):
+            function = _Deferred(funcdef, signatures, constants, source_key)
+        else:
+            function = _FunctionLowerer(funcdef, signatures, constants).lower()
+            function.source_key = source_key
+            lowered.append(function)
         module.add_function(function)
     if verify:
         from repro.ir.verifier import verify_function
 
-        for function in module.functions.values():
+        for function in lowered:
             verify_function(function)
     return module
 

@@ -169,7 +169,7 @@ class Parser:
         memo.keep(memo.FUNCDEFS, parsed)
         return ast.Program(functions, constants)
 
-    def _reuse_funcdef(self, parsed: Dict[str, Tuple[tuple, ast.FuncDef]]) -> ast.FuncDef:
+    def _reuse_funcdef(self, parsed: Dict[str, Tuple[list, ast.FuncDef]]) -> ast.FuncDef:
         """:meth:`parse_funcdef` through the memo; records the span in ``parsed``."""
         start = self.position
         name = self._peek(1).text
@@ -178,17 +178,23 @@ class Parser:
             span, funcdef = known
             end = start + len(span)
             # Equal tokens parse to an equal FuncDef, ending at ``end``.
-            if self._span(start, end) == span:
+            if self._same_span(start, span):
                 self.position = end
                 parsed[name] = known
                 return funcdef
         funcdef = self.parse_funcdef()
-        parsed[name] = (self._span(start, self.position), funcdef)
+        parsed[name] = (self.tokens[start : self.position], funcdef)
         return funcdef
 
-    def _span(self, start: int, end: int) -> tuple:
-        return tuple(
-            [(token.kind, token.text, token.line) for token in self.tokens[start:end]]
+    def _same_span(self, start: int, span: list) -> bool:
+        """Whether the tokens from ``start`` on have ``span``'s kinds,
+        texts and lines."""
+        tokens = self.tokens[start : start + len(span)]
+        if tokens == span:  # tokens the lexer reused: the same objects
+            return True
+        return len(tokens) == len(span) and all(
+            a.kind == b.kind and a.text == b.text and a.line == b.line
+            for a, b in zip(tokens, span)
         )
 
     def _parse_constdef(self) -> ast.ConstDef:

@@ -18,7 +18,7 @@ from repro.core.config import VRPConfig
 from repro.core.perf import memo
 from repro.core.predictor import VRPPredictor
 from repro.core.ranges import StridedRange
-from repro.core.rangeset import BOTTOM, RangeSet, TOP, intern_rangeset
+from repro.core.rangeset import BOTTOM, RangeSet, TOP, intern_rangeset, merge_weighted
 from repro.ir import prepare_module
 from repro.lang import compile_source
 from repro.workloads import suite
@@ -116,6 +116,46 @@ class TestIdentityIffEquality:
     def test_top_bottom_intern_to_module_singletons(self):
         assert intern_rangeset(RangeSet.top()) is TOP
         assert intern_rangeset(RangeSet.bottom()) is BOTTOM
+
+
+def rendered_afresh(rangeset):
+    """``str(rangeset)`` made from its ranges, without the kept text."""
+    if rangeset.is_top:
+        return "T"
+    if rangeset.is_bottom:
+        return "_|_"
+    return "{ " + ", ".join(str(r) for r in rangeset.ranges) + " }"
+
+
+class TestRenderedText:
+    """A set makes its text once; the text is always the set's own."""
+
+    @pytest.mark.parametrize("order", [(1, 1.0), (1.0, 1)])
+    def test_int_and_float_constants_render_apart_in_either_order(self, order):
+        texts = [str(RangeSet.constant(value)) for value in order * 2]
+        assert texts == [f"{{ 1[{value}:{value}:0] }}" for value in order * 2]
+        assert texts[0] != texts[1]
+
+    def test_the_text_is_made_once(self):
+        for rangeset in make_rangesets():
+            assert str(rangeset) is str(rangeset)
+
+    def test_builder_and_merge_results_render_as_fresh(self):
+        one, two = RangeSet.constant(1), RangeSet.constant(2.0)
+        results = [
+            merge_weighted([(0.25, one), (0.75, two)]),
+            merge_weighted([(0.25, RangeSet.constant(1.0)), (0.75, two)]),
+            merge_weighted([(0.5, one), (0.5, TOP)]),
+            merge_weighted([(0.5, one), (0.5, BOTTOM)]),
+        ] + make_rangesets()
+        for name, source in neutrality_corpus()[:6]:
+            module = compile_source(source, module_name=name)
+            prediction = VRPPredictor().predict_module(module, prepare_module(module))
+            for function in prediction.functions.values():
+                results.extend(function.values.values())
+        for rangeset in results:
+            assert str(rangeset) == rendered_afresh(rangeset), rangeset
+            assert str(rangeset) == rendered_afresh(rangeset), rangeset
 
 
 class TestEviction:

@@ -1,8 +1,10 @@
 """The front-end memo: a warm compile is byte-for-byte a cold one.
 
+``tokenize`` lexes again only what changed since the last source,
 ``Parser.parse_program`` reuses the ``FuncDef`` of a token span it has
-parsed before, and ``prepare_module`` copies the prepared template of a
-function whose source key it has prepared twice (``repro.ir.memo``).
+parsed before, ``lower_program`` defers a function whose source key has
+a prepared template, and ``prepare_module`` copies that template
+(``repro.ir.memo``).
 Every product of a compile -- the prepared IR, each instruction's
 source line, the ``SSAInfo``, both incremental fingerprints and the
 ``predict``/``check``/``ranges`` output -- must be the same whatever the
@@ -241,6 +243,47 @@ class TestLowering:
         # Still unprepared: no phis, no assertions.
         assert " = phi " not in expected[0] and " = pi " not in expected[0]
 
+    def test_only_the_edited_function_is_lowered(self, monkeypatch):
+        from repro.lang import lowering
+
+        lowered = []
+        lower = lowering._FunctionLowerer.lower
+
+        def counting(self):
+            lowered.append(self.funcdef.name)
+            return lower(self)
+
+        monkeypatch.setattr(lowering._FunctionLowerer, "lower", counting)
+        perf.reset()
+        for _ in range(2):
+            compile_counting(CALLER_CALLEE)
+        assert lowered == ["square", "kernel", "main"] * 2
+        del lowered[:]
+        edited = CALLER_CALLEE.replace("kernel(400)", "kernel(401)")
+        module, infos, hits = compile_counting(edited)
+        assert lowered == ["main"] and hits == 2
+        assert products(module, infos) == cold(edited)
+
+    def test_a_warm_module_never_prepared_reads_as_a_cold_one(self):
+        edited = CALLER_CALLEE.replace("kernel(400)", "kernel(401)")
+
+        def lowered():
+            module = lower_program(Parser(tokenize(edited)).parse_program())
+            return module, [type(f).__name__ for f in module.functions.values()]
+
+        perf.reset()
+        expected = format_module(lowered()[0], show_preds=True)
+        warmed(CALLER_CALLEE)
+        module, kinds = lowered()
+        assert kinds == ["_Deferred", "_Deferred", "Function"]
+        square = module.function("square")
+        # The memo's marks are read without lowering.
+        assert square.stamp is None and square.source_key is not None
+        assert type(square).__name__ == "_Deferred"
+        assert format_module(module, show_preds=True) == expected
+        assert [type(f) for f in module.functions.values()] == [type(square)] * 3
+        assert not hasattr(square, "_arguments")
+
     def test_a_reparsed_span_yields_the_same_funcdef(self):
         perf.reset()
         first = Parser(tokenize(CALLER_CALLEE)).parse_program()
@@ -255,7 +298,8 @@ class TestLowering:
 class TestReset:
     def test_perf_reset_empties_the_memo(self):
         warmed(CALLER_CALLEE)
-        assert memo.FUNCDEFS and memo.PREPARED
+        assert memo.LEXED and memo.CONTEXT and memo.FUNCDEFS and memo.PREPARED
         perf.reset()
+        assert memo.LEXED is None and memo.CONTEXT is None
         assert not memo.FUNCDEFS and not memo.PREPARED
         assert compile_counting(CALLER_CALLEE)[2] == 0

@@ -11,6 +11,8 @@ from repro.ir.instructions import (
     Call,
     Cmp,
     Copy,
+    Input,
+    Instruction,
     Jump,
     Load,
     Phi,
@@ -145,3 +147,43 @@ class TestPi:
     def test_load_operands_exclude_array_name(self):
         load = Load(Temp("v"), "buf", Temp("i"))
         assert load.operands() == [Temp("i")]
+
+
+def one_of_each():
+    """An instance of every instruction class, its slots all distinct."""
+    t, u = Temp("t"), Temp("u")
+    return [
+        BinOp(t, "add", u, Constant(1)),
+        UnOp(t, "neg", u),
+        Cmp(t, "lt", u, Constant(2)),
+        Copy(t, u),
+        Phi(t, [("a", u), ("b", Constant(3))]),
+        Pi(t, u, "lt", Constant(4), parent="u"),
+        Load(t, "arr", u),
+        Store("arr", u, Constant(5)),
+        Call(t, "f", [u, Constant(6)]),
+        Input(t),
+        Jump("next"),
+        Branch(u, "yes", "no"),
+        Return(u),
+    ]
+
+
+class TestCopy:
+    def test_every_class_is_covered(self):
+        assert {type(i) for i in one_of_each()} == set(Instruction.__subclasses__())
+
+    @pytest.mark.parametrize("instr", one_of_each(), ids=lambda i: type(i).__name__)
+    def test_copy_keeps_every_field_and_shares_no_list(self, instr):
+        instr.loc = 7
+        instr.block = owner = object()
+        for block in (None, owner):
+            clone = instr.copy(block)
+            assert type(clone) is type(instr) and clone is not instr
+            assert clone.block is block and clone.loc == 7
+            assert repr(clone) == repr(instr)
+            for field in type(instr).__slots__:
+                value = getattr(instr, field)
+                assert getattr(clone, field) == value
+                if isinstance(value, list):
+                    assert getattr(clone, field) is not value

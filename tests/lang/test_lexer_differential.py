@@ -2,6 +2,8 @@
 
 On generated text, ``tokenize`` must produce the oracle's tokens
 (kind, text, value, line, column) or the oracle's ``LexError`` message.
+Lexing a source after another, which reuses the other's tokens, must
+give what lexing it cold gives.
 
 The one intended difference is a digit that is not a decimal digit
 (``²``).  The oracle takes it into a decimal literal, and then either
@@ -12,6 +14,7 @@ an unexpected character.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.ir import memo
 from repro.lang.lexer import LexError, tokenize
 from tests.lang.reference_lexer import Lexer
 
@@ -57,3 +60,65 @@ def test_tokenize_matches_the_reference_lexer(source):
     assert char.isdigit() and not char.isdecimal(), (source, new, old)
     assert message.endswith(f"unexpected character {char!r}"), (source, new, old)
     assert old is None or "floating-point" in old[1], (source, new, old)
+
+
+# -- lexing an edited source again --------------------------------------------
+
+#: What an edit splices in: fragments that join or split the tokens
+#: around them (``<`` + ``=``, identifier tails), open or close comments,
+#: or move every later line.
+SPLICES = ["<", "=", "<=", "//", "/*", "*/", "\n", "\n\n", "x", "_1", "ab", "9", " ", "0x"]
+#: Text that mostly lexes, so the edited source often reuses tokens.
+LEXABLE = st.lists(
+    st.sampled_from(
+        ["x", "ab", "_1", "12", "0x1f", "<", "=", "<=", "/", "*", "//", "/*", "*/",
+         " ", "\n", "\t", "func", "while", "(", ")", "{", "}", ";", "+", "!="]
+    ),
+    max_size=60,
+).map("".join)
+
+
+@st.composite
+def edit_chains(draw):
+    """A source and up to three successive edits of it, each splicing
+    fragments in or cutting characters out."""
+    sources = [draw(st.one_of(LEXABLE, source_text))]
+    for _ in range(draw(st.integers(1, 3))):
+        text = sources[-1]
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(text)))
+            if draw(st.booleans()):
+                text = text[:at] + draw(st.sampled_from(SPLICES)) + text[at:]
+            else:
+                text = text[:at] + text[at + draw(st.integers(0, 3)) :]
+        sources.append(text)
+    return sources
+
+
+def cold(source):
+    memo.clear()
+    return outcome(tokenize, source)
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(edit_chains())
+def test_an_edited_source_lexes_as_it_does_cold(sources):
+    expected = [cold(source) for source in sources]
+    memo.clear()
+    assert [outcome(tokenize, source) for source in sources] == expected
+
+
+def test_an_edit_reuses_the_tokens_after_it():
+    from benchmarks.ledger.corpus import EditableModule
+
+    module = EditableModule(11, 5)
+    memo.clear()
+    before = {id(token) for token in tokenize(module.source())}
+    module.edit("constant")
+    after = tokenize(module.source())
+    assert [(t.kind, t.text, t.value, t.line, t.column) for t in after] == cold(
+        module.source()
+    )
+    # Only the edited literal's line is lexed again or moved.
+    shared = sum(id(token) in before for token in after)
+    assert len(after) - 30 < shared < len(after)
