@@ -107,15 +107,13 @@ class Bound:
 
     # -- comparison ---------------------------------------------------------------
 
-    def comparable_with(self, other: "Bound") -> bool:
-        """Bounds compare when numeric or when sharing the same symbol."""
-        if self.symbol is None and other.symbol is None:
-            return True
-        return self.symbol == other.symbol
-
     def compare(self, other: "Bound") -> Optional[int]:
-        """-1/0/+1 ordering, or None when incomparable."""
-        if not self.comparable_with(other):
+        """-1/0/+1 ordering, or None when incomparable.
+
+        Bounds compare when numeric or when sharing the same symbol, that
+        is, when their symbols are equal (``None`` for both numeric).
+        """
+        if self.symbol != other.symbol:
             return None
         if self.offset < other.offset:
             return -1
@@ -133,7 +131,7 @@ class Bound:
         Two like-signed infinities have no defined distance (inf - inf);
         that also reports as None rather than NaN.
         """
-        if not self.comparable_with(other):
+        if self.symbol != other.symbol:
             return None
         difference = other.offset - self.offset
         if math.isnan(difference):

@@ -47,10 +47,11 @@ def evaluate_binop(
     handler = _BINOP_HANDLERS.get(op)
     if handler is None:
         raise ValueError(f"unknown binary op {op!r}")
+    tally = counters.active()
     out: List[StridedRange] = []
     for left in a_ranges:
         for right in b_ranges:
-            counters.active().sub_operations += 1
+            tally.sub_operations += 1
             pair = handler(left, right)
             if pair is None:
                 return BOTTOM

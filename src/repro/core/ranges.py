@@ -29,10 +29,12 @@ class StridedRange:
             raise RangeError(f"negative probability {probability}")
         if stride < 0:
             raise RangeError(f"negative stride {stride}")
-        order = lo.compare(hi)
-        if order is not None and order > 0:
+        # Two bounds compare exactly when their symbols are equal (None
+        # for two numeric bounds); each bound is read once, here.
+        comparable = lo.symbol == hi.symbol
+        if comparable and lo.offset > hi.offset:
             raise RangeError(f"inverted range [{lo}:{hi}]")
-        lo, hi, stride = _normalise(lo, hi, stride)
+        lo, hi, stride = _normalise(lo, hi, stride, comparable)
         self.probability = float(probability)
         self.lo = lo
         self.hi = hi
@@ -44,8 +46,8 @@ class StridedRange:
         cls, probability: float, source: "StridedRange"
     ) -> "StridedRange":
         """Same extent as ``source`` with a new probability, skipping
-        validation and normalisation (both idempotent on an existing
-        range).  The fast path behind :meth:`scaled`/
+        validation and normalisation (the extent is already valid and
+        normal).  The fast path behind :meth:`scaled`/
         :meth:`with_probability`."""
         self = cls.__new__(cls)
         self.probability = float(probability)
@@ -74,7 +76,8 @@ class StridedRange:
     # -- shape queries -----------------------------------------------------------
 
     def is_single(self) -> bool:
-        return self.lo == self.hi
+        # Normalisation gives stride 0 exactly to ranges with lo == hi.
+        return self.stride == 0
 
     def is_numeric(self) -> bool:
         return self.lo.is_numeric() and self.hi.is_numeric()
@@ -96,13 +99,11 @@ class StridedRange:
         Computable for purely numeric finite ranges and for ranges whose
         two bounds share a symbol (their width is then numeric).
         """
-        if self.is_single():
+        if self.stride == 0:
             return 1
         width = self.lo.distance(self.hi)
         if width is None or math.isinf(width):
             return None
-        if self.stride == 0:
-            return 1
         return int(width // self.stride) + 1
 
     def width(self) -> Optional[Number]:
@@ -124,7 +125,13 @@ class StridedRange:
 
     def same_extent(self, other: "StridedRange") -> bool:
         """True when lo/hi/stride agree (probability ignored)."""
-        return self.lo == other.lo and self.hi == other.hi and self.stride == other.stride
+        if self.stride != other.stride:
+            return False
+        a, b = self.lo, other.lo
+        if a is not b and (a.symbol != b.symbol or a.offset != b.offset):
+            return False
+        a, b = self.hi, other.hi
+        return a is b or (a.symbol == b.symbol and a.offset == b.offset)
 
     def approx_equal(self, other: "StridedRange", tolerance: float = 1e-9) -> bool:
         return self.same_extent(other) and abs(self.probability - other.probability) <= tolerance
@@ -140,7 +147,11 @@ class StridedRange:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.probability, self.lo, self.hi, self.stride))
+            # The bounds' own hashes, (symbol, offset), without calling them.
+            lo, hi = self.lo, self.hi
+            self._hash = hash(
+                (self.probability, (lo.symbol, lo.offset), (hi.symbol, hi.offset), self.stride)
+            )
         return self._hash
 
     def __repr__(self) -> str:
@@ -158,29 +169,32 @@ class StridedRange:
 _SATURATION = 2 ** 1022
 
 
-def _normalise(lo: Bound, hi: Bound, stride: int):
+def _normalise(lo: Bound, hi: Bound, stride: int, comparable: bool):
     """Canonicalise: single values get stride 0; numeric his align to the
     progression; multi-value ranges need stride >= 1 (defaulting to 1 when
     alignment is unknowable); integer bounds beyond :data:`_SATURATION`
-    saturate to infinity."""
-    if not -_SATURATION <= lo.offset <= _SATURATION and type(lo.offset) is int:
-        lo = Bound(NEG_INF)
-    if not -_SATURATION <= hi.offset <= _SATURATION and type(hi.offset) is int:
-        hi = Bound(POS_INF)
-    if lo == hi:
+    saturate to infinity.  ``comparable`` says whether the two bounds
+    share a symbol."""
+    lo_offset, hi_offset = lo.offset, hi.offset
+    if lo_offset.__class__ is int and not -_SATURATION <= lo_offset <= _SATURATION:
+        lo, lo_offset = Bound(NEG_INF), NEG_INF
+        comparable = hi.symbol is None
+    if hi_offset.__class__ is int and not -_SATURATION <= hi_offset <= _SATURATION:
+        hi, hi_offset = Bound(POS_INF), POS_INF
+        comparable = lo.symbol is None
+    if lo is hi or (comparable and lo_offset == hi_offset):
         return lo, hi, 0
-    width = lo.distance(hi)
     if stride == 0:
         stride = 1
-    if width is not None and not math.isinf(width):
-        if width < stride:
-            # Fewer than two full steps: snap to the two endpoints if they
-            # do not align, else collapse handled above.
-            stride = int(width) if width >= 1 else 1
-        else:
-            aligned = (int(width) // stride) * stride
-            if aligned != width and hi.is_numeric():
-                hi = Bound.number(lo.offset + aligned) if lo.is_numeric() else hi
-            elif aligned != width and not hi.is_numeric():
-                hi = Bound(lo.offset + aligned, lo.symbol)
+    if comparable:
+        width = hi_offset - lo_offset
+        if not math.isnan(width) and not math.isinf(width):
+            if width < stride:
+                # Fewer than two full steps: snap to the two endpoints if
+                # they do not align, else collapse handled above.
+                stride = int(width) if width >= 1 else 1
+            else:
+                aligned = (int(width) // stride) * stride
+                if aligned != width:
+                    hi = Bound(lo_offset + aligned, lo.symbol)
     return lo, hi, stride

@@ -340,7 +340,9 @@ def _build_set(
     if renormalise:
         if total <= PROB_EPSILON:
             return BOTTOM
-        kept = [r.scaled(1.0 / total) for r in kept]
+        factor = 1.0 / total
+        if factor != 1.0:
+            kept = [r.scaled(factor) for r in kept]
     elif abs(total - 1.0) > 1e-6:
         raise ValueError(f"range probabilities sum to {total}, expected 1")
     folded = _fold_duplicates(kept)
@@ -351,19 +353,35 @@ def _build_set(
 
 
 def _fold_duplicates(ranges: List[StridedRange]) -> List[StridedRange]:
-    """Combine ranges with identical extent by summing probabilities."""
+    """Combine ranges with identical extent by summing probabilities.
+
+    A range whose extent occurs once is kept as it is unless an offset
+    is a finite non-``int``: only then can normalising it again change
+    it (a width that is not whole realigns).  Every other range is
+    rebuilt, as a merged one must be.
+    """
     by_extent = {}
-    order: List[Tuple] = []
     for r in ranges:
-        key = (r.lo, r.hi, r.stride)
-        if key in by_extent:
-            by_extent[key] = by_extent[key] + r.probability
+        lo, hi = r.lo, r.hi
+        key = (lo.symbol, lo.offset, hi.symbol, hi.offset, r.stride)
+        entry = by_extent.get(key)
+        if entry is None:
+            by_extent[key] = [r, r.probability, 1]
         else:
-            by_extent[key] = r.probability
-            order.append(key)
-    return [
-        StridedRange(by_extent[key], key[0], key[1], key[2]) for key in order
-    ]
+            entry[1] = entry[1] + r.probability
+            entry[2] += 1
+    folded = []
+    for first, probability, count in by_extent.values():
+        lo, hi = first.lo.offset, first.hi.offset
+        if (
+            count == 1
+            and (lo.__class__ is int or math.isinf(lo))
+            and (hi.__class__ is int or math.isinf(hi))
+        ):
+            folded.append(first)
+        else:
+            folded.append(StridedRange(probability, first.lo, first.hi, first.stride))
+    return folded
 
 
 def _canonical_sort(ranges: List[StridedRange]) -> List[StridedRange]:
@@ -418,6 +436,8 @@ def _compact(ranges: List[StridedRange], max_ranges: int) -> Optional[List[Strid
     """Greedy pairwise merging until the cap is met; None when impossible."""
     if max_ranges < 1:
         raise ValueError("max_ranges must be >= 1")
+    if len(ranges) <= max_ranges:
+        return ranges
     current = list(ranges)
     while len(current) > max_ranges:
         best: Optional[Tuple[float, int, int, StridedRange]] = None

@@ -40,9 +40,10 @@ def refine_set(
         if predicate is None:
             return BOTTOM
         return RangeSet.from_ranges([predicate])
+    refine, limit = _range_refiner(op, bound)
     kept: List[StridedRange] = []
     for r in src.ranges:
-        clipped, fraction = _refine_range(r, op, bound)
+        clipped, fraction = refine(r, limit)
         if clipped is not None and fraction > 0:
             kept.append(clipped.with_probability(r.probability * fraction))
     if not kept:
@@ -69,25 +70,21 @@ def _predicate_range(op: str, bound: Bound) -> Optional[StridedRange]:
     raise ValueError(f"unknown assertion relop {op!r}")
 
 
-def _refine_range(
-    r: StridedRange, op: str, bound: Bound
-) -> Tuple[Optional[StridedRange], float]:
-    """Clip one range against the predicate.
-
-    Returns ``(kept_range, kept_fraction)``; ``(None, 0)`` when nothing
-    survives.  Incomparable bases keep the range unchanged (no weight
-    adjustment) except for ``eq``, which always pins the value.
+def _range_refiner(op: str, bound: Bound):
+    """``(refine, limit)``: ``refine(r, limit)`` clips one range against
+    the predicate, returning ``(kept_range, kept_fraction)``, and
+    ``(None, 0)`` when nothing survives.  Incomparable bases keep the
+    range unchanged (no weight adjustment) except for ``eq``, which
+    always pins the value.
     """
     if op == "eq":
-        return _refine_eq(r, bound)
+        return _refine_eq, bound
     if op == "ne":
-        return _refine_ne(r, bound)
+        return _refine_ne, bound
     if op in ("lt", "le"):
-        limit = bound.add_const(-1) if op == "lt" else bound
-        return _clip_upper(r, limit)
+        return _clip_upper, bound.add_const(-1) if op == "lt" else bound
     if op in ("gt", "ge"):
-        limit = bound.add_const(1) if op == "gt" else bound
-        return _clip_lower(r, limit)
+        return _clip_lower, bound.add_const(1) if op == "gt" else bound
     raise ValueError(f"unknown assertion relop {op!r}")
 
 
@@ -200,17 +197,10 @@ def _snap_up(r: StridedRange, limit: Bound) -> Optional[Bound]:
 
 
 def _kept_fraction(original: StridedRange, clipped: StridedRange) -> float:
+    """The share of ``original``'s values that ``clipped`` keeps; 1 when
+    either count is unknowable (an unbounded or incomparable width)."""
     count_before = original.count()
     count_after = clipped.count()
     if count_before and count_after:
         return min(1.0, count_after / count_before)
-    width_before = original.width()
-    width_after = clipped.width()
-    if (
-        width_before is not None
-        and width_after is not None
-        and not math.isinf(width_before)
-        and width_before > 0
-    ):
-        return min(1.0, float(width_after) / float(width_before))
     return 1.0
