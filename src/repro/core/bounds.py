@@ -6,8 +6,11 @@ purely symbolic bounds have offset 0.  Bounds referring to *different*
 symbols are incomparable ("operations and comparisons are only meaningful
 between variables which share a single common ancestor").
 
-Numeric bounds may be infinite (``NEG_INF`` / ``POS_INF``) to express
-half-open ranges produced by one-sided assertions like ``x > 5``.
+Offsets are program values, and the toy language has only integers, so
+a finite offset is always an ``int``.  Numeric bounds may also be
+infinite (``NEG_INF`` / ``POS_INF``, the only floats a bound holds) to
+express half-open ranges produced by one-sided assertions like
+``x > 5``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Union
 
+#: A bound offset: an ``int``, or ±inf for a numeric bound.
 Number = Union[int, float]
 
 POS_INF = math.inf
@@ -27,8 +31,11 @@ class Bound:
     __slots__ = ("symbol", "offset")
 
     def __init__(self, offset: Number, symbol: Optional[str] = None):
-        if symbol is not None and math.isinf(offset):
-            raise ValueError("symbolic bounds must have a finite offset")
+        if offset.__class__ is not int:
+            if offset.__class__ is not float or not math.isinf(offset):
+                raise ValueError(f"a finite bound offset must be an int, not {offset!r}")
+            if symbol is not None:
+                raise ValueError("symbolic bounds must have a finite offset")
         self.symbol = symbol
         self.offset = offset
 
@@ -39,7 +46,7 @@ class Bound:
         return Bound(value)
 
     @staticmethod
-    def symbolic(symbol: str, offset: Number = 0) -> "Bound":
+    def symbolic(symbol: str, offset: int = 0) -> "Bound":
         return Bound(offset, symbol)
 
     # -- predicates -----------------------------------------------------------

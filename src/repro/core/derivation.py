@@ -282,7 +282,7 @@ def _closed_form(
         # anchors at lo, which is only right for increasing loops).
         width = lo.distance(hi)
         if width is not None and not math.isinf(width) and stride > 1:
-            lo = hi.add_const(-int(width // stride) * stride)
+            lo = hi.add_const(-(width // stride) * stride)
     return (
         RangeSet.from_ranges([StridedRange(1.0, lo, hi, stride)], max_ranges=max_ranges),
         template,

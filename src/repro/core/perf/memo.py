@@ -2,9 +2,11 @@
 
 The engine-facing wrappers (:func:`evaluate_binop`, :func:`compare_sets`,
 ...) are called by :mod:`repro.core.propagation` in place of the plain
-functions.  Every result they return is hash-consed by
-:func:`repro.core.rangeset.intern_rangeset`; the hash-consing table and
-the ``from_ranges``/``merge_weighted`` memos live in
+functions.  Every result they return is canonical already: the plain
+functions build their sets with ``RangeSet.from_ranges``, which
+hash-conses each set it builds, or return the ⊤/⊥ singletons, so no
+wrapper interns again.  The hash-consing table and the
+``from_ranges``/``merge_weighted`` memos live in
 :mod:`repro.core.rangeset`.
 
 Two invariants keep the layer behaviour-neutral:
@@ -32,7 +34,7 @@ from repro.core import range_arith as _range_arith
 from repro.core import rangeset as _rangeset
 from repro.core import refine as _refine
 from repro.core.perf.stats import LRUCache, stats
-from repro.core.rangeset import MEMO_SIZE, intern_rangeset
+from repro.core.rangeset import MEMO_SIZE
 
 
 def _perf_cache(name: str) -> LRUCache:
@@ -67,9 +69,7 @@ def evaluate_binop(op, a, b, max_ranges=_rangeset.DEFAULT_MAX_RANGES):
         return result
     tally = counters.active()
     before = tally.sub_operations
-    result = intern_rangeset(
-        _range_arith.evaluate_binop(op, a, b, max_ranges)
-    )
+    result = _range_arith.evaluate_binop(op, a, b, max_ranges)
     _BINOP.put(key, (result, tally.sub_operations - before))
     return result
 
@@ -119,21 +119,18 @@ def refine_set(src, op, bound, max_ranges=_rangeset.DEFAULT_MAX_RANGES):
     cached = _REFINE.get(key)
     if cached is not None:
         return cached
-    result = intern_rangeset(
-        _refine.refine_set(src, op, bound, max_ranges)
-    )
+    result = _refine.refine_set(src, op, bound, max_ranges)
     _REFINE.put(key, result)
     return result
 
 
 def constant_set(value):
-    """Cached ``RangeSet.constant``; int/float keys kept distinct."""
-    key = (value.__class__, value)
-    cached = _CONSTANT.get(key)
+    """Cached ``RangeSet.constant`` of an ``int``."""
+    cached = _CONSTANT.get(value)
     if cached is not None:
         return cached
-    result = intern_rangeset(_rangeset.RangeSet.constant(value))
-    _CONSTANT.put(key, result)
+    result = _rangeset.RangeSet.constant(value)
+    _CONSTANT.put(value, result)
     return result
 
 
@@ -142,9 +139,7 @@ def boolean_set(probability_true):
     cached = _BOOLEAN.get(probability_true)
     if cached is not None:
         return cached
-    result = intern_rangeset(
-        _rangeset.RangeSet.boolean(probability_true)
-    )
+    result = _rangeset.RangeSet.boolean(probability_true)
     _BOOLEAN.put(probability_true, result)
     return result
 

@@ -530,12 +530,9 @@ class PropagationEngine:
 
     def _constant_of(self, operand: Value) -> Optional[int]:
         if isinstance(operand, Constant):
-            value = operand.value
-            return int(value) if value == int(value) else None
+            return operand.value
         if isinstance(operand, Temp):
-            constant = self.values.get(operand.name, TOP).constant_value()
-            if constant is not None and constant == int(constant):
-                return int(constant)
+            return self.values.get(operand.name, TOP).constant_value()
         return None
 
     # -- transfer functions ----------------------------------------------------------------

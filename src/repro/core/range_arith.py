@@ -146,8 +146,8 @@ def _mul(a: StridedRange, b: StridedRange) -> Optional[StridedRange]:
     probability = a.probability * b.probability
     # Single constant times a range scales bounds and stride.
     for single, other in ((a, b), (b, a)):
-        if single.is_single() and single.lo.is_numeric() and single.lo.is_finite():
-            factor = single.lo.offset
+        factor = _single_value(single)
+        if factor is not None:
             return _scale_range(other, factor, probability)
     ends_a = _numeric_endpoints(a)
     ends_b = _numeric_endpoints(b)
@@ -165,7 +165,7 @@ def _mul_num(x: Number, y: Number) -> Number:
     return x * y
 
 
-def _scale_range(r: StridedRange, factor: Number, probability: float) -> Optional[StridedRange]:
+def _scale_range(r: StridedRange, factor: int, probability: float) -> Optional[StridedRange]:
     if factor == 0:
         return StridedRange.single(probability, 0)
     lo = r.lo.scale(factor)
@@ -174,8 +174,7 @@ def _scale_range(r: StridedRange, factor: Number, probability: float) -> Optiona
         return None
     if factor < 0:
         lo, hi = hi, lo
-    stride = int(abs(factor)) * r.stride if factor == int(factor) else 1
-    return StridedRange(probability, lo, hi, stride)
+    return StridedRange(probability, lo, hi, abs(factor) * r.stride)
 
 
 def _floordiv_num(x: Number, y: Number) -> Number:
@@ -214,14 +213,11 @@ def _div(a: StridedRange, b: StridedRange) -> Optional[StridedRange]:
 
 def _mod(a: StridedRange, b: StridedRange) -> Optional[StridedRange]:
     probability = a.probability * b.probability
-    if not (b.is_single() and b.lo.is_numeric() and b.lo.is_finite()):
-        return None
-    modulus = b.lo.offset
-    if modulus == 0:
+    modulus = _single_value(b)
+    if modulus is None or modulus == 0:
         return None
     if modulus < 0:
         return None  # rare; keep the algebra simple and give up
-    modulus = int(modulus)
     ends_a = _numeric_endpoints(a)
     if ends_a is not None and 0 <= ends_a[0] and ends_a[1] < modulus:
         return a.with_probability(probability)  # already reduced
@@ -232,12 +228,8 @@ def _mod(a: StridedRange, b: StridedRange) -> Optional[StridedRange]:
     if stride == 0:
         stride = 1
     phase = 0
-    if (
-        ends_a is not None
-        and not math.isinf(ends_a[0])
-        and ends_a[0] == int(ends_a[0])
-    ):
-        phase = int(ends_a[0]) % stride
+    if ends_a is not None and not math.isinf(ends_a[0]):
+        phase = ends_a[0] % stride
     hi = phase + (modulus - 1 - phase) // stride * stride
     return StridedRange(probability, Bound.number(phase), Bound.number(hi), stride)
 
@@ -258,10 +250,9 @@ def _shr(a: StridedRange, b: StridedRange) -> Optional[StridedRange]:
 
 
 def _small_constant(r: StridedRange) -> Optional[int]:
-    if r.is_single() and r.lo.is_numeric() and r.lo.is_finite():
-        value = r.lo.offset
-        if value == int(value) and abs(value) < 64:
-            return int(value)
+    value = _single_value(r)
+    if value is not None and abs(value) < 64:
+        return value
     return None
 
 
@@ -281,7 +272,7 @@ def _bit_and(a: StridedRange, b: StridedRange) -> Optional[StridedRange]:
             if _non_negative(other):
                 ends = _numeric_endpoints(other)
                 if ends is not None and not math.isinf(ends[1]):
-                    hi = min(mask, int(ends[1]))
+                    hi = min(mask, ends[1])
             return StridedRange(probability, Bound.number(0), Bound.number(hi), 1)
     return None
 
@@ -315,7 +306,7 @@ def _bit_span(a: StridedRange, b: StridedRange, probability: float) -> Optional[
     hi = max(ends_a[1], ends_b[1])
     if math.isinf(hi):
         return None
-    bits = max(1, int(hi).bit_length())
+    bits = max(1, hi.bit_length())
     return StridedRange(probability, Bound.number(0), Bound.number(2 ** bits - 1), 1)
 
 
@@ -330,7 +321,7 @@ def _minmax(pick: Callable) -> Callable:
         stride = math.gcd(a.stride, b.stride)
         offset_gap = a.lo.distance(b.lo)
         if offset_gap is not None and not math.isinf(offset_gap):
-            stride = math.gcd(stride, int(abs(offset_gap)))
+            stride = math.gcd(stride, offset_gap)
         else:
             stride = 1
         return StridedRange(a.probability * b.probability, lo, hi, stride or 1)
@@ -340,9 +331,7 @@ def _minmax(pick: Callable) -> Callable:
 
 def _single_value(r: StridedRange) -> Optional[int]:
     if r.is_single() and r.lo.is_numeric() and r.lo.is_finite():
-        value = r.lo.offset
-        if value == int(value):
-            return int(value)
+        return r.lo.offset
     return None
 
 

@@ -69,7 +69,7 @@ class StridedRange:
         return StridedRange(probability, Bound.number(lo), Bound.number(hi), stride)
 
     @staticmethod
-    def symbol(probability: float, name: str, offset: Number = 0) -> "StridedRange":
+    def symbol(probability: float, name: str, offset: int = 0) -> "StridedRange":
         bound = Bound.symbolic(name, offset)
         return StridedRange(probability, bound, bound, 0)
 
@@ -104,7 +104,7 @@ class StridedRange:
         width = self.lo.distance(self.hi)
         if width is None or math.isinf(width):
             return None
-        return int(width // self.stride) + 1
+        return width // self.stride + 1
 
     def width(self) -> Optional[Number]:
         """``hi - lo`` when the bounds are comparable, else None."""
@@ -192,9 +192,9 @@ def _normalise(lo: Bound, hi: Bound, stride: int, comparable: bool):
             if width < stride:
                 # Fewer than two full steps: snap to the two endpoints if
                 # they do not align, else collapse handled above.
-                stride = int(width) if width >= 1 else 1
+                stride = width if width >= 1 else 1
             else:
-                aligned = (int(width) // stride) * stride
+                aligned = width // stride * stride
                 if aligned != width:
                     hi = Bound(lo_offset + aligned, lo.symbol)
     return lo, hi, stride

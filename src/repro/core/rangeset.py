@@ -5,15 +5,19 @@ weighted :class:`~repro.core.ranges.StridedRange` whose probabilities sum
 to one.  Sets are capped at a configurable number of ranges (the paper
 uses four) by merging the pair whose hull loses the least information.
 
-Every set the two builders (:meth:`RangeSet.from_ranges` and
-:func:`merge_weighted`) return is **hash-consed** by
+Every set :meth:`RangeSet.from_ranges` builds is **hash-consed** by
 :func:`intern_rangeset`: structurally-equal sets map to one canonical
 object, so ``__eq__``/``approx_equal`` and the engine's "did this value
 change?" checks fast-path on identity, and memo keys hash cheaply.  ⊤ and
-⊥ always intern to the singletons :data:`TOP` / :data:`BOTTOM`.  Both
-builders are memoized on their full arguments; every table is a bounded
-LRU, and an evicted entry is recomputed (or, for the hash-consing table,
-merely loses the identity fast path).  A set makes its text once, on the
+⊥ are the singletons :data:`TOP` / :data:`BOTTOM`.  That is the one
+place a set is interned: :func:`merge_weighted` and the wrappers in
+:mod:`repro.core.perf.memo` return ``from_ranges`` results, ⊤ or ⊥, all
+canonical already.  Bound offsets are ``int`` or ±inf
+(:mod:`repro.core.bounds`), so equal sets render alike and a key of the
+set alone cannot conflate two that print apart.  Both builders are
+memoized on their full arguments; every table is a bounded LRU, and an
+evicted entry is recomputed (or, for the hash-consing table, merely
+loses the identity fast path).  A set makes its text once, on the
 first ``str``: a set that many values and predictions share is rendered
 once.
 """
@@ -76,7 +80,7 @@ class RangeSet:
         Returns ⊥ when nothing remains or compaction fails.  Memoized;
         the result is hash-consed."""
         ranges = tuple(ranges)
-        key = _typed((ranges, max_ranges, renormalise), ranges)
+        key = (ranges, max_ranges, renormalise)
         cached = _FROM_RANGES.get(key)
         if cached is not None:
             return cached
@@ -85,7 +89,7 @@ class RangeSet:
         return result
 
     @staticmethod
-    def constant(value: Number) -> "RangeSet":
+    def constant(value: int) -> "RangeSet":
         return RangeSet.from_ranges([StridedRange.single(1.0, value)])
 
     @staticmethod
@@ -93,7 +97,7 @@ class RangeSet:
         return RangeSet.from_ranges([StridedRange.span(1.0, lo, hi, stride)])
 
     @staticmethod
-    def symbol(name: str, offset: Number = 0) -> "RangeSet":
+    def symbol(name: str, offset: int = 0) -> "RangeSet":
         return RangeSet.from_ranges([StridedRange.symbol(1.0, name, offset)])
 
     @staticmethod
@@ -127,7 +131,7 @@ class RangeSet:
 
     # -- value queries ----------------------------------------------------------
 
-    def constant_value(self) -> Optional[Number]:
+    def constant_value(self) -> Optional[int]:
         """The single numeric value this set certainly holds, if any.
 
         A final range like ``1[7:7:0]`` means the variable is the constant
@@ -248,33 +252,11 @@ def intern_rangeset(rangeset: RangeSet) -> RangeSet:
         return TOP
     if rangeset.is_bottom:
         return BOTTOM
-    key = _typed(rangeset, rangeset._ranges)
-    canonical = _RANGESETS.get(key)
+    canonical = _RANGESETS.get(rangeset)
     if canonical is None:
-        _RANGESETS.put(key, rangeset)
+        _RANGESETS.put(rangeset, rangeset)
         return rangeset
     return canonical
-
-
-def _typed(key, ranges: Tuple[StridedRange, ...]):
-    """``key``, made to tell ``1`` from ``1.0`` in the ranges' bounds.
-
-    ``1 == 1.0``, so a key of equal ranges alone let whichever of two
-    such sets came first stand for both: ``constant(1.0)`` rendered
-    ``{ 1[1:1:0] }`` after ``constant(1)``.  Keyed by type instead, as
-    ``constant_set`` is.  Only an offset that is not an ``int`` and
-    equals one (a float such as ``1.0``, a bool) can collide, so only
-    such keys carry the types; every other key stays as it was.
-    """
-    for r in ranges:
-        lo, hi = r.lo.offset, r.hi.offset
-        if (lo.__class__ is not int and (lo.__class__ is not float or lo.is_integer())) or (
-            hi.__class__ is not int and (hi.__class__ is not float or hi.is_integer())
-        ):
-            return key, tuple(
-                [(r.lo.offset.__class__, r.hi.offset.__class__) for r in ranges]
-            )
-    return key
 
 
 def merge_weighted(
@@ -285,13 +267,14 @@ def merge_weighted(
 
     ⊤ contributions are ignored (optimism, as in SCCP); a ⊥ contribution
     with positive weight makes the result ⊥; weights are renormalised over
-    the contributing edges.  Memoized; the result is hash-consed.
+    the contributing edges.  Memoized; the result comes from
+    :meth:`RangeSet.from_ranges` (or is ⊤/⊥), so it is canonical.
     """
     key = (tuple(contributions), max_ranges)
     cached = _MERGE_WEIGHTED.get(key)
     if cached is not None:
         return cached
-    result = intern_rangeset(_merge_weighted(key[0], max_ranges))
+    result = _merge_weighted(key[0], max_ranges)
     _MERGE_WEIGHTED.put(key, result)
     return result
 
@@ -355,10 +338,9 @@ def _build_set(
 def _fold_duplicates(ranges: List[StridedRange]) -> List[StridedRange]:
     """Combine ranges with identical extent by summing probabilities.
 
-    A range whose extent occurs once is kept as it is unless an offset
-    is a finite non-``int``: only then can normalising it again change
-    it (a width that is not whole realigns).  Every other range is
-    rebuilt, as a merged one must be.
+    A range whose extent occurs once keeps its probability and so is
+    kept as it is; a merged one is reweighted.  Normalising an extent of
+    ``int`` offsets again cannot change it, so neither is rebuilt.
     """
     by_extent = {}
     for r in ranges:
@@ -366,22 +348,10 @@ def _fold_duplicates(ranges: List[StridedRange]) -> List[StridedRange]:
         key = (lo.symbol, lo.offset, hi.symbol, hi.offset, r.stride)
         entry = by_extent.get(key)
         if entry is None:
-            by_extent[key] = [r, r.probability, 1]
+            by_extent[key] = [r, r.probability]
         else:
-            entry[1] = entry[1] + r.probability
-            entry[2] += 1
-    folded = []
-    for first, probability, count in by_extent.values():
-        lo, hi = first.lo.offset, first.hi.offset
-        if (
-            count == 1
-            and (lo.__class__ is int or math.isinf(lo))
-            and (hi.__class__ is int or math.isinf(hi))
-        ):
-            folded.append(first)
-        else:
-            folded.append(StridedRange(probability, first.lo, first.hi, first.stride))
-    return folded
+            entry[1] += r.probability
+    return [first.with_probability(probability) for first, probability in by_extent.values()]
 
 
 def _canonical_sort(ranges: List[StridedRange]) -> List[StridedRange]:
@@ -410,11 +380,11 @@ def _hull_pair(a: StridedRange, b: StridedRange) -> Optional[StridedRange]:
         if gap is None or math.isinf(gap):
             stride = 1
         else:
-            stride = int(gap)
+            stride = gap
     # Mis-alignment between the two progressions degrades the stride.
     offset_gap = a.lo.distance(b.lo)
     if offset_gap is not None and not math.isinf(offset_gap) and stride > 1:
-        stride = math.gcd(stride, int(abs(offset_gap)))
+        stride = math.gcd(stride, offset_gap)
         if stride == 0:
             stride = max(a.stride, b.stride)
     return StridedRange(a.probability + b.probability, lo, hi, stride)

@@ -129,7 +129,7 @@ def _may_contain(r: StridedRange, bound: Bound) -> bool:
     # Progression membership when the phase is checkable.
     gap = r.lo.distance(bound)
     if gap is not None and not math.isinf(gap) and r.stride > 1:
-        if int(gap) % r.stride != 0:
+        if gap % r.stride != 0:
             return False
     return True
 
@@ -176,7 +176,7 @@ def _snap_down(r: StridedRange, limit: Bound) -> Optional[Bound]:
     if gap < 0:
         return None
     stride = r.stride if r.stride else 1
-    aligned = int(gap) // stride * stride
+    aligned = gap // stride * stride
     return r.lo.add_const(aligned)
 
 
@@ -188,7 +188,7 @@ def _snap_up(r: StridedRange, limit: Bound) -> Optional[Bound]:
     if gap <= 0:
         return r.lo
     stride = r.stride if r.stride else 1
-    aligned = (int(gap) + stride - 1) // stride * stride
+    aligned = (gap + stride - 1) // stride * stride
     candidate = r.lo.add_const(aligned)
     order = candidate.compare(r.hi)
     if order is not None and order > 0:

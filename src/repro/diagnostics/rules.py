@@ -132,7 +132,7 @@ def _zero_mass(rangeset: RangeSet) -> float:
         if not (lo_ok and hi_ok):
             continue
         if r.stride > 1 and r.lo.is_numeric() and r.lo.is_finite():
-            if (0 - int(r.lo.offset)) % r.stride != 0:
+            if -r.lo.offset % r.stride != 0:
                 continue  # progression steps over zero
         mass += r.probability
     return mass

@@ -7,11 +7,12 @@ list of pairs: disk round trips must not reorder ``branch_probability``
 or ``values``, whose iteration order reaches rendered output.  The
 memory tier keeps :class:`ComponentState` objects as they are.
 
-Floats round-trip exactly through :mod:`json` (``repr`` based), and
-infinite bound offsets are encoded as the strings ``"inf"``/``"-inf"``
-so payloads stay within strict JSON.  ``deserialization`` raises
-:class:`PayloadError` on any malformed document; callers treat that as
-a store miss, never as an error.
+Floats round-trip exactly through :mod:`json` (``repr`` based).  A
+bound offset is an ``int``, or ±inf encoded as the string
+``"inf"``/``"-inf"`` so payloads stay within strict JSON; any other
+offset (a boolean, a finite non-integer number) does not decode.
+``deserialization`` raises :class:`PayloadError` on any malformed
+document; callers treat that as a store miss, never as an error.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class PayloadError(ValueError):
 
 
 def _offset_to_json(offset):
-    if isinstance(offset, float) and math.isinf(offset):
+    if offset.__class__ is float:  # the only float offsets are ±inf
         return "inf" if offset > 0 else "-inf"
     return offset
 
@@ -52,7 +53,7 @@ def _offset_from_json(data):
         return math.inf
     if data == "-inf":
         return -math.inf
-    if not isinstance(data, (int, float)):
+    if data.__class__ is not int:
         raise PayloadError(f"bad bound offset {data!r}")
     return data
 
@@ -67,7 +68,11 @@ def bound_from_json(data) -> Bound:
     offset, symbol = data
     if symbol is not None and not isinstance(symbol, str):
         raise PayloadError(f"bad bound symbol {symbol!r}")
-    return Bound(_offset_from_json(offset), symbol)
+    offset = _offset_from_json(offset)
+    try:
+        return Bound(offset, symbol)
+    except ValueError as error:  # a symbolic bound with an infinite offset
+        raise PayloadError(f"bad bound {data!r}: {error}") from error
 
 
 def rangeset_to_json(rangeset: RangeSet) -> dict:
@@ -95,8 +100,8 @@ def rangeset_from_json(
     """Decode one range set; ``memo`` reuses earlier decodes of equal JSON.
 
     The memo is keyed on the exact decoded JSON (its ``marshal`` bytes
-    keep every type, so ``1`` and ``1.0`` stay distinct where ``==``
-    would conflate them); a first occurrence is fully validated.
+    keep every type, so a ``1.0`` the decoder rejects never reuses the
+    decode of a ``1``); a first occurrence is fully validated.
     """
     if memo is None:
         return _rangeset_from_json(data)

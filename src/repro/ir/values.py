@@ -2,7 +2,7 @@
 
 The IR distinguishes three kinds of operands:
 
-* :class:`Constant` -- an immediate integer (or float) known at compile time.
+* :class:`Constant` -- an immediate integer known at compile time.
 * :class:`Temp` -- a virtual register.  Before SSA construction several
   instructions may define the same :class:`Temp` name; after SSA
   construction every name has exactly one definition point.
@@ -14,8 +14,6 @@ a symbolic handle onto its name.
 """
 
 from __future__ import annotations
-
-from typing import Union
 
 
 class Value:
@@ -31,11 +29,11 @@ class Value:
 
 
 class Constant(Value):
-    """An immediate integer (or float) operand."""
+    """An immediate integer operand (the toy language has no floats)."""
 
     __slots__ = ("value",)
 
-    def __init__(self, value: Union[int, float]):
+    def __init__(self, value: int):
         if isinstance(value, bool):
             value = int(value)
         self.value = value

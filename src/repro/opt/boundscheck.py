@@ -89,11 +89,11 @@ def _progression_inside(r, size: int) -> Optional[int]:
     if r.is_single():
         return 1 if 0 <= lo <= size - 1 else 0
     stride = r.stride if r.stride > 0 else 1
-    clamp_lo = max(int(lo), 0)
-    clamp_hi = min(int(hi), size - 1)
+    clamp_lo = max(lo, 0)
+    clamp_hi = min(hi, size - 1)
     if clamp_hi < clamp_lo:
         return 0
-    first = int(lo) + -(-(clamp_lo - int(lo)) // stride) * stride
+    first = lo + -(-(clamp_lo - lo) // stride) * stride
     if first > clamp_hi:
         return 0
     return (clamp_hi - first) // stride + 1

@@ -23,8 +23,8 @@ def constants_from_prediction(prediction: FunctionPrediction) -> Dict[str, int]:
     out: Dict[str, int] = {}
     for name, rangeset in prediction.values.items():
         value = rangeset.constant_value()
-        if value is not None and value == int(value):
-            out[name] = int(value)
+        if value is not None:
+            out[name] = value
     return out
 
 

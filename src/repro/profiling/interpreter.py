@@ -312,7 +312,7 @@ class Interpreter:
 
     def _eval(self, frame: _Frame, value: Value) -> int:
         if isinstance(value, Constant):
-            return int(value.value)
+            return value.value
         if isinstance(value, Temp):
             if value.name not in frame.env:
                 raise InterpreterError(

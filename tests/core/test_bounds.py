@@ -83,7 +83,7 @@ class TestComparison:
 
     def test_infinities_compare(self):
         assert Bound.number(NEG_INF).compare(Bound.number(0)) == -1
-        assert Bound.number(POS_INF).compare(Bound.number(1e18)) == 1
+        assert Bound.number(POS_INF).compare(Bound.number(10**18)) == 1
 
     def test_less_equal(self):
         assert Bound.number(1).less_equal(Bound.number(1)) is True

@@ -1,10 +1,10 @@
 """Interning (hash-consing) invariants of the perf layer.
 
 The contract under test: ``intern(x) is intern(y)`` exactly when
-``x == y`` and their bounds have the same number types (``1 == 1.0``,
-but the two render apart) -- including the ⊤/⊥ singletons and symbolic
-bounds -- and bounded caches may evict at any time without changing
-any result.
+``x == y`` -- including the ⊤/⊥ singletons and symbolic bounds -- and
+bounded caches may evict at any time without changing any result.
+Equal sets render alike because a finite bound offset is always an
+``int``: a float or bool one is rejected where the bound is made.
 """
 
 import glob
@@ -58,7 +58,7 @@ def make_rangesets():
         RangeSet.top(),
         RangeSet.bottom(),
         RangeSet.constant(3),
-        RangeSet.constant(3.0),
+        RangeSet.constant(4),
         RangeSet.boolean(0.25),
         RangeSet.from_ranges([StridedRange(1.0, Bound(0), Bound(9), 1)]),
         RangeSet.from_ranges(
@@ -91,7 +91,7 @@ def neutrality_corpus():
 
 
 class TestIdentityIffEquality:
-    """intern(x) is intern(y)  <=>  x == y, with the same number types."""
+    """intern(x) is intern(y)  <=>  x == y."""
 
     def test_rangesets(self):
         for a in make_rangesets():
@@ -99,19 +99,18 @@ class TestIdentityIffEquality:
                 identical = intern_rangeset(a) is intern_rangeset(b)
                 assert identical == (a == b and str(a) == str(b)), (a, b)
 
-    def test_int_and_float_constants_stay_apart(self):
-        # Whichever of 1 and 1.0 a memo saw first used to stand for
-        # both: constant(1.0) rendered { 1[1:1:0] } after constant(1),
-        # and { 1[1.0:1.0:0] } after perf.reset().
-        assert str(RangeSet.constant(1)) == "{ 1[1:1:0] }"
-        assert str(RangeSet.constant(1.0)) == "{ 1[1.0:1.0:0] }"
-        perf.reset()
-        assert str(RangeSet.constant(1.0)) == "{ 1[1.0:1.0:0] }"
-        assert str(RangeSet.constant(1)) == "{ 1[1:1:0] }"
-        spans = [StridedRange(1.0, Bound(0), Bound(9), 1)]
-        floats = [StridedRange(1.0, Bound(0.0), Bound(9.0), 1)]
-        assert str(RangeSet.from_ranges(spans)) == "{ 1[0:9:1] }"
-        assert str(RangeSet.from_ranges(floats)) == "{ 1[0.0:9.0:1] }"
+    def test_a_finite_non_int_offset_is_rejected(self):
+        # So no set can hold a 1.0 that equals, but renders apart from, 1.
+        builds = [
+            lambda: Bound(1.0),
+            lambda: Bound(True),
+            lambda: Bound(0.5, "n"),
+            lambda: RangeSet.constant(1.0),
+            lambda: StridedRange.span(1.0, 0.0, 9.0),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError, match="must be an int"):
+                build()
 
     def test_top_bottom_intern_to_module_singletons(self):
         assert intern_rangeset(RangeSet.top()) is TOP
@@ -130,21 +129,22 @@ def rendered_afresh(rangeset):
 class TestRenderedText:
     """A set makes its text once; the text is always the set's own."""
 
-    @pytest.mark.parametrize("order", [(1, 1.0), (1.0, 1)])
-    def test_int_and_float_constants_render_apart_in_either_order(self, order):
-        texts = [str(RangeSet.constant(value)) for value in order * 2]
-        assert texts == [f"{{ 1[{value}:{value}:0] }}" for value in order * 2]
-        assert texts[0] != texts[1]
+    def test_two_constants_render_apart_in_either_order(self):
+        for order in [(1, 2), (2, 1)]:
+            perf.reset()
+            texts = [str(RangeSet.constant(value)) for value in order * 2]
+            assert texts == [f"{{ 1[{value}:{value}:0] }}" for value in order * 2]
+            assert texts[0] != texts[1]
 
     def test_the_text_is_made_once(self):
         for rangeset in make_rangesets():
             assert str(rangeset) is str(rangeset)
 
     def test_builder_and_merge_results_render_as_fresh(self):
-        one, two = RangeSet.constant(1), RangeSet.constant(2.0)
+        one, two = RangeSet.constant(1), RangeSet.constant(2)
         results = [
             merge_weighted([(0.25, one), (0.75, two)]),
-            merge_weighted([(0.25, RangeSet.constant(1.0)), (0.75, two)]),
+            merge_weighted([(0.75, RangeSet.constant(3)), (0.25, two)]),
             merge_weighted([(0.5, one), (0.5, TOP)]),
             merge_weighted([(0.5, one), (0.5, BOTTOM)]),
         ] + make_rangesets()

@@ -1,6 +1,7 @@
 """The incremental driver: byte-identity, replay, and the exact guard."""
 
 import gc
+import json
 import types
 
 import pytest
@@ -224,13 +225,39 @@ class TestGuards:
         assert set(outcome.replayed) == {"leaf", "outer", "island"}
 
 
+def fractional_offset(text):
+    """The entry with its first integer bound offset rewritten to 1.5."""
+    payload = json.loads(text)
+
+    def damage(node):
+        if isinstance(node, dict):
+            if node.get("k") == "set":
+                for _, lo, hi, _ in node["r"]:
+                    for bound in (lo, hi):
+                        if bound[0].__class__ is int:
+                            bound[0] = 1.5
+                            return True
+            return any(damage(value) for value in node.values())
+        if isinstance(node, list):
+            return any(damage(item) for item in node)
+        return False
+
+    assert damage(payload)
+    return json.dumps(payload, sort_keys=True)
+
+
 class TestDamagedDiskEntries:
-    def test_undecodable_entry_is_a_disk_error_not_a_hit(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda text: "{}", fractional_offset],
+        ids=["empty", "fractional-offset"],
+    )
+    def test_undecodable_entry_is_a_disk_error_not_a_hit(self, tmp_path, damage):
         run_incremental(MULTI_COMPONENT, IncrementalStore(disk_dir=str(tmp_path)))
         entries = sorted(tmp_path.rglob("*.json"))
         assert len(entries) == 3
         for entry in entries:
-            entry.write_text("{}", encoding="utf-8")
+            entry.write_text(damage(entry.read_text(encoding="utf-8")), encoding="utf-8")
         store = IncrementalStore(disk_dir=str(tmp_path))
         prediction, outcome = run_incremental(MULTI_COMPONENT, store)
         disk = store.stats()["disk"]
