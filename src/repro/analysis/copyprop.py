@@ -17,7 +17,7 @@ from typing import Dict
 
 from repro.ir.function import Function
 from repro.ir.instructions import Copy, Pi
-from repro.ir.values import Temp, Value
+from repro.ir.values import Temp
 
 
 def copy_chains(function: Function, through_assertions: bool = False) -> Dict[str, str]:

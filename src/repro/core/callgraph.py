@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, FrozenSet, List, NamedTuple, Set, Tuple
 
-from repro.ir.function import Function, Module
+from repro.ir.function import Module
 from repro.ir.instructions import Call
 
 

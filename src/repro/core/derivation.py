@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.core.bounds import Bound, NEG_INF, POS_INF, bound_max, bound_min
 from repro.core.ranges import StridedRange
-from repro.core.rangeset import BOTTOM, RangeSet, TOP
-from repro.ir.instructions import BinOp, Copy, Instruction, Phi, Pi
+from repro.core.rangeset import RangeSet
+from repro.ir.instructions import BinOp, Copy, Phi, Pi
 from repro.ir.ssa import SSAEdges
-from repro.ir.values import Constant, Temp, Value
+from repro.ir.values import Temp, Value
 
 MAX_PATHS = 32
 MAX_PATH_LENGTH = 256

@@ -54,7 +54,7 @@ from repro.core.propagation import (
     HeuristicFn,
     PropagationEngine,
 )
-from repro.core.rangeset import BOTTOM, RangeSet, TOP, merge_weighted
+from repro.core.rangeset import BOTTOM, RangeSet, merge_weighted
 from repro.core.summaries import (
     DEFAULT_CONTEXT_CACHE_SIZE,
     ModuleSummaries,

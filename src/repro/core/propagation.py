@@ -65,7 +65,7 @@ from repro.ir.instructions import (
     Store,
     UnOp,
 )
-from repro.ir.ssa import SSAEdges, SSAInfo, build_ssa_edges
+from repro.ir.ssa import SSAInfo, build_ssa_edges
 from repro.ir.values import Constant, Temp, Undef, Value
 from repro.observability import events as trace_events
 from repro.observability import tracer as tracing

@@ -196,6 +196,8 @@ def _div(a: StridedRange, b: StridedRange) -> Optional[StridedRange]:
     b_lo, b_hi = ends_b
     if b_lo <= 0 <= b_hi:
         return None  # divisor may be zero: unpredictable (runtime trap)
+    if b_lo == math.inf:
+        return None  # no integer divides by +inf, as in shr, mod and and
     if a.lo.symbol is not None or a.hi.symbol is not None:
         if b.is_single() and b_lo == 1:
             return a.with_probability(probability)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.bounds import Bound, bound_max, bound_min, Number
+from repro.core.bounds import bound_max, bound_min, Number
 from repro.core.perf.stats import LRUCache, stats
 from repro.core.ranges import StridedRange
 

@@ -31,8 +31,8 @@ under the ``summary_context`` cache name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.callgraph import CallGraph
 from repro.core.rangeset import BOTTOM, RangeSet

@@ -10,7 +10,7 @@ count.  This module computes those records and curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.profiling.profile_data import BranchProfile
 

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 from repro.core import VRPConfig, VRPPredictor
 from repro.ir import prepare_module
 from repro.lang import compile_source
-from repro.workloads import Workload, all_workloads
+from repro.workloads import all_workloads
 
 
 def measure_source(

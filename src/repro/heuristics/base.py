@@ -15,7 +15,7 @@ from repro.ir.cfg import CFG
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import Branch, Cmp, Instruction, Jump, Pi
 from repro.ir.postdominance import PostDominatorTree
-from repro.ir.values import Temp, Value
+from repro.ir.values import Temp
 
 
 class FunctionContext:

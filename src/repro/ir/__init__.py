@@ -96,11 +96,13 @@ def prepare_module(module: Module, assertions: bool = True) -> dict:
 
     A function that :func:`~repro.lang.lowering.lower_program` produced
     and nothing changed since carries its source key, and is trusted to
-    be exactly what that key lowers to: once the key has been prepared
-    twice, a copy of the prepared template (and of its ``SSAInfo``)
-    replaces the function in ``module.functions`` instead of preparing
-    it again (see :mod:`repro.ir.memo`).  Every prepared function of a
-    key is stamped with the key's memo entry.
+    be exactly what that key lowers to, ``source_shift`` lines down:
+    once the key has been prepared twice, a copy of the prepared
+    template (and of its ``SSAInfo``) moved that many lines replaces the
+    function in ``module.functions`` instead of preparing it again (see
+    :mod:`repro.ir.memo`).  A template keeps its source's own lines.
+    Every prepared function of a key is stamped with the key's memo
+    entry.
     """
     from repro.ir import memo
 
@@ -119,10 +121,10 @@ def prepare_module(module: Module, assertions: bool = True) -> dict:
             infos[name] = prepare_for_analysis(function, assertions=assertions)
         elif entry.template is None:
             info = infos[name] = prepare_for_analysis(function, assertions=assertions)
-            entry.template = (function.copy(), info.copy())
+            entry.template = (function.copy(lines=-function.source_shift), info.copy())
         else:
             template, info = entry.template
-            function = functions[name] = template.copy()
+            function = functions[name] = template.copy(lines=function.source_shift)
             infos[name] = info.copy()
         function.stamp = entry
         used[key] = entry

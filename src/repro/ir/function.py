@@ -106,13 +106,16 @@ class Function:
         self._temp_counter = 0
         # The front-end memo's marks (see :mod:`repro.ir.memo`):
         # ``source_key`` is what ``lower_program`` lowered this function
-        # from, and ``stamp`` the memo entry ``prepare_module`` made it
+        # from, ``source_shift`` how many lines below that source's lines
+        # it sits, and ``stamp`` the memo entry ``prepare_module`` made it
         # equal to.  Every IR rewrite clears ``stamp``.
         self.source_key: Optional[tuple] = None
+        self.source_shift = 0
         self.stamp = None
 
-    def copy(self, name: Optional[str] = None) -> "Function":
-        """A deep copy, renamed to ``name`` when given.
+    def copy(self, name: Optional[str] = None, lines: int = 0) -> "Function":
+        """A deep copy, renamed to ``name`` when given, moved ``lines``
+        lines down (each instruction's ``loc``).
 
         Block labels, temps, every instruction's ``loc``, the label and
         temp counters, ``arrays`` and the entry label are kept; the
@@ -127,6 +130,10 @@ class Function:
             new_block = blocks[label] = BasicBlock(label)
             new_block.instructions = [instr.copy(new_block) for instr in block.instructions]
         clone.entry_label = self.entry_label
+        if lines:
+            for instr in clone.instructions():
+                if instr.loc is not None:
+                    instr.loc += lines
         return clone
 
     # -- block management -------------------------------------------------

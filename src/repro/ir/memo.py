@@ -6,29 +6,38 @@ Four tables, each holding only what the latest compile used (so memory
 is bounded by one module), carry the reuse:
 
 * :data:`LEXED` -- ``(source, tokens, token end offsets)`` of the
-  latest lex.  ``tokenize`` lexes a related source again only between
-  the first and the last changed character, and reuses the tokens on
-  either side (the same objects where line and column did not move).
-  The offsets are made when a related source first needs them.
+  latest lex.  ``tokenize`` lexes a related source again only around
+  each stretch that changed -- the equal lines in between are found by
+  a line diff -- and reuses the tokens of every stretch the two sources
+  share (the same objects where line and column did not move, rebuilt
+  on their new lines where they did).  The offsets are made when a
+  related source first needs them.
 * :data:`FUNCDEFS` -- function name -> (token span, parsed
   ``FuncDef``).  A span is the tokens from ``func`` to the closing
   brace.  ``Parser.parse_program`` compares the tokens at a function's
-  start with the span of its name, by kind, text and line (tokens the
-  lexer reused are the same objects, which settles it at once); on a
-  match it skips them and yields the same (read-only) ``FuncDef``.
+  start with the span of its name by kind and text, and by line
+  relative to ``func``: where the function sits in the file does not
+  matter (tokens the lexer reused are the same objects, which settles
+  it at once).  On a match it skips them and yields the same
+  (read-only) ``FuncDef``, or a ``MovedFuncDef`` of it that says how
+  many lines further down the function now starts.
 * :data:`CONTEXT` -- the lowering context of the latest compile: the
   module's signatures and constants and the IR-verification default,
   everything lowering reads besides a ``FuncDef``.  An equal context is
   replaced by this object, so keys holding it compare by identity.
 * :data:`PREPARED` -- (source key, ``assertions``) -> :class:`Entry`.
-  ``lower_program`` marks each function with its source key: the
-  ``FuncDef`` (identity, which the second table makes stable) and the
-  context.  ``prepare_module`` prepares a key's function as before the
-  first two times it sees the key, keeping a copy of the second result
-  as the key's *template*; from then on it puts a copy of the template
-  into the module instead of preparing.  A key with a template is not
-  even lowered: ``lower_program`` leaves a stand-in that lowers the
-  function only if something other than ``prepare_module`` reads it.
+  ``lower_program`` marks each function with its source key -- the
+  origin ``FuncDef`` (identity, which the second table makes stable
+  wherever the function moves) and the context -- and with its
+  ``source_shift``, the lines it sits below that ``FuncDef``.
+  ``prepare_module`` prepares a key's function as before the first two
+  times it sees the key, keeping a copy of the second result, moved
+  back to the origin's lines, as the key's *template*; from then on it
+  puts a copy of the template, moved ``source_shift`` lines down, into
+  the module instead of preparing.  A key with a template is not even
+  lowered: ``lower_program`` leaves a stand-in that lowers the function
+  only if something other than ``prepare_module`` reads it.  Every
+  ``loc`` is thus the line a cold compile gives.
 
 The memo never gives out an object it keeps, tokens aside (they are
 read-only): templates are copied out, with a copy of their

@@ -27,6 +27,7 @@ from repro.lang.ast_nodes import (
     InputExpr,
     IntLit,
     LogicalExpr,
+    MovedFuncDef,
     Node,
     Program,
     Return,
@@ -62,6 +63,7 @@ __all__ = [
     "LexError",
     "LogicalExpr",
     "LoweringError",
+    "MovedFuncDef",
     "Node",
     "ParseError",
     "Parser",

@@ -295,14 +295,44 @@ class ExprStmt(Stmt):
 class FuncDef(Node):
     __slots__ = ("name", "params", "body")
 
+    #: How many lines below the lines of ``body`` the function sits:
+    #: 0, but for a :class:`MovedFuncDef`.
+    shift = 0
+
     def __init__(self, name: str, params: List[str], body: Block, line: int = 0):
         super().__init__(line)
         self.name = name
         self.params = params
         self.body = body
 
+    @property
+    def origin(self) -> "FuncDef":
+        """The ``FuncDef`` whose lines ``body`` holds: this one."""
+        return self
+
     def __repr__(self) -> str:
         return f"FuncDef({self.name!r}, {self.params!r})"
+
+
+class MovedFuncDef(FuncDef):
+    """A function parsed before, met again ``shift`` lines further down.
+
+    The parser's memo (:mod:`repro.ir.memo`) hands one out for a function
+    whose tokens equal an earlier parse's but sit on other lines.  It
+    shares ``params`` and ``body`` with ``origin``, the ``FuncDef`` that
+    parse made, so the lines inside ``body`` are ``origin``'s: add
+    ``shift`` to them for this function's.  ``line`` is its own.
+    """
+
+    __slots__ = ("origin",)
+
+    def __init__(self, origin: FuncDef, line: int):
+        super().__init__(origin.name, origin.params, origin.body, line)
+        self.origin = origin
+
+    @property
+    def shift(self) -> int:
+        return self.line - self.origin.line
 
 
 class ConstDef(Node):

@@ -11,13 +11,15 @@ columns come from newline positions; every character, ``\\t`` and
 
 The lexer keeps no state between tokens: where one token ends is all it
 needs to go on.  So a source that differs from the last one lexed only
-in the middle is lexed again only there (:func:`tokenize`).
+in places is lexed again only there (:func:`tokenize`).
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from difflib import SequenceMatcher
+from itertools import accumulate
 from typing import List, Optional, Tuple
 
 from repro.ir import memo
@@ -64,13 +66,14 @@ def tokenize(source: str) -> List[Token]:
     """Lex ``source`` into a token list ending with EOF.
 
     The latest source lexed, its tokens and their end offsets stay in
-    :data:`repro.ir.memo.LEXED`.  When most of ``source`` is the start
-    and the end of that source, only the middle is lexed again: from the
-    last old token end before the first changed character until the
-    lexer reaches an old token end inside the unchanged end.  The old
-    tokens after that point are reused -- the same objects where their
-    line and column did not move.  Either way the result is what a cold
-    lex gives, tokens or :class:`LexError`.  Tokens are read-only.
+    :data:`repro.ir.memo.LEXED`.  When most of ``source`` is shared with
+    that source -- their common start and end, and the equal lines
+    between -- only each changed window is lexed again: from the last
+    token end before it until the lexer reaches an old token end inside
+    the next shared stretch.  The old tokens of each shared stretch are
+    reused -- the same objects where their line and column did not
+    move.  Either way the result is what a cold lex gives, tokens or
+    :class:`LexError`.  Tokens are read-only.
     """
     previous = memo.LEXED
     relexed = None if previous is None else _relex(previous, source)
@@ -89,8 +92,8 @@ def _lex(
 
     ``position`` is where a token ends (or 0), on line ``line``, which
     starts at offset ``line_start``.  Returns ``(position, line,
-    line_start)`` to resume from once a token ends at or past ``stop``,
-    and ``None`` after EOF.
+    line_start)`` of the first token end at or past ``stop``, to resume
+    from, and ``None`` after EOF.
     """
     append = tokens.append
     match = _TOKEN.match
@@ -130,6 +133,7 @@ def _lex(
             if close < 0:
                 raise LexError("unterminated block comment", line, column)
             position = close + 2
+            continue  # only a token end is a place to resume from
         elif group == _END:
             append(Token(TokenKind.EOF, "", line, column))
             return None
@@ -154,42 +158,86 @@ def _relex(previous: tuple, source: str) -> Optional[Tuple[List[Token], List[int
     old, old_tokens, ends = previous
     if old == source:
         return old_tokens, ends
-    prefix = _common_prefix(old, source)
-    suffix = _common_prefix(old[prefix:][::-1], source[prefix:][::-1])
-    if 2 * (prefix + suffix) < len(source):
+    same = _unchanged(old, source)
+    if 2 * sum(size for _, _, size in same) < len(source):
         return None
     if ends is None:
         ends = _token_ends(old, old_tokens, 1, 0)
-    delta = len(source) - len(old)
-    # Resume after the last token that ends before the first changed
-    # character: the token and the character after it are unchanged.
-    kept = bisect_left(ends, prefix)
-    position, line, line_start = 0, 1, 0
-    if kept:
-        token = old_tokens[kept - 1]
-        position = ends[kept - 1]
-        line, line_start = token.line, position - len(token.text) - token.column + 1
-    tokens = old_tokens[:kept]
-    resume = position, line, line_start
-    # An old token end inside the unchanged end is where the two lexes
-    # meet: from there on both read the same characters.
-    meet = bisect_left(ends, len(old) - suffix)
     final = len(ends) - 1  # EOF's end: nothing to reuse after it
-    while resume is not None:
-        stop = ends[meet] + delta if meet < final else len(source) + 1
-        resume = _lex(source, *resume, tokens, stop)
-        if resume is not None:
-            meet = bisect_left(ends, resume[0] - delta, meet)
-            if meet < final and ends[meet] == resume[0] - delta:
+    tokens: List[Token] = []
+    new_ends: List[int] = []
+    resume: Optional[Tuple[int, int, int]] = (0, 1, 0)
+    for old_start, new_start, size in same:
+        delta = new_start - old_start
+        # The old tokens that end, with the character after them, inside
+        # this stretch; from one's end on, both lexes read the same text.
+        first = bisect_left(ends, old_start)
+        last = min(bisect_left(ends, old_start + size), final) - 1
+        # Both lexes start at offset 0, as if a token ended there.
+        met = -1 if resume[0] == old_start == new_start == 0 else None
+        mark, line, line_start = len(tokens), resume[1], resume[2]
+        candidate = first
+        while met is None and candidate < last:
+            candidate = bisect_left(ends, resume[0] - delta, candidate, last)
+            if candidate == last:
                 break
-    new_ends = ends[:kept] + _token_ends(source, tokens[kept:], line, line_start)
-    if resume is not None:
-        met = resume[0]
-        lines = source.count("\n") - old.count("\n")
-        columns = (met - source.rfind("\n", 0, met)) - (ends[meet] - old.rfind("\n", 0, ends[meet]))
-        tokens += _moved(old_tokens[meet + 1 :], old_tokens[meet].line, lines, columns)
-        new_ends += map(delta.__add__, ends[meet + 1 :])
+            stop = ends[candidate] + delta
+            if stop == resume[0]:
+                met = candidate
+            else:
+                resume = _lex(source, *resume, tokens, stop)
+                if resume is None:
+                    break
+        new_ends += _token_ends(source, tokens[mark:], line, line_start)
+        if resume is None:
+            return tokens, new_ends
+        if met is None or met == last:
+            continue
+        position, line, line_start = resume
+        lines = columns = 0
+        if met >= 0:
+            token = old_tokens[met]
+            lines = line - token.line
+            columns = position - line_start - (token.column - 1 + len(token.text))
+            line = token.line
+        tokens += _moved(old_tokens[met + 1 : last + 1], line, lines, columns)
+        kept = ends[met + 1 : last + 1]
+        new_ends += map(delta.__add__, kept) if delta else kept
+        token = tokens[-1]
+        position = new_ends[-1]
+        resume = position, token.line, position - len(token.text) - token.column + 1
+    mark, line, line_start = len(tokens), resume[1], resume[2]
+    _lex(source, *resume, tokens, len(source) + 1)
+    new_ends += _token_ends(source, tokens[mark:], line, line_start)
     return tokens, new_ends
+
+
+def _unchanged(old: str, new: str) -> List[Tuple[int, int, int]]:
+    """``(old offset, new offset, length)`` of each stretch the two
+    sources share, in order: their common start and end, and the equal
+    lines in between."""
+    prefix = _common_prefix(old, new)
+    suffix = _common_prefix(old[prefix:][::-1], new[prefix:][::-1])
+    same = [(0, 0, prefix)]
+    old_lines = old[prefix : len(old) - suffix].split("\n")
+    new_lines = new[prefix : len(new) - suffix].split("\n")
+    if len(old_lines) > 2 and len(new_lines) > 2:  # whole lines in between
+        old_at, new_at = _line_starts(old_lines, prefix), _line_starts(new_lines, prefix)
+        old_end, new_end = len(old) - suffix, len(new) - suffix
+        matcher = SequenceMatcher(None, old_lines, new_lines)
+        for i, j, count in matcher.get_matching_blocks():
+            if count:
+                start, into = old_at[i], new_at[j]
+                size = min(old_at[i + count], old_end) - start
+                same.append((start, into, min(size, min(new_at[j + count], new_end) - into)))
+    same.append((len(old) - suffix, len(new) - suffix, suffix))
+    return [stretch for stretch in same if stretch[2]]
+
+
+def _line_starts(lines: List[str], offset: int) -> List[int]:
+    """The offset of each of ``lines`` (split at newlines from
+    ``offset``), and where a line after the last would start."""
+    return list(accumulate((len(line) + 1 for line in lines), initial=offset))
 
 
 def _moved(tokens: List[Token], line: int, lines: int, columns: int) -> List[Token]:

@@ -60,12 +60,17 @@ class LoweringError(Exception):
     """Raised on semantic errors discovered during lowering."""
 
     def __init__(self, message: str, line: int = 0):
+        self.message = message
         self.line = line
         super().__init__(f"lowering error at line {line}: {message}")
 
 
 class _FunctionLowerer:
-    """Lowers one function definition into a :class:`Function`."""
+    """Lowers one function definition into a :class:`Function`.
+
+    The lines of a :class:`~repro.lang.ast_nodes.MovedFuncDef`'s body
+    are its origin's: each ``loc`` and error line adds its ``shift``.
+    """
 
     def __init__(
         self,
@@ -85,6 +90,7 @@ class _FunctionLowerer:
         self.current: BasicBlock = self.function.new_block(hint="entry")
         # Stack of (continue_target, break_target) labels.
         self.loop_stack: List[Tuple[str, str]] = []
+        self._shift = funcdef.shift
         # Source line of the statement/expression being lowered; stamped
         # onto every emitted instruction (``instr.loc``).
         self._line: int = funcdef.line
@@ -109,7 +115,12 @@ class _FunctionLowerer:
     # -- entry point -------------------------------------------------------------
 
     def lower(self) -> Function:
-        self._lower_block(self.funcdef.body)
+        try:
+            self._lower_block(self.funcdef.body)
+        except LoweringError as error:
+            if not self._shift:
+                raise
+            raise LoweringError(error.message, error.line + self._shift) from None
         if not self.current.is_terminated():
             self.current.append(Return(Constant(0)))
         # Any residual dead blocks must still be terminated for the verifier.
@@ -125,7 +136,7 @@ class _FunctionLowerer:
             self._lower_statement(stmt)
 
     def _lower_statement(self, stmt: ast.Stmt) -> None:
-        self._line = stmt.line
+        self._line = stmt.line + self._shift
         if isinstance(stmt, ast.Assign):
             self._check_not_array(stmt.name, stmt.line)
             if stmt.name in self.constants:
@@ -260,7 +271,7 @@ class _FunctionLowerer:
 
     def _lower_condition(self, expr: ast.Expr, true_label: str, false_label: str) -> None:
         """Emit control flow that jumps to ``true_label`` iff expr != 0."""
-        self._line = expr.line
+        self._line = expr.line + self._shift
         if isinstance(expr, ast.LogicalExpr):
             mid = self.function.new_block(hint="cond")
             if expr.op == "&&":
@@ -418,16 +429,17 @@ class _Deferred(Function):
     :func:`lower_program` makes one for a function whose source key has
     a prepared template, which ``prepare_module`` puts in its place
     without reading it.  Reading any attribute but ``name``,
-    ``source_key`` and ``stamp`` lowers the function there and then and
-    makes this a plain :class:`Function`, so a module that is never
-    prepared reads as a cold lowering.  The key lowered before, so
-    lowering it cannot fail.
+    ``source_key``, ``source_shift`` and ``stamp`` lowers the function
+    there and then and makes this a plain :class:`Function`, so a module
+    that is never prepared reads as a cold lowering.  The key lowered
+    before, so lowering it cannot fail.
     """
 
     def __init__(self, funcdef: ast.FuncDef, signatures, constants, source_key: tuple):
         # No Function.__init__: the other attributes are missing until read.
         self.name = funcdef.name
         self.source_key = source_key
+        self.source_shift = funcdef.shift
         self.stamp = None
         self._arguments = (funcdef, signatures, constants)
 
@@ -444,7 +456,9 @@ class _Deferred(Function):
 def lower_program(program: ast.Program, module_name: str = "module") -> Module:
     """Lower a parsed program into an IR module.
 
-    A function whose source key has a prepared template in the front-end
+    A function's source key is its ``FuncDef``'s origin and the
+    lowering context, so a function that only moved keeps its key.  A
+    function whose source key has a prepared template in the front-end
     memo is not lowered until something reads it (:class:`_Deferred`).
     """
     signatures = {f.name: len(f.params) for f in program.functions}
@@ -466,12 +480,13 @@ def lower_program(program: ast.Program, module_name: str = "module") -> Module:
             raise LoweringError(
                 f"function {funcdef.name!r} shadows a constant", funcdef.line
             )
-        source_key = (funcdef, context)
+        source_key = (funcdef.origin, context)
         if memo.has_template(source_key):
             function = _Deferred(funcdef, signatures, constants, source_key)
         else:
             function = _FunctionLowerer(funcdef, signatures, constants).lower()
             function.source_key = source_key
+            function.source_shift = funcdef.shift
             lowered.append(function)
         module.add_function(function)
     if verify:

@@ -34,6 +34,7 @@ recursion limit; a deeper program is a :class:`ParseError`.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple, Type
 
 from repro.ir import memo
@@ -150,15 +151,17 @@ class Parser:
     def parse_program(self) -> ast.Program:
         """Parse a whole program.
 
-        A function whose token span -- the kind, text and line of every
-        token from ``func`` to its closing brace -- equals the span of
-        the same name in the latest parse is not parsed again: its
-        tokens are skipped and that parse's ``FuncDef`` is reused (see
+        A function whose token span -- the tokens from ``func`` to its
+        closing brace -- has the kinds and texts of the span of the same
+        name in the latest parse, on the same lines relative to ``func``,
+        is not parsed again: its tokens are skipped and that parse's
+        ``FuncDef`` is reused, or a :class:`~repro.lang.ast_nodes.MovedFuncDef`
+        of it when the span now starts on another line (see
         :mod:`repro.ir.memo`).
         """
         functions: List[ast.FuncDef] = []
         constants: List[ast.ConstDef] = []
-        parsed: Dict[str, Tuple[tuple, ast.FuncDef]] = {}
+        parsed: Dict[str, Tuple[List[Token], ast.FuncDef]] = {}
         while not self._peek().kind == TokenKind.EOF:
             if self._peek().is_keyword("const"):
                 constants.append(self._parse_constdef())
@@ -169,7 +172,7 @@ class Parser:
         memo.keep(memo.FUNCDEFS, parsed)
         return ast.Program(functions, constants)
 
-    def _reuse_funcdef(self, parsed: Dict[str, Tuple[list, ast.FuncDef]]) -> ast.FuncDef:
+    def _reuse_funcdef(self, parsed: Dict[str, Tuple[List[Token], ast.FuncDef]]) -> ast.FuncDef:
         """:meth:`parse_funcdef` through the memo; records the span in ``parsed``."""
         start = self.position
         name = self._peek(1).text
@@ -177,25 +180,19 @@ class Parser:
         if known is not None:
             span, funcdef = known
             end = start + len(span)
+            tokens = self.tokens[start:end]
             # Equal tokens parse to an equal FuncDef, ending at ``end``.
-            if self._same_span(start, span):
+            if _same_tokens(tokens, span):
                 self.position = end
-                parsed[name] = known
+                line = tokens[0].line
+                if line != funcdef.line:
+                    origin = funcdef.origin
+                    funcdef = origin if line == origin.line else ast.MovedFuncDef(origin, line)
+                parsed[name] = (tokens, funcdef)
                 return funcdef
         funcdef = self.parse_funcdef()
         parsed[name] = (self.tokens[start : self.position], funcdef)
         return funcdef
-
-    def _same_span(self, start: int, span: list) -> bool:
-        """Whether the tokens from ``start`` on have ``span``'s kinds,
-        texts and lines."""
-        tokens = self.tokens[start : start + len(span)]
-        if tokens == span:  # tokens the lexer reused: the same objects
-            return True
-        return len(tokens) == len(span) and all(
-            a.kind == b.kind and a.text == b.text and a.line == b.line
-            for a, b in zip(tokens, span)
-        )
 
     def _parse_constdef(self) -> ast.ConstDef:
         start = self._expect_keyword("const")
@@ -453,6 +450,22 @@ class Parser:
         self._expect_punct("]")
         self.depth -= 1
         return index
+
+
+_TEXT = attrgetter("text")
+_LINE = attrgetter("line")
+
+
+def _same_tokens(tokens: List[Token], span: List[Token]) -> bool:
+    """Whether ``tokens`` have the texts of ``span``, and so its kinds
+    (the lexer gives a text one kind), on the same lines relative to the
+    first token."""
+    if tokens == span:  # tokens the lexer reused: the same objects
+        return True
+    if len(tokens) != len(span) or list(map(_TEXT, tokens)) != list(map(_TEXT, span)):
+        return False
+    shift = tokens[0].line - span[0].line
+    return list(map(_LINE, tokens)) == list(map(shift.__add__, map(_LINE, span)))
 
 
 def parse(source: str) -> ast.Program:

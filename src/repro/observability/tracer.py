@@ -25,7 +25,7 @@ import contextvars
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Type
+from typing import Dict, Iterator, List, Optional
 
 from repro.observability import context as tracecontext
 from repro.observability.events import TraceEvent

@@ -13,7 +13,7 @@ never meet, or interleaved strided progressions (even/odd and the like).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.core.comparisons import compare_sets
 from repro.core.propagation import FunctionPrediction

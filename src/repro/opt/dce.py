@@ -20,7 +20,6 @@ from repro.ir.instructions import (
     Input,
     Instruction,
     Jump,
-    Load,
     Phi,
     Pi,
     Store,

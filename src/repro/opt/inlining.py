@@ -18,7 +18,7 @@ The result passes the SSA verifier and executes identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.callgraph import CallGraph
 from repro.core.interprocedural import ModulePrediction
@@ -39,7 +39,7 @@ from repro.ir.instructions import (
     Store,
     UnOp,
 )
-from repro.ir.values import Constant, Temp, Undef, Value
+from repro.ir.values import Temp, Value
 from repro.opt._verify import verify_after
 
 

@@ -11,7 +11,7 @@ execution profile.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ir.cfg import CFG
 from repro.ir.function import Function

@@ -14,7 +14,7 @@ the dominator -- and ranks hoisting candidates for a scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.propagation import FunctionPrediction
 from repro.ir.cfg import CFG

@@ -27,7 +27,6 @@ from repro.ir.instructions import (
     Instruction,
     Jump,
     Load,
-    Phi,
     Pi,
     Return,
     Store,

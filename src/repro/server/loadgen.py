@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.server.client import ServeClient, ServerError
 

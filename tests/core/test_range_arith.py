@@ -202,6 +202,12 @@ class TestBoundSaturation:
         edge = RangeSet.span(2**1021, 2**1022)
         assert self._hull(evaluate_binop("add", edge, edge)) == (2**1022, POS_INF)
 
+    @pytest.mark.parametrize("op", ["div", "shr", "mod", "and"])
+    def test_a_divisor_of_plus_infinity_alone_is_bottom(self, op):
+        plus_infinity = RangeSet.from_ranges([StridedRange(1.0, Bound.number(POS_INF), Bound.number(POS_INF), 0)])
+        assert str(plus_infinity) == "{ 1[+inf:+inf:0] }"
+        assert evaluate_binop(op, RangeSet.span(0, 12, 3), plus_infinity) is BOTTOM
+
     def test_mandel_analyses_without_error(self):
         from repro.core import VRPPredictor
         from repro.ir import prepare_module

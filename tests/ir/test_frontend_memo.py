@@ -2,8 +2,9 @@
 
 ``tokenize`` lexes again only what changed since the last source,
 ``Parser.parse_program`` reuses the ``FuncDef`` of a token span it has
-parsed before, ``lower_program`` defers a function whose source key has
-a prepared template, and ``prepare_module`` copies that template
+parsed before, wherever the span now sits, ``lower_program`` defers a
+function whose source key has a prepared template, and
+``prepare_module`` copies that template, moved to the function's lines
 (``repro.ir.memo``).
 Every product of a compile -- the prepared IR, each instruction's
 source line, the ``SSAInfo``, both incremental fingerprints and the
@@ -12,7 +13,10 @@ memo holds.  The ledger's own ``recheck_equals_cold_analysis`` check
 compiles its cold side through the same memo, so it cannot guard this.
 """
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import commands
 from repro.core import VRPConfig, perf
@@ -21,7 +25,7 @@ from repro.core.interprocedural import analyse_module
 from repro.incremental.fingerprint import fingerprint_salt, module_fingerprints
 from repro.ir import Pi, format_module, memo, prepare_module
 from repro.ir.instructions import Call
-from repro.lang import Parser, compile_source, lower_program, tokenize
+from repro.lang import MovedFuncDef, Parser, compile_source, lower_program, tokenize
 from repro.opt.inlining import inline_call
 from repro.passes import PassPipeline
 
@@ -290,9 +294,16 @@ class TestLowering:
         second = Parser(tokenize(CALLER_CALLEE)).parse_program()
         assert [f.name for f in second.functions] == ["square", "kernel", "main"]
         assert all(a is b for a, b in zip(first.functions, second.functions))
-        # A moved function is another span: its lines are in the key.
-        shifted = Parser(tokenize("\n" + CALLER_CALLEE)).parse_program()
-        assert not any(a is b for a, b in zip(first.functions, shifted.functions))
+        # A moved function reuses its FuncDef, shifted: lowered, it is
+        # what a cold compile of the moved source gives.
+        moved = "\n\n" + CALLER_CALLEE
+        shifted = Parser(tokenize(moved)).parse_program()
+        assert all(
+            isinstance(b, MovedFuncDef) and b.origin is a and b.shift == 2
+            for a, b in zip(first.functions, shifted.functions)
+        )
+        module = lower_program(shifted)
+        assert products(module, prepare_module(module)) == cold(moved)
 
 
 class TestReset:
@@ -303,3 +314,163 @@ class TestReset:
         assert memo.LEXED is None and memo.CONTEXT is None
         assert not memo.FUNCDEFS and not memo.PREPARED
         assert compile_counting(CALLER_CALLEE)[2] == 0
+
+
+# -- edits that move lines -------------------------------------------------------
+
+#: Five functions with findings that carry lines (a dead branch, an
+#: unreachable block, an uncalled function), so moved lines show in
+#: ``check``.
+MOVABLE = """const K = 4;
+
+func helper(x) {
+  var t = 0;
+  for (i = 0; i < 10; i = i + 1) {
+    if (i > 20) { t = t + 1; }
+    t = t + x / 2;
+  }
+  return t;
+}
+
+func unused(y) {
+  if (y > 3) { return 1; }
+  return 0;
+}
+
+func scale(v) {
+  var s = v * 3;
+  while (s > 100) { s = s - K; }
+  return s;
+}
+
+func pick(a, b) {
+  if (a < b) { return a; }
+  return b;
+}
+
+func main(n) {
+  var a = helper(n);
+  var z = scale(a) + pick(n, 7);
+  if (a < 0) { z = 5; }
+  return a + z;
+}
+"""
+
+
+@st.composite
+def moving_edits(draw):
+    """``MOVABLE`` and three to six successive edits: comment and blank
+    lines inserted into or deleted from several functions, constants
+    changed in two distant functions, and reverts to an earlier source."""
+    sources = [MOVABLE]
+    for _ in range(draw(st.integers(3, 6))):
+        kind = draw(st.sampled_from(["lines", "lines", "constants", "revert"]))
+        if kind == "revert" and len(sources) > 1:
+            sources.append(draw(st.sampled_from(sources[:-1])))
+            continue
+        lines = sources[-1].split("\n")
+        if kind == "constants":
+            literals = [
+                (row, match)
+                for row, line in enumerate(lines)
+                for match in re.finditer(r"\b\d+\b", line)
+            ]
+            half = len(literals) // 2
+            for row, match in (
+                literals[draw(st.integers(half, len(literals) - 1))],
+                literals[draw(st.integers(0, half - 1))],
+            ):
+                line = lines[row]
+                fresh = str(int(match.group()) + draw(st.integers(1, 9)))
+                lines[row] = line[: match.start()] + fresh + line[match.end() :]
+        else:
+            sites = draw(st.lists(st.integers(1, len(lines) - 1), min_size=2, max_size=4, unique=True))
+            for at in sorted(sites, reverse=True):
+                if lines[at].strip() in ("", "// note") and draw(st.booleans()):
+                    del lines[at]
+                else:
+                    lines[at:at] = [draw(st.sampled_from(["  // note", "", "/* a\nb */"]))]
+        sources.append("\n".join(lines))
+    return sources
+
+
+def frontend(source):
+    """Tokens, products and every output of one compile of ``source``,
+    or the error it raises."""
+    from repro import rendering
+    from repro.core import VRPPredictor
+    from repro.diagnostics import check_module
+
+    try:
+        tokens = tokenize(source)
+        module = lower_program(Parser(tokens).parse_program())
+    except commands.PROGRAM_ERRORS as error:
+        return f"error: {error}"
+    infos = prepare_module(module)
+    product = products(module, infos)
+    prediction = VRPPredictor().predict_module(module, infos)
+    report = check_module(module, prediction, program="p")
+    return (
+        [(t.kind, t.text, t.value, t.line, t.column) for t in tokens],
+        product,
+        rendering.branch_table(prediction.all_branches(), prediction.heuristic_branches()),
+        rendering.ranges_listing(prediction),
+        commands.render_check(report, "text"),
+        commands.render_check(report, "sarif"),
+    )
+
+
+class TestMovedLines:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(moving_edits())
+    def test_a_chain_of_moving_edits_compiles_warm_as_cold(self, sources):
+        perf.reset()
+        warm = [frontend(source) for source in sources]
+        for source, result in zip(sources, warm):
+            perf.reset()
+            assert result == frontend(source)
+
+    def test_a_comment_line_in_the_first_function_redoes_only_it(self, monkeypatch):
+        import repro.ir as ir
+        from repro.lang import lowering
+
+        lowered, prepared = [], []
+        lower, prepare = lowering._FunctionLowerer.lower, ir.prepare_for_analysis
+
+        def counting_lower(self):
+            lowered.append(self.funcdef.name)
+            return lower(self)
+
+        def counting_prepare(function, assertions=True):
+            prepared.append(function.name)
+            return prepare(function, assertions=assertions)
+
+        monkeypatch.setattr(lowering._FunctionLowerer, "lower", counting_lower)
+        monkeypatch.setattr(ir, "prepare_for_analysis", counting_prepare)
+        perf.reset()
+        for _ in range(2):
+            compile_counting(CALLER_CALLEE)
+        del lowered[:], prepared[:]
+        edited = CALLER_CALLEE.replace("func square(v) {\n", "func square(v) {\n  // note\n")
+        module, infos, hits = compile_counting(edited)
+        # kernel and main moved a line down: their templates, moved.
+        assert lowered == ["square"] and prepared == ["square"] and hits == 2
+        assert [f.loc for f in module.function("main").instructions()][:1] == [14]
+        assert products(module, infos) == cold(edited)
+
+    def test_a_moved_function_reports_a_lowering_error_on_its_new_line(self):
+        from repro.lang import LoweringError
+
+        source = "func f(a) {\n  return a;\n}\n\nfunc g(x) {\n  var y = x + 1;\n  return f(y);\n}\n"
+        # g only moves, but f's new arity fails its lowering.
+        edited = "// note\n" + source.replace("func f(a) {", "func f(a, b) {")
+        perf.reset()
+        compile_source(source)
+        with pytest.raises(LoweringError) as warm:
+            compile_source(edited)
+        assert isinstance(memo.FUNCDEFS["g"][1], MovedFuncDef)
+        perf.reset()
+        with pytest.raises(LoweringError) as cold_error:
+            compile_source(edited)
+        assert str(warm.value) == str(cold_error.value)
+        assert warm.value.line == 8

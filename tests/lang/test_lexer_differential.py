@@ -122,3 +122,91 @@ def test_an_edit_reuses_the_tokens_after_it():
     # Only the edited literal's line is lexed again or moved.
     shared = sum(id(token) in before for token in after)
     assert len(after) - 30 < shared < len(after)
+
+
+# -- multi-site edits of a many-line source ------------------------------------
+
+#: Whole lines of toy-language text, comments and blank lines among them.
+LINES = st.lists(
+    st.sampled_from(
+        ["func f(x) {", "}", "  var t = 0;", "  t = t + 12;", "  if (x <= 0x1f) { t = 1; }",
+         "  // a note", "", "  /* one", "  two */", "  while (t != 9) { t = t - 1; }", "\t"]
+    ),
+    min_size=8,
+    max_size=40,
+).map("\n".join)
+
+
+@st.composite
+def multi_site_chains(draw):
+    """A many-line source and up to four successive edits of it.  Each
+    edit changes two to four places far apart (spliced fragments, cut
+    characters, inserted or deleted lines), or reverts to an earlier
+    source of the chain."""
+    sources = [draw(LINES)]
+    for _ in range(draw(st.integers(1, 4))):
+        if len(sources) > 1 and draw(st.booleans()):
+            sources.append(draw(st.sampled_from(sources[:-1])))
+            continue
+        lines = sources[-1].split("\n")
+        sites = sorted(
+            draw(st.lists(st.integers(0, len(lines)), min_size=2, max_size=4, unique=True)),
+            reverse=True,  # edit from the end, so earlier sites keep their index
+        )
+        for at in sites:
+            choice = draw(st.sampled_from(["splice", "cut", "insert", "delete"]))
+            if choice == "insert":
+                lines[at:at] = [draw(st.sampled_from(["// new", "", "/*", "*/", "x = 1;"]))]
+            elif choice == "delete" and at < len(lines):
+                del lines[at]
+            elif at < len(lines):
+                line = lines[at]
+                column = draw(st.integers(0, len(line)))
+                if choice == "splice":
+                    line = line[:column] + draw(st.sampled_from(SPLICES)) + line[column:]
+                else:
+                    line = line[:column] + line[column + draw(st.integers(1, 3)) :]
+                lines[at] = line
+        sources.append("\n".join(lines))
+    return sources
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(multi_site_chains())
+def test_a_multi_site_edit_lexes_as_it_does_cold(sources):
+    expected = [cold(source) for source in sources]
+    memo.clear()
+    assert [outcome(tokenize, source) for source in sources] == expected
+
+
+def test_a_two_site_edit_lexes_only_around_its_two_windows(monkeypatch):
+    from benchmarks.ledger.corpus import EditableModule
+    from repro.lang import lexer
+
+    source = EditableModule(11, 5).source()
+    first = source.index("j < ") + len("j < ")
+    last = source.rindex("acc > ") + len("acc > ")
+    edited = source[:first] + "7" + source[first:last] + "9" + source[last:]
+    memo.clear()
+    before = tokenize(source)
+    lexed = []
+
+    def counting(text, position, line, line_start, tokens, stop):
+        count = len(tokens)
+        resume = lexer._lex.__wrapped__(text, position, line, line_start, tokens, stop)
+        lexed.append(len(tokens) - count)
+        return resume
+
+    counting.__wrapped__ = lexer._lex
+    monkeypatch.setattr(lexer, "_lex", counting)
+    after = tokenize(edited)
+    monkeypatch.undo()
+    assert [(t.kind, t.text, t.value, t.line, t.column) for t in after] == cold(edited)
+    # The first window runs from its literal to the first token of the
+    # next line, the second ends a few tokens after its literal, and EOF
+    # is lexed afresh: 16 tokens of more than 700.  Every token between
+    # the windows is the old object; the rest of the second literal's
+    # line moved a column.
+    assert len(before) > 700 and sum(lexed) <= 20
+    kept = {id(token) for token in before}
+    assert sum(id(token) not in kept for token in after) <= 30
