@@ -23,10 +23,17 @@ from typing import Optional, Tuple
 
 from repro.core import counters
 from repro.core.bounds import Bound
+from repro.core.perf.stats import LRUCache, stats
 from repro.core.ranges import StridedRange
-from repro.core.rangeset import RangeSet
+from repro.core.rangeset import MEMO_SIZE, RangeSet
 
 DEFAULT_EXACT_LIMIT = 8192
+
+#: ``(op, ra.extent, rb.extent, exact_limit)`` -> the pair's
+#: :func:`_dispatch_fraction`, or ``False`` for None; it reads only the
+#: extents.  :func:`_integrate_over_symbol` reads live engine state
+#: through ``symbol_range``, so it is never stored.
+_FRACTIONS = LRUCache(MEMO_SIZE, stats().caches["compare_pair"])
 
 
 class CompareOutcome:
@@ -75,9 +82,10 @@ def compare_sets(
         return None
     known = 0.0
     unknown = 0.0
+    tally = counters.active()
     for ra in a.ranges:
         for rb in b.ranges:
-            counters.active().sub_operations += 1
+            tally.sub_operations += 1
             weight = ra.probability * rb.probability
             fraction = _pair_fraction(
                 op, ra, rb, a_name, b_name, exact_limit, symbol_range
@@ -105,12 +113,18 @@ def _pair_fraction(
 ) -> Optional[float]:
     # Correlated comparison: a's range is expressed relative to the very
     # variable on the other side (or vice versa).
-    if b_name is not None and b_name in ra.symbols():
+    if b_name is not None and b_name in (ra.lo.symbol, ra.hi.symbol):
         rb = StridedRange.symbol(rb.probability, b_name)
-    elif a_name is not None and a_name in rb.symbols():
+    elif a_name is not None and a_name in (rb.lo.symbol, rb.hi.symbol):
         ra = StridedRange.symbol(ra.probability, a_name)
 
-    fraction = _dispatch_fraction(op, ra, rb, exact_limit)
+    key = (op, ra.extent, rb.extent, exact_limit)
+    fraction = _FRACTIONS.get(key)
+    if fraction is None:
+        fraction = _dispatch_fraction(op, ra, rb, exact_limit)
+        _FRACTIONS.put(key, False if fraction is None else fraction)
+    elif fraction is False:
+        fraction = None
     if fraction is not None:
         return fraction
     return _integrate_over_symbol(op, ra, rb, exact_limit, symbol_range)

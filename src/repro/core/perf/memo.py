@@ -22,8 +22,22 @@ Two invariants keep the layer behaviour-neutral:
   fast path -- consumers fall back to structural equality.
 
 ``compare_sets`` is only memoized for calls without a ``symbol_range``
-callback (94% of them): with a callback the result depends on *live*
-engine state that a key over the operands cannot capture.
+callback: with a callback the result depends on *live* engine state
+that a key over the operands cannot capture.  The engine passes one on
+most calls -- 2,518 of its 2,761 ``compare_sets`` calls (91%) on
+large-modules seed 11, block 0 -- so those reach the pair level.
+
+Below these set-level memos sit three pair-level ones, keyed on each
+range's :attr:`~repro.core.ranges.StridedRange.extent` (its bounds and
+stride, not its probability), so an evaluation whose operands only
+changed weights -- a loop φ iterated until its weights settle --
+skips the bound arithmetic: ``range_arith``'s pair handlers
+(``binop_pair``), ``refine``'s per-range clipping (``refine_range``)
+and ``comparisons``' pair fraction (``compare_pair``, which also serves
+the calls with a ``symbol_range``: only the integration over a
+symbol's live range is left uncached).  The probabilities are combined
+anew on every hit, and every pair still tallies its
+``sub_operations``.
 """
 
 from __future__ import annotations
@@ -56,6 +70,9 @@ _ALL_CACHES = (
     _REFINE,
     _CONSTANT,
     _BOOLEAN,
+    _range_arith._PAIRS,
+    _refine._CLIPS,
+    _comparisons._FRACTIONS,
 )
 
 

@@ -1,4 +1,4 @@
-"""Bounded LRU caches and their hit/miss counters.
+"""Bounded, roughly least-recently-used caches and their hit/miss counters.
 
 Every cache in the layer is an :class:`LRUCache` tallying into a
 :class:`CacheStats` entry of one process-global :class:`PerfStats`.
@@ -53,7 +53,14 @@ class CacheStats:
 
 
 class LRUCache:
-    """A bounded key -> value map with LRU eviction.
+    """A bounded key -> value map that evicts roughly the least recently
+    used entry.
+
+    Each entry carries a mark that a hit sets.  Eviction, when a put
+    grows the table past ``capacity``, walks from the oldest entry: a
+    marked one loses its mark and moves to the back (a second chance),
+    and the first unmarked one goes.  So a hit probes the table once
+    and moves nothing, and a put hashes its key once.
 
     Hits, misses and evictions are tallied into ``record``, a
     :class:`CacheStats` the caller owns: the perf caches pass their
@@ -67,26 +74,41 @@ class LRUCache:
     def __init__(self, capacity: int, record: CacheStats):
         self.capacity = capacity
         self.record = record
+        # key -> [value, read since the eviction walk last passed it]
         self._table: "OrderedDict" = OrderedDict()
 
     def get(self, key):
-        """The cached value (now the most recent), or ``None``."""
-        value = self._table.get(key)
-        if value is None:
+        """The cached value (now marked as read), or ``None``."""
+        entry = self._table.get(key)
+        if entry is None:
             self.record.misses += 1
             return None
         self.record.hits += 1
-        self._table.move_to_end(key)
-        return value
+        entry[1] = True
+        return entry[0]
 
     def put(self, key, value) -> None:
-        """Store ``value`` as the most recent entry, evicting the oldest."""
+        """Store ``value`` under ``key``, unread.  A table grown past its
+        capacity evicts one entry, never this one."""
         table = self._table
-        table[key] = value
-        table.move_to_end(key)
+        table[key] = entry = [value, False]
         if len(table) > self.capacity:
-            table.popitem(last=False)
-            self.record.evictions += 1
+            self._evict(entry)
+
+    def _evict(self, newest: list) -> None:
+        table = self._table
+        while True:
+            key, entry = table.popitem(last=False)
+            if entry is newest:
+                # Reached only after every other entry was passed, so the
+                # next one in line is unmarked (or is this one again, in
+                # a table of capacity 0).
+                newest = None
+            elif not entry[1]:
+                self.record.evictions += 1
+                return
+            entry[1] = False
+            table[key] = entry
 
     def __len__(self) -> int:
         return len(self._table)
@@ -97,8 +119,10 @@ class LRUCache:
 
 # Cache names, one CacheStats each: the hash-consing table and the
 # constructor memos of core/rangeset.py, the memos of core/perf/memo.py,
-# and the interprocedural (function, context) → return-range memo
-# ("summary_context") of core/interprocedural.py.
+# the extent-keyed pair memos of core/range_arith.py ("binop_pair"),
+# core/refine.py ("refine_range") and core/comparisons.py
+# ("compare_pair"), and the interprocedural (function, context) →
+# return-range memo ("summary_context") of core/interprocedural.py.
 CACHE_NAMES = (
     "intern_rangeset",
     "from_ranges",
@@ -108,6 +132,9 @@ CACHE_NAMES = (
     "refine",
     "constant",
     "boolean",
+    "binop_pair",
+    "refine_range",
+    "compare_pair",
     "summary_context",
 )
 

@@ -18,13 +18,20 @@ from typing import Callable, List, Optional
 
 from repro.core import counters
 from repro.core.bounds import Bound, NEG_INF, Number, POS_INF, bound_max, bound_min
+from repro.core.perf.stats import LRUCache, stats
 from repro.core.ranges import StridedRange
-from repro.core.rangeset import BOTTOM, DEFAULT_MAX_RANGES, RangeSet, TOP
+from repro.core.rangeset import BOTTOM, DEFAULT_MAX_RANGES, MEMO_SIZE, RangeSet, TOP
 
 
 # The "anything" range: stands in for a ⊥ operand so that bounding
 # operations (mod, masking, ...) can still constrain the result.
 FULL_RANGE = StridedRange(1.0, Bound.number(NEG_INF), Bound.number(POS_INF), 1)
+
+#: ``(op, left.extent, right.extent)`` -> the pair handler's result, or
+#: ``False`` for ⊥.  Every handler gives its result the probability
+#: ``left.probability * right.probability`` and reads nothing else of
+#: the probabilities, so a hit reweights the stored range to that.
+_PAIRS = LRUCache(MEMO_SIZE, stats().caches["binop_pair"])
 
 
 def evaluate_binop(
@@ -48,11 +55,20 @@ def evaluate_binop(
     if handler is None:
         raise ValueError(f"unknown binary op {op!r}")
     tally = counters.active()
+    recall, reweighted = _PAIRS.get, StridedRange._reweighted
     out: List[StridedRange] = []
     for left in a_ranges:
         for right in b_ranges:
             tally.sub_operations += 1
-            pair = handler(left, right)
+            key = (op, left.extent, right.extent)
+            shape = recall(key)
+            if shape is None:
+                pair = handler(left, right)
+                _PAIRS.put(key, False if pair is None else pair)
+            elif shape is False:
+                pair = None
+            else:
+                pair = reweighted(left.probability * right.probability, shape)
             if pair is None:
                 return BOTTOM
             out.append(pair)

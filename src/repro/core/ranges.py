@@ -20,9 +20,16 @@ class RangeError(ValueError):
 
 
 class StridedRange:
-    """Immutable weighted range ``probability[lo:hi:stride]``."""
+    """Immutable weighted range ``probability[lo:hi:stride]``.
 
-    __slots__ = ("probability", "lo", "hi", "stride", "_hash")
+    ``extent`` is the hashable key ``(lo.symbol, lo.offset, hi.symbol,
+    hi.offset, stride)``: everything but the probability.  Two ranges
+    have the same extent exactly when their keys are equal, and the
+    range algebra's pair memos key on it, so a range that is only
+    reweighted meets its own arithmetic again.
+    """
+
+    __slots__ = ("probability", "lo", "hi", "stride", "extent", "_hash")
 
     def __init__(self, probability: float, lo: Bound, hi: Bound, stride: int):
         if probability < 0:
@@ -39,6 +46,7 @@ class StridedRange:
         self.lo = lo
         self.hi = hi
         self.stride = stride
+        self.extent = (lo.symbol, lo.offset, hi.symbol, hi.offset, stride)
         self._hash = None
 
     @classmethod
@@ -54,6 +62,7 @@ class StridedRange:
         self.lo = source.lo
         self.hi = source.hi
         self.stride = source.stride
+        self.extent = source.extent
         self._hash = None
         return self
 
@@ -125,23 +134,20 @@ class StridedRange:
 
     def same_extent(self, other: "StridedRange") -> bool:
         """True when lo/hi/stride agree (probability ignored)."""
-        if self.stride != other.stride:
-            return False
-        a, b = self.lo, other.lo
-        if a is not b and (a.symbol != b.symbol or a.offset != b.offset):
-            return False
-        a, b = self.hi, other.hi
-        return a is b or (a.symbol == b.symbol and a.offset == b.offset)
+        return self.extent == other.extent
 
     def approx_equal(self, other: "StridedRange", tolerance: float = 1e-9) -> bool:
-        return self.same_extent(other) and abs(self.probability - other.probability) <= tolerance
+        return (
+            self.extent == other.extent
+            and abs(self.probability - other.probability) <= tolerance
+        )
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         return (
             isinstance(other, StridedRange)
-            and self.same_extent(other)
+            and self.extent == other.extent
             and self.probability == other.probability
         )
 

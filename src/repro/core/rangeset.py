@@ -195,9 +195,10 @@ class RangeSet:
             return True
         if len(self._ranges) != len(other._ranges):
             return False
-        return all(
-            a.approx_equal(b, tolerance) for a, b in zip(self._ranges, other._ranges)
-        )
+        for a, b in zip(self._ranges, other._ranges):
+            if a.extent != b.extent or abs(a.probability - b.probability) > tolerance:
+                return False
+        return True
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -344,11 +345,9 @@ def _fold_duplicates(ranges: List[StridedRange]) -> List[StridedRange]:
     """
     by_extent = {}
     for r in ranges:
-        lo, hi = r.lo, r.hi
-        key = (lo.symbol, lo.offset, hi.symbol, hi.offset, r.stride)
-        entry = by_extent.get(key)
+        entry = by_extent.get(r.extent)
         if entry is None:
-            by_extent[key] = [r, r.probability]
+            by_extent[r.extent] = [r, r.probability]
         else:
             entry[1] += r.probability
     return [first.with_probability(probability) for first, probability in by_extent.values()]

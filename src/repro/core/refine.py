@@ -17,8 +17,14 @@ import math
 from typing import List, Optional, Tuple
 
 from repro.core.bounds import Bound, NEG_INF, POS_INF
+from repro.core.perf.stats import LRUCache, stats
 from repro.core.ranges import StridedRange
-from repro.core.rangeset import BOTTOM, DEFAULT_MAX_RANGES, RangeSet, TOP
+from repro.core.rangeset import BOTTOM, DEFAULT_MAX_RANGES, MEMO_SIZE, RangeSet, TOP
+
+#: ``(op, limit.symbol, limit.offset, extent)`` -> ``(clipped, fraction)``
+#: of one range: the clipping reads only the range's extent, and the
+#: kept range's probability is the range's times ``fraction``.
+_CLIPS = LRUCache(MEMO_SIZE, stats().caches["refine_range"])
 
 
 def refine_set(
@@ -43,7 +49,12 @@ def refine_set(
     refine, limit = _range_refiner(op, bound)
     kept: List[StridedRange] = []
     for r in src.ranges:
-        clipped, fraction = refine(r, limit)
+        key = (op, limit.symbol, limit.offset, r.extent)
+        clip = _CLIPS.get(key)
+        if clip is None:
+            clip = refine(r, limit)
+            _CLIPS.put(key, clip)
+        clipped, fraction = clip
         if clipped is not None and fraction > 0:
             kept.append(clipped.with_probability(r.probability * fraction))
     if not kept:

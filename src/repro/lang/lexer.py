@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections import Counter
 from difflib import SequenceMatcher
 from itertools import accumulate
 from typing import List, Optional, Tuple
@@ -159,7 +160,7 @@ def _relex(previous: tuple, source: str) -> Optional[Tuple[List[Token], List[int
     if old == source:
         return old_tokens, ends
     same = _unchanged(old, source)
-    if 2 * sum(size for _, _, size in same) < len(source):
+    if same is None or 2 * sum(size for _, _, size in same) < len(source):
         return None
     if ends is None:
         ends = _token_ends(old, old_tokens, 1, 0)
@@ -212,15 +213,21 @@ def _relex(previous: tuple, source: str) -> Optional[Tuple[List[Token], List[int
     return tokens, new_ends
 
 
-def _unchanged(old: str, new: str) -> List[Tuple[int, int, int]]:
+def _unchanged(old: str, new: str) -> Optional[List[Tuple[int, int, int]]]:
     """``(old offset, new offset, length)`` of each stretch the two
     sources share, in order: their common start and end, and the equal
-    lines in between."""
+    lines in between.
+
+    ``None``, before the line diff runs, when even every line the two
+    middles both contain could not make up half of ``new``.
+    """
     prefix = _common_prefix(old, new)
     suffix = _common_prefix(old[prefix:][::-1], new[prefix:][::-1])
     same = [(0, 0, prefix)]
     old_lines = old[prefix : len(old) - suffix].split("\n")
     new_lines = new[prefix : len(new) - suffix].split("\n")
+    if 2 * (prefix + suffix + _shared_lines(old_lines, new_lines)) < len(new):
+        return None
     if len(old_lines) > 2 and len(new_lines) > 2:  # whole lines in between
         old_at, new_at = _line_starts(old_lines, prefix), _line_starts(new_lines, prefix)
         old_end, new_end = len(old) - suffix, len(new) - suffix
@@ -232,6 +239,14 @@ def _unchanged(old: str, new: str) -> List[Tuple[int, int, int]]:
                 same.append((start, into, min(size, min(new_at[j + count], new_end) - into)))
     same.append((len(old) - suffix, len(new) - suffix, suffix))
     return [stretch for stretch in same if stretch[2]]
+
+
+def _shared_lines(old_lines: List[str], new_lines: List[str]) -> int:
+    """An upper bound on the text the line diff can match: the
+    characters, newline included, of each line as often as both
+    lists hold it."""
+    both = Counter(old_lines) & Counter(new_lines)
+    return sum((len(line) + 1) * count for line, count in both.items())
 
 
 def _line_starts(lines: List[str], offset: int) -> List[int]:

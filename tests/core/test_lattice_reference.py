@@ -8,15 +8,19 @@ inverted or incomparable bounds.  A finite offset is always an ``int``
 the reference must agree on four things: the exact result (``repr`` of
 every range, so probabilities bit for bit), the same ``RangeError`` /
 ``ValueError`` (type and message), the same ``sub_operations`` tally,
-and the same interned object for equal results.
+and the same interned object for equal results.  Binary arithmetic,
+refinement and comparison are also run a second time on the same
+extents with new weights, the loop-lap case the extent-keyed pair
+memos serve.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import counters, perf, range_arith, refine
+from repro.core import comparisons, counters, perf, range_arith, refine
 from repro.core.bounds import NEG_INF, POS_INF, Bound, bound_max, bound_min
+from repro.core.comparisons import DEFAULT_EXACT_LIMIT
 from repro.core.ranges import StridedRange
-from repro.core.rangeset import BOTTOM, TOP, RangeSet, intern_rangeset
+from repro.core.rangeset import BOTTOM, DEFAULT_MAX_RANGES, TOP, RangeSet, intern_rangeset
 from tests import lattice_reference as ref
 
 DIFFERENTIAL = settings(max_examples=400, deadline=None, derandomize=True)
@@ -154,6 +158,49 @@ class TestSets:
         )
 
 
+def same_binop(op, a, b, max_ranges):
+    production_tally, reference_tally = counters.Counters(), counters.Counters()
+    with counters.use(production_tally):
+        production = outcome(range_arith.evaluate_binop, op, a, b, max_ranges)
+    with counters.use(reference_tally):
+        reference = outcome(ref.evaluate_binop, op, a, b, max_ranges)
+    same(production, reference)
+    assert production_tally.sub_operations == reference_tally.sub_operations
+
+
+def same_refine(src, op, bound, max_ranges):
+    same(
+        outcome(refine.refine_set, src, op, bound, max_ranges),
+        outcome(ref.refine_set, src, op, bound, max_ranges),
+    )
+
+
+#: The numeric ranges a comparison integrates over when a pair mixes a
+#: symbol with numbers (the engine passes its live ranges instead).
+SYMBOL_RANGES = {"a": RangeSet.span(0, 6, 2), "b": RangeSet.span(-3, 40)}
+
+
+def same_compare(op, a, b, a_name, b_name):
+    """``compare_sets`` and the reference agree on both masses, bit for
+    bit, and on the ``sub_operations`` tally."""
+    production_tally, reference_tally = counters.Counters(), counters.Counters()
+    arguments = (op, a, b, a_name, b_name, DEFAULT_EXACT_LIMIT, SYMBOL_RANGES.get)
+    with counters.use(production_tally):
+        production = outcome(comparisons.compare_sets, *arguments)
+    with counters.use(reference_tally):
+        reference = outcome(ref.compare_sets, *arguments)
+    if production[0] == "ok" and production[1] is not None:
+        masses = production[1].probability, production[1].unknown_mass
+        production = ("ok", repr(masses))
+        reference = ("ok", repr(reference[1]))
+    assert production == reference
+    assert production_tally.sub_operations == reference_tally.sub_operations
+
+
+RELOPS = ["lt", "le", "gt", "ge", "eq", "ne"]
+NAMES = st.sampled_from([None, "a", "b"])
+
+
 class TestBinop:
     @DIFFERENTIAL
     @given(
@@ -164,26 +211,129 @@ class TestBinop:
     )
     def test_evaluate_binop(self, op, a, b, max_ranges):
         perf.reset()
-        production_tally, reference_tally = counters.Counters(), counters.Counters()
-        with counters.use(production_tally):
-            production = outcome(range_arith.evaluate_binop, op, a, b, max_ranges)
-        with counters.use(reference_tally):
-            reference = outcome(ref.evaluate_binop, op, a, b, max_ranges)
-        same(production, reference)
-        assert production_tally.sub_operations == reference_tally.sub_operations
+        same_binop(op, a, b, max_ranges)
 
 
 class TestRefine:
     @DIFFERENTIAL
-    @given(
-        operands(),
-        st.sampled_from(["lt", "le", "gt", "ge", "eq", "ne"]),
-        bounds(),
-        st.integers(1, 4),
-    )
+    @given(operands(), st.sampled_from(RELOPS), bounds(), st.integers(1, 4))
     def test_refine_set(self, src, op, bound, max_ranges):
         perf.reset()
-        same(
-            outcome(refine.refine_set, src, op, bound, max_ranges),
-            outcome(ref.refine_set, src, op, bound, max_ranges),
+        same_refine(src, op, bound, max_ranges)
+
+
+class TestCompare:
+    @DIFFERENTIAL
+    @given(st.sampled_from(RELOPS), operands(), operands(), NAMES, NAMES)
+    def test_compare_sets(self, op, a, b, a_name, b_name):
+        perf.reset()
+        same_compare(op, a, b, a_name, b_name)
+
+
+# -- a loop lap: the same extents, new weights -----------------------------------
+
+WEIGHTS = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4)
+
+
+def reweighted(rset, weights):
+    """``rset``'s extents with new weights (each set holds at most four
+    ranges, all of distinct extents, so none is folded or merged)."""
+    if not rset.is_set:
+        return rset
+    return RangeSet.from_ranges(
+        [r.with_probability(w) for r, w in zip(rset.ranges, weights)], renormalise=True
+    )
+
+
+class TestLaps:
+    """Each operation runs on its operands and then again on the same
+    extents with new weights, which the extent-keyed pair memos serve;
+    both must be what the reference computes.  The tables are not
+    emptied between examples, so a memo key that leaves out part of
+    what the result depends on shows up as another example's result."""
+
+    @DIFFERENTIAL
+    @given(
+        st.sampled_from(sorted(range_arith._BINOP_HANDLERS)),
+        operands(),
+        operands(),
+        WEIGHTS,
+        WEIGHTS,
+        st.integers(1, 4),
+    )
+    def test_evaluate_binop(self, op, a, b, a_weights, b_weights, max_ranges):
+        same_binop(op, a, b, max_ranges)
+        same_binop(op, reweighted(a, a_weights), reweighted(b, b_weights), max_ranges)
+
+    @DIFFERENTIAL
+    @given(operands(), WEIGHTS, st.sampled_from(RELOPS), bounds(), st.integers(1, 4))
+    def test_refine_set(self, src, weights, op, bound, max_ranges):
+        same_refine(src, op, bound, max_ranges)
+        same_refine(reweighted(src, weights), op, bound, max_ranges)
+
+    @DIFFERENTIAL
+    @given(st.sampled_from(RELOPS), operands(), operands(), WEIGHTS, WEIGHTS, NAMES, NAMES)
+    def test_compare_sets(self, op, a, b, a_weights, b_weights, a_name, b_name):
+        same_compare(op, a, b, a_name, b_name)
+        same_compare(op, reweighted(a, a_weights), reweighted(b, b_weights), a_name, b_name)
+
+
+def counted(calls, function):
+    def counting(*args):
+        calls.append(function.__name__)
+        return function(*args)
+
+    return counting
+
+
+class TestLapCounting:
+    A = RangeSet.from_ranges(
+        [StridedRange.span(p, lo, lo + 6, 2) for p, lo in ((0.1, 0), (0.2, 10), (0.3, 20), (0.4, 30))]
+    )
+    B = RangeSet.from_ranges(
+        [StridedRange.span(0.5, 1, 4), StridedRange.symbol(0.25, "a", 2), StridedRange.single(0.25, 9)]
+    )
+
+    def evaluate(self, a, b):
+        range_arith.evaluate_binop("add", a, b)
+        refine.refine_set(a, "lt", Bound(25))
+        # A callback that knows no symbol: the pairs with ``a`` stay
+        # unknown without integrating (which calls _dispatch_fraction
+        # per sample point, uncached by design).
+        comparisons.compare_sets("lt", a, b, b_name="n", symbol_range={}.get)
+
+    def test_a_reweighting_lap_calls_no_pair_handler(self, monkeypatch):
+        perf.reset()
+        self.evaluate(self.A, self.B)
+        calls = []
+        monkeypatch.setitem(
+            range_arith._BINOP_HANDLERS, "add", counted(calls, range_arith._add)
         )
+        monkeypatch.setattr(refine, "_clip_upper", counted(calls, refine._clip_upper))
+        monkeypatch.setattr(
+            comparisons, "_dispatch_fraction", counted(calls, comparisons._dispatch_fraction)
+        )
+        a, b = reweighted(self.A, [0.4, 0.3, 0.2, 0.1]), reweighted(self.B, [0.1, 0.6, 0.3])
+        tally = counters.Counters()
+        with counters.use(tally):
+            self.evaluate(a, b)
+        assert calls == []
+        # Still one tallied sub-operation per pair: 12 sums, 12 comparisons.
+        assert tally.sub_operations == 24
+        monkeypatch.undo()
+        same_binop("add", a, b, DEFAULT_MAX_RANGES)
+        same_refine(a, "lt", Bound(25), DEFAULT_MAX_RANGES)
+        same_compare("lt", a, b, None, "n")
+
+    def test_reset_empties_the_pair_tables(self):
+        perf.reset()
+        self.evaluate(self.A, self.B)
+        tables = {
+            "binop_pair": range_arith._PAIRS,
+            "refine_range": refine._CLIPS,
+            "compare_pair": comparisons._FRACTIONS,
+        }
+        assert all(len(table) for table in tables.values())
+        perf.reset()
+        assert [len(table) for table in tables.values()] == [0, 0, 0]
+        assert all(perf.snapshot()[name]["misses"] == 0 for name in tables)

@@ -13,6 +13,7 @@ from repro.core import comparisons, counters, perf, range_arith, refine
 from repro.core.bounds import NEG_INF, POS_INF, Bound
 from repro.core.config import VRPConfig
 from repro.core.perf import memo
+from repro.core.perf.stats import CacheStats, LRUCache
 from repro.core.predictor import VRPPredictor
 from repro.core.ranges import StridedRange
 from repro.core.rangeset import BOTTOM, TOP, RangeSet
@@ -235,6 +236,66 @@ class TestMemoMatchesPlainFunction:
             lambda: memo.boolean_set(probability),
             lambda: RangeSet.boolean(probability),
         )
+
+
+class CountedKey:
+    """A key that counts how often the table hashes it."""
+
+    def __init__(self, name):
+        self.name = name
+        self.hashes = 0
+
+    def __hash__(self):
+        self.hashes += 1
+        return hash(self.name)
+
+
+class TestLRUCache:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        capacity=st.integers(1, 4),
+        operations=st.lists(st.tuples(st.booleans(), st.integers(0, 7)), max_size=60),
+    )
+    def test_bounded_tallied_and_never_wrong(self, capacity, operations):
+        """The table never holds more than ``capacity`` entries, a hit
+        returns the value last put, and every probe and eviction is
+        tallied."""
+        record = CacheStats()
+        cache = LRUCache(capacity, record)
+        stored, gets, evictions = {}, 0, 0
+        for is_put, key in operations:
+            if is_put:
+                if key not in cache._table and len(cache) == capacity:
+                    evictions += 1
+                stored[key] = ("value", key, len(stored))
+                cache.put(key, stored[key])
+            else:
+                gets += 1
+                value = cache.get(key)
+                assert value is None or value is stored[key]
+            assert len(cache) <= capacity
+        assert record.hits + record.misses == gets
+        assert record.evictions == evictions
+
+    def test_a_hit_probes_the_table_once(self):
+        cache = LRUCache(4, CacheStats())
+        key = CountedKey("k")
+        cache.put(key, 1)
+        cache.put("newer", 2)  # so the hit is not on the newest entry
+        key.hashes = 0
+        assert cache.get(key) == 1
+        assert key.hashes == 1
+
+    def test_a_read_entry_outlives_unread_older_ones(self):
+        record = CacheStats()
+        cache = LRUCache(3, record)
+        for key in "abc":
+            cache.put(key, key)
+        assert cache.get("a") == "a"
+        cache.put("d", "d")  # evicts b, the oldest unread entry
+        cache.put("e", "e")  # evicts c
+        assert [cache.get(key) for key in "abcde"] == ["a", None, None, "d", "e"]
+        assert record.evictions == 2
 
 
 class TestDisableSwitch:

@@ -362,7 +362,7 @@ class TestSharedReplayState:
         store = IncrementalStore()
         for _kind, source in edit_sources(12, edits=6):
             run_incremental(source, store)
-        states = list(store._memory._table.values())
+        states = [value for value, _read in store._memory._table.values()]
         assert states and all(isinstance(s, ComponentState) for s in states)
         kinds = [type(obj) for obj in reachable(states)]
         assert not {Function, BasicBlock, Module} & set(kinds)

@@ -210,3 +210,27 @@ def test_a_two_site_edit_lexes_only_around_its_two_windows(monkeypatch):
     assert len(before) > 700 and sum(lexed) <= 20
     kept = {id(token) for token in before}
     assert sum(id(token) not in kept for token in after) <= 30
+
+
+def test_unrelated_sources_build_no_line_diff(monkeypatch):
+    from benchmarks.ledger.corpus import large_block
+    from repro.lang import lexer
+
+    # A loop-chain module, then the call-graph module after it.
+    (_, first), (_, second) = large_block(11, 0)[2:4]
+    matchers = []
+
+    def spy(*args, **kwargs):
+        matchers.append(args)
+        return lexer.SequenceMatcher.__wrapped__(*args, **kwargs)
+
+    spy.__wrapped__ = lexer.SequenceMatcher
+    memo.clear()
+    tokenize(first)
+    monkeypatch.setattr(lexer, "SequenceMatcher", spy)
+    after = tokenize(second)
+    monkeypatch.undo()
+    # The shared start, end and lines cannot make up half of the second
+    # module, so it is lexed cold without diffing the two.
+    assert matchers == []
+    assert [(t.kind, t.text, t.value, t.line, t.column) for t in after] == cold(second)

@@ -14,15 +14,18 @@ stood before the tuning, as test-only code:
   fold duplicates, compact, sort);
 * the pair loop of ``range_arith.evaluate_binop``, tallying one
   ``sub_operations`` per pair;
-* ``refine.refine_set``'s per-range clipping.
+* ``refine.refine_set``'s per-range clipping;
+* the pair loop of ``comparisons.compare_sets``, tallying one
+  ``sub_operations`` per pair.
 
 Each builds the production value types, so ``repr`` and interning can
-be compared directly.  Beyond those types it calls three pieces of
+be compared directly.  Beyond those types it calls four pieces of
 production code: ``Bound.__eq__``/``__hash__`` (through dictionary keys
 and tuples), which the tests hold equal to :func:`bound_eq` and
-:func:`bound_hash`; bound arithmetic such as ``add_const``; and the
+:func:`bound_hash`; bound arithmetic such as ``add_const``; the
 pairwise handlers of ``range_arith``, which build their ranges with the
-production constructor that the tests check on its own.
+production constructor that the tests check on its own; and the pair
+fraction and symbol integration of ``comparisons``.
 ``tests/core/test_lattice_reference.py`` runs them against the
 production code on generated inputs.  Do not "fix" or speed up this
 module: it is the behaviour the production code must keep.
@@ -35,6 +38,7 @@ from typing import List, Optional, Tuple
 
 from repro.core import counters
 from repro.core.bounds import NEG_INF, POS_INF, Bound
+from repro.core.comparisons import _dispatch_fraction, _integrate_over_symbol
 from repro.core.range_arith import FULL_RANGE, _BINOP_HANDLERS, _is_unbounded
 from repro.core.ranges import RangeError, StridedRange
 from repro.core.rangeset import BOTTOM, DEFAULT_MAX_RANGES, PROB_EPSILON, TOP, RangeSet
@@ -102,6 +106,7 @@ def _made(probability: float, lo: Bound, hi: Bound, stride: int) -> StridedRange
     r.lo = lo
     r.hi = hi
     r.stride = stride
+    r.extent = (lo.symbol, lo.offset, hi.symbol, hi.offset, stride)
     r._hash = None
     return r
 
@@ -486,3 +491,36 @@ def _kept_fraction(original: StridedRange, clipped: StridedRange) -> float:
     ):
         return min(1.0, float(width_after) / float(width_before))
     return 1.0
+
+
+# -- compare_sets' pair loop ----------------------------------------------------------
+
+
+def compare_sets(op: str, a: RangeSet, b: RangeSet, a_name, b_name, exact_limit: int, symbol_range):
+    """The uncached ``comparisons.compare_sets``: ``(known, unknown)``
+    masses, or None when either side is ⊤/⊥."""
+    if not (a.is_set and b.is_set):
+        return None
+    known = 0.0
+    unknown = 0.0
+    for ra in a.ranges:
+        for rb in b.ranges:
+            counters.active().sub_operations += 1
+            weight = ra.probability * rb.probability
+            fraction = _pair_fraction(op, ra, rb, a_name, b_name, exact_limit, symbol_range)
+            if fraction is None:
+                unknown += weight
+            else:
+                known += weight * fraction
+    return known, unknown
+
+
+def _pair_fraction(op, ra, rb, a_name, b_name, exact_limit, symbol_range):
+    if b_name is not None and b_name in ra.symbols():
+        rb = StridedRange.symbol(rb.probability, b_name)
+    elif a_name is not None and a_name in rb.symbols():
+        ra = StridedRange.symbol(ra.probability, a_name)
+    fraction = _dispatch_fraction(op, ra, rb, exact_limit)
+    if fraction is not None:
+        return fraction
+    return _integrate_over_symbol(op, ra, rb, exact_limit, symbol_range)
