@@ -7,13 +7,8 @@ more sub-operations for little gain.
 """
 
 from benchmarks.conftest import emit
-from repro.core import VRPConfig
-from repro.evalharness import (
-    area_under_cdf,
-    branch_errors,
-    error_cdf,
-    vrp_predictions,
-)
+from repro.core import VRPConfig, VRPPredictor
+from repro.evalharness import area_under_cdf, branch_errors, error_cdf
 
 
 def sweep(prepared_workloads, caps):
@@ -23,8 +18,11 @@ def sweep(prepared_workloads, caps):
         aucs = []
         subops = 0
         for prepared in prepared_workloads:
-            predictions = vrp_predictions(prepared, config)
-            records = branch_errors(predictions, prepared.truth_profile)
+            prediction = VRPPredictor(config=config).predict_module(
+                prepared.module, prepared.ssa_infos
+            )
+            subops += prediction.counters.sub_operations
+            records = branch_errors(prediction.all_branches(), prepared.truth_profile)
             aucs.append(area_under_cdf(error_cdf(records)))
         results[cap] = (sum(aucs) / len(aucs), subops)
     return results
@@ -36,12 +34,14 @@ def test_range_cap_ablation(benchmark, results_dir, prepared_fp_suite):
         lambda: sweep(prepared_fp_suite, caps), rounds=1, iterations=1
     )
     lines = ["Ablation: ranges per variable (paper default R=4)", ""]
-    lines.append(f"{'R':>3s} {'accuracy AUC':>13s}")
+    lines.append(f"{'R':>3s} {'accuracy AUC':>13s} {'sub-operations':>15s}")
     for cap in caps:
-        auc, _ = results[cap]
-        lines.append(f"{cap:>3d} {auc:>13.2f}")
+        auc, subops = results[cap]
+        lines.append(f"{cap:>3d} {auc:>13.2f} {subops:>15d}")
     emit(results_dir, "ablation_rangecap.txt", "\n".join(lines))
 
     # More ranges never hurt accuracy much; R=4 within a point of R=8.
     assert results[4][0] >= results[1][0] - 1.0
     assert results[8][0] - results[4][0] < 3.0
+    # Each extra range multiplies the pairs a binary operation crosses.
+    assert results[8][1] >= results[4][1]

@@ -4,6 +4,9 @@ A :class:`RangeSet` is ⊤ (undetermined), ⊥ (unpredictable), or a set of
 weighted :class:`~repro.core.ranges.StridedRange` whose probabilities sum
 to one.  Sets are capped at a configurable number of ranges (the paper
 uses four) by merging the pair whose hull loses the least information.
+A compaction computes each candidate pair's hull and cost once: n
+ranges reach the cap in O(n²) hulls, C(n, 2) for the first merge and
+one per survivor for each merge after it.
 
 Every set :meth:`RangeSet.from_ranges` builds is **hash-consed** by
 :func:`intern_rangeset`: structurally-equal sets map to one canonical
@@ -389,50 +392,72 @@ def _hull_pair(a: StridedRange, b: StridedRange) -> Optional[StridedRange]:
     return StridedRange(a.probability + b.probability, lo, hi, stride)
 
 
-def _merge_cost(a: StridedRange, b: StridedRange, hull: StridedRange) -> float:
-    """Information lost by replacing {a, b} with their hull (lower = better)."""
+def _merge_cost(
+    width_a: Optional[Number], width_b: Optional[Number], hull: StridedRange
+) -> float:
+    """Information lost by replacing two ranges of the given widths with
+    their hull (lower = better)."""
     hull_width = hull.width()
     if hull_width is None or math.isinf(hull_width):
         return math.inf
-    width_a = a.width() or 0
-    width_b = b.width() or 0
-    growth = float(hull_width) - float(width_a) - float(width_b)
-    # Weight the growth by how much probability mass gets smeared.
-    return max(growth, 0.0) * (a.probability + b.probability) + 1e-9 * float(hull_width)
+    growth = float(hull_width) - float(width_a or 0) - float(width_b or 0)
+    # Weight the growth by how much probability mass gets smeared (the
+    # hull carries the pair's summed probability).
+    return max(growth, 0.0) * hull.probability + 1e-9 * float(hull_width)
 
 
 def _compact(ranges: List[StridedRange], max_ranges: int) -> Optional[List[StridedRange]]:
-    """Greedy pairwise merging until the cap is met; None when impossible."""
+    """Greedy pairwise merging until the cap is met; None when impossible.
+
+    Each round merges the pair of least :func:`_merge_cost`, the first in
+    (i, j) order on a tie; when every hull has infinite width, the first
+    pair that has a hull at all.  A pair's hull and cost are computed
+    once per call and kept under the serial numbers of its two ranges,
+    so a round after the first scores only the pairs of the hull the
+    round before appended: n ranges reach the cap in C(n, 2) + (n - 2)
+    + (n - 3) + ... hulls, 219 rather than 670 for 16 ranges to 4.
+    """
     if max_ranges < 1:
         raise ValueError("max_ranges must be >= 1")
     if len(ranges) <= max_ranges:
         return ranges
     current = list(ranges)
+    # Serials rise along ``current``: survivors keep their order and each
+    # hull is appended under a new serial, so a key's pair never repeats.
+    serials = list(range(len(current)))
+    widths = [r.width() for r in current]
+    fresh = len(current)
+    scored = {}  # (serial, serial) -> (cost, hull), hull None if incomparable
     while len(current) > max_ranges:
         best: Optional[Tuple[float, int, int, StridedRange]] = None
-        for i in range(len(current)):
+        first: Optional[Tuple[float, int, int, StridedRange]] = None
+        for i, a in enumerate(current):
+            serial, width = serials[i], widths[i]
             for j in range(i + 1, len(current)):
-                hull = _hull_pair(current[i], current[j])
+                key = (serial, serials[j])
+                entry = scored.get(key)
+                if entry is None:
+                    hull = _hull_pair(a, current[j])
+                    cost = math.inf if hull is None else _merge_cost(width, widths[j], hull)
+                    entry = (cost, hull)
+                    scored[key] = entry
+                cost, hull = entry
                 if hull is None:
                     continue
-                cost = _merge_cost(current[i], current[j], hull)
+                if first is None:
+                    first = (math.inf, i, j, hull)
                 if math.isinf(cost):
                     continue
                 if best is None or cost < best[0]:
                     best = (cost, i, j, hull)
         if best is None:
-            # Try again allowing infinite-width hulls before giving up.
-            for i in range(len(current)):
-                for j in range(i + 1, len(current)):
-                    hull = _hull_pair(current[i], current[j])
-                    if hull is not None:
-                        best = (math.inf, i, j, hull)
-                        break
-                if best is not None:
-                    break
+            best = first  # allow an infinite-width hull before giving up
         if best is None:
             return None  # incomparable symbolic ranges: give up (⊥)
         _, i, j, hull = best
-        current = [r for k, r in enumerate(current) if k not in (i, j)]
+        del current[j], current[i], serials[j], serials[i], widths[j], widths[i]
         current.append(hull)
+        serials.append(fresh)
+        widths.append(hull.width())
+        fresh += 1
     return current

@@ -11,12 +11,14 @@ every range, so probabilities bit for bit), the same ``RangeError`` /
 and the same interned object for equal results.  Binary arithmetic,
 refinement and comparison are also run a second time on the same
 extents with new weights, the loop-lap case the extent-keyed pair
-memos serve.
+memos serve.  Set building is also run on up to 16 distinct extents,
+so that compaction meets ties in cost, pairs with no hull and hulls
+of infinite width.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import comparisons, counters, perf, range_arith, refine
+from repro.core import comparisons, counters, perf, range_arith, rangeset, refine
 from repro.core.bounds import NEG_INF, POS_INF, Bound, bound_max, bound_min
 from repro.core.comparisons import DEFAULT_EXACT_LIMIT
 from repro.core.ranges import StridedRange
@@ -147,6 +149,50 @@ class TestRanges:
             )
 
 
+#: Extents that put compaction through all its paths: numeric spans of
+#: a few shared widths and single values (ties in cost), ranges over
+#: two symbols (a pair across symbols has no hull) and half-open ones
+#: (hulls of infinite width, the fallback).
+EXTENTS = st.one_of(
+    st.builds(
+        lambda lo, width, stride: (Bound(lo), Bound(lo + width), stride),
+        st.integers(-40, 40),
+        st.sampled_from([0, 2, 4, 4, 8]),
+        st.sampled_from([1, 2]),
+    ),
+    st.builds(
+        lambda symbol, lo, width: (Bound(lo, symbol), Bound(lo + width, symbol), 1),
+        st.sampled_from(["a", "b"]),
+        st.integers(-6, 6),
+        st.sampled_from([0, 2, 4]),
+    ),
+    st.integers(-20, 20).flatmap(
+        lambda at: st.sampled_from([(Bound(NEG_INF), Bound(at), 1), (Bound(at), Bound(POS_INF), 1)])
+    ),
+)
+
+
+@st.composite
+def compaction_lists(draw):
+    """Up to 16 ranges of distinct extents, weighted all alike, from a
+    few shared values, or freely; the weights sum to 1."""
+    distinct = {}
+    size = draw(st.integers(2, 16))
+    for lo, hi, stride in draw(st.lists(EXTENTS, min_size=size, max_size=size + 8)):
+        r = StridedRange(1.0, lo, hi, stride)
+        distinct.setdefault(r.extent, r)
+    picked = list(distinct.values())[:16]
+    weighting = draw(st.sampled_from(["alike", "shared", "free"]))
+    if weighting == "alike":
+        weights = [1.0 / len(picked)] * len(picked)
+    elif weighting == "shared":
+        weights = [draw(st.sampled_from([0.1, 0.2, 0.25])) for _ in picked]
+    else:
+        weights = [draw(st.floats(0.01, 1.0)) for _ in picked]
+    total = sum(weights)
+    return [r.with_probability(w / total) for r, w in zip(picked, weights)]
+
+
 class TestSets:
     @DIFFERENTIAL
     @given(range_lists(), st.integers(0, 5), st.booleans())
@@ -156,6 +202,38 @@ class TestSets:
             outcome(RangeSet.from_ranges, ranges, max_ranges, renormalise),
             outcome(ref.build_set, ranges, max_ranges, renormalise),
         )
+
+    @DIFFERENTIAL
+    @given(compaction_lists(), st.integers(1, 4), st.booleans())
+    def test_compaction(self, ranges, max_ranges, renormalise):
+        perf.reset()
+        same(
+            outcome(RangeSet.from_ranges, ranges, max_ranges, renormalise),
+            outcome(ref.build_set, ranges, max_ranges, renormalise),
+        )
+
+
+class TestCompactionCounting:
+    """Compaction computes each candidate pair's hull once per call."""
+
+    SIXTEEN = [StridedRange.span(1 / 16, 10 * k, 10 * k + k % 3, 1) for k in range(16)]
+
+    def hulls(self, monkeypatch, ranges, max_ranges):
+        calls = []
+        monkeypatch.setattr(rangeset, "_hull_pair", counted(calls, rangeset._hull_pair))
+        perf.reset()
+        built = RangeSet.from_ranges(ranges, max_ranges, renormalise=True)
+        monkeypatch.undo()
+        same(("ok", built), outcome(ref.build_set, ranges, max_ranges, True))
+        return len(calls)
+
+    def test_sixteen_ranges_to_four_score_each_pair_once(self, monkeypatch):
+        # C(16, 2) pairs, then only the new hull's pairs: 14 + 13 + ... + 4
+        # (scoring every live pair in each of the 12 rounds takes 670).
+        assert self.hulls(monkeypatch, self.SIXTEEN, 4) <= 120 + sum(range(4, 15))
+
+    def test_a_list_within_the_cap_computes_no_hull(self, monkeypatch):
+        assert self.hulls(monkeypatch, self.SIXTEEN[:4], 4) == 0
 
 
 def same_binop(op, a, b, max_ranges):
