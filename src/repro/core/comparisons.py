@@ -14,6 +14,13 @@ progression for orderings); wide ranges fall back to a continuous
 uniform approximation.  Pairs whose bounds are incomparable contribute
 *unknown* probability mass; callers decide when the unknown mass is
 large enough to require heuristic fallback.
+
+A pair's fraction reads only the two extents (after the correlated
+substitution), except where it integrates over a symbol's live range.
+So a comparison keeps every pair's fraction under both operands' shapes
+and names (``compare_plan``), and a call whose operands were only
+reweighted sums the weights against them, integrating afresh only the
+pairs whose fraction the extents leave unknown.
 """
 
 from __future__ import annotations
@@ -29,11 +36,13 @@ from repro.core.rangeset import MEMO_SIZE, RangeSet
 
 DEFAULT_EXACT_LIMIT = 8192
 
-#: ``(op, ra.extent, rb.extent, exact_limit)`` -> the pair's
-#: :func:`_dispatch_fraction`, or ``False`` for None; it reads only the
-#: extents.  :func:`_integrate_over_symbol` reads live engine state
-#: through ``symbol_range``, so it is never stored.
-_FRACTIONS = LRUCache(MEMO_SIZE, stats().caches["compare_pair"])
+#: ``(op, a.shape, b.shape, a_name, b_name, exact_limit)`` -> the
+#: compare plan: every pair's :func:`_dispatch_fraction`, ``None`` where
+#: unknown, in pair order.  It reads only the extents (and the names,
+#: for the correlated substitution); :func:`_integrate_over_symbol`
+#: reads live engine state through ``symbol_range``, so it is never
+#: stored, and runs again for each unknown pair of every call.
+_PLANS = LRUCache(MEMO_SIZE, stats().caches["compare_plan"])
 
 
 class CompareOutcome:
@@ -83,17 +92,31 @@ def compare_sets(
     known = 0.0
     unknown = 0.0
     tally = counters.active()
+    plan_key = (op, a.shape, b.shape, a_name, b_name, exact_limit)
+    plan = _PLANS.get(plan_key)
+    stored = None if plan is None else iter(plan)
+    fractions = []
     for ra in a.ranges:
         for rb in b.ranges:
             tally.sub_operations += 1
             weight = ra.probability * rb.probability
-            fraction = _pair_fraction(
-                op, ra, rb, a_name, b_name, exact_limit, symbol_range
-            )
+            if stored is None:
+                fraction = _dispatch_fraction(
+                    op, *_correlated(ra, rb, a_name, b_name), exact_limit
+                )
+                fractions.append(fraction)
+            else:
+                fraction = next(stored)
+            if fraction is None:
+                fraction = _integrate_over_symbol(
+                    op, *_correlated(ra, rb, a_name, b_name), exact_limit, symbol_range
+                )
             if fraction is None:
                 unknown += weight
             else:
                 known += weight * fraction
+    if plan is None:
+        _PLANS.put(plan_key, tuple(fractions))
     return CompareOutcome(known, unknown)
 
 
@@ -102,32 +125,17 @@ def compare_sets(
 # ---------------------------------------------------------------------------
 
 
-def _pair_fraction(
-    op: str,
-    ra: StridedRange,
-    rb: StridedRange,
-    a_name: Optional[str],
-    b_name: Optional[str],
-    exact_limit: int,
-    symbol_range=None,
-) -> Optional[float]:
-    # Correlated comparison: a's range is expressed relative to the very
-    # variable on the other side (or vice versa).
+def _correlated(
+    ra: StridedRange, rb: StridedRange, a_name: Optional[str], b_name: Optional[str]
+) -> Tuple[StridedRange, StridedRange]:
+    """The pair as compared.  Correlated comparison: when a's range is
+    expressed relative to the very variable on the other side (or vice
+    versa), that side is the bare symbol."""
     if b_name is not None and b_name in (ra.lo.symbol, ra.hi.symbol):
         rb = StridedRange.symbol(rb.probability, b_name)
     elif a_name is not None and a_name in (rb.lo.symbol, rb.hi.symbol):
         ra = StridedRange.symbol(ra.probability, a_name)
-
-    key = (op, ra.extent, rb.extent, exact_limit)
-    fraction = _FRACTIONS.get(key)
-    if fraction is None:
-        fraction = _dispatch_fraction(op, ra, rb, exact_limit)
-        _FRACTIONS.put(key, False if fraction is None else fraction)
-    elif fraction is False:
-        fraction = None
-    if fraction is not None:
-        return fraction
-    return _integrate_over_symbol(op, ra, rb, exact_limit, symbol_range)
+    return ra, rb
 
 
 def _dispatch_fraction(

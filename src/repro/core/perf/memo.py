@@ -3,11 +3,11 @@
 The engine-facing wrappers (:func:`evaluate_binop`, :func:`compare_sets`,
 ...) are called by :mod:`repro.core.propagation` in place of the plain
 functions.  Every result they return is canonical already: the plain
-functions build their sets with ``RangeSet.from_ranges``, which
-hash-conses each set it builds, or return the ⊤/⊥ singletons, so no
-wrapper interns again.  The hash-consing table and the
-``from_ranges``/``merge_weighted`` memos live in
-:mod:`repro.core.rangeset`.
+functions build their sets with ``RangeSet.from_ranges`` or by
+replaying a set plan, both of which hash-cons each set they build, or
+return the ⊤/⊥ singletons, so no wrapper interns again.  The
+hash-consing table and the ``from_ranges``/``merge_weighted`` memos
+live in :mod:`repro.core.rangeset`.
 
 Two invariants keep the layer behaviour-neutral:
 
@@ -25,19 +25,22 @@ Two invariants keep the layer behaviour-neutral:
 callback: with a callback the result depends on *live* engine state
 that a key over the operands cannot capture.  The engine passes one on
 most calls -- 2,518 of its 2,761 ``compare_sets`` calls (91%) on
-large-modules seed 11, block 0 -- so those reach the pair level.
+large-modules seed 11, block 0 -- so those reach the plan level.
 
-Below these set-level memos sit three pair-level ones, keyed on each
-range's :attr:`~repro.core.ranges.StridedRange.extent` (its bounds and
-stride, not its probability), so an evaluation whose operands only
-changed weights -- a loop φ iterated until its weights settle --
-skips the bound arithmetic: ``range_arith``'s pair handlers
-(``binop_pair``), ``refine``'s per-range clipping (``refine_range``)
-and ``comparisons``' pair fraction (``compare_pair``, which also serves
-the calls with a ``symbol_range``: only the integration over a
-symbol's live range is left uncached).  The probabilities are combined
-anew on every hit, and every pair still tallies its
-``sub_operations``.
+Below these set-level memos sit the set plans (``binop_plan``,
+``refine_plan``, ``compare_plan`` and ``merge_plan``), keyed on the
+operands' shapes, their extents without the weights
+(:mod:`repro.core.rangeset`).  A loop φ is iterated until its weights
+settle, so most laps change only the weights of the sets it feeds:
+such a lap misses the set-level memo and replays the plan (the pair
+products or fractions, the renormalising total and the folds, in the
+original order) and interns one set, without visiting a pair or
+building a ``from_ranges`` key.  Below the plans, ``binop_pair``, keyed
+on two ranges' :attr:`~repro.core.ranges.StridedRange.extent`, serves
+the binary operations a plan cannot replay, chiefly those whose result
+exceeds the range cap.  Every pair still tallies its
+``sub_operations``, and every table is listed in ``_ALL_CACHES``, so
+:func:`clear` (and ``perf.reset()``) empties it.
 """
 
 from __future__ import annotations
@@ -71,8 +74,10 @@ _ALL_CACHES = (
     _CONSTANT,
     _BOOLEAN,
     _range_arith._PAIRS,
-    _refine._CLIPS,
-    _comparisons._FRACTIONS,
+    _range_arith._PLANS,
+    _refine._PLANS,
+    _comparisons._PLANS,
+    _rangeset._MERGE_PLANS,
 )
 
 

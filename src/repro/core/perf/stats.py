@@ -119,9 +119,10 @@ class LRUCache:
 
 # Cache names, one CacheStats each: the hash-consing table and the
 # constructor memos of core/rangeset.py, the memos of core/perf/memo.py,
-# the extent-keyed pair memos of core/range_arith.py ("binop_pair"),
-# core/refine.py ("refine_range") and core/comparisons.py
-# ("compare_pair"), and the interprocedural (function, context) →
+# the extent-keyed pair memo of core/range_arith.py ("binop_pair"), the
+# shape-keyed set plans of core/range_arith.py, core/refine.py,
+# core/comparisons.py and core/rangeset.py ("binop_plan", "refine_plan",
+# "compare_plan", "merge_plan"), and the interprocedural (function, context) →
 # return-range memo ("summary_context") of core/interprocedural.py.
 CACHE_NAMES = (
     "intern_rangeset",
@@ -133,8 +134,10 @@ CACHE_NAMES = (
     "constant",
     "boolean",
     "binop_pair",
-    "refine_range",
-    "compare_pair",
+    "binop_plan",
+    "refine_plan",
+    "compare_plan",
+    "merge_plan",
     "summary_context",
 )
 

@@ -9,6 +9,14 @@ result ⊥, exactly as the paper's "problematic ranges quickly become ⊥".
 
 Arithmetic follows the toy language's semantics, which are Python's:
 floor division, floor modulo (sign of divisor), arithmetic shifts.
+
+Two caches skip the work of a loop lap that only reweights its
+operands.  The set plan (``binop_plan``, keyed on both shapes; see
+:mod:`repro.core.rangeset`) recombines the pair products into the
+result without visiting a pair, or replays "pair k is ⊥"; the pair
+memo (``binop_pair``, keyed on two extents) serves the evaluations the
+plan cannot, chiefly those whose results need compaction.  Either way
+every pair tallies its sub-operation, as the pair loop does.
 """
 
 from __future__ import annotations
@@ -20,7 +28,15 @@ from repro.core import counters
 from repro.core.bounds import Bound, NEG_INF, Number, POS_INF, bound_max, bound_min
 from repro.core.perf.stats import LRUCache, stats
 from repro.core.ranges import StridedRange
-from repro.core.rangeset import BOTTOM, DEFAULT_MAX_RANGES, MEMO_SIZE, RangeSet, TOP
+from repro.core.rangeset import (
+    BOTTOM,
+    DEFAULT_MAX_RANGES,
+    MEMO_SIZE,
+    RangeSet,
+    TOP,
+    build_planned,
+    replay_plan,
+)
 
 
 # The "anything" range: stands in for a ⊥ operand so that bounding
@@ -32,6 +48,10 @@ FULL_RANGE = StridedRange(1.0, Bound.number(NEG_INF), Bound.number(POS_INF), 1)
 #: ``left.probability * right.probability`` and reads nothing else of
 #: the probabilities, so a hit reweights the stored range to that.
 _PAIRS = LRUCache(MEMO_SIZE, stats().caches["binop_pair"])
+#: ``(op, a.shape, b.shape, max_ranges)`` -> the set plan of
+#: ``evaluate_binop`` on two sets (:func:`~repro.core.rangeset.build_planned`),
+#: or the ``int`` index of the first pair whose result is ⊥.
+_PLANS = LRUCache(MEMO_SIZE, stats().caches["binop_plan"])
 
 
 def evaluate_binop(
@@ -55,6 +75,21 @@ def evaluate_binop(
     if handler is None:
         raise ValueError(f"unknown binary op {op!r}")
     tally = counters.active()
+    plan = False  # None: a miss, whose plan this call builds
+    if a.is_set and b.is_set:
+        plan_key = (op, a.shape, b.shape, max_ranges)
+        plan = _PLANS.get(plan_key)
+        if plan.__class__ is int:
+            tally.sub_operations += plan + 1
+            return BOTTOM
+        if plan:
+            weights = [
+                left.probability * right.probability for left in a_ranges for right in b_ranges
+            ]
+            result = replay_plan(plan, weights)
+            if result is not None:
+                tally.sub_operations += len(weights)
+                return result
     recall, reweighted = _PAIRS.get, StridedRange._reweighted
     out: List[StridedRange] = []
     for left in a_ranges:
@@ -70,8 +105,15 @@ def evaluate_binop(
             else:
                 pair = reweighted(left.probability * right.probability, shape)
             if pair is None:
+                if plan is None:
+                    _PLANS.put(plan_key, len(out))
                 return BOTTOM
             out.append(pair)
+    if plan is None:
+        result, plan = build_planned(out, max_ranges)
+        if plan is not None:
+            _PLANS.put(plan_key, plan)
+        return result
     result = RangeSet.from_ranges(out, max_ranges=max_ranges, renormalise=True)
     if (a.is_bottom or b.is_bottom) and _is_unbounded(result):
         return BOTTOM  # no information was recovered

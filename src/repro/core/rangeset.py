@@ -8,13 +8,14 @@ A compaction computes each candidate pair's hull and cost once: n
 ranges reach the cap in O(n²) hulls, C(n, 2) for the first merge and
 one per survivor for each merge after it.
 
-Every set :meth:`RangeSet.from_ranges` builds is **hash-consed** by
-:func:`intern_rangeset`: structurally-equal sets map to one canonical
-object, so ``__eq__``/``approx_equal`` and the engine's "did this value
-change?" checks fast-path on identity, and memo keys hash cheaply.  ⊤ and
-⊥ are the singletons :data:`TOP` / :data:`BOTTOM`.  That is the one
-place a set is interned: :func:`merge_weighted` and the wrappers in
-:mod:`repro.core.perf.memo` return ``from_ranges`` results, ⊤ or ⊥, all
+Every set :meth:`RangeSet.from_ranges` or :func:`replay_plan` builds is
+**hash-consed** by :func:`intern_rangeset`: structurally-equal sets map
+to one canonical object, so ``__eq__``/``approx_equal`` and the
+engine's "did this value change?" checks fast-path on identity, and
+memo keys hash cheaply.  ⊤ and ⊥ are the singletons :data:`TOP` /
+:data:`BOTTOM`.  Those are the two places a set is interned:
+:func:`merge_weighted`, the set-level operations and the wrappers in
+:mod:`repro.core.perf.memo` return their results, ⊤ or ⊥, all
 canonical already.  Bound offsets are ``int`` or ±inf
 (:mod:`repro.core.bounds`), so equal sets render alike and a key of the
 set alone cannot conflate two that print apart.  Both builders are
@@ -23,6 +24,20 @@ evicted entry is recomputed (or, for the hash-consing table, merely
 loses the identity fast path).  A set makes its text once, on the
 first ``str``: a set that many values and predictions share is rendered
 once.
+
+A set's :attr:`RangeSet.shape` is its ranges' extents, the set without
+its weights.  The set-level operations (``range_arith.evaluate_binop``,
+``refine.refine_set``, ``comparisons.compare_sets`` and
+:func:`merge_weighted`) keep a **set plan** under their operands'
+shapes: the result's extents and which input weights fold into each,
+in canonical order (:func:`build_planned`, built by the call that
+missed).  A loop lap that only reweights its operands replays it
+(:func:`replay_plan`): the same float operations in the same order,
+then one interned set, with no pair memo probe, no ``from_ranges`` key
+and no fold or sort.  A shape whose distinct extents exceed the cap is
+marked and goes the full way, since the merges compaction picks
+depend on the weights; so does any weight at or below
+:data:`PROB_EPSILON`.
 """
 
 from __future__ import annotations
@@ -48,7 +63,7 @@ INTERN_SIZE = 65536
 class RangeSet:
     """An immutable lattice value: ⊤, ⊥, or weighted ranges summing to 1."""
 
-    __slots__ = ("_kind", "_ranges", "_hash", "_hull", "_symbols", "_text")
+    __slots__ = ("_kind", "_ranges", "_hash", "_hull", "_symbols", "_text", "_shape")
 
     _TOP_KIND = "top"
     _BOTTOM_KIND = "bottom"
@@ -61,6 +76,7 @@ class RangeSet:
         self._hull = False  # False = not computed (None is a valid hull)
         self._symbols = None
         self._text = None
+        self._shape = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -131,6 +147,15 @@ class RangeSet:
     @property
     def ranges(self) -> Tuple[StridedRange, ...]:
         return self._ranges
+
+    @property
+    def shape(self) -> Tuple[tuple, ...]:
+        """The ranges' extents in order, the set without its weights:
+        what a set plan is keyed on.  Made once per (interned) set."""
+        shape = self._shape
+        if shape is None:
+            shape = self._shape = tuple([r.extent for r in self._ranges])
+        return shape
 
     # -- value queries ----------------------------------------------------------
 
@@ -242,6 +267,9 @@ BOTTOM = RangeSet(RangeSet._BOTTOM_KIND)
 _RANGESETS = LRUCache(INTERN_SIZE, stats().caches["intern_rangeset"])
 _FROM_RANGES = LRUCache(MEMO_SIZE, stats().caches["from_ranges"])
 _MERGE_WEIGHTED = LRUCache(MEMO_SIZE, stats().caches["merge_weighted"])
+#: ``(shapes of the contributing sets, max_ranges)`` -> the φ merge's
+#: set plan (see :func:`build_planned`).
+_MERGE_PLANS = LRUCache(MEMO_SIZE, stats().caches["merge_plan"])
 
 
 def intern_rangeset(rangeset: RangeSet) -> RangeSet:
@@ -272,7 +300,8 @@ def merge_weighted(
     ⊤ contributions are ignored (optimism, as in SCCP); a ⊥ contribution
     with positive weight makes the result ⊥; weights are renormalised over
     the contributing edges.  Memoized; the result comes from
-    :meth:`RangeSet.from_ranges` (or is ⊤/⊥), so it is canonical.
+    :meth:`RangeSet.from_ranges` or a replayed set plan (or is ⊤/⊥), so
+    it is canonical.
     """
     key = (tuple(contributions), max_ranges)
     cached = _MERGE_WEIGHTED.get(key)
@@ -298,11 +327,93 @@ def _merge_weighted(
     if not weighted:
         return TOP
     total = sum(weight for weight, _ in weighted)
+    key = (tuple([rset.shape for _, rset in weighted]), max_ranges)
+    plan = _MERGE_PLANS.get(key)
+    if plan:
+        weights: List[float] = []
+        for weight, rset in weighted:
+            factor = weight / total
+            weights.extend([r.probability * factor for r in rset._ranges])
+        result = replay_plan(plan, weights)
+        if result is not None:
+            return result
     ranges: List[StridedRange] = []
     for weight, rset in weighted:
         factor = weight / total
         ranges.extend(r.scaled(factor) for r in rset.ranges)
+    if plan is None:
+        result, plan = build_planned(ranges, max_ranges)
+        if plan is not None:
+            _MERGE_PLANS.put(key, plan)
+        return result
     return RangeSet.from_ranges(ranges, max_ranges=max_ranges, renormalise=True)
+
+
+# ---------------------------------------------------------------------------
+# set plans
+# ---------------------------------------------------------------------------
+
+
+def build_planned(ranges: List[StridedRange], max_ranges: int):
+    """``(RangeSet.from_ranges(ranges, max_ranges, renormalise=True),
+    plan)``: the set, and the plan of how it was built, for a set-level
+    operation to keep under its operands' shapes and replay with
+    :func:`replay_plan` when a later call only reweights them.
+
+    The plan is a tuple with one ``(template, first, rest)`` per
+    result range in canonical order: a range of the result's extent,
+    and the indices of the ``ranges`` whose weights fold into it, in
+    the order they are summed.  It is ``False`` when no plan can
+    replay the shape (the distinct extents exceed ``max_ranges``, and
+    which pairs compaction merges depends on the weights), and
+    ``None`` when some range weighs at most :data:`PROB_EPSILON` (that
+    filter reads the weights too, so this call says nothing about the
+    shape).  Both of those build the set as ``from_ranges`` does.
+    """
+    groups = {}
+    for index, r in enumerate(ranges):
+        if not r.probability > PROB_EPSILON:
+            return RangeSet.from_ranges(ranges, max_ranges, renormalise=True), None
+        group = groups.get(r.extent)
+        if group is None:
+            groups[r.extent] = (r, index, [])
+        else:
+            group[2].append(index)
+    if not groups or len(groups) > max_ranges:
+        return RangeSet.from_ranges(ranges, max_ranges, renormalise=True), False
+    plan = tuple(
+        [
+            (template, first, tuple(rest))
+            for template, first, rest in sorted(
+                groups.values(), key=lambda group: _sort_key(group[0])
+            )
+        ]
+    )
+    return replay_plan(plan, [r.probability for r in ranges]), plan
+
+
+def replay_plan(plan, weights: List[float]) -> Optional[RangeSet]:
+    """The set ``plan`` builds from ranges of these weights: the float
+    operations of ``from_ranges(..., renormalise=True)`` in its order
+    (the running total, the factor, each fold's sum), then one
+    interned set.  ``None`` when a weight is at most
+    :data:`PROB_EPSILON`, which ``from_ranges`` would drop."""
+    total = 0.0
+    for weight in weights:
+        if not weight > PROB_EPSILON:
+            return None
+        total += weight
+    factor = 1.0 / total
+    if factor != 1.0:
+        weights = [weight * factor for weight in weights]
+    reweighted = StridedRange._reweighted
+    ranges = []
+    for template, first, rest in plan:
+        probability = weights[first]
+        for index in rest:
+            probability += weights[index]
+        ranges.append(reweighted(probability, template))
+    return intern_rangeset(RangeSet(RangeSet._SET_KIND, tuple(ranges)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +467,12 @@ def _fold_duplicates(ranges: List[StridedRange]) -> List[StridedRange]:
     return [first.with_probability(probability) for first, probability in by_extent.values()]
 
 
-def _canonical_sort(ranges: List[StridedRange]) -> List[StridedRange]:
-    def sort_key(r: StridedRange):
-        return (
-            r.lo.symbol or "",
-            r.lo.offset,
-            r.hi.symbol or "",
-            r.hi.offset,
-            r.stride,
-        )
+def _sort_key(r: StridedRange):
+    return (r.lo.symbol or "", r.lo.offset, r.hi.symbol or "", r.hi.offset, r.stride)
 
-    return sorted(ranges, key=sort_key)
+
+def _canonical_sort(ranges: List[StridedRange]) -> List[StridedRange]:
+    return sorted(ranges, key=_sort_key)
 
 
 def _hull_pair(a: StridedRange, b: StridedRange) -> Optional[StridedRange]:

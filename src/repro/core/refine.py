@@ -9,6 +9,11 @@ one-sided facts such as ``n > 0`` enter the analysis.
 
 Bounds may be numeric constants or symbolic (the other operand's SSA
 name), giving the paper's ``x > y + 2``-style symbolic ranges.
+
+The clipping reads only extents, so a refinement whose source was only
+reweighted replays its set plan (``refine_plan``, keyed on the limit
+and the source's shape; see :mod:`repro.core.rangeset`): each kept
+range's weight times its stored fraction, folded as before.
 """
 
 from __future__ import annotations
@@ -19,12 +24,23 @@ from typing import List, Optional, Tuple
 from repro.core.bounds import Bound, NEG_INF, POS_INF
 from repro.core.perf.stats import LRUCache, stats
 from repro.core.ranges import StridedRange
-from repro.core.rangeset import BOTTOM, DEFAULT_MAX_RANGES, MEMO_SIZE, RangeSet, TOP
+from repro.core.rangeset import (
+    BOTTOM,
+    DEFAULT_MAX_RANGES,
+    MEMO_SIZE,
+    RangeSet,
+    TOP,
+    build_planned,
+    replay_plan,
+)
 
-#: ``(op, limit.symbol, limit.offset, extent)`` -> ``(clipped, fraction)``
-#: of one range: the clipping reads only the range's extent, and the
-#: kept range's probability is the range's times ``fraction``.
-_CLIPS = LRUCache(MEMO_SIZE, stats().caches["refine_range"])
+#: ``(op, limit.symbol, limit.offset, src.shape, max_ranges)`` -> ⊥ when
+#: no range survives, else ``(kept, plan)``: the ``(index, fraction)``
+#: of each surviving range of ``src`` (the clipping reads only extents,
+#: and a kept range weighs the source range's weight times its
+#: fraction) and the set plan (:func:`~repro.core.rangeset.build_planned`)
+#: that folds them.
+_PLANS = LRUCache(MEMO_SIZE, stats().caches["refine_plan"])
 
 
 def refine_set(
@@ -47,18 +63,32 @@ def refine_set(
             return BOTTOM
         return RangeSet.from_ranges([predicate])
     refine, limit = _range_refiner(op, bound)
+    plan_key = (op, limit.symbol, limit.offset, src.shape, max_ranges)
+    plan = _PLANS.get(plan_key)
+    if plan is BOTTOM:
+        return BOTTOM
+    if plan:
+        survivors, fold = plan
+        ranges = src.ranges
+        weights = [ranges[index].probability * fraction for index, fraction in survivors]
+        result = replay_plan(fold, weights)
+        if result is not None:
+            return result
     kept: List[StridedRange] = []
-    for r in src.ranges:
-        key = (op, limit.symbol, limit.offset, r.extent)
-        clip = _CLIPS.get(key)
-        if clip is None:
-            clip = refine(r, limit)
-            _CLIPS.put(key, clip)
-        clipped, fraction = clip
+    survivors = []
+    for index, r in enumerate(src.ranges):
+        clipped, fraction = refine(r, limit)
         if clipped is not None and fraction > 0:
             kept.append(clipped.with_probability(r.probability * fraction))
+            survivors.append((index, fraction))
     if not kept:
+        _PLANS.put(plan_key, BOTTOM)
         return BOTTOM
+    if plan is None:
+        result, fold = build_planned(kept, max_ranges)
+        if fold is not None:
+            _PLANS.put(plan_key, (tuple(survivors), fold) if fold else False)
+        return result
     return RangeSet.from_ranges(kept, max_ranges=max_ranges, renormalise=True)
 
 

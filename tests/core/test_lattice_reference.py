@@ -13,7 +13,10 @@ refinement and comparison are also run a second time on the same
 extents with new weights, the loop-lap case the extent-keyed pair
 memos serve.  Set building is also run on up to 16 distinct extents,
 so that compaction meets ties in cost, pairs with no hull and hulls
-of infinite width.
+of infinite width.  Binary arithmetic, refinement, comparison and the
+φ merge are run again, twice, on the same shapes with weights that
+replay their set plans, fall to or below ``PROB_EPSILON``, or sum to
+exactly 1; the φ merge against the reference set builder.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -22,7 +25,14 @@ from repro.core import comparisons, counters, perf, range_arith, rangeset, refin
 from repro.core.bounds import NEG_INF, POS_INF, Bound, bound_max, bound_min
 from repro.core.comparisons import DEFAULT_EXACT_LIMIT
 from repro.core.ranges import StridedRange
-from repro.core.rangeset import BOTTOM, DEFAULT_MAX_RANGES, TOP, RangeSet, intern_rangeset
+from repro.core.rangeset import (
+    BOTTOM,
+    DEFAULT_MAX_RANGES,
+    PROB_EPSILON,
+    TOP,
+    RangeSet,
+    intern_rangeset,
+)
 from tests import lattice_reference as ref
 
 DIFFERENTIAL = settings(max_examples=400, deadline=None, derandomize=True)
@@ -258,11 +268,11 @@ def same_refine(src, op, bound, max_ranges):
 SYMBOL_RANGES = {"a": RangeSet.span(0, 6, 2), "b": RangeSet.span(-3, 40)}
 
 
-def same_compare(op, a, b, a_name, b_name):
+def same_compare(op, a, b, a_name, b_name, symbol_range=SYMBOL_RANGES.get):
     """``compare_sets`` and the reference agree on both masses, bit for
     bit, and on the ``sub_operations`` tally."""
     production_tally, reference_tally = counters.Counters(), counters.Counters()
-    arguments = (op, a, b, a_name, b_name, DEFAULT_EXACT_LIMIT, SYMBOL_RANGES.get)
+    arguments = (op, a, b, a_name, b_name, DEFAULT_EXACT_LIMIT, symbol_range)
     with counters.use(production_tally):
         production = outcome(comparisons.compare_sets, *arguments)
     with counters.use(reference_tally):
@@ -325,7 +335,8 @@ def reweighted(rset, weights):
 
 class TestLaps:
     """Each operation runs on its operands and then again on the same
-    extents with new weights, which the extent-keyed pair memos serve;
+    extents with new weights, which the set plans or, past the range
+    cap, the extent-keyed pair memos serve;
     both must be what the reference computes.  The tables are not
     emptied between examples, so a memo key that leaves out part of
     what the result depends on shows up as another example's result."""
@@ -406,12 +417,285 @@ class TestLapCounting:
     def test_reset_empties_the_pair_tables(self):
         perf.reset()
         self.evaluate(self.A, self.B)
+        tables = {"binop_pair": range_arith._PAIRS}
+        assert all(len(table) for table in tables.values())
+        perf.reset()
+        assert [len(table) for table in tables.values()] == [0]
+        assert all(perf.snapshot()[name]["misses"] == 0 for name in tables)
+
+
+# -- set plans: the same shapes, new weights ---------------------------------------
+
+#: New weights for each range of a set: free; dyadic, so that a binop's
+#: products and a φ merge's shares sum to exactly 1 and the
+#: renormalising factor is exactly 1.0; or at and around PROB_EPSILON,
+#: which the set builder drops.
+DYADIC = {
+    1: [[1.0]],
+    2: [[0.5, 0.5], [0.75, 0.25]],
+    3: [[0.5, 0.25, 0.25], [0.25, 0.25, 0.5]],
+    4: [[0.25] * 4, [0.5, 0.25, 0.125, 0.125], [0.125, 0.125, 0.25, 0.5]],
+}
+TINY = [0.0, 1e-13, PROB_EPSILON, 2e-12, 1e-6, 0.5]
+
+
+def lap_weights(size):
+    return st.one_of(
+        st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size),
+        st.sampled_from(DYADIC[size]),
+        st.lists(st.sampled_from(TINY), min_size=size, max_size=size),
+    )
+
+
+def relaid(data, rset):
+    """``rset``'s ranges with drawn weights, as they are: neither
+    renormalised nor filtered, so a range may weigh at or below
+    PROB_EPSILON and the set keeps its shape."""
+    if not rset.is_set:
+        return rset
+    weights = data.draw(lap_weights(len(rset.ranges)))
+    ranges = tuple(r.with_probability(w) for r, w in zip(rset.ranges, weights))
+    return intern_rangeset(RangeSet(RangeSet._SET_KIND, ranges))
+
+
+def reference_merge(contributions, max_ranges):
+    """``rangeset.merge_weighted`` over the reference set builder."""
+    weighted = []
+    for weight, rset in contributions:
+        if weight <= PROB_EPSILON or rset.is_top:
+            continue
+        if rset.is_bottom:
+            return BOTTOM
+        weighted.append((weight, rset))
+    if not weighted:
+        return TOP
+    total = sum(weight for weight, _ in weighted)
+    ranges = []
+    for weight, rset in weighted:
+        factor = weight / total
+        ranges.extend(ref.reweighted(r.probability * factor, r) for r in rset.ranges)
+    return ref.build_set(ranges, max_ranges, True)
+
+
+def same_merge(contributions, max_ranges):
+    same(
+        outcome(rangeset.merge_weighted, contributions, max_ranges),
+        outcome(reference_merge, contributions, max_ranges),
+    )
+
+
+#: A φ's in-edge weights: ordinary, at and below PROB_EPSILON, and
+#: zero (an edge not yet taken).
+EDGE_WEIGHTS = st.sampled_from([0.0, 1e-13, PROB_EPSILON, 2e-12, 0.25, 0.5, 1.0, 3.0, 0.1])
+
+#: Operands whose pairs need ``_integrate_over_symbol``: a symbol against
+#: numbers, over the symbols ``SYMBOL_RANGES`` knows.
+MIXED = st.sampled_from(
+    [
+        RangeSet.from_ranges([StridedRange(1.0, Bound(0), Bound(1, "a"), 1)]),
+        RangeSet.from_ranges(
+            [StridedRange(0.5, Bound(-2), Bound(0, "b"), 1), StridedRange.single(0.5, 3)]
+        ),
+        RangeSet.symbol("a"),
+        RangeSet.symbol("b", -1),
+    ]
+)
+
+
+class TestPlans:
+    """Each operation runs and then runs again, twice, on the same
+    shapes with new weights, which its set plan replays; each run must
+    be what the reference computes, with the same tally.  ``cold``
+    empties every table first; otherwise the tables stay warm across
+    examples, so a plan key that leaves out part of what the result
+    depends on shows up as another example's result."""
+
+    @DIFFERENTIAL
+    @given(
+        st.sampled_from(sorted(range_arith._BINOP_HANDLERS)),
+        st.one_of(operands(), MIXED),
+        operands(),
+        st.integers(1, 4),
+        st.booleans(),
+        st.data(),
+    )
+    def test_evaluate_binop(self, op, a, b, max_ranges, cold, data):
+        if cold:
+            perf.reset()
+        same_binop(op, a, b, max_ranges)
+        for _ in range(2):
+            same_binop(op, relaid(data, a), relaid(data, b), max_ranges)
+
+    @DIFFERENTIAL
+    @given(
+        st.one_of(operands(), MIXED),
+        st.sampled_from(RELOPS),
+        bounds(),
+        st.integers(1, 4),
+        st.booleans(),
+        st.data(),
+    )
+    def test_refine_set(self, src, op, bound, max_ranges, cold, data):
+        if cold:
+            perf.reset()
+        same_refine(src, op, bound, max_ranges)
+        for _ in range(2):
+            same_refine(relaid(data, src), op, bound, max_ranges)
+
+    @DIFFERENTIAL
+    @given(
+        st.sampled_from(RELOPS),
+        st.one_of(operands(), MIXED),
+        st.one_of(operands(), MIXED),
+        NAMES,
+        NAMES,
+        st.sampled_from([SYMBOL_RANGES.get, None]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_compare_sets(self, op, a, b, a_name, b_name, symbol_range, cold, data):
+        if cold:
+            perf.reset()
+        same_compare(op, a, b, a_name, b_name, symbol_range)
+        for _ in range(2):
+            symbol_range = data.draw(st.sampled_from([SYMBOL_RANGES.get, None]))
+            same_compare(op, relaid(data, a), relaid(data, b), a_name, b_name, symbol_range)
+
+    @DIFFERENTIAL
+    @given(
+        st.lists(st.tuples(EDGE_WEIGHTS, operands()), min_size=1, max_size=3),
+        st.integers(1, 4),
+        st.booleans(),
+        st.data(),
+    )
+    def test_merge_weighted(self, contributions, max_ranges, cold, data):
+        if cold:
+            perf.reset()
+        same_merge(contributions, max_ranges)
+        for _ in range(2):
+            lap = [(data.draw(EDGE_WEIGHTS), relaid(data, rset)) for _, rset in contributions]
+            same_merge(lap, max_ranges)
+
+    def test_one_shape_under_each_cap_and_name(self):
+        """A plan replayed under another call's cap or operand names
+        would show here: each shape meets every cap and every name."""
+        a = RangeSet.from_ranges(
+            [
+                StridedRange.span(0.5, 0, 6, 2),
+                StridedRange.span(0.25, 10, 12),
+                StridedRange.single(0.25, 20),
+            ]
+        )
+        b = RangeSet.from_ranges([StridedRange.single(0.25, 1), StridedRange.single(0.75, 8)])
+        near = RangeSet.from_ranges(
+            [StridedRange(0.5, Bound(-3, "a"), Bound(-1, "a"), 1), StridedRange.span(0.5, 0, 5)]
+        )
+        laps = ([0.25, 0.5, 0.25], [0.5, 0.5]), ([0.1, 0.6, 0.3], [0.9, 0.1])
+        perf.reset()
+        for max_ranges in (4, 3, 2, 1):
+            for a_weights, b_weights in ((None, None),) + laps:
+                a_lap = a if a_weights is None else reweighted(a, a_weights)
+                b_lap = b if b_weights is None else reweighted(b, b_weights)
+                same_binop("add", a_lap, b_lap, max_ranges)  # 6 extents
+                same_binop("add", b_lap, b, max_ranges)  # 3 extents
+                same_refine(a_lap, "gt", Bound(4), max_ranges)
+                same_merge([(0.5, a_lap), (0.5, a)], max_ranges)
+        for names in ((None, None), (None, "a"), ("a", None), ("b", "a"), (None, None)):
+            for weights in (None, [0.5, 0.5], [0.2, 0.8]):
+                lap = near if weights is None else reweighted(near, weights)
+                same_compare("lt", lap, b, *names, None)
+                same_compare("lt", b, lap, *names, None)
+
+    def test_bottom_at_each_pair(self):
+        """A binop whose pair k is ⊥ tallies k + 1 pairs, warm as cold."""
+        divisors = [RangeSet.constant(0), RangeSet.span(-3, 3)]
+        dividend = RangeSet.from_ranges(
+            [StridedRange.span(0.25, 10 * k, 10 * k + 4) for k in range(4)]
+        )
+        for k in range(4):
+            # k negative divisors sort before the one that contains 0
+            # (its quotient is ⊥), the positive ones after it.
+            ranges = [StridedRange.single(0.25, j - 10) for j in range(k)]
+            ranges.append(StridedRange.span(0.25, -1, 1))
+            ranges += [StridedRange.single(0.25, 5 + j) for j in range(3 - k)]
+            divisor = RangeSet.from_ranges(ranges)
+            assert divisor.ranges[k].lo.offset == -1
+            divisors.append(divisor)
+            perf.reset()
+            for weights in ([0.2] * 4, [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]):
+                lap = reweighted(divisor, weights)
+                tally = counters.Counters()
+                with counters.use(tally):
+                    assert range_arith.evaluate_binop("div", dividend, lap) is BOTTOM
+                assert tally.sub_operations == k + 1
+                same_binop("div", dividend, lap, DEFAULT_MAX_RANGES)
+        for divisor in divisors:
+            same_binop("div", dividend, divisor, DEFAULT_MAX_RANGES)
+
+
+class TestPlanCounting:
+    """A lap that only reweights replays its set plans: no set build,
+    no fold, no clipping or pair fraction and no pair memo probe, the
+    same tally."""
+
+    A = RangeSet.from_ranges(
+        [StridedRange.span(p, lo, lo + 6, 2) for p, lo in ((0.1, 0), (0.2, 10), (0.3, 20), (0.4, 30))]
+    )
+    # A mod 7 and A mod 9: 8 pairs onto 3 extents, so the plan folds.
+    MODULI = RangeSet.from_ranges([StridedRange.single(0.5, 7), StridedRange.single(0.5, 9)])
+    LIMIT = RangeSet.constant(25)
+
+    def evaluate(self, a, moduli, other):
+        return (
+            range_arith.evaluate_binop("mod", a, moduli),
+            refine.refine_set(a, "lt", Bound(25)),
+            comparisons.compare_sets("lt", a, self.LIMIT, symbol_range=SYMBOL_RANGES.get),
+            rangeset.merge_weighted([(0.3, a), (0.7, other)]),
+        )
+
+    def lap(self):
+        return (
+            reweighted(self.A, [0.4, 0.3, 0.2, 0.1]),
+            reweighted(self.MODULI, [0.25, 0.75]),
+            reweighted(self.A, [0.25, 0.25, 0.25, 0.25]),
+        )
+
+    def test_a_reweighting_lap_builds_no_set(self, monkeypatch):
+        perf.reset()
+        self.evaluate(self.A, self.MODULI, reweighted(self.A, [0.7, 0.1, 0.1, 0.1]))
+        a, moduli, other = self.lap()
+        pairs = perf.snapshot()["binop_pair"]
+        calls = []
+        for module, name in (
+            (rangeset, "_build_set"),
+            (rangeset, "_fold_duplicates"),
+            (refine, "_clip_upper"),
+            (comparisons, "_dispatch_fraction"),
+        ):
+            monkeypatch.setattr(module, name, counted(calls, getattr(module, name)))
+        tally = counters.Counters()
+        with counters.use(tally):
+            self.evaluate(a, moduli, other)
+        monkeypatch.undo()
+        assert calls == []
+        assert perf.snapshot()["binop_pair"] == pairs
+        # Still one tallied sub-operation per pair: 8 residues, 4 comparisons.
+        assert tally.sub_operations == 12
+        same_binop("mod", a, moduli, DEFAULT_MAX_RANGES)
+        same_refine(a, "lt", Bound(25), DEFAULT_MAX_RANGES)
+        same_compare("lt", a, self.LIMIT, None, None)
+        same_merge([(0.3, a), (0.7, other)], DEFAULT_MAX_RANGES)
+
+    def test_reset_empties_the_plan_tables(self):
+        perf.reset()
+        self.evaluate(self.A, self.MODULI, self.A)
         tables = {
-            "binop_pair": range_arith._PAIRS,
-            "refine_range": refine._CLIPS,
-            "compare_pair": comparisons._FRACTIONS,
+            "binop_plan": range_arith._PLANS,
+            "refine_plan": refine._PLANS,
+            "compare_plan": comparisons._PLANS,
+            "merge_plan": rangeset._MERGE_PLANS,
         }
         assert all(len(table) for table in tables.values())
         perf.reset()
-        assert [len(table) for table in tables.values()] == [0, 0, 0]
+        assert [len(table) for table in tables.values()] == [0, 0, 0, 0]
         assert all(perf.snapshot()[name]["misses"] == 0 for name in tables)

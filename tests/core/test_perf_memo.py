@@ -9,7 +9,7 @@ work counters must be the same whatever the caches hold.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import comparisons, counters, perf, range_arith, refine
+from repro.core import comparisons, counters, perf, range_arith, rangeset, refine
 from repro.core.bounds import NEG_INF, POS_INF, Bound
 from repro.core.config import VRPConfig
 from repro.core.perf import memo
@@ -317,6 +317,8 @@ class TestDisableSwitch:
         warm = run()
         shrink_caches(monkeypatch)
         tiny = run()
+        plans = (range_arith._PLANS, refine._PLANS, comparisons._PLANS, rangeset._MERGE_PLANS)
+        assert all(table.capacity == 2 and len(table) <= 2 for table in plans)
         for other in (warm, tiny):
             assert other.all_branches() == reference.all_branches()
             assert other.counters.as_dict() == reference.counters.as_dict()
