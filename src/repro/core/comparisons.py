@@ -37,11 +37,14 @@ from repro.core.rangeset import MEMO_SIZE, RangeSet
 DEFAULT_EXACT_LIMIT = 8192
 
 #: ``(op, a.shape, b.shape, a_name, b_name, exact_limit)`` -> the
-#: compare plan: every pair's :func:`_dispatch_fraction`, ``None`` where
-#: unknown, in pair order.  It reads only the extents (and the names,
-#: for the correlated substitution); :func:`_integrate_over_symbol`
+#: compare plan, in pair order: each pair's :func:`_dispatch_fraction`,
+#: or for a pair it leaves unknown the one symbol of the correlated
+#: pair's bounds, ``None`` when there is not exactly one (no
+#: :func:`_integrate` can settle that pair).  It reads only the extents
+#: (and the names, for the correlated substitution).  An integration
 #: reads live engine state through ``symbol_range``, so it is never
-#: stored, and runs again for each unknown pair of every call.
+#: stored: each call asks for the symbol's range again and rebuilds the
+#: pair only when that range is numeric.
 _PLANS = LRUCache(MEMO_SIZE, stats().caches["compare_plan"])
 
 
@@ -77,6 +80,7 @@ def compare_sets(
     b_name: Optional[str] = None,
     exact_limit: int = DEFAULT_EXACT_LIMIT,
     symbol_range=None,
+    tally=None,
 ) -> Optional[CompareOutcome]:
     """Probability that ``a <op> b`` holds; None when either side is ⊤/⊥.
 
@@ -86,12 +90,15 @@ def compare_sets(
     and symbolic bounds over one symbol whose own range is numeric (the
     triangular-loop case ``j in [0:i+1]`` versus ``i``), the fraction is
     computed by integrating over the symbol's distribution.
+    Sub-operations are tallied in ``tally``, by default the active
+    counters.
     """
     if not (a.is_set and b.is_set):
         return None
     known = 0.0
     unknown = 0.0
-    tally = counters.active()
+    if tally is None:
+        tally = counters.active()
     plan_key = (op, a.shape, b.shape, a_name, b_name, exact_limit)
     plan = _PLANS.get(plan_key)
     stored = None if plan is None else iter(plan)
@@ -101,16 +108,22 @@ def compare_sets(
             tally.sub_operations += 1
             weight = ra.probability * rb.probability
             if stored is None:
-                fraction = _dispatch_fraction(
-                    op, *_correlated(ra, rb, a_name, b_name), exact_limit
-                )
+                pair = _correlated(ra, rb, a_name, b_name)
+                fraction = _dispatch_fraction(op, *pair, exact_limit)
+                if fraction is None:  # stored: the pair's one symbol, if any
+                    symbols = pair[0].symbols() | pair[1].symbols()
+                    fraction = next(iter(symbols)) if len(symbols) == 1 else None
                 fractions.append(fraction)
             else:
                 fraction = next(stored)
-            if fraction is None:
-                fraction = _integrate_over_symbol(
-                    op, *_correlated(ra, rb, a_name, b_name), exact_limit, symbol_range
-                )
+            if fraction.__class__ is str:
+                # Unknown from the extents: average over the symbol's
+                # live range when that is numeric.
+                symbol, fraction = fraction, None
+                live = None if symbol_range is None else symbol_range(symbol)
+                if live is not None and live.is_set and live.is_numeric():
+                    pair = _correlated(ra, rb, a_name, b_name)
+                    fraction = _integrate(op, *pair, exact_limit, symbol, live)
             if fraction is None:
                 unknown += weight
             else:
@@ -163,14 +176,15 @@ def _dispatch_fraction(
 _INTEGRATION_SAMPLES = 64
 
 
-def _integrate_over_symbol(
+def _integrate(
     op: str,
     ra: StridedRange,
     rb: StridedRange,
     exact_limit: int,
-    symbol_range,
+    symbol: str,
+    distribution: RangeSet,
 ) -> Optional[float]:
-    """Average the pair fraction over a symbol's own numeric range.
+    """Average the pair fraction over ``symbol``'s numeric range set.
 
     Handles mixed-basis pairs like ``j in [0 : i+1]`` compared against
     ``i`` when ``i``'s range is numeric: for each candidate value of the
@@ -178,19 +192,6 @@ def _integrate_over_symbol(
     the resulting numeric fractions averaged.  Values of the symbol that
     make a range empty are excluded and the remainder renormalised.
     """
-    if symbol_range is None:
-        return None
-    symbols = ra.symbols() | rb.symbols()
-    if len(symbols) != 1:
-        return None
-    symbol = next(iter(symbols))
-    distribution = symbol_range(symbol)
-    if (
-        distribution is None
-        or not distribution.is_set
-        or not distribution.is_numeric()
-    ):
-        return None
     accumulated = 0.0
     valid_weight = 0.0
     for symbol_piece in distribution.ranges:

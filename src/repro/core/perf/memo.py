@@ -15,7 +15,9 @@ Two invariants keep the layer behaviour-neutral:
   ``sub_operations`` per range pair internally; each cache entry stores
   the tally delta of its original evaluation and replays it on every
   hit, so the Figure-5/6 work counts are the same for any cache state
-  (``benchmarks/seed_work_counts.json`` is asserted against them).
+  (``benchmarks/seed_work_counts.json`` is asserted against them).  A
+  wrapper fetches the active counters once and hands them to the
+  operation it calls on a miss.
 * **Eviction is invisible.**  Every table is a bounded
   :class:`~repro.core.perf.stats.LRUCache`; an evicted memo entry is
   recomputed, and an evicted canonical object merely loses the identity
@@ -85,13 +87,13 @@ def evaluate_binop(op, a, b, max_ranges=_rangeset.DEFAULT_MAX_RANGES):
     """``range_arith.evaluate_binop`` with caching + sub-operation replay."""
     key = (op, a, b, max_ranges)
     cached = _BINOP.get(key)
+    tally = counters.active()
     if cached is not None:
         result, sub_ops = cached
-        counters.active().sub_operations += sub_ops
+        tally.sub_operations += sub_ops
         return result
-    tally = counters.active()
     before = tally.sub_operations
-    result = _range_arith.evaluate_binop(op, a, b, max_ranges)
+    result = _range_arith.evaluate_binop(op, a, b, max_ranges, tally)
     _BINOP.put(key, (result, tally.sub_operations - before))
     return result
 
@@ -112,24 +114,18 @@ def compare_sets(
     """
     if symbol_range is not None:
         return _comparisons.compare_sets(
-            op,
-            a,
-            b,
-            a_name=a_name,
-            b_name=b_name,
-            exact_limit=exact_limit,
-            symbol_range=symbol_range,
+            op, a, b, a_name, b_name, exact_limit, symbol_range
         )
     key = (op, a, b, a_name, b_name, exact_limit)
     cached = _COMPARE.get(key)
+    tally = counters.active()
     if cached is not None:
         outcome, sub_ops = cached
-        counters.active().sub_operations += sub_ops
+        tally.sub_operations += sub_ops
         return outcome
-    tally = counters.active()
     before = tally.sub_operations
     outcome = _comparisons.compare_sets(
-        op, a, b, a_name=a_name, b_name=b_name, exact_limit=exact_limit
+        op, a, b, a_name, b_name, exact_limit, tally=tally
     )
     _COMPARE.put(key, (outcome, tally.sub_operations - before))
     return outcome

@@ -55,7 +55,7 @@ _PLANS = LRUCache(MEMO_SIZE, stats().caches["binop_plan"])
 
 
 def evaluate_binop(
-    op: str, a: RangeSet, b: RangeSet, max_ranges: int = DEFAULT_MAX_RANGES
+    op: str, a: RangeSet, b: RangeSet, max_ranges: int = DEFAULT_MAX_RANGES, tally=None
 ) -> RangeSet:
     """Evaluate ``a <op> b`` over range sets.
 
@@ -63,7 +63,8 @@ def evaluate_binop(
     operations then stay unbounded and collapse back to ⊥, but the ones
     that bound their result regardless of one input -- ``x % 70`` is in
     ``[0:69]`` whatever ``x`` holds -- recover a usable range, exactly
-    the fact a compiler knows statically.
+    the fact a compiler knows statically.  Sub-operations are tallied
+    in ``tally``, by default the active counters.
     """
     if a.is_top or b.is_top:
         return TOP
@@ -74,7 +75,8 @@ def evaluate_binop(
     handler = _BINOP_HANDLERS.get(op)
     if handler is None:
         raise ValueError(f"unknown binary op {op!r}")
-    tally = counters.active()
+    if tally is None:
+        tally = counters.active()
     plan = False  # None: a miss, whose plan this call builds
     if a.is_set and b.is_set:
         plan_key = (op, a.shape, b.shape, max_ranges)
@@ -138,8 +140,9 @@ def evaluate_unop(
     if a.is_top:
         return TOP
     out: List[StridedRange] = []
+    tally = counters.active()
     for r in a.ranges:
-        counters.active().sub_operations += 1
+        tally.sub_operations += 1
         if op == "neg":
             single = _negate(r)
         elif op == "not":

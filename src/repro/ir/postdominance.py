@@ -3,7 +3,8 @@
 Runs the same iterative algorithm as :mod:`repro.ir.dominance` on the
 reversed CFG with a virtual exit node joining all return blocks (and, as
 an engineering necessity, blocks of infinite loops, which otherwise have
-no path to any exit).
+no path to any exit).  A postdominance query is an O(1) ancestor test
+on the preorder numbers of the ipdom tree.
 """
 
 from __future__ import annotations
@@ -75,6 +76,23 @@ class PostDominatorTree:
                     changed = True
         ipdom[VIRTUAL_EXIT] = None
         self.ipdom = ipdom
+        # label -> (first, end): the preorder numbers of the label's
+        # subtree of the ipdom tree (a forest rooted where ipdom is None).
+        children: Dict[str, List[str]] = {label: [] for label in ipdom}
+        stack: List[str] = []
+        for label, parent in ipdom.items():
+            (stack if parent is None else children[parent]).append(label)
+        preorder: List[str] = []
+        while stack:
+            label = stack.pop()
+            preorder.append(label)
+            stack.extend(children[label])
+        size = dict.fromkeys(preorder, 1)
+        for label in reversed(preorder):
+            parent = ipdom[label]
+            if parent is not None:
+                size[parent] += size[label]
+        self._spans = {label: (i, i + size[label]) for i, label in enumerate(preorder)}
 
     def _reverse_postorder(self) -> List[str]:
         visited: Set[str] = {VIRTUAL_EXIT}
@@ -104,10 +122,14 @@ class PostDominatorTree:
         return a
 
     def postdominates(self, a: str, b: str) -> bool:
-        """True when every path from ``b`` to the exit passes through ``a``."""
-        node: Optional[str] = b
-        while node is not None and node != VIRTUAL_EXIT:
-            if node == a:
-                return True
-            node = self.ipdom.get(node)
-        return a == node
+        """True when every path from ``b`` to the exit passes through ``a``:
+        ``a`` is ``b`` or an ancestor of it in the ipdom tree.  Any label
+        postdominates itself; a label outside the tree postdominates and
+        is postdominated by nothing else."""
+        if a == b:
+            return True
+        span_a = self._spans.get(a)
+        span_b = self._spans.get(b)
+        if span_a is None or span_b is None:
+            return False
+        return span_a[0] < span_b[0] < span_a[1]

@@ -488,7 +488,7 @@ def same_merge(contributions, max_ranges):
 #: zero (an edge not yet taken).
 EDGE_WEIGHTS = st.sampled_from([0.0, 1e-13, PROB_EPSILON, 2e-12, 0.25, 0.5, 1.0, 3.0, 0.1])
 
-#: Operands whose pairs need ``_integrate_over_symbol``: a symbol against
+#: Operands whose pairs need an integration over a symbol: a symbol against
 #: numbers, over the symbols ``SYMBOL_RANGES`` knows.
 MIXED = st.sampled_from(
     [
@@ -631,6 +631,45 @@ class TestPlans:
                 same_binop("div", dividend, lap, DEFAULT_MAX_RANGES)
         for divisor in divisors:
             same_binop("div", dividend, divisor, DEFAULT_MAX_RANGES)
+
+    def test_a_symbol_flipping_between_bottom_and_numeric(self):
+        """An unknown pair's plan entry is its symbol: every lap asks for
+        the symbol's live range, as the reference pair loop does, and
+        integrates only when that range is numeric."""
+        # [0 : a+1] mixes a number with ``a``: unknown from the extents.
+        mixed = RangeSet.from_ranges(
+            [StridedRange(0.5, Bound(0), Bound(1, "a"), 1), StridedRange.single(0.5, 3)]
+        )
+        other = RangeSet.from_ranges([StridedRange.single(0.5, 2), StridedRange.span(0.5, 5, 9)])
+        numeric = (RangeSet.span(0, 6, 2), RangeSet.span(-3, 40))
+        lives = [BOTTOM, numeric[0], BOTTOM, None, numeric[1], TOP, RangeSet.symbol("b"), numeric[0]]
+        laps = ([0.5, 0.5], [0.25, 0.75], [0.9, 0.1])
+        for op in RELOPS:
+            for names in ((None, None), (None, "a"), ("b", None)):
+                perf.reset()
+                for lap, live in enumerate(lives):
+                    a = reweighted(mixed, laps[lap % 3])
+                    seen = []
+                    for compare in (comparisons.compare_sets, ref.compare_sets):
+                        asked = []
+
+                        def symbol_range(name):
+                            asked.append(name)
+                            return live if name == "a" else None
+
+                        tally = counters.Counters()
+                        with counters.use(tally):
+                            result = compare(
+                                op, a, other, *names, DEFAULT_EXACT_LIMIT, symbol_range
+                            )
+                        if isinstance(result, comparisons.CompareOutcome):
+                            result = (result.probability, result.unknown_mass)
+                        seen.append((repr(result), asked, tally.sub_operations))
+                    assert seen[0] == seen[1], (op, names, lap)
+                    # Both pairs of [0 : a+1] are unknown from the extents:
+                    # each asks, every lap; only a numeric range settles them.
+                    assert seen[0][1] == ["a", "a"]
+                    assert (result[1] == 0.0) == (live in numeric), (op, names, lap)
 
 
 class TestPlanCounting:

@@ -241,3 +241,31 @@ class TestOscillationFreeze:
             """
         )
         assert not prediction.aborted
+
+
+class TestDispatch:
+    def test_one_entry_per_concrete_instruction_class(self):
+        from repro.core import propagation
+        from repro.ir.instructions import Instruction
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        # Classes a test defines (like ``Unknown`` below) are not the IR's.
+        concrete = {cls for cls in subclasses(Instruction) if cls.__module__.startswith("repro.")}
+        assert "BinOp" in {cls.__name__ for cls in concrete}
+        assert set(propagation._DISPATCH) == concrete
+
+    def test_unknown_instruction_class_raises(self):
+        from repro.core.propagation import PropagationEngine
+        from repro.ir.instructions import Instruction
+
+        class Unknown(Instruction):
+            __slots__ = ()
+
+        function, info = prepare_single("func main(n) { return n; }")
+        engine = PropagationEngine(function, info)
+        with pytest.raises(TypeError, match="no transfer function"):
+            engine._evaluate(Unknown())

@@ -1,7 +1,7 @@
 """Postdominator tests."""
 
 from repro.ir.cfg import CFG
-from repro.ir.postdominance import PostDominatorTree
+from repro.ir.postdominance import VIRTUAL_EXIT, PostDominatorTree
 from repro.lang import compile_source
 
 
@@ -67,3 +67,48 @@ class TestPostdominance:
         assert any(
             pdt.postdominates(label, function.entry_label) for label in return_blocks
         )
+
+
+def walked_postdominates(pdt, a, b):
+    """The ipdom-chain walk ``postdominates`` replaced, kept as the oracle."""
+    node = b
+    while node is not None and node != VIRTUAL_EXIT:
+        if node == a:
+            return True
+        node = pdt.ipdom.get(node)
+    return a == node
+
+
+class TestAncestorQuery:
+    def test_every_label_pair_of_the_corpus_matches_the_walk(self):
+        from benchmarks.ledger.corpus import truth_corpus
+        from repro.ir import prepare_module
+
+        pairs = 0
+        for program in truth_corpus():
+            module = compile_source(program.source, module_name=program.name)
+            prepare_module(module)
+            for function in module.functions.values():
+                pdt = PostDominatorTree(CFG(function))
+                labels = list(function.blocks) + [VIRTUAL_EXIT, "<unknown>"]
+                for a in labels:
+                    for b in labels:
+                        assert pdt.postdominates(a, b) == walked_postdominates(pdt, a, b), (
+                            program.name,
+                            function.name,
+                            a,
+                            b,
+                        )
+                        pairs += 1
+        assert pairs > 10000
+
+    def test_edge_cases(self):
+        function, cfg, pdt = postdom_of("func main(n) { if (n > 0) { n = 1; } return n; }")
+        assert pdt.postdominates("<unknown>", "<unknown>")
+        for label in list(function.blocks) + [VIRTUAL_EXIT]:
+            assert pdt.postdominates(label, label)
+            assert not pdt.postdominates(label, "<unknown>")
+            assert not pdt.postdominates("<unknown>", label)
+        for label in cfg.reachable():
+            assert pdt.postdominates(VIRTUAL_EXIT, label)
+            assert not pdt.postdominates(label, VIRTUAL_EXIT)

@@ -25,7 +25,9 @@ and tuples), which the tests hold equal to :func:`bound_eq` and
 :func:`bound_hash`; bound arithmetic such as ``add_const``; the
 pairwise handlers of ``range_arith``, which build their ranges with the
 production constructor that the tests check on its own; and the pair
-fraction and symbol integration of ``comparisons``.
+fraction and the averaging over a symbol's numeric range of
+``comparisons`` (which symbol, and when to ask for its range, are
+decided here, as they were before the compare plan stored them).
 ``tests/core/test_lattice_reference.py`` runs them against the
 production code on generated inputs.  Do not "fix" or speed up this
 module: it is the behaviour the production code must keep.
@@ -38,7 +40,7 @@ from typing import List, Optional, Tuple
 
 from repro.core import counters
 from repro.core.bounds import NEG_INF, POS_INF, Bound
-from repro.core.comparisons import _dispatch_fraction, _integrate_over_symbol
+from repro.core.comparisons import _dispatch_fraction, _integrate
 from repro.core.range_arith import FULL_RANGE, _BINOP_HANDLERS, _is_unbounded
 from repro.core.ranges import RangeError, StridedRange
 from repro.core.rangeset import BOTTOM, DEFAULT_MAX_RANGES, PROB_EPSILON, TOP, RangeSet
@@ -523,4 +525,13 @@ def _pair_fraction(op, ra, rb, a_name, b_name, exact_limit, symbol_range):
     fraction = _dispatch_fraction(op, ra, rb, exact_limit)
     if fraction is not None:
         return fraction
-    return _integrate_over_symbol(op, ra, rb, exact_limit, symbol_range)
+    if symbol_range is None:
+        return None
+    symbols = ra.symbols() | rb.symbols()
+    if len(symbols) != 1:
+        return None
+    symbol = next(iter(symbols))
+    distribution = symbol_range(symbol)
+    if distribution is None or not distribution.is_set or not distribution.is_numeric():
+        return None
+    return _integrate(op, ra, rb, exact_limit, symbol, distribution)
