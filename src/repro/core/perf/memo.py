@@ -34,13 +34,15 @@ Below these set-level memos sit the set plans (``binop_plan``,
 operands' shapes, their extents without the weights
 (:mod:`repro.core.rangeset`).  A loop φ is iterated until its weights
 settle, so most laps change only the weights of the sets it feeds:
-such a lap misses the set-level memo and replays the plan (the pair
-products or fractions, the renormalising total and the folds, in the
-original order) and interns one set, without visiting a pair or
-building a ``from_ranges`` key.  Below the plans, ``binop_pair``, keyed
-on two ranges' :attr:`~repro.core.ranges.StridedRange.extent`, serves
-the binary operations a plan cannot replay, chiefly those whose result
-exceeds the range cap.  Every pair still tallies its
+such a lap misses the set-level memo and replays the plan without
+visiting a pair.  Under the range cap it recombines the pair products
+or fractions (the renormalising total and the folds, in the original
+order) and interns one set, without building a ``from_ranges`` key;
+over the cap it looks the compacted set up in the ``from_ranges``
+table, keyed on the input ranges' extents and weights, and builds it
+only on a miss.  There is no pair memo: a pair handler runs only on a
+plan's first evaluation (or on a ⊥ operand, or a lap under the cap
+that drops a weight).  Every pair still tallies its
 ``sub_operations``, and every table is listed in ``_ALL_CACHES``, so
 :func:`clear` (and ``perf.reset()``) empties it.
 """
@@ -75,7 +77,6 @@ _ALL_CACHES = (
     _REFINE,
     _CONSTANT,
     _BOOLEAN,
-    _range_arith._PAIRS,
     _range_arith._PLANS,
     _refine._PLANS,
     _comparisons._PLANS,

@@ -119,8 +119,7 @@ class LRUCache:
 
 # Cache names, one CacheStats each: the hash-consing table and the
 # constructor memos of core/rangeset.py, the memos of core/perf/memo.py,
-# the extent-keyed pair memo of core/range_arith.py ("binop_pair"), the
-# shape-keyed set plans of core/range_arith.py, core/refine.py,
+# the shape-keyed set plans of core/range_arith.py, core/refine.py,
 # core/comparisons.py and core/rangeset.py ("binop_plan", "refine_plan",
 # "compare_plan", "merge_plan"), and the interprocedural (function, context) →
 # return-range memo ("summary_context") of core/interprocedural.py.
@@ -133,7 +132,6 @@ CACHE_NAMES = (
     "refine",
     "constant",
     "boolean",
-    "binop_pair",
     "binop_plan",
     "refine_plan",
     "compare_plan",

@@ -81,8 +81,10 @@ Edge = Tuple[str, str]
 
 ENTRY_EDGE_SOURCE = "<entry>"
 
-# A branch falls back to heuristics with this sentinel probability source.
-HeuristicFn = Callable[[Function, str], float]
+#: The heuristic fallback for a ⊥ branch: ``(function, label, cfg,
+#: loops) -> P(true edge)``, handed the engine's own CFG and
+#: :class:`LoopInfo` of the function so it need not build its own.
+HeuristicFn = Callable[[Function, str, CFG, LoopInfo], float]
 
 
 class FunctionPrediction:
@@ -975,7 +977,7 @@ class PropagationEngine:
             self.counters.heuristic_fallbacks += 1
             self.used_heuristic.add(label)
         if self.heuristic is not None:
-            return self.heuristic(self.function, label)
+            return self.heuristic(self.function, label, self.cfg, self.loops)
         return self.config.default_branch_probability
 
     # -- results ----------------------------------------------------------------

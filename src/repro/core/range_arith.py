@@ -10,13 +10,14 @@ result ⊥, exactly as the paper's "problematic ranges quickly become ⊥".
 Arithmetic follows the toy language's semantics, which are Python's:
 floor division, floor modulo (sign of divisor), arithmetic shifts.
 
-Two caches skip the work of a loop lap that only reweights its
-operands.  The set plan (``binop_plan``, keyed on both shapes; see
-:mod:`repro.core.rangeset`) recombines the pair products into the
-result without visiting a pair, or replays "pair k is ⊥"; the pair
-memo (``binop_pair``, keyed on two extents) serves the evaluations the
-plan cannot, chiefly those whose results need compaction.  Either way
-every pair tallies its sub-operation, as the pair loop does.
+A loop lap that only reweights its operands replays the set plan
+(``binop_plan``, keyed on both shapes; see :mod:`repro.core.rangeset`)
+without visiting a pair: it recombines the pair products into the
+result, looks a result over the range cap up under its pairs' extents
+and weights, or replays "pair k is ⊥".  Either way every pair tallies
+its sub-operation, as the pair loop does.  The pair loop calls each
+pair handler afresh; it runs on a plan's first evaluation, on a ⊥
+operand, and on a lap that drops a weight at or below ``PROB_EPSILON``.
 """
 
 from __future__ import annotations
@@ -43,14 +44,12 @@ from repro.core.rangeset import (
 # operations (mod, masking, ...) can still constrain the result.
 FULL_RANGE = StridedRange(1.0, Bound.number(NEG_INF), Bound.number(POS_INF), 1)
 
-#: ``(op, left.extent, right.extent)`` -> the pair handler's result, or
-#: ``False`` for ⊥.  Every handler gives its result the probability
-#: ``left.probability * right.probability`` and reads nothing else of
-#: the probabilities, so a hit reweights the stored range to that.
-_PAIRS = LRUCache(MEMO_SIZE, stats().caches["binop_pair"])
 #: ``(op, a.shape, b.shape, max_ranges)`` -> the set plan of
 #: ``evaluate_binop`` on two sets (:func:`~repro.core.rangeset.build_planned`),
-#: or the ``int`` index of the first pair whose result is ⊥.
+#: or the ``int`` index of the first pair whose result is ⊥.  Every pair
+#: handler gives its result the probability ``left.probability *
+#: right.probability`` and reads nothing else of the probabilities, so
+#: a replay recomputes exactly those products.
 _PLANS = LRUCache(MEMO_SIZE, stats().caches["binop_plan"])
 
 
@@ -92,20 +91,11 @@ def evaluate_binop(
             if result is not None:
                 tally.sub_operations += len(weights)
                 return result
-    recall, reweighted = _PAIRS.get, StridedRange._reweighted
     out: List[StridedRange] = []
     for left in a_ranges:
         for right in b_ranges:
             tally.sub_operations += 1
-            key = (op, left.extent, right.extent)
-            shape = recall(key)
-            if shape is None:
-                pair = handler(left, right)
-                _PAIRS.put(key, False if pair is None else pair)
-            elif shape is False:
-                pair = None
-            else:
-                pair = reweighted(left.probability * right.probability, shape)
+            pair = handler(left, right)
             if pair is None:
                 if plan is None:
                     _PLANS.put(plan_key, len(out))

@@ -25,8 +25,8 @@ class StridedRange:
     ``extent`` is the hashable key ``(lo.symbol, lo.offset, hi.symbol,
     hi.offset, stride)``: everything but the probability.  Two ranges
     have the same extent exactly when their keys are equal, and the
-    range algebra's pair memos key on it, so a range that is only
-    reweighted meets its own arithmetic again.
+    range algebra's set plans and ``from_ranges`` memo key on it, so a
+    set that is only reweighted meets its own arithmetic again.
     """
 
     __slots__ = ("probability", "lo", "hi", "stride", "extent", "_hash")

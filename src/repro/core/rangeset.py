@@ -18,8 +18,9 @@ memo keys hash cheaply.  ⊤ and ⊥ are the singletons :data:`TOP` /
 :mod:`repro.core.perf.memo` return their results, ⊤ or ⊥, all
 canonical already.  Bound offsets are ``int`` or ±inf
 (:mod:`repro.core.bounds`), so equal sets render alike and a key of the
-set alone cannot conflate two that print apart.  Both builders are
-memoized on their full arguments; every table is a bounded LRU, and an
+set alone cannot conflate two that print apart.  ``from_ranges`` is
+memoized on its ranges' extents and weights, :func:`merge_weighted` on
+its full arguments; every table is a bounded LRU, and an
 evicted entry is recomputed (or, for the hash-consing table, merely
 loses the identity fast path).  A set makes its text once, on the
 first ``str``: a set that many values and predictions share is rendered
@@ -34,15 +35,19 @@ its weights (a replayed plan holds it already and passes it in).  The
 set-level operations (``range_arith.evaluate_binop``,
 ``refine.refine_set``, ``comparisons.compare_sets`` and
 :func:`merge_weighted`) keep a **set plan** under their operands'
-shapes: the result's extents and which input weights fold into each,
-in canonical order (:func:`build_planned`, built by the call that
-missed).  A loop lap that only reweights its operands replays it
-(:func:`replay_plan`): the same float operations in the same order,
-then one interned set, with no pair memo probe, no ``from_ranges`` key
-and no fold or sort.  A shape whose distinct extents exceed the cap is
-marked and goes the full way, since the merges compaction picks
-depend on the weights; so does any weight at or below
-:data:`PROB_EPSILON`.
+shapes (:func:`build_planned`, built by the call that missed), and a
+loop lap that only reweights its operands replays it
+(:func:`replay_plan`) without visiting a pair.  Under the range cap
+the plan holds the result's extents and which input weights fold into
+each, in canonical order: the replay repeats the builder's float
+operations in the same order, then interns one set, with no
+``from_ranges`` key and no fold or sort.  Over the cap the merges
+compaction picks depend on the weights, so the plan holds the input
+ranges as templates: the replay computes the same weights and looks
+the set up in the ``from_ranges`` table under the templates' extents
+and those weights, a key CPython hashes without a Python call, and
+builds it from the templates on a miss.  A lap under the cap with a
+weight at or below :data:`PROB_EPSILON` goes the full way.
 """
 
 from __future__ import annotations
@@ -108,10 +113,11 @@ class RangeSet:
     ) -> "RangeSet":
         """Build a set: drops zero-probability ranges, folds duplicates,
         optionally rescales probabilities to sum 1, and compacts to the cap.
-        Returns ⊥ when nothing remains or compaction fails.  Memoized;
+        Returns ⊥ when nothing remains or compaction fails.  Memoized
+        on the ranges' extents and weights (see :data:`_FROM_RANGES`);
         the result is hash-consed."""
         ranges = tuple(ranges)
-        key = (ranges, max_ranges, renormalise)
+        key = from_ranges_key(ranges, max_ranges, renormalise)
         cached = _FROM_RANGES.get(key)
         if cached is not None:
             return cached
@@ -249,11 +255,30 @@ TOP = RangeSet(RangeSet._TOP_KIND)
 BOTTOM = RangeSet(RangeSet._BOTTOM_KIND)
 
 _RANGESETS = LRUCache(INTERN_SIZE, stats().caches["intern_rangeset"])
+#: :func:`from_ranges_key` -> the built set; a set plan over the range
+#: cap looks its results up here too (:func:`replay_plan`).
 _FROM_RANGES = LRUCache(MEMO_SIZE, stats().caches["from_ranges"])
 _MERGE_WEIGHTED = LRUCache(MEMO_SIZE, stats().caches["merge_weighted"])
 #: ``(shapes of the contributing sets, max_ranges)`` -> the φ merge's
 #: set plan (see :func:`build_planned`).
 _MERGE_PLANS = LRUCache(MEMO_SIZE, stats().caches["merge_plan"])
+
+
+def from_ranges_key(ranges: Sequence[StridedRange], max_ranges: int, renormalise: bool):
+    """``(extents, weights, max_ranges, renormalise)``: the ranges'
+    extents and probabilities in order, then the cap and the flag.
+
+    Two keys are equal exactly when the tuples of ranges are (a range
+    equals another of the same extent and probability) and the cap and
+    flag agree, and CPython hashes and compares these tuples of ints,
+    strs and floats without a Python call (a tuple of ranges would call
+    each range's ``__hash__`` and ``__eq__``)."""
+    return (
+        tuple([r.extent for r in ranges]),
+        tuple([r.probability for r in ranges]),
+        max_ranges,
+        renormalise,
+    )
 
 
 def intern_rangeset(rangeset: RangeSet) -> RangeSet:
@@ -344,16 +369,18 @@ def build_planned(ranges: List[StridedRange], max_ranges: int):
     operation to keep under its operands' shapes and replay with
     :func:`replay_plan` when a later call only reweights them.
 
-    The plan is ``(shape, folds)``: the result's
-    :attr:`RangeSet.shape`, and one ``(template, first, rest)`` per
-    result range in canonical order: a range of the result's extent,
-    and the indices of the ``ranges`` whose weights fold into it, in
-    the order they are summed.  It is ``False`` when no plan can
-    replay the shape (the distinct extents exceed ``max_ranges``, and
-    which pairs compaction merges depends on the weights), and
-    ``None`` when some range weighs at most :data:`PROB_EPSILON` (that
-    filter reads the weights too, so this call says nothing about the
-    shape).  Both of those build the set as ``from_ranges`` does.
+    When the distinct extents fit under ``max_ranges``, the plan is
+    ``(shape, folds)``: the result's :attr:`RangeSet.shape`, and one
+    ``(template, first, rest)`` per result range in canonical order: a
+    range of the result's extent, and the indices of the ``ranges``
+    whose weights fold into it, in the order they are summed.  Over the
+    cap, which pairs compaction merges depends on the weights, so the
+    plan is ``(None, (templates, extents, max_ranges))``: the ``ranges``
+    themselves as templates, and their extents, under which a replay
+    looks the set up in the ``from_ranges`` table.  The plan is ``None``
+    when some range weighs at most :data:`PROB_EPSILON` (that filter
+    reads the weights too, so this call says nothing about the shape),
+    and the set is built as ``from_ranges`` builds it.
     """
     groups = {}
     for index, r in enumerate(ranges):
@@ -365,7 +392,8 @@ def build_planned(ranges: List[StridedRange], max_ranges: int):
         else:
             group[2].append(index)
     if not groups or len(groups) > max_ranges:
-        return RangeSet.from_ranges(ranges, max_ranges, renormalise=True), False
+        plan = (None, (tuple(ranges), tuple([r.extent for r in ranges]), max_ranges))
+        return RangeSet.from_ranges(ranges, max_ranges, renormalise=True), plan
     folds = tuple(
         [
             (template, first, tuple(rest))
@@ -379,11 +407,27 @@ def build_planned(ranges: List[StridedRange], max_ranges: int):
 
 
 def replay_plan(plan, weights: List[float]) -> Optional[RangeSet]:
-    """The set ``plan`` builds from ranges of these weights: the float
-    operations of ``from_ranges(..., renormalise=True)`` in its order
-    (the running total, the factor, each fold's sum), then one
-    interned set.  ``None`` when a weight is at most
-    :data:`PROB_EPSILON`, which ``from_ranges`` would drop."""
+    """The set ``plan`` builds from ranges of these weights.
+
+    Under the cap: the float operations of ``from_ranges(...,
+    renormalise=True)`` in its order (the running total, the factor,
+    each fold's sum), then one interned set; ``None`` when a weight is
+    at most :data:`PROB_EPSILON`, which ``from_ranges`` would drop.
+    Over the cap: the ``from_ranges`` table's entry for the templates'
+    extents and these weights, built from the reweighted templates on
+    a miss, so exactly the set ``from_ranges`` returns for them."""
+    shape, folds = plan
+    if shape is None:
+        templates, extents, max_ranges = folds
+        weights = tuple(weights)
+        key = (extents, weights, max_ranges, True)
+        result = _FROM_RANGES.get(key)
+        if result is None:
+            reweighted = StridedRange._reweighted
+            ranges = [reweighted(weight, template) for weight, template in zip(weights, templates)]
+            result = intern_rangeset(_build_set(ranges, max_ranges, True))
+            _FROM_RANGES.put(key, result)
+        return result
     total = 0.0
     for weight in weights:
         if not weight > PROB_EPSILON:
@@ -393,7 +437,6 @@ def replay_plan(plan, weights: List[float]) -> Optional[RangeSet]:
     if factor != 1.0:
         weights = [weight * factor for weight in weights]
     reweighted = StridedRange._reweighted
-    shape, folds = plan
     ranges = []
     for template, first, rest in folds:
         probability = weights[first]

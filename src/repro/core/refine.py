@@ -87,7 +87,7 @@ def refine_set(
     if plan is None:
         result, fold = build_planned(kept, max_ranges)
         if fold is not None:
-            _PLANS.put(plan_key, (tuple(survivors), fold) if fold else False)
+            _PLANS.put(plan_key, (tuple(survivors), fold))
         return result
     return RangeSet.from_ranges(kept, max_ranges=max_ranges, renormalise=True)
 

@@ -116,19 +116,28 @@ class Predictor:
         raise NotImplementedError
 
     def as_fallback(self, analyses=None):
-        """Adapt to the propagation engine's ``(function, label) -> p`` hook.
+        """Adapt to the propagation engine's ``(function, label, cfg,
+        loops) -> p`` hook.
 
         ``analyses`` (a :class:`repro.passes.AnalysisCache`) supplies
-        the :class:`FunctionContext` from its cache when given; the
-        context is built privately otherwise.
+        the :class:`FunctionContext` from its cache when given;
+        otherwise the context is built over the CFG and loops the
+        engine hands in (each built afresh when not given).
         """
         cache: Dict[int, Dict[str, float]] = {}
 
-        def fallback(function: Function, label: str) -> float:
+        def fallback(
+            function: Function,
+            label: str,
+            cfg: Optional[CFG] = None,
+            loops: Optional[LoopInfo] = None,
+        ) -> float:
             key = id(function)
             if key not in cache:
                 context = (
-                    analyses.context(function) if analyses is not None else None
+                    analyses.context(function)
+                    if analyses is not None
+                    else FunctionContext(function, cfg=cfg, loops=loops)
                 )
                 cache[key] = self.predict_function(function, context=context)
             return cache[key].get(label, 0.5)

@@ -62,7 +62,7 @@ class TestBranches:
     def test_heuristic_fallback_on_bottom(self):
         seen = []
 
-        def heuristic(function, label):
+        def heuristic(function, label, cfg, loops):
             seen.append(label)
             return 0.73
 

@@ -2,10 +2,16 @@
 
 import pytest
 
+from benchmarks.ledger.corpus import INSTR_PER_COMPONENT, large_module
+from repro.analysis.loops import LoopInfo
+from repro.core import VRPConfig, VRPPredictor, perf
 from repro.heuristics.combine import dempster_shafer
 from repro.heuristics.random_pred import RandomPredictor
 from repro.heuristics.rule9050 import Rule9050Predictor
 
+from repro.ir import prepare_module
+from repro.ir.cfg import CFG
+from repro.lang import compile_source
 from tests.helpers import prepare_single
 
 
@@ -111,3 +117,23 @@ class TestFallbackAdapter:
         (label,) = predictor.predict_function(function)
         assert fallback(function, label) == pytest.approx(0.5)
         assert fallback(function, "no_such_label") == pytest.approx(0.5)
+
+    def test_predict_module_builds_one_cfg_and_loop_info_per_function(self, monkeypatch):
+        """The Ball-Larus fallback reads the CFG and loops the engine
+        built for the function, rather than building its own."""
+        source = large_module(11, 1, 12 * INSTR_PER_COMPONENT, "callgraph")
+        module = compile_source(source, module_name="callgraph")
+        infos = prepare_module(module)
+        built = {"CFG": 0, "LoopInfo": 0}
+        for cls in (CFG, LoopInfo):
+
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        perf.reset()
+        prediction = VRPPredictor(config=VRPConfig()).predict_module(module, infos)
+        assert prediction.counters.heuristic_fallbacks > 0
+        functions = len(module.functions)
+        assert built == {"CFG": functions, "LoopInfo": functions}

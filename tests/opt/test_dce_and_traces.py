@@ -93,7 +93,7 @@ class TestBranchFolding:
         source = "func main(n) { if (n > 0) { n = 1; } return n; }"
         function, info = prepare_single(source)
         prediction = analyse_function(
-            function, info, heuristic=lambda f, label: 1.0
+            function, info, heuristic=lambda f, label, cfg, loops: 1.0
         )
         assert fold_certain_branches(function, prediction) == 0
 
