@@ -1,31 +1,13 @@
-"""Classical analyses: SCCP, copy propagation, loops, frequencies.
+"""Classical analyses: SCCP, copy propagation, natural loops.
 
 These are the algorithms the paper positions VRP against (constant and
-copy propagation, which it subsumes) plus the supporting analyses its
-applications need (natural loops, Wu–Larus frequency propagation).
+copy propagation, which it subsumes) plus the loop structure the engine
+and its applications need.  Import each from its module
+(:mod:`repro.analysis.sccp`, :mod:`repro.analysis.copyprop`,
+:mod:`repro.analysis.loops`); the package itself imports nothing, so
+loading the engine's loop analysis does not load SCCP.
+
+Block frequencies (Wu–Larus propagation) have no separate solver: the
+engine computes them in closed form as it propagates, in
+``FunctionPrediction.block_frequency``.
 """
-
-from repro.analysis.copyprop import copy_chains, propagate_copies, remove_dead_copies
-from repro.analysis.frequency import (
-    FrequencyResult,
-    edge_probabilities,
-    function_frequencies,
-    propagate_frequencies,
-)
-from repro.analysis.loops import Loop, LoopInfo
-from repro.analysis.sccp import LatticeValue, SCCPResult, run_sccp
-
-__all__ = [
-    "FrequencyResult",
-    "LatticeValue",
-    "Loop",
-    "LoopInfo",
-    "SCCPResult",
-    "copy_chains",
-    "edge_probabilities",
-    "function_frequencies",
-    "propagate_copies",
-    "propagate_frequencies",
-    "remove_dead_copies",
-    "run_sccp",
-]

@@ -8,7 +8,8 @@ coarse sparkline, so orderings and crossovers are visible at a glance.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.evalharness.accuracy import DEFAULT_THRESHOLDS, area_under_cdf
 from repro.evalharness.runner import SuiteEvaluation
@@ -62,6 +63,31 @@ def ranking(series: Dict[str, Sequence[float]]) -> List[Tuple[str, float]]:
     return sorted(scored, key=lambda pair: -pair[1])
 
 
+def _least_squares(
+    points: Sequence[Tuple[int, int]]
+) -> Optional[Tuple[float, float, float]]:
+    """``(slope, intercept, rms residual)`` of the least-squares line.
+
+    The closed form: ``slope = Sxy / Sxx`` through the means.  None when
+    there are fewer than two points or every x is equal (``Sxx = 0``),
+    where no line fits.
+    """
+    count = len(points)
+    if count < 2:
+        return None
+    mean_x = sum(x for x, _ in points) / count
+    mean_y = sum(y for _, y in points) / count
+    sxx = sum((x - mean_x) ** 2 for x, _ in points)
+    if sxx == 0.0:
+        return None
+    slope = sum((x - mean_x) * (y - mean_y) for x, y in points) / sxx
+    intercept = mean_y - slope * mean_x
+    residual = math.sqrt(
+        sum((y - (slope * x + intercept)) ** 2 for x, y in points) / count
+    )
+    return slope, intercept, residual
+
+
 def format_scatter(
     points: Sequence[Tuple[int, int]],
     x_label: str,
@@ -71,23 +97,19 @@ def format_scatter(
     """Render (x, y) pairs plus a least-squares fit line summary.
 
     Used for the Figure 5/6 linearity plots: the fit's relative residual
-    tells you at a glance how linear the relationship is.
+    tells you at a glance how linear the relationship is.  The fit line
+    is omitted when :func:`_least_squares` finds none.
     """
-    import numpy as np
-
     lines: List[str] = []
     if title:
         lines.append(title)
     lines.append(f"{x_label:>12s}  {y_label:>14s}")
     for x, y in points:
         lines.append(f"{x:>12d}  {y:>14d}")
-    if len(points) >= 2:
-        xs = np.array([p[0] for p in points], dtype=float)
-        ys = np.array([p[1] for p in points], dtype=float)
-        slope, intercept = np.polyfit(xs, ys, 1)
-        predicted = slope * xs + intercept
-        residual = float(np.sqrt(np.mean((ys - predicted) ** 2)))
-        scale = float(np.mean(ys)) or 1.0
+    fit = _least_squares(points)
+    if fit is not None:
+        slope, intercept, residual = fit
+        scale = sum(y for _, y in points) / len(points) or 1.0
         lines.append(
             f"linear fit: y = {slope:.3f}x + {intercept:.1f}  "
             f"(rms residual {100.0 * residual / scale:.1f}% of mean)"

@@ -1,15 +1,27 @@
-"""Wu-Larus frequency propagation tests."""
+"""Wu-Larus frequency propagation: the numpy flow oracle, and the
+function order that the library computes from the engine's own block
+frequencies, held to it."""
+
+import pathlib
 
 import pytest
 
-from repro.analysis.frequency import (
+from repro.core import VRPPredictor
+from repro.ir import prepare_module
+from repro.lang import compile_source
+from repro.opt.function_order import function_order
+from repro.workloads import all_workloads
+
+from tests.flow_reference import (
     edge_probabilities,
     function_frequencies,
     propagate_frequencies,
 )
-from repro.lang import compile_source
-
 from tests.helpers import prepare_single
+
+REPO = pathlib.Path(__file__).parents[2]
+CORPUS = {path.name: path.read_text() for path in sorted((REPO / "examples").glob("*.toy"))}
+CORPUS.update((workload.name, workload.source) for workload in all_workloads())
 
 
 class TestEdgeProbabilities:
@@ -130,3 +142,32 @@ class TestFunctionFrequencies:
             module.functions, {"main": {branch_label: 0.9}, "leaf": {}}
         )
         assert frequencies["leaf"] == pytest.approx(9.0, rel=0.05)
+
+
+class TestFunctionOrderMatchesOracle:
+    """``function_order`` weights call sites by the engine's closed-form
+    block frequencies; the order and frequencies are those the numpy
+    flow solution of the same branch probabilities gives."""
+
+    def test_corpus_is_the_33_programs(self):
+        assert len(CORPUS) == 33
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_same_order_and_frequencies(self, name):
+        module = compile_source(CORPUS[name])
+        prediction = VRPPredictor().predict_module(module, prepare_module(module))
+        assert set(prediction.functions) == set(module.functions)
+        oracle = function_frequencies(
+            module.functions,
+            {
+                name: function_prediction.branch_probability
+                for name, function_prediction in prediction.functions.items()
+            },
+        )
+        expected = sorted(
+            oracle.items(), key=lambda item: (-item[1], item[0] != "main", item[0])
+        )
+        ordered = function_order(module, prediction)
+        assert [name for name, _ in ordered] == [name for name, _ in expected]
+        for function, frequency in ordered:
+            assert frequency == pytest.approx(oracle[function], rel=1e-6), function

@@ -3,7 +3,8 @@
 A header's frequency is its non-back inflow divided by ``1 - cyclic
 probability``, so block frequencies are the exact solution of the flow
 equations for the engine's own branch probabilities -- not a truncated
-geometric series that leaks frequency out of long loops.
+geometric series that leaks frequency out of long loops.  The exact
+solution comes from the numpy flow oracle, :mod:`tests.flow_reference`.
 """
 
 import os
@@ -13,13 +14,13 @@ import sys
 
 import pytest
 
-from repro.analysis.frequency import propagate_frequencies
 from repro.core import VRPConfig, VRPPredictor
 from repro.evalharness import synthetic_program
 from repro.ir import prepare_module
 from repro.lang import compile_source
 from repro.workloads import all_workloads
 
+from tests.flow_reference import propagate_frequencies
 from tests.helpers import analyse
 
 REPO = pathlib.Path(__file__).parents[2]

@@ -58,3 +58,17 @@ class TestScatter:
     def test_single_point_no_fit(self):
         text = format_scatter([(5, 10)], "x", "y")
         assert "linear fit" not in text
+
+    def test_equal_xs_no_fit(self):
+        """Every x equal: Sxx is 0 and no line fits, so none is printed."""
+        text = format_scatter([(5, 10), (5, 12)], "x", "y")
+        assert "linear fit" not in text
+        assert text.splitlines()[-1].split() == ["5", "12"]
+
+    def test_fit_is_least_squares(self):
+        # y = 2x + 1 plus residuals (+1, -2, +1): the line is exact for
+        # the noise-free points and the residuals have RMS sqrt(2).
+        text = format_scatter([(0, 2), (1, 1), (2, 6)], "x", "y")
+        assert text.splitlines()[-1] == (
+            "linear fit: y = 2.000x + 1.0  (rms residual 47.1% of mean)"
+        )
