@@ -9,7 +9,7 @@ The paper's claims made quantitative:
 """
 
 from benchmarks.conftest import emit
-from repro.analysis.sccp import run_sccp
+from tests.sccp_reference import run_sccp
 from repro.core.propagation import analyse_function
 from repro.ir import prepare_for_analysis, prepare_module
 from repro.lang import compile_source

@@ -13,7 +13,7 @@ paper.  The package contains everything the paper's system needs:
   Wu–Larus combination, and random prediction (the baselines);
 * :mod:`repro.profiling` -- an IR interpreter with edge profiling
   (execution profiling baseline + ground truth);
-* :mod:`repro.analysis` -- SCCP, copy propagation, natural loops;
+* :mod:`repro.analysis` -- copy propagation, natural loops;
 * :mod:`repro.opt` -- the applications: unreachable code, constant/copy
   subsumption, bounds-check elimination, array alias tests, code layout;
 * :mod:`repro.workloads` -- the synthetic SPECint/SPECfp-style suites;

@@ -1,11 +1,12 @@
-"""Classical analyses: SCCP, copy propagation, natural loops.
+"""Classical analyses: copy propagation and natural loops.
 
-These are the algorithms the paper positions VRP against (constant and
-copy propagation, which it subsumes) plus the loop structure the engine
-and its applications need.  Import each from its module
-(:mod:`repro.analysis.sccp`, :mod:`repro.analysis.copyprop`,
-:mod:`repro.analysis.loops`); the package itself imports nothing, so
-loading the engine's loop analysis does not load SCCP.
+Copy propagation is one of the algorithms the paper positions VRP
+against (VRP subsumes it); the loops are the structure the engine and
+its applications need.  Import each from its module
+(:mod:`repro.analysis.copyprop`, :mod:`repro.analysis.loops`); the
+package itself imports nothing, so loading the engine's loop analysis
+does not load copy propagation.  The SCCP baseline VRP subsumes is a
+test oracle, ``tests/sccp_reference.py``.
 
 Block frequencies (Wu–Larus propagation) have no separate solver: the
 engine computes them in closed form as it propagates, in

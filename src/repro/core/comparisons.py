@@ -17,10 +17,10 @@ large enough to require heuristic fallback.
 
 A pair's fraction reads only the two extents (after the correlated
 substitution), except where it integrates over a symbol's live range.
-So a comparison keeps every pair's fraction under both operands' shapes
-and names (``compare_plan``), and a call whose operands were only
-reweighted sums the weights against them, integrating afresh only the
-pairs whose fraction the extents leave unknown.
+So a comparison keeps every pair's fraction in its instruction's
+record, and a call whose operands were only reweighted sums the weights
+against them, integrating afresh only the pairs whose fraction the
+extents leave unknown.
 """
 
 from __future__ import annotations
@@ -30,22 +30,10 @@ from typing import Optional, Tuple
 
 from repro.core import counters
 from repro.core.bounds import Bound
-from repro.core.perf.stats import LRUCache, stats
 from repro.core.ranges import StridedRange
-from repro.core.rangeset import MEMO_SIZE, RangeSet
+from repro.core.rangeset import PlanRecord, RangeSet
 
 DEFAULT_EXACT_LIMIT = 8192
-
-#: ``(op, a.shape, b.shape, a_name, b_name, exact_limit)`` -> the
-#: compare plan, in pair order: each pair's :func:`_dispatch_fraction`,
-#: or for a pair it leaves unknown the one symbol of the correlated
-#: pair's bounds, ``None`` when there is not exactly one (no
-#: :func:`_integrate` can settle that pair).  It reads only the extents
-#: (and the names, for the correlated substitution).  An integration
-#: reads live engine state through ``symbol_range``, so it is never
-#: stored: each call asks for the symbol's range again and rebuilds the
-#: pair only when that range is numeric.
-_PLANS = LRUCache(MEMO_SIZE, stats().caches["compare_plan"])
 
 
 class CompareOutcome:
@@ -81,6 +69,7 @@ def compare_sets(
     exact_limit: int = DEFAULT_EXACT_LIMIT,
     symbol_range=None,
     tally=None,
+    record: Optional[PlanRecord] = None,
 ) -> Optional[CompareOutcome]:
     """Probability that ``a <op> b`` holds; None when either side is ⊤/⊥.
 
@@ -92,6 +81,13 @@ def compare_sets(
     computed by integrating over the symbol's distribution.
     Sub-operations are tallied in ``tally``, by default the active
     counters.
+
+    ``record`` keeps the compare plan under both shapes, in pair order:
+    each pair's :func:`_dispatch_fraction` or, for a pair it leaves
+    unknown, the one symbol of the correlated pair's bounds (``None``
+    if not exactly one).  An integration reads live engine state through
+    ``symbol_range``, so it is never stored: each call asks for the
+    symbol's range again and rebuilds the pair only if that is numeric.
     """
     if not (a.is_set and b.is_set):
         return None
@@ -99,9 +95,11 @@ def compare_sets(
     unknown = 0.0
     if tally is None:
         tally = counters.active()
-    plan_key = (op, a.shape, b.shape, a_name, b_name, exact_limit)
-    plan = _PLANS.get(plan_key)
-    stored = None if plan is None else iter(plan)
+    stored = None
+    if record is not None:
+        shapes = (a.shape, b.shape)
+        if record.shapes == shapes:
+            stored, record = iter(record.plan), None  # nothing new to keep
     fractions = []
     for ra in a.ranges:
         for rb in b.ranges:
@@ -128,8 +126,8 @@ def compare_sets(
                 unknown += weight
             else:
                 known += weight * fraction
-    if plan is None:
-        _PLANS.put(plan_key, tuple(fractions))
+    if record is not None:
+        record.shapes, record.plan = shapes, tuple(fractions)
     return CompareOutcome(known, unknown)
 
 

@@ -29,21 +29,20 @@ that a key over the operands cannot capture.  The engine passes one on
 most calls -- 2,518 of its 2,761 ``compare_sets`` calls (91%) on
 large-modules seed 11, block 0 -- so those reach the plan level.
 
-Below these set-level memos sit the set plans (``binop_plan``,
-``refine_plan``, ``compare_plan`` and ``merge_plan``), keyed on the
-operands' shapes, their extents without the weights
-(:mod:`repro.core.rangeset`).  A loop φ is iterated until its weights
-settle, so most laps change only the weights of the sets it feeds:
-such a lap misses the set-level memo and replays the plan without
-visiting a pair.  Under the range cap it recombines the pair products
-or fractions (the renormalising total and the folds, in the original
-order) and interns one set, without building a ``from_ranges`` key;
-over the cap it looks the compacted set up in the ``from_ranges``
-table, keyed on the input ranges' extents and weights, and builds it
-only on a miss.  There is no pair memo: a pair handler runs only on a
-plan's first evaluation (or on a ⊥ operand, or a lap under the cap
-that drops a weight).  Every pair still tallies its
-``sub_operations``, and every table is listed in ``_ALL_CACHES``, so
+Below these set-level memos sit the set plans: a wrapper hands the
+instruction's :class:`~repro.core.rangeset.PlanRecord` down on a miss.
+A loop φ is iterated until its weights settle, so most laps change
+only the weights of the sets it feeds: such a lap misses the set-level
+memo and replays the plan its record holds for the operands' shapes
+(their extents without the weights) without visiting a pair.  Under
+the range cap it recombines the pair products or fractions and interns
+one set, without building a ``from_ranges`` key; over the cap it looks
+the compacted set up in the ``from_ranges`` table, keyed on the input
+ranges' extents and weights.  A pair handler runs only on a plan's
+first evaluation (or on a ⊥ operand, or a lap under the cap that drops
+a weight), and every pair still tallies its ``sub_operations``.  A
+record lives as long as its engine run: no key, no eviction, no thread
+shares it.  Every memo table is listed in ``_ALL_CACHES``, so
 :func:`clear` (and ``perf.reset()``) empties it.
 """
 
@@ -77,14 +76,10 @@ _ALL_CACHES = (
     _REFINE,
     _CONSTANT,
     _BOOLEAN,
-    _range_arith._PLANS,
-    _refine._PLANS,
-    _comparisons._PLANS,
-    _rangeset._MERGE_PLANS,
 )
 
 
-def evaluate_binop(op, a, b, max_ranges=_rangeset.DEFAULT_MAX_RANGES):
+def evaluate_binop(op, a, b, max_ranges=_rangeset.DEFAULT_MAX_RANGES, record=None):
     """``range_arith.evaluate_binop`` with caching + sub-operation replay."""
     key = (op, a, b, max_ranges)
     cached = _BINOP.get(key)
@@ -94,7 +89,7 @@ def evaluate_binop(op, a, b, max_ranges=_rangeset.DEFAULT_MAX_RANGES):
         tally.sub_operations += sub_ops
         return result
     before = tally.sub_operations
-    result = _range_arith.evaluate_binop(op, a, b, max_ranges, tally)
+    result = _range_arith.evaluate_binop(op, a, b, max_ranges, tally, record)
     _BINOP.put(key, (result, tally.sub_operations - before))
     return result
 
@@ -107,6 +102,7 @@ def compare_sets(
     b_name=None,
     exact_limit=_comparisons.DEFAULT_EXACT_LIMIT,
     symbol_range=None,
+    record=None,
 ):
     """``comparisons.compare_sets`` with caching + sub-operation replay.
 
@@ -115,7 +111,7 @@ def compare_sets(
     """
     if symbol_range is not None:
         return _comparisons.compare_sets(
-            op, a, b, a_name, b_name, exact_limit, symbol_range
+            op, a, b, a_name, b_name, exact_limit, symbol_range, record=record
         )
     key = (op, a, b, a_name, b_name, exact_limit)
     cached = _COMPARE.get(key)
@@ -126,19 +122,19 @@ def compare_sets(
         return outcome
     before = tally.sub_operations
     outcome = _comparisons.compare_sets(
-        op, a, b, a_name, b_name, exact_limit, tally=tally
+        op, a, b, a_name, b_name, exact_limit, tally=tally, record=record
     )
     _COMPARE.put(key, (outcome, tally.sub_operations - before))
     return outcome
 
 
-def refine_set(src, op, bound, max_ranges=_rangeset.DEFAULT_MAX_RANGES):
+def refine_set(src, op, bound, max_ranges=_rangeset.DEFAULT_MAX_RANGES, record=None):
     """``refine.refine_set`` with caching (pure: nothing to replay)."""
     key = (src, op, bound, max_ranges)
     cached = _REFINE.get(key)
     if cached is not None:
         return cached
-    result = _refine.refine_set(src, op, bound, max_ranges)
+    result = _refine.refine_set(src, op, bound, max_ranges, record)
     _REFINE.put(key, result)
     return result
 

@@ -119,10 +119,9 @@ class LRUCache:
 
 # Cache names, one CacheStats each: the hash-consing table and the
 # constructor memos of core/rangeset.py, the memos of core/perf/memo.py,
-# the shape-keyed set plans of core/range_arith.py, core/refine.py,
-# core/comparisons.py and core/rangeset.py ("binop_plan", "refine_plan",
-# "compare_plan", "merge_plan"), and the interprocedural (function, context) →
-# return-range memo ("summary_context") of core/interprocedural.py.
+# and the interprocedural (function, context) → return-range memo
+# ("summary_context") of core/interprocedural.py.  The set plans are
+# not here: each lives in its instruction's engine record, with no key.
 CACHE_NAMES = (
     "intern_rangeset",
     "from_ranges",
@@ -132,10 +131,6 @@ CACHE_NAMES = (
     "refine",
     "constant",
     "boolean",
-    "binop_plan",
-    "refine_plan",
-    "compare_plan",
-    "merge_plan",
     "summary_context",
 )
 

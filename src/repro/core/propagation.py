@@ -35,7 +35,7 @@ see every step they saw before).
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.loops import LoopInfo
@@ -53,7 +53,7 @@ from repro.core.perf.memo import (
 )
 from repro.core.range_arith import evaluate_unop
 from repro.core.ranges import StridedRange
-from repro.core.rangeset import BOTTOM, RangeSet, TOP, merge_weighted
+from repro.core.rangeset import BOTTOM, PlanRecord, RangeSet, TOP, merge_weighted
 from repro.ir.cfg import CFG
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -215,12 +215,14 @@ class PropagationEngine:
                 self._latches[header] = sorted(loop.latches, key=position)
 
         # Instructions hash by identity, so these key on the objects.
-        # Per-phi merge skip: phi -> (contributions, result); valid
-        # only for merges that did not take the assertion-parent path
-        # (that one reads the parent's live value).
+        # Per-phi merge skip: phi -> (contributions, result, record);
+        # valid only for merges that did not take the assertion-parent
+        # path (that one reads the parent's live value).
         self._phi_memo: Dict[Phi, Tuple] = {}
         # Per-branch skip: branch -> (cond set, probability, tally).
         self._branch_memo: Dict[Branch, Tuple] = {}
+        # Each binop's, π's and compare's set plan (rangeset.PlanRecord).
+        self._plans: Dict[Instruction, PlanRecord] = defaultdict(PlanRecord)
         # Structural caches (CFG shape never changes during a run):
         # back-edge predecessors per phi, the phi prefix per block and
         # each block's terminator (building the CFG above checked that
@@ -559,7 +561,8 @@ class PropagationEngine:
             instr.op,
             self.value_of(instr.lhs),
             self.value_of(instr.rhs),
-            max_ranges=self.config.max_ranges,
+            self.config.max_ranges,
+            self._plans[instr],
         )
 
     def _transfer_unop(self, instr: UnOp) -> RangeSet:
@@ -597,6 +600,7 @@ class PropagationEngine:
             b_name=rhs_name,
             exact_limit=self.config.exact_count_limit,
             symbol_range=self._symbol_range if self.config.symbolic else None,
+            record=self._plans[instr],
         )
         if outcome is None or outcome.unknown_mass > self.config.max_unknown_mass:
             return BOTTOM
@@ -607,7 +611,7 @@ class PropagationEngine:
         bound = self._refinement_bound(instr.bound)
         if bound is None:
             return src
-        refined = refine_set(src, instr.op, bound, max_ranges=self.config.max_ranges)
+        refined = refine_set(src, instr.op, bound, self.config.max_ranges, self._plans[instr])
         if self._sanitize is not None:
             self._sanitize.check_pi(instr, src, refined)
         if self._trace is not None:
@@ -848,8 +852,9 @@ class PropagationEngine:
         parent = self._common_assertion_parent(positive)
         if parent is not None:
             return self.values.get(parent, TOP)
-        merged = merge_weighted(contributions, max_ranges=self.config.max_ranges)
-        self._phi_memo[phi] = (contributions, merged)
+        record = PlanRecord() if cached is None else cached[2]
+        merged = merge_weighted(contributions, self.config.max_ranges, record)
+        self._phi_memo[phi] = (contributions, merged, record)
         return merged
 
     def _common_assertion_parent(

@@ -10,8 +10,8 @@ result ⊥, exactly as the paper's "problematic ranges quickly become ⊥".
 Arithmetic follows the toy language's semantics, which are Python's:
 floor division, floor modulo (sign of divisor), arithmetic shifts.
 
-A loop lap that only reweights its operands replays the set plan
-(``binop_plan``, keyed on both shapes; see :mod:`repro.core.rangeset`)
+A loop lap that only reweights its operands replays the set plan its
+instruction's record holds for both shapes (see :mod:`repro.core.rangeset`)
 without visiting a pair: it recombines the pair products into the
 result, looks a result over the range cap up under its pairs' extents
 and weights, or replays "pair k is ⊥".  Either way every pair tallies
@@ -27,12 +27,11 @@ from typing import Callable, List, Optional
 
 from repro.core import counters
 from repro.core.bounds import Bound, NEG_INF, Number, POS_INF, bound_max, bound_min
-from repro.core.perf.stats import LRUCache, stats
 from repro.core.ranges import StridedRange
 from repro.core.rangeset import (
     BOTTOM,
     DEFAULT_MAX_RANGES,
-    MEMO_SIZE,
+    PlanRecord,
     RangeSet,
     TOP,
     build_planned,
@@ -44,17 +43,14 @@ from repro.core.rangeset import (
 # operations (mod, masking, ...) can still constrain the result.
 FULL_RANGE = StridedRange(1.0, Bound.number(NEG_INF), Bound.number(POS_INF), 1)
 
-#: ``(op, a.shape, b.shape, max_ranges)`` -> the set plan of
-#: ``evaluate_binop`` on two sets (:func:`~repro.core.rangeset.build_planned`),
-#: or the ``int`` index of the first pair whose result is ⊥.  Every pair
-#: handler gives its result the probability ``left.probability *
-#: right.probability`` and reads nothing else of the probabilities, so
-#: a replay recomputes exactly those products.
-_PLANS = LRUCache(MEMO_SIZE, stats().caches["binop_plan"])
-
 
 def evaluate_binop(
-    op: str, a: RangeSet, b: RangeSet, max_ranges: int = DEFAULT_MAX_RANGES, tally=None
+    op: str,
+    a: RangeSet,
+    b: RangeSet,
+    max_ranges: int = DEFAULT_MAX_RANGES,
+    tally=None,
+    record: Optional[PlanRecord] = None,
 ) -> RangeSet:
     """Evaluate ``a <op> b`` over range sets.
 
@@ -63,7 +59,12 @@ def evaluate_binop(
     that bound their result regardless of one input -- ``x % 70`` is in
     ``[0:69]`` whatever ``x`` holds -- recover a usable range, exactly
     the fact a compiler knows statically.  Sub-operations are tallied
-    in ``tally``, by default the active counters.
+    in ``tally``, by default the active counters.  ``record`` keeps the
+    set plan of two sets (:func:`~repro.core.rangeset.build_planned`),
+    or the ``int`` index of their first ⊥ pair.  Every pair handler gives
+    its result the probability ``left.probability * right.probability``
+    and reads nothing else of the probabilities, so a replay recomputes
+    exactly those products.
     """
     if a.is_top or b.is_top:
         return TOP
@@ -76,14 +77,14 @@ def evaluate_binop(
         raise ValueError(f"unknown binary op {op!r}")
     if tally is None:
         tally = counters.active()
-    plan = False  # None: a miss, whose plan this call builds
-    if a.is_set and b.is_set:
-        plan_key = (op, a.shape, b.shape, max_ranges)
-        plan = _PLANS.get(plan_key)
-        if plan.__class__ is int:
-            tally.sub_operations += plan + 1
-            return BOTTOM
-        if plan:
+    shapes = None  # set when ``record`` keeps what this call builds
+    if record is not None and a.is_set and b.is_set:
+        shapes = (a.shape, b.shape)
+        if record.shapes == shapes:
+            plan = record.plan
+            if plan.__class__ is int:
+                tally.sub_operations += plan + 1
+                return BOTTOM
             weights = [
                 left.probability * right.probability for left in a_ranges for right in b_ranges
             ]
@@ -97,14 +98,14 @@ def evaluate_binop(
             tally.sub_operations += 1
             pair = handler(left, right)
             if pair is None:
-                if plan is None:
-                    _PLANS.put(plan_key, len(out))
+                if shapes is not None:
+                    record.shapes, record.plan = shapes, len(out)
                 return BOTTOM
             out.append(pair)
-    if plan is None:
+    if a.is_set and b.is_set:
         result, plan = build_planned(out, max_ranges)
-        if plan is not None:
-            _PLANS.put(plan_key, plan)
+        if shapes is not None and plan is not None:
+            record.shapes, record.plan = shapes, plan
         return result
     result = RangeSet.from_ranges(out, max_ranges=max_ranges, renormalise=True)
     if (a.is_bottom or b.is_bottom) and _is_unbounded(result):

