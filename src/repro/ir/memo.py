@@ -5,13 +5,13 @@ recheck need not lex, parse, lower, prepare or fingerprint them again.
 Four tables, each holding only what the latest compile used (so memory
 is bounded by one module), carry the reuse:
 
-* :data:`LEXED` -- ``(source, tokens, token end offsets)`` of the
-  latest lex.  ``tokenize`` lexes a related source again only around
-  each stretch that changed -- the equal lines in between are found by
-  a line diff -- and reuses the tokens of every stretch the two sources
-  share (the same objects where line and column did not move, rebuilt
-  on their new lines where they did).  The offsets are made when a
-  related source first needs them.
+* :data:`UNITS` -- the text of each top-level unit of the latest
+  source (from a line starting ``func`` or ``const`` to the next) ->
+  ``(first line, tokens)``.  ``tokenize`` lexes only the units not
+  found there; a found unit gives the same token objects on its old
+  line and its tokens moved by whole lines on another, so the parser's
+  span match below is settled at once by identity for every function
+  the edit did not touch or move.
 * :data:`FUNCDEFS` -- function name -> (token span, parsed
   ``FuncDef``).  A span is the tokens from ``func`` to the closing
   brace.  ``Parser.parse_program`` compares the tokens at a function's
@@ -77,9 +77,8 @@ class Entry:
         self.fingerprints: Dict[str, Dict[str, str]] = {}
 
 
-#: ``(source, tokens, token end offsets)`` of the latest lex; the
-#: offsets are ``None`` until a related source needs them.
-LEXED: Optional[tuple] = None
+#: Unit text -> ``(first line, tokens)``, the unit's EOF last.
+UNITS: Dict[str, tuple] = {}
 #: The lowering context of the latest compile (:func:`context`).
 CONTEXT: Optional[tuple] = None
 FUNCDEFS: Dict[tuple, object] = {}
@@ -118,7 +117,8 @@ def keep(table: dict, used: dict) -> None:
 
 def clear() -> None:
     """Forget every memoised source and function (a cold front end)."""
-    global LEXED, CONTEXT
-    LEXED = CONTEXT = None
+    global CONTEXT
+    CONTEXT = None
+    UNITS.clear()
     FUNCDEFS.clear()
     PREPARED.clear()

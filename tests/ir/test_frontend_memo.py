@@ -309,9 +309,9 @@ class TestLowering:
 class TestReset:
     def test_perf_reset_empties_the_memo(self):
         warmed(CALLER_CALLEE)
-        assert memo.LEXED and memo.CONTEXT and memo.FUNCDEFS and memo.PREPARED
+        assert memo.UNITS and memo.CONTEXT and memo.FUNCDEFS and memo.PREPARED
         perf.reset()
-        assert memo.LEXED is None and memo.CONTEXT is None
+        assert not memo.UNITS and memo.CONTEXT is None
         assert not memo.FUNCDEFS and not memo.PREPARED
         assert compile_counting(CALLER_CALLEE)[2] == 0
 

@@ -2,8 +2,8 @@
 
 On generated text, ``tokenize`` must produce the oracle's tokens
 (kind, text, value, line, column) or the oracle's ``LexError`` message.
-Lexing a source after another, which reuses the other's tokens, must
-give what lexing it cold gives.
+Lexing a source after another, which reuses the tokens of the units the
+two share, must give what lexing it cold gives.
 
 The one intended difference is a digit that is not a decimal digit
 (``²``).  The oracle takes it into a decimal literal, and then either
@@ -12,6 +12,7 @@ the oracle reports a float.  ``tokenize`` reports the digit itself as
 an unexpected character.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ir import memo
@@ -21,12 +22,12 @@ from tests.lang.reference_lexer import Lexer
 COMBINING_ACUTE = "\u0301"
 #: Printable ASCII and whitespace, a letter, a non-decimal digit, a
 #: decimal digit and a combining mark outside ASCII, and the fragments
-#: that start literals and comments.
+#: that start literals, comments and top-level units.
 FRAGMENTS = (
     [chr(code) for code in range(32, 127)]
     + [" ", " ", "\t", "\r", "\n", "\n"]
     + ["é", "²", "٣", COMBINING_ACUTE]
-    + ["0x", "0X", "//", "/*", "*/", "12", "while", "func"]
+    + ["0x", "0X", "//", "/*", "*/", "12", "while", "func", "\nfunc", "\nconst"]
 )
 
 source_text = st.lists(st.sampled_from(FRAGMENTS), max_size=40).map("".join)
@@ -67,12 +68,13 @@ def test_tokenize_matches_the_reference_lexer(source):
 #: What an edit splices in: fragments that join or split the tokens
 #: around them (``<`` + ``=``, identifier tails), open or close comments,
 #: or move every later line.
-SPLICES = ["<", "=", "<=", "//", "/*", "*/", "\n", "\n\n", "x", "_1", "ab", "9", " ", "0x"]
+SPLICES = ["<", "=", "<=", "//", "/*", "*/", "\n", "\n\n", "x", "_1", "ab", "9", " ", "0x",
+           "\nfunc ", "\nconst ", " func"]
 #: Text that mostly lexes, so the edited source often reuses tokens.
 LEXABLE = st.lists(
     st.sampled_from(
         ["x", "ab", "_1", "12", "0x1f", "<", "=", "<=", "/", "*", "//", "/*", "*/",
-         " ", "\n", "\t", "func", "while", "(", ")", "{", "}", ";", "+", "!="]
+         " ", "\n", "\t", "func", "const", "while", "(", ")", "{", "}", ";", "+", "!="]
     ),
     max_size=60,
 ).map("".join)
@@ -108,29 +110,69 @@ def test_an_edited_source_lexes_as_it_does_cold(sources):
     assert [outcome(tokenize, source) for source in sources] == expected
 
 
-def test_an_edit_reuses_the_tokens_after_it():
+@pytest.fixture
+def lexed(monkeypatch):
+    """The token list of every unit ``tokenize`` lexes, EOF included."""
+    from repro.lang import lexer
+
+    calls = []
+
+    def spy(text, line):
+        calls.append(real(text, line))
+        return calls[-1]
+
+    real = lexer._lex
+    monkeypatch.setattr(lexer, "_lex", spy)
+    return calls
+
+
+def fields(tokens):
+    return [(t.kind, t.text, t.value, t.line, t.column) for t in tokens]
+
+
+def test_a_unit_starts_at_column_1_outside_block_comments():
+    from repro.lang.lexer import _units
+
+    source = (
+        "// a /*\nfunc f() {}\n/*\nfunc g() {}\n*/ func h() {}\n  func i() {}\n"
+        "const K = 1;\n/* open\nfunc j() {}"
+    )
+    assert _units(source) == [
+        "// a /*\n",
+        "func f() {}\n/*\nfunc g() {}\n*/ func h() {}\n  func i() {}\n",
+        "const K = 1;\n/* open\nfunc j() {}",
+    ]
+
+
+def test_a_constant_edit_lexes_only_its_function(lexed):
     from benchmarks.ledger.corpus import EditableModule
 
     module = EditableModule(11, 5)
-    memo.clear()
-    before = {id(token) for token in tokenize(module.source())}
+    source = module.source()
     module.edit("constant")
-    after = tokenize(module.source())
-    assert [(t.kind, t.text, t.value, t.line, t.column) for t in after] == cold(
-        module.source()
-    )
-    # Only the edited literal's line is lexed again or moved.
-    shared = sum(id(token) in before for token in after)
-    assert len(after) - 30 < shared < len(after)
+    edited = module.source()
+    expected = cold(edited)
+    memo.clear()
+    before = {id(token) for token in tokenize(source)}
+    del lexed[:]
+    after = tokenize(edited)
+    assert fields(after) == expected
+    # One unit is lexed: the edited function, from ``func`` to its
+    # closing brace, and its EOF.  Every other token is the old object.
+    (unit,) = lexed
+    assert unit[0].text == "func" and unit[-2].text == "}" and unit[-1].kind == "EOF"
+    assert [token for token in after if id(token) not in before] == unit[:-1]
 
 
 # -- multi-site edits of a many-line source ------------------------------------
 
-#: Whole lines of toy-language text, comments and blank lines among them.
+#: Whole lines of toy-language text, comments and blank lines among them,
+#: with unit starts at column 1, inside a block comment and indented.
 LINES = st.lists(
     st.sampled_from(
         ["func f(x) {", "}", "  var t = 0;", "  t = t + 12;", "  if (x <= 0x1f) { t = 1; }",
-         "  // a note", "", "  /* one", "  two */", "  while (t != 9) { t = t - 1; }", "\t"]
+         "  // a note", "", "  /* one", "  two */", "  while (t != 9) { t = t - 1; }", "\t",
+         "func g() {", "const K = 3;", "/*\nfunc h(x) {\n*/", " func"]
     ),
     min_size=8,
     max_size=40,
@@ -156,7 +198,8 @@ def multi_site_chains(draw):
         for at in sites:
             choice = draw(st.sampled_from(["splice", "cut", "insert", "delete"]))
             if choice == "insert":
-                lines[at:at] = [draw(st.sampled_from(["// new", "", "/*", "*/", "x = 1;"]))]
+                inserted = ["// new", "", "/*", "*/", "x = 1;", "func k() {"]
+                lines[at:at] = [draw(st.sampled_from(inserted))]
             elif choice == "delete" and at < len(lines):
                 del lines[at]
             elif at < len(lines):
@@ -179,58 +222,51 @@ def test_a_multi_site_edit_lexes_as_it_does_cold(sources):
     assert [outcome(tokenize, source) for source in sources] == expected
 
 
-def test_a_two_site_edit_lexes_only_around_its_two_windows(monkeypatch):
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(multi_site_chains())
+def test_a_source_cut_into_units_lexes_as_the_reference(sources):
+    # A cut inside a block comment would split the comment: the edit
+    # chains above would not see it, as their cold lex cuts the same way.
+    for source in sources:
+        assert cold(source) == outcome(reference, source)
+
+
+def test_a_two_site_edit_lexes_exactly_two_units(lexed):
     from benchmarks.ledger.corpus import EditableModule
-    from repro.lang import lexer
 
     source = EditableModule(11, 5).source()
     first = source.index("j < ") + len("j < ")
     last = source.rindex("acc > ") + len("acc > ")
     edited = source[:first] + "7" + source[first:last] + "9" + source[last:]
+    expected = cold(edited)
     memo.clear()
-    before = tokenize(source)
-    lexed = []
-
-    def counting(text, position, line, line_start, tokens, stop):
-        count = len(tokens)
-        resume = lexer._lex.__wrapped__(text, position, line, line_start, tokens, stop)
-        lexed.append(len(tokens) - count)
-        return resume
-
-    counting.__wrapped__ = lexer._lex
-    monkeypatch.setattr(lexer, "_lex", counting)
+    before = {id(token) for token in tokenize(source)}
+    del lexed[:]
     after = tokenize(edited)
-    monkeypatch.undo()
-    assert [(t.kind, t.text, t.value, t.line, t.column) for t in after] == cold(edited)
-    # The first window runs from its literal to the first token of the
-    # next line, the second ends a few tokens after its literal, and EOF
-    # is lexed afresh: 16 tokens of more than 700.  Every token between
-    # the windows is the old object; the rest of the second literal's
-    # line moved a column.
-    assert len(before) > 700 and sum(lexed) <= 20
-    kept = {id(token) for token in before}
-    assert sum(id(token) not in kept for token in after) <= 30
+    assert fields(after) == expected
+    # The first and the last function but one, and nothing else.
+    assert [unit[1].text for unit in lexed] == ["leaf_0", "top_4"]
+    assert [t for t in after if id(t) not in before] == lexed[0][:-1] + lexed[1][:-1]
 
 
-def test_unrelated_sources_build_no_line_diff(monkeypatch):
-    from benchmarks.ledger.corpus import large_block
-    from repro.lang import lexer
+def test_a_revert_lexes_only_the_units_the_latest_source_lacks(lexed):
+    from benchmarks.ledger.corpus import EditableModule
+    from repro.lang.lexer import _units
 
-    # A loop-chain module, then the call-graph module after it.
-    (_, first), (_, second) = large_block(11, 0)[2:4]
-    matchers = []
-
-    def spy(*args, **kwargs):
-        matchers.append(args)
-        return lexer.SequenceMatcher.__wrapped__(*args, **kwargs)
-
-    spy.__wrapped__ = lexer.SequenceMatcher
+    module = EditableModule(11, 5)
+    first = module.source()
+    module.edit("comment")  # a line more: every later unit moves down
+    module.edit("constant")
+    latest = module.source()
+    expected = cold(first)
     memo.clear()
     tokenize(first)
-    monkeypatch.setattr(lexer, "SequenceMatcher", spy)
-    after = tokenize(second)
-    monkeypatch.undo()
-    # The shared start, end and lines cannot make up half of the second
-    # module, so it is lexed cold without diffing the two.
-    assert matchers == []
-    assert [(t.kind, t.text, t.value, t.line, t.column) for t in after] == cold(second)
+    tokenize(latest)
+    del lexed[:]
+    assert fields(tokenize(first)) == expected
+    # The commented function and the one with the new constant.
+    missing = [unit for unit in _units(first) if unit not in set(_units(latest))]
+    assert len(missing) == 2
+    assert [unit[0].line for unit in lexed] == [
+        first[: first.index(unit)].count("\n") + 1 for unit in missing
+    ]
