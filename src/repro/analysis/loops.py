@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.ir.cfg import CFG
-from repro.ir.function import Function
 
 
 class Loop:
@@ -50,10 +49,6 @@ class LoopInfo:
         for loop in self.loops.values():
             for label in loop.blocks:
                 self._membership.setdefault(label, []).append(loop)
-
-    @classmethod
-    def for_function(cls, function: Function) -> "LoopInfo":
-        return cls(CFG(function))
 
     def _build(self) -> None:
         # Sorted: the back-edge set's order varies with the hash seed,

@@ -46,8 +46,8 @@ out-of-range value is a usage error (exit 2); a program that fails to
 lex, parse, lower or run is one ``error: ...`` line (exit 1), never a
 traceback.
 
-``predict`` and ``check`` accept ``--incremental`` (with an optional
-``--store-dir DIR`` for a cross-run on-disk store) to replay unchanged
+``predict`` and ``check`` accept ``--incremental`` (or ``--store-dir
+DIR``, which adds a cross-run on-disk store and implies it) to replay unchanged
 callgraph components from the content-addressed summary store; output
 is byte-identical to a cold run.
 
@@ -106,7 +106,8 @@ PIPELINE = (
            "(overrides --pipeline)", metavar="A,B,C"),
 )
 STORE_DIR = Option("store_dir", str, None, "on-disk tier for the incremental "
-                   "summary store (summaries survive across invocations)",
+                   "summary store (summaries survive across invocations; "
+                   "implies --incremental)",
                    metavar="DIR")
 INCREMENTAL = Option("incremental", bool, False, "replay unchanged functions "
                      "from the content-addressed summary store (byte-identical "
@@ -253,9 +254,10 @@ def _incremental_store(incremental: bool, store_dir: Optional[str]):
 
     ``--incremental`` alone gets a process-local in-memory store (useful
     once per process only through ``watch``); ``--store-dir`` adds the
-    on-disk tier so summaries survive across invocations.
+    on-disk tier so summaries survive across invocations, and turns
+    replay on by itself.
     """
-    if not incremental:
+    if not incremental and store_dir is None:
         return None
     from repro.incremental import IncrementalStore
 

@@ -73,7 +73,7 @@ class VRPPredictor(Predictor):
     ) -> ModulePrediction:
         """Analyse a whole prepared module.
 
-        ``analysis_cache`` (a :class:`repro.passes.AnalysisCache`) lets
+        ``analysis_cache`` (the pass layer's ``AnalysisCache``) lets
         the heuristic fallback consume the cache's structural analyses
         instead of privately rebuilding them; predictions are identical
         either way.

@@ -17,6 +17,7 @@ from repro.core.bounds import Bound
 from repro.core.propagation import FunctionPrediction
 from repro.core.rangeset import RangeSet
 from repro.diagnostics.findings import ERROR, WARNING, Finding, rangeset_payload
+from repro.ir.cfg import CFG
 from repro.ir.function import Function
 from repro.ir.instructions import BinOp, Branch, Load, Phi, Return, Store
 from repro.ir.values import Constant, Temp, Undef
@@ -333,8 +334,8 @@ def _loop_evidence(
 def _loops(
     function: Function, prediction: FunctionPrediction
 ) -> Iterable[Finding]:
-    loop_info = LoopInfo.for_function(function)
-    cfg = loop_info.cfg
+    cfg = CFG(function)
+    loop_info = LoopInfo(cfg)
     for header, loop in loop_info.loops.items():
         if not _executes(prediction, header):
             continue

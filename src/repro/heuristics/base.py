@@ -21,10 +21,9 @@ from repro.ir.values import Temp
 class FunctionContext:
     """Cached structural analyses over one function.
 
-    Prebuilt analyses (from a :class:`repro.passes.AnalysisCache`) can
-    be injected; anything omitted is built through the cache module's
-    single construction site, so the trees are constructed in exactly
-    one place repo-wide either way.
+    Prebuilt analyses (from the pass layer's ``AnalysisCache``) can
+    be injected; anything omitted is built here, the postdominator tree
+    by the CFG snapshot, which keeps it.
     """
 
     def __init__(
@@ -34,14 +33,10 @@ class FunctionContext:
         loops: Optional[LoopInfo] = None,
         postdom: Optional[PostDominatorTree] = None,
     ):
-        from repro.passes.cache import loop_info, postdominator_tree
-
         self.function = function
         self.cfg = cfg if cfg is not None else CFG(function)
-        self.loops = loops if loops is not None else loop_info(self.cfg)
-        self.postdom = (
-            postdom if postdom is not None else postdominator_tree(self.cfg)
-        )
+        self.loops = loops if loops is not None else LoopInfo(self.cfg)
+        self.postdom = postdom if postdom is not None else self.cfg.postdominators
         self._effective: Dict[str, str] = {}
 
     def branches(self) -> Iterator[Tuple[str, Branch]]:
@@ -119,7 +114,7 @@ class Predictor:
         """Adapt to the propagation engine's ``(function, label, cfg,
         loops) -> p`` hook.
 
-        ``analyses`` (a :class:`repro.passes.AnalysisCache`) supplies
+        ``analyses`` (the pass layer's ``AnalysisCache``) supplies
         the :class:`FunctionContext` from its cache when given;
         otherwise the context is built over the CFG and loops the
         engine hands in (each built afresh when not given).

@@ -8,18 +8,56 @@ critical-edge splitting (needed so each assertion edge has its own block).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import Branch, Jump
 
+if TYPE_CHECKING:
+    from repro.ir.dominance import DominatorTree
+    from repro.ir.postdominance import PostDominatorTree
+
 Edge = Tuple[str, str]
+
+
+def depth_first(
+    root: str, successors: Mapping[str, List[str]]
+) -> Tuple[List[str], List[str], FrozenSet[Edge]]:
+    """One DFS from ``root``: pre-order, post-order and back edges."""
+    color: Dict[str, int] = {}  # 0 unseen (absent), 1 on stack, 2 done
+    back_edges: Set[Edge] = set()
+    order: List[str] = []
+    postorder: List[str] = []
+    # Iterative DFS with explicit colour marking to find back edges.
+    stack: List[Tuple[str, int]] = [(root, 0)]
+    color[root] = 1
+    order.append(root)
+    while stack:
+        node, child_index = stack.pop()
+        succs = successors[node]
+        if child_index < len(succs):
+            stack.append((node, child_index + 1))
+            child = succs[child_index]
+            state = color.get(child, 0)
+            if state == 0:
+                color[child] = 1
+                order.append(child)
+                stack.append((child, 0))
+            elif state == 1:
+                back_edges.add((node, child))
+        else:
+            color[node] = 2
+            postorder.append(node)
+    return order, postorder, frozenset(back_edges)
 
 
 class CFG:
     """A snapshot of a function's control-flow structure.
 
     Construct a new one after any structural mutation of the function.
+    The snapshot builds its dominator and postdominator trees on first
+    use and keeps them.
     """
 
     def __init__(self, function: Function):
@@ -35,45 +73,29 @@ class CFG:
                 if succ not in self.predecessors:
                     raise KeyError(f"terminator of {label} targets unknown block {succ!r}")
                 self.predecessors[succ].append(label)
-        self._back_edges: FrozenSet[Edge] = frozenset()
-        self._dfs_order: List[str] = []
-        self._postorder: List[str] = []
-        self._compute_dfs()
+        assert self.entry is not None
+        self._dfs_order, self._postorder, self._back_edges = depth_first(
+            self.entry, self.successors
+        )
+
+    # -- dominance -----------------------------------------------------------
+
+    @cached_property
+    def dominators(self) -> DominatorTree:
+        """The dominator tree, built on first use and kept: a snapshot
+        never changes, so the tree cannot go stale."""
+        from repro.ir.dominance import DominatorTree
+
+        return DominatorTree(self)
+
+    @cached_property
+    def postdominators(self) -> PostDominatorTree:
+        """The postdominator tree, built on first use and kept."""
+        from repro.ir.postdominance import PostDominatorTree
+
+        return PostDominatorTree(self)
 
     # -- traversal ---------------------------------------------------------
-
-    def _compute_dfs(self) -> None:
-        """One DFS from the entry: pre-order, post-order and back edges."""
-        entry = self.entry
-        assert entry is not None
-        successors = self.successors
-        color: Dict[str, int] = {}  # 0 unseen (absent), 1 on stack, 2 done
-        back_edges: Set[Edge] = set()
-        order: List[str] = []
-        postorder: List[str] = []
-        # Iterative DFS with explicit colour marking to find back edges.
-        stack: List[Tuple[str, int]] = [(entry, 0)]
-        color[entry] = 1
-        order.append(entry)
-        while stack:
-            node, child_index = stack.pop()
-            succs = successors[node]
-            if child_index < len(succs):
-                stack.append((node, child_index + 1))
-                child = succs[child_index]
-                state = color.get(child, 0)
-                if state == 0:
-                    color[child] = 1
-                    order.append(child)
-                    stack.append((child, 0))
-                elif state == 1:
-                    back_edges.add((node, child))
-            else:
-                color[node] = 2
-                postorder.append(node)
-        self._back_edges = frozenset(back_edges)
-        self._dfs_order = order
-        self._postorder = postorder
 
     @property
     def back_edges(self) -> FrozenSet[Edge]:

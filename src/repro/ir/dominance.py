@@ -2,14 +2,20 @@
 
 Implements the Cooper–Harvey–Kennedy "engineered" iterative dominator
 algorithm and the Cytron et al. dominance-frontier computation used for
-phi placement during SSA construction.
+phi placement during SSA construction.  The solver takes any rooted
+graph given as its reverse postorder and predecessor lists, so the
+postdominator tree (:mod:`repro.ir.postdominance`) is the same solver
+run on the reversed CFG.  Build the trees of a CFG snapshot through
+``cfg.dominators`` / ``cfg.postdominators``, which keep them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.ir.cfg import CFG
+if TYPE_CHECKING:
+    from repro.ir.cfg import CFG
 
 
 class DominatorTree:
@@ -17,28 +23,21 @@ class DominatorTree:
 
     def __init__(self, cfg: CFG):
         self.cfg = cfg
-        entry = cfg.function.entry_label
-        assert entry is not None
-        self.entry = entry
-        self.idom: Dict[str, Optional[str]] = {}
-        self.children: Dict[str, List[str]] = {}
-        self.frontier: Dict[str, Set[str]] = {}
-        # Pre-order number of each block in the tree, and the largest
-        # number in its subtree; built on the first dominance query.
-        self._interval: Optional[Dict[str, Tuple[int, int]]] = None
-        self._compute_idoms()
-        self._compute_children()
-        self._compute_frontiers()
+        self._solve(cfg.entry, cfg.reverse_postorder(), cfg.predecessors)
 
     # -- immediate dominators (Cooper-Harvey-Kennedy) -----------------------
 
-    def _compute_idoms(self) -> None:
-        # Blocks are numbered in reverse post-order (the entry is 0), so
-        # "closer to the entry" is "smaller number" and the two-finger
+    def _solve(
+        self, root: str, rpo: Sequence[str], predecessors: Mapping[str, List[str]]
+    ) -> None:
+        """Dominators of the graph whose reverse postorder from ``root``
+        is ``rpo`` and whose in-edges are ``predecessors``."""
+        self.root = root
+        self._predecessors = predecessors
+        # Blocks are numbered in reverse post-order (the root is 0), so
+        # "closer to the root" is "smaller number" and the two-finger
         # intersection walks plain integers.
-        rpo = self.cfg.reverse_postorder()
         index = {label: i for i, label in enumerate(rpo)}
-        predecessors = self.cfg.predecessors
         preds = [
             [index[p] for p in predecessors[label] if p in index] for label in rpo
         ]
@@ -68,29 +67,31 @@ class DominatorTree:
         idom: Dict[str, Optional[str]] = {
             label: (rpo[doms[i]] if doms[i] >= 0 else None) for i, label in enumerate(rpo)
         }
-        idom[self.entry] = None  # conventional: entry has no idom
+        idom[root] = None  # conventional: the root has no idom
         self.idom = idom
-
-    def _compute_children(self) -> None:
-        self.children = {label: [] for label in self.idom}
-        for label, parent in self.idom.items():
+        self.children: Dict[str, List[str]] = {label: [] for label in idom}
+        for label, parent in idom.items():
             if parent is not None:
                 self.children[parent].append(label)
 
     # -- dominance frontiers (Cytron et al.) --------------------------------
 
-    def _compute_frontiers(self) -> None:
-        self.frontier = {label: set() for label in self.idom}
-        for label in self.idom:
-            preds = self.cfg.predecessors[label]
+    @cached_property
+    def frontier(self) -> Dict[str, Set[str]]:
+        """Each block's dominance frontier, built on first use."""
+        idom = self.idom
+        frontier = {label: set() for label in idom}
+        for label in idom:
+            preds = self._predecessors[label]
             if len(preds) < 2:
                 continue
-            target_idom = self.idom[label]
+            target_idom = idom[label]
             for pred in preds:
                 runner: Optional[str] = pred
-                while runner is not None and runner != target_idom and runner in self.idom:
-                    self.frontier[runner].add(label)
-                    runner = self.idom[runner]
+                while runner is not None and runner != target_idom and runner in idom:
+                    frontier[runner].add(label)
+                    runner = idom[runner]
+        return frontier
 
     # -- queries -------------------------------------------------------------
 
@@ -99,21 +100,23 @@ class DominatorTree:
 
         Constant time: ``a`` dominates ``b`` exactly when ``b``'s
         pre-order number in the dominator tree falls inside ``a``'s
-        subtree.  A block outside the tree (unreachable) dominates
-        only itself and is dominated only by itself.
+        subtree.  A label outside the tree (an unreachable block, or
+        no block at all) dominates only itself and is dominated only
+        by itself.
         """
         if a == b:
             return True
-        interval = self._interval
-        if interval is None:
-            interval = self._number_tree()
-        outer = interval.get(a)
-        inner = interval.get(b)
+        intervals = self._intervals
+        outer = intervals.get(a)
+        inner = intervals.get(b)
         if outer is None or inner is None:
             return False
         return outer[0] <= inner[0] <= outer[1]
 
-    def _number_tree(self) -> Dict[str, Tuple[int, int]]:
+    @cached_property
+    def _intervals(self) -> Dict[str, Tuple[int, int]]:
+        """Each block's pre-order number in the tree and the largest
+        number in its subtree, built on the first dominance query."""
         order = self.dom_tree_preorder()
         number = {label: i for i, label in enumerate(order)}
         last = list(range(len(order)))
@@ -124,15 +127,14 @@ class DominatorTree:
             parent = number[idom[order[i]]]
             if last[i] > last[parent]:
                 last[parent] = last[i]
-        self._interval = {label: (i, last[i]) for i, label in enumerate(order)}
-        return self._interval
+        return {label: (i, last[i]) for i, label in enumerate(order)}
 
     def strictly_dominates(self, a: str, b: str) -> bool:
         return a != b and self.dominates(a, b)
 
     def dom_tree_preorder(self) -> List[str]:
         order: List[str] = []
-        stack = [self.entry]
+        stack = [self.root]
         while stack:
             node = stack.pop()
             order.append(node)
@@ -141,11 +143,12 @@ class DominatorTree:
 
     def iterated_frontier(self, blocks: Set[str]) -> Set[str]:
         """DF+ of a set of blocks -- where phis must be placed."""
+        frontier = self.frontier
         result: Set[str] = set()
-        worklist = [b for b in blocks if b in self.frontier]
+        worklist = [b for b in blocks if b in frontier]
         while worklist:
             block = worklist.pop()
-            for frontier_block in self.frontier[block]:
+            for frontier_block in frontier[block]:
                 if frontier_block not in result:
                     result.add(frontier_block)
                     worklist.append(frontier_block)

@@ -18,12 +18,76 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.ir.values import Constant, Temp, Value
 
-# Binary opcodes.  Division and modulo are C-style (truncated toward zero).
+# Binary opcodes.  Division and modulo floor (Python's ``//`` and ``%``).
 BINARY_OPS = ("add", "sub", "mul", "div", "mod", "shl", "shr", "and", "or", "xor", "min", "max")
 # Unary opcodes.
 UNARY_OPS = ("neg", "not")
 # Comparison opcodes (produce 0 or 1).
 CMP_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
+
+#: The largest shift amount an operation accepts; a shift by a
+#: negative amount or by more than this traps.
+MAX_SHIFT = 512
+
+
+class EvaluationError(ArithmeticError):
+    """An operation has no value: division by zero or a bad shift amount."""
+
+
+def apply_binop(op: str, lhs: int, rhs: int) -> int:
+    """The value of a binary opcode on two integers: the one definition
+    the interpreter and the constant folder share."""
+    if op == "add":
+        return lhs + rhs
+    if op == "sub":
+        return lhs - rhs
+    if op == "mul":
+        return lhs * rhs
+    if op == "div":
+        if rhs == 0:
+            raise EvaluationError("division by zero")
+        return lhs // rhs
+    if op == "mod":
+        if rhs == 0:
+            raise EvaluationError("modulo by zero")
+        return lhs % rhs
+    if op == "shl":
+        if rhs < 0 or rhs > MAX_SHIFT:
+            raise EvaluationError(f"bad shift amount {rhs}")
+        return lhs << rhs
+    if op == "shr":
+        if rhs < 0 or rhs > MAX_SHIFT:
+            raise EvaluationError(f"bad shift amount {rhs}")
+        return lhs >> rhs
+    if op == "and":
+        return lhs & rhs
+    if op == "or":
+        return lhs | rhs
+    if op == "xor":
+        return lhs ^ rhs
+    if op == "min":
+        return min(lhs, rhs)
+    if op == "max":
+        return max(lhs, rhs)
+    raise EvaluationError(f"unknown binary op {op!r}")
+
+
+def apply_cmp(op: str, lhs: int, rhs: int) -> bool:
+    """The truth of a comparison opcode on two integers."""
+    if op == "eq":
+        return lhs == rhs
+    if op == "ne":
+        return lhs != rhs
+    if op == "lt":
+        return lhs < rhs
+    if op == "le":
+        return lhs <= rhs
+    if op == "gt":
+        return lhs > rhs
+    if op == "ge":
+        return lhs >= rhs
+    raise EvaluationError(f"unknown comparison {op!r}")
+
 
 CMP_NEGATION: Dict[str, str] = {
     "eq": "ne",

@@ -63,15 +63,11 @@ def construct_ssa(function: Function, cfg: Optional[CFG] = None) -> SSAInfo:
     :func:`repro.ir.cfg.remove_unreachable_blocks` first) and critical
     edges should already be split if assertions were inserted.  ``cfg``
     is a snapshot of the function's current structure to reuse (its
-    memoised dominator tree too); one is built when omitted.
+    dominator tree too); one is built when omitted.
     """
-    # The dominator tree comes from the pass layer's single construction
-    # site (imported lazily: repro.passes sits above repro.ir).
-    from repro.passes.cache import dominator_tree
-
     if cfg is None:
         cfg = CFG(function)
-    dom = dominator_tree(cfg)
+    dom = cfg.dominators
     info = SSAInfo()
     blocks = function.blocks
 

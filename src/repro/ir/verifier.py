@@ -6,7 +6,7 @@ dangling branch targets, phi/predecessor mismatches, SSA violations
 phis.  It raises :class:`VerificationError` with all problems listed.
 
 A caller that already holds a :class:`~repro.ir.cfg.CFG` snapshot (and
-its memoised dominator tree) can pass it in; the verifier first checks
+the dominator tree it keeps) can pass it in; the verifier first checks
 that the snapshot still matches the block terminators.
 """
 
@@ -240,10 +240,8 @@ def _check_dominance(
     def_site: Dict[str, Tuple[str, int]],
 ) -> List[str]:
     """Every use of a name is dominated by its (single) definition."""
-    from repro.passes.cache import dominator_tree
-
     problems: List[str] = []
-    dominates = dominator_tree(cfg).dominates
+    dominates = cfg.dominators.dominates
     for label, block in function.blocks.items():
         if label not in reachable:
             continue

@@ -21,12 +21,15 @@ from repro.ir.instructions import (
     Call,
     Cmp,
     Copy,
+    EvaluationError,
     Input,
     Jump,
     Load,
     Return,
     Store,
     UnOp,
+    apply_binop,
+    apply_cmp,
 )
 from repro.ir.values import Constant, Temp, Value
 from repro.lang import ast_nodes as ast
@@ -529,25 +532,10 @@ def _fold_const_expr(expr: ast.Expr, constants: Dict[str, int]) -> int:
         lhs = _fold_const_expr(expr.lhs, constants)
         rhs = _fold_const_expr(expr.rhs, constants)
         try:
-            return {
-                "+": lambda: lhs + rhs,
-                "-": lambda: lhs - rhs,
-                "*": lambda: lhs * rhs,
-                "/": lambda: lhs // rhs,
-                "%": lambda: lhs % rhs,
-                "<<": lambda: lhs << rhs,
-                ">>": lambda: lhs >> rhs,
-                "&": lambda: lhs & rhs,
-                "|": lambda: lhs | rhs,
-                "^": lambda: lhs ^ rhs,
-                "==": lambda: int(lhs == rhs),
-                "!=": lambda: int(lhs != rhs),
-                "<": lambda: int(lhs < rhs),
-                "<=": lambda: int(lhs <= rhs),
-                ">": lambda: int(lhs > rhs),
-                ">=": lambda: int(lhs >= rhs),
-            }[expr.op]()
-        except (KeyError, ZeroDivisionError, ValueError) as error:
+            if expr.op in _CMP_OP_MAP:
+                return int(apply_cmp(_CMP_OP_MAP[expr.op], lhs, rhs))
+            return apply_binop(_BINARY_OP_MAP[expr.op], lhs, rhs)
+        except (KeyError, EvaluationError) as error:
             raise LoweringError(
                 f"bad constant expression: {error}", expr.line
             ) from None

@@ -18,7 +18,6 @@ from typing import List, Optional
 
 from repro.core.propagation import FunctionPrediction
 from repro.ir.cfg import CFG
-from repro.ir.dominance import DominatorTree
 from repro.ir.function import Function
 
 
@@ -75,7 +74,7 @@ def hoisting_candidates(
     not taken/not-taken bits -- are what speculation decisions need.
     """
     cfg = CFG(function)
-    dom = DominatorTree(cfg)
+    dom = cfg.dominators
     candidates: List[HoistCandidate] = []
     for block in cfg.reachable():
         depth = 0

@@ -4,16 +4,13 @@
   :class:`ModulePass` with ``preserves`` contracts;
 * :mod:`repro.passes.cache`    -- :class:`AnalysisCache`, demand-computed
   CFG/dominance/postdominance/loop/context/prediction/callgraph analyses
-  with ``preserves``-driven invalidation (and the single construction site
-  for the structural trees, :func:`dominator_tree` and friends);
+  with ``preserves``-driven invalidation;
 * :mod:`repro.passes.library`  -- every §6 client as a registered pass;
 * :mod:`repro.passes.pipeline` -- the registry, the named pipelines
   (``predict`` / ``optimize`` / ``diagnose``) and :class:`PassPipeline`.
 
-Everything is loaded lazily (PEP 562): the cache is imported from
-low-level modules (``ir/ssa.py``, ``ir/verifier.py``,
-``heuristics/base.py``), so the package import must stay side-effect
-free and cycle-proof.
+Everything is loaded lazily (PEP 562), so the package import stays
+side-effect free and cycle-proof.
 """
 
 _LAZY = {
@@ -26,9 +23,6 @@ _LAZY = {
     "Pass": "repro.passes.base",
     "PassResult": "repro.passes.base",
     "AnalysisCache": "repro.passes.cache",
-    "dominator_tree": "repro.passes.cache",
-    "loop_info": "repro.passes.cache",
-    "postdominator_tree": "repro.passes.cache",
     "PASS_REGISTRY": "repro.passes.pipeline",
     "PIPELINES": "repro.passes.pipeline",
     "PassPipeline": "repro.passes.pipeline",
@@ -74,10 +68,7 @@ __all__ = [
     "PipelineResult",
     "available_passes",
     "create_pass",
-    "dominator_tree",
-    "loop_info",
     "parse_passes",
-    "postdominator_tree",
     "register_pass",
     "run_pipeline",
 ]

@@ -18,17 +18,16 @@ is governed solely by its ``preserves`` declaration.  The prediction
 carries everything else clients read from VRP: block and edge
 frequencies, and the interprocedural summaries.
 
-The module-level helpers :func:`dominator_tree`,
-:func:`postdominator_tree` and :func:`loop_info` are the one
-construction site for the corresponding trees repo-wide; the SSA
-builder, the IR verifier, and the heuristics' ``FunctionContext`` all
-go through them.
+The dominator and postdominator trees are the cached CFG snapshot's
+own (``cfg.dominators`` / ``cfg.postdominators``), which the snapshot
+builds on first use and keeps.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Union
 
+from repro.analysis.loops import LoopInfo
 from repro.core.config import VRPConfig
 from repro.ir.cfg import CFG
 from repro.ir.dominance import DominatorTree
@@ -40,43 +39,6 @@ from repro.passes.base import ANALYSIS_NAMES
 #: Analyses computed per module rather than per function: any
 #: function's IR feeds them, so module-wide invalidation is the unit.
 MODULE_SCOPE = frozenset(("prediction", "callgraph"))
-
-
-# -- single construction site for the structural trees ----------------------
-#
-# Each helper memoises its result on the CFG snapshot itself: the trees
-# are pure functions of the snapshot, and a snapshot is never mutated
-# ("construct a new one after any structural mutation" -- ir/cfg.py),
-# so the memo can never go stale.
-
-
-def dominator_tree(cfg: CFG) -> DominatorTree:
-    """The dominator tree of a CFG snapshot (memoised on the snapshot)."""
-    tree = getattr(cfg, "_cached_dominator_tree", None)
-    if tree is None:
-        tree = DominatorTree(cfg)
-        cfg._cached_dominator_tree = tree
-    return tree
-
-
-def postdominator_tree(cfg: CFG) -> PostDominatorTree:
-    """The postdominator tree of a CFG snapshot (memoised on the snapshot)."""
-    tree = getattr(cfg, "_cached_postdominator_tree", None)
-    if tree is None:
-        tree = PostDominatorTree(cfg)
-        cfg._cached_postdominator_tree = tree
-    return tree
-
-
-def loop_info(cfg: CFG):
-    """Natural-loop information for a CFG snapshot (memoised on it)."""
-    from repro.analysis.loops import LoopInfo
-
-    info = getattr(cfg, "_cached_loop_info", None)
-    if info is None:
-        info = LoopInfo(cfg)
-        cfg._cached_loop_info = info
-    return info
 
 
 class AnalysisCache:
@@ -157,7 +119,7 @@ class AnalysisCache:
     def postdominators(self, function) -> PostDominatorTree:
         return self.get("postdominators", function)
 
-    def loops(self, function):
+    def loops(self, function) -> LoopInfo:
         return self.get("loops", function)
 
     def context(self, function):
@@ -198,11 +160,11 @@ class AnalysisCache:
         if name == "cfg":
             return CFG(function)
         if name == "dominators":
-            return dominator_tree(self.cfg(function))
+            return self.cfg(function).dominators
         if name == "postdominators":
-            return postdominator_tree(self.cfg(function))
+            return self.cfg(function).postdominators
         if name == "loops":
-            return loop_info(self.cfg(function))
+            return LoopInfo(self.cfg(function))
         if name == "context":
             from repro.heuristics.base import FunctionContext
 

@@ -23,6 +23,7 @@ from repro.ir.instructions import (
     Call,
     Cmp,
     Copy,
+    EvaluationError,
     Input,
     Instruction,
     Jump,
@@ -31,6 +32,8 @@ from repro.ir.instructions import (
     Return,
     Store,
     UnOp,
+    apply_binop,
+    apply_cmp,
 )
 from repro.ir.values import Constant, Temp, Undef, Value
 
@@ -257,19 +260,22 @@ class Interpreter:
         elif isinstance(instr, BinOp):
             lhs = self._eval(frame, instr.lhs)
             rhs = self._eval(frame, instr.rhs)
-            frame.env[instr.dest.name] = _apply_binop(instr.op, lhs, rhs)
+            try:
+                frame.env[instr.dest.name] = apply_binop(instr.op, lhs, rhs)
+            except EvaluationError as error:
+                raise InterpreterError(str(error)) from None
         elif isinstance(instr, UnOp):
             operand = self._eval(frame, instr.operand)
             frame.env[instr.dest.name] = -operand if instr.op == "neg" else int(not operand)
         elif isinstance(instr, Cmp):
             lhs = self._eval(frame, instr.lhs)
             rhs = self._eval(frame, instr.rhs)
-            frame.env[instr.dest.name] = int(_apply_cmp(instr.op, lhs, rhs))
+            frame.env[instr.dest.name] = int(apply_cmp(instr.op, lhs, rhs))
         elif isinstance(instr, Pi):
             value = self._eval(frame, instr.src)
             if self.check_assertions:
                 bound = self._eval(frame, instr.bound)
-                if not _apply_cmp(instr.op, value, bound):
+                if not apply_cmp(instr.op, value, bound):
                     raise AssertionViolation(
                         f"{instr!r}: {value} {instr.op} {bound} does not hold"
                     )
@@ -321,58 +327,6 @@ class Interpreter:
         if isinstance(value, Undef):
             return 0
         raise InterpreterError(f"cannot evaluate {value!r}")
-
-
-def _apply_binop(op: str, lhs: int, rhs: int) -> int:
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "div":
-        if rhs == 0:
-            raise InterpreterError("division by zero")
-        return lhs // rhs
-    if op == "mod":
-        if rhs == 0:
-            raise InterpreterError("modulo by zero")
-        return lhs % rhs
-    if op == "shl":
-        if rhs < 0 or rhs > 512:
-            raise InterpreterError(f"bad shift amount {rhs}")
-        return lhs << rhs
-    if op == "shr":
-        if rhs < 0 or rhs > 512:
-            raise InterpreterError(f"bad shift amount {rhs}")
-        return lhs >> rhs
-    if op == "and":
-        return lhs & rhs
-    if op == "or":
-        return lhs | rhs
-    if op == "xor":
-        return lhs ^ rhs
-    if op == "min":
-        return min(lhs, rhs)
-    if op == "max":
-        return max(lhs, rhs)
-    raise InterpreterError(f"unknown binary op {op!r}")
-
-
-def _apply_cmp(op: str, lhs: int, rhs: int) -> bool:
-    if op == "eq":
-        return lhs == rhs
-    if op == "ne":
-        return lhs != rhs
-    if op == "lt":
-        return lhs < rhs
-    if op == "le":
-        return lhs <= rhs
-    if op == "gt":
-        return lhs > rhs
-    if op == "ge":
-        return lhs >= rhs
-    raise InterpreterError(f"unknown comparison {op!r}")
 
 
 def run_module(

@@ -43,6 +43,35 @@ class TestPredict:
         assert main(["predict", program_file, "--max-ranges", "2"]) == 0
 
 
+class TestStoreDir:
+    @pytest.mark.parametrize("command", ["predict", "check"])
+    def test_a_store_dir_alone_turns_replay_on(self, command, tmp_path, capsys, monkeypatch):
+        # ``--store-dir`` without ``--incremental``: the first run fills
+        # the directory, the second replays every component from it, and
+        # both print what a cold run prints.
+        from tests.incremental.helpers import MULTI_COMPONENT
+
+        program = tmp_path / "p.toy"
+        program.write_text(MULTI_COMPONENT)
+        store = tmp_path / "store"
+        monkeypatch.chdir(tmp_path)
+        main([command, str(program), "--emit-metrics", "cold.json"])
+        cold = capsys.readouterr().out
+        outcomes = []
+        for run in ("first", "second"):
+            metrics = tmp_path / f"{run}.json"
+            main([command, "--store-dir", str(store), str(program),
+                  "--emit-metrics", str(metrics)])
+            out = capsys.readouterr().out
+            assert out.replace(str(metrics), "cold.json") == cold
+            outcomes.append(json.loads(metrics.read_text())["incremental"])
+        assert any(files for _, _, files in os.walk(store))
+        first, second = outcomes
+        assert first["replayed"] == 0 and first["reanalyzed"] > 0
+        assert second["reanalyzed"] == 0
+        assert second["replayed"] == first["reanalyzed"]
+
+
 class TestOtherCommands:
     def test_ir_dump(self, program_file, capsys):
         assert main(["ir", program_file]) == 0

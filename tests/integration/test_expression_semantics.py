@@ -3,12 +3,15 @@
 Hypothesis generates arithmetic expression trees, renders them as toy
 source *and* evaluates them with Python's own operators; the interpreter
 must agree exactly (the language definition says "Python semantics").
-Division/modulo by zero must agree as traps.
+Division/modulo by zero must agree as traps.  A tree of literals only is
+also folded as a ``const``: the folded value must be the interpreter's,
+or both must trap.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lang import compile_source
+from repro.lang import LoweringError, compile_source
 from repro.ir import prepare_module
 from repro.profiling import InterpreterError, run_module
 
@@ -38,6 +41,9 @@ class _Node:
             "lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": "!=",
         }[self.kind]
         return f"(({a}) {op} ({b}))"
+
+    def has_var(self) -> bool:
+        return self.kind == "var" or any(child.has_var() for child in self.children)
 
     def evaluate(self, n):
         if self.kind == "lit":
@@ -84,24 +90,39 @@ class _Node:
         }[self.kind] and 1 or 0
 
 
+KINDS = [
+    "add", "sub", "mul", "div", "mod", "and", "or", "xor",
+    "lt", "le", "gt", "ge", "eq", "ne", "neg", "not",
+]
+
+
 @st.composite
-def expression_trees(draw, depth=0):
+def expression_trees(draw, depth=0, kinds=tuple(KINDS), literal_only=False):
     if depth >= 3 or draw(st.booleans()) and depth > 0:
-        if draw(st.booleans()):
+        if literal_only or draw(st.booleans()):
             return _Node("lit", value=draw(st.integers(-50, 50)))
         return _Node("var")
-    kind = draw(
-        st.sampled_from(
-            ["add", "sub", "mul", "div", "mod", "and", "or", "xor",
-             "lt", "le", "gt", "ge", "eq", "ne", "neg", "not"]
-        )
-    )
+    kind = draw(st.sampled_from(kinds))
+    children = expression_trees(depth + 1, kinds, literal_only)
     if kind in ("neg", "not"):
-        return _Node(kind, (draw(expression_trees(depth + 1)),))
-    return _Node(
-        kind,
-        (draw(expression_trees(depth + 1)), draw(expression_trees(depth + 1))),
-    )
+        return _Node(kind, (draw(children),))
+    return _Node(kind, (draw(children), draw(children)))
+
+
+def _run(source, args=(0,)):
+    """The interpreter's value of ``main``, or ``"trap"``."""
+    try:
+        module = compile_source(source)
+        prepare_module(module)
+        return run_module(module, args=list(args)).return_value
+    except (InterpreterError, LoweringError):
+        return "trap"
+
+
+def assert_constant_folds_like_the_interpreter(expr):
+    folded = _run(f"const K = {expr};\nfunc main(n) {{ return K; }}")
+    run = _run(f"func main(n) {{ return {expr}; }}")
+    assert folded == run, (expr, folded, run)
 
 
 @settings(max_examples=150, deadline=None)
@@ -120,3 +141,24 @@ def test_interpreter_matches_python(tree, n):
         raise AssertionError(f"Python trapped but interpreter did not: {source}")
     result = run_module(module, args=[n])
     assert result.return_value == expected, source
+    if not tree.has_var():
+        assert_constant_folds_like_the_interpreter(tree.render())
+
+
+@settings(max_examples=150, deadline=None)
+@given(expression_trees(kinds=tuple(KINDS) + ("shl", "shr"), literal_only=True))
+def test_constants_fold_like_the_interpreter_runs(tree):
+    assert_constant_folds_like_the_interpreter(tree.render())
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["1 << 4000000000", "1 >> 4000000000", "1 << (0 - 1)", "7 / 0", "7 % 0", "1 << 512"],
+)
+def test_constant_folding_traps_like_the_interpreter(expr):
+    assert_constant_folds_like_the_interpreter(expr)
+
+
+def test_a_huge_constant_shift_is_a_lowering_error():
+    with pytest.raises(LoweringError, match="bad constant expression: bad shift amount 4000000000"):
+        compile_source("const K = 1 << 4000000000;\nfunc main(n) { return K; }")

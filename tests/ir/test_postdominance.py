@@ -1,8 +1,12 @@
 """Postdominator tests."""
 
+from hypothesis import given, settings
+
 from repro.ir.cfg import CFG
 from repro.ir.postdominance import VIRTUAL_EXIT, PostDominatorTree
 from repro.lang import compile_source
+
+from tests.ir.test_dominance import random_cfgs
 
 
 def postdom_of(source: str):
@@ -70,12 +74,12 @@ class TestPostdominance:
 
 
 def walked_postdominates(pdt, a, b):
-    """The ipdom-chain walk ``postdominates`` replaced, kept as the oracle."""
+    """The idom-chain walk ``postdominates`` replaced, kept as the oracle."""
     node = b
     while node is not None and node != VIRTUAL_EXIT:
         if node == a:
             return True
-        node = pdt.ipdom.get(node)
+        node = pdt.idom.get(node)
     return a == node
 
 
@@ -112,3 +116,62 @@ class TestAncestorQuery:
         for label in cfg.reachable():
             assert pdt.postdominates(VIRTUAL_EXIT, label)
             assert not pdt.postdominates(label, VIRTUAL_EXIT)
+
+
+def _exit_graph(function):
+    """Successor lists with the virtual exit added: an edge from every
+    return block and from every block that cannot reach one."""
+    successors = {label: block.successors() for label, block in function.blocks.items()}
+
+    def reaches_return(start):
+        seen, stack = {start}, [start]
+        while stack:
+            label = stack.pop()
+            if not successors[label]:
+                return True
+            for succ in successors[label]:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+        return False
+
+    graph = {VIRTUAL_EXIT: []}
+    for label, succs in successors.items():
+        exits = not succs or not reaches_return(label)
+        graph[label] = succs + ([VIRTUAL_EXIT] if exits else [])
+    return graph
+
+
+def _exits_avoiding(graph, start, avoid):
+    """Whether some path from ``start`` reaches the virtual exit without
+    passing ``avoid``."""
+    seen, stack = {start}, [start]
+    while stack:
+        label = stack.pop()
+        if label == VIRTUAL_EXIT:
+            return True
+        for succ in graph[label]:
+            if succ != avoid and succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return False
+
+
+class TestPathDefinition:
+    @settings(max_examples=200, deadline=None)
+    @given(random_cfgs())
+    def test_postdominance_is_every_path_to_the_exit(self, function):
+        # The generated graphs have unreachable blocks and blocks that
+        # cannot exit; every label pair is checked, the exit included.
+        pdt = PostDominatorTree(CFG(function))
+        graph = _exit_graph(function)
+        labels = list(graph) + ["<unknown>"]
+        for a in labels:
+            for b in labels:
+                if a == b:
+                    expected = True
+                elif b not in graph or a not in graph:
+                    expected = False
+                else:
+                    expected = not _exits_avoiding(graph, b, a)
+                assert pdt.postdominates(a, b) == expected, (a, b)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.passes import AnalysisCache
-from repro.passes.cache import dominator_tree, loop_info, postdominator_tree
 
 from tests.helpers import PAPER_EXAMPLE, compile_and_prepare
 
@@ -106,23 +105,29 @@ class TestInvalidation:
         assert stats["loops"] == {"hits": 1, "misses": 1, "invalidations": 1}
 
 
-class TestConstructionSiteHelpers:
-    def test_helpers_memoise_on_the_cfg_snapshot(self):
+class TestSnapshotTrees:
+    def test_the_cfg_snapshot_keeps_its_trees(self):
         from repro.ir.cfg import CFG
 
-        module, _ = compile_and_prepare(PAPER_EXAMPLE)
+        module, cache = _cache()
         cfg = CFG(module.main)
-        assert dominator_tree(cfg) is dominator_tree(cfg)
-        assert postdominator_tree(cfg) is postdominator_tree(cfg)
-        assert loop_info(cfg) is loop_info(cfg)
+        assert cfg.dominators is cfg.dominators
+        assert cfg.postdominators is cfg.postdominators
+        cached = cache.cfg(module.main)
+        assert cache.dominators(module.main) is cached.dominators
+        assert cache.postdominators(module.main) is cached.postdominators
 
-    def test_helper_trees_match_direct_construction(self):
+    def test_snapshot_trees_match_direct_construction(self):
         from repro.ir.cfg import CFG
         from repro.ir.dominance import DominatorTree
+        from repro.ir.postdominance import PostDominatorTree
 
         module, _ = compile_and_prepare(PAPER_EXAMPLE)
         cfg = CFG(module.main)
-        direct = DominatorTree(cfg)
-        shared = dominator_tree(cfg)
-        assert direct.idom == shared.idom
-        assert direct.children == shared.children
+        for direct, shared in (
+            (DominatorTree(cfg), cfg.dominators),
+            (PostDominatorTree(cfg), cfg.postdominators),
+        ):
+            assert direct is not shared
+            assert direct.idom == shared.idom
+            assert direct.children == shared.children

@@ -1,11 +1,10 @@
 """Export hygiene for the pass layer and its optimisation clients.
 
-``repro.passes`` is imported from low-level modules (``ir/ssa.py``,
-``ir/verifier.py``, ``heuristics/base.py``), so its package import must
-stay cheap and side-effect free; and both it and ``repro.opt`` promise
-a curated ``__all__``.  These tests pin the contract: every public
-symbol is exported exactly once, every export resolves, and importing
-the packages pulls in nothing eagerly and prints nothing.
+``repro.passes``'s package import must stay cheap and side-effect free,
+and both it and ``repro.opt`` promise a curated ``__all__``.  These
+tests pin the contract: every public symbol is exported exactly once,
+every export resolves, and importing the packages pulls in nothing
+eagerly and prints nothing.
 """
 
 from __future__ import annotations
