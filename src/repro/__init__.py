@@ -32,7 +32,7 @@ from repro.core import VRPConfig, VRPPredictor
 from repro.ir import prepare_module
 from repro.lang import compile_source
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 
 def compile_and_predict(

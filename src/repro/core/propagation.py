@@ -190,7 +190,14 @@ class PropagationEngine:
         self.used_heuristic: Set[str] = set()
         self.visited: Set[str] = set()
         self.derived: Set[str] = set()
+        # Derived names whose derived range is the first value they held
+        # (a derivation may read them as final; see derivation._Chain).
+        self.settled: Set[str] = set()
         self.underivable: Set[str] = set()
+        # Loop phi -> the name at ⊤ its last derivation attempt waited for.
+        self._waiting_on: Dict[str, str] = {}
+        # Context-sensitive call effects read the arguments' values.
+        self._calls_read_args = self.config.context_depth > 0
         self.phi_eval_count: Dict[str, int] = {}
         self.phi_change_count: Dict[str, int] = {}
         self.widened: Set[str] = set()
@@ -738,6 +745,7 @@ class PropagationEngine:
             back_preds
             and self.config.derive_loops
             and name not in self.underivable
+            and not self._still_waiting(name)
         ):
             self.counters.derivations_attempted += 1
             if self._trace is not None:
@@ -757,25 +765,55 @@ class PropagationEngine:
             if outcome.derived:
                 self.counters.derivations_succeeded += 1
                 self.derived.add(name)
+                if name not in self.values:
+                    self.settled.add(name)
                 assert outcome.rangeset is not None
                 self._update(name, outcome.rangeset)
                 return
             if outcome.status == "failed":
                 self.underivable.add(name)
-            # "not_ready": fall through to a merge; derivation retried later.
+            elif outcome.waiting_on is not None:
+                self._waiting_on[name] = outcome.waiting_on
+            # "not_ready": fall through to a merge; derivation retried
+            # later, once the name a step waits for has left ⊤.
 
         self._evaluate_phi_merge(phi, name, label)
+
+    def _still_waiting(self, name: str) -> bool:
+        waiting = self._waiting_on.get(name)
+        return waiting is not None and self.values.get(waiting, TOP).is_top
 
     def _derive(self, phi: Phi, back_preds: Set[str]):
         return derive_loop_phi(
             phi,
             back_preds,
             self.edges,
-            value_of=lambda n: self.values.get(n, TOP),
+            value_of=self._derivation_value,
             constant_of=self._constant_of,
             symbolic=self.config.symbolic,
             max_ranges=self.config.max_ranges,
+            settled=self.settled,
+            calls_read_args=self._calls_read_args,
         )
+
+    def _derivation_value(self, name: str) -> RangeSet:
+        """``name``'s stored value, or, while it is ⊤, the value it will
+        get when that is already fixed: a call whose value is its callee's
+        summary, seen through copies.  So ``acc = acc + f(k)`` derives on
+        the header's first visit, before the loop body is."""
+        value = self.values.get(name)
+        while value is None:
+            definition = self.edges.defining_instruction(name)
+            kind = definition.__class__
+            if kind is Call and not self._calls_read_args:
+                return self._transfer_call(definition)
+            if kind is not Copy:
+                return TOP
+            if definition.src.__class__ is not Temp:
+                return self.value_of(definition.src)
+            name = definition.src.name
+            value = self.values.get(name)
+        return value
 
     def _evaluate_phi_merge(self, phi: Phi, name: str, label: str) -> None:
         self.counters.phi_evaluations += 1

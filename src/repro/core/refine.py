@@ -209,7 +209,7 @@ def _snap_down(r: StridedRange, limit: Bound) -> Optional[Bound]:
     """Largest progression point <= limit (phase-preserving when possible)."""
     gap = r.lo.distance(limit)
     if gap is None or math.isinf(gap):
-        return limit
+        return _onto_phase_of_hi(r, limit, down=True)
     if gap < 0:
         return None
     stride = r.stride if r.stride else 1
@@ -221,7 +221,7 @@ def _snap_up(r: StridedRange, limit: Bound) -> Optional[Bound]:
     """Smallest progression point >= limit (phase-preserving when possible)."""
     gap = r.lo.distance(limit)
     if gap is None or math.isinf(gap):
-        return limit
+        return _onto_phase_of_hi(r, limit, down=False)
     if gap <= 0:
         return r.lo
     stride = r.stride if r.stride else 1
@@ -231,6 +231,18 @@ def _snap_up(r: StridedRange, limit: Bound) -> Optional[Bound]:
     if order is not None and order > 0:
         return None
     return candidate
+
+
+def _onto_phase_of_hi(r: StridedRange, limit: Bound, down: bool) -> Bound:
+    """``limit`` moved down (or up) onto the progression of a range whose
+    ``lo`` carries no phase (``-inf``): its points are ``hi - k*stride``.
+    ``limit`` itself when ``hi`` is no anchor either, or ``lo`` is a
+    symbol (whose phase is unknown)."""
+    back = limit.distance(r.hi)
+    if not r.lo.is_neg_inf() or back is None or math.isinf(back) or r.stride <= 1:
+        return limit
+    steps = -(-back // r.stride) if down else back // r.stride
+    return r.hi.add_const(-steps * r.stride)
 
 
 def _kept_fraction(original: StridedRange, clipped: StridedRange) -> float:

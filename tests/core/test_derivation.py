@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.ranges import StridedRange
 from repro.core.rangeset import RangeSet
 from repro.core.propagation import analyse_function
 from repro.ir import prepare_for_analysis
@@ -107,6 +108,28 @@ class TestWhileAndDoWhile:
         assert stride == 1  # gcd(1, 3)
 
 
+class TestPhase:
+    def test_initial_values_of_two_phases_keep_every_value(self):
+        # i starts at 0 or 1: stepping by 3 from both reaches 10 (n > 0).
+        prediction = analyse(
+            "func main(n) { var i = 0; if (n > 0) { i = 1; } "
+            "while (i < 10) { i = i + 3; } return i; }"
+        )
+        assert extent(prediction.values["i.3"]) == ("0", "12", 1)
+
+    @pytest.mark.parametrize(
+        "init,expected", [(-3, ("-3", "0", 3)), (-1, ("-1", "+inf", 3))]
+    )
+    def test_inequality_limits_only_on_its_phase(self, init, expected):
+        # From -1, steps of 3 jump past 0: `acc != 0` never stops them.
+        prediction = analyse(
+            f"func main(n) {{ var acc = {init}; "
+            "for (k = 0; k < n; k = k + 1) { if (acc != 0) { acc = acc + 3; } } "
+            "return acc; }"
+        )
+        assert extent(prediction.values["acc.1"]) == expected
+
+
 class TestSymbolicBounds:
     def test_symbolic_limit_from_parameter(self):
         prediction = analyse(
@@ -209,3 +232,220 @@ class TestFailureModes:
             """
         )
         assert prediction.branch_probability  # no hang, heuristics allowed
+
+
+# ---------------------------------------------------------------------------
+# set-valued steps: new = old +/- {set of possible increments}
+# ---------------------------------------------------------------------------
+
+#: ``f`` returns one of three values picked by its argument: each family
+#: below draws them from one sign (or from both).
+SET_HELPER = """
+func f(x) {{
+  var r = x % 3;
+  if (r == 0) {{ return {0}; }}
+  if (r == 1) {{ return {1}; }}
+  return {2};
+}}
+"""
+
+
+def analyse_module_source(source, **config):
+    from repro.core import VRPConfig, VRPPredictor
+    from repro.ir import prepare_module
+
+    module = compile_source(source)
+    return VRPPredictor(config=VRPConfig(**config)).predict_module(
+        module, prepare_module(module)
+    )
+
+
+def accumulate_source(values, body, bound="n", op="+", init=0):
+    """``main`` accumulating over ``k < bound`` (``s`` starts at 1)."""
+    return SET_HELPER.format(*values) + (
+        f"func main(n) {{ var acc = {init}; var s = 1; "
+        f"for (k = 0; k < {bound}; k = k + 1) {{ {body.format(op=op)} }} "
+        f"return acc + s; }}"
+    )
+
+
+def accumulate(values, body, bound="n", op="+", init=0, **config):
+    """main's prediction for :func:`accumulate_source`."""
+    source = accumulate_source(values, body, bound, op, init)
+    return analyse_module_source(source, **config).functions["main"]
+
+
+def last_attempt(values, body, **config):
+    """main's last derivation attempt on ``acc.1``: (status, detail)."""
+    return derivation_attempts(accumulate_source(values, body), "main", "acc.1", **config)[-1]
+
+
+def derivation_attempts(source, function, name, **config):
+    """(status, detail) of every derivation attempt on ``function``/``name``."""
+    from repro.observability import DerivationAttempt
+    from repro.observability import tracer as tracing
+
+    recorder = tracing.Tracer()
+    with tracing.use(recorder):
+        analyse_module_source(source, **config)
+    return [
+        (event.status, event.detail)
+        for event in recorder.events_of(DerivationAttempt)
+        if event.function == function and event.name == name
+    ]
+
+
+class TestSetSteps:
+    def test_non_negative_call_step_derives_with_its_stride(self):
+        main = accumulate((3, 6, 9), "acc = acc {op} f(k);")
+        assert "acc.1" in main.derived
+        assert extent(main.values["acc.1"]) == ("0", "+inf", 3)
+
+    def test_non_positive_call_step_derives_decreasing(self):
+        main = accumulate((0, -2, -4), "acc = acc {op} f(k);", init=5)
+        assert "acc.1" in main.derived
+        assert extent(main.values["acc.1"]) == ("-inf", "5", 2)
+
+    def test_subtracting_a_non_negative_step_derives_decreasing(self):
+        main = accumulate((1, 2, 3), "acc = acc {op} f(k);", op="-")
+        assert "acc.1" in main.derived
+        assert extent(main.values["acc.1"]) == ("-inf", "0", 1)
+
+    def test_mixed_sign_step_never_derives(self):
+        assert last_attempt((-1, 0, 2), "acc = acc {op} f(k);") == (
+            "failed",
+            "step call$1.0 has no fixed sign",
+        )
+
+    def test_loop_variant_step_never_derives(self):
+        # s.2 is computed from s.1, a loop phi out of the template.
+        assert last_attempt((1, 2, 3), "s = (s * 3 + 1) % 7; acc = acc {op} s;") == (
+            "failed",
+            "step s.2 reads the phi s.1, not derived on its first visit",
+        )
+
+    def test_input_step_never_derives(self):
+        assert last_attempt((1, 2, 3), "acc = acc {op} input() % 4;") == (
+            "failed",
+            "step t$2.0 reads in$1.0 (input)",
+        )
+
+    def test_bottom_step_never_derives(self):
+        # Intraprocedurally a call is ⊥.
+        prediction = analyse(
+            "func main(n) { var acc = 0; "
+            "for (i = 0; i < 10; i = i + 1) { acc = acc + main(i); } return acc; }"
+        )
+        assert "acc.1" not in prediction.derived
+
+    def test_assertion_on_the_accumulator_limits_it(self):
+        # acc < 50 holds before the step: acc <= 49 + 9, snapped to 57.
+        main = accumulate((3, 6, 9), "if (acc < 50) {{ acc = acc {op} f(k); }}")
+        assert "acc.1" in main.derived
+        assert extent(main.values["acc.1"]) == ("0", "57", 3)
+
+    def test_inequality_never_limits_a_set_step(self):
+        # A step of 3, 6 or 9 can jump past 10: `acc != 10` is no limit.
+        main = accumulate((3, 6, 9), "if (acc != 10) {{ acc = acc {op} f(k); }}")
+        assert "acc.1" in main.derived
+        assert extent(main.values["acc.1"]) == ("0", "+inf", 3)
+
+    def test_constant_trip_bound(self):
+        main = accumulate((3, 6, 9), "acc = acc {op} f(k);", bound=4)
+        assert "acc.1" in main.derived
+        assert extent(main.values["acc.1"]) == ("0", "+inf", 3)
+
+    def test_loop_index_step_derives_intraprocedurally(self):
+        prediction = analyse(
+            "func main(n) { var acc = 0; "
+            "for (i = 0; i < 10; i = i + 1) { acc = acc + i; } return acc; }"
+        )
+        assert "acc.1" in prediction.derived
+        assert extent(prediction.values["acc.1"]) == ("0", "+inf", 1)
+
+    def test_context_sensitive_calls_need_final_arguments(self):
+        # Under --context-depth 1 the call reads k.3, which reads the
+        # non-derived n.1 (the bound n is bottom): the step is not final.
+        assert last_attempt((3, 6, 9), "acc = acc {op} f(k);", context_depth=1) == (
+            "failed",
+            "step call$1.0 reads the phi n.1, not derived on its first visit",
+        )
+
+
+#: The accumulator loop of a large-modules call-graph component.
+TOP_SHAPE = SET_HELPER.format(3, 6, 9) + """
+func top(n) {
+  var acc = 0;
+  for (k = 0; k < n; k = k + 1) { acc = acc + f(k); }
+  if (acc > 100) { return acc; }
+  return 0 - acc;
+}
+func main(n) { return top(n); }
+"""
+
+
+class TestTopShapeDetail:
+    """``t = add acc.1, call`` must never read ``acc.1`` as the step."""
+
+    def _attempt(self, call_value, acc_value):
+        """One derivation of ``acc.1`` with the call and ``acc.1`` at the
+        given values; returns (the call's name, the outcome)."""
+        from repro.core.derivation import derive_loop_phi
+        from repro.ir import CFG, Call, Constant, build_ssa_edges, prepare_module
+
+        module = compile_source(TOP_SHAPE)
+        info = prepare_module(module)["top"]
+        function = module.function("top")
+        (phi,) = [
+            phi
+            for block in function.blocks.values()
+            for phi in block.phis()
+            if phi.dest.name == "acc.1"
+        ]
+        (call,) = [
+            instr.dest.name for instr in function.instructions() if isinstance(instr, Call)
+        ]
+        values = {"acc.0": RangeSet.constant(0), "acc.1": acc_value, call: call_value}
+
+        def value_of(name):
+            return values.get(name, RangeSet.top())
+
+        def constant_of(value):
+            if isinstance(value, Constant):
+                return value.value
+            return value_of(value.name).constant_value()
+
+        cfg = CFG(function)
+        back = {
+            pred for pred, _ in phi.incomings if cfg.is_back_edge(pred, phi.block.label)
+        }
+        edges = build_ssa_edges(function, info)
+        return call, derive_loop_phi(phi, back, edges, value_of, constant_of)
+
+    def test_before_the_summary_is_known(self):
+        # First lap: acc.1 is the single constant 0, the call still ⊤.
+        call, outcome = self._attempt(RangeSet.top(), RangeSet.constant(0))
+        assert (outcome.status, outcome.detail) == (
+            "not_ready",
+            f"step {call} still unknown (top)",
+        )
+        assert outcome.waiting_on == call
+
+    def test_after_the_summary_is_known(self):
+        summary = RangeSet.from_ranges(
+            [StridedRange.single(1 / 3, v) for v in (3, 6, 9)], max_ranges=4
+        )
+        call, outcome = self._attempt(summary, RangeSet.constant(0))
+        assert (outcome.status, outcome.detail) == (
+            "derived",
+            "increasing induction, steps [[3:9]], stride 3",
+        )
+        assert str(outcome.rangeset) == "{ 1[0:+inf:3] }"
+
+    def test_bottom_summary(self):
+        call, outcome = self._attempt(RangeSet.bottom(), RangeSet.constant(0))
+        assert (outcome.status, outcome.detail) == ("failed", f"step {call} is bottom")
+
+    def test_engine_derives_on_the_first_attempt(self):
+        attempts = derivation_attempts(TOP_SHAPE, "top", "acc.1")
+        assert attempts == [("derived", "increasing induction, steps [[3:9]], stride 3")]

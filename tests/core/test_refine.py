@@ -64,6 +64,16 @@ class TestClipping:
         result = refine_set(x, "lt", Bound.number(9))
         assert single_extent(result) == ("1", "7", 3)
 
+    def test_phase_of_a_range_unbounded_below_is_at_hi(self):
+        # {..., -5, -2, 1, 4}: a count-down by 3 from 4 has its phase at
+        # hi; snapping from -inf would give [0:3:3], which misses 4.
+        x = RangeSet.from_ranges(
+            [StridedRange(1.0, Bound.number(NEG_INF), Bound.number(4), 3)]
+        )
+        assert single_extent(refine_set(x, "ge", Bound.number(0))) == ("1", "4", 3)
+        assert single_extent(refine_set(x, "lt", Bound.number(0))) == ("-inf", "-2", 3)
+        assert single_extent(refine_set(x, "le", Bound.number(-2))) == ("-inf", "-2", 3)
+
     def test_probability_mass_renormalised(self):
         x = RangeSet.from_ranges(
             [StridedRange.span(0.5, 0, 9, 1), StridedRange.span(0.5, 100, 109, 1)]

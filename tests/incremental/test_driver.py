@@ -7,6 +7,7 @@ import types
 import pytest
 
 import repro.incremental.driver as driver_mod
+import repro.incremental.fingerprint as fp_mod
 from repro.core.config import VRPConfig
 from repro.core.interprocedural import analyse_module
 from repro.incremental.driver import analyse_module_incremental
@@ -69,6 +70,24 @@ class TestByteIdentity:
             assert prediction.counters.as_dict() == cold.counters.as_dict()
             assert prediction.rounds == cold.rounds
             assert prediction.interprocedural == cold.interprocedural
+
+    def test_store_of_an_earlier_engine_is_never_replayed(self, tmp_path, monkeypatch):
+        # 1.0.0 lapped accumulator loops that this engine derives: its
+        # stored ranges are not this engine's results.
+        with monkeypatch.context() as patch:
+            patch.setattr(fp_mod, "engine_salt", lambda: "repro-1.0.0")
+            _, written = run_incremental(
+                MULTI_COMPONENT, IncrementalStore(disk_dir=str(tmp_path))
+            )
+        assert written.components_reanalyzed == 3
+        module, infos = build(MULTI_COMPONENT)
+        cold = analyse_module(module, infos)
+        _, outcome = run_incremental(
+            MULTI_COMPONENT, IncrementalStore(disk_dir=str(tmp_path))
+        )
+        assert outcome.replayed == ()
+        assert outcome.reanalyzed == tuple(sorted(cold.functions))
+        assert outcome.components_reanalyzed == 3
 
     def test_disk_tier_round_trip_matches_cold(self, tmp_path):
         first, _ = run_incremental(

@@ -172,9 +172,15 @@ def test_pipeline_soundness_on_random_programs(source, argument):
     for probability in prediction.branch_probability.values():
         assert 0.0 <= probability <= 1.0
 
-    # Support soundness: every observed value inside the computed hull.
+    assert_sound(run, "main", prediction, source)
+
+
+def assert_sound(run, function_name, prediction, source):
+    """Every value the run observed for ``function_name`` lies inside the
+    hull VRP computed for its SSA name, and, for a derived name, on one
+    of its ranges' progressions."""
     for (func_name, ssa_name), observed in run.observed_values.items():
-        if func_name != "main":
+        if func_name != function_name:
             continue
         rangeset = prediction.values.get(ssa_name)
         if rangeset is None or not rangeset.is_set:
@@ -192,3 +198,86 @@ def test_pipeline_soundness_on_random_programs(source, argument):
                 assert value <= hi, (
                     f"{ssa_name}: observed {value} above hull {rangeset} in\n{source}"
                 )
+            if ssa_name in prediction.derived:
+                assert on_progression(rangeset, value), (
+                    f"{ssa_name}: observed {value} off the progressions of "
+                    f"{rangeset} in\n{source}"
+                )
+
+
+def on_progression(rangeset, value):
+    """``value`` is one of the set's ranges' values (symbolic ends match)."""
+    for r in rangeset.ranges:
+        if not r.is_numeric():
+            return True
+        lo, hi = r.lo.offset, r.hi.offset
+        if not lo <= value <= hi:
+            continue
+        anchor = hi if math.isinf(lo) else lo
+        if math.isinf(anchor) or r.stride == 0 or (value - anchor) % r.stride == 0:
+            return True
+    return False
+
+
+#: The step of an accumulator loop, by family: the set-step template
+#: derives ``index``, ``negated``, ``literal`` and a one-signed ``call``,
+#: and must decline ``mixed`` (either sign), ``variant`` (read from a
+#: loop phi out of the template) and ``input``.
+STEPS = {
+    "index": "k",
+    "negated": "0 - k",
+    "mixed": "k - 2",
+    "variant": "s",
+    "input": "input() % 5",
+    "literal": "3",
+}
+
+
+@st.composite
+def accumulator_loops(draw, bounds, call=None):
+    """``var acc = c; for (k < bound) { acc = acc +/- X; }``, with X drawn
+    from :data:`STEPS` (or ``call(k)``), a constant or symbolic trip
+    bound and, sometimes, an assertion on ``acc`` guarding the step."""
+    families = sorted(STEPS) + (["call", "call"] if call else [])
+    step = draw(st.sampled_from(families))
+    expression = f"{call}(k)" if step == "call" else STEPS[step]
+    op = draw(st.sampled_from(["+", "-"]))
+    update = f"acc = acc {op} ({expression});"
+    guard = draw(st.sampled_from([None, "<", ">", "!="]))
+    if guard:
+        limit = draw(st.integers(min_value=-15, max_value=30))
+        update = f"if (acc {guard} {limit}) {{ {update} }}"
+    bound = draw(
+        st.sampled_from(sorted(bounds) + [str(draw(st.integers(min_value=0, max_value=8)))])
+    )
+    init = draw(st.integers(min_value=-5, max_value=5))
+    # ``s`` walks a seeded orbit mod 7: its first laps' values need not
+    # show the sign or the gcd of its later ones.
+    scale = draw(st.integers(min_value=2, max_value=5))
+    shift = draw(st.integers(min_value=0, max_value=6))
+    offset = draw(st.integers(min_value=0, max_value=3))
+    return (
+        f"var acc = {init}; var s = 1; "
+        f"for (k = 0; k < {bound}; k = k + 1) {{ "
+        f"s = (s * {scale} + {shift}) % 7 - {offset}; {update} }}"
+    )
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(accumulator_loops({"n"}), st.integers(min_value=-10, max_value=10))
+def test_accumulator_loops_are_sound(loop, argument):
+    source = f"func main(n) {{ {loop} return acc + s; }}"
+    module = compile_source(source)
+    function = module.function("main")
+    info = prepare_for_analysis(function)
+    interpreter = Interpreter(
+        module, max_steps=500_000, check_assertions=True, collect_values=True
+    )
+    run = interpreter.run(args=[argument], input_values=range(-20, 20))
+    prediction = analyse_function(function, info)
+    assert not prediction.aborted
+    assert_sound(run, "main", prediction, source)

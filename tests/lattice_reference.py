@@ -455,7 +455,7 @@ def _clip_lower(r: StridedRange, limit: Bound):
 def _snap_down(r: StridedRange, limit: Bound) -> Optional[Bound]:
     gap = distance(r.lo, limit)
     if gap is None or math.isinf(gap):
-        return limit
+        return _onto_phase_of_hi(r, limit, down=True)
     if gap < 0:
         return None
     stride = r.stride if r.stride else 1
@@ -466,7 +466,7 @@ def _snap_down(r: StridedRange, limit: Bound) -> Optional[Bound]:
 def _snap_up(r: StridedRange, limit: Bound) -> Optional[Bound]:
     gap = distance(r.lo, limit)
     if gap is None or math.isinf(gap):
-        return limit
+        return _onto_phase_of_hi(r, limit, down=False)
     if gap <= 0:
         return r.lo
     stride = r.stride if r.stride else 1
@@ -476,6 +476,15 @@ def _snap_up(r: StridedRange, limit: Bound) -> Optional[Bound]:
     if order is not None and order > 0:
         return None
     return candidate
+
+
+def _onto_phase_of_hi(r: StridedRange, limit: Bound, down: bool) -> Bound:
+    # A range unbounded below has its phase at hi: points hi - k*stride.
+    back = distance(limit, r.hi)
+    if not r.lo.is_neg_inf() or back is None or math.isinf(back) or r.stride <= 1:
+        return limit
+    steps = -(-int(back) // r.stride) if down else int(back) // r.stride
+    return r.hi.add_const(-steps * r.stride)
 
 
 def _kept_fraction(original: StridedRange, clipped: StridedRange) -> float:

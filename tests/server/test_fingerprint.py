@@ -40,7 +40,7 @@ class TestConfigFingerprint:
         # incremental store.  Update the value only on purpose (a new
         # result-affecting field, a changed default, a version bump).
         assert config_fingerprint(VRPConfig()) == (
-            "7c28d6e6b456bcfa987b74ef9f7b2094d2b2bca8d4c4c7343b75dcf8fcaa94b6"
+            "5e8bdb65870ce6238b71e0de2305473aea4d8335921bd85a7a08d29754add42d"
         )
 
     def test_salted_with_package_version(self):
