@@ -1,26 +1,28 @@
-"""Context sensitivity: heuristic fallback and miss rate at k=0/1/2.
+"""Calling contexts: context-insensitive analysis against procedure cloning.
 
 The paper's §3.7 interprocedural propagation merges every call site
 into one parameter range per function; one unanalysable site therefore
-poisons the summary for all of them.  The k-limited contexts
-(``--context-depth k``) re-analyse pure callees per abstracted argument
-tuple, so narrow call sites keep narrow answers.
+poisons the summary for all of them.  The paper's answer for "a
+procedure called in two (or more) significantly different contexts" is
+to clone it (:mod:`repro.core.cloning`): each group of call sites with
+agreeing argument ranges gets its own copy, analysed by the same
+context-insensitive engine.
 
-This benchmark measures, per suite and per k in {0, 1, 2}:
+This benchmark measures, per suite, for the plain analysis and for
+analyse-clone-reanalyse (clone predictions projected back onto the
+original branches, weighted by clone frequency):
 
-* the number of branches that fell back to heuristics,
+* the number of original branches that fell back to heuristics in any
+  copy,
 * the weighted static miss rate against the ref-input ground truth,
 * the weighted mean error in percentage points (the Figure 7/8 metric),
-* the engine's own telemetry (contexts analysed, summary-cache stats),
+* which workloads cloning changed,
 
-and asserts the contract the feature ships under:
+and asserts:
 
-* on the ``inter`` suite the fallback count *strictly* decreases at
-  every step k=0 -> k=1 -> k=2 (``inter_pipeline`` needs the second
-  level: its helper chain is two deep) and accuracy improves;
-* on the existing ``int``/``fp`` suites nothing regresses -- their
-  helpers have single call sites or impure callees, so the merged
-  summaries were already exact and every k produces identical counts.
+* on the ``inter`` suite cloning strictly removes fallbacks;
+* on every suite cloning's miss rate is no higher than the plain
+  analysis's.
 
 Results land in ``BENCH_interprocedural.json``.
 """
@@ -30,10 +32,13 @@ from __future__ import annotations
 import json
 
 from benchmarks.conftest import emit
-from repro.core import VRPConfig, VRPPredictor
+from repro.core import VRPPredictor
+from repro.core.cloning import analyse_with_cloning
 from repro.evalharness.accuracy import branch_errors, mean_error
+from repro.ir import prepare_module
+from repro.lang import compile_source
 
-DEPTHS = (0, 1, 2)
+MODES = ("plain", "cloning")
 
 
 def _weighted_miss_rate(records) -> float:
@@ -48,145 +53,91 @@ def _weighted_miss_rate(records) -> float:
     return missed / total
 
 
-def _measure_suite(prepared_workloads, depth: int) -> dict:
-    config = VRPConfig(context_depth=depth)
+def _predict(workload, mode: str):
+    """``(probabilities, fallback branches, cloned?)`` keyed by the
+    original ``(function, label)``."""
+    module = compile_source(workload.source, module_name=workload.name)
+    infos = prepare_module(module)
+    if mode == "plain":
+        prediction = VRPPredictor().predict_module(module, infos)
+        return prediction.all_branches(), prediction.heuristic_branches(), False
+    prediction, report, projected = analyse_with_cloning(module, infos)
+    fallbacks = {
+        (report.original_of.get(function, function), label)
+        for function, label in prediction.heuristic_branches()
+    }
+    return projected, fallbacks, bool(report.variants)
+
+
+def _measure_suite(prepared_workloads, mode: str) -> dict:
     heuristic = 0
     total = 0
-    contexts = 0
-    cache = {"hits": 0, "misses": 0, "evictions": 0}
+    cloned = []
     per_workload = {}
     records = []
     for prepared in prepared_workloads:
-        prediction = VRPPredictor(config=config).predict_module(
-            prepared.module, prepared.ssa_infos
-        )
-        fallbacks = len(prediction.heuristic_branches())
-        branches = len(prediction.all_branches())
-        heuristic += fallbacks
-        total += branches
-        stats = getattr(prediction, "interprocedural", None) or {}
-        contexts += int(stats.get("contexts_analyzed", 0))
-        for key, value in (stats.get("summary_cache") or {}).items():
-            if key in cache:
-                cache[key] += int(value)
-        per_workload[prepared.workload.name] = {
-            "heuristic_branches": fallbacks,
-            "total_branches": branches,
+        workload = prepared.workload
+        probabilities, fallbacks, was_cloned = _predict(workload, mode)
+        heuristic += len(fallbacks)
+        total += len(probabilities)
+        if was_cloned:
+            cloned.append(workload.name)
+        per_workload[workload.name] = {
+            "heuristic_branches": len(fallbacks),
+            "total_branches": len(probabilities),
         }
-        records.extend(
-            branch_errors(prediction.all_branches(), prepared.truth_profile)
-        )
+        records.extend(branch_errors(probabilities, prepared.truth_profile))
     return {
         "heuristic_branches": heuristic,
         "total_branches": total,
         "miss_rate_weighted": _weighted_miss_rate(records),
         "mean_error_weighted": mean_error(records, weighted=True),
-        "contexts_analyzed": contexts,
-        "summary_cache": cache,
+        "cloned": cloned,
         "per_workload": per_workload,
     }
 
 
-def _table(name: str, by_depth: dict) -> str:
+def _table(name: str, by_mode: dict) -> str:
     lines = [
-        f"Context sensitivity on the {name} suite",
+        f"Calling contexts on the {name} suite",
         "",
-        f"{'k':>3s} {'fallback':>9s} {'branches':>9s} "
-        f"{'miss rate':>10s} {'mean err':>9s} {'contexts':>9s}",
+        f"{'mode':<8s} {'fallback':>9s} {'branches':>9s} "
+        f"{'miss rate':>10s} {'mean err':>9s}  cloned",
     ]
-    for depth in DEPTHS:
-        row = by_depth[depth]
+    for mode in MODES:
+        row = by_mode[mode]
         lines.append(
-            f"{depth:3d} {row['heuristic_branches']:9d} "
+            f"{mode:<8s} {row['heuristic_branches']:9d} "
             f"{row['total_branches']:9d} {row['miss_rate_weighted']:10.4f} "
-            f"{row['mean_error_weighted']:9.3f} {row['contexts_analyzed']:9d}"
+            f"{row['mean_error_weighted']:9.3f}  {', '.join(row['cloned']) or '-'}"
         )
     return "\n".join(lines)
 
 
-def test_context_depth_on_inter_suite(results_dir, prepared_inter_suite):
-    by_depth = {k: _measure_suite(prepared_inter_suite, k) for k in DEPTHS}
-    emit(results_dir, "interprocedural_inter.txt", _table("inter", by_depth))
-
-    # The headline claim: each extra context level strictly removes
-    # heuristic-fallback branches on call-dominated code.
-    assert (
-        by_depth[1]["heuristic_branches"] < by_depth[0]["heuristic_branches"]
-    ), by_depth
-    assert (
-        by_depth[2]["heuristic_branches"] < by_depth[1]["heuristic_branches"]
-    ), by_depth
-    # Recovered ranges must not cost accuracy.
-    assert (
-        by_depth[1]["miss_rate_weighted"]
-        <= by_depth[0]["miss_rate_weighted"] + 1e-12
-    ), by_depth
-    assert (
-        by_depth[2]["miss_rate_weighted"]
-        <= by_depth[0]["miss_rate_weighted"] + 1e-12
-    ), by_depth
-    assert (
-        by_depth[1]["mean_error_weighted"] < by_depth[0]["mean_error_weighted"]
-    ), by_depth
-    assert (
-        by_depth[2]["mean_error_weighted"] < by_depth[0]["mean_error_weighted"]
-    ), by_depth
-    # Context machinery actually ran at k >= 1.
-    assert by_depth[0]["contexts_analyzed"] == 0, by_depth
-    assert by_depth[1]["contexts_analyzed"] > 0, by_depth
-
-    report = {
-        "benchmark": "interprocedural",
-        "suite": "inter",
-        "depths": {str(k): by_depth[k] for k in DEPTHS},
-    }
-    (results_dir / "BENCH_interprocedural.json").write_text(
-        json.dumps(report, indent=1, sort_keys=True) + "\n"
-    )
-
-
-def test_context_depth_is_neutral_on_existing_suites(
-    results_dir, prepared_int_suite, prepared_fp_suite
+def test_cloning_on_every_suite(
+    results_dir, prepared_inter_suite, prepared_int_suite, prepared_fp_suite
 ):
-    """k >= 1 must not disturb the int/fp reproduction baselines."""
-    merged = {}
+    report = {"benchmark": "interprocedural"}
     for name, prepared in (
+        ("inter", prepared_inter_suite),
         ("int", prepared_int_suite),
         ("fp", prepared_fp_suite),
     ):
-        by_depth = {k: _measure_suite(prepared, k) for k in DEPTHS}
-        merged[name] = by_depth
-        emit(
-            results_dir,
-            f"interprocedural_{name}.txt",
-            _table(name, by_depth),
-        )
-        for depth in (1, 2):
+        by_mode = {mode: _measure_suite(prepared, mode) for mode in MODES}
+        emit(results_dir, f"interprocedural_{name}.txt", _table(name, by_mode))
+        plain, cloning = by_mode["plain"], by_mode["cloning"]
+        assert cloning["total_branches"] == plain["total_branches"], (name, by_mode)
+        if name == "inter":
+            # The headline claim: divergent call sites stop poisoning
+            # each other's summaries.
             assert (
-                by_depth[depth]["heuristic_branches"]
-                == by_depth[0]["heuristic_branches"]
-            ), (name, by_depth)
-            assert (
-                by_depth[depth]["mean_error_weighted"]
-                <= by_depth[0]["mean_error_weighted"] + 1e-9
-            ), (name, by_depth)
-            assert (
-                by_depth[depth]["miss_rate_weighted"]
-                <= by_depth[0]["miss_rate_weighted"] + 1e-12
-            ), (name, by_depth)
+                cloning["heuristic_branches"] < plain["heuristic_branches"]
+            ), by_mode
+        assert (
+            cloning["miss_rate_weighted"] <= plain["miss_rate_weighted"] + 1e-12
+        ), (name, by_mode)
+        report[f"suite_{name}"] = by_mode
 
-    # Fold the neutrality evidence into the same machine-readable file.
-    path = results_dir / "BENCH_interprocedural.json"
-    report = json.loads(path.read_text()) if path.exists() else {
-        "benchmark": "interprocedural"
-    }
-    for name, by_depth in merged.items():
-        report[f"suite_{name}"] = {
-            str(k): {
-                key: value
-                for key, value in by_depth[k].items()
-                if key != "per_workload"
-            }
-            for k in DEPTHS
-        }
-    path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    (results_dir / "BENCH_interprocedural.json").write_text(
+        json.dumps(report, indent=1, sort_keys=True) + "\n"
+    )

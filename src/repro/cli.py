@@ -557,28 +557,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.workloads import get_workload, suite
 
     emit_metrics = args.emit_metrics
-    context_depth = args.context_depth
     if args.workload:
         workload = get_workload(args.workload)
         prepared = prepare_workload(workload)
-        evaluation = evaluate_workload(
-            workload, prepared=prepared, context_depth=context_depth
-        )
+        evaluation = evaluate_workload(workload, prepared=prepared)
         series = {
             name: error_cdf(records, weighted=args.weighted)
             for name, records in evaluation.records.items()
         }
         print(format_cdf_table(series, title=f"workload {workload.name}"))
         if emit_metrics:
-            from repro.core import VRPConfig
             from repro.evalharness.runner import workload_metrics
 
-            _emit_metrics(
-                workload_metrics(
-                    prepared, VRPConfig(context_depth=context_depth)
-                ),
-                emit_metrics,
-            )
+            _emit_metrics(workload_metrics(prepared), emit_metrics)
         return 0
     suite_name = args.suite or "fp"
     if suite_name == "all":
@@ -591,7 +582,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         suite_name,
         jobs=args.jobs,
         with_metrics=bool(emit_metrics),
-        context_depth=context_depth,
     )
     print(
         format_suite_figure(
@@ -1010,7 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
         Option("suite", str, None, "whole suite ('all' = int + fp)",
                choices=("int", "fp", "inter", "all")),
         Option("weighted", bool, False, "weight each branch by its execution count"),
-        commands.OPTIONS["context_depth"], JOBS, EMIT_METRICS,
+        JOBS, EMIT_METRICS,
         file=None, analysis=False,
     )
 

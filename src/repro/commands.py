@@ -99,8 +99,6 @@ ANALYSIS_OPTIONS = (
     Option("no_derive", bool, False, "disable loop derivation"),
     Option("track_arrays", bool, False, "track array contents"),
     Option("max_ranges", int, 4, "ranges per variable (default 4)", minimum=1),
-    Option("context_depth", int, 0, "k-limited context-sensitive interprocedural "
-           "analysis (default 0 = context-insensitive)", minimum=0, metavar="K"),
 )
 
 #: Served only: return the engine's spans with the response.  It never
@@ -170,7 +168,6 @@ def build_config(options: Dict[str, object]) -> VRPConfig:
         symbolic=not get(options, "numeric"),
         derive_loops=not get(options, "no_derive"),
         track_arrays=get(options, "track_arrays"),
-        context_depth=get(options, "context_depth"),
     )
 
 

@@ -67,13 +67,15 @@ def clone_for_contexts(
 
     Uses an existing :class:`ModulePrediction` (for call-site argument
     ranges); the caller re-prepares SSA infos for new clones and re-runs
-    the analysis afterwards.  The entry function is never cloned.
+    the analysis afterwards.  The entry function is never cloned, nor is
+    a function on a call cycle: a clone would still call the original,
+    whose merged summary then mixes the recursive calls of every clone.
     """
     config = config or VRPConfig()
     callgraph = CallGraph(module)
     report = CloneReport()
     for callee in sorted(module.functions):
-        if callee == entry:
+        if callee == entry or callgraph.is_recursive(callee):
             continue
         sites = callgraph.sites_of_callee(callee)
         if len(sites) < 2:

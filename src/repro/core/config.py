@@ -68,13 +68,6 @@ class VRPConfig:
     # analysis, sound for the toy language's function-local arrays.
     # Off by default (the paper's configuration).
     track_arrays: bool = False
-    # k-limited context sensitivity for interprocedural analysis: at a
-    # call site whose callee is provably effect-free, analyse the callee
-    # under the site's own (abstracted) argument ranges instead of the
-    # frequency-weighted merge over all sites, to a nesting depth of k.
-    # 0 (the default) reproduces the context-insensitive behaviour
-    # byte-for-byte; the summary cache bounds the cost of k >= 1.
-    context_depth: int = 0
     # Debug-mode lattice sanitizer: validate engine invariants during
     # propagation (transitions only descend the lattice, pi assertions
     # only narrow, branch out-edge frequencies sum to the block

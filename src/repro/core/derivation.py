@@ -96,9 +96,8 @@ class _Chain:
 
     ``settled`` holds the derived names whose derived range was the first
     value they ever held: no instruction read an earlier one, so every
-    value computed from them is current.  ``calls_read_args`` says whether
-    a call's value depends on its arguments (context-sensitive call
-    effects) or only on the callee's summary, which is fixed for the run.
+    value computed from them is current.  A call's value is its callee's
+    summary, fixed for the run whatever the arguments.
     """
 
     def __init__(
@@ -108,14 +107,12 @@ class _Chain:
         value_of: Callable[[str], RangeSet],
         constant_of: Callable[[Value], Optional[int]],
         settled: AbstractSet[str],
-        calls_read_args: bool,
     ):
         self.target = target
         self.edges = edges
         self.value_of = value_of
         self.constant_of = constant_of
         self.settled = settled
-        self.calls_read_args = calls_read_args
         self._carried: Optional[Set[str]] = None
 
     def carried(self) -> Set[str]:
@@ -155,9 +152,9 @@ class _Chain:
         """Raise unless ``step``'s current value is its value for the rest
         of the run.
 
-        Final: a constant, a parameter, a settled name, a call (whose
-        arguments are final when calls read them), or a pure instruction
-        over final operands -- and every symbol in such a value is final.
+        Final: a constant, a parameter, a settled name, a call (its
+        callee's summary), or a pure instruction over final operands --
+        and every symbol in such a value is final.
         A name still at ⊤ makes the step not ready, once the rest of its
         operands has been checked.
         """
@@ -180,7 +177,7 @@ class _Chain:
             if definition is None:
                 continue  # a parameter: fixed for the run
             kind = definition.__class__
-            if kind is Call and not self.calls_read_args:
+            if kind is Call:
                 continue  # the callee's summary, whatever the arguments
             if kind is Phi:
                 if name == self.target:
@@ -190,7 +187,7 @@ class _Chain:
                 raise _TraceFailure(
                     f"step {step} reads the phi {name}, not derived on its first visit"
                 )
-            if kind is not Call and kind not in _PURE:
+            if kind not in _PURE:
                 raise _TraceFailure(f"step {step} reads {name} ({kind.__name__.lower()})")
             stack.extend(
                 operand.name
@@ -211,15 +208,14 @@ def derive_loop_phi(
     symbolic: bool = True,
     max_ranges: int = 4,
     settled: AbstractSet[str] = frozenset(),
-    calls_read_args: bool = False,
 ) -> DerivationOutcome:
     """Attempt to derive the range of a loop-header phi.
 
     ``value_of`` maps SSA names to their current range sets (for the
     initial value and named steps), ``constant_of`` resolves operands
     that are known single constants (literals, assertion bounds).
-    ``settled`` and ``calls_read_args`` decide whether a named step is
-    final (see :class:`_Chain`); a step still at ⊤ makes the outcome
+    ``settled`` decides whether a named step is final (see
+    :class:`_Chain`); a step still at ⊤ makes the outcome
     "not_ready", naming it in ``waiting_on``.
     """
     target = phi.dest.name
@@ -257,7 +253,7 @@ def derive_loop_phi(
     if not init.is_set:
         return DerivationOutcome("failed", detail="entry merge not a range set")
 
-    chain = _Chain(target, edges, value_of, constant_of, settled, calls_read_args)
+    chain = _Chain(target, edges, value_of, constant_of, settled)
     paths: List[_Path] = []
     try:
         for value in back_values:

@@ -17,23 +17,17 @@ state instead (:mod:`repro.incremental`).
 
 A round re-analyses a function only when an input its last analysis
 read has changed: its effective parameter ranges, or the return range
-of a callee it reads (direct callees at k = 0, every reachable callee
-at k >= 1, since context engines read deeper).  Otherwise the function
-keeps its last prediction -- the engine is deterministic in those
-inputs, so a re-run would reproduce it.  The confirming round of a
-converged component therefore re-runs nothing, while ``rounds`` still
-counts it; a module reports the most rounds any component used.
+of a direct callee.  Otherwise the function keeps its last prediction
+-- the engine is deterministic in those inputs, so a re-run would
+reproduce it.  The confirming round of a converged component therefore
+re-runs nothing, while ``rounds`` still counts it; a module reports the
+most rounds any component used.
 
-Context sensitivity (``VRPConfig.context_depth``, default 0): with
-k >= 1, a call to a provably *range-effect-free* callee is no longer
-answered from the all-sites merge -- the callee is re-analysed under the
-site's own abstracted argument ranges, to a nesting depth of k, with the
-(function, context) → return-range results memoized in a bounded
-:class:`~repro.core.perf.stats.LRUCache`.  k = 0 short-circuits all
-of that and reproduces the context-insensitive analysis byte-for-byte.
+The analysis is context-insensitive: every call site of a function
+reads the same merged summary.  A callee reached from significantly
+different contexts is cloned instead (:mod:`repro.core.cloning`, §3.7).
 
-After the fixed point converges the driver distils
-:class:`~repro.core.summaries.ModuleSummaries` and a *summary taint*
+After the fixed point converges the driver distils a *summary taint*
 map -- which SSA names in each function are data-dependent on an
 interprocedural fact (a parameter seeded from call sites, or a call
 result seeded from a callee's return range).  ``repro explain`` turns
@@ -43,26 +37,17 @@ cross-function provenance chains.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core import counters as counters_mod
 from repro.core.callgraph import CallGraph, CallSite, Component
 from repro.core.config import VRPConfig
-from repro.core.perf.stats import CacheStats, LRUCache, stats as perf_stats
 from repro.core.propagation import (
     FunctionPrediction,
     HeuristicFn,
     PropagationEngine,
 )
 from repro.core.rangeset import BOTTOM, RangeSet, merge_weighted
-from repro.core.summaries import (
-    DEFAULT_CONTEXT_CACHE_SIZE,
-    ModuleSummaries,
-    abstract_argument_set,
-    build_summaries,
-    compute_purity,
-    context_key,
-)
 from repro.ir.function import Module
 from repro.ir.instructions import Branch, Call
 from repro.ir.ssa import SSAInfo, build_ssa_edges
@@ -89,7 +74,6 @@ class ModulePrediction:
         counters: counters_mod.Counters,
         rounds: int,
         *,
-        summaries: Optional[ModuleSummaries] = None,
         summary_taint: Optional[Dict[str, Dict[str, Tuple[str, ...]]]] = None,
         taint_sources: Optional[Dict[str, Dict[str, dict]]] = None,
         interprocedural: Optional[dict] = None,
@@ -98,8 +82,6 @@ class ModulePrediction:
         self.functions = functions
         self.counters = counters
         self.rounds = rounds
-        #: Per-function interprocedural summaries (None on the intra path).
-        self.summaries = summaries
         #: function -> tainted SSA name -> seed names that reach it.
         self.summary_taint = summary_taint or {}
         #: function -> seed SSA name -> provenance descriptor.
@@ -201,32 +183,9 @@ class InterproceduralVRP:
         # Return functions: function -> merged return range.
         self.return_sets: Dict[str, RangeSet] = {}
         self.predictions: Dict[str, FunctionPrediction] = {}
-        # -- context sensitivity ----------------------------------------------
-        self.context_depth = max(0, int(self.config.context_depth))
-        self.purity: Dict[str, bool] = (
-            compute_purity(module, self.callgraph) if self.context_depth else {}
-        )
-        self._context_cache = LRUCache(
-            DEFAULT_CONTEXT_CACHE_SIZE, perf_stats().caches["summary_context"]
-        )
-        self._context_counters = counters_mod.Counters()
-        self._contexts_analyzed = 0
-        #: Callees currently being analysed in some context (cycle guard).
-        self._context_stack: Set[str] = set()
-        #: Call results the contexts refined past the merged summary:
-        #: caller -> dest SSA name -> taint-seed descriptor.  Only the
-        #: top-level (per-function) engines record here; throwaway
-        #: context engines do not describe the functions they analyse.
-        self._context_refined: Dict[str, Dict[str, dict]] = {}
-        #: The callees whose return ranges each function's analysis reads:
-        #: its direct callees at k = 0, every reachable callee at k >= 1
-        #: (context engines read deeper return ranges).
+        #: The callees whose return ranges each function's analysis reads.
         self._read_callees: Dict[str, List[str]] = {
-            name: sorted(
-                self._reachable(name) if self.context_depth
-                else self.callgraph.callees[name]
-            )
-            for name in module.functions
+            name: sorted(self.callgraph.callees[name]) for name in module.functions
         }
         #: function -> the inputs its last analysis read (see _inputs_of).
         self._inputs: Dict[str, tuple] = {}
@@ -258,13 +217,9 @@ class InterproceduralVRP:
         total = counters_mod.Counters()
         for prediction in predictions.values():
             total.merge(prediction.counters)
-        summary_cache = CacheStats()
         taint: Dict[str, Dict[str, Tuple[str, ...]]] = {}
         sources: Dict[str, Dict[str, dict]] = {}
         for state in states:
-            total.merge(state["context_counters"])
-            for field, count in state["summary_cache"].items():
-                setattr(summary_cache, field, getattr(summary_cache, field) + count)
             taint.update(state["taint"])
             sources.update(state["sources"])
         round_caps = sum(state["round_cap"] for state in states)
@@ -276,7 +231,6 @@ class InterproceduralVRP:
             predictions,
             total,
             rounds,
-            summaries=self._build_summaries(),
             # In module order; seed sites are read from the live IR.
             summary_taint={
                 name: taint[name] for name in self.module.functions if name in taint
@@ -291,9 +245,6 @@ class InterproceduralVRP:
                 "max_rounds": self.max_rounds,
                 "converged": round_caps == 0,
                 "round_cap_hits": round_caps,
-                "context_depth": self.context_depth,
-                "contexts_analyzed": sum(s["contexts_analyzed"] for s in states),
-                "summary_cache": summary_cache.as_dict(),
             },
         )
 
@@ -309,17 +260,10 @@ class InterproceduralVRP:
 
         tracer = tracing.active()
         members = component.members
-        self._context_counters = counters_mod.Counters()
-        self._contexts_analyzed = 0
-        before = self._context_cache.record.as_dict()
         rounds = 0
         changed = False
         for rounds in range(1, self.max_rounds + 1):
             changed = False
-            # Memoized context results embed *other* callees' return
-            # ranges as of this round; those move between rounds, so the
-            # memo is only valid within one (stats stay cumulative).
-            self._context_cache.clear()
             with tracer.span("interprocedural-round"):
                 for name in members:
                     inputs = self._inputs_of(name)
@@ -348,7 +292,6 @@ class InterproceduralVRP:
                     ),
                 )
             )
-        after = self._context_cache.record.as_dict()
         taint, sources = self._compute_taint(members)
         return {
             "predictions": {name: self.predictions[name] for name in members},
@@ -362,33 +305,19 @@ class InterproceduralVRP:
             "sources": sources,
             "rounds": rounds,
             "round_cap": changed,
-            "contexts_analyzed": self._contexts_analyzed,
-            "context_counters": self._context_counters,
-            "summary_cache": {
-                field: after[field] - before[field]
-                for field in ("hits", "misses", "evictions")
-            },
         }
 
     # -- per-function analysis -----------------------------------------------------
 
     def _analyse_one(self, name: str) -> FunctionPrediction:
-        function = self.module.function(name)
-        info = self.ssa_infos[name]
-        engine = PropagationEngine(
-            function,
-            info,
+        return PropagationEngine(
+            self.module.function(name),
+            self.ssa_infos[name],
             config=self.config,
             heuristic=self.heuristic,
             param_ranges=self._params_for(name),
             call_effect=self._call_effect,
-        )
-        if self.context_depth:
-            self._context_refined[name] = {}
-            engine.call_effect = self._context_effect(
-                engine, self.context_depth, record=True
-            )
-        return engine.run()
+        ).run()
 
     def _inputs_of(self, name: str) -> tuple:
         """Everything one analysis of ``name`` reads that rounds can move."""
@@ -399,16 +328,6 @@ class InterproceduralVRP:
                 for callee in self._read_callees[name]
             ),
         )
-
-    def _reachable(self, name: str) -> Set[str]:
-        seen: Set[str] = set()
-        stack = list(self.callgraph.callees[name])
-        while stack:
-            callee = stack.pop()
-            if callee not in seen:
-                seen.add(callee)
-                stack.extend(self.callgraph.callees[callee])
-        return seen
 
     def _params_for(self, name: str) -> Dict[str, RangeSet]:
         if name == self.entry:
@@ -425,107 +344,6 @@ class InterproceduralVRP:
 
     def _call_effect(self, call: Call) -> RangeSet:
         return self.return_sets.get(call.callee, BOTTOM)
-
-    # -- context-sensitive call effects (k >= 1) -----------------------------------
-
-    def _context_effect(
-        self, engine: PropagationEngine, depth: int, record: bool = False
-    ) -> Callable[[Call], RangeSet]:
-        """A call-effect closure answering calls per calling context."""
-
-        def effect(call: Call) -> RangeSet:
-            return self._context_call(engine, call, depth, record=record)
-
-        return effect
-
-    def _context_call(
-        self, engine: PropagationEngine, call: Call, depth: int, record: bool = False
-    ) -> RangeSet:
-        callee = call.callee
-        merged = self._call_effect(call)
-        function = self.module.functions.get(callee)
-        if function is None or not self.purity.get(callee, False):
-            # Undefined or effectful callee: the merged summary is all
-            # the context could ever soundly say.
-            return merged
-        params = function.params
-        if len(call.args) != len(params):
-            return merged
-        arg_sets = tuple(
-            abstract_argument_set(engine.value_of(arg)) for arg in call.args
-        )
-        if all(rangeset.is_bottom for rangeset in arg_sets):
-            # The context carries no information beyond the merge.
-            return merged
-        key = context_key(callee, arg_sets, depth)
-        cached = self._context_cache.get(key)
-        if cached is not None:
-            self._record_refinement(engine, call, cached, record)
-            return cached
-        if callee in self._context_stack:
-            # Recursive context chain: answer from the merged fixed
-            # point rather than unrolling the recursion.
-            return merged
-        result = self._analyse_in_context(callee, params, arg_sets, depth)
-        self._context_cache.put(key, result)
-        self._record_refinement(engine, call, result, record)
-        return result
-
-    def _record_refinement(
-        self, engine: PropagationEngine, call: Call, result: RangeSet, record: bool
-    ) -> None:
-        """Remember a call result the context answered better than ⊥.
-
-        These become taint seeds alongside the merged return functions,
-        so ``branch_provenance`` and the diagnostics' provenance chains
-        also cover ranges that exist *only* because of the context --
-        the merged summary of such a callee is typically poisoned.
-        """
-        if not record or call.dest is None or result.is_bottom:
-            return
-        self._context_refined[engine.function.name][call.dest.name] = {
-            "kind": "call",
-            "function": engine.function.name,
-            "callee": call.callee,
-            "range": str(result),
-        }
-
-    def _analyse_in_context(
-        self,
-        callee: str,
-        params: List[str],
-        arg_sets: Tuple[RangeSet, ...],
-        depth: int,
-    ) -> RangeSet:
-        from repro.observability import tracer as tracing
-
-        tracer = tracing.active()
-        function = self.module.function(callee)
-        info = self.ssa_infos[callee]
-        self._context_stack.add(callee)
-        try:
-            with tracer.span(f"analysis:summary:{callee}"):
-                context_engine = PropagationEngine(
-                    function,
-                    info,
-                    config=self.config,
-                    heuristic=self.heuristic,
-                    param_ranges=dict(zip(params, arg_sets)),
-                    call_effect=self._call_effect,
-                )
-                if depth > 1:
-                    context_engine.call_effect = self._context_effect(
-                        context_engine, depth - 1
-                    )
-                prediction = context_engine.run()
-        finally:
-            self._context_stack.discard(callee)
-        self._contexts_analyzed += 1
-        self._context_counters.merge(prediction.counters)
-        result = prediction.return_set
-        if result.is_top:
-            result = BOTTOM
-        return result
 
     # -- fixed-point bookkeeping ------------------------------------------------------
 
@@ -607,21 +425,6 @@ class InterproceduralVRP:
 
     # -- post-convergence products ------------------------------------------------
 
-    def _build_summaries(self) -> ModuleSummaries:
-        purity = self.purity or compute_purity(self.module, self.callgraph)
-        block_frequencies = {
-            name: prediction.block_frequency
-            for name, prediction in self.predictions.items()
-        }
-        return build_summaries(
-            self.module,
-            self.callgraph,
-            purity,
-            self.param_sets,
-            self.return_sets,
-            block_frequencies,
-        )
-
     def _compute_taint(
         self, members: Tuple[str, ...]
     ) -> Tuple[Dict[str, Dict[str, Tuple[str, ...]]], Dict[str, Dict[str, dict]]]:
@@ -669,10 +472,6 @@ class InterproceduralVRP:
                     "callee": site.callee,
                     "range": str(returned),
                 }
-            # Context-refined call results (k >= 1): real ranges that
-            # exist only per calling context, invisible to the merged
-            # return functions above.
-            seeds.update(self._context_refined.get(name, {}))
             if not seeds:
                 continue
             sources[name] = seeds
@@ -684,9 +483,9 @@ class InterproceduralVRP:
         function's taint-seed descriptors.
 
         A parameter seed cites every call site of its function; a call
-        seed (merged or context-refined) cites the call defining it.  So
-        provenance chains cite current line numbers even when the seeds
-        were replayed from a store after a pure line-shift edit.
+        seed cites the call defining it.  So provenance chains cite
+        current line numbers even when the seeds were replayed from a
+        store after a pure line-shift edit.
         """
         out: Dict[str, dict] = {}
         for seed, descriptor in seeds.items():

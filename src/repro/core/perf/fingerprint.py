@@ -37,18 +37,27 @@ NEUTRAL_FIELDS = frozenset(
     }
 )
 
+#: Removed fields, at the one value every result is now computed with.
+#: Keeping them keeps the fingerprint, so warmed caches still hit.
+RETIRED_ITEMS = (("context_depth", "0"),)
+
 
 def config_items(config: VRPConfig):
     """The result-affecting ``(field, repr(value))`` pairs, sorted.
 
     ``repr`` (not ``str``) keeps ints and floats distinguishable
     (``repr(1) != repr(1.0)``) and is stable for the bool/int/float
-    field types the config uses.
+    field types the config uses.  :data:`RETIRED_ITEMS` are included.
     """
     return tuple(
-        (field.name, repr(getattr(config, field.name)))
-        for field in sorted(dataclasses.fields(config), key=lambda f: f.name)
-        if field.name not in NEUTRAL_FIELDS
+        sorted(
+            RETIRED_ITEMS
+            + tuple(
+                (field.name, repr(getattr(config, field.name)))
+                for field in dataclasses.fields(config)
+                if field.name not in NEUTRAL_FIELDS
+            )
+        )
     )
 
 

@@ -118,10 +118,9 @@ class LRUCache:
 
 
 # Cache names, one CacheStats each: the hash-consing table and the
-# constructor memos of core/rangeset.py, the memos of core/perf/memo.py,
-# and the interprocedural (function, context) → return-range memo
-# ("summary_context") of core/interprocedural.py.  The set plans are
-# not here: each lives in its instruction's engine record, with no key.
+# constructor memos of core/rangeset.py and the memos of
+# core/perf/memo.py.  The set plans are not here: each lives in its
+# instruction's engine record, with no key.
 CACHE_NAMES = (
     "intern_rangeset",
     "from_ranges",
@@ -131,7 +130,6 @@ CACHE_NAMES = (
     "refine",
     "constant",
     "boolean",
-    "summary_context",
 )
 
 

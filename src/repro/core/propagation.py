@@ -196,8 +196,6 @@ class PropagationEngine:
         self.underivable: Set[str] = set()
         # Loop phi -> the name at ⊤ its last derivation attempt waited for.
         self._waiting_on: Dict[str, str] = {}
-        # Context-sensitive call effects read the arguments' values.
-        self._calls_read_args = self.config.context_depth > 0
         self.phi_eval_count: Dict[str, int] = {}
         self.phi_change_count: Dict[str, int] = {}
         self.widened: Set[str] = set()
@@ -793,7 +791,6 @@ class PropagationEngine:
             symbolic=self.config.symbolic,
             max_ranges=self.config.max_ranges,
             settled=self.settled,
-            calls_read_args=self._calls_read_args,
         )
 
     def _derivation_value(self, name: str) -> RangeSet:
@@ -805,7 +802,7 @@ class PropagationEngine:
         while value is None:
             definition = self.edges.defining_instruction(name)
             kind = definition.__class__
-            if kind is Call and not self._calls_read_args:
+            if kind is Call:
                 return self._transfer_call(definition)
             if kind is not Copy:
                 return TOP

@@ -150,15 +150,10 @@ def suite_metrics(
     return [workload_metrics(prepared, config) for prepared in prepared_workloads]
 
 
-def standard_predictors(context_depth: int = 0) -> Dict[str, PredictionFn]:
-    """The six prediction lines of the paper's Figures 7 and 8.
-
-    ``context_depth`` raises the k-limit of the interprocedural VRP
-    lines (``vrp`` and ``vrp-numeric``); the default 0 reproduces the
-    context-insensitive paper configuration byte-for-byte.
-    """
-    vrp_config = VRPConfig(context_depth=context_depth)
-    numeric_config = VRPConfig(symbolic=False, context_depth=context_depth)
+def standard_predictors() -> Dict[str, PredictionFn]:
+    """The six prediction lines of the paper's Figures 7 and 8."""
+    vrp_config = VRPConfig()
+    numeric_config = VRPConfig(symbolic=False)
     return {
         "profile": profile_predictions,
         "vrp": lambda prepared: vrp_predictions(prepared, vrp_config),
@@ -188,13 +183,12 @@ def evaluate_workload(
     workload: Workload,
     predictors: Optional[Dict[str, PredictionFn]] = None,
     prepared: Optional[PreparedWorkload] = None,
-    context_depth: int = 0,
 ) -> WorkloadEvaluation:
     """Score all predictors on one workload."""
     if prepared is None:
         prepared = prepare_workload(workload)
     if predictors is None:
-        predictors = standard_predictors(context_depth)
+        predictors = standard_predictors()
     evaluation = WorkloadEvaluation(workload=workload)
     for name, predict in predictors.items():
         predictions = predict(prepared)
@@ -226,25 +220,17 @@ class SuiteEvaluation:
         return names
 
 
-def _suite_worker(item: Tuple[Workload, bool, int]):
+def _suite_worker(item: Tuple[Workload, bool]):
     """Evaluate one workload with the standard predictors.
 
     Module-level (hence picklable) so a process pool can run it; the
     sequential path calls the same function so ``jobs=1`` and
     ``jobs=N`` perform the identical computation per workload.
     """
-    workload, with_metrics, context_depth = item
+    workload, with_metrics = item
     prepared = prepare_workload(workload)
-    evaluation = evaluate_workload(
-        workload, prepared=prepared, context_depth=context_depth
-    )
-    report = (
-        workload_metrics(
-            prepared, VRPConfig(context_depth=context_depth)
-        ).to_dict()
-        if with_metrics
-        else None
-    )
+    evaluation = evaluate_workload(workload, prepared=prepared)
+    report = workload_metrics(prepared).to_dict() if with_metrics else None
     return evaluation, report
 
 
@@ -253,15 +239,13 @@ def run_suite(
     suite_name: str,
     jobs: int = 1,
     with_metrics: bool = False,
-    context_depth: int = 0,
 ) -> Tuple[SuiteEvaluation, Optional[List[dict]]]:
     """Evaluate a suite with the standard predictors, optionally in parallel.
 
     Results are ordered like ``workloads`` regardless of ``jobs``; with
     ``with_metrics`` a per-workload metrics dict list is returned too.
-    ``context_depth`` sets the k-limit of the VRP prediction lines.
     """
-    items = [(workload, with_metrics, context_depth) for workload in workloads]
+    items = [(workload, with_metrics) for workload in workloads]
     if jobs <= 1 or len(items) <= 1:
         results = [_suite_worker(item) for item in items]
     else:

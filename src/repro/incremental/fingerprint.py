@@ -26,9 +26,9 @@ Source locations appear in neither: predictions carry no line numbers
 down a file must not invalidate anything.
 
 Keys derived from these fingerprints are salted with
-:func:`fingerprint_salt` -- the version-salted config fingerprint plus
-``context_depth`` -- so an engine upgrade or a config change invalidates
-the store instead of replaying stale summaries.
+:func:`fingerprint_salt` -- the version-salted config fingerprint -- so
+an engine upgrade or a config change invalidates the store instead of
+replaying stale summaries.
 """
 
 from __future__ import annotations
@@ -60,18 +60,12 @@ from repro.ir.values import Constant, Temp, Undef, Value
 
 
 def fingerprint_salt(config: Optional[VRPConfig] = None) -> str:
-    """The key salt shared by every store address.
-
-    ``context_depth`` is already part of the config fingerprint but is
-    repeated explicitly: it changes the *shape* of stored payloads
-    (context-refined seeds), not merely their values.
-    """
+    """The key salt shared by every store address."""
     config = config or VRPConfig()
     return json.dumps(
         {
             "engine": engine_salt(),
             "config": config_fingerprint(config),
-            "context_depth": int(config.context_depth),
         },
         sort_keys=True,
         separators=(",", ":"),

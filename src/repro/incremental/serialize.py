@@ -32,7 +32,7 @@ from repro.ir.function import Function
 
 #: Bumped whenever the stored component layout (or the recipe of a
 #: stored value, such as the exact fingerprints) changes.
-PAYLOAD_VERSION = 3
+PAYLOAD_VERSION = 4
 
 
 class PayloadError(ValueError):
@@ -246,8 +246,7 @@ class ComponentState:
     :class:`FunctionPrediction` with ``function`` set to ``None``; a
     replay binds a copy to the current module's function.  ``products``
     is the rest of the driver's component state (``param_sets``,
-    ``return_sets``, ``taint``, ``sources``, ``rounds``, ``round_cap``,
-    ``contexts_analyzed``, ``context_counters``, ``summary_cache``).
+    ``return_sets``, ``taint``, ``sources``, ``rounds``, ``round_cap``).
 
     A state references no ``Function``, ``BasicBlock`` or ``Module``, so
     the store pins no old compile.  It is shared read-only by the store
@@ -308,9 +307,6 @@ class ComponentState:
             ],
             "rounds": products["rounds"],
             "round_cap": products["round_cap"],
-            "contexts_analyzed": products["contexts_analyzed"],
-            "context_counters": counters_to_json(products["context_counters"]),
-            "summary_cache": dict(products["summary_cache"]),
         }
 
     @classmethod
@@ -354,12 +350,6 @@ class ComponentState:
                 },
                 "rounds": int(payload["rounds"]),
                 "round_cap": bool(payload["round_cap"]),
-                "contexts_analyzed": int(payload["contexts_analyzed"]),
-                "context_counters": counters_from_json(payload["context_counters"]),
-                "summary_cache": {
-                    field: int(payload["summary_cache"][field])
-                    for field in ("hits", "misses", "evictions")
-                },
             }
         except PayloadError:
             raise

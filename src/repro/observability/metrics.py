@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.observability.events import BranchResolution, HeuristicChain
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 #: Keys every report carries, whatever its schema version.
 REQUIRED_KEYS = ("schema_version", "program", "phases", "counters", "branches", "meta")

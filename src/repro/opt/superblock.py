@@ -56,9 +56,12 @@ def form_traces(
     the loop body itself becomes the trace).
     """
     cfg = CFG(function)
-    unclaimed: Set[str] = set(cfg.reachable())
+    # Seeds in reverse postorder among equal frequencies: never set
+    # order, which varies with the hash seed.
+    order = cfg.reverse_postorder()
+    unclaimed: Set[str] = set(order)
     seeds = sorted(
-        unclaimed,
+        order,
         key=lambda label: -prediction.block_frequency.get(label, 0.0),
     )
     traces: List[Trace] = []

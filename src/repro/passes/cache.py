@@ -16,7 +16,7 @@ mutating passes (the free-function pipeline computes one prediction up
 front and feeds it to every fold); whether a pass may keep consuming it
 is governed solely by its ``preserves`` declaration.  The prediction
 carries everything else clients read from VRP: block and edge
-frequencies, and the interprocedural summaries.
+frequencies, and the interprocedural summary taint.
 
 The dominator and postdominator trees are the cached CFG snapshot's
 own (``cfg.dominators`` / ``cfg.postdominators``), which the snapshot

@@ -5,19 +5,20 @@ locally computed values.  Each helper is pure but is invoked from at
 least one call site with an unanalysable (⊥) argument, so the
 context-insensitive merge of Patterson §3.7 poisons the merged
 parameter ranges and every caller-side branch on a return value falls
-back to heuristics.  With ``--context-depth k >= 1`` the k-limited
-contexts re-analyse the helpers per abstracted argument tuple and the
-narrow call sites recover range-based predictions:
+back to heuristics.  Procedure cloning (:mod:`repro.core.cloning`, the
+paper's answer for "significantly different contexts") gives each group
+of agreeing call sites its own copy of the helper, so the narrow call
+sites recover range-based predictions:
 
 * ``inter_dispatch`` -- one affine helper, two narrow sites and one ⊥
-  site; k=1 already recovers both narrow-site branches;
-* ``inter_pipeline`` -- a two-deep helper chain; k=1 is *not* enough
-  (the inner call still sees the merged ⊥ summary) but k=2 recovers it;
-* ``inter_mixpair``  -- a two-parameter helper exercising tuple-shaped
-  context keys;
-* ``inter_recurse``  -- a self-recursive helper; recursion keeps the
-  return range unknown at every k (the context cycle guard answers
-  with the merged fixed point), pinning the no-regression baseline.
+  site; cloning recovers both narrow-site branches;
+* ``inter_pipeline`` -- a two-deep helper chain; cloning the inner
+  helper recovers the branch on its narrow call site;
+* ``inter_mixpair``  -- a two-parameter helper, so call sites group by
+  an argument tuple;
+* ``inter_recurse``  -- a self-recursive helper; recursive functions are
+  never cloned and the return range stays unknown, pinning the
+  no-regression baseline.
 
 The helpers stay away from ``%`` as the *last* operation on the
 unknown-argument path on purpose: floor modulo bounds its result even
@@ -57,7 +58,7 @@ register(
     Workload(
         name="inter_dispatch",
         suite="inter",
-        description="Affine helper with narrow and unknown call sites (k=1 wins)",
+        description="Affine helper with narrow and unknown call sites (cloning wins)",
         source=DISPATCH_SOURCE,
         train_args=[80],
         ref_args=[640],
@@ -97,7 +98,7 @@ register(
     Workload(
         name="inter_pipeline",
         suite="inter",
-        description="Two-deep helper chain: k=1 still merged, k=2 recovers",
+        description="Two-deep helper chain: cloning the inner helper recovers",
         source=PIPELINE_SOURCE,
         train_args=[80],
         ref_args=[640],
@@ -137,7 +138,7 @@ register(
     Workload(
         name="inter_mixpair",
         suite="inter",
-        description="Two-parameter helper exercising tuple context keys",
+        description="Two-parameter helper: call sites grouped by argument tuple",
         source=MIXPAIR_SOURCE,
         train_args=[80],
         ref_args=[640],
@@ -170,7 +171,7 @@ register(
     Workload(
         name="inter_recurse",
         suite="inter",
-        description="Self-recursive helper: cycle guard keeps every k honest",
+        description="Self-recursive helper: never cloned, pins no regression",
         source=RECURSE_SOURCE,
         train_args=[80],
         ref_args=[640],

@@ -6,6 +6,7 @@ from repro.core.cloning import clone_for_contexts
 from repro.core.interprocedural import analyse_module
 from repro.ir import prepare_for_analysis
 from repro.profiling import run_module
+from repro.workloads import get_workload
 
 from tests.helpers import compile_and_prepare
 
@@ -94,6 +95,17 @@ class TestCloneForContexts:
         prediction = analyse_module(module, infos)
         report = clone_for_contexts(module, prediction)
         assert report.variants == {}
+
+    def test_recursive_callees_are_not_cloned(self):
+        # queens's solve is called from main and from itself with
+        # divergent ranges; a clone would still call the original, and
+        # cloning it raised the int suite's miss rate.
+        workload = get_workload("queens")
+        module, infos = compile_and_prepare(workload.source)
+        prediction = analyse_module(module, infos)
+        report = clone_for_contexts(module, prediction)
+        assert report.variants == {}
+        assert set(module.functions) == set(prediction.functions)
 
     def test_entry_never_cloned(self):
         module, infos = compile_and_prepare(DIVERGENT)

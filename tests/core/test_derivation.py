@@ -363,14 +363,6 @@ class TestSetSteps:
         assert "acc.1" in prediction.derived
         assert extent(prediction.values["acc.1"]) == ("0", "+inf", 1)
 
-    def test_context_sensitive_calls_need_final_arguments(self):
-        # Under --context-depth 1 the call reads k.3, which reads the
-        # non-derived n.1 (the bound n is bottom): the step is not final.
-        assert last_attempt((3, 6, 9), "acc = acc {op} f(k);", context_depth=1) == (
-            "failed",
-            "step call$1.0 reads the phi n.1, not derived on its first visit",
-        )
-
 
 #: The accumulator loop of a large-modules call-graph component.
 TOP_SHAPE = SET_HELPER.format(3, 6, 9) + """

@@ -1,17 +1,20 @@
 """The interprocedural surface of the corpus, pinned by digest.
 
-``interprocedural_digests.json`` holds, per source and context depth
-k = 0/1/2, the SHA-256 of everything an interprocedural run shows: the
-``predict`` table, the ``ranges`` listing, the ``check`` text,
-``rounds``, the ``interprocedural`` statistics, every work counter, the
-summary taint and its seed sources (in the order the prediction holds
-them).  A cold run, a first incremental run (every component a store
+``interprocedural_digests.json`` holds, per source, the SHA-256 of
+everything an interprocedural run shows: the ``predict`` table, the
+``ranges`` listing, the ``check`` text, ``rounds``, the
+``interprocedural`` statistics, every work counter, the summary taint
+and its seed sources (in the order the prediction holds them).  A cold run, a first incremental run (every component a store
 miss) and a replay from that store must each reproduce the pinned
 digest.
 
+A case is named ``<source>@k0``: calling-context depth 0, the
+context-insensitive analysis, which is the only one the driver runs
+(a callee reached from divergent contexts is cloned instead).
+
 It also pins the encoded store payload of every component of
-``MULTI_COMPONENT`` at k = 0 and 2, so a store written by an earlier
-build still replays.
+``MULTI_COMPONENT``, so a store written by an earlier build still
+replays.
 
 Regenerate the file only for a change meant to move interprocedural
 results (and bump ``PAYLOAD_VERSION`` if the payloads move):
@@ -26,7 +29,6 @@ import pytest
 
 from repro import rendering
 from repro.core import VRPPredictor
-from repro.core.config import VRPConfig
 from repro.diagnostics import check_module, render_text
 from repro.heuristics import BallLarusPredictor
 from repro.incremental import IncrementalStore, analyse_module_incremental
@@ -35,8 +37,6 @@ from repro.lang import compile_source
 
 HERE = os.path.dirname(__file__)
 DIGESTS = os.path.join(HERE, "interprocedural_digests.json")
-DEPTHS = (0, 1, 2)
-PAYLOAD_DEPTHS = (0, 2)
 
 
 def corpus():
@@ -60,12 +60,10 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def surface(name: str, source: str, depth: int, store=None) -> str:
+def surface(name: str, source: str, store=None) -> str:
     module = compile_source(source)
     infos = prepare_module(module)
-    prediction = VRPPredictor(
-        config=VRPConfig(context_depth=depth), incremental_store=store
-    ).predict_module(module, infos)
+    prediction = VRPPredictor(incremental_store=store).predict_module(module, infos)
     report = check_module(module, prediction, program=name)
     return sha256(
         json.dumps(
@@ -98,7 +96,7 @@ class RecordingStore(IncrementalStore):
         super().put(key, state)
 
 
-def payload_digests(depth: int) -> dict:
+def payload_digests() -> dict:
     from tests.incremental.helpers import MULTI_COMPONENT, build
 
     store = RecordingStore()
@@ -107,7 +105,6 @@ def payload_digests(depth: int) -> dict:
         module,
         infos,
         store,
-        config=VRPConfig(context_depth=depth),
         heuristic=BallLarusPredictor().as_fallback(),
     )
     return {
@@ -117,11 +114,11 @@ def payload_digests(depth: int) -> dict:
 
 
 SOURCES = corpus()
-CASES = [(name, depth) for name in sorted(SOURCES) for depth in DEPTHS]
+CASES = sorted(SOURCES)
 
 
-def case_id(name: str, depth: int) -> str:
-    return f"{name}@k{depth}"
+def case_id(name: str) -> str:
+    return f"{name}@k0"
 
 
 @pytest.fixture(scope="module")
@@ -131,31 +128,27 @@ def pinned():
 
 
 def test_the_pinned_corpus_is_the_current_corpus(pinned):
-    assert sorted(pinned["surfaces"]) == sorted(case_id(*case) for case in CASES)
+    assert sorted(pinned["surfaces"]) == sorted(map(case_id, CASES))
 
 
-@pytest.mark.parametrize("name,depth", CASES, ids=[case_id(*c) for c in CASES])
-def test_every_mode_matches_the_pinned_surface(name, depth, pinned):
-    expected = pinned["surfaces"][case_id(name, depth)]
+@pytest.mark.parametrize("name", CASES, ids=case_id)
+def test_every_mode_matches_the_pinned_surface(name, pinned):
+    expected = pinned["surfaces"][case_id(name)]
     source = SOURCES[name]
-    assert surface(name, source, depth) == expected, "cold run moved"
+    assert surface(name, source) == expected, "cold run moved"
     store = IncrementalStore()
-    assert surface(name, source, depth, store) == expected, "first incremental run moved"
-    assert surface(name, source, depth, store) == expected, "replay moved"
+    assert surface(name, source, store) == expected, "first incremental run moved"
+    assert surface(name, source, store) == expected, "replay moved"
 
 
-@pytest.mark.parametrize("depth", PAYLOAD_DEPTHS)
-def test_component_payloads_match_the_pinned_encoding(depth, pinned):
-    assert payload_digests(depth) == pinned["payloads"][f"k{depth}"]
+def test_component_payloads_match_the_pinned_encoding(pinned):
+    assert payload_digests() == pinned["payloads"]
 
 
 if __name__ == "__main__":
     document = {
-        "surfaces": {
-            case_id(name, depth): surface(name, SOURCES[name], depth)
-            for name, depth in CASES
-        },
-        "payloads": {f"k{depth}": payload_digests(depth) for depth in PAYLOAD_DEPTHS},
+        "surfaces": {case_id(name): surface(name, SOURCES[name]) for name in CASES},
+        "payloads": payload_digests(),
     }
     with open(DIGESTS, "w", encoding="utf-8") as out:
         json.dump(document, out, indent=1, sort_keys=True)

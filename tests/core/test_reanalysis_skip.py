@@ -4,8 +4,7 @@ A function whose effective parameter ranges and read callee return
 ranges are unchanged since its last analysis keeps its last prediction.
 The skip must be invisible: forcing every re-analysis (the input
 snapshot never matches) renders the same predict table, ranges listing
-and check report, with the same rounds and convergence, at every
-context depth -- and, at k = 0, the same work counters.
+and check report, with the same rounds, convergence and work counters.
 """
 
 import glob
@@ -15,7 +14,6 @@ import pytest
 
 from repro import rendering
 from repro.core import perf
-from repro.core.config import VRPConfig
 from repro.core.interprocedural import InterproceduralVRP, analyse_module
 from repro.core.predictor import VRPPredictor
 from repro.diagnostics.engine import check_module
@@ -46,33 +44,6 @@ func main(n) {
 }
 """
 
-#: At k >= 1, main's context call a(3) reads b's return range, which
-#: moves in round 3 while main's own parameters and a's and c's merged
-#: return ranges stay put: main must still be re-analysed.
-DEEP_CONTEXT = """
-func b(x) {
-  return x;
-}
-
-func a(y) {
-  var t = b(1);
-  return t * y;
-}
-
-func c(z) {
-  var q = b(z);
-  return 0;
-}
-
-func main(n) {
-  var r = a(3);
-  var s = a(n);
-  var w = c(5);
-  if (r < 4) { w = w + 1; }
-  return w + s;
-}
-"""
-
 CALL_FREE = """
 func main(n) {
   var total = 0;
@@ -96,14 +67,12 @@ def corpus():
     return out
 
 
-def surface(name, source, depth, max_rounds=8):
+def surface(name, source, max_rounds=8):
     """Everything a user sees of one analysis, plus its counters."""
     perf.reset()
     module = compile_source(source, module_name=name)
     infos = prepare_module(module)
-    prediction = analyse_module(
-        module, infos, config=VRPConfig(context_depth=depth), max_rounds=max_rounds
-    )
+    prediction = analyse_module(module, infos, max_rounds=max_rounds)
     rendered = (
         rendering.branch_table(
             prediction.all_branches(), prediction.heuristic_branches()
@@ -122,35 +91,21 @@ def never_matches(self, name):
 
 
 class TestSkipEquivalence:
-    @pytest.mark.parametrize("depth", [0, 1, 2])
-    def test_forced_reanalysis_changes_nothing(self, monkeypatch, depth):
+    def test_forced_reanalysis_changes_nothing(self, monkeypatch):
         programs = corpus()
         assert len(programs) == 2 + 27 + 4
-        skipping = {name: surface(name, source, depth) for name, source in programs}
+        skipping = {name: surface(name, source) for name, source in programs}
         with monkeypatch.context() as patch:
             patch.setattr(InterproceduralVRP, "_inputs_of", never_matches)
-            forced = {
-                name: surface(name, source, depth) for name, source in programs
-            }
-        differing = [
-            name
-            for name in skipping
-            if skipping[name][0] != forced[name][0]
-            or (depth == 0 and skipping[name][1] != forced[name][1])
-        ]
+            forced = {name: surface(name, source) for name, source in programs}
+        differing = [name for name in skipping if skipping[name] != forced[name]]
         assert differing == []
-
-    @pytest.mark.parametrize("depth", [0, 1, 2])
-    def test_context_reads_deeper_return_ranges(self, monkeypatch, depth):
-        skipping = surface("deep_context", DEEP_CONTEXT, depth)
-        monkeypatch.setattr(InterproceduralVRP, "_inputs_of", never_matches)
-        assert surface("deep_context", DEEP_CONTEXT, depth)[0] == skipping[0]
 
     @pytest.mark.parametrize("max_rounds", [1, 8])
     def test_round_cap_program(self, monkeypatch, max_rounds):
-        skipping = surface("ping_pong", PING_PONG, 0, max_rounds=max_rounds)
+        skipping = surface("ping_pong", PING_PONG, max_rounds=max_rounds)
         monkeypatch.setattr(InterproceduralVRP, "_inputs_of", never_matches)
-        assert surface("ping_pong", PING_PONG, 0, max_rounds=max_rounds) == skipping
+        assert surface("ping_pong", PING_PONG, max_rounds=max_rounds) == skipping
 
     def test_forced_run_analyses_twice(self, monkeypatch):
         # The reference the skip is measured against: two rounds analyse

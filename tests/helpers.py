@@ -62,10 +62,9 @@ def value_of_variable(prediction: FunctionPrediction, prefix: str) -> Dict[str, 
 def shrink_caches(monkeypatch, capacity: int = 2) -> None:
     """Cap every bounded LRU of the analysis at ``capacity`` entries and
     empty them, so the next run starts cold with tables that evict."""
-    from repro.core import interprocedural, perf
+    from repro.core import perf
     from repro.core.perf import memo
 
     for cache in memo._ALL_CACHES:
         monkeypatch.setattr(cache, "capacity", capacity)
-    monkeypatch.setattr(interprocedural, "DEFAULT_CONTEXT_CACHE_SIZE", capacity)
     perf.reset()

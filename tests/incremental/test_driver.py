@@ -22,36 +22,29 @@ def run_incremental(source, store, config=None):
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("depth", [0, 1, 2])
-    def test_first_run_matches_cold(self, depth):
-        config = VRPConfig(context_depth=depth)
+    def test_first_run_matches_cold(self):
         module, infos = build(MULTI_COMPONENT)
-        cold = analyse_module(module, infos, config=config)
+        cold = analyse_module(module, infos)
         warm_module, warm_infos = build(MULTI_COMPONENT)
         incremental, outcome = analyse_module_incremental(
-            warm_module, warm_infos, IncrementalStore(), config=config
+            warm_module, warm_infos, IncrementalStore()
         )
         assert rendered(incremental) == rendered(cold)
         assert outcome.replayed == ()
         assert set(outcome.reanalyzed) == set(module.functions)
 
-    @pytest.mark.parametrize("depth", [0, 1, 2])
-    def test_replay_matches_cold(self, depth):
-        config = VRPConfig(context_depth=depth)
+    def test_replay_matches_cold(self):
         store = IncrementalStore()
-        first, _ = run_incremental(MULTI_COMPONENT, store, config)
-        second, outcome = run_incremental(MULTI_COMPONENT, store, config)
+        first, _ = run_incremental(MULTI_COMPONENT, store)
+        second, outcome = run_incremental(MULTI_COMPONENT, store)
         assert rendered(second) == rendered(first)
         assert outcome.reanalyzed == ()
         assert outcome.components_replayed == 3
         assert outcome.store_hits == 3
 
-    def test_replay_reproduces_counters_at_depth_zero(self):
-        # The work-count telemetry is part of the contract too (the
-        # interprocedural pin test covers k = 1 and 2).  The
-        # summary-cache numbers tally into the perf layer's global
-        # record, which VRPPredictor resets per run (the CLI surface),
-        # so the comparison goes through the predictor.
+    def test_replay_reproduces_counters(self):
+        # The work-count telemetry is part of the contract too; the
+        # comparison goes through the predictor, the CLI surface.
         from repro.core import VRPPredictor
 
         module, infos = build(MULTI_COMPONENT)
@@ -111,15 +104,13 @@ def taint_view(prediction):
 
 
 class TestTaintReplay:
-    @pytest.mark.parametrize("depth", [0, 1, 2])
-    def test_replayed_taint_matches_cold(self, tmp_path, depth):
-        config = VRPConfig(context_depth=depth)
+    def test_replayed_taint_matches_cold(self, tmp_path):
         module, infos = build(MULTI_COMPONENT)
-        cold = analyse_module(module, infos, config=config)
+        cold = analyse_module(module, infos)
         assert cold.summary_taint and cold.taint_sources
-        run_incremental(MULTI_COMPONENT, IncrementalStore(disk_dir=str(tmp_path)), config)
+        run_incremental(MULTI_COMPONENT, IncrementalStore(disk_dir=str(tmp_path)))
         replayed, outcome = run_incremental(
-            MULTI_COMPONENT, IncrementalStore(disk_dir=str(tmp_path)), config
+            MULTI_COMPONENT, IncrementalStore(disk_dir=str(tmp_path))
         )
         assert outcome.reanalyzed == ()
         assert taint_view(replayed) == taint_view(cold)
@@ -211,7 +202,7 @@ class TestGuards:
         store = IncrementalStore()
         run_incremental(MULTI_COMPONENT, store, VRPConfig())
         _, outcome = run_incremental(
-            MULTI_COMPONENT, store, VRPConfig(context_depth=1)
+            MULTI_COMPONENT, store, VRPConfig(max_ranges=2)
         )
         assert outcome.replayed == ()
 

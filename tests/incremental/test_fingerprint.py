@@ -150,11 +150,6 @@ class TestSalt:
     def test_salt_separates_equal_texts(self):
         assert fingerprint_of(BASE, salt="a") != fingerprint_of(BASE, salt="b")
 
-    def test_context_depth_changes_the_salt(self):
-        assert fingerprint_salt(VRPConfig()) != fingerprint_salt(
-            VRPConfig(context_depth=1)
-        )
-
     def test_config_changes_the_salt(self):
         assert fingerprint_salt(VRPConfig()) != fingerprint_salt(
             VRPConfig(max_ranges=7)

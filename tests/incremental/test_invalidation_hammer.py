@@ -3,8 +3,7 @@
 For random single-function edits, the incremental driver must
 reanalyze exactly the edited function's weakly connected call-graph
 component (``CallGraph.components``), replay everything else, and render
-byte-identically to a cold run of the edited module -- at context
-depths 0, 1 and 2.
+byte-identically to a cold run of the edited module.
 """
 
 import random
@@ -14,7 +13,6 @@ import pytest
 
 from repro.cli import main
 from repro.core.callgraph import CallGraph
-from repro.core.config import VRPConfig
 from repro.core.interprocedural import analyse_module
 from repro.incremental.driver import analyse_module_incremental
 from repro.incremental.fingerprint import module_fingerprints
@@ -23,7 +21,8 @@ from repro.workloads import suite
 
 from tests.incremental.helpers import MULTI_COMPONENT, build, rendered
 
-DEPTHS = (0, 1, 2)
+#: One seeded stream of random edits each.
+SEEDS = (0, 1, 2)
 EDITS_PER_TARGET = 3
 
 
@@ -70,10 +69,9 @@ def random_single_function_edit(source, rng):
     raise AssertionError("no editable literal found")
 
 
-@pytest.mark.parametrize("depth", DEPTHS)
-def test_hammer_reanalyzes_exactly_the_affected_set(depth):
-    config = VRPConfig(context_depth=depth)
-    rng = random.Random(0xC0FFEE + depth)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hammer_reanalyzes_exactly_the_affected_set(seed):
+    rng = random.Random(0xC0FFEE + seed)
     for target, source in sources():
         base_module, _ = build(source)
         base_fps = module_fingerprints(base_module)
@@ -83,9 +81,7 @@ def test_hammer_reanalyzes_exactly_the_affected_set(depth):
             # the edit would (correctly) replay it.
             store = IncrementalStore()
             warm_module, warm_infos = build(source)
-            analyse_module_incremental(
-                warm_module, warm_infos, store, config=config
-            )
+            analyse_module_incremental(warm_module, warm_infos, store)
             edited_source, edited_name = random_single_function_edit(
                 source, rng
             )
@@ -105,21 +101,21 @@ def test_hammer_reanalyzes_exactly_the_affected_set(depth):
                 for name in component.members
             }
             prediction, outcome = analyse_module_incremental(
-                edited_module, edited_infos, store, config=config
+                edited_module, edited_infos, store
             )
-            context = (target, depth, edited_name)
+            context = (target, seed, edited_name)
             assert set(outcome.reanalyzed) == expected, context
             assert set(outcome.replayed) == (
                 set(edited_module.functions) - expected
             ), context
 
             cold_module, cold_infos = build(edited_source)
-            cold = analyse_module(cold_module, cold_infos, config=config)
+            cold = analyse_module(cold_module, cold_infos)
             assert rendered(prediction) == rendered(cold), context
 
 
 class TestRenderedOutputsByteIdentical:
-    """CLI-level identity: predict and check, text/json/sarif, k=0/1/2."""
+    """CLI-level identity: predict and check, text/json/sarif."""
 
     @pytest.fixture(scope="class")
     def edited_file(self, tmp_path_factory):
@@ -129,9 +125,8 @@ class TestRenderedOutputsByteIdentical:
         path.write_text(edited)
         return str(path)
 
-    @pytest.mark.parametrize("depth", DEPTHS)
-    def test_predict_table(self, edited_file, tmp_path, capsys, depth):
-        base = ["predict", edited_file, "--context-depth", str(depth)]
+    def test_predict_table(self, edited_file, tmp_path, capsys):
+        base = ["predict", edited_file]
         store = str(tmp_path / "store")
         cold_code = main(base)
         cold_out = capsys.readouterr().out
@@ -143,13 +138,9 @@ class TestRenderedOutputsByteIdentical:
         assert first_out == cold_out
         assert warm_out == cold_out
 
-    @pytest.mark.parametrize("depth", DEPTHS)
     @pytest.mark.parametrize("fmt", ["text", "json", "sarif"])
-    def test_check_formats(self, edited_file, tmp_path, capsys, fmt, depth):
-        base = [
-            "check", edited_file, "--format", fmt,
-            "--context-depth", str(depth),
-        ]
+    def test_check_formats(self, edited_file, tmp_path, capsys, fmt):
+        base = ["check", edited_file, "--format", fmt]
         store = str(tmp_path / "store")
         cold_code = main(base)
         cold_out = capsys.readouterr().out

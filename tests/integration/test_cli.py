@@ -191,7 +191,7 @@ class TestEmitMetrics:
         assert f"metrics written to {path}" in out
         data = json.loads(path.read_text())
         assert validate_report_dict(data) is None
-        assert data["schema_version"] == 8
+        assert data["schema_version"] == 9
 
     def test_emitted_probabilities_match_predict_output(
         self, program_file, tmp_path, capsys
@@ -376,7 +376,6 @@ class TestOptionBounds:
         "flag,value,message",
         [
             ("--max-ranges", "0", "argument --max-ranges: must be >= 1"),
-            ("--context-depth", "-3", "argument --context-depth: must be >= 0"),
             ("--max-ranges", "two", "argument --max-ranges: must be an integer"),
         ],
     )
@@ -418,12 +417,23 @@ class TestOptionBounds:
         assert code == 2
         assert err.endswith(f"error: argument {message}\n")
 
-    def test_evaluate_context_depth_is_not_clamped(self, capsys):
-        code, err = usage_error(
-            ["evaluate", "--workload", "fir", "--context-depth", "-3"], capsys
+    @pytest.mark.parametrize("command", sorted(ANALYSIS_COMMANDS) + ["evaluate"])
+    def test_context_depth_is_not_an_option(
+        self, command, program_file, capsys, monkeypatch
+    ):
+        # Calling contexts are cloned (§3.7); there is no k-limit to set.
+        def serve_daemon(**settings):
+            pytest.fail(f"serve started with {settings}")
+
+        monkeypatch.setattr("repro.server.serve_daemon", serve_daemon)
+        argv = (
+            ["evaluate", "--workload", "fir"]
+            if command == "evaluate"
+            else [part.format(file=program_file) for part in ANALYSIS_COMMANDS[command]]
         )
+        code, err = usage_error(argv + ["--context-depth", "1"], capsys)
         assert code == 2
-        assert err.endswith("error: argument --context-depth: must be >= 0\n")
+        assert err.endswith("error: unrecognized arguments: --context-depth 1\n")
 
     @pytest.mark.parametrize("command", ["run", "submit"])
     @pytest.mark.parametrize("flag", ["--args", "--inputs"])

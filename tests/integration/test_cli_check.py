@@ -104,7 +104,7 @@ class TestMetrics:
         ])
         data = json.loads(metrics_path.read_text())
         assert validate_report_dict(data) is None
-        assert data["schema_version"] == 8
+        assert data["schema_version"] == 9
         rules = {entry["rule"] for entry in data["diagnostics"]}
         assert "div-by-zero" in rules
 

@@ -6,7 +6,7 @@
   the exit code and the ``error: ...`` line (or ``null``), for
   ``predict``, ``ranges``, ``ir``, ``check`` in all three formats,
   ``run`` (without arguments, and with the reference arguments capped
-  at 8 and the first 16 reference inputs) and four option
+  at 8 and the first 16 reference inputs) and three option
   combinations, over the 33 truth programs (the workload registry plus
   ``examples/*.toy``), each written to a relative path so ``check``
   reports name it the same way every time;
@@ -16,8 +16,10 @@
   under several server-wide base options, so a disk cache written
   earlier still hits.
 
-``excluded`` lists the invocations that ended in a traceback when the
-file was generated; they must now exit 1 with one ``error:`` line.
+``excluded`` lists the invocations that ended in a traceback when they
+were first pinned; they must now exit 1 with one ``error:`` line.
+Regenerating keeps them there, so an unchanged tree regenerates the
+same file.
 
 Regenerate the file only for a change meant to move this surface:
 ``PYTHONPATH=src python -m tests.integration.test_cli_pin``.
@@ -64,7 +66,6 @@ def invocations(program):
          "--inputs", ints(program.inputs[:16]), "--max-steps", "20000"],
         ["predict", path, "--numeric"],
         ["predict", path, "--intra"],
-        ["predict", path, "--context-depth", "2"],
         ["check", path, "--track-arrays", "--max-ranges", "2"],
     ]
     return [(f"{program.name}|{' '.join(argv[:1] + argv[2:])}", argv) for argv in argvs]
@@ -134,9 +135,9 @@ KEY_BODIES = [
     {"command": "predict", "source": KEY_SOURCE, "options": {"trace": True}},
     {"command": "predict", "source": KEY_SOURCE,
      "options": {"intra": True, "numeric": True, "no_derive": True,
-                 "track_arrays": True, "max_ranges": 2, "context_depth": 1}},
+                 "track_arrays": True, "max_ranges": 2}},
     {"command": "predict", "source": KEY_SOURCE, "options": {"max_ranges": 4}},
-    {"command": "ranges", "source": KEY_SOURCE, "options": {"context_depth": 2}},
+    {"command": "ranges", "source": KEY_SOURCE, "options": {"max_ranges": 2}},
     {"command": "ir", "source": KEY_SOURCE, "name": "b.toy"},
     {"command": "check", "source": KEY_SOURCE, "name": "c.toy"},
     {"command": "check", "source": KEY_SOURCE, "name": "c.toy",
@@ -153,7 +154,7 @@ KEY_BASES = {
     "none": None,
     "numeric": {"numeric": True, "max_ranges": 2},
     "intra": {"intra": True},
-    "context": {"context_depth": 1, "track_arrays": True, "no_derive": True},
+    "arrays": {"track_arrays": True, "no_derive": True},
 }
 
 
@@ -222,13 +223,23 @@ def test_request_keys_match_the_pinned_keys(pinned):
     assert key_table() == pinned["keys"]
 
 
-def generate(root):
-    cli, excluded = {}, {}
+def generate(root, pinned_excluded):
+    """The pin document of the current tree.
+
+    An invocation in ``pinned_excluded`` (the current file's ``excluded``
+    table) stays excluded with its recorded reason; any other one that
+    raises is added to it.
+    """
+    ids = {id_ for program in PROGRAMS for id_, _ in invocations(program)}
+    cli = {}
+    excluded = {id_: why for id_, why in pinned_excluded.items() if id_ in ids}
     cwd = os.getcwd()
     os.chdir(root)
     try:
         for program in PROGRAMS:
             for id_, argv in invocations(program):
+                if id_ in excluded:
+                    continue
                 try:
                     cli[id_] = run_cli(argv)
                 except Exception as error:  # noqa: BLE001 - a traceback at the CLI
@@ -246,9 +257,11 @@ def generate(root):
 if __name__ == "__main__":
     import tempfile
 
+    with open(DIGESTS, encoding="utf-8") as handle:
+        pinned_excluded = json.load(handle)["excluded"]
     with tempfile.TemporaryDirectory() as scratch:
         write_corpus(scratch)
-        document = generate(scratch)
+        document = generate(scratch, pinned_excluded)
     with open(DIGESTS, "w", encoding="utf-8") as out:
         json.dump(document, out, indent=1, sort_keys=True)
         out.write("\n")

@@ -68,7 +68,7 @@ class TestProfileCommand:
         assert main(["profile", program, "--emit-metrics", str(metrics)]) == 0
         document = json.loads(metrics.read_text(encoding="utf-8"))
         assert validate_report_dict(document) is None
-        assert document["schema_version"] == 8
+        assert document["schema_version"] == 9
         profile = document["profile"]
         assert profile["wall_seconds"] > 0
         assert any(

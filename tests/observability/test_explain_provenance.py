@@ -10,14 +10,14 @@ import functools
 
 import pytest
 
-from repro.core import VRPConfig
+from repro.core.cloning import analyse_with_cloning
 from repro.ir import prepare_module
 from repro.lang import compile_source
 from repro.observability import explain_module
 from repro.observability.explain import PROVENANCE_TEXT, BranchExplanation
 
 # One unanalysable call site (raw input()) poisons affine's merged
-# parameter range; the k=1 context re-derives the narrow site.
+# parameter range; cloning affine per call site re-derives the narrow one.
 MIXED = """
 func affine(v) {
   return v * 3 + 1;
@@ -53,9 +53,9 @@ class TestProvenanceTags:
     @pytest.fixture(scope="class")
     def contextual(self):
         module, infos = _prepared(MIXED)
-        return explain_module(
-            module, infos, config=VRPConfig(context_depth=1)
-        )
+        _, report, _ = analyse_with_cloning(module, infos)
+        assert report.variants == {"affine": ["affine", "affine$clone1"]}
+        return explain_module(module, infos)
 
     def test_all_three_tags_appear(self, contextual):
         tags = {e.provenance for e in contextual.values()}
@@ -89,7 +89,7 @@ class TestProvenanceTags:
                 in rendered
             )
 
-    def test_depth_zero_has_no_interprocedural_tag(self):
+    def test_uncloned_module_has_no_interprocedural_tag(self):
         module, infos = _prepared(MIXED)
         explanations = explain_module(module, infos)
         tags = {e.provenance for e in explanations.values()}

@@ -1,4 +1,4 @@
-"""Metrics schema compatibility: v1-v7 documents still validate under v8."""
+"""Metrics schema compatibility: v1-v8 documents still validate under v9."""
 
 from repro.observability.metrics import (
     OPTIONAL_KEYS,
@@ -80,10 +80,23 @@ class TestHistoricalDocuments:
         )
         assert validate_report_dict(document) is None
 
+    def test_v9_interprocedural_without_context_keys_validates(self):
+        document = dict(
+            base_document(9),
+            diagnostics=[], perf={}, passes={}, server={},
+            profile={}, tracing={},
+            interprocedural={
+                "rounds": 2, "max_rounds": 8, "converged": True,
+                "round_cap_hits": 0,
+            },
+            incremental={},
+        )
+        assert validate_report_dict(document) is None
+
 
 class TestSchemaShape:
-    def test_current_version_is_8(self):
-        assert SCHEMA_VERSION == 8
+    def test_current_version_is_9(self):
+        assert SCHEMA_VERSION == 9
 
     def test_every_new_key_since_v1_is_optional(self):
         required = set(SCHEMA_KEYS) - set(OPTIONAL_KEYS)

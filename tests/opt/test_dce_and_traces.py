@@ -1,5 +1,10 @@
 """Dead code elimination, branch folding, and trace formation tests."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.propagation import analyse_function
@@ -17,6 +22,23 @@ from repro.opt import (
 from repro.profiling import run_module
 
 from tests.helpers import analyse, prepare_single
+
+REPO = pathlib.Path(__file__).parents[2]
+
+# Prints calc's traces, function by function; run under two hash seeds.
+TRACE_PROBE = """
+from repro.core import VRPPredictor
+from repro.ir import prepare_module
+from repro.lang import compile_source
+from repro.opt import form_traces
+from repro.workloads import get_workload
+
+module = compile_source(get_workload("calc").source)
+prediction = VRPPredictor().predict_module(module, prepare_module(module))
+for name, function_prediction in prediction.functions.items():
+    traces = form_traces(module.function(name), function_prediction)
+    print(name, [(trace.blocks, trace.frequency) for trace in traces])
+"""
 
 
 def run_main(function, args):
@@ -185,3 +207,18 @@ class TestTraces:
             "mean_length": 0.0,
             "weighted_length": 0.0,
         }
+
+    def test_traces_do_not_depend_on_the_hash_seed(self):
+        """Equal-frequency seeds are taken in block order, not set order."""
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(REPO / "src"))
+            completed = subprocess.run(
+                [sys.executable, "-c", TRACE_PROBE],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.append(completed.stdout)
+        assert outputs[0] == outputs[1]

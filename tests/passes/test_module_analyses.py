@@ -4,7 +4,8 @@ The interprocedural products are first-class pass-manager analyses:
 served from :class:`AnalysisCache` on demand, reused across clients,
 consumed by the VRP driver itself, and dropped or kept by
 ``invalidate`` according to a pass's ``preserves`` contract.  The
-driver's summaries ride on the prediction.
+driver's summaries -- the taint seeds its jump and return functions
+produced -- ride on the prediction.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.callgraph import CallGraph
-from repro.core.summaries import ModuleSummaries
 from repro.passes import ANALYSIS_NAMES, PRESERVES_ALL, AnalysisCache
 
 from tests.helpers import compile_and_prepare
@@ -55,20 +55,24 @@ class TestDemandComputation:
 
     def test_summaries_are_module_scoped_and_cached(self):
         module, cache = _cache()
-        summaries = cache.prediction().summaries
-        assert isinstance(summaries, ModuleSummaries)
-        assert summaries is cache.prediction().summaries
+        prediction = cache.prediction()
+        assert prediction is cache.prediction()
         assert cache.misses["prediction"] == 1
-        assert summaries.of("affine").call_sites == 2
-        assert summaries.of("affine").pure
+        # affine's merged parameter cites both of its call sites.
+        (param,) = [
+            seed
+            for seed in prediction.taint_sources["affine"].values()
+            if seed["kind"] == "param"
+        ]
+        assert len(param["sites"]) == 2
 
     def test_summaries_ride_with_the_prediction(self):
         module, cache = _cache()
-        summaries = cache.prediction().summaries
+        before = cache.prediction()
         cache.invalidate(preserves=frozenset(("callgraph",)))
-        fresh = cache.prediction().summaries
-        assert fresh is not summaries
-        assert fresh.of("affine").call_sites == summaries.of("affine").call_sites
+        fresh = cache.prediction()
+        assert fresh is not before
+        assert fresh.taint_sources == before.taint_sources
 
     def test_driver_consumes_the_cached_callgraph(self):
         module, cache = _cache()

@@ -134,7 +134,7 @@ class TestEndpoints:
         client.analyze("predict", PROGRAM)
         document = client.metricsz()
         assert validate_report_dict(document) is None
-        assert document["schema_version"] == 8
+        assert document["schema_version"] == 9
         assert document["program"] == "repro-serve"
         server_block = document["server"]
         assert server_block["endpoints"]["/v1/predict"]["count"] == 1
@@ -193,6 +193,16 @@ class TestRejection:
         with pytest.raises(ServerError) as excinfo:
             client.analyze("predict", PROGRAM, options={"typo": True})
         assert excinfo.value.status == 400
+
+    def test_context_depth_is_an_unknown_option(self, served):
+        # Calling contexts are cloned (§3.7); there is no k-limit to set.
+        _, client = served
+        status, document = client.request_json(
+            "POST", "/v1/analyze",
+            {"command": "predict", "source": PROGRAM, "options": {"context_depth": 1}},
+        )
+        assert status == 400
+        assert "unknown option 'context_depth'" in document["error"]
 
     @pytest.mark.parametrize("length", ["\u00b2", "\u00b3", "\u00b9"])
     def test_non_ascii_length_is_411(self, served, length):

@@ -290,7 +290,7 @@ class TestBaseOptions:
         "options,message",
         [
             ({"max_ranges": 0}, "option 'max_ranges' must be >= 1"),
-            ({"context_depth": -1}, "option 'context_depth' must be >= 0"),
+            ({"context_depth": 1}, "unknown option 'context_depth'"),
             ({"numeric": 1}, "option 'numeric' must be a boolean"),
             ({"format": "json"}, "unknown option 'format'"),
         ],
@@ -335,7 +335,7 @@ EXPOSED = {
     "check": {"check", "submit"},
     "run": {"run", "submit"},
 }
-EXTRA = {"format": {"watch"}, "context_depth": {"evaluate"}}
+EXTRA = {"format": {"watch"}}
 
 #: ``run`` needs main's argument whichever row is under test.
 RUN_BASE = {"args": [3]}

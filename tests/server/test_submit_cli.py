@@ -131,7 +131,7 @@ class TestEmitMetrics:
         assert f"metrics written to {out_path}" in capsys.readouterr().out
         document = json.loads(out_path.read_text(encoding="utf-8"))
         assert validate_report_dict(document) is None
-        assert document["schema_version"] == 8
+        assert document["schema_version"] == 9
         assert document["server"]["endpoints"]["/v1/predict"]["count"] >= 1
 
 

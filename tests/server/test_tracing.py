@@ -134,5 +134,5 @@ class TestPrometheusEndpoint:
     def test_json_flavour_is_preserved(self, served):
         _, client = served
         document = client.metricsz()
-        assert document["schema_version"] == 8
+        assert document["schema_version"] == 9
         assert "tracer" in document["server"]
