@@ -14,13 +14,6 @@ progression for orderings); wide ranges fall back to a continuous
 uniform approximation.  Pairs whose bounds are incomparable contribute
 *unknown* probability mass; callers decide when the unknown mass is
 large enough to require heuristic fallback.
-
-A pair's fraction reads only the two extents (after the correlated
-substitution), except where it integrates over a symbol's live range.
-So a comparison keeps every pair's fraction in its instruction's
-record, and a call whose operands were only reweighted sums the weights
-against them, integrating afresh only the pairs whose fraction the
-extents leave unknown.
 """
 
 from __future__ import annotations
@@ -31,7 +24,7 @@ from typing import Optional, Tuple
 from repro.core import counters
 from repro.core.bounds import Bound
 from repro.core.ranges import StridedRange
-from repro.core.rangeset import PlanRecord, RangeSet
+from repro.core.rangeset import RangeSet
 
 DEFAULT_EXACT_LIMIT = 8192
 
@@ -69,7 +62,6 @@ def compare_sets(
     exact_limit: int = DEFAULT_EXACT_LIMIT,
     symbol_range=None,
     tally=None,
-    record: Optional[PlanRecord] = None,
 ) -> Optional[CompareOutcome]:
     """Probability that ``a <op> b`` holds; None when either side is ⊤/⊥.
 
@@ -81,13 +73,6 @@ def compare_sets(
     computed by integrating over the symbol's distribution.
     Sub-operations are tallied in ``tally``, by default the active
     counters.
-
-    ``record`` keeps the compare plan under both shapes, in pair order:
-    each pair's :func:`_dispatch_fraction` or, for a pair it leaves
-    unknown, the one symbol of the correlated pair's bounds (``None``
-    if not exactly one).  An integration reads live engine state through
-    ``symbol_range``, so it is never stored: each call asks for the
-    symbol's range again and rebuilds the pair only if that is numeric.
     """
     if not (a.is_set and b.is_set):
         return None
@@ -95,39 +80,25 @@ def compare_sets(
     unknown = 0.0
     if tally is None:
         tally = counters.active()
-    stored = None
-    if record is not None:
-        shapes = (a.shape, b.shape)
-        if record.shapes == shapes:
-            stored, record = iter(record.plan), None  # nothing new to keep
-    fractions = []
     for ra in a.ranges:
         for rb in b.ranges:
             tally.sub_operations += 1
             weight = ra.probability * rb.probability
-            if stored is None:
-                pair = _correlated(ra, rb, a_name, b_name)
-                fraction = _dispatch_fraction(op, *pair, exact_limit)
-                if fraction is None:  # stored: the pair's one symbol, if any
-                    symbols = pair[0].symbols() | pair[1].symbols()
-                    fraction = next(iter(symbols)) if len(symbols) == 1 else None
-                fractions.append(fraction)
-            else:
-                fraction = next(stored)
-            if fraction.__class__ is str:
-                # Unknown from the extents: average over the symbol's
-                # live range when that is numeric.
-                symbol, fraction = fraction, None
-                live = None if symbol_range is None else symbol_range(symbol)
-                if live is not None and live.is_set and live.is_numeric():
-                    pair = _correlated(ra, rb, a_name, b_name)
-                    fraction = _integrate(op, *pair, exact_limit, symbol, live)
+            pair = _correlated(ra, rb, a_name, b_name)
+            fraction = _dispatch_fraction(op, *pair, exact_limit)
+            if fraction is None:
+                # Unknown from the extents: average over the pair's one
+                # symbol's live range when that is numeric.
+                symbols = pair[0].symbols() | pair[1].symbols()
+                if len(symbols) == 1:
+                    symbol = next(iter(symbols))
+                    live = None if symbol_range is None else symbol_range(symbol)
+                    if live is not None and live.is_set and live.is_numeric():
+                        fraction = _integrate(op, *pair, exact_limit, symbol, live)
             if fraction is None:
                 unknown += weight
             else:
                 known += weight * fraction
-    if record is not None:
-        record.shapes, record.plan = shapes, tuple(fractions)
     return CompareOutcome(known, unknown)
 
 

@@ -51,16 +51,6 @@ class VRPConfig:
     # e.g. an alternating recurrence reweighting probabilities forever --
     # freezes at its current value after this many changes.
     freeze_after: int = 200
-    # Largest progression swept exactly in comparison counting; larger
-    # pairs use the continuous approximation.
-    exact_count_limit: int = 8192
-    # When more than this fraction of a comparison's probability mass is
-    # undecidable, the branch falls back to heuristics.
-    max_unknown_mass: float = 0.5
-    # Cap on block frequencies (infinite loops would diverge).
-    frequency_cap: float = 1e9
-    # Probability used for a branch before anything is known about it.
-    default_branch_probability: float = 0.5
     # Track array contents flow-insensitively: a load returns the merge
     # of every range stored to that array (plus the zero initialiser)
     # instead of ⊥.  The paper treats loads as ⊥ "unless detailed alias

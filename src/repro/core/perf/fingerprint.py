@@ -39,7 +39,13 @@ NEUTRAL_FIELDS = frozenset(
 
 #: Removed fields, at the one value every result is now computed with.
 #: Keeping them keeps the fingerprint, so warmed caches still hit.
-RETIRED_ITEMS = (("context_depth", "0"),)
+RETIRED_ITEMS = (
+    ("context_depth", "0"),
+    ("default_branch_probability", "0.5"),
+    ("exact_count_limit", "8192"),
+    ("frequency_cap", "1000000000.0"),
+    ("max_unknown_mass", "0.5"),
+)
 
 
 def config_items(config: VRPConfig):

@@ -3,9 +3,9 @@
 The engine-facing wrappers (:func:`evaluate_binop`, :func:`compare_sets`,
 ...) are called by :mod:`repro.core.propagation` in place of the plain
 functions.  Every result they return is canonical already: the plain
-functions build their sets with ``RangeSet.from_ranges`` or by
-replaying a set plan, both of which hash-cons each set they build, or
-return the ⊤/⊥ singletons, so no wrapper interns again.  The
+functions build their sets with ``RangeSet.from_ranges``, which
+hash-conses each set it builds, or return the ⊤/⊥ singletons, so no
+wrapper interns again.  The
 hash-consing table and the ``from_ranges``/``merge_weighted`` memos
 live in :mod:`repro.core.rangeset`.
 
@@ -26,24 +26,11 @@ Two invariants keep the layer behaviour-neutral:
 ``compare_sets`` is only memoized for calls without a ``symbol_range``
 callback: with a callback the result depends on *live* engine state
 that a key over the operands cannot capture.  The engine passes one on
-most calls -- 2,518 of its 2,761 ``compare_sets`` calls (91%) on
-large-modules seed 11, block 0 -- so those reach the plan level.
-
-Below these set-level memos sit the set plans: a wrapper hands the
-instruction's :class:`~repro.core.rangeset.PlanRecord` down on a miss.
-A loop φ is iterated until its weights settle, so most laps change
-only the weights of the sets it feeds: such a lap misses the set-level
-memo and replays the plan its record holds for the operands' shapes
-(their extents without the weights) without visiting a pair.  Under
-the range cap it recombines the pair products or fractions and interns
-one set, without building a ``from_ranges`` key; over the cap it looks
-the compacted set up in the ``from_ranges`` table, keyed on the input
-ranges' extents and weights.  A pair handler runs only on a plan's
-first evaluation (or on a ⊥ operand, or a lap under the cap that drops
-a weight), and every pair still tallies its ``sub_operations``.  A
-record lives as long as its engine run: no key, no eviction, no thread
-shares it.  Every memo table is listed in ``_ALL_CACHES``, so
-:func:`clear` (and ``perf.reset()``) empties it.
+most calls -- 604 of its 803 ``compare_sets`` calls (75%) on
+large-modules seed 11, block 0 -- so those run their pair loop every
+time.  A miss in any table runs the plain function, which builds its
+set through the ``from_ranges`` memo.  Every memo table is listed in
+``_ALL_CACHES``, so :func:`clear` (and ``perf.reset()``) empties it.
 """
 
 from __future__ import annotations
@@ -79,7 +66,7 @@ _ALL_CACHES = (
 )
 
 
-def evaluate_binop(op, a, b, max_ranges=_rangeset.DEFAULT_MAX_RANGES, record=None):
+def evaluate_binop(op, a, b, max_ranges=_rangeset.DEFAULT_MAX_RANGES):
     """``range_arith.evaluate_binop`` with caching + sub-operation replay."""
     key = (op, a, b, max_ranges)
     cached = _BINOP.get(key)
@@ -89,31 +76,20 @@ def evaluate_binop(op, a, b, max_ranges=_rangeset.DEFAULT_MAX_RANGES, record=Non
         tally.sub_operations += sub_ops
         return result
     before = tally.sub_operations
-    result = _range_arith.evaluate_binop(op, a, b, max_ranges, tally, record)
+    result = _range_arith.evaluate_binop(op, a, b, max_ranges, tally)
     _BINOP.put(key, (result, tally.sub_operations - before))
     return result
 
 
-def compare_sets(
-    op,
-    a,
-    b,
-    a_name=None,
-    b_name=None,
-    exact_limit=_comparisons.DEFAULT_EXACT_LIMIT,
-    symbol_range=None,
-    record=None,
-):
+def compare_sets(op, a, b, a_name=None, b_name=None, symbol_range=None):
     """``comparisons.compare_sets`` with caching + sub-operation replay.
 
     Falls through uncached whenever ``symbol_range`` is given: that
     callback reads live engine state the memo key cannot represent.
     """
     if symbol_range is not None:
-        return _comparisons.compare_sets(
-            op, a, b, a_name, b_name, exact_limit, symbol_range, record=record
-        )
-    key = (op, a, b, a_name, b_name, exact_limit)
+        return _comparisons.compare_sets(op, a, b, a_name, b_name, symbol_range=symbol_range)
+    key = (op, a, b, a_name, b_name)
     cached = _COMPARE.get(key)
     tally = counters.active()
     if cached is not None:
@@ -121,20 +97,18 @@ def compare_sets(
         tally.sub_operations += sub_ops
         return outcome
     before = tally.sub_operations
-    outcome = _comparisons.compare_sets(
-        op, a, b, a_name, b_name, exact_limit, tally=tally, record=record
-    )
+    outcome = _comparisons.compare_sets(op, a, b, a_name, b_name, tally=tally)
     _COMPARE.put(key, (outcome, tally.sub_operations - before))
     return outcome
 
 
-def refine_set(src, op, bound, max_ranges=_rangeset.DEFAULT_MAX_RANGES, record=None):
+def refine_set(src, op, bound, max_ranges=_rangeset.DEFAULT_MAX_RANGES):
     """``refine.refine_set`` with caching (pure: nothing to replay)."""
     key = (src, op, bound, max_ranges)
     cached = _REFINE.get(key)
     if cached is not None:
         return cached
-    result = _refine.refine_set(src, op, bound, max_ranges, record)
+    result = _refine.refine_set(src, op, bound, max_ranges)
     _REFINE.put(key, result)
     return result
 

@@ -35,7 +35,7 @@ see every step they saw before).
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import deque
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.loops import LoopInfo
@@ -53,7 +53,7 @@ from repro.core.perf.memo import (
 )
 from repro.core.range_arith import evaluate_unop
 from repro.core.ranges import StridedRange
-from repro.core.rangeset import BOTTOM, PlanRecord, RangeSet, TOP, merge_weighted
+from repro.core.rangeset import BOTTOM, RangeSet, TOP, merge_weighted
 from repro.ir.cfg import CFG
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -80,6 +80,14 @@ from repro.observability import tracer as tracing
 Edge = Tuple[str, str]
 
 ENTRY_EDGE_SOURCE = "<entry>"
+
+#: When more than this fraction of a comparison's probability mass is
+#: undecidable, the branch falls back to heuristics.
+MAX_UNKNOWN_MASS = 0.5
+#: Cap on block frequencies (an endless loop would diverge).
+FREQUENCY_CAP = 1e9
+#: P(true edge) of a ⊥ branch when no heuristic predictor is given.
+DEFAULT_BRANCH_PROBABILITY = 0.5
 
 #: The heuristic fallback for a ⊥ branch: ``(function, label, cfg,
 #: loops) -> P(true edge)``, handed the engine's own CFG and
@@ -220,14 +228,12 @@ class PropagationEngine:
                 self._latches[header] = sorted(loop.latches, key=position)
 
         # Instructions hash by identity, so these key on the objects.
-        # Per-phi merge skip: phi -> (contributions, result, record);
+        # Per-phi merge skip: phi -> (contributions, result);
         # valid only for merges that did not take the assertion-parent
         # path (that one reads the parent's live value).
         self._phi_memo: Dict[Phi, Tuple] = {}
         # Per-branch skip: branch -> (cond set, probability, tally).
         self._branch_memo: Dict[Branch, Tuple] = {}
-        # Each binop's, π's and compare's set plan (rangeset.PlanRecord).
-        self._plans: Dict[Instruction, PlanRecord] = defaultdict(PlanRecord)
         # Structural caches (CFG shape never changes during a run):
         # back-edge predecessors per phi, the phi prefix per block and
         # each block's terminator (building the CFG above checked that
@@ -377,15 +383,15 @@ class PropagationEngine:
                 total += self.edge_freq.get((pred, label), 0.0)
         if loop is not None:
             total = self._loop_frequency(total, self._cyclic_probability(label))
-        return min(total, self.config.frequency_cap)
+        return min(total, FREQUENCY_CAP)
 
     def _loop_frequency(self, inflow: float, cyclic: float) -> float:
         """Header frequency from its non-back inflow: ``inflow / (1 - cyclic)``."""
         if inflow <= 0.0:
             return 0.0
         if cyclic >= 1.0:
-            return self.config.frequency_cap
-        return min(inflow / (1.0 - cyclic), self.config.frequency_cap)
+            return FREQUENCY_CAP
+        return min(inflow / (1.0 - cyclic), FREQUENCY_CAP)
 
     def _cyclic_probability(self, header: str) -> float:
         """P(control returns to ``header`` | it reached ``header``).
@@ -567,7 +573,6 @@ class PropagationEngine:
             self.value_of(instr.lhs),
             self.value_of(instr.rhs),
             self.config.max_ranges,
-            self._plans[instr],
         )
 
     def _transfer_unop(self, instr: UnOp) -> RangeSet:
@@ -603,11 +608,9 @@ class PropagationEngine:
             rhs,
             a_name=lhs_name,
             b_name=rhs_name,
-            exact_limit=self.config.exact_count_limit,
             symbol_range=self._symbol_range if self.config.symbolic else None,
-            record=self._plans[instr],
         )
-        if outcome is None or outcome.unknown_mass > self.config.max_unknown_mass:
+        if outcome is None or outcome.unknown_mass > MAX_UNKNOWN_MASS:
             return BOTTOM
         return boolean_set(outcome.estimate())
 
@@ -616,7 +619,7 @@ class PropagationEngine:
         bound = self._refinement_bound(instr.bound)
         if bound is None:
             return src
-        refined = refine_set(src, instr.op, bound, self.config.max_ranges, self._plans[instr])
+        refined = refine_set(src, instr.op, bound, self.config.max_ranges)
         if self._sanitize is not None:
             self._sanitize.check_pi(instr, src, refined)
         if self._trace is not None:
@@ -887,9 +890,8 @@ class PropagationEngine:
         parent = self._common_assertion_parent(positive)
         if parent is not None:
             return self.values.get(parent, TOP)
-        record = PlanRecord() if cached is None else cached[2]
-        merged = merge_weighted(contributions, self.config.max_ranges, record)
-        self._phi_memo[phi] = (contributions, merged, record)
+        merged = merge_weighted(contributions, self.config.max_ranges)
+        self._phi_memo[phi] = (contributions, merged)
         return merged
 
     def _common_assertion_parent(
@@ -1003,13 +1005,8 @@ class PropagationEngine:
         self, instr: Branch, label: str, cond: RangeSet
     ) -> Optional[float]:
         if cond.is_set:
-            outcome = compare_sets(
-                "ne",
-                cond,
-                constant_set(0),
-                exact_limit=self.config.exact_count_limit,
-            )
-            if outcome is not None and outcome.unknown_mass <= self.config.max_unknown_mass:
+            outcome = compare_sets("ne", cond, constant_set(0))
+            if outcome is not None and outcome.unknown_mass <= MAX_UNKNOWN_MASS:
                 self.used_heuristic.discard(label)
                 return outcome.estimate()
         # ⊥ (or undecidable): the paper's heuristic fallback.
@@ -1018,7 +1015,7 @@ class PropagationEngine:
             self.used_heuristic.add(label)
         if self.heuristic is not None:
             return self.heuristic(self.function, label, self.cfg, self.loops)
-        return self.config.default_branch_probability
+        return DEFAULT_BRANCH_PROBABILITY
 
     # -- results ----------------------------------------------------------------
 

@@ -10,14 +10,9 @@ result ⊥, exactly as the paper's "problematic ranges quickly become ⊥".
 Arithmetic follows the toy language's semantics, which are Python's:
 floor division, floor modulo (sign of divisor), arithmetic shifts.
 
-A loop lap that only reweights its operands replays the set plan its
-instruction's record holds for both shapes (see :mod:`repro.core.rangeset`)
-without visiting a pair: it recombines the pair products into the
-result, looks a result over the range cap up under its pairs' extents
-and weights, or replays "pair k is ⊥".  Either way every pair tallies
-its sub-operation, as the pair loop does.  The pair loop calls each
-pair handler afresh; it runs on a plan's first evaluation, on a ⊥
-operand, and on a lap that drops a weight at or below ``PROB_EPSILON``.
+Every pair handler gives its result the probability ``left.probability *
+right.probability`` and reads nothing else of the weights; the products
+are folded, renormalised and compacted by ``RangeSet.from_ranges``.
 """
 
 from __future__ import annotations
@@ -28,15 +23,7 @@ from typing import Callable, List, Optional
 from repro.core import counters
 from repro.core.bounds import Bound, NEG_INF, Number, POS_INF, bound_max, bound_min
 from repro.core.ranges import StridedRange
-from repro.core.rangeset import (
-    BOTTOM,
-    DEFAULT_MAX_RANGES,
-    PlanRecord,
-    RangeSet,
-    TOP,
-    build_planned,
-    replay_plan,
-)
+from repro.core.rangeset import BOTTOM, DEFAULT_MAX_RANGES, RangeSet, TOP
 
 
 # The "anything" range: stands in for a ⊥ operand so that bounding
@@ -50,7 +37,6 @@ def evaluate_binop(
     b: RangeSet,
     max_ranges: int = DEFAULT_MAX_RANGES,
     tally=None,
-    record: Optional[PlanRecord] = None,
 ) -> RangeSet:
     """Evaluate ``a <op> b`` over range sets.
 
@@ -59,12 +45,7 @@ def evaluate_binop(
     that bound their result regardless of one input -- ``x % 70`` is in
     ``[0:69]`` whatever ``x`` holds -- recover a usable range, exactly
     the fact a compiler knows statically.  Sub-operations are tallied
-    in ``tally``, by default the active counters.  ``record`` keeps the
-    set plan of two sets (:func:`~repro.core.rangeset.build_planned`),
-    or the ``int`` index of their first ⊥ pair.  Every pair handler gives
-    its result the probability ``left.probability * right.probability``
-    and reads nothing else of the probabilities, so a replay recomputes
-    exactly those products.
+    in ``tally``, by default the active counters.
     """
     if a.is_top or b.is_top:
         return TOP
@@ -77,36 +58,14 @@ def evaluate_binop(
         raise ValueError(f"unknown binary op {op!r}")
     if tally is None:
         tally = counters.active()
-    shapes = None  # set when ``record`` keeps what this call builds
-    if record is not None and a.is_set and b.is_set:
-        shapes = (a.shape, b.shape)
-        if record.shapes == shapes:
-            plan = record.plan
-            if plan.__class__ is int:
-                tally.sub_operations += plan + 1
-                return BOTTOM
-            weights = [
-                left.probability * right.probability for left in a_ranges for right in b_ranges
-            ]
-            result = replay_plan(plan, weights)
-            if result is not None:
-                tally.sub_operations += len(weights)
-                return result
     out: List[StridedRange] = []
     for left in a_ranges:
         for right in b_ranges:
             tally.sub_operations += 1
             pair = handler(left, right)
             if pair is None:
-                if shapes is not None:
-                    record.shapes, record.plan = shapes, len(out)
                 return BOTTOM
             out.append(pair)
-    if a.is_set and b.is_set:
-        result, plan = build_planned(out, max_ranges)
-        if shapes is not None and plan is not None:
-            record.shapes, record.plan = shapes, plan
-        return result
     result = RangeSet.from_ranges(out, max_ranges=max_ranges, renormalise=True)
     if (a.is_bottom or b.is_bottom) and _is_unbounded(result):
         return BOTTOM  # no information was recovered

@@ -8,45 +8,27 @@ A compaction computes each candidate pair's hull and cost once: n
 ranges reach the cap in O(n²) hulls, C(n, 2) for the first merge and
 one per survivor for each merge after it.
 
-Every set :meth:`RangeSet.from_ranges` or :func:`replay_plan` builds is
-**hash-consed** by :func:`intern_rangeset`: structurally-equal sets map
-to one canonical object, so ``__eq__``/``approx_equal`` and the
-engine's "did this value change?" checks fast-path on identity, and
-memo keys hash cheaply.  ⊤ and ⊥ are the singletons :data:`TOP` /
-:data:`BOTTOM`.  Those are the two places a set is interned:
-:func:`merge_weighted`, the set-level operations and the wrappers in
-:mod:`repro.core.perf.memo` return their results, ⊤ or ⊥, all
-canonical already.  Bound offsets are ``int`` or ±inf
-(:mod:`repro.core.bounds`), so equal sets render alike and a key of the
-set alone cannot conflate two that print apart.  ``from_ranges`` is
-memoized on its ranges' extents and weights, :func:`merge_weighted` on
-its full arguments; every table is a bounded LRU, and an
-evicted entry is recomputed (or, for the hash-consing table, merely
-loses the identity fast path).  A set makes its text once, on the
-first ``str``: a set that many values and predictions share is rendered
-once.
+Every set :meth:`RangeSet.from_ranges` builds is **hash-consed** by
+:func:`intern_rangeset`: structurally-equal sets map to one canonical
+object, so ``__eq__``/``approx_equal`` and the engine's "did this value
+change?" checks fast-path on identity, and memo keys hash cheaply.  ⊤
+and ⊥ are the singletons :data:`TOP` / :data:`BOTTOM`.  That is the one
+place a set is interned: :func:`merge_weighted` and the set-level
+operations (``range_arith.evaluate_binop``, ``refine.refine_set``)
+build their results with ``from_ranges(..., renormalise=True)`` or
+return ⊤/⊥, and the wrappers in :mod:`repro.core.perf.memo` return
+those, all canonical already.  Bound offsets are ``int`` or ±inf (:mod:`repro.core.bounds`),
+so equal sets render alike and a key of the set alone cannot conflate
+two that print apart.  ``from_ranges`` is memoized on its ranges'
+extents and weights, :func:`merge_weighted` on its full arguments;
+every table is a bounded LRU, and an evicted entry is recomputed (or,
+for the hash-consing table, merely loses the identity fast path).  A
+set makes its text once, on the first ``str``: a set that many values
+and predictions share is rendered once.
 
-``is_top``, ``is_bottom``, ``is_set``, ``ranges`` and ``shape`` are
-slots the constructor fills, not properties: the engine reads them on
-every evaluation, where a property costs several times a slot read.
-
-A set's :attr:`RangeSet.shape` is its ranges' extents, the set without
-its weights (a replayed plan holds it already and passes it in).  The
-set-level operations (``range_arith.evaluate_binop``,
-``refine.refine_set``, ``comparisons.compare_sets`` and
-:func:`merge_weighted`) keep a **set plan** (:func:`build_planned`)
-in the caller's :class:`PlanRecord` for their operands' shapes, and a
-loop lap that only reweights them replays it (:func:`replay_plan`)
-without visiting a pair.  Under the range cap the plan holds the result's extents and which input weights fold into
-each, in canonical order: the replay repeats the builder's float
-operations in the same order, then interns one set, with no
-``from_ranges`` key and no fold or sort.  Over the cap the merges
-compaction picks depend on the weights, so the plan holds the input
-ranges as templates: the replay computes the same weights and looks
-the set up in the ``from_ranges`` table under the templates' extents
-and those weights, a key CPython hashes without a Python call, and
-builds it from the templates on a miss.  A lap under the cap with a
-weight at or below :data:`PROB_EPSILON` goes the full way.
+``is_top``, ``is_bottom``, ``is_set`` and ``ranges`` are slots the
+constructor fills, not properties: the engine reads them on every
+evaluation, where a property costs several times a slot read.
 """
 
 from __future__ import annotations
@@ -73,22 +55,18 @@ class RangeSet:
     """An immutable lattice value: ⊤, ⊥, or weighted ranges summing to 1.
     Its public slots are set once, here; nothing may assign them later."""
 
-    __slots__ = ("is_top", "is_bottom", "is_set", "ranges", "shape", "_hash", "_hull",
-                 "_symbols", "_text")
+    __slots__ = ("is_top", "is_bottom", "is_set", "ranges", "_hash", "_hull", "_symbols",
+                 "_text")
 
     _TOP_KIND = "top"
     _BOTTOM_KIND = "bottom"
     _SET_KIND = "set"
 
-    def __init__(self, kind: str, ranges: Tuple[StridedRange, ...] = (), shape=None):
+    def __init__(self, kind: str, ranges: Tuple[StridedRange, ...] = ()):
         self.is_top = kind == RangeSet._TOP_KIND
         self.is_bottom = kind == RangeSet._BOTTOM_KIND
         self.is_set = kind == RangeSet._SET_KIND
         self.ranges = ranges
-        #: The ranges' extents in order, the set without its weights:
-        #: what a set plan is keyed on.  A caller that knows it (a
-        #: replayed plan) passes it; otherwise it is made here.
-        self.shape = tuple([r.extent for r in ranges]) if shape is None else shape
         self._hash = None
         self._hull = False  # False = not computed (None is a valid hull)
         self._symbols = None
@@ -254,8 +232,7 @@ TOP = RangeSet(RangeSet._TOP_KIND)
 BOTTOM = RangeSet(RangeSet._BOTTOM_KIND)
 
 _RANGESETS = LRUCache(INTERN_SIZE, stats().caches["intern_rangeset"])
-#: :func:`from_ranges_key` -> the built set; a set plan over the range
-#: cap looks its results up here too (:func:`replay_plan`).
+#: :func:`from_ranges_key` -> the built set.
 _FROM_RANGES = LRUCache(MEMO_SIZE, stats().caches["from_ranges"])
 _MERGE_WEIGHTED = LRUCache(MEMO_SIZE, stats().caches["merge_weighted"])
 
@@ -299,21 +276,19 @@ def intern_rangeset(rangeset: RangeSet) -> RangeSet:
 def merge_weighted(
     contributions: Sequence[Tuple[float, RangeSet]],
     max_ranges: int = DEFAULT_MAX_RANGES,
-    record: Optional["PlanRecord"] = None,
 ) -> RangeSet:
     """The paper's phi evaluation: merge sets weighted by in-edge probability.
 
     ⊤ contributions are ignored (optimism, as in SCCP); a ⊥ contribution
     with positive weight makes the result ⊥; weights are renormalised over
     the contributing edges.  Memoized; the result comes from
-    :meth:`RangeSet.from_ranges` or a set plan (in the φ's ``record``)
-    (or is ⊤/⊥), so it is canonical.
+    :meth:`RangeSet.from_ranges` (or is ⊤/⊥), so it is canonical.
     """
     key = (tuple(contributions), max_ranges)
     cached = _MERGE_WEIGHTED.get(key)
     if cached is not None:
         return cached
-    result = _merge_weighted(key[0], max_ranges, record)
+    result = _merge_weighted(key[0], max_ranges)
     _MERGE_WEIGHTED.put(key, result)
     return result
 
@@ -321,7 +296,6 @@ def merge_weighted(
 def _merge_weighted(
     contributions: Sequence[Tuple[float, RangeSet]],
     max_ranges: int = DEFAULT_MAX_RANGES,
-    record: Optional["PlanRecord"] = None,
 ) -> RangeSet:
     """The uncached φ-merge (see :func:`merge_weighted`)."""
     weighted: List[Tuple[float, RangeSet]] = []
@@ -334,124 +308,11 @@ def _merge_weighted(
     if not weighted:
         return TOP
     total = sum(weight for weight, _ in weighted)
-    if record is not None:
-        shapes = tuple([rset.shape for _, rset in weighted])
-        if record.shapes == shapes:
-            weights: List[float] = []
-            for weight, rset in weighted:
-                factor = weight / total
-                weights.extend([r.probability * factor for r in rset.ranges])
-            result = replay_plan(record.plan, weights)
-            if result is not None:
-                return result
     ranges: List[StridedRange] = []
     for weight, rset in weighted:
         factor = weight / total
         ranges.extend(r.scaled(factor) for r in rset.ranges)
-    result, plan = build_planned(ranges, max_ranges)
-    if record is not None and plan is not None:
-        record.shapes, record.plan = shapes, plan
-    return result
-
-
-# ---------------------------------------------------------------------------
-# set plans
-# ---------------------------------------------------------------------------
-
-
-class PlanRecord:
-    """An instruction's set ``plan`` and the operand ``shapes`` (a π's
-    limit too) it was built for; the engine keeps one per instruction
-    for one run, so the op, cap and names never change under it."""
-
-    __slots__ = ("shapes", "plan")
-
-    def __init__(self) -> None:
-        self.shapes = None
-        self.plan = None
-
-
-def build_planned(ranges: List[StridedRange], max_ranges: int):
-    """``(RangeSet.from_ranges(ranges, max_ranges, renormalise=True),
-    plan)``: the set, and the plan of how it was built, for a set-level
-    operation to keep in its :class:`PlanRecord` and replay with
-    :func:`replay_plan` when a later call only reweights the operands.
-
-    When the distinct extents fit under ``max_ranges``, the plan is
-    ``(shape, folds)``: the result's :attr:`RangeSet.shape`, and one
-    ``(template, first, rest)`` per result range in canonical order: a
-    range of the result's extent, and the indices of the ``ranges``
-    whose weights fold into it, in the order they are summed.  Over the
-    cap, which pairs compaction merges depends on the weights, so the
-    plan is ``(None, (templates, extents, max_ranges))``: the ``ranges``
-    themselves as templates, and their extents, under which a replay
-    looks the set up in the ``from_ranges`` table.  The plan is ``None``
-    when some range weighs at most :data:`PROB_EPSILON` (that filter
-    reads the weights too, so this call says nothing about the shape),
-    and the set is built as ``from_ranges`` builds it.
-    """
-    groups = {}
-    for index, r in enumerate(ranges):
-        if not r.probability > PROB_EPSILON:
-            return RangeSet.from_ranges(ranges, max_ranges, renormalise=True), None
-        group = groups.get(r.extent)
-        if group is None:
-            groups[r.extent] = (r, index, [])
-        else:
-            group[2].append(index)
-    if not groups or len(groups) > max_ranges:
-        plan = (None, (tuple(ranges), tuple([r.extent for r in ranges]), max_ranges))
-        return RangeSet.from_ranges(ranges, max_ranges, renormalise=True), plan
-    folds = tuple(
-        [
-            (template, first, tuple(rest))
-            for template, first, rest in sorted(
-                groups.values(), key=lambda group: _sort_key(group[0])
-            )
-        ]
-    )
-    plan = (tuple([fold[0].extent for fold in folds]), folds)
-    return replay_plan(plan, [r.probability for r in ranges]), plan
-
-
-def replay_plan(plan, weights: List[float]) -> Optional[RangeSet]:
-    """The set ``plan`` builds from ranges of these weights.
-
-    Under the cap: the float operations of ``from_ranges(...,
-    renormalise=True)`` in its order (the running total, the factor,
-    each fold's sum), then one interned set; ``None`` when a weight is
-    at most :data:`PROB_EPSILON`, which ``from_ranges`` would drop.
-    Over the cap: the ``from_ranges`` table's entry for the templates'
-    extents and these weights, built from the reweighted templates on
-    a miss, so exactly the set ``from_ranges`` returns for them."""
-    shape, folds = plan
-    if shape is None:
-        templates, extents, max_ranges = folds
-        weights = tuple(weights)
-        key = (extents, weights, max_ranges, True)
-        result = _FROM_RANGES.get(key)
-        if result is None:
-            reweighted = StridedRange._reweighted
-            ranges = [reweighted(weight, template) for weight, template in zip(weights, templates)]
-            result = intern_rangeset(_build_set(ranges, max_ranges, True))
-            _FROM_RANGES.put(key, result)
-        return result
-    total = 0.0
-    for weight in weights:
-        if not weight > PROB_EPSILON:
-            return None
-        total += weight
-    factor = 1.0 / total
-    if factor != 1.0:
-        weights = [weight * factor for weight in weights]
-    reweighted = StridedRange._reweighted
-    ranges = []
-    for template, first, rest in folds:
-        probability = weights[first]
-        for index in rest:
-            probability += weights[index]
-        ranges.append(reweighted(probability, template))
-    return intern_rangeset(RangeSet(RangeSet._SET_KIND, tuple(ranges), shape))
+    return RangeSet.from_ranges(ranges, max_ranges, renormalise=True)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,6 @@ one-sided facts such as ``n > 0`` enter the analysis.
 
 Bounds may be numeric constants or symbolic (the other operand's SSA
 name), giving the paper's ``x > y + 2``-style symbolic ranges.
-
-The clipping reads only extents, so a refinement whose source was only
-reweighted replays the set plan its π's record holds for the limit and
-the source's shape (see :mod:`repro.core.rangeset`): each kept range's
-weight times its stored fraction, folded as before.
 """
 
 from __future__ import annotations
@@ -23,15 +18,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.bounds import Bound, NEG_INF, POS_INF
 from repro.core.ranges import StridedRange
-from repro.core.rangeset import (
-    BOTTOM,
-    DEFAULT_MAX_RANGES,
-    PlanRecord,
-    RangeSet,
-    TOP,
-    build_planned,
-    replay_plan,
-)
+from repro.core.rangeset import BOTTOM, DEFAULT_MAX_RANGES, RangeSet, TOP
 
 
 def refine_set(
@@ -39,17 +26,12 @@ def refine_set(
     op: str,
     bound: Bound,
     max_ranges: int = DEFAULT_MAX_RANGES,
-    record: Optional[PlanRecord] = None,
 ) -> RangeSet:
     """The range of a value drawn from ``src`` given that ``value op bound``.
 
     ⊤ stays ⊤ (the operand has not been evaluated yet); ⊥ becomes the
     pure predicate range; a contradiction (no value can satisfy the
     assertion) yields ⊥ -- the edge is then effectively never taken.
-    ``record`` keeps, under the limit (a constant bound can change
-    between laps) and ``src``'s shape, ⊥ when no range survives, else
-    the ``(index, fraction)`` of each surviving range of ``src`` and the
-    set plan (:func:`~repro.core.rangeset.build_planned`) that folds them.
     """
     if src.is_top:
         return TOP
@@ -59,33 +41,14 @@ def refine_set(
             return BOTTOM
         return RangeSet.from_ranges([predicate])
     refine, limit = _range_refiner(op, bound)
-    if record is not None:
-        shapes = (limit.symbol, limit.offset, src.shape)
-        if record.shapes == shapes:
-            plan = record.plan
-            if plan is BOTTOM:
-                return BOTTOM
-            survivors, fold = plan
-            ranges = src.ranges
-            weights = [ranges[index].probability * fraction for index, fraction in survivors]
-            result = replay_plan(fold, weights)
-            if result is not None:
-                return result
     kept: List[StridedRange] = []
-    survivors = []
-    for index, r in enumerate(src.ranges):
+    for r in src.ranges:
         clipped, fraction = refine(r, limit)
         if clipped is not None and fraction > 0:
             kept.append(clipped.with_probability(r.probability * fraction))
-            survivors.append((index, fraction))
     if not kept:
-        if record is not None:
-            record.shapes, record.plan = shapes, BOTTOM
         return BOTTOM
-    result, fold = build_planned(kept, max_ranges)
-    if record is not None and fold is not None:
-        record.shapes, record.plan = shapes, (tuple(survivors), fold)
-    return result
+    return RangeSet.from_ranges(kept, max_ranges, renormalise=True)
 
 
 def _predicate_range(op: str, bound: Bound) -> Optional[StridedRange]:

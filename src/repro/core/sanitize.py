@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Hashable
 
+from repro.core.propagation import FREQUENCY_CAP
 from repro.core.rangeset import RangeSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -152,7 +153,6 @@ class LatticeSanitizer:
                     "probability-bounds",
                     f"branch {label} has probability {probability}",
                 )
-        cap = engine.config.frequency_cap
         for label, block in engine.function.blocks.items():
             if label not in engine.visited:
                 continue
@@ -162,7 +162,7 @@ class LatticeSanitizer:
             if label not in engine.branch_prob:
                 continue  # branch still unresolved (⊤ condition)
             node_freq = engine.node_frequency(label)
-            if node_freq <= 0.0 or node_freq >= 0.5 * cap:
+            if node_freq <= 0.0 or node_freq >= 0.5 * FREQUENCY_CAP:
                 # Zero-frequency blocks have nothing to conserve; near
                 # the cap the clamp itself breaks conservation.
                 continue

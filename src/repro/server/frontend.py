@@ -246,6 +246,8 @@ class ShardedServer:
         self._loop_running = threading.Event()
         self._drained = threading.Event()
         self._shards_collected = False
+        # The event loop's selector, made by serve_forever.
+        self._selector: Optional[selectors.BaseSelector] = None
 
     # -- addresses -----------------------------------------------------------
 
@@ -376,56 +378,56 @@ class ShardedServer:
 
     def serve_forever(self) -> None:
         """Run the event loop until drained (usually on its own thread)."""
-        selector = selectors.DefaultSelector()
-        selector.register(self._listen, selectors.EVENT_READ, ("listen", None))
-        selector.register(self._wakeup_r, selectors.EVENT_READ, ("wakeup", None))
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listen, selectors.EVENT_READ, ("listen", None))
+        self._selector.register(self._wakeup_r, selectors.EVENT_READ, ("wakeup", None))
         for handle in self.shards:
-            selector.register(handle.conn, selectors.EVENT_READ, ("shard", handle))
+            self._selector.register(handle.conn, selectors.EVENT_READ, ("shard", handle))
         self._loop_running.set()
         listener_open = True
         try:
             while True:
                 if self._stop_requested and listener_open:
                     self.draining = True
-                    selector.unregister(self._listen)
+                    self._selector.unregister(self._listen)
                     self._listen.close()
                     listener_open = False
-                    self._close_idle_conns(selector)
+                    self._close_idle_conns()
                 if self._force_stop:
                     break
                 if self.draining and not self._pending and not self._has_unflushed():
                     break
-                for key, _mask in selector.select(timeout=0.1):
+                for key, _mask in self._selector.select(timeout=0.1):
                     kind, payload = key.data
                     if kind == "listen":
-                        self._on_accept(selector)
+                        self._on_accept()
                     elif kind == "wakeup":
                         try:
                             os.read(self._wakeup_r, 4096)
                         except OSError:
                             pass
                     elif kind == "shard":
-                        self._on_shard_readable(selector, payload)
+                        self._on_shard_readable(payload)
                     elif kind == "client":
                         try:
-                            self._on_client_event(selector, payload)
+                            self._on_client_event(payload)
                         except Exception:  # noqa: BLE001 -- keep serving
-                            self._internal_error(selector, payload)
+                            self._internal_error(payload)
         finally:
             for conn in list(self._conns.values()):
-                self._close_conn(selector, conn)
+                self._close_conn(conn)
             if listener_open:
                 try:
-                    selector.unregister(self._listen)
+                    self._selector.unregister(self._listen)
                 except KeyError:
                     pass
                 self._listen.close()
             for handle in self.shards:
                 try:
-                    selector.unregister(handle.conn)
+                    self._selector.unregister(handle.conn)
                 except (KeyError, ValueError):
                     pass
-            selector.close()
+            self._selector.close()
             # Drain collects *every* shard: sentinel, join, account.
             self._shards_collected = all(
                 handle.shutdown() for handle in self.shards
@@ -466,15 +468,15 @@ class ShardedServer:
     def _has_unflushed(self) -> bool:
         return any(conn.outbuf is not None for conn in self._conns.values())
 
-    def _close_idle_conns(self, selector) -> None:
+    def _close_idle_conns(self) -> None:
         """At drain start, drop connections that never sent a byte."""
         for conn in list(self._conns.values()):
             if conn.state == "head" and not conn.inbuf:
-                self._close_conn(selector, conn)
+                self._close_conn(conn)
 
     # -- socket plumbing -----------------------------------------------------
 
-    def _on_accept(self, selector) -> None:
+    def _on_accept(self) -> None:
         while True:
             try:
                 sock, _addr = self._listen.accept()
@@ -485,15 +487,15 @@ class ShardedServer:
             sock.setblocking(False)
             conn = _ClientConn(sock)
             self._conns[sock] = conn
-            selector.register(sock, selectors.EVENT_READ, ("client", conn))
+            self._selector.register(sock, selectors.EVENT_READ, ("client", conn))
 
-    def _close_conn(self, selector, conn: _ClientConn) -> None:
+    def _close_conn(self, conn: _ClientConn) -> None:
         if conn.closed:
             return
         conn.closed = True
         self._conns.pop(conn.sock, None)
         try:
-            selector.unregister(conn.sock)
+            self._selector.unregister(conn.sock)
         except (KeyError, ValueError):
             pass
         try:
@@ -501,71 +503,71 @@ class ShardedServer:
         except OSError:
             pass
 
-    def _on_client_event(self, selector, conn: _ClientConn) -> None:
+    def _on_client_event(self, conn: _ClientConn) -> None:
         if conn.outbuf is not None:
-            self._on_client_writable(selector, conn)
+            self._on_client_writable(conn)
             return
         try:
             data = conn.sock.recv(65536)
         except (BlockingIOError, InterruptedError):
             return
         except OSError:
-            self._close_conn(selector, conn)
+            self._close_conn(conn)
             return
         if not data:
-            self._close_conn(selector, conn)
+            self._close_conn(conn)
             return
         conn.inbuf += data
-        self._advance(selector, conn)
+        self._advance(conn)
 
-    def _internal_error(self, selector, conn: _ClientConn) -> None:
+    def _internal_error(self, conn: _ClientConn) -> None:
         """An exception escaped while handling ``conn``: answer it 500."""
         log_event(
             self.access_log, "internal error", level=logging.ERROR,
             traceback=traceback.format_exc(), trace_id=conn.trace_id,
         )
         if conn.outbuf is None and not conn.closed:
-            self._reject(selector, conn, 500, "internal error")
+            self._reject(conn, 500, "internal error")
         else:
-            self._close_conn(selector, conn)
+            self._close_conn(conn)
 
-    def _on_client_writable(self, selector, conn: _ClientConn) -> None:
+    def _on_client_writable(self, conn: _ClientConn) -> None:
         assert conn.outbuf is not None
         try:
             sent = conn.sock.send(conn.outbuf[conn.out_offset:])
         except (BlockingIOError, InterruptedError):
             return
         except OSError:
-            self._close_conn(selector, conn)
+            self._close_conn(conn)
             return
         conn.out_offset += sent
         if conn.out_offset >= len(conn.outbuf):
-            self._close_conn(selector, conn)
+            self._close_conn(conn)
 
     # -- HTTP parsing --------------------------------------------------------
 
-    def _advance(self, selector, conn: _ClientConn) -> None:
+    def _advance(self, conn: _ClientConn) -> None:
         if conn.state == "head":
-            if not self._parse_head(selector, conn):
+            if not self._parse_head(conn):
                 return
         if conn.state == "body":
             if len(conn.inbuf) < conn.body_length:
                 return
-            self._dispatch_post(selector, conn)
+            self._dispatch_post(conn)
 
-    def _parse_head(self, selector, conn: _ClientConn) -> bool:
+    def _parse_head(self, conn: _ClientConn) -> bool:
         conn.started = time.perf_counter()
         index = conn.inbuf.find(b"\r\n\r\n")
         if index < 0:
             if len(conn.inbuf) > MAX_HEAD_BYTES:
-                self._reject(selector, conn, 400, "request head too large")
+                self._reject(conn, 400, "request head too large")
             return False
         head = bytes(conn.inbuf[:index])
         del conn.inbuf[: index + 4]
         lines = head.split(b"\r\n")
         parts = lines[0].split()
         if len(parts) != 3:
-            self._reject(selector, conn, 400, "malformed request line")
+            self._reject(conn, 400, "malformed request line")
             return False
         conn.method = parts[0].decode("latin-1")
         conn.path = parts[1].decode("latin-1")
@@ -581,14 +583,14 @@ class ShardedServer:
             conn.trace_id = tracecontext.new_trace_id()
 
         if conn.method == "GET":
-            self._dispatch_get(selector, conn)
+            self._dispatch_get(conn)
             return False
         if conn.method != "POST":
-            self._reject(selector, conn, 404, "not found")
+            self._reject(conn, 404, "not found")
             return False
         length = conn.headers.get("content-length")
         if length is None or not (length.isascii() and length.isdigit()):
-            self._reject(selector, conn, 411, "Content-Length required")
+            self._reject(conn, 411, "Content-Length required")
             return False
         digits = length.lstrip("0")
         if len(digits) > MAX_LENGTH_DIGITS:
@@ -601,17 +603,17 @@ class ShardedServer:
             size = f"{conn.body_length} bytes"
         self.stats.record_rejected("too_large")
         self._reject(
-            selector, conn, 413,
+            conn, 413,
             f"request of {size} exceeds the {self.max_request_bytes} byte limit",
         )
         return False
 
     # -- GET -----------------------------------------------------------------
 
-    def _dispatch_get(self, selector, conn: _ClientConn) -> None:
+    def _dispatch_get(self, conn: _ClientConn) -> None:
         parsed = urlparse(conn.path)
         if parsed.path not in ("/healthz", "/metricsz"):
-            self._reject(selector, conn, 404, "not found")
+            self._reject(conn, 404, "not found")
             return
         self.emit_event(
             ServerRequestBegin(
@@ -625,16 +627,16 @@ class ShardedServer:
                 "shards": self.shard_count,
                 "uptime_s": round(time.monotonic() - self.started_monotonic, 3),
             }
-            self._respond(selector, conn, 200, document, endpoint="/healthz")
+            self._respond(conn, 200, document, endpoint="/healthz")
         elif self._wants_prometheus(parsed.query, conn.headers.get("accept", "")):
             self._respond(
-                selector, conn, 200, None, endpoint="/metricsz",
+                conn, 200, None, endpoint="/metricsz",
                 body=self.prometheus_document().encode("utf-8"),
                 content_type="text/plain; version=0.0.4; charset=utf-8",
             )
         else:
             self._respond(
-                selector, conn, 200, self.metrics_document(), endpoint="/metricsz"
+                conn, 200, self.metrics_document(), endpoint="/metricsz"
             )
 
     @staticmethod
@@ -646,10 +648,10 @@ class ShardedServer:
 
     # -- POST routing --------------------------------------------------------
 
-    def _dispatch_post(self, selector, conn: _ClientConn) -> None:
+    def _dispatch_post(self, conn: _ClientConn) -> None:
         is_batch = conn.path == "/v1/batch"
         if not is_batch and conn.path not in POST_ROUTES:
-            self._reject(selector, conn, 404, "not found")
+            self._reject(conn, 404, "not found")
             return
         command = POST_ROUTES.get(conn.path)
         self.emit_event(
@@ -660,32 +662,32 @@ class ShardedServer:
         try:
             body = json.loads(bytes(conn.inbuf[: conn.body_length]).decode("utf-8"))
         except (UnicodeDecodeError, ValueError, RecursionError):
-            self._reject(selector, conn, 400, "body is not valid JSON", command)
+            self._reject(conn, 400, "body is not valid JSON", command)
             return
         del conn.inbuf[: conn.body_length]
         conn.state = "wait"
         if self.draining:
             self.stats.record_rejected("draining")
             self._reject(
-                selector, conn, 503, "server is draining", command,
+                conn, 503, "server is draining", command,
                 retry_after=self.stats.retry_after(0, 1),
             )
             return
         if is_batch:
-            self._dispatch_batch(selector, conn, body)
+            self._dispatch_batch(conn, body)
             return
         try:
             handle, message = self._route(body, command)
         except ProtocolError as error:
-            self._reject(selector, conn, 400, str(error), command)
+            self._reject(conn, 400, str(error), command)
             return
         if handle.inflight >= self.queue_size:
             self._reject_queue_full(
-                selector, conn, handle, command,
+                conn, handle, command,
                 f"queue full on shard {handle.shard_id}",
             )
             return
-        self._enqueue(selector, _Pending(conn, command, handle), message)
+        self._enqueue(_Pending(conn, command, handle), message)
 
     def _route(self, body, command: Optional[str]) -> Tuple[ShardHandle, dict]:
         """The shard for one request and the body to forward to it.
@@ -706,11 +708,11 @@ class ShardedServer:
         }
         return self.shards[self.ring.route(key)], message
 
-    def _dispatch_batch(self, selector, conn: _ClientConn, body) -> None:
+    def _dispatch_batch(self, conn: _ClientConn, body) -> None:
         try:
             items = validate_batch(body)
         except ProtocolError as error:
-            self._reject(selector, conn, 400, str(error))
+            self._reject(conn, 400, str(error))
             return
         routed: List[Tuple[int, Optional[ShardHandle], dict]] = []
         demand: Dict[int, int] = {}
@@ -736,7 +738,7 @@ class ShardedServer:
             handle = self.shards[shard_id]
             if handle.inflight + count > self.queue_size:
                 self._reject_queue_full(
-                    selector, conn, handle, None,
+                    conn, handle, None,
                     f"batch needs {count} slots on shard {shard_id}",
                 )
                 return
@@ -746,23 +748,23 @@ class ShardedServer:
                 batch.results[slot] = message
                 continue
             batch.remaining += 1
-            self._enqueue(selector, _Pending(conn, None, handle, batch, slot), message)
+            self._enqueue(_Pending(conn, None, handle, batch, slot), message)
         if batch.remaining == 0:
-            self._finish_batch(selector, batch)
+            self._finish_batch(batch)
 
     def _reject_queue_full(
-        self, selector, conn: _ClientConn, handle: ShardHandle,
+        self, conn: _ClientConn, handle: ShardHandle,
         command: Optional[str], what: str,
     ) -> None:
         self.stats.record_rejected("queue_full")
         self._reject(
-            selector, conn, 503,
+            conn, 503,
             f"{what} ({handle.inflight} in flight, capacity {self.queue_size})",
             command,
             retry_after=self.stats.retry_after(handle.inflight, 1),
         )
 
-    def _enqueue(self, selector, pending: _Pending, body: dict) -> None:
+    def _enqueue(self, pending: _Pending, body: dict) -> None:
         self._next_id += 1
         self._pending[self._next_id] = pending
         try:
@@ -774,18 +776,18 @@ class ShardedServer:
                 "trace_id": pending.conn.trace_id,
             })
         except OSError:
-            self._shard_failed(selector, pending.shard)
+            self._shard_failed(pending.shard)
 
     # -- shard replies -------------------------------------------------------
 
-    def _on_shard_readable(self, selector, handle: ShardHandle) -> None:
+    def _on_shard_readable(self, handle: ShardHandle) -> None:
         while True:
             try:
                 if not handle.conn.poll():
                     return
                 message = handle.conn.recv()
             except (EOFError, OSError):
-                self._shard_failed(selector, handle)
+                self._shard_failed(handle)
                 return
             if not isinstance(message, dict) or message.get("op") != "response":
                 continue
@@ -793,20 +795,20 @@ class ShardedServer:
             try:
                 handle.answered()
             except OSError:
-                self._shard_failed(selector, handle)
+                self._shard_failed(handle)
                 return
             pending = self._pending.pop(message.get("id"), None)
             if pending is not None:
                 self._settle(
-                    selector, pending,
+                    pending,
                     message.get("response") or {},
                     int(message.get("http_status", 200)),
                 )
 
-    def _shard_failed(self, selector, handle: ShardHandle) -> None:
+    def _shard_failed(self, handle: ShardHandle) -> None:
         """A shard died mid-flight: fail its requests, then respawn it."""
         try:
-            selector.unregister(handle.conn)
+            self._selector.unregister(handle.conn)
         except (KeyError, ValueError):
             pass
         # Empty the queue before answering: a client that has its 500
@@ -820,7 +822,7 @@ class ShardedServer:
         for request_id, pending in failed:
             del self._pending[request_id]
             self._settle(
-                selector, pending,
+                pending,
                 error_response(
                     pending.command, f"shard {handle.shard_id} worker died",
                     **UNCACHED,
@@ -840,46 +842,46 @@ class ShardedServer:
                 self.access_log, "shard respawn failed", shard=handle.shard_id
             )
             return
-        selector.register(handle.conn, selectors.EVENT_READ, ("shard", handle))
+        self._selector.register(handle.conn, selectors.EVENT_READ, ("shard", handle))
 
     def _settle(
-        self, selector, pending: _Pending, response: dict, http_status: int
+        self, pending: _Pending, response: dict, http_status: int
     ) -> None:
         if pending.batch is not None:
             batch = pending.batch
             batch.results[pending.slot] = response
             batch.remaining -= 1
             if batch.remaining == 0:
-                self._finish_batch(selector, batch)
+                self._finish_batch(batch)
             return
         self._respond(
-            selector, pending.conn, http_status, response,
+            pending.conn, http_status, response,
             command=response.get("command", pending.command),
             cached=response.get("cached"),
             degraded=bool(response.get("degraded")),
         )
 
-    def _finish_batch(self, selector, batch: _Batch) -> None:
+    def _finish_batch(self, batch: _Batch) -> None:
         results = [result or {} for result in batch.results]
         self._respond(
-            selector, batch.conn, 200, {"status": "ok", "results": results},
+            batch.conn, 200, {"status": "ok", "results": results},
             degraded=any(result.get("degraded") for result in results),
         )
 
     # -- responses -----------------------------------------------------------
 
     def _reject(
-        self, selector, conn: _ClientConn, status: int, message: str,
+        self, conn: _ClientConn, status: int, message: str,
         command: Optional[str] = None, retry_after: Optional[int] = None,
     ) -> None:
         """Answer ``status`` with the front end's own error document."""
         self._respond(
-            selector, conn, status, {"status": "error", "error": message},
+            conn, status, {"status": "error", "error": message},
             command=command, retry_after=retry_after,
         )
 
     def _respond(
-        self, selector, conn: _ClientConn, status: int, document: Optional[dict],
+        self, conn: _ClientConn, status: int, document: Optional[dict],
         endpoint: Optional[str] = None, command: Optional[str] = None,
         cached: Optional[str] = None, degraded: bool = False,
         body: Optional[bytes] = None, content_type: str = "application/json",
@@ -910,13 +912,13 @@ class ShardedServer:
             conn.out_offset = 0
             conn.state = "write"
             try:
-                selector.modify(conn.sock, selectors.EVENT_WRITE, ("client", conn))
+                self._selector.modify(conn.sock, selectors.EVENT_WRITE, ("client", conn))
             except (KeyError, ValueError):  # pragma: no cover -- raced close
-                self._close_conn(selector, conn)
+                self._close_conn(conn)
             else:
                 # Try an eager write: most responses fit the socket
                 # buffer, so the common case needs no further iteration.
-                self._on_client_writable(selector, conn)
+                self._on_client_writable(conn)
         elapsed_ms = (time.perf_counter() - conn.started) * 1000
         self.stats.record_request(
             endpoint, status, elapsed_ms, cached=cached, degraded=degraded

@@ -9,10 +9,6 @@ probability, edge and block frequency, final range set with its weights
 as ``float.hex``, return set, fallback/derived/widened name and counter.
 The engine's hooks share its hot path with the dispatch they guard, so
 an early return taken only without a hook would show here.
-
-A run whose engine passes no plan record (every set-level miss builds
-its set afresh, never replaying a set plan) must agree with the plain
-run as well, ``repro ranges`` text included, over the 33 programs.
 """
 
 from __future__ import annotations
@@ -20,8 +16,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.ledger.corpus import INSTR_PER_COMPONENT, large_module, truth_corpus
-from repro import commands
-from repro.core import VRPConfig, VRPPredictor, perf, propagation
+from repro.core import VRPConfig, VRPPredictor, perf
 from repro.ir import prepare_module
 from repro.lang import compile_source
 from repro.observability import tracer as tracing
@@ -109,20 +104,3 @@ def test_a_hullless_phi_merged_unchanged_still_widens():
     main = predict(HULLLESS_PHI, "hullless_phi", VRPConfig())["main"]
     assert main["widened"] == ["i.1", "x.4"]
     assert main["values"]["x.4"] == "RangeSet.bottom()"
-
-
-@pytest.mark.parametrize(
-    "name,source", PROGRAMS[:-2], ids=[name for name, _ in PROGRAMS[:-2]]
-)
-def test_a_run_without_plan_records_agrees(name, source, monkeypatch):
-    def run():
-        prediction = predict(source, name, VRPConfig())
-        perf.reset()
-        return prediction, commands.execute("ranges", source, name, {}).output
-
-    plain = run()
-    asked = []
-    # The engine's record factory now hands out None: no plan is kept.
-    monkeypatch.setattr(propagation, "PlanRecord", lambda: asked.append(1))
-    assert run() == plain
-    assert asked

@@ -10,23 +10,19 @@ every range, so probabilities bit for bit), the same ``RangeError`` /
 ``ValueError`` (type and message), the same ``sub_operations`` tally,
 and the same interned object for equal results.  Binary arithmetic,
 refinement and comparison are also run a second time on the same
-extents with new weights, the loop-lap case the set plans serve: both
-calls pass one ``PlanRecord``, as the engine passes an instruction's
-own on each lap.  Set
-building is also run on up to 16 distinct extents, so that compaction
-meets ties in cost, pairs with no hull and hulls of infinite width.
-Binary arithmetic, refinement, comparison and the φ merge are run
-again, twice, on the same shapes with weights that replay their set
-plans, fall to or below ``PROB_EPSILON``, or sum to exactly 1; the φ
+extents with new weights, as a loop lap that only reweights its sets
+runs them.  Set building is also run on up to 16 distinct extents, so
+that compaction meets ties in cost, pairs with no hull and hulls of
+infinite width.  Binary arithmetic, refinement, comparison and the φ
+merge are run again, twice, on the same shapes with weights that are
+free, fall to or below ``PROB_EPSILON``, or sum to exactly 1; the φ
 merge against the reference set builder.  Binary arithmetic and the φ
-merge are also run on shapes over the range cap, whose plans look the
-compacted set up in the ``from_ranges`` table, with weights that
-repeat an earlier lap's (a hit) and weights that do not (a build).
-The ``from_ranges`` key is checked to be equal exactly when the
-ranges it stands for are.
+merge are also run on shapes over the range cap, with weights that
+repeat an earlier lap's (a ``from_ranges`` hit) and weights that do
+not (a build).  The ``from_ranges`` key is checked to be equal exactly
+when the ranges it stands for are.
 """
 
-import functools
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -40,7 +36,6 @@ from repro.core.rangeset import (
     DEFAULT_MAX_RANGES,
     PROB_EPSILON,
     TOP,
-    PlanRecord,
     RangeSet,
     intern_rangeset,
 )
@@ -257,21 +252,19 @@ class TestCompactionCounting:
         assert self.hulls(monkeypatch, self.SIXTEEN[:4], 4) == 0
 
 
-def same_binop(op, a, b, max_ranges, record=None):
+def same_binop(op, a, b, max_ranges):
     production_tally, reference_tally = counters.Counters(), counters.Counters()
     with counters.use(production_tally):
-        production = outcome(
-            lambda: range_arith.evaluate_binop(op, a, b, max_ranges, record=record)
-        )
+        production = outcome(range_arith.evaluate_binop, op, a, b, max_ranges)
     with counters.use(reference_tally):
         reference = outcome(ref.evaluate_binop, op, a, b, max_ranges)
     same(production, reference)
     assert production_tally.sub_operations == reference_tally.sub_operations
 
 
-def same_refine(src, op, bound, max_ranges, record=None):
+def same_refine(src, op, bound, max_ranges):
     same(
-        outcome(refine.refine_set, src, op, bound, max_ranges, record),
+        outcome(refine.refine_set, src, op, bound, max_ranges),
         outcome(ref.refine_set, src, op, bound, max_ranges),
     )
 
@@ -281,13 +274,13 @@ def same_refine(src, op, bound, max_ranges, record=None):
 SYMBOL_RANGES = {"a": RangeSet.span(0, 6, 2), "b": RangeSet.span(-3, 40)}
 
 
-def same_compare(op, a, b, a_name, b_name, symbol_range=SYMBOL_RANGES.get, record=None):
+def same_compare(op, a, b, a_name, b_name, symbol_range=SYMBOL_RANGES.get):
     """``compare_sets`` and the reference agree on both masses, bit for
     bit, and on the ``sub_operations`` tally."""
     production_tally, reference_tally = counters.Counters(), counters.Counters()
     arguments = (op, a, b, a_name, b_name, DEFAULT_EXACT_LIMIT, symbol_range)
     with counters.use(production_tally):
-        production = outcome(lambda: comparisons.compare_sets(*arguments, record=record))
+        production = outcome(comparisons.compare_sets, *arguments)
     with counters.use(reference_tally):
         reference = outcome(ref.compare_sets, *arguments)
     if production[0] == "ok" and production[1] is not None:
@@ -348,8 +341,8 @@ def reweighted(rset, weights):
 
 class TestLaps:
     """Each operation runs on its operands and then again on the same
-    extents with new weights, which the set plan in its record serves;
-    both must be what the reference computes.  The memo tables are not
+    extents with new weights; both must be what the reference computes.
+    The memo tables are not
     emptied between examples, so a memo key that leaves out part of
     what the result depends on shows up as another example's result."""
 
@@ -363,24 +356,21 @@ class TestLaps:
         st.integers(1, 4),
     )
     def test_evaluate_binop(self, op, a, b, a_weights, b_weights, max_ranges):
-        record = PlanRecord()
-        same_binop(op, a, b, max_ranges, record)
-        same_binop(op, reweighted(a, a_weights), reweighted(b, b_weights), max_ranges, record)
+        same_binop(op, a, b, max_ranges)
+        same_binop(op, reweighted(a, a_weights), reweighted(b, b_weights), max_ranges)
 
     @DIFFERENTIAL
     @given(operands(), WEIGHTS, st.sampled_from(RELOPS), bounds(), st.integers(1, 4))
     def test_refine_set(self, src, weights, op, bound, max_ranges):
-        record = PlanRecord()
-        same_refine(src, op, bound, max_ranges, record)
-        same_refine(reweighted(src, weights), op, bound, max_ranges, record)
+        same_refine(src, op, bound, max_ranges)
+        same_refine(reweighted(src, weights), op, bound, max_ranges)
 
     @DIFFERENTIAL
     @given(st.sampled_from(RELOPS), operands(), operands(), WEIGHTS, WEIGHTS, NAMES, NAMES)
     def test_compare_sets(self, op, a, b, a_weights, b_weights, a_name, b_name):
-        record = PlanRecord()
-        same_compare(op, a, b, a_name, b_name, record=record)
+        same_compare(op, a, b, a_name, b_name)
         a, b = reweighted(a, a_weights), reweighted(b, b_weights)
-        same_compare(op, a, b, a_name, b_name, record=record)
+        same_compare(op, a, b, a_name, b_name)
 
 
 def counted(calls, function):
@@ -392,6 +382,9 @@ def counted(calls, function):
 
 
 class TestLapCounting:
+    """The tables a lap's set-level operations fill are the ``perf``
+    tables, and ``perf.reset()`` empties them."""
+
     A = RangeSet.from_ranges(
         [StridedRange.span(p, lo, lo + 6, 2) for p, lo in ((0.1, 0), (0.2, 10), (0.3, 20), (0.4, 30))]
     )
@@ -399,48 +392,14 @@ class TestLapCounting:
         [StridedRange.span(0.5, 1, 4), StridedRange.symbol(0.25, "a", 2), StridedRange.single(0.25, 9)]
     )
 
-    def evaluate(self, a, b, records):
-        binop, pi, compare = records
-        range_arith.evaluate_binop("add", a, b, record=binop)
-        refine.refine_set(a, "lt", Bound(25), record=pi)
-        # A callback that knows no symbol: the pairs with ``a`` stay
-        # unknown without integrating (which calls _dispatch_fraction
-        # per sample point, uncached by design).
-        comparisons.compare_sets("lt", a, b, b_name="n", symbol_range={}.get, record=compare)
-
-    def test_a_reweighting_lap_calls_no_pair_handler(self, monkeypatch):
-        perf.reset()
-        records = PlanRecord(), PlanRecord(), PlanRecord()
-        self.evaluate(self.A, self.B, records)
-        calls = []
-        monkeypatch.setitem(
-            range_arith._BINOP_HANDLERS, "add", counted(calls, range_arith._add)
-        )
-        monkeypatch.setattr(refine, "_clip_upper", counted(calls, refine._clip_upper))
-        monkeypatch.setattr(
-            comparisons, "_dispatch_fraction", counted(calls, comparisons._dispatch_fraction)
-        )
-        a, b = reweighted(self.A, [0.4, 0.3, 0.2, 0.1]), reweighted(self.B, [0.1, 0.6, 0.3])
-        tally = counters.Counters()
-        with counters.use(tally):
-            self.evaluate(a, b, records)
-        assert calls == []
-        # Still one tallied sub-operation per pair: 12 sums, 12 comparisons.
-        assert tally.sub_operations == 24
-        monkeypatch.undo()
-        same_binop("add", a, b, DEFAULT_MAX_RANGES)
-        same_refine(a, "lt", Bound(25), DEFAULT_MAX_RANGES)
-        same_compare("lt", a, b, None, "n")
-
     def test_reset_empties_the_pair_tables(self):
-        # A binop's pairs are kept by its record's plan and by the
-        # from_ranges table its result is interned in; no per-pair memo
-        # is left.  The record is its caller's: a reset leaves it be.
+        # A binop's pairs are kept only by the from_ranges table its
+        # result is interned in; no per-pair memo is left.
         perf.reset()
-        records = PlanRecord(), PlanRecord(), PlanRecord()
-        self.evaluate(self.A, self.B, records)
+        range_arith.evaluate_binop("add", self.A, self.B)
+        refine.refine_set(self.A, "lt", Bound(25))
+        comparisons.compare_sets("lt", self.A, self.B, b_name="n", symbol_range={}.get)
         assert len(rangeset._FROM_RANGES)
-        assert all(record.plan is not None for record in records)
         assert not hasattr(range_arith, "_PAIRS")
         assert "binop_pair" not in perf.snapshot()
         perf.reset()
@@ -448,7 +407,7 @@ class TestLapCounting:
         assert perf.snapshot()["from_ranges"]["misses"] == 0
 
 
-# -- set plans: the same shapes, new weights ---------------------------------------
+# -- reweighted laps: the same shapes, new weights -------------------------------
 
 #: New weights for each range of a set: free; dyadic, so that a binop's
 #: products and a φ merge's shares sum to exactly 1 and the
@@ -501,9 +460,9 @@ def reference_merge(contributions, max_ranges):
     return ref.build_set(ranges, max_ranges, True)
 
 
-def same_merge(contributions, max_ranges, record=None):
+def same_merge(contributions, max_ranges):
     same(
-        outcome(rangeset.merge_weighted, contributions, max_ranges, record),
+        outcome(rangeset.merge_weighted, contributions, max_ranges),
         outcome(reference_merge, contributions, max_ranges),
     )
 
@@ -560,18 +519,13 @@ def spread(draw, extents):
     return RangeSet.from_ranges(ranges, renormalise=True)
 
 
-def over_the_cap(record):
-    """Whether ``record`` holds a set plan over the range cap."""
-    return record.plan.__class__ is tuple and record.plan[0] is None
-
-
 class TestPlans:
     """Each operation runs and then runs again, twice, on the same
-    shapes with new weights, which the set plan in its record replays;
-    each run must be what the reference computes, with the same tally.
-    ``cold`` empties every memo table first; otherwise they stay warm
-    across examples, so a memo key that leaves out part of what the
-    result depends on shows up as another example's result."""
+    shapes with new weights, as a loop lap that only reweights its sets
+    runs it; each run must be what the reference computes, with the
+    same tally.  ``cold`` empties every memo table first; otherwise they
+    stay warm across examples, so a memo key that leaves out part of
+    what the result depends on shows up as another example's result."""
 
     @DIFFERENTIAL
     @given(
@@ -585,10 +539,9 @@ class TestPlans:
     def test_evaluate_binop(self, op, a, b, max_ranges, cold, data):
         if cold:
             perf.reset()
-        record = PlanRecord()
-        same_binop(op, a, b, max_ranges, record)
+        same_binop(op, a, b, max_ranges)
         for _ in range(2):
-            same_binop(op, relaid(data, a), relaid(data, b), max_ranges, record)
+            same_binop(op, relaid(data, a), relaid(data, b), max_ranges)
 
     @DIFFERENTIAL
     @given(
@@ -602,10 +555,9 @@ class TestPlans:
     def test_refine_set(self, src, op, bound, max_ranges, cold, data):
         if cold:
             perf.reset()
-        record = PlanRecord()
-        same_refine(src, op, bound, max_ranges, record)
+        same_refine(src, op, bound, max_ranges)
         for _ in range(2):
-            same_refine(relaid(data, src), op, bound, max_ranges, record)
+            same_refine(relaid(data, src), op, bound, max_ranges)
 
     @DIFFERENTIAL
     @given(
@@ -621,12 +573,11 @@ class TestPlans:
     def test_compare_sets(self, op, a, b, a_name, b_name, symbol_range, cold, data):
         if cold:
             perf.reset()
-        record = PlanRecord()
-        same_compare(op, a, b, a_name, b_name, symbol_range, record)
+        same_compare(op, a, b, a_name, b_name, symbol_range)
         for _ in range(2):
             symbol_range = data.draw(st.sampled_from([SYMBOL_RANGES.get, None]))
             lap = relaid(data, a), relaid(data, b)
-            same_compare(op, *lap, a_name, b_name, symbol_range, record)
+            same_compare(op, *lap, a_name, b_name, symbol_range)
 
     @DIFFERENTIAL
     @given(
@@ -638,11 +589,10 @@ class TestPlans:
     def test_merge_weighted(self, contributions, max_ranges, cold, data):
         if cold:
             perf.reset()
-        record = PlanRecord()
-        same_merge(contributions, max_ranges, record)
+        same_merge(contributions, max_ranges)
         for _ in range(2):
             lap = [(data.draw(EDGE_WEIGHTS), relaid(data, rset)) for _, rset in contributions]
-            same_merge(lap, max_ranges, record)
+            same_merge(lap, max_ranges)
 
     @DIFFERENTIAL
     @given(
@@ -659,23 +609,10 @@ class TestPlans:
         set comes from the ``from_ranges`` table."""
         if cold:
             perf.reset()
-        record = PlanRecord()
-        same_binop(op, a, b, max_ranges, record)
+        same_binop(op, a, b, max_ranges)
         first = relaid(data, a), relaid(data, b)
         for a_lap, b_lap in (first, (relaid(data, a), relaid(data, b)), first):
-            same_binop(op, a_lap, b_lap, max_ranges, record)
-
-    def test_evaluate_binop_over_the_cap_is_planned(self):
-        """Sums a thousand apart exceed the cap and keep a set plan."""
-        a = RangeSet.from_ranges(
-            [StridedRange(0.5, Bound(0), Bound(6), 2), StridedRange(0.5, Bound(1000), Bound(1006), 2)]
-        )
-        b = RangeSet.from_ranges([StridedRange.single(0.5, 2), StridedRange.single(0.5, 3)])
-        perf.reset()
-        record = PlanRecord()
-        same_binop("add", a, b, 3, record)
-        assert over_the_cap(record)
-        assert record.shapes == (a.shape, b.shape)
+            same_binop(op, a_lap, b_lap, max_ranges)
 
     @DIFFERENTIAL
     @given(
@@ -687,26 +624,24 @@ class TestPlans:
     def test_merge_weighted_over_the_cap(self, contributions, max_ranges, cold, data):
         """A φ over the cap, cold and then on three laps, the third
         repeating the first's edge weights and sets with the φ memo
-        emptied, so that its plan replays."""
+        emptied, so that its set comes from the ``from_ranges`` table."""
         if cold:
             perf.reset()
-        record = PlanRecord()
-        same_merge(contributions, max_ranges, record)
+        same_merge(contributions, max_ranges)
 
         def lap():
             return [(data.draw(EDGE_WEIGHTS), relaid(data, rset)) for _, rset in contributions]
 
         first = lap()
-        same_merge(first, max_ranges, record)
-        same_merge(lap(), max_ranges, record)
+        same_merge(first, max_ranges)
+        same_merge(lap(), max_ranges)
         rangeset._MERGE_WEIGHTED.clear()
-        same_merge(first, max_ranges, record)
+        same_merge(first, max_ranges)
 
     def test_one_shape_under_each_cap_and_name(self):
-        """A plan replayed under another call's cap or operand names
-        would show here: each shape meets every cap and every name,
-        each call site (an instruction of one cap and one pair of
-        names) with its own record, kept across its laps."""
+        """A memo key that leaves out the cap or the operand names
+        would show here: each shape meets every cap and every name, on
+        the operands as built and on two laps of new weights."""
         a = RangeSet.from_ranges(
             [
                 StridedRange.span(0.5, 0, 6, 2),
@@ -721,20 +656,18 @@ class TestPlans:
         laps = ([0.25, 0.5, 0.25], [0.5, 0.5]), ([0.1, 0.6, 0.3], [0.9, 0.1])
         perf.reset()
         for max_ranges in (4, 3, 2, 1):
-            records = [PlanRecord() for _ in range(4)]
             for a_weights, b_weights in ((None, None),) + laps:
                 a_lap = a if a_weights is None else reweighted(a, a_weights)
                 b_lap = b if b_weights is None else reweighted(b, b_weights)
-                same_binop("add", a_lap, b_lap, max_ranges, records[0])  # 6 extents
-                same_binop("add", b_lap, b, max_ranges, records[1])  # 3 extents
-                same_refine(a_lap, "gt", Bound(4), max_ranges, records[2])
-                same_merge([(0.5, a_lap), (0.5, a)], max_ranges, records[3])
+                same_binop("add", a_lap, b_lap, max_ranges)  # 6 extents
+                same_binop("add", b_lap, b, max_ranges)  # 3 extents
+                same_refine(a_lap, "gt", Bound(4), max_ranges)
+                same_merge([(0.5, a_lap), (0.5, a)], max_ranges)
         for names in ((None, None), (None, "a"), ("a", None), ("b", "a"), (None, None)):
-            records = PlanRecord(), PlanRecord()
             for weights in (None, [0.5, 0.5], [0.2, 0.8]):
                 lap = near if weights is None else reweighted(near, weights)
-                same_compare("lt", lap, b, *names, None, records[0])
-                same_compare("lt", b, lap, *names, None, records[1])
+                same_compare("lt", lap, b, *names, None)
+                same_compare("lt", b, lap, *names, None)
 
     def test_bottom_at_each_pair(self):
         """A binop whose pair k is ⊥ tallies k + 1 pairs, warm as cold."""
@@ -752,21 +685,19 @@ class TestPlans:
             assert divisor.ranges[k].lo.offset == -1
             divisors.append(divisor)
             perf.reset()
-            record = PlanRecord()
             for weights in ([0.2] * 4, [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]):
                 lap = reweighted(divisor, weights)
                 tally = counters.Counters()
                 with counters.use(tally):
-                    assert range_arith.evaluate_binop("div", dividend, lap, record=record) is BOTTOM
+                    assert range_arith.evaluate_binop("div", dividend, lap) is BOTTOM
                 assert tally.sub_operations == k + 1
-                assert record.plan == k
-                same_binop("div", dividend, lap, DEFAULT_MAX_RANGES, record)
+                same_binop("div", dividend, lap, DEFAULT_MAX_RANGES)
         for divisor in divisors:
             same_binop("div", dividend, divisor, DEFAULT_MAX_RANGES)
 
     def test_a_symbol_flipping_between_bottom_and_numeric(self):
-        """An unknown pair's plan entry is its symbol: every lap asks for
-        the symbol's live range, as the reference pair loop does, and
+        """A pair unknown from its extents asks, on every lap, for its
+        one symbol's live range, as the reference pair loop does, and
         integrates only when that range is numeric."""
         # [0 : a+1] mixes a number with ``a``: unknown from the extents.
         mixed = RangeSet.from_ranges(
@@ -779,12 +710,10 @@ class TestPlans:
         for op in RELOPS:
             for names in ((None, None), (None, "a"), ("b", None)):
                 perf.reset()
-                record = PlanRecord()
                 for lap, live in enumerate(lives):
                     a = reweighted(mixed, laps[lap % 3])
                     seen = []
-                    production = functools.partial(comparisons.compare_sets, record=record)
-                    for compare in (production, ref.compare_sets):
+                    for compare in (comparisons.compare_sets, ref.compare_sets):
                         asked = []
 
                         def symbol_range(name):
@@ -804,178 +733,6 @@ class TestPlans:
                     # each asks, every lap; only a numeric range settles them.
                     assert seen[0][1] == ["a", "a"]
                     assert (result[1] == 0.0) == (live in numeric), (op, names, lap)
-
-
-class TestPlanCounting:
-    """A lap that only reweights replays the set plans in its records:
-    no set build, no fold, no clipping or pair fraction and, under the
-    cap, no ``from_ranges`` key, the same tally.  Over the cap it visits
-    no pair and hashes no range for its key."""
-
-    A = RangeSet.from_ranges(
-        [StridedRange.span(p, lo, lo + 6, 2) for p, lo in ((0.1, 0), (0.2, 10), (0.3, 20), (0.4, 30))]
-    )
-    # A mod 7 and A mod 9: 8 pairs onto 3 extents, so the plan folds.
-    MODULI = RangeSet.from_ranges([StridedRange.single(0.5, 7), StridedRange.single(0.5, 9)])
-    LIMIT = RangeSet.constant(25)
-    # A + {1, 100}: 4×2 sums of 8 distinct extents, over the cap of 4.
-    ADDEND = RangeSet.from_ranges([StridedRange.single(0.5, 1), StridedRange.single(0.5, 100)])
-
-    def evaluate(self, a, moduli, other, records):
-        binop, pi, compare, phi = records
-        return (
-            range_arith.evaluate_binop("mod", a, moduli, record=binop),
-            refine.refine_set(a, "lt", Bound(25), record=pi),
-            comparisons.compare_sets(
-                "lt", a, self.LIMIT, symbol_range=SYMBOL_RANGES.get, record=compare
-            ),
-            rangeset.merge_weighted([(0.3, a), (0.7, other)], record=phi),
-        )
-
-    def lap(self):
-        return (
-            reweighted(self.A, [0.4, 0.3, 0.2, 0.1]),
-            reweighted(self.MODULI, [0.25, 0.75]),
-            reweighted(self.A, [0.25, 0.25, 0.25, 0.25]),
-        )
-
-    def test_a_reweighting_lap_builds_no_set(self, monkeypatch):
-        perf.reset()
-        records = [PlanRecord() for _ in range(4)]
-        self.evaluate(self.A, self.MODULI, reweighted(self.A, [0.7, 0.1, 0.1, 0.1]), records)
-        plans = [record.plan for record in records]
-        a, moduli, other = self.lap()
-        before = perf.snapshot()
-        calls = []
-        for module, name in (
-            (rangeset, "_build_set"),
-            (rangeset, "_fold_duplicates"),
-            (rangeset, "build_planned"),
-            (refine, "_clip_upper"),
-            (comparisons, "_dispatch_fraction"),
-        ):
-            monkeypatch.setattr(module, name, counted(calls, getattr(module, name)))
-        tally = counters.Counters()
-        with counters.use(tally):
-            self.evaluate(a, moduli, other, records)
-        monkeypatch.undo()
-        assert calls == []
-        # Each record's plan answers, and no from_ranges key is built.
-        assert all(record.plan is plan for record, plan in zip(records, plans))
-        assert perf.snapshot()["from_ranges"] == before["from_ranges"]
-        # Still one tallied sub-operation per pair: 8 residues, 4 comparisons.
-        assert tally.sub_operations == 12
-        same_binop("mod", a, moduli, DEFAULT_MAX_RANGES)
-        same_refine(a, "lt", Bound(25), DEFAULT_MAX_RANGES)
-        same_compare("lt", a, self.LIMIT, None, None)
-        same_merge([(0.3, a), (0.7, other)], DEFAULT_MAX_RANGES)
-
-    def test_an_over_cap_lap_visits_no_pair_and_hashes_no_range_for_its_key(self, monkeypatch):
-        perf.reset()
-        record = PlanRecord()
-        range_arith.evaluate_binop("add", self.A, self.ADDEND, record=record)
-        fresh = reweighted(self.A, [0.4, 0.3, 0.2, 0.1]), reweighted(self.ADDEND, [0.25, 0.75])
-        # New weights (a build), then the cold call's and the first lap's
-        # again: each repeat finds its set in the from_ranges table.
-        for builds, (a, addend) in ((True, fresh), (False, (self.A, self.ADDEND)), (False, fresh)):
-            calls = []
-            monkeypatch.setitem(range_arith._BINOP_HANDLERS, "add", counted(calls, range_arith._add))
-            monkeypatch.setattr(rangeset, "_build_set", counted(calls, rangeset._build_set))
-            for name in ("__hash__", "__eq__"):
-                monkeypatch.setattr(StridedRange, name, counted(calls, getattr(StridedRange, name)))
-            tally = counters.Counters()
-            with counters.use(tally):
-                result = range_arith.evaluate_binop("add", a, addend, record=record)
-            monkeypatch.undo()
-            # Only a build hashes ranges: interning the new set hashes
-            # its own four.
-            expected = ["_build_set"] + ["__hash__"] * len(result.ranges) if builds else []
-            assert calls == expected
-            assert tally.sub_operations == 8
-            same_binop("add", a, addend, DEFAULT_MAX_RANGES)
-
-    def test_no_plan_table_is_left(self):
-        """A plan lives in its caller's record, so no module keeps one
-        and ``perf`` counts none; a reset empties ``from_ranges``."""
-        for module in (range_arith, refine, comparisons, rangeset):
-            assert not hasattr(module, "_PLANS")
-        assert not hasattr(rangeset, "_MERGE_PLANS")
-        perf.reset()
-        self.evaluate(self.A, self.MODULI, self.A, [PlanRecord() for _ in range(4)])
-        range_arith.evaluate_binop("add", self.A, self.ADDEND, record=PlanRecord())
-        assert not [name for name in perf.snapshot() if name.endswith("_plan")]
-        assert len(rangeset._FROM_RANGES)
-        perf.reset()
-        assert len(rangeset._FROM_RANGES) == 0
-        assert perf.snapshot()["from_ranges"]["misses"] == 0
-
-
-class TestRecords:
-    """A record holds one plan, for the shapes (and a π's limit) it was
-    built for; only a call that passes it and matches them replays."""
-
-    A = TestPlanCounting.A
-    B = RangeSet.from_ranges([StridedRange.single(0.5, 1), StridedRange.single(0.5, 3)])
-    C = RangeSet.from_ranges([StridedRange.span(0.5, 0, 4), StridedRange.single(0.5, 9)])
-
-    def test_new_shapes_rebuild_the_plan(self):
-        """Shapes that change between laps (A, then B, then A again,
-        each reweighted) rebuild the plan each time, which then matches
-        the new shapes, and every call matches the reference."""
-        perf.reset()
-        binop, pi, compare, phi = (PlanRecord() for _ in range(4))
-        for step, rset in enumerate((self.A, self.B, self.A, self.C, self.C)):
-            lap = reweighted(rset, [0.1 * (step + 1), 0.3, 0.2, 0.4])
-            same_binop("add", lap, self.B, DEFAULT_MAX_RANGES, binop)
-            assert binop.shapes == (lap.shape, self.B.shape)
-            same_refine(lap, "lt", Bound(12), DEFAULT_MAX_RANGES, pi)
-            assert pi.shapes[2] == lap.shape
-            same_compare("lt", lap, self.C, None, None, None, compare)
-            assert compare.shapes == (lap.shape, self.C.shape)
-            same_merge([(0.5, lap), (0.5, self.B)], DEFAULT_MAX_RANGES, phi)
-            assert phi.shapes == (lap.shape, self.B.shape)
-
-    def test_a_changed_limit_is_not_replayed(self, monkeypatch):
-        """A π whose constant bound moves between laps clips afresh
-        against the new limit, even though its source keeps its shape."""
-        perf.reset()
-        record = PlanRecord()
-        calls = []
-        monkeypatch.setattr(refine, "_clip_upper", counted(calls, refine._clip_upper))
-        for limit in (25, 25, 15, 15, 25):
-            lap = reweighted(self.A, [0.25, 0.25, 0.25, 0.25] if limit == 15 else [0.4, 0.3, 0.2, 0.1])
-            calls.clear()
-            result = refine.refine_set(lap, "lt", Bound(limit), record=record)
-            same(("ok", result), outcome(ref.refine_set, lap, "lt", Bound(limit), DEFAULT_MAX_RANGES))
-            assert record.shapes == (None, limit - 1, lap.shape)
-            rangeset._FROM_RANGES.clear()
-        # Each change of limit clipped all four ranges; each repeat none.
-        record = PlanRecord()
-        for limit, clips in ((25, 4), (25, 0), (15, 4), (15, 0), (25, 4)):
-            calls.clear()
-            refine.refine_set(reweighted(self.A, [0.1, 0.2, 0.3, 0.4]), "lt", Bound(limit), record=record)
-            assert len(calls) == clips, limit
-
-    def test_no_record_never_replays(self, monkeypatch):
-        """Without a record every call runs its pair loop, however
-        often it has met these shapes."""
-        perf.reset()
-        calls = []
-        monkeypatch.setitem(range_arith._BINOP_HANDLERS, "add", counted(calls, range_arith._add))
-        monkeypatch.setattr(refine, "_clip_upper", counted(calls, refine._clip_upper))
-        monkeypatch.setattr(
-            comparisons, "_dispatch_fraction", counted(calls, comparisons._dispatch_fraction)
-        )
-        for weights in ([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], [0.25] * 4):
-            lap = reweighted(self.A, weights)
-            calls.clear()
-            range_arith.evaluate_binop("add", lap, self.B)
-            refine.refine_set(lap, "lt", Bound(25))
-            comparisons.compare_sets("lt", lap, self.C)
-            rangeset._merge_weighted([(0.5, lap), (0.5, self.B)])
-            assert calls.count("_add") == 8
-            assert calls.count("_clip_upper") == 4
-            assert calls.count("_dispatch_fraction") == 8
 
 
 # -- the from_ranges key -------------------------------------------------------------

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from repro.core import VRPConfig, VRPPredictor
+from repro.core.propagation import FREQUENCY_CAP
 from repro.evalharness import synthetic_program
 from repro.ir import prepare_module
 from repro.lang import compile_source
@@ -139,11 +140,10 @@ class TestClosedForm:
         assert prediction.block_frequency[inner] == pytest.approx(110.0, rel=1e-3)
 
     def test_endless_loop_is_capped(self):
-        config = VRPConfig()
         prediction = analyse(
-            "func main(n) { while (1) { n = n + 1; } return n; }", config=config
+            "func main(n) { while (1) { n = n + 1; } return n; }", config=VRPConfig()
         )
-        assert max(prediction.block_frequency.values()) == config.frequency_cap
+        assert max(prediction.block_frequency.values()) == FREQUENCY_CAP
 
     def test_flow_work_is_linear(self):
         """No per-lap re-weighting: under one flow push per instruction

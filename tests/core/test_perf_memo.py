@@ -316,18 +316,8 @@ class TestDisableSwitch:
         reference = run()  # cold (the fixture reset every cache)
         warm = run()
         shrink_caches(monkeypatch)
-        # The binop plans an instruction's record replays are its own,
-        # whatever the memo tables keep.
-        replays = []
-        replay_plan = range_arith.replay_plan
-        monkeypatch.setattr(
-            range_arith,
-            "replay_plan",
-            lambda plan, weights: replays.append(plan) or replay_plan(plan, weights),
-        )
         tiny = run()
         assert all(cache.capacity == 2 and len(cache) <= 2 for cache in memo._ALL_CACHES)
-        assert replays
         for other in (warm, tiny):
             assert other.all_branches() == reference.all_branches()
             assert other.counters.as_dict() == reference.counters.as_dict()
